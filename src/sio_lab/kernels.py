@@ -86,21 +86,28 @@ def _base_matrix(k: KernelSpec, cloud: PointCloud) -> np.ndarray:
     return np.broadcast_to(np.asarray(out, dtype=np.float64), (n, n)).copy()
 
 
+def _riesz_rows(k: KernelSpec, cloud: PointCloud, rows: np.ndarray
+                ) -> np.ndarray:
+    """The one Riesz formula: k(x, .) for each x in rows, zero diagonal."""
+    diff = cloud.coords[rows, None, :] - cloud.coords[None, :, :]
+    num = diff[:, :, k.i - 1]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = num / dist ** (k.n + 1.0)
+    vals[np.arange(rows.size), rows] = 0.0
+    return vals
+
+
 def kernel_matrix(k: KernelSpec, cloud: PointCloud) -> np.ndarray:
     """Full kernel matrix with zeros filled on the (undefined) diagonal.
 
     The returned matrix is bit-exactly antisymmetric: M[a, b] == -M[b, a].
     """
     if k.family == COORDINATE_RIESZ:
-        diff = cloud.coords[:, None, :] - cloud.coords[None, :, :]
-        num = diff[:, :, k.i - 1]
-        dist = np.sqrt((diff * diff).sum(axis=2))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = num / dist ** (k.n + 1.0)
-    else:
-        b = _base_matrix(k, cloud)
-        with np.errstate(invalid="ignore"):  # inf - inf on the diagonal
-            vals = (b - b.T) / 2.0 if k.antisymmetrize else b
+        return _riesz_rows(k, cloud, np.arange(cloud.n_points))
+    b = _base_matrix(k, cloud)
+    with np.errstate(invalid="ignore"):  # inf - inf on the diagonal
+        vals = (b - b.T) / 2.0 if k.antisymmetrize else b
     np.fill_diagonal(vals, 0.0)
     return vals
 
@@ -109,13 +116,7 @@ def kernel_rows(k: KernelSpec, cloud: PointCloud, rows) -> np.ndarray:
     """k(x, .) for each x in rows, diagonal entries filled with 0."""
     rows = np.asarray(rows)
     if k.family == COORDINATE_RIESZ:
-        diff = cloud.coords[rows, None, :] - cloud.coords[None, :, :]
-        num = diff[:, :, k.i - 1]
-        dist = np.sqrt((diff * diff).sum(axis=2))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = num / dist ** (k.n + 1.0)
-        vals[np.equal(rows[:, None], np.arange(cloud.n_points)[None, :])] = 0.0
-        return vals
+        return _riesz_rows(k, cloud, rows)
     return kernel_matrix(k, cloud)[rows]
 
 

@@ -90,19 +90,23 @@ class PointCloud:
 
 
 def _distance_rows(cloud: PointCloud, rows: np.ndarray) -> np.ndarray:
-    md = cloud.metric
-    if md.family == CUSTOM_TABLE:
+    if cloud.metric.family == CUSTOM_TABLE:
         return cloud.table[rows]
-    diff = np.abs(cloud.coords[rows, None, :] - cloud.coords[None, :, :])
+    return _norm(cloud.metric,
+                 np.abs(cloud.coords[rows, None, :] - cloud.coords[None, :, :]))
+
+
+def _norm(md: MetricDescriptor, diff: np.ndarray) -> np.ndarray:
+    """The metric's distance from |x - y| coordinate gaps on the last axis."""
     p = md.p
     if math.isinf(p):
-        d = diff.max(axis=2)
+        d = diff.max(axis=-1)
     elif p == 2.0:
-        d = np.sqrt((diff * diff).sum(axis=2))
+        d = np.sqrt((diff * diff).sum(axis=-1))
     elif p == 1.0:
-        d = diff.sum(axis=2)
+        d = diff.sum(axis=-1)
     else:
-        d = (diff ** p).sum(axis=2) ** (1.0 / p)
+        d = (diff ** p).sum(axis=-1) ** (1.0 / p)
     if md.family == SNOWFLAKE:
         d = d ** md.alpha
     return d
@@ -202,20 +206,9 @@ def validate_metric(cloud: PointCloud, seed: int = 0,
 
 
 def _pair_distances(cloud: PointCloud, ii, jj) -> np.ndarray:
-    md = cloud.metric
-    if md.family == CUSTOM_TABLE:
+    if cloud.metric.family == CUSTOM_TABLE:
         return cloud.table[ii, jj]
-    diff = np.abs(cloud.coords[ii] - cloud.coords[jj])
-    p = md.p
-    if math.isinf(p):
-        d = diff.max(axis=1)
-    elif p == 2.0:
-        d = np.sqrt((diff * diff).sum(axis=1))
-    else:
-        d = (diff ** p).sum(axis=1) ** (1.0 / p)
-    if md.family == SNOWFLAKE:
-        d = d ** md.alpha
-    return d
+    return _norm(cloud.metric, np.abs(cloud.coords[ii] - cloud.coords[jj]))
 
 
 def rescale_to_unit_diameter(cloud: PointCloud) -> tuple[PointCloud, float]:

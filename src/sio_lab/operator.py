@@ -1,27 +1,40 @@
 """Truncated singular integral operators and the proof-side estimates.
 
-Everything here is a finite double sum over atom pairs. Determinism contract:
-all reductions run over a fixed perfect binary tree in ascending-(id, id)
-order, so results are bit-identical across runs and worker counts. Truncation
-is strict (d > eps) and bands are open (delta < d < eps); pairs landing
-exactly on eps are excluded, which discrete measures can realize.
+Everything here is a finite double sum over atom pairs, evaluated by one
+pair engine. `pair_blocks(k, cloud)` gives the primitive
+`pair_block(rows) -> (k, d)`: the kernel rows and the metric-distance rows
+of a row tile. Every sum walks the rows it needs in tiles of about
+_TILE_PAIRS pairs, max(1, _TILE_PAIRS // N) rows of N columns each, so
+memory stays bounded at any N. compute_pairing_trace evaluates each pair
+once per trace: it applies every eps mask, every ball band and every scale
+mask of the grid to a tile while it holds it.
+
+Determinism contract: each row is folded over the fixed perfect binary tree
+of sums.fold_rows, and the row results over pairwise_sum, in ascending
+(id, id) order, so results are bit-identical across runs, tile sizes and
+worker counts. Truncation is strict (d > eps) and bands are open
+(delta < d < eps); pairs landing exactly on eps are excluded, which
+discrete measures can realize.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import InputError
+from .errors import CertificationError, InputError
 from .good_radii import GoodRadiusCertificate
-from .kernels import KernelSpec, kernel_rows
+from .kernels import COORDINATE_RIESZ, KernelSpec, kernel_matrix, kernel_rows
 from .measure import DiscreteMeasure, StepMeasure, interval_mass, radial_pushforward
-from .metric import PointCloud
-from .sums import pairwise_sum
+from .metric import PointCloud, _distance_rows
+from .sums import fold_rows, pairwise_sum
+
+_TILE_PAIRS = 1 << 16  # pair entries per row tile
 
 
 @dataclass(frozen=True)
@@ -44,7 +57,6 @@ class SimpleFunction:
     """Finite linear combination of closed-ball indicators."""
 
     terms: tuple[tuple[float, Ball], ...]
-    certificates: tuple[GoodRadiusCertificate, ...] | None = None
 
     def values(self, cloud: PointCloud) -> np.ndarray:
         out = np.zeros(cloud.n_points)
@@ -69,26 +81,67 @@ def simple_function_from_json(obj: dict) -> SimpleFunction:
         for t in obj["terms"]))
 
 
-def _fold_rows(a: np.ndarray) -> np.ndarray:
-    """Per-row pairwise tree sum; bit-identical to pairwise_sum on each row."""
-    n = a.shape[1]
-    if n == 0:
-        return np.zeros(a.shape[0])
-    m = 1 << (n - 1).bit_length()
-    if m != n:
-        a = np.concatenate([a, np.zeros((a.shape[0], m - n))], axis=1)
-    while a.shape[1] > 1:
-        a = a[:, 0::2] + a[:, 1::2]
-    return a[:, 0].copy()
+PairBlock = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-def _truncated_rows(k: KernelSpec, m: DiscreteMeasure, fvals: np.ndarray,
-                    rows: np.ndarray, eps: float) -> np.ndarray:
-    """(T_eps(f mu))(x) for each x in rows: strict truncation d(x, y) > eps."""
-    km = kernel_rows(k, m.cloud, rows)
-    d = np.stack([m.cloud.distances_from(int(x)) for x in rows])
-    terms = np.where(d > eps, km * (fvals * m.weights)[None, :], 0.0)
-    return _fold_rows(terms)
+def pair_blocks(k: KernelSpec, cloud: PointCloud) -> PairBlock:
+    """The pair-block primitive of kernel k on cloud.
+
+    Returns pair_block(rows) -> (k, d): k(x, .) with a zero diagonal and
+    d(x, .) in the cloud's metric, one row per x in rows. Coordinate Riesz
+    rows are evaluated per block; a generic kernel's base is a whole-matrix
+    expression, so its matrix is built once here and sliced.
+    """
+    if k.family == COORDINATE_RIESZ:
+        def kernel(rows):
+            return kernel_rows(k, cloud, rows)
+    else:
+        full = kernel_matrix(k, cloud)
+
+        def kernel(rows):
+            return full[rows]
+
+    def pair_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return kernel(rows), _distance_rows(cloud, rows)
+    return pair_block
+
+
+def _tile_map(k: KernelSpec, cloud: PointCloud, rows, fn,
+              workers: int = 1) -> np.ndarray:
+    """fn(k, d, tile) on each row tile of `rows`, stacked in row order.
+
+    fn returns one result row per tile row. Tiles are split over `workers`
+    threads; the stacked result does not depend on how.
+    """
+    pair_block = pair_blocks(k, cloud)
+    rows = np.asarray(rows)
+    step = max(1, _TILE_PAIRS // cloud.n_points)
+    tiles = [rows[i:i + step] for i in range(0, rows.size, step)]
+
+    def run(tile):
+        return fn(*pair_block(tile), tile)
+    if workers > 1 and len(tiles) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(run, tiles))
+    else:
+        parts = [run(tile) for tile in tiles]
+    return np.concatenate(parts)
+
+
+def _truncated_folds(kt: np.ndarray, dt: np.ndarray, fw: np.ndarray,
+                     grid) -> list[np.ndarray]:
+    """(T_eps(f mu))(x) per tile row for each eps: strict d(x, y) > eps."""
+    terms = kt * fw[None, :]
+    return [fold_rows(np.where(dt > eps, terms, 0.0)) for eps in grid]
+
+
+def _band_folds(aw: np.ndarray, dt: np.ndarray, outside: np.ndarray,
+                bands) -> np.ndarray:
+    """Per row x and band, the sum of |k(x,y)| w(y) over y outside the ball
+    with delta < d(x,y) < eps; aw holds the rows' |k| w."""
+    return np.stack([fold_rows(np.where(
+        outside[None, :] & (dt > delta) & (dt < eps), aw, 0.0))
+        for delta, eps in bands], axis=1)
 
 
 def apply_truncated(k: KernelSpec, m: DiscreteMeasure, f: SimpleFunction,
@@ -97,8 +150,7 @@ def apply_truncated(k: KernelSpec, m: DiscreteMeasure, f: SimpleFunction,
     if eps <= 0.0:
         raise InputError("eps must be positive")
     m.cloud.check_id(x)
-    fvals = f.values(m.cloud)
-    return float(_truncated_rows(k, m, fvals, np.asarray([x]), eps)[0])
+    return pv_scan(k, m, f, x, [eps])[0]
 
 
 def pairing(k: KernelSpec, m: DiscreteMeasure, f: SimpleFunction,
@@ -106,30 +158,13 @@ def pairing(k: KernelSpec, m: DiscreteMeasure, f: SimpleFunction,
     """<T_eps(f mu), g> against mu: the full truncated double sum.
 
     Equals sum over pairs with d(x,y) > eps of k(x,y) f(y) g(x) w(y) w(x).
-    `workers` splits the outer rows; the reduction tree is fixed, so the
+    `workers` splits the row tiles; the reduction tree is fixed, so the
     result is bit-identical for any worker count.
     """
     if eps <= 0.0:
         raise InputError("eps must be positive")
-    fvals = f.values(m.cloud)
-    gvals = g.values(m.cloud)
-    n = m.n_atoms
-    chunks = _row_chunks(n, workers)
-    if len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda rows: _truncated_rows(k, m, fvals, rows, eps), chunks))
-        inner = np.concatenate(parts)
-    else:
-        inner = _truncated_rows(k, m, fvals, np.arange(n), eps)
-    return pairwise_sum(inner * gvals * m.weights)
-
-
-def _row_chunks(n: int, workers: int) -> list[np.ndarray]:
-    if workers <= 1 or n < 64:
-        return [np.arange(n)]
-    size = max(32, (n + workers - 1) // workers)
-    return [np.arange(i, min(i + size, n)) for i in range(0, n, size)]
+    values, _ = _pairing_engine(k, m, f, g, [eps], workers)
+    return values[0]
 
 
 def pv_scan(k: KernelSpec, m: DiscreteMeasure, f: SimpleFunction, x: int,
@@ -139,12 +174,18 @@ def pv_scan(k: KernelSpec, m: DiscreteMeasure, f: SimpleFunction, x: int,
     For discrete measures the scan stabilizes once eps drops below the
     smallest positive distance from x.
     """
+    grid = _check_grid(eps_grid)
+    fw = f.values(m.cloud) * m.weights
+    row = _tile_map(k, m.cloud, [x], lambda kt, dt, _rows: np.stack(
+        _truncated_folds(kt, dt, fw, grid), axis=1))
+    return row[0].tolist()
+
+
+def _check_grid(eps_grid) -> list[float]:
     grid = [float(e) for e in eps_grid]
     if any(e <= 0.0 for e in grid) or any(a <= b for a, b in zip(grid, grid[1:])):
         raise InputError("eps grid must be positive and strictly decreasing")
-    fvals = f.values(m.cloud)
-    return [float(_truncated_rows(k, m, fvals, np.asarray([x]), e)[0])
-            for e in grid]
+    return grid
 
 
 def boundary_term(k: KernelSpec, m: DiscreteMeasure, ball: Ball,
@@ -152,27 +193,26 @@ def boundary_term(k: KernelSpec, m: DiscreteMeasure, ball: Ball,
     """Double sum of |k(x,y)| w(x) w(y), x in B, y outside B, delta<d<eps."""
     if not 0.0 < delta < eps:
         raise InputError("need 0 < delta < eps")
-    return _band_abs_sum(k, m, ball, delta, eps)
+    return _boundary_term(k, m, ball, delta, eps)
 
 
 def total_boundary_integral(k: KernelSpec, m: DiscreteMeasure,
                             ball: Ball) -> float:
     """All pairs x in B, y outside B of |k(x,y)| w(x) w(y) (Eq.-finiteness
     probe; always finite on discrete measures, interesting across levels)."""
-    return _band_abs_sum(k, m, ball, 0.0, math.inf)
+    return _boundary_term(k, m, ball, 0.0, math.inf)
 
 
-def _band_abs_sum(k: KernelSpec, m: DiscreteMeasure, ball: Ball,
-                  delta: float, eps: float) -> float:
+def _boundary_term(k: KernelSpec, m: DiscreteMeasure, ball: Ball,
+                   delta: float, eps: float) -> float:
     inside = ball.members(m.cloud)
     rows = np.nonzero(inside)[0]
     if rows.size == 0 or rows.size == m.n_atoms:
         return 0.0
-    km = np.abs(kernel_rows(k, m.cloud, rows))
-    d = np.stack([m.cloud.distances_from(int(x)) for x in rows])
-    mask = (~inside)[None, :] & (d > delta) & (d < eps)
-    terms = np.where(mask, km * m.weights[None, :], 0.0)
-    return pairwise_sum(_fold_rows(terms) * m.weights[rows])
+    w = m.weights
+    folds = _tile_map(k, m.cloud, rows, lambda kt, dt, _rows: _band_folds(
+        np.abs(kt) * w[None, :], dt, ~inside, [(delta, eps)]))
+    return pairwise_sum(folds[:, 0] * w[rows])
 
 
 def cancellation_residual(k: KernelSpec, m: DiscreteMeasure, b1: Ball,
@@ -190,8 +230,9 @@ def cancellation_residual(k: KernelSpec, m: DiscreteMeasure, b1: Ball,
     rows = np.nonzero(both)[0]
     if rows.size < 2:
         return 0.0, 0.0
-    km = kernel_rows(k, m.cloud, rows)[:, rows]
-    d = np.stack([m.cloud.distances_from(int(x))[rows] for x in rows])
+    block = _tile_map(k, m.cloud, rows, lambda kt, dt, _rows: np.hstack(
+        [kt[:, rows], dt[:, rows]]))
+    km, d = block[:, :rows.size], block[:, rows.size:]
     ww = np.outer(m.weights[rows], m.weights[rows])
     band = (d > delta) & (d < eps)
     upper = np.triu(np.ones_like(band, dtype=bool), k=1)
@@ -218,38 +259,82 @@ def pairing_difference_bound(k: KernelSpec, m: DiscreteMeasure,
                              ) -> PairingDifferenceReport:
     """|<T_eps f, g> - <T_delta f, g>| against the four-term boundary bound:
     sum_ij |a_i b_j| (boundary(B_i) + 2 boundary(S_j)) over the open band.
+
+    Raises CertificationError, with the witness, if the bound fails.
     """
     if not 0.0 < delta < eps:
         raise InputError("need 0 < delta < eps")
-    lhs = abs(pairing(k, m, f, g, eps) - pairing(k, m, f, g, delta))
-    per_ball: dict = {}
-    for _, ball in f.terms + g.terms:
-        key = (ball.center, ball.radius)
-        if key not in per_ball:
-            per_ball[key] = boundary_term(k, m, ball, delta, eps)
-    rhs = 0.0
-    for a_i, b_i in f.terms:
-        for b_j, s_j in g.terms:
-            rhs += abs(a_i * b_j) * (per_ball[(b_i.center, b_i.radius)]
-                                     + 2.0 * per_ball[(s_j.center, s_j.radius)])
-    scale = _pairing_scale(k, m, f, g, delta, eps)
-    ok = lhs <= rhs + 1e-12 * scale
-    if not ok:
-        raise AssertionError(
-            f"four-term bound violated: lhs={lhs!r} > rhs={rhs!r}")
-    return PairingDifferenceReport(lhs=lhs, rhs=rhs, per_ball_terms=per_ball,
-                                   scale=scale, ok=ok)
+    _, reports = _pairing_engine(k, m, f, g, [eps, delta])
+    return reports[0]
 
 
-def _pairing_scale(k, m, f, g, delta, eps) -> float:
-    fvals = np.abs(f.values(m.cloud))
-    gvals = np.abs(g.values(m.cloud))
-    rows = np.arange(m.n_atoms)
-    km = np.abs(kernel_rows(k, m.cloud, rows))
-    d = np.stack([m.cloud.distances_from(int(x)) for x in rows])
-    mask = (d > delta) & (d <= eps)
-    terms = np.where(mask, km * (fvals * m.weights)[None, :], 0.0)
-    return pairwise_sum(_fold_rows(terms) * gvals * m.weights)
+def _pairing_engine(k: KernelSpec, m: DiscreteMeasure, f: SimpleFunction,
+                    g: SimpleFunction, grid: list[float], workers: int = 1
+                    ) -> tuple[list[float], list[PairingDifferenceReport]]:
+    """Pairings along a decreasing grid, and the four-term bound report of
+    each consecutive pair, from one pass over the row tiles.
+
+    Per tile, per-row folds are taken of: the strict truncation at each eps;
+    the scale band delta < d <= eps of each step; and each ball's open band
+    delta < d < eps (rows in the ball, columns outside it). Row folds are
+    then reduced with pairwise_sum exactly as one pairing, one boundary term
+    or one scale would reduce them alone.
+    """
+    cloud, w = m.cloud, m.weights
+    fvals, gvals = f.values(cloud), g.values(cloud)
+    fw, afw = fvals * w, np.abs(fvals) * w
+    steps = list(zip(grid[1:], grid[:-1]))  # (delta, eps) per step
+    balls = {(b.center, b.radius): b.members(cloud)
+             for _, b in f.terms + g.terms} if steps else {}
+    # a ball holding no atom, or every atom, has an empty boundary
+    banded = [(key, inside) for key, inside in balls.items()
+              if 0 < np.count_nonzero(inside) < m.n_atoms]
+
+    def tile(kt, dt, rows):
+        out = _truncated_folds(kt, dt, fw, grid)
+        if steps:
+            a = np.abs(kt)
+            terms = a * afw[None, :]
+            out += [fold_rows(np.where((dt > delta) & (dt <= eps), terms, 0.0))
+                    for delta, eps in steps]
+            aw = a * w[None, :]
+            for _, inside in banded:
+                sel = inside[rows]
+                folds = np.zeros((rows.size, len(steps)))
+                folds[sel] = _band_folds(aw[sel], dt[sel], ~inside, steps)
+                out += list(folds.T)
+        return np.stack(out, axis=1)
+
+    res = _tile_map(k, cloud, np.arange(m.n_atoms), tile, workers)
+    n_eps, n_steps = len(grid), len(steps)
+    values = [pairwise_sum(res[:, j] * gvals * w) for j in range(n_eps)]
+    scales = [pairwise_sum(res[:, n_eps + j] * np.abs(gvals) * w)
+              for j in range(n_steps)]
+    per_ball = {key: [0.0] * n_steps for key in balls}
+    for b, (key, inside) in enumerate(banded):
+        rows = np.nonzero(inside)[0]
+        first = n_eps + n_steps * (b + 1)
+        per_ball[key] = [pairwise_sum(res[rows, first + j] * w[rows])
+                         for j in range(n_steps)]
+
+    reports = []
+    for j, (delta, eps) in enumerate(steps):
+        terms = {key: v[j] for key, v in per_ball.items()}
+        rhs = 0.0
+        for a_i, b_i in f.terms:
+            for b_j, s_j in g.terms:
+                rhs += abs(a_i * b_j) * (terms[(b_i.center, b_i.radius)]
+                                         + 2.0 * terms[(s_j.center, s_j.radius)])
+        lhs = abs(values[j] - values[j + 1])
+        if not lhs <= rhs + 1e-12 * scales[j]:
+            raise CertificationError(
+                f"four-term bound violated at step {j}: lhs={lhs!r} > "
+                f"rhs={rhs!r}",
+                witness={"step": j, "delta": delta, "eps": eps, "lhs": lhs,
+                         "rhs": rhs, "scale": scales[j]})
+        reports.append(PairingDifferenceReport(
+            lhs=lhs, rhs=rhs, per_ball_terms=terms, scale=scales[j], ok=True))
+    return values, reports
 
 
 @dataclass(frozen=True)
@@ -277,13 +362,12 @@ def annuli_log_bound_check(k: KernelSpec, m: DiscreteMeasure, ball: Ball,
     if interior.size == 0:
         raise InputError("ball interior holds no atoms")
     outside = dc > ball.radius
+    w = m.weights
+    lhs_rows = _tile_map(k, m.cloud, interior, lambda kt, dt, _rows: fold_rows(
+        np.where(outside[None, :] & (dt < 2.0), np.abs(kt) * w[None, :], 0.0)))
     records = []
-    for x in interior.tolist():
+    for x, lhs in zip(interior.tolist(), lhs_rows.tolist()):
         gap = float(ball.radius - dc[x])
-        d = m.cloud.distances_from(x)
-        mask = outside & (d < 2.0)
-        km = np.abs(kernel_rows(k, m.cloud, [x])[0])
-        lhs = pairwise_sum(np.where(mask, km * m.weights, 0.0))
         n_x = int(math.floor(math.log2(3.0 / gap))) + 1
         rhs = c * c_mu * 2.0 ** s * n_x
         records.append(AnnulusRecord(atom=x, gap=gap, lhs=lhs, n_annuli=n_x,
@@ -392,25 +476,29 @@ class PairingTrace:
     bound_values: tuple[float, ...]   # four-term bound for each consecutive pair
 
     def __post_init__(self):
-        for d, b in zip(self.cauchy_diffs, self.bound_values):
-            if d > b + 1e-12 * max(1.0, abs(b)):
-                raise AssertionError("Cauchy difference exceeds its bound")
+        for j, (d, b) in enumerate(zip(self.cauchy_diffs, self.bound_values)):
+            scale = max(1.0, abs(b))
+            if d > b + 1e-12 * scale:
+                raise CertificationError(
+                    f"Cauchy difference exceeds its bound at step {j}: "
+                    f"{d!r} > {b!r}",
+                    witness={"step": j, "delta": self.eps_grid[j + 1],
+                             "eps": self.eps_grid[j], "lhs": d, "rhs": b,
+                             "scale": scale})
 
 
 def compute_pairing_trace(k: KernelSpec, m: DiscreteMeasure,
                           f: SimpleFunction, g: SimpleFunction, eps_grid,
                           workers: int = 1) -> PairingTrace:
     """Pairings along a decreasing eps grid with the four-term bound per
-    consecutive pair (the proof's Cauchy estimate, testable exactly)."""
-    grid = [float(e) for e in eps_grid]
-    if any(e <= 0.0 for e in grid) or any(a <= b for a, b in zip(grid, grid[1:])):
-        raise InputError("eps grid must be positive and strictly decreasing")
-    values = [pairing(k, m, f, g, e, workers=workers) for e in grid]
-    diffs = []
-    bounds = []
-    for j in range(len(grid) - 1):
-        rep = pairing_difference_bound(k, m, f, g, grid[j + 1], grid[j])
-        diffs.append(abs(values[j] - values[j + 1]))
-        bounds.append(rep.rhs + 1e-12 * rep.scale)
-    return PairingTrace(eps_grid=tuple(grid), values=tuple(values),
-                        cauchy_diffs=tuple(diffs), bound_values=tuple(bounds))
+    consecutive pair (the proof's Cauchy estimate, testable exactly).
+
+    One pass of the pair engine: each atom pair is evaluated once, and
+    each step's lhs is the difference of the trace's own pairings.
+    """
+    grid = _check_grid(eps_grid)
+    values, reports = _pairing_engine(k, m, f, g, grid, workers)
+    return PairingTrace(
+        eps_grid=tuple(grid), values=tuple(values),
+        cauchy_diffs=tuple(rep.lhs for rep in reports),
+        bound_values=tuple(rep.rhs + 1e-12 * rep.scale for rep in reports))

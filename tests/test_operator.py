@@ -4,23 +4,33 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sio_lab.errors import InputError
+from sio_lab import operator
+from sio_lab.errors import CertificationError, InputError
 from sio_lab.generators import GeneratorSpec, generate
 from sio_lab.good_radii import GoodSetParams, is_good_radius, select_good_radius_near
 from sio_lab.kernels import KernelSpec, kernel_matrix
 from sio_lab.measure import make_measure, normalize, radial_pushforward
 from sio_lab.metric import MetricDescriptor, make_cloud
-from sio_lab.operator import (Ball, SimpleFunction, annuli_log_bound_check,
-                              apply_truncated, boundary_term,
-                              cancellation_residual, compute_pairing_trace,
-                              indicator, log_boundary_sum, pairing,
+from sio_lab.operator import (Ball, PairingTrace, SimpleFunction,
+                              annuli_log_bound_check, apply_truncated,
+                              boundary_term, cancellation_residual,
+                              compute_pairing_trace, indicator,
+                              log_boundary_sum, pairing,
                               pairing_difference_bound, pv_scan,
                               shell_mass_check, simple_function_from_json,
                               simple_function_to_json,
                               total_boundary_integral)
+from sio_lab.sums import fold_rows, pairwise_sum
 
 E2 = MetricDescriptor(family="euclidean_p", dimension=2, p=2.0)
+L1 = MetricDescriptor(family="euclidean_p", dimension=2, p=1.0)
+SNOW = MetricDescriptor(family="snowflake", dimension=2, p=2.0, alpha=0.5)
 RIESZ = KernelSpec(family="coordinate_riesz", s=1.0, i=1, n=1)
+GENERIC = KernelSpec(family="generic_antisymmetrized", s=1.0,
+                     base="x[..., 0] * (x[..., 1] + 2.0 * y[..., 0]) / d ** 1.5")
+# symmetric and positive: breaks the four-term bound on purpose
+SYMMETRIC = KernelSpec(family="generic_antisymmetrized", s=1.0,
+                       base="inv_dist", antisymmetrize=False)
 
 
 def two_atom_measure():
@@ -255,3 +265,128 @@ def test_simple_function_json_roundtrip():
     f = SimpleFunction(terms=((1.5, Ball(3, 0.25)), (-2.0, Ball(0, 0.75))))
     back = simple_function_from_json(simple_function_to_json(f))
     assert back == SimpleFunction(terms=f.terms)
+
+
+def test_pairing_difference_bound_violation_raises_with_witness():
+    m = two_atom_measure()
+    one = indicator(Ball(center=0, radius=1.0))
+    with pytest.raises(CertificationError) as err:
+        pairing_difference_bound(SYMMETRIC, m, one, one, 0.5, 1.5)
+    assert err.value.witness == {"step": 0, "delta": 0.5, "eps": 1.5,
+                                 "lhs": 0.5, "rhs": 0.0, "scale": 0.5}
+    with pytest.raises(CertificationError):
+        compute_pairing_trace(SYMMETRIC, m, one, one, (1.5, 0.5))
+
+
+def test_pairing_trace_rejects_difference_above_bound():
+    with pytest.raises(CertificationError) as err:
+        PairingTrace(eps_grid=(1.0, 0.5, 0.25), values=(0.0, 0.0, 1.0),
+                     cauchy_diffs=(0.0, 1.0), bound_values=(0.0, 0.5))
+    assert err.value.witness == {"step": 1, "delta": 0.25, "eps": 0.5,
+                                 "lhs": 1.0, "rhs": 0.5, "scale": 1.0}
+
+
+# ---------------------------------------------------------------------------
+# the tiled pair engine against a dense oracle
+
+
+def lattice_measure(metric, seed):
+    """12 x 13 integer lattice: many pairs share each exact distance."""
+    coords = np.array([(i, j) for i in range(12) for j in range(13)], float)
+    cloud = make_cloud(coords, metric)
+    return make_measure(cloud, np.random.default_rng(seed).random(156))
+
+
+def dense_oracle(k, m, f, g, grid):
+    """Pairings and (lhs, rhs, scale) per step, one eps and one band at a
+    time, from the whole kernel_matrix and distance_matrix."""
+    km, d, w = kernel_matrix(k, m.cloud), m.cloud.distance_matrix(), m.weights
+    fv, gv = f.values(m.cloud), g.values(m.cloud)
+    values = [pairwise_sum(fold_rows(np.where(d > e, km * (fv * w)[None, :],
+                                              0.0)) * gv * w) for e in grid]
+
+    def boundary(ball, delta, eps):
+        inside = ball.members(m.cloud)
+        rows = np.nonzero(inside)[0]
+        if rows.size in (0, m.n_atoms):
+            return 0.0
+        mask = ~inside[None, :] & (d[rows] > delta) & (d[rows] < eps)
+        terms = np.where(mask, np.abs(km[rows]) * w[None, :], 0.0)
+        return pairwise_sum(fold_rows(terms) * w[rows])
+
+    steps = []
+    for j, (eps, delta) in enumerate(zip(grid, grid[1:])):
+        rhs = 0.0
+        for a_i, b_i in f.terms:
+            for b_j, s_j in g.terms:
+                rhs += abs(a_i * b_j) * (boundary(b_i, delta, eps)
+                                         + 2.0 * boundary(s_j, delta, eps))
+        terms = np.where((d > delta) & (d <= eps),
+                         np.abs(km) * (np.abs(fv) * w)[None, :], 0.0)
+        scale = pairwise_sum(fold_rows(terms) * np.abs(gv) * w)
+        steps.append((abs(values[j] - values[j + 1]), rhs, scale))
+    return values, steps, boundary
+
+
+def bits(xs):
+    return [float(x).hex() for x in xs]
+
+
+@pytest.mark.parametrize("kernel,metric", [(RIESZ, E2), (RIESZ, L1),
+                                           (RIESZ, SNOW), (GENERIC, E2)])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_engine_matches_dense_oracle(kernel, metric, workers, monkeypatch):
+    # 7-row tiles: 156 atoms are 22 full tiles and one of 2 rows
+    monkeypatch.setattr(operator, "_TILE_PAIRS", 7 * 156)
+    m = lattice_measure(metric, seed=workers)
+    dist = np.unique(m.cloud.distance_matrix())
+    n = dist.size
+    rng = np.random.default_rng(7)
+
+    def simple(n_terms):
+        return SimpleFunction(terms=tuple(
+            (float(rng.normal()), Ball(int(rng.integers(0, 156)),
+                                       float(dist[rng.integers(2, n // 2)])))
+            for _ in range(n_terms)))
+    f, g = simple(2), simple(3)
+    # every eps, delta and radius is an exact pair distance
+    grid = [float(x) for x in dist[[2 * n // 3, n // 2, n // 4, 3, 1]]]
+    values, steps, boundary = dense_oracle(kernel, m, f, g, grid)
+
+    assert bits(pairing(kernel, m, f, g, e, workers=workers)
+                for e in grid) == bits(values)
+    trace = compute_pairing_trace(kernel, m, f, g, grid, workers=workers)
+    assert bits(trace.values) == bits(values)
+    assert bits(trace.cauchy_diffs) == bits(lhs for lhs, _, _ in steps)
+    assert bits(trace.bound_values) == bits(rhs + 1e-12 * scale
+                                            for _, rhs, scale in steps)
+    ball = f.terms[0][1]
+    assert bits([boundary_term(kernel, m, ball, grid[2], grid[0])]) \
+        == bits([boundary(ball, grid[2], grid[0])])
+    assert bits([total_boundary_integral(kernel, m, ball)]) \
+        == bits([boundary(ball, 0.0, math.inf)])
+
+
+@pytest.mark.parametrize("kernel", [RIESZ, GENERIC])
+def test_trace_evaluates_each_pair_once(kernel, monkeypatch):
+    monkeypatch.setattr(operator, "_TILE_PAIRS", 10 * 156)
+    rows_seen, matrices = [], []
+    real_rows, real_matrix = operator.kernel_rows, operator.kernel_matrix
+
+    def counting_rows(k, cloud, rows):
+        rows_seen.extend(np.asarray(rows).tolist())
+        return real_rows(k, cloud, rows)
+
+    def counting_matrix(k, cloud):
+        matrices.append(cloud.n_points)
+        return real_matrix(k, cloud)
+    monkeypatch.setattr(operator, "kernel_rows", counting_rows)
+    monkeypatch.setattr(operator, "kernel_matrix", counting_matrix)
+    m = lattice_measure(E2, seed=0)
+    f = SimpleFunction(terms=((1.0, Ball(3, 4.0)), (-0.5, Ball(80, 6.0))))
+    g = indicator(Ball(150, 5.0))
+    compute_pairing_trace(kernel, m, f, g, (9.0, 4.5, 2.25, 1.125), workers=2)
+    if kernel is RIESZ:
+        assert sorted(rows_seen) == list(range(156)) and not matrices
+    else:
+        assert matrices == [156] and not rows_seen

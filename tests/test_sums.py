@@ -2,7 +2,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sio_lab.sums import pairwise_sum
+from sio_lab.sums import fold_rows, pairwise_sum
+
+
+def tree_sum(xs):
+    """Reference: recursive halving over the zero-padded power-of-two width."""
+    if len(xs) == 1:
+        return xs[0]
+    half = len(xs) // 2
+    return tree_sum(xs[:half]) + tree_sum(xs[half:])
 
 
 def test_empty_and_scalar():
@@ -19,11 +27,17 @@ def test_matches_fsum_closely():
 
 def test_parallel_bit_identical():
     rng = np.random.default_rng(1)
-    for n in (1 << 16, (1 << 17) + 311):
-        x = rng.normal(size=n)
-        serial = pairwise_sum(x)
-        for workers in (2, 4, 8):
-            assert pairwise_sum(x, workers=workers) == serial
+    for n in (1, 7, 1023, 1 << 16, (1 << 17) + 311):
+        rows = rng.normal(size=(3, n))
+        folds = fold_rows(rows)
+        for x, fold in zip(rows, folds):
+            serial = pairwise_sum(x)
+            assert fold == serial
+            if n <= 1023:
+                padded = list(x) + [0.0] * ((1 << (n - 1).bit_length()) - n)
+                assert serial == tree_sum(padded)
+            for workers in (2, 4, 8):
+                assert pairwise_sum(x, workers=workers) == serial
 
 
 @settings(max_examples=50, deadline=None)
