@@ -32,17 +32,31 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", default=".")
 
 
-def _apply_config(args: argparse.Namespace,
-                  parser: argparse.ArgumentParser) -> argparse.Namespace:
-    """File values fill in flags the user left at their defaults."""
+_UNSET = object()
+
+
+def _given_flags(parser: argparse.ArgumentParser, argv: list[str]
+                 ) -> set[str]:
+    """Destinations of the flags argv sets: argv is parsed again with every
+    destination preset to a sentinel, which argparse leaves in place of the
+    defaults, so a flag typed at its default value still counts."""
+    dests = {a.dest for a in parser._actions}
+    ns = argparse.Namespace(**dict.fromkeys(dests, _UNSET))
+    parser.parse_args(argv, namespace=ns)
+    return {dest for dest in dests if getattr(ns, dest) is not _UNSET}
+
+
+def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
+                  given: set[str]) -> argparse.Namespace:
+    """File values fill in the flags the command line did not give."""
     if not getattr(args, "config", None):
         return args
     with open(args.config) as fh:
         file_vals = json.load(fh)
-    defaults = {a.dest: a.default for a in parser._actions}
+    dests = {a.dest for a in parser._actions}
     for key, val in file_vals.items():
         dest = key.replace("-", "_")
-        if hasattr(args, dest) and getattr(args, dest) == defaults.get(dest):
+        if dest in dests and dest not in given:
             setattr(args, dest, val)
     return args
 
@@ -83,7 +97,8 @@ def cmd_generate(args) -> int:
 
 def cmd_check_growth(args) -> int:
     m, _ = normalize(load_measure(args.measure))
-    c_mu, (atom, radius) = growth_constant(m, args.s, args.r_min)
+    c_mu, (atom, radius) = growth_constant(m, args.s, args.r_min,
+                                           workers=args.threads)
     print(f"c_mu = {c_mu!r} (s = {args.s}, r_min = {args.r_min}), "
           f"witness atom {atom} at radius {radius!r}")
     return 0
@@ -92,8 +107,8 @@ def cmd_check_growth(args) -> int:
 def cmd_check_kernel(args) -> int:
     m = load_measure(args.measure)
     k = _kernel_from_args(args)
-    anti = check_antisymmetry(k, m.cloud)
-    c, pair = check_size_bound(k, m.cloud, args.s)
+    anti = check_antisymmetry(k, m.cloud, workers=args.threads)
+    c, pair = check_size_bound(k, m.cloud, args.s, workers=args.threads)
     print(f"antisymmetry: {'ok' if anti.ok else 'FAIL'} "
           f"(worst residual {anti.worst_residual!r} at {anti.worst_pair})")
     print(f"size bound: |k| <= {c!r} * d^-{args.s}, witness pair {pair}")
@@ -253,8 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    args = _apply_config(args, args.parser)
+    # argv[0] is the subcommand: the top-level parser takes no other flag
+    given = _given_flags(args.parser, argv[1:])
+    args = _apply_config(args, args.parser, given)
     return args.func(args)
 
 

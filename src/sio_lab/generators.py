@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import BudgetError, InputError
 from .measure import DiscreteMeasure, make_measure
-from .metric import (EUCLIDEAN_P, MetricDescriptor, PointCloud, make_cloud,
-                     rescale_to_unit_diameter)
+from .metric import (EUCLIDEAN_P, MetricDescriptor, PointCloud, _distance_rows,
+                     make_cloud, rescale_to_unit_diameter, tile_map)
 
 FOUR_CORNER = "four_corner_cantor"
 CANTOR_1D = "cantor_1d"
@@ -73,8 +73,10 @@ def generate(spec: GeneratorSpec
     cloud, scale = rescale_to_unit_diameter(cloud)
     if spec.family == UNIFORM_RANDOM:
         # resolution floor: the smallest positive pairwise distance
-        r_min = min(float(cloud.distances_from(i)[i + 1:].min())
-                    for i in range(cloud.n_points - 1))
+        every = np.arange(cloud.n_points)
+        r_min = float(tile_map(lambda rows: np.where(
+            every[None, :] > rows[:, None], _distance_rows(cloud, rows),
+            np.inf).min(axis=1), every, cloud.n_points).min())
     else:
         r_min = cell / scale if metric.family != "snowflake" \
             else (cell / scale ** (1.0 / metric.alpha)) ** metric.alpha

@@ -25,7 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetError, InputError, SearchExhaustedError
+from .errors import (BudgetError, CertificationError, InputError,
+                     SearchExhaustedError)
 from .measure import StepMeasure, interval_mass
 
 HEAVY_CELL = "heavy_cell"
@@ -360,7 +361,7 @@ def _subtract_small(s: np.ndarray, e: np.ndarray, hs: np.ndarray,
 def materialize_good_set(v: StepMeasure, params: GoodSetParams) -> IntervalSet:
     """I minus all padded heavy cells and all gridline shells up to depth.
 
-    Exact interval-union sweep on the integer grid. Asserts the truncated
+    Exact interval-union sweep on the integer grid. Certifies the truncated
     lower bound Leb >= |I| (1 - 3 sum_{n<=depth} lam^-n) before returning.
     """
     _check_total(v)
@@ -387,9 +388,12 @@ def materialize_good_set(v: StepMeasure, params: GoodSetParams) -> IntervalSet:
         - 3 * sum(params.lam ** (3 * params.depth - n)
                   for n in range(1, params.depth + 1))
     if out.total_units < floor_units:
-        raise AssertionError(
+        raise CertificationError(
             f"good-set measure {out.total_length} fell below the guaranteed "
-            f"bound {params.length * params.lower_bound}")
+            f"bound {params.length * params.lower_bound}",
+            witness={"total_units": out.total_units,
+                     "floor_units": floor_units, "lam": params.lam,
+                     "depth": params.depth})
     return out
 
 
@@ -441,8 +445,9 @@ def _base_clearance_verified(lam: int, depth: int) -> int:
         half2 = 2 * lam ** (3 * (depth - n))
         off = mids2 % cw2
         if not bool(np.all((off >= half2) & (cw2 - off >= half2))):
-            raise AssertionError(
-                f"base good set violates shell clearance at generation {n}")
+            raise CertificationError(
+                f"base good set violates shell clearance at generation {n}",
+                witness={"generation": n, "lam": lam, "depth": depth})
     return int(mids2.size)
 
 

@@ -17,10 +17,14 @@ from typing import Callable
 import numpy as np
 
 from .errors import DiagonalError, InputError
-from .metric import PointCloud, _distance_rows
+from .metric import (EUCLIDEAN_P, MetricDescriptor, PointCloud,
+                     _differences, _distance_rows, _norm, tile_map)
 
 COORDINATE_RIESZ = "coordinate_riesz"
 GENERIC_ANTISYMMETRIZED = "generic_antisymmetrized"
+
+# the Euclidean norm of the kernel formulas (_norm reads only p and family)
+_EUCLIDEAN = MetricDescriptor(family=EUCLIDEAN_P, dimension=1, p=2.0)
 
 
 def _base_inv_dist(cloud: PointCloud, s: float) -> np.ndarray:
@@ -31,10 +35,10 @@ def _base_inv_dist(cloud: PointCloud, s: float) -> np.ndarray:
 
 def _base_coord_product(cloud: PointCloud, s: float) -> np.ndarray:
     # x_1 * (x_1 - y_1) / |x-y|^{s+1}: a deliberately non-antisymmetric base
-    diff = cloud.coords[:, None, :] - cloud.coords[None, :, :]
-    d = np.sqrt((diff * diff).sum(axis=2))
+    diffs = _differences(cloud.coords)
+    d = _norm(_EUCLIDEAN, diffs)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return cloud.coords[:, None, 0] * diff[:, :, 0] / d ** (s + 1.0)
+        return cloud.coords[:, None, 0] * diffs[0] / d ** (s + 1.0)
 
 
 NAMED_BASES: dict[str, Callable] = {
@@ -77,8 +81,7 @@ def _base_matrix(k: KernelSpec, cloud: PointCloud) -> np.ndarray:
     # expression in x, y (coordinate arrays), d (Euclidean distance), np
     x = cloud.coords[:, None, :]
     y = cloud.coords[None, :, :]
-    diff = x - y
-    d = np.sqrt((diff * diff).sum(axis=2))
+    d = _norm(_EUCLIDEAN, _differences(cloud.coords))
     with np.errstate(divide="ignore", invalid="ignore"):
         out = eval(k.base, {"__builtins__": {}},  # noqa: S307 - documented escape hatch
                    {"x": x, "y": y, "d": d, "np": np, "math": math})
@@ -86,15 +89,18 @@ def _base_matrix(k: KernelSpec, cloud: PointCloud) -> np.ndarray:
     return np.broadcast_to(np.asarray(out, dtype=np.float64), (n, n)).copy()
 
 
-def _riesz_rows(k: KernelSpec, cloud: PointCloud, rows: np.ndarray
-                ) -> np.ndarray:
-    """The one Riesz formula: k(x, .) for each x in rows, zero diagonal."""
-    diff = cloud.coords[rows, None, :] - cloud.coords[None, :, :]
-    num = diff[:, :, k.i - 1]
-    dist = np.sqrt((diff * diff).sum(axis=2))
+def _riesz_rows(k: KernelSpec, cloud: PointCloud, rows: np.ndarray,
+                cols: np.ndarray | None = None) -> np.ndarray:
+    """The one Riesz formula: k(x, y) for x in rows and y in cols (every
+    point when cols is None), zero where x == y."""
+    diffs = _differences(cloud.coords, rows, cols)
+    dist = _norm(_EUCLIDEAN, diffs)
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = num / dist ** (k.n + 1.0)
-    vals[np.arange(rows.size), rows] = 0.0
+        vals = diffs[k.i - 1] / dist ** (k.n + 1.0)
+    if cols is None:
+        vals[np.arange(rows.size), rows] = 0.0
+    else:
+        vals[rows[:, None] == cols[None, :]] = 0.0
     return vals
 
 
@@ -112,12 +118,38 @@ def kernel_matrix(k: KernelSpec, cloud: PointCloud) -> np.ndarray:
     return vals
 
 
-def kernel_rows(k: KernelSpec, cloud: PointCloud, rows) -> np.ndarray:
-    """k(x, .) for each x in rows, diagonal entries filled with 0."""
+def kernel_rows(k: KernelSpec, cloud: PointCloud, rows, cols=None
+                ) -> np.ndarray:
+    """k(x, y) for x in rows and y in cols (every point when cols is None),
+    zero where x == y."""
     rows = np.asarray(rows)
     if k.family == COORDINATE_RIESZ:
-        return _riesz_rows(k, cloud, rows)
-    return kernel_matrix(k, cloud)[rows]
+        return _riesz_rows(k, cloud, rows,
+                           None if cols is None else np.asarray(cols))
+    return kernel_blocks(k, cloud)(rows, cols)
+
+
+def kernel_blocks(k: KernelSpec, cloud: PointCloud
+                  ) -> Callable[..., np.ndarray]:
+    """kernel_block(rows, cols=None): kernel_rows of k on cloud, except that
+    a generic kernel's base, a whole-matrix expression, is built once here
+    and sliced: the one dense case. Coordinate Riesz blocks are evaluated
+    per call."""
+    if k.family == COORDINATE_RIESZ:
+        return lambda rows, cols=None: kernel_rows(k, cloud, rows, cols)
+    full = kernel_matrix(k, cloud)
+    return lambda rows, cols=None: (full[rows] if cols is None
+                                    else full[np.ix_(rows, cols)])
+
+
+def map_pair_tiles(k: KernelSpec, cloud: PointCloud, rows, fn,
+                   workers: int = 1) -> np.ndarray:
+    """The pair engine: fn(k, d, tile) on each row tile of `rows`, stacked
+    in row order, where k holds the tile's kernel rows k(x, .) (zero where
+    x == y) and d its distance rows d(x, .) in the cloud's metric."""
+    kernel = kernel_blocks(k, cloud)
+    return tile_map(lambda tile: fn(kernel(tile), _distance_rows(cloud, tile),
+                                    tile), rows, cloud.n_points, workers)
 
 
 def eval_kernel(k: KernelSpec, cloud: PointCloud, x: int, y: int) -> float:
@@ -132,6 +164,21 @@ def eval_kernel(k: KernelSpec, cloud: PointCloud, x: int, y: int) -> float:
     return -float(kernel_rows(k, cloud, [y])[0, x])
 
 
+def _first_max(vals: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """[[value, x, y]] at a tile's first maximal entry, or its first NaN,
+    in row-major order; y is the column index."""
+    i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    return np.array([[vals[i, j], rows[i], j]])
+
+
+def _pick_first_max(per_tile: np.ndarray) -> tuple[float, tuple[int, int]]:
+    """The whole pass's first maximum (or first NaN) from the stacked
+    per-tile _first_max rows: the same value and pair as an argmax over
+    the whole matrix."""
+    t = int(np.argmax(per_tile[:, 0]))
+    return float(per_tile[t, 0]), (int(per_tile[t, 1]), int(per_tile[t, 2]))
+
+
 @dataclass(frozen=True)
 class AntisymmetryReport:
     ok: bool
@@ -140,33 +187,48 @@ class AntisymmetryReport:
     scale: float
 
 
-def check_antisymmetry(k: KernelSpec, cloud: PointCloud) -> AntisymmetryReport:
-    """Max |k(x,y) + k(y,x)| over distinct pairs vs 1e-13 * max |k|."""
-    if cloud.n_points < 2:
+def check_antisymmetry(k: KernelSpec, cloud: PointCloud, workers: int = 1
+                       ) -> AntisymmetryReport:
+    """Max |k(x,y) + k(y,x)| over distinct pairs vs 1e-13 * max |k|.
+
+    Walks row tiles, split over `workers` threads: each tile's rows
+    k(x, .) and columns k(., x), so a Riesz kernel never builds an N x N
+    array.
+    """
+    n = cloud.n_points
+    if n < 2:
         raise InputError("need at least two points")
-    km = kernel_matrix(k, cloud)
-    resid = np.abs(km + km.T)
-    worst = float(resid.max())
-    a, b = np.unravel_index(int(resid.argmax()), resid.shape)
-    scale = float(np.abs(km).max())
+    every = np.arange(n)
+    kernel = kernel_blocks(k, cloud)
+
+    def tile(rows):
+        kt = kernel(rows)
+        kc = kernel(every, rows).T  # k(y, x) for x in rows
+        return np.hstack([_first_max(np.abs(kt + kc), rows),
+                          [[np.abs(kt).max()]]])
+    per_tile = tile_map(tile, every, n, workers)
+    worst, pair = _pick_first_max(per_tile)
+    scale = float(per_tile[:, 3].max())
     return AntisymmetryReport(ok=worst <= 1e-13 * max(scale, 1e-300),
-                              worst_pair=(int(a), int(b)),
-                              worst_residual=worst, scale=scale)
+                              worst_pair=pair, worst_residual=worst,
+                              scale=scale)
 
 
-def check_size_bound(k: KernelSpec, cloud: PointCloud, s: float
-                     ) -> tuple[float, tuple[int, int]]:
+def check_size_bound(k: KernelSpec, cloud: PointCloud, s: float,
+                     workers: int = 1) -> tuple[float, tuple[int, int]]:
     """Certify |k(x,y)| <= c_certified * d(x,y)^{-s} in the cloud's metric.
 
     Returns the smallest such constant over the cloud's pairs and the pair
-    attaining it (ties break to the lexicographically smallest pair).
+    attaining it (ties break to the lexicographically smallest pair). Row
+    tiles are split over `workers` threads.
     """
     if cloud.n_points < 2:
         raise InputError("need at least two points")
-    km = np.abs(kernel_matrix(k, cloud))
-    d = _distance_rows(cloud, np.arange(cloud.n_points))
-    prod = km * d ** s
-    np.fill_diagonal(prod, -1.0)
-    c = float(prod.max())
-    a, b = np.unravel_index(int(prod.argmax()), prod.shape)
-    return max(c, 0.0), (int(a), int(b))
+
+    def tile(kt, dt, rows):
+        prod = np.abs(kt) * dt ** s
+        prod[np.arange(rows.size), rows] = -1.0
+        return _first_max(prod, rows)
+    c, pair = _pick_first_max(map_pair_tiles(
+        k, cloud, np.arange(cloud.n_points), tile, workers))
+    return max(c, 0.0), pair

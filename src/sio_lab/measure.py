@@ -16,7 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateInputError, InputError
-from .metric import PointCloud, cloud_from_json, cloud_to_json, load_cloud
+from .metric import (PointCloud, _distance_rows, cloud_from_json,
+                     cloud_to_json, load_cloud, tile_map)
 from .sums import pairwise_sum
 
 # slack for float-derived totals: normalized weights can exceed 1 by ulps
@@ -62,35 +63,46 @@ def ball_mass(m: DiscreteMeasure, z: int, r: float) -> float:
     return pairwise_sum(np.where(d <= r, m.weights, 0.0))
 
 
-def growth_constant(m: DiscreteMeasure, s: float, r_min: float
-                    ) -> tuple[float, tuple[int, float]]:
+def growth_constant(m: DiscreteMeasure, s: float, r_min: float,
+                    workers: int = 1) -> tuple[float, tuple[int, float]]:
     """Smallest c with mu(B(x,r)) <= c r^s for all atoms x and all r >= r_min.
 
     Candidate radii are r_min and the pairwise distances >= r_min: ball mass
     is a right-continuous step function of r, so the ratio is maximized
     there. Ties break to the smallest point id, then the smallest radius.
+    Row tiles are split over `workers` threads; the result does not depend
+    on how.
     """
     if m.n_atoms == 0 or m.total_mass <= 0.0:
         raise DegenerateInputError("empty measure")
     if r_min <= 0.0:
         raise InputError("r_min must be positive")
-    best = -1.0
-    witness = (0, r_min)
-    for x in range(m.n_atoms):
-        d = m.cloud.distances_from(x)
-        order = np.argsort(d, kind="stable")
-        ds = d[order]
-        cum = np.cumsum(m.weights[order])
-        cand = np.unique(ds[ds >= r_min])
-        if cand.size == 0 or cand[0] > r_min:
-            cand = np.concatenate([[r_min], cand])
-        masses = cum[np.searchsorted(ds, cand, side="right") - 1]
-        ratios = masses / cand ** s
-        k = int(np.argmax(ratios))
-        if ratios[k] > best:
-            best = float(ratios[k])
-            witness = (x, float(cand[k]))
-    return best, witness
+    w = m.weights
+    n = m.n_atoms
+    r_min_s = (np.full(1, r_min) ** s)[0]  # the same array power as ds ** s
+
+    def tile(rows):
+        # per row: sorted distances, cumulative masses, and the best ratio
+        d = _distance_rows(m.cloud, rows)
+        order = np.argsort(d, axis=1, kind="stable")
+        ds = np.take_along_axis(d, order, axis=1)
+        cum = np.cumsum(w[order], axis=1)
+        # candidates: the distances >= r_min. Within a run of equal
+        # distances the last holds the ball's mass; an earlier one holds no
+        # more, so it can only tie it, at the same radius.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(ds >= r_min, cum / ds ** s, -np.inf)
+        k = np.argmax(ratios, axis=1)
+        at = np.arange(rows.size)
+        best, radius = ratios[at, k], ds[at, k]
+        # r_min itself unless some distance equals it; it precedes them all
+        below = cum[at, np.count_nonzero(ds <= r_min, axis=1) - 1] / r_min_s
+        use_r_min = ~np.any(ds == r_min, axis=1) & (below >= best)
+        return np.stack([np.where(use_r_min, below, best),
+                         np.where(use_r_min, r_min, radius)], axis=1)
+    per_row = tile_map(tile, np.arange(n), n, workers)
+    x = int(np.argmax(per_row[:, 0]))
+    return float(per_row[x, 0]), (x, float(per_row[x, 1]))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -89,45 +90,106 @@ class PointCloud:
         return self._dmat[0]
 
 
-def _distance_rows(cloud: PointCloud, rows: np.ndarray) -> np.ndarray:
+def _distance_rows(cloud: PointCloud, rows: np.ndarray,
+                   cols: np.ndarray | None = None) -> np.ndarray:
+    """d(x, y) for x in rows and y in cols (every point when cols is None)."""
     if cloud.metric.family == CUSTOM_TABLE:
-        return cloud.table[rows]
-    return _norm(cloud.metric,
-                 np.abs(cloud.coords[rows, None, :] - cloud.coords[None, :, :]))
+        return cloud.table[rows] if cols is None \
+            else cloud.table[np.ix_(rows, cols)]
+    return _norm(cloud.metric, _differences(cloud.coords, rows, cols))
 
 
-def _norm(md: MetricDescriptor, diff: np.ndarray) -> np.ndarray:
-    """The metric's distance from |x - y| coordinate gaps on the last axis."""
+def _differences(coords: np.ndarray, rows=None, cols=None
+                 ) -> list[np.ndarray]:
+    """x_c - y_c for x in rows and y in cols (every point when None): one
+    (rows, cols) array per coordinate c."""
+    a = coords if rows is None else coords[rows]
+    b = coords if cols is None else coords[cols]
+    return [a[:, c, None] - b[None, :, c] for c in range(coords.shape[1])]
+
+
+def _norm(md: MetricDescriptor, diffs) -> np.ndarray:
+    """The one distance formula: the metric's norm of per-coordinate
+    difference arrays x_c - y_c.
+
+    Coordinate terms are added left to right, which is bit-identical to a
+    sum over a trailing axis of length at most 7.
+    """
     p = md.p
     if math.isinf(p):
-        d = diff.max(axis=-1)
-    elif p == 2.0:
-        d = np.sqrt((diff * diff).sum(axis=-1))
-    elif p == 1.0:
-        d = diff.sum(axis=-1)
+        d = np.abs(diffs[0])
+        for dc in diffs[1:]:
+            np.maximum(d, np.abs(dc), out=d)
     else:
-        d = (diff ** p).sum(axis=-1) ** (1.0 / p)
+        if p == 2.0:
+            terms = (dc * dc for dc in diffs)
+        elif p == 1.0:
+            terms = (np.abs(dc) for dc in diffs)
+        else:
+            terms = (np.abs(dc) ** p for dc in diffs)
+        d = next(terms)
+        for t in terms:
+            d += t
+        if p == 2.0:
+            d = np.sqrt(d)
+        elif p != 1.0:
+            d = d ** (1.0 / p)
     if md.family == SNOWFLAKE:
         d = d ** md.alpha
     return d
 
 
+_TILE_PAIRS = 1 << 16  # pair entries per row tile
+
+
+def tile_map(fn, rows, n_cols: int, workers: int = 1) -> np.ndarray:
+    """The one row-tile walker: fn(tile) on each tile of `rows`, stacked.
+
+    Tiles hold max(1, _TILE_PAIRS // n_cols) rows, so a tile of n_cols
+    columns holds about _TILE_PAIRS pairs and memory stays bounded at any
+    size. Tiles are split over `workers` threads; the stacked result does
+    not depend on how.
+    """
+    rows = np.asarray(rows)
+    step = max(1, _TILE_PAIRS // max(1, n_cols))
+    tiles = [rows[i:i + step] for i in range(0, rows.size, step)] or [rows]
+    if workers > 1 and len(tiles) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(fn, tiles))
+    else:
+        parts = [fn(tile) for tile in tiles]
+    return np.concatenate(parts)
+
+
 def make_cloud(coords, metric: MetricDescriptor, table=None) -> PointCloud:
+    """Validated cloud: finite coordinates (and table), no two points at
+    distance 0 (duplicate atoms), diameter from one tiled pass."""
     coords = np.asarray(coords, dtype=np.float64)
     if coords.ndim != 2 or coords.shape[1] != metric.dimension:
         raise InputError(
             f"coords must be (N, {metric.dimension}), got {coords.shape}")
+    if not np.all(np.isfinite(coords)):
+        raise InputError("coordinates must be finite")
     if metric.family == CUSTOM_TABLE:
         table = np.asarray(table, dtype=np.float64)
         n = coords.shape[0]
         if table.shape != (n, n):
             raise InputError("custom table must be N x N")
+        if not np.all(np.isfinite(table)):
+            raise InputError("custom table entries must be finite")
     cloud = PointCloud(coords=coords, metric=metric, diameter=0.0, table=table)
-    diam = 0.0
-    for start in range(0, cloud.n_points, 2048):
-        rows = np.arange(start, min(start + 2048, cloud.n_points))
-        diam = max(diam, float(_distance_rows(cloud, rows).max()))
-    return replace(cloud, diameter=diam)
+
+    def tile(rows):
+        d = _distance_rows(cloud, rows)
+        zero = d == 0.0
+        zero[np.arange(rows.size), rows] = False
+        if zero.any():
+            i, j = np.argwhere(zero)[0]
+            raise DegenerateInputError(f"points {rows[i]} and {j} are at "
+                                       "distance 0 (duplicate atoms)")
+        return d.max(axis=1, initial=0.0)
+    diam = tile_map(tile, np.arange(cloud.n_points), cloud.n_points)
+    return replace(cloud, diameter=float(diam.max(initial=0.0)))
 
 
 def distance(cloud: PointCloud, i: int, j: int) -> float:
@@ -208,7 +270,9 @@ def validate_metric(cloud: PointCloud, seed: int = 0,
 def _pair_distances(cloud: PointCloud, ii, jj) -> np.ndarray:
     if cloud.metric.family == CUSTOM_TABLE:
         return cloud.table[ii, jj]
-    return _norm(cloud.metric, np.abs(cloud.coords[ii] - cloud.coords[jj]))
+    x = cloud.coords
+    return _norm(cloud.metric,
+                 [x[ii, c] - x[jj, c] for c in range(x.shape[1])])
 
 
 def rescale_to_unit_diameter(cloud: PointCloud) -> tuple[PointCloud, float]:
@@ -217,15 +281,16 @@ def rescale_to_unit_diameter(cloud: PointCloud) -> tuple[PointCloud, float]:
         raise DegenerateInputError("need at least two distinct points")
     scale = cloud.diameter
     md = cloud.metric
+    coords, table = cloud.coords, cloud.table
     if md.family == CUSTOM_TABLE:
-        new = make_cloud(cloud.coords, md, table=cloud.table / scale)
+        table = table / scale
     elif md.family == SNOWFLAKE:
         # distances scale as (base distance)^alpha
-        new = make_cloud(cloud.coords / scale ** (1.0 / md.alpha), md)
+        coords = coords / scale ** (1.0 / md.alpha)
     else:
-        new = make_cloud(cloud.coords / scale, md)
-    new = replace(new, diameter=1.0)
-    return new, scale
+        coords = coords / scale
+    return PointCloud(coords=coords, metric=md, diameter=1.0,
+                      table=table), scale
 
 
 def cloud_to_json(cloud: PointCloud) -> dict:

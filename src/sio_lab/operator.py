@@ -1,13 +1,15 @@
 """Truncated singular integral operators and the proof-side estimates.
 
 Everything here is a finite double sum over atom pairs, evaluated by one
-pair engine. `pair_blocks(k, cloud)` gives the primitive
-`pair_block(rows) -> (k, d)`: the kernel rows and the metric-distance rows
-of a row tile. Every sum walks the rows it needs in tiles of about
-_TILE_PAIRS pairs, max(1, _TILE_PAIRS // N) rows of N columns each, so
-memory stays bounded at any N. compute_pairing_trace evaluates each pair
-once per trace: it applies every eps mask, every ball band and every scale
-mask of the grid to a tile while it holds it.
+pair engine. `kernels.map_pair_tiles(k, cloud, rows, fn)` hands fn the
+kernel rows and the metric-distance rows of each row tile. Every sum walks
+the rows it needs with `metric.tile_map`, in tiles of about _TILE_PAIRS
+pairs, max(1, _TILE_PAIRS // N) rows of N columns each, so memory stays
+bounded at any N. compute_pairing_trace
+evaluates each pair once per trace: it applies every eps mask, every ball
+band and every scale mask of the grid to a tile while it holds it.
+cancellation_residual walks only the rows and columns of its ball
+intersection.
 
 Determinism contract: each row is folded over the fixed perfect binary tree
 of sums.fold_rows, and the row results over pairwise_sum, in ascending
@@ -20,8 +22,6 @@ discrete measures can realize.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,12 +29,11 @@ import numpy as np
 
 from .errors import CertificationError, InputError
 from .good_radii import GoodRadiusCertificate
-from .kernels import COORDINATE_RIESZ, KernelSpec, kernel_matrix, kernel_rows
+from . import metric
+from .kernels import KernelSpec, kernel_blocks, map_pair_tiles
 from .measure import DiscreteMeasure, StepMeasure, interval_mass, radial_pushforward
 from .metric import PointCloud, _distance_rows
-from .sums import fold_rows, pairwise_sum
-
-_TILE_PAIRS = 1 << 16  # pair entries per row tile
+from .sums import fold_raveled, fold_rows, pairwise_sum
 
 
 @dataclass(frozen=True)
@@ -79,53 +78,6 @@ def simple_function_from_json(obj: dict) -> SimpleFunction:
         (float(t["coeff"]), Ball(center=int(t["center"]),
                                  radius=float(t["radius"])))
         for t in obj["terms"]))
-
-
-PairBlock = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-
-
-def pair_blocks(k: KernelSpec, cloud: PointCloud) -> PairBlock:
-    """The pair-block primitive of kernel k on cloud.
-
-    Returns pair_block(rows) -> (k, d): k(x, .) with a zero diagonal and
-    d(x, .) in the cloud's metric, one row per x in rows. Coordinate Riesz
-    rows are evaluated per block; a generic kernel's base is a whole-matrix
-    expression, so its matrix is built once here and sliced.
-    """
-    if k.family == COORDINATE_RIESZ:
-        def kernel(rows):
-            return kernel_rows(k, cloud, rows)
-    else:
-        full = kernel_matrix(k, cloud)
-
-        def kernel(rows):
-            return full[rows]
-
-    def pair_block(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return kernel(rows), _distance_rows(cloud, rows)
-    return pair_block
-
-
-def _tile_map(k: KernelSpec, cloud: PointCloud, rows, fn,
-              workers: int = 1) -> np.ndarray:
-    """fn(k, d, tile) on each row tile of `rows`, stacked in row order.
-
-    fn returns one result row per tile row. Tiles are split over `workers`
-    threads; the stacked result does not depend on how.
-    """
-    pair_block = pair_blocks(k, cloud)
-    rows = np.asarray(rows)
-    step = max(1, _TILE_PAIRS // cloud.n_points)
-    tiles = [rows[i:i + step] for i in range(0, rows.size, step)]
-
-    def run(tile):
-        return fn(*pair_block(tile), tile)
-    if workers > 1 and len(tiles) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, tiles))
-    else:
-        parts = [run(tile) for tile in tiles]
-    return np.concatenate(parts)
 
 
 def _truncated_folds(kt: np.ndarray, dt: np.ndarray, fw: np.ndarray,
@@ -176,7 +128,7 @@ def pv_scan(k: KernelSpec, m: DiscreteMeasure, f: SimpleFunction, x: int,
     """
     grid = _check_grid(eps_grid)
     fw = f.values(m.cloud) * m.weights
-    row = _tile_map(k, m.cloud, [x], lambda kt, dt, _rows: np.stack(
+    row = map_pair_tiles(k, m.cloud, [x], lambda kt, dt, _rows: np.stack(
         _truncated_folds(kt, dt, fw, grid), axis=1))
     return row[0].tolist()
 
@@ -210,7 +162,7 @@ def _boundary_term(k: KernelSpec, m: DiscreteMeasure, ball: Ball,
     if rows.size == 0 or rows.size == m.n_atoms:
         return 0.0
     w = m.weights
-    folds = _tile_map(k, m.cloud, rows, lambda kt, dt, _rows: _band_folds(
+    folds = map_pair_tiles(k, m.cloud, rows, lambda kt, dt, _rows: _band_folds(
         np.abs(kt) * w[None, :], dt, ~inside, [(delta, eps)]))
     return pairwise_sum(folds[:, 0] * w[rows])
 
@@ -228,20 +180,26 @@ def cancellation_residual(k: KernelSpec, m: DiscreteMeasure, b1: Ball,
         raise InputError("need 0 < delta < eps")
     both = b1.members(m.cloud) & b2.members(m.cloud)
     rows = np.nonzero(both)[0]
-    if rows.size < 2:
+    r = rows.size
+    if r < 2:
         return 0.0, 0.0
-    block = _tile_map(k, m.cloud, rows, lambda kt, dt, _rows: np.hstack(
-        [kt[:, rows], dt[:, rows]]))
-    km, d = block[:, :rows.size], block[:, rows.size:]
-    ww = np.outer(m.weights[rows], m.weights[rows])
-    band = (d > delta) & (d < eps)
-    upper = np.triu(np.ones_like(band, dtype=bool), k=1)
-    t_upper = np.where(band & upper, km * ww, 0.0)
-    t_lower = np.where(band & upper, km.T * ww.T, 0.0)
-    residual = pairwise_sum((t_upper + t_lower).ravel())
-    scale = pairwise_sum(np.abs(t_upper).ravel()) \
-        + pairwise_sum(np.abs(t_lower).ravel())
-    return residual, scale
+    kernel = kernel_blocks(k, m.cloud)
+    wr = m.weights[rows]
+
+    def block(a0, a1):
+        # rows a0..a1-1 of the (B1 cap B2)^2 arrays, upper triangle kept
+        ids, a = rows[a0:a1], np.arange(a0, a1)
+        km = kernel(ids, rows)
+        km_t = kernel(rows, ids).T      # k(y, x) for x in ids
+        d = _distance_rows(m.cloud, ids, rows)
+        keep = (d > delta) & (d < eps) & (np.arange(r)[None, :] > a[:, None])
+        t_upper = np.where(keep, km * np.outer(wr[a], wr), 0.0)
+        t_lower = np.where(keep, km_t * np.outer(wr, wr[a]).T, 0.0)
+        return np.stack([t_upper + t_lower, np.abs(t_upper),
+                         np.abs(t_lower)])
+    # chunks of the tile size, read when called, like tile_map's
+    residual, up, low = fold_raveled(block, r, r, metric._TILE_PAIRS)
+    return float(residual), float(up) + float(low)
 
 
 @dataclass(frozen=True)
@@ -305,7 +263,7 @@ def _pairing_engine(k: KernelSpec, m: DiscreteMeasure, f: SimpleFunction,
                 out += list(folds.T)
         return np.stack(out, axis=1)
 
-    res = _tile_map(k, cloud, np.arange(m.n_atoms), tile, workers)
+    res = map_pair_tiles(k, cloud, np.arange(m.n_atoms), tile, workers)
     n_eps, n_steps = len(grid), len(steps)
     values = [pairwise_sum(res[:, j] * gvals * w) for j in range(n_eps)]
     scales = [pairwise_sum(res[:, n_eps + j] * np.abs(gvals) * w)
@@ -363,8 +321,9 @@ def annuli_log_bound_check(k: KernelSpec, m: DiscreteMeasure, ball: Ball,
         raise InputError("ball interior holds no atoms")
     outside = dc > ball.radius
     w = m.weights
-    lhs_rows = _tile_map(k, m.cloud, interior, lambda kt, dt, _rows: fold_rows(
-        np.where(outside[None, :] & (dt < 2.0), np.abs(kt) * w[None, :], 0.0)))
+    lhs_rows = map_pair_tiles(
+        k, m.cloud, interior, lambda kt, dt, _rows: fold_rows(np.where(
+            outside[None, :] & (dt < 2.0), np.abs(kt) * w[None, :], 0.0)))
     records = []
     for x, lhs in zip(interior.tolist(), lhs_rows.tolist()):
         gap = float(ball.radius - dc[x])

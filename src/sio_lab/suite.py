@@ -14,7 +14,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -144,14 +144,16 @@ def run_convergence_suite(config: SuiteConfig) -> ConvergenceReport:
     m, _ = normalize(m)
     checks: list[dict] = []
 
-    c_mu, growth_witness = growth_constant(m, config.s, r_min)
+    c_mu, growth_witness = growth_constant(m, config.s, r_min,
+                                           workers=config.workers)
     _check(checks, "growth_constant_finite", c_mu, None,
            np.isfinite(c_mu) and c_mu > 0.0)
 
-    anti = check_antisymmetry(config.kernel, cloud)
+    anti = check_antisymmetry(config.kernel, cloud, workers=config.workers)
     _check(checks, "kernel_antisymmetry", anti.worst_residual,
            1e-13 * max(anti.scale, 1e-300), anti.ok)
-    c_cert, kernel_witness = check_size_bound(config.kernel, cloud, config.s)
+    c_cert, kernel_witness = check_size_bound(config.kernel, cloud, config.s,
+                                              workers=config.workers)
     _check(checks, "kernel_size_bound_finite", c_cert, None,
            np.isfinite(c_cert))
 
@@ -209,7 +211,7 @@ def run_convergence_suite(config: SuiteConfig) -> ConvergenceReport:
                     "ok": lb.ok}
     _check(checks, "log_boundary_sum", lb.value, lb.bound, lb.ok)
 
-    boundedness = _boundedness_trend(config, params, records[0].target)
+    boundedness = _boundedness_trend(config, params, records[0].target, m)
 
     return ConvergenceReport(
         config=config, n_atoms=m.n_atoms, r_min=r_min, c_mu=c_mu,
@@ -225,19 +227,21 @@ def run_convergence_suite(config: SuiteConfig) -> ConvergenceReport:
 
 
 def _boundedness_trend(config: SuiteConfig, params: GoodSetParams,
-                       target: float) -> list[dict]:
+                       target: float, m: DiscreteMeasure) -> list[dict]:
     """total_boundary_integral at a recertified radius across refinement
-    levels; the same center atom (id 0, a fixed corner) exists at each."""
+    levels; the same center atom (id 0, a fixed corner) exists at each.
+    m is the run's own normalized measure, at the generator's level."""
     gen = config.generator
     if gen.family == "uniform_random":
         return []
     out = []
     lo_level = max(1, gen.level - config.levels_back)
     for level in range(lo_level, gen.level + 1):
-        spec = GeneratorSpec(family=gen.family, level=level, ratio=gen.ratio,
-                             count=gen.count, seed=gen.seed, metric=gen.metric)
-        _cloud, m_lev, _ = generate(spec)
-        m_lev, _ = normalize(m_lev)
+        if level == gen.level:
+            m_lev = m
+        else:
+            _cloud, m_lev, _ = generate(replace(gen, level=level))
+            m_lev, _ = normalize(m_lev)
         mu_z = radial_pushforward(m_lev, 0)
         r = select_good_radius_near(mu_z, Fraction(target), params)
         cert = is_good_radius(mu_z, r, params)

@@ -51,3 +51,29 @@ def pairwise_sum(values, workers: int = 1) -> float:
                 partials = np.concatenate(list(pool.map(fold_rows, blocks)))
             return float(fold_rows(partials[None, :])[0])
     return float(fold_rows(a[None, :])[0])
+
+
+def fold_raveled(block, n_rows: int, n_cols: int, chunk: int) -> np.ndarray:
+    """pairwise_sum of the row-major raveling of each of Q matrices of shape
+    (n_rows, n_cols), without building them: block(a0, a1) returns rows
+    a0..a1-1 of all Q as a (Q, a1 - a0, n_cols) array.
+
+    The raveled length is walked in aligned power-of-two chunks of at most
+    `chunk` entries; each chunk is a whole subtree of pairwise_sum's tree,
+    so the Q results are bit-identical to pairwise_sum(matrix.ravel()). A
+    row that a chunk boundary cuts is asked for by both chunks.
+    """
+    n = n_rows * n_cols
+    m = 1 << (n - 1).bit_length()
+    c = min(m, 1 << (max(1, chunk).bit_length() - 1))
+    partials = []
+    for start in range(0, n, c):
+        end = min(start + c, n)
+        a0, a1 = start // n_cols, (end - 1) // n_cols + 1
+        flat = block(a0, a1).reshape(-1, (a1 - a0) * n_cols)
+        flat = flat[:, start - a0 * n_cols:end - a0 * n_cols]
+        if end - start < c:
+            flat = np.concatenate(
+                [flat, np.zeros((flat.shape[0], c - (end - start)))], axis=1)
+        partials.append(fold_rows(flat))
+    return fold_rows(np.stack(partials, axis=1))

@@ -94,3 +94,23 @@ def test_config_file_defaults(tmp_path, capsys):
                      "--level", "1", "--out-dir", str(tmp_path),
                      "--out", "explicit.json"], capsys)
     assert code == 0 and "4 atoms" in out
+
+
+def test_flag_typed_at_its_default_beats_the_config(tmp_path, capsys,
+                                                    monkeypatch):
+    from sio_lab import cli
+    with open(tmp_path / "cfg.json", "w") as fh:
+        json.dump({"count": 10, "threads": 2, "family": "uniform_random"}, fh)
+    cfg = str(tmp_path / "cfg.json")
+    # --count 64 is the flag's default value, typed on purpose
+    code, out = run(["generate", "--config", cfg, "--count", "64",
+                     "--out-dir", str(tmp_path)], capsys)
+    assert code == 0 and "64 atoms" in out
+    code, out = run(["generate", "--config", cfg,
+                     "--out-dir", str(tmp_path)], capsys)
+    assert code == 0 and "10 atoms" in out
+    seen = []
+    monkeypatch.setattr(cli, "cmd_converge", lambda args: seen.append(
+        (args.threads, args.count)) or 0)
+    assert main(["converge", "--config", cfg, "--threads", "1"]) == 0
+    assert seen == [(1, 10)]

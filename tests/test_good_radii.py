@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sio_lab.errors import BudgetError, InputError
+from sio_lab.errors import BudgetError, CertificationError, InputError
 from sio_lab.good_radii import (GoodSetParams, build_removed_families,
                                 concentration_violations, is_good_radius,
                                 materialize_good_set,
@@ -195,3 +195,30 @@ def test_measure_bound_property(atoms, lam, depth):
     assert iset.total_length >= params.length * params.lower_bound
     rep = verify_good_set(v, params, iset, n_samples=8)
     assert rep.midpoints_ok and rep.non_concentration_ok and rep.light_cells_ok
+
+
+def test_materialize_below_bound_raises_with_witness(monkeypatch):
+    from sio_lab import good_radii
+    # a base set holding only its first interval falls below the floor
+    s, e = good_radii._base_good(5, 1)
+    monkeypatch.setattr(good_radii, "_base_good",
+                        lambda lam, depth: (s[:1], e[:1]))
+    with pytest.raises(CertificationError) as err:
+        materialize_good_set(EMPTY, P5)
+    assert err.value.witness == {"total_units": int(e[0] - s[0]),
+                                 "floor_units": 125 - 3 * 25,
+                                 "lam": 5, "depth": 1}
+
+
+def test_base_clearance_violation_raises_with_witness(monkeypatch):
+    from sio_lab import good_radii
+    # an interval centred on generation 1's first interior gridline
+    monkeypatch.setattr(good_radii, "_base_good", lambda lam, depth: (
+        np.asarray([4], dtype=np.int64), np.asarray([6], dtype=np.int64)))
+    good_radii._base_clearance_verified.cache_clear()
+    try:
+        with pytest.raises(CertificationError) as err:
+            good_radii._base_clearance_verified(5, 1)
+    finally:
+        good_radii._base_clearance_verified.cache_clear()
+    assert err.value.witness == {"generation": 1, "lam": 5, "depth": 1}

@@ -67,6 +67,17 @@ def test_growth_constant_two_atoms():
     assert radius == 1.0
 
 
+def test_growth_constant_ties_break_to_smaller_radius_then_atom():
+    cloud = make_cloud([[0.0], [1.0]], E1)
+    m = make_measure(cloud, [1.0, 1.0])
+    # B(x, 0.5) and B(x, 1) both give ratio 2 at either atom
+    assert growth_constant(m, 1.0, 0.5) == (2.0, (0, 0.5))
+    # zero weights: B(0, 1) = B(0, 2) in mass; the smaller radius wins
+    cloud = make_cloud([[0.0], [1.0], [2.0]], E1)
+    m = make_measure(cloud, [1.0, 0.0, 0.0])
+    assert growth_constant(m, 1.0, 1.0) == (1.0, (0, 1.0))
+
+
 def test_growth_constant_quarter_grid():
     c, witness = growth_constant(quarter_grid(), 1.0, 1.0 / 3.0)
     assert c == pytest.approx(2.25, rel=1e-15)

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from sio_lab.errors import DegenerateInputError, InputError
-from sio_lab.metric import (MetricDescriptor, cloud_from_json, cloud_to_json,
-                            distance, make_cloud, rescale_to_unit_diameter,
+from sio_lab.metric import (MetricDescriptor, _pair_distances,
+                            cloud_from_json, cloud_to_json, distance,
+                            make_cloud, rescale_to_unit_diameter,
                             validate_metric)
 
 E2 = MetricDescriptor(family="euclidean_p", dimension=2, p=2.0)
@@ -116,14 +117,73 @@ def test_json_roundtrip():
 
 @settings(max_examples=60, deadline=None)
 @given(coords=st.lists(st.tuples(st.floats(-10, 10), st.floats(-10, 10)),
-                       min_size=3, max_size=12),
+                       min_size=3, max_size=12, unique=True),
        p=st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]),
        alpha=st.sampled_from([0.3, 0.5, 1.0]))
 def test_triangle_inequality_property(coords, p, alpha):
     md = MetricDescriptor(family="snowflake", dimension=2, p=p, alpha=alpha)
-    cloud = make_cloud(coords, md)
+    try:
+        cloud = make_cloud(coords, md)
+    except DegenerateInputError:  # distinct points whose distance underflows
+        reject()
     n = cloud.n_points
     dmat = cloud.distance_matrix()
     slack = 1e-12 * max(1.0, float(dmat.max()))
     for y in range(n):
         assert np.all(dmat <= dmat[:, y, None] + dmat[None, y, :] + slack)
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_per_coordinate_norm_matches_summed_formula(dim, p):
+    # the former formula: a reduction over a trailing coordinate axis
+    rng = np.random.default_rng(dim)
+    x = rng.random((40, dim)) * 10.0 ** rng.uniform(-4, 4, size=dim)
+    gaps = np.abs(x[:, None, :] - x[None, :, :])
+    if math.isinf(p):
+        old = gaps.max(axis=-1)
+    elif p == 2.0:
+        old = np.sqrt((gaps * gaps).sum(axis=-1))
+    elif p == 1.0:
+        old = gaps.sum(axis=-1)
+    else:
+        old = (gaps ** p).sum(axis=-1) ** (1.0 / p)
+    for md, want in ((MetricDescriptor("euclidean_p", dim, p=p), old),
+                     (MetricDescriptor("snowflake", dim, p=p, alpha=0.5),
+                      old ** 0.5)):
+        cloud = make_cloud(x, md)
+        assert np.array_equal(cloud.distance_matrix(), want)
+        assert np.array_equal(_pair_distances(cloud, [3, 7], [11, 2]),
+                              want[[3, 7], [11, 2]])
+
+
+def test_diameter_pass_walks_row_tiles(monkeypatch):
+    from sio_lab import metric
+    monkeypatch.setattr(metric, "_TILE_PAIRS", 3 * 50)
+    rng = np.random.default_rng(4)
+    for md in (E2, MetricDescriptor("euclidean_p", 3, p=1.0)):
+        cloud = make_cloud(rng.random((50, md.dimension)), md)
+        assert cloud.diameter == cloud.distance_matrix().max()
+        with pytest.raises(DegenerateInputError):  # a duplicate in tile 12
+            make_cloud(np.concatenate([cloud.coords, cloud.coords[7:8]]), md)
+
+
+def test_make_cloud_rejects_duplicates_and_non_finite():
+    # formerly accepted: check_size_bound then returned (nan, (0, 1))
+    with pytest.raises(DegenerateInputError):
+        make_cloud([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]], E2)
+    with pytest.raises(DegenerateInputError):  # distance underflows to 0
+        make_cloud([[0.0], [1e-200]], MetricDescriptor("euclidean_p", 1))
+    with pytest.raises(InputError):
+        make_cloud([[0.0, 0.0], [np.nan, 1.0]], E2)
+    with pytest.raises(InputError):
+        make_cloud([[0.0, 0.0], [np.inf, 1.0]], E2)
+    md = MetricDescriptor(family="custom_table", dimension=1)
+    with pytest.raises(DegenerateInputError):  # table says 1 and 2 coincide
+        make_cloud([[0.0], [1.0], [2.0]], md,
+                   table=[[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(InputError):
+        make_cloud([[0.0], [1.0]], md, table=[[0.0, np.nan], [np.nan, 0.0]])
+    # coordinates do not matter under a table metric
+    assert make_cloud([[0.0], [0.0]], md,
+                      table=[[0.0, 2.0], [2.0, 0.0]]).diameter == 2.0

@@ -4,12 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sio_lab import operator
+from sio_lab import kernels
+from sio_lab import metric as metric_module
 from sio_lab.errors import CertificationError, InputError
 from sio_lab.generators import GeneratorSpec, generate
 from sio_lab.good_radii import GoodSetParams, is_good_radius, select_good_radius_near
 from sio_lab.kernels import KernelSpec, kernel_matrix
-from sio_lab.measure import make_measure, normalize, radial_pushforward
+from sio_lab.measure import (growth_constant, make_measure, normalize,
+                             radial_pushforward)
 from sio_lab.metric import MetricDescriptor, make_cloud
 from sio_lab.operator import (Ball, PairingTrace, SimpleFunction,
                               annuli_log_bound_check, apply_truncated,
@@ -337,7 +339,7 @@ def bits(xs):
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_engine_matches_dense_oracle(kernel, metric, workers, monkeypatch):
     # 7-row tiles: 156 atoms are 22 full tiles and one of 2 rows
-    monkeypatch.setattr(operator, "_TILE_PAIRS", 7 * 156)
+    monkeypatch.setattr(metric_module, "_TILE_PAIRS", 7 * 156)
     m = lattice_measure(metric, seed=workers)
     dist = np.unique(m.cloud.distance_matrix())
     n = dist.size
@@ -369,19 +371,19 @@ def test_engine_matches_dense_oracle(kernel, metric, workers, monkeypatch):
 
 @pytest.mark.parametrize("kernel", [RIESZ, GENERIC])
 def test_trace_evaluates_each_pair_once(kernel, monkeypatch):
-    monkeypatch.setattr(operator, "_TILE_PAIRS", 10 * 156)
+    monkeypatch.setattr(metric_module, "_TILE_PAIRS", 10 * 156)
     rows_seen, matrices = [], []
-    real_rows, real_matrix = operator.kernel_rows, operator.kernel_matrix
+    real_rows, real_matrix = kernels.kernel_rows, kernels.kernel_matrix
 
-    def counting_rows(k, cloud, rows):
+    def counting_rows(k, cloud, rows, cols=None):
         rows_seen.extend(np.asarray(rows).tolist())
-        return real_rows(k, cloud, rows)
+        return real_rows(k, cloud, rows, cols)
 
     def counting_matrix(k, cloud):
         matrices.append(cloud.n_points)
         return real_matrix(k, cloud)
-    monkeypatch.setattr(operator, "kernel_rows", counting_rows)
-    monkeypatch.setattr(operator, "kernel_matrix", counting_matrix)
+    monkeypatch.setattr(kernels, "kernel_rows", counting_rows)
+    monkeypatch.setattr(kernels, "kernel_matrix", counting_matrix)
     m = lattice_measure(E2, seed=0)
     f = SimpleFunction(terms=((1.0, Ball(3, 4.0)), (-0.5, Ball(80, 6.0))))
     g = indicator(Ball(150, 5.0))
@@ -390,3 +392,91 @@ def test_trace_evaluates_each_pair_once(kernel, monkeypatch):
         assert sorted(rows_seen) == list(range(156)) and not matrices
     else:
         assert matrices == [156] and not rows_seen
+
+
+# ---------------------------------------------------------------------------
+# the tiled checks against their dense N x N formulas
+
+NAN_BASE = KernelSpec(family="generic_antisymmetrized", s=1.0,
+                      base="np.sqrt(5.0 - x[..., 0]) * (y[..., 1] + 1.0) / d",
+                      antisymmetrize=False)  # NaN off the diagonal, x_1 > 5
+
+
+def dense_checks(k, cloud, s):
+    """check_antisymmetry's and check_size_bound's results from the whole
+    kernel_matrix and distance_matrix."""
+    km = kernel_matrix(k, cloud)
+    resid = np.abs(km + km.T)
+    a, b = np.unravel_index(int(resid.argmax()), resid.shape)
+    anti = (float(resid.max()), (int(a), int(b)), float(np.abs(km).max()))
+    prod = np.abs(km) * cloud.distance_matrix() ** s
+    np.fill_diagonal(prod, -1.0)
+    a, b = np.unravel_index(int(prod.argmax()), prod.shape)
+    return anti, (max(float(prod.max()), 0.0), (int(a), int(b)))
+
+
+def dense_growth(m, s, r_min):
+    best, witness = -1.0, (0, r_min)
+    for x in range(m.n_atoms):
+        d = m.cloud.distance_matrix()[x]
+        order = np.argsort(d, kind="stable")
+        ds, cum = d[order], np.cumsum(m.weights[order])
+        cand = np.unique(ds[ds >= r_min])
+        if cand.size == 0 or cand[0] > r_min:
+            cand = np.concatenate([[r_min], cand])
+        ratios = cum[np.searchsorted(ds, cand, side="right") - 1] / cand ** s
+        k = int(np.argmax(ratios))
+        if ratios[k] > best:
+            best, witness = float(ratios[k]), (x, float(cand[k]))
+    return best, witness
+
+
+def dense_cancellation(k, m, b1, b2, delta, eps):
+    rows = np.nonzero(b1.members(m.cloud) & b2.members(m.cloud))[0]
+    km = kernel_matrix(k, m.cloud)[np.ix_(rows, rows)]
+    d = m.cloud.distance_matrix()[np.ix_(rows, rows)]
+    ww = np.outer(m.weights[rows], m.weights[rows])
+    keep = (d > delta) & (d < eps) & np.triu(np.ones(d.shape, bool), k=1)
+    t_upper = np.where(keep, km * ww, 0.0)
+    t_lower = np.where(keep, km.T * ww.T, 0.0)
+    return (pairwise_sum((t_upper + t_lower).ravel()),
+            pairwise_sum(np.abs(t_upper).ravel())
+            + pairwise_sum(np.abs(t_lower).ravel()))
+
+
+@pytest.mark.parametrize("kernel,metric", [(RIESZ, E2), (RIESZ, L1),
+                                           (RIESZ, SNOW), (GENERIC, E2),
+                                           (NAN_BASE, L1)])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_tiled_checks_match_dense_oracle(kernel, metric, workers,
+                                         monkeypatch):
+    # 7-row tiles end mid-lattice; cancellation walks 1024-entry chunks
+    monkeypatch.setattr(metric_module, "_TILE_PAIRS", 7 * 156)
+    m = lattice_measure(metric, seed=5)
+    dist = np.unique(m.cloud.distance_matrix())
+    for s in (1.0, 2.5):  # at s = 2.5 the r_min candidate wins some rows
+        anti, size = dense_checks(kernel, m.cloud, s)
+        rep = kernels.check_antisymmetry(kernel, m.cloud, workers)
+        assert bits([rep.worst_residual, rep.scale]) \
+            == bits([anti[0], anti[2]])
+        assert rep.worst_pair == anti[1]
+        c, pair = kernels.check_size_bound(kernel, m.cloud, s, workers)
+        assert bits([c]) == bits([size[0]]) and pair == size[1]
+        # r_min below every distance, on one, and between two
+        for r_min in (0.5 * dist[1], dist[3], 0.5 * (dist[5] + dist[6])):
+            got, witness = growth_constant(m, s, float(r_min), workers)
+            want, want_witness = dense_growth(m, s, float(r_min))
+            assert bits([got, witness[1]]) == bits([want, want_witness[1]])
+            assert witness[0] == want_witness[0]
+    if kernel is NAN_BASE:
+        assert math.isnan(anti[0]) and math.isnan(size[0])
+    n = dist.size
+    for center, radius, delta, eps in ((3, n // 3, 2, n // 2),
+                                       (77, n // 2, 1, 2 * n // 3),
+                                       (150, n - 1, 4, n - 1)):
+        b1 = Ball(center, float(dist[radius]))
+        b2 = Ball(80, float(dist[n // 2]))
+        got = cancellation_residual(kernel, m, b1, b2, float(dist[delta]),
+                                    float(dist[eps]))
+        assert bits(got) == bits(dense_cancellation(
+            kernel, m, b1, b2, float(dist[delta]), float(dist[eps])))

@@ -74,3 +74,27 @@ def test_workers_do_not_change_outputs(tmp_path):
     for name in ("trace.csv", "summary.json"):
         assert (tmp_path / "w1" / name).read_bytes() \
             == (tmp_path / "w8" / name).read_bytes()
+
+
+def test_riesz_run_generates_each_level_once_and_builds_no_matrix(
+        monkeypatch):
+    from sio_lab import kernels, suite
+    levels, matrices = [], []
+    real_generate, real_matrix = suite.generate, kernels.kernel_matrix
+
+    def counting_generate(spec):
+        levels.append(spec.level)
+        return real_generate(spec)
+
+    def counting_matrix(k, cloud):
+        matrices.append(cloud.n_points)
+        return real_matrix(k, cloud)
+    monkeypatch.setattr(suite, "generate", counting_generate)
+    monkeypatch.setattr(kernels, "kernel_matrix", counting_matrix)
+    config = small_config(
+        generator=GeneratorSpec(family="four_corner_cantor", level=4),
+        depth=3, n_balls=5, eps_count=4, n_cancellation=4, levels_back=2)
+    report = run_convergence_suite(config)
+    assert report.all_ok
+    assert sorted(levels) == [2, 3, 4]  # levels_back + 1 calls
+    assert matrices == []
