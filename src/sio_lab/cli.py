@@ -129,7 +129,7 @@ def cmd_good_radii(args) -> int:
               f"{iset.total_length} (bound {params.length * params.lower_bound})")
         return 0
     if args.test is not None:
-        res = is_good_radius(mu_z, Fraction(args.test), params)
+        res = is_good_radius(mu_z, args.test, params)
         if res.ok:
             print(f"t = {args.test} is a good radius "
                   f"(lambda={args.lam}, depth={args.depth})")
@@ -141,7 +141,7 @@ def cmd_good_radii(args) -> int:
               f"{res.reason}")
         return 1
     if args.near is not None:
-        t = select_good_radius_near(mu_z, Fraction(args.near), params)
+        t = select_good_radius_near(mu_z, args.near, params)
         print(f"{t} (= {float(t)!r})")
         return 0
     raise SystemExit("choose one of --materialize / --test / --near")
@@ -229,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--budget", type=int, default=10 ** 6)
     p.add_argument("--materialize", metavar="OUT_JSON")
-    p.add_argument("--test", metavar="T")
-    p.add_argument("--near", metavar="TARGET")
+    p.add_argument("--test", metavar="T", type=Fraction)
+    p.add_argument("--near", metavar="TARGET", type=Fraction)
     p.set_defaults(func=cmd_good_radii, parser=p)
 
     p = sub.add_parser("pairing", help="pairing trace along an eps grid")

@@ -11,6 +11,11 @@ Certified radii consequently satisfy the non-concentration window bound
 mass([t - |I| lam^(-3n), t + |I| lam^(-3n)]) < lam^(-n) for every n <= N:
 the window sits inside J_n(t) by the clearance, and J_n(t) is light.
 
+The good set is built cell by cell: inside each generation-N cell it is one
+closed piece (the points clearing every ancestor's endpoints), dropped whole
+when an ancestor is heavy. A heavy cell's padding is its neighbours' own
+shells, so no piece is ever trimmed.
+
 All comparisons are exact: endpoints live on the integer grid of units
 u = |I| lam^(-3N) and measures are exact rationals, so certificates at deep
 generations (shell widths ~ lam^(-12)) never depend on float round-off.
@@ -27,7 +32,7 @@ import numpy as np
 
 from .errors import (BudgetError, CertificationError, InputError,
                      SearchExhaustedError)
-from .measure import StepMeasure, interval_mass
+from .measure import TOTAL_MASS_SLACK, StepMeasure, interval_mass
 
 HEAVY_CELL = "heavy_cell"
 GRIDLINE_SHELL = "gridline_shell"
@@ -113,7 +118,7 @@ class RemovedFamily:
 
 def _check_total(v: StepMeasure) -> None:
     # float-derived probability weights may exceed 1 by ulps; allow that
-    if v.total > 1 + Fraction(1, 2 ** 40):
+    if v.total > 1 + TOTAL_MASS_SLACK:
         raise InputError("StepMeasure must be (sub-)probability: total <= 1")
 
 
@@ -140,6 +145,13 @@ def _cell_masses(v: StepMeasure, params: GoodSetParams, n: int
     return out
 
 
+def _buried(removed: list[set[int]], lam: int, n: int, j: int) -> bool:
+    """Whether generation-n cell j lies inside a cell removed at some
+    generation m < n; removed[m - 1] holds generation m's removed indices."""
+    return any(j // lam ** (2 * (n - m)) in removed[m - 1]
+               for m in range(1, n))
+
+
 def build_removed_families(v: StepMeasure, params: GoodSetParams
                            ) -> RemovedFamily:
     """Heavy grid cells per generation, in exact rational arithmetic."""
@@ -149,22 +161,12 @@ def build_removed_families(v: StepMeasure, params: GoodSetParams
     heavy: list[tuple[tuple[int, Fraction], ...]] = []
     for n in range(1, params.depth + 1):
         thr = Fraction(1, lam ** n)
-        gen: list[tuple[int, Fraction]] = []
-        for j, mass in sorted(_cell_masses(v, params, n).items()):
-            if mass < thr:
-                continue
-            # only descendants of surviving cells enter the family
-            anc = j
-            buried = False
-            for m in range(n - 1, 0, -1):
-                anc //= lam ** 2
-                if anc in removed[m - 1]:
-                    buried = True
-                    break
-            if not buried:
-                gen.append((j, mass))
+        # only descendants of surviving cells enter the family
+        gen = tuple((j, mass)
+                    for j, mass in sorted(_cell_masses(v, params, n).items())
+                    if mass >= thr and not _buried(removed, lam, n, j))
         removed.append({j for j, _ in gen})
-        heavy.append(tuple(gen))
+        heavy.append(gen)
     return RemovedFamily(params=params, heavy=tuple(heavy))
 
 
@@ -203,7 +205,8 @@ def is_good_radius(v: StepMeasure, t, params: GoodSetParams):
 
 
 # ---------------------------------------------------------------------------
-# materialization: exact interval-union sweep in integer units
+# materialization: one closed piece per depth-generation cell, in integer
+# units
 
 
 @dataclass(frozen=True)
@@ -257,52 +260,33 @@ class IntervalSet:
                 "total_length": [tl.numerator, tl.denominator]}
 
 
-def _merge_union(starts: np.ndarray, ends: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Union of closed intervals; inputs need not be sorted or disjoint."""
-    if starts.size == 0:
-        return starts, ends
-    order = np.argsort(starts, kind="stable")
-    s = starts[order]
-    e = ends[order]
-    cm = np.maximum.accumulate(e)
-    new = np.empty(s.size, dtype=bool)
-    new[0] = True
-    new[1:] = s[1:] > cm[:-1]  # strict: touching closed intervals merge
-    idx = np.nonzero(new)[0]
-    ms = s[idx]
-    me = cm[np.append(idx[1:] - 1, s.size - 1)]
-    return ms, me
-
-
-def _complement(starts: np.ndarray, ends: np.ndarray, total: int
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Closure of [0, total] minus a merged, sorted union."""
-    cs = np.concatenate([[0], ends])
-    ce = np.concatenate([[starts[0] if starts.size else total], starts[1:],
-                         [total]]) if starts.size else np.asarray([total])
-    if starts.size == 0:
-        cs = np.asarray([0])
-    keep = ce > cs
-    return cs[keep].astype(np.int64), ce[keep].astype(np.int64)
-
-
 @lru_cache(maxsize=8)
 def _base_good(lam: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """I minus all gridline shells (no measure involved), in units of
     |I| lam^(-3 depth) over [0, lam^(3 depth)]. Cached: it is the common
-    core of every materialization at this (lam, depth)."""
-    big = lam ** (3 * depth)
-    pieces_s = []
-    pieces_e = []
+    core of every materialization at this (lam, depth).
+
+    Inside depth-generation cell j the set is the single closed piece
+    [max_n lo_n + h_n, min_n hi_n - h_n], where [lo_n, hi_n] is the
+    generation-n cell holding j and h_n = lam^(3(depth - n)) its shell
+    half-width; other gridlines' shells stay outside that cell. The piece
+    is kept when it has positive length.
+    """
+    n_cells = lam ** (2 * depth)
+    s = np.zeros(n_cells, dtype=np.int64)
+    e = np.full(n_cells, lam ** (3 * depth), dtype=np.int64)
     for n in range(1, depth + 1):
         spacing = lam ** (3 * depth - 2 * n)
         half = lam ** (3 * (depth - n))
-        centers = np.arange(lam ** (2 * n) + 1, dtype=np.int64) * spacing
-        pieces_s.append(np.maximum(centers - half, 0))
-        pieces_e.append(np.minimum(centers + half, big))
-    s, e = _merge_union(np.concatenate(pieces_s), np.concatenate(pieces_e))
-    gs, ge = _complement(s, e, big)
+        lo = np.arange(lam ** (2 * n), dtype=np.int64)[:, None] * spacing
+        # row J of these views holds the depth cells inside generation-n
+        # cell J
+        sv = s.reshape(lam ** (2 * n), -1)
+        ev = e.reshape(lam ** (2 * n), -1)
+        np.maximum(sv, lo + half, out=sv)
+        np.minimum(ev, lo + (spacing - half), out=ev)
+    keep = e > s
+    gs, ge = s[keep], e[keep]
     gs.setflags(write=False)
     ge.setflags(write=False)
     return gs, ge
@@ -310,7 +294,8 @@ def _base_good(lam: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _heavy_padded_units(family: RemovedFamily
                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Heavy cells fused with their flanking shells, in integer units."""
+    """Heavy cells fused with their flanking shells, in integer units,
+    one interval per heavy cell (they may overlap)."""
     p = family.params
     lam, depth = p.lam, p.depth
     big = lam ** (3 * depth)
@@ -321,48 +306,17 @@ def _heavy_padded_units(family: RemovedFamily
         for j, _mass in family.heavy_at(n):
             ss.append(max(j * spacing - half, 0))
             ee.append(min((j + 1) * spacing + half, big))
-    return _merge_union(np.asarray(ss, dtype=np.int64),
-                        np.asarray(ee, dtype=np.int64))
-
-
-def _subtract_small(s: np.ndarray, e: np.ndarray, hs: np.ndarray,
-                    he: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Difference of a big merged set and a small merged set of intervals.
-
-    Works gap by gap: the survivors are exactly base intersected with the
-    gaps between consecutive removed intervals.
-    """
-    if hs.size == 0 or s.size == 0:
-        return s.copy(), e.copy()
-    gap_lo = np.concatenate([[np.iinfo(np.int64).min], he])
-    gap_hi = np.concatenate([hs, [np.iinfo(np.int64).max]])
-    out_s: list[np.ndarray] = []
-    out_e: list[np.ndarray] = []
-    for gl, gr in zip(gap_lo.tolist(), gap_hi.tolist()):
-        if gl >= gr:
-            continue
-        i0 = int(np.searchsorted(e, gl, side="right"))
-        i1 = int(np.searchsorted(s, gr, side="left"))
-        if i0 >= i1:
-            continue
-        seg_s = s[i0:i1].copy()
-        seg_e = e[i0:i1].copy()
-        seg_s[0] = max(int(seg_s[0]), gl)
-        seg_e[-1] = min(int(seg_e[-1]), gr)
-        out_s.append(seg_s)
-        out_e.append(seg_e)
-    if not out_s:
-        empty = np.asarray([], dtype=np.int64)
-        return empty, empty.copy()
-    return (np.concatenate(out_s).astype(np.int64),
-            np.concatenate(out_e).astype(np.int64))
+    return np.asarray(ss, dtype=np.int64), np.asarray(ee, dtype=np.int64)
 
 
 def materialize_good_set(v: StepMeasure, params: GoodSetParams) -> IntervalSet:
     """I minus all padded heavy cells and all gridline shells up to depth.
 
-    Exact interval-union sweep on the integer grid. Certifies the truncated
-    lower bound Leb >= |I| (1 - 3 sum_{n<=depth} lam^-n) before returning.
+    The measure-free pieces of `_base_good` minus every piece whose depth
+    cell descends from a heavy cell. A heavy cell's padding is its
+    neighbours' own shells, so removal drops whole pieces and trims none.
+    Certifies the truncated lower bound
+    Leb >= |I| (1 - 3 sum_{n<=depth} lam^-n) before returning.
     """
     _check_total(v)
     total_cells = params.total_cells()
@@ -381,7 +335,12 @@ def materialize_good_set(v: StepMeasure, params: GoodSetParams) -> IntervalSet:
     family = build_removed_families(v, params)
     base_s, base_e = _base_good(params.lam, params.depth)
     hs, he = _heavy_padded_units(family)
-    s, e = _subtract_small(base_s, base_e, hs, he)
+    keep = np.ones(base_s.size, dtype=bool)
+    # a piece starts inside a padded heavy cell iff it lies in the cell
+    for i0, i1 in zip(np.searchsorted(base_s, hs).tolist(),
+                      np.searchsorted(base_s, he).tolist()):
+        keep[i0:i1] = False
+    s, e = base_s[keep], base_e[keep]
     unit = params.length / params.lam ** (3 * params.depth)
     out = IntervalSet(starts=s, ends=e, unit=unit, offset=params.a)
     floor_units = params.lam ** (3 * params.depth) \
@@ -511,8 +470,8 @@ def verify_good_set(v: StepMeasure, params: GoodSetParams, iset: IntervalSet,
     The per-midpoint predicate factorizes, so the whole-set check is exact
     without iterating 'is_good_radius' over millions of points:
       - shell clearance of all measure-free midpoints is verified once per
-        (lam, depth) (vectorized); trimmed/new midpoints are checked
-        individually, as is a random sample;
+        (lam, depth) (vectorized); midpoints of the pieces bordering a
+        padded heavy cell are checked individually, as is a random sample;
       - no interval may intersect a padded heavy cell (vectorized, exact);
       - every surviving atom-bearing cell must be light (exact rationals);
       - the non-concentration windows are checked against the exact set of
@@ -535,19 +494,20 @@ def verify_good_set(v: StepMeasure, params: GoodSetParams, iset: IntervalSet,
 
     # (2) every surviving atom-bearing cell is light, exactly
     light_cells_ok = True
+    removed = [{j for j, _ in family.heavy_at(n)}
+               for n in range(1, depth + 1)]
     for n in range(1, depth + 1):
         thr = Fraction(1, lam ** n)
-        heavy_idx = {j for j, _ in family.heavy_at(n)}
-        buried = _buried_indices(family, n)
         for j, mass in _cell_masses(v, params, n).items():
-            if j in heavy_idx or j in buried:
+            if j in removed[n - 1] or _buried(removed, lam, n, j):
                 continue
             if mass >= thr:
                 light_cells_ok = False
 
-    # (3) midpoints of pieces trimmed at a heavy boundary (everything else
-    #     keeps its measure-free midpoint, whose clearance the cached base
-    #     pass covers) plus a random sample go through the scalar certifier
+    # (3) midpoints of pieces that end on a padded heavy cell's boundary
+    #     (every piece is a measure-free one, whose clearance the cached
+    #     base pass covers) plus a random sample go through the scalar
+    #     certifier
     check_idx: set[int] = set()
     nn = iset.n_intervals
     for hb in np.concatenate([hs, he]).tolist():
@@ -587,17 +547,6 @@ def verify_good_set(v: StepMeasure, params: GoodSetParams, iset: IntervalSet,
                                midpoints_ok=midpoints_ok,
                                non_concentration_ok=non_concentration_ok,
                                light_cells_ok=light_cells_ok)
-
-
-def _buried_indices(family: RemovedFamily, n: int) -> set[int]:
-    """Generation-n cell indices lying inside a removed ancestor cell."""
-    lam = family.params.lam
-    out: set[int] = set()
-    for m in range(1, n):
-        step = lam ** (2 * (n - m))
-        for j, _ in family.heavy_at(m):
-            out.update(range(j * step, (j + 1) * step))
-    return out
 
 
 def interval_set_to_file(iset: IntervalSet, path: str) -> None:

@@ -114,3 +114,17 @@ def test_flag_typed_at_its_default_beats_the_config(tmp_path, capsys,
         (args.threads, args.count)) or 0)
     assert main(["converge", "--config", cfg, "--threads", "1"]) == 0
     assert seen == [(1, 10)]
+
+
+@pytest.mark.parametrize("flag, value", [("--test", "abc"),
+                                         ("--near", "0.4x")])
+def test_good_radii_rejects_a_malformed_radius(tmp_path, capsys, flag,
+                                               value):
+    run(["generate", "--level", "1", "--out-dir", str(tmp_path),
+         "--out", "m.json"], capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(["good-radii", "--measure", str(tmp_path / "m.json"),
+              "--center", "0", "--depth", "1", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: invalid Fraction value: '{value}'" in err

@@ -134,6 +134,32 @@ def test_completeness_rejected_midcells_outside():
         assert is_good_radius(v, t, params).ok == inside
 
 
+def _gridline_and_heavy_gen2(lam):
+    """An atom of mass lam^-1 on generation 1's first interior gridline
+    (so the cell on its right is heavy) and an atom of mass exactly lam^-2
+    at 2/3, whose generation-2 cell is heavy inside a light ancestor."""
+    return make_step_measure([(Fraction(1, lam ** 2), Fraction(1, lam)),
+                              (Fraction(2, 3), Fraction(1, lam ** 2))])
+
+
+@pytest.mark.parametrize("lam, depth", [(3, 1), (3, 2), (4, 1), (4, 2),
+                                        (5, 1)])
+def test_materialized_set_equals_the_predicate_on_every_half_unit(lam,
+                                                                  depth):
+    """Every point t = k u/2 in (0, 1) is a good radius exactly when it lies
+    in a closed interval of the materialized set, interval endpoints and
+    heavy-cell borders included."""
+    params = GoodSetParams(lam=lam, depth=depth)
+    for v in (EMPTY, DELTA_HALF, _gridline_and_heavy_gen2(lam)):
+        iset = materialize_good_set(v, params)
+        inside = set()
+        for s, e in zip(iset.starts.tolist(), iset.ends.tolist()):
+            inside.update(range(2 * s, 2 * e + 1))
+        for k in range(1, 2 * lam ** (3 * depth)):
+            t = k * iset.unit / 2
+            assert is_good_radius(v, t, params).ok == (k in inside), (v, t)
+
+
 def test_monotone_in_depth():
     v = make_step_measure([(Fraction(1, 3), Fraction(1, 2)),
                            (Fraction(2, 3), Fraction(1, 2))])
