@@ -14,7 +14,12 @@ the window sits inside J_n(t) by the clearance, and J_n(t) is light.
 The good set is built cell by cell: inside each generation-N cell it is one
 closed piece (the points clearing every ancestor's endpoints), dropped whole
 when an ancestor is heavy. A heavy cell's padding is its neighbours' own
-shells, so no piece is ever trimmed.
+shells, so no piece is ever trimmed. The measure-free pieces are periodic
+(generation-1 cell J holds cell 0's pieces translated), so they are built
+from one period and cached per (lam, depth). A measure's good set is a view:
+the cached pieces minus the index runs below its padded heavy cells. Counts,
+totals, single intervals and every check of verify_good_set are answered
+from the runs, so no per-measure array is as large as the set.
 
 All comparisons are exact: endpoints live on the integer grid of units
 u = |I| lam^(-3N) and measures are exact rationals, so certificates at deep
@@ -24,9 +29,10 @@ generations (shell widths ~ lam^(-12)) never depend on float round-off.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -205,50 +211,104 @@ def is_good_radius(v: StepMeasure, t, params: GoodSetParams):
 
 
 # ---------------------------------------------------------------------------
-# materialization: one closed piece per depth-generation cell, in integer
-# units
+# materialization: the cached measure-free pieces minus the index runs a
+# measure drops, in integer units
 
 
 @dataclass(frozen=True)
 class IntervalSet:
-    """Disjoint sorted closed intervals on the integer grid of `unit`.
+    """Disjoint sorted closed intervals on the integer grid of `unit`: the
+    pieces of a base set minus the pieces whose base index lies in a
+    dropped run [lo, hi).
 
     Fractional endpoints are offset + starts[k] * unit etc.; lengths and the
-    total are exact rationals.
+    total are exact rationals. The base arrays are shared, never copied:
+    count, total, interval(k) and midpoint(k) are answered from the runs.
     """
 
-    starts: np.ndarray  # int64
-    ends: np.ndarray    # int64, ends[k] > starts[k]
+    base_starts: np.ndarray  # int64, sorted
+    base_ends: np.ndarray    # int64, base_ends[i] > base_starts[i]
+    base_total_units: int
+    drop_lo: np.ndarray      # int64; sorted, disjoint, non-touching runs
+    drop_hi: np.ndarray
     unit: Fraction
     offset: Fraction
 
-    @property
-    def n_intervals(self) -> int:
-        return int(self.starts.size)
+    @cached_property
+    def _dropped_through(self) -> np.ndarray:
+        """Run lengths summed, after a leading 0: entry r counts the pieces
+        dropped before run r, the last entry all dropped pieces."""
+        return np.concatenate([[0], np.cumsum(self.drop_hi - self.drop_lo)])
+
+    def _dropped_below(self, idx):
+        """How many dropped base indices lie below each base index in idx."""
+        idx = np.asarray(idx, dtype=np.int64)
+        if not self.drop_lo.size:
+            return np.zeros_like(idx)
+        r = np.searchsorted(self.drop_lo, idx, side="right") - 1
+        rr = np.maximum(r, 0)  # the last run starting at or below idx
+        inside = np.minimum(idx, self.drop_hi[rr]) - self.drop_lo[rr]
+        return np.where(r >= 0, self._dropped_through[rr] + inside, 0)
+
+    def _n_kept(self, i0, i1):
+        """How many kept pieces have a base index in [i0, i1), i0 <= i1."""
+        return (np.asarray(i1) - i0) \
+            - (self._dropped_below(i1) - self._dropped_below(i0))
+
+    def _base_index(self, k: int) -> int:
+        """Base index of the k-th kept piece; negative k counts from the
+        end."""
+        n = self.n_intervals
+        if not -n <= k < n:
+            raise IndexError(f"interval {k} out of range for {n} intervals")
+        k %= n
+        kept_before_run = self.drop_lo - self._dropped_through[:-1]
+        r = int(np.searchsorted(kept_before_run, k, side="right"))
+        return k + int(self._dropped_through[r])
 
     @property
+    def n_intervals(self) -> int:
+        return int(self.base_starts.size - self._dropped_through[-1])
+
+    @cached_property
     def total_units(self) -> int:
-        return int((self.ends - self.starts).sum())
+        # each run's own slice: no temporary larger than the dropped pieces
+        return self.base_total_units - sum(
+            int((self.base_ends[lo:hi] - self.base_starts[lo:hi]).sum())
+            for lo, hi in zip(self.drop_lo.tolist(), self.drop_hi.tolist()))
 
     @property
     def total_length(self) -> Fraction:
         return self.total_units * self.unit
 
+    def _kept(self, base: np.ndarray) -> np.ndarray:
+        """base's entries outside every dropped run."""
+        return np.concatenate([
+            base[a:b] for a, b in zip([0, *self.drop_hi.tolist()],
+                                      [*self.drop_lo.tolist(), base.size])])
+
+    @property
+    def starts(self) -> np.ndarray:
+        """Every kept start, built on demand (an N-sized array)."""
+        return self._kept(self.base_starts)
+
+    @property
+    def ends(self) -> np.ndarray:
+        return self._kept(self.base_ends)
+
     def interval(self, k: int) -> tuple[Fraction, Fraction]:
-        return (self.offset + int(self.starts[k]) * self.unit,
-                self.offset + int(self.ends[k]) * self.unit)
+        i = self._base_index(k)
+        return (self.offset + int(self.base_starts[i]) * self.unit,
+                self.offset + int(self.base_ends[i]) * self.unit)
 
     def intervals(self):
-        for k in range(self.n_intervals):
-            yield self.interval(k)
-
-    def midpoints_units2(self) -> np.ndarray:
-        """Interval midpoints in units of unit/2 (always integers)."""
-        return self.starts + self.ends
+        for s, e in zip(self.starts.tolist(), self.ends.tolist()):
+            yield self.offset + s * self.unit, self.offset + e * self.unit
 
     def midpoint(self, k: int) -> Fraction:
-        return self.offset + (int(self.starts[k]) + int(self.ends[k])) \
-            * self.unit / 2
+        i = self._base_index(k)
+        return self.offset + (int(self.base_starts[i])
+                              + int(self.base_ends[i])) * self.unit / 2
 
     def to_json(self) -> dict:
         ivals = []
@@ -261,35 +321,43 @@ class IntervalSet:
 
 
 @lru_cache(maxsize=8)
-def _base_good(lam: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
+def _base_good(lam: int, depth: int) -> tuple[np.ndarray, np.ndarray, int]:
     """I minus all gridline shells (no measure involved), in units of
-    |I| lam^(-3 depth) over [0, lam^(3 depth)]. Cached: it is the common
-    core of every materialization at this (lam, depth).
+    |I| lam^(-3 depth) over [0, lam^(3 depth)], with its total length in
+    units. Cached: it is the common core of every materialization at this
+    (lam, depth).
 
     Inside depth-generation cell j the set is the single closed piece
     [max_n lo_n + h_n, min_n hi_n - h_n], where [lo_n, hi_n] is the
     generation-n cell holding j and h_n = lam^(3(depth - n)) its shell
     half-width; other gridlines' shells stay outside that cell. The piece
     is kept when it has positive length.
+
+    The formula is periodic: generation-1 cell J is cell 0 translated by
+    J T, T = lam^(3 depth - 2), and so are all of its descendants' cells
+    and shells. So the pieces of cell 0 are built once and translated.
     """
-    n_cells = lam ** (2 * depth)
+    period = lam ** (3 * depth - 2)
+    n_cells = lam ** (2 * depth - 2)  # depth cells in generation-1 cell 0
     s = np.zeros(n_cells, dtype=np.int64)
-    e = np.full(n_cells, lam ** (3 * depth), dtype=np.int64)
+    e = np.full(n_cells, period, dtype=np.int64)
     for n in range(1, depth + 1):
         spacing = lam ** (3 * depth - 2 * n)
         half = lam ** (3 * (depth - n))
-        lo = np.arange(lam ** (2 * n), dtype=np.int64)[:, None] * spacing
+        lo = np.arange(lam ** (2 * n - 2), dtype=np.int64)[:, None] * spacing
         # row J of these views holds the depth cells inside generation-n
         # cell J
-        sv = s.reshape(lam ** (2 * n), -1)
-        ev = e.reshape(lam ** (2 * n), -1)
+        sv = s.reshape(lam ** (2 * n - 2), -1)
+        ev = e.reshape(lam ** (2 * n - 2), -1)
         np.maximum(sv, lo + half, out=sv)
         np.minimum(ev, lo + (spacing - half), out=ev)
     keep = e > s
-    gs, ge = s[keep], e[keep]
+    ps, pe = s[keep], e[keep]
+    shift = np.arange(lam ** 2, dtype=np.int64)[:, None] * period
+    gs, ge = (ps[None, :] + shift).ravel(), (pe[None, :] + shift).ravel()
     gs.setflags(write=False)
     ge.setflags(write=False)
-    return gs, ge
+    return gs, ge, lam ** 2 * int((pe - ps).sum())
 
 
 def _heavy_padded_units(family: RemovedFamily
@@ -309,11 +377,28 @@ def _heavy_padded_units(family: RemovedFamily
     return np.asarray(ss, dtype=np.int64), np.asarray(ee, dtype=np.int64)
 
 
+def _merged_runs(i0: np.ndarray, i1: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The union of the index runs [i0[r], i1[r]) as sorted, disjoint,
+    non-touching runs; empty runs vanish."""
+    runs: list[list[int]] = []
+    for lo, hi in sorted(zip(i0.tolist(), i1.tolist())):
+        if lo >= hi:
+            continue
+        if runs and lo <= runs[-1][1]:
+            runs[-1][1] = max(runs[-1][1], hi)
+        else:
+            runs.append([lo, hi])
+    out = np.asarray(runs, dtype=np.int64).reshape(-1, 2)
+    return out[:, 0].copy(), out[:, 1].copy()
+
+
 def materialize_good_set(v: StepMeasure, params: GoodSetParams) -> IntervalSet:
     """I minus all padded heavy cells and all gridline shells up to depth.
 
     The measure-free pieces of `_base_good` minus every piece whose depth
-    cell descends from a heavy cell. A heavy cell's padding is its
+    cell descends from a heavy cell: one index run per padded heavy cell,
+    the pieces starting inside it. A heavy cell's padding is its
     neighbours' own shells, so removal drops whole pieces and trims none.
     Certifies the truncated lower bound
     Leb >= |I| (1 - 3 sum_{n<=depth} lam^-n) before returning.
@@ -333,16 +418,15 @@ def materialize_good_set(v: StepMeasure, params: GoodSetParams) -> IntervalSet:
             f"removable intervals > budget {params.budget}; maximum feasible "
             f"depth is {n_ok}", max_feasible=n_ok)
     family = build_removed_families(v, params)
-    base_s, base_e = _base_good(params.lam, params.depth)
+    base_s, base_e, base_total = _base_good(params.lam, params.depth)
     hs, he = _heavy_padded_units(family)
-    keep = np.ones(base_s.size, dtype=bool)
     # a piece starts inside a padded heavy cell iff it lies in the cell
-    for i0, i1 in zip(np.searchsorted(base_s, hs).tolist(),
-                      np.searchsorted(base_s, he).tolist()):
-        keep[i0:i1] = False
-    s, e = base_s[keep], base_e[keep]
+    drop_lo, drop_hi = _merged_runs(np.searchsorted(base_s, hs),
+                                    np.searchsorted(base_s, he))
     unit = params.length / params.lam ** (3 * params.depth)
-    out = IntervalSet(starts=s, ends=e, unit=unit, offset=params.a)
+    out = IntervalSet(base_starts=base_s, base_ends=base_e,
+                      base_total_units=base_total, drop_lo=drop_lo,
+                      drop_hi=drop_hi, unit=unit, offset=params.a)
     floor_units = params.lam ** (3 * params.depth) \
         - 3 * sum(params.lam ** (3 * params.depth - n)
                   for n in range(1, params.depth + 1))
@@ -389,25 +473,35 @@ def select_good_radius_near(v: StepMeasure, target, params: GoodSetParams
 # exact whole-set verification (used by tests and the acceptance suite)
 
 
+_CLEARANCE_CHUNK = 1 << 16  # base pieces per step of the clearance pass
+
+
 @lru_cache(maxsize=8)
 def _base_clearance_verified(lam: int, depth: int) -> int:
-    """Vectorized check that every midpoint of the measure-free good set
-    clears every generation's gridline shells; returns the midpoint count.
+    """Check that every midpoint of the measure-free good set clears every
+    generation's gridline shells; returns the midpoint count.
 
-    Runs once per (lam, depth); measure-specific verification reuses it
-    because untouched intervals keep their midpoints.
+    Walks the base in chunks of _CLEARANCE_CHUNK pieces, so no temporary is
+    as large as the base. Runs once per (lam, depth); measure-specific
+    verification reuses it because untouched intervals keep their
+    midpoints.
     """
-    s, e = _base_good(lam, depth)
-    mids2 = s + e  # units u/2
-    for n in range(1, depth + 1):
-        cw2 = 2 * lam ** (3 * depth - 2 * n)
-        half2 = 2 * lam ** (3 * (depth - n))
-        off = mids2 % cw2
-        if not bool(np.all((off >= half2) & (cw2 - off >= half2))):
-            raise CertificationError(
-                f"base good set violates shell clearance at generation {n}",
-                witness={"generation": n, "lam": lam, "depth": depth})
-    return int(mids2.size)
+    s, e, _ = _base_good(lam, depth)
+    failed = depth + 1  # the lowest generation violated so far
+    for c0 in range(0, s.size, _CLEARANCE_CHUNK):
+        mids2 = s[c0:c0 + _CLEARANCE_CHUNK] + e[c0:c0 + _CLEARANCE_CHUNK]
+        for n in range(1, failed):  # units u/2
+            cw2 = 2 * lam ** (3 * depth - 2 * n)
+            half2 = 2 * lam ** (3 * (depth - n))
+            off = mids2 % cw2
+            if not bool(np.all((off >= half2) & (cw2 - off >= half2))):
+                failed = n
+                break
+    if failed <= depth:
+        raise CertificationError(
+            f"base good set violates shell clearance at generation {failed}",
+            witness={"generation": failed, "lam": lam, "depth": depth})
+    return int(s.size)
 
 
 def _frac_ceil(x: Fraction) -> int:
@@ -468,11 +562,13 @@ def verify_good_set(v: StepMeasure, params: GoodSetParams, iset: IntervalSet,
     satisfies the non-concentration consequence at every generation.
 
     The per-midpoint predicate factorizes, so the whole-set check is exact
-    without iterating 'is_good_radius' over millions of points:
+    without iterating 'is_good_radius' over millions of points. Each check
+    is a query on iset's base pieces and dropped runs, so none builds an
+    array as large as the set:
       - shell clearance of all measure-free midpoints is verified once per
-        (lam, depth) (vectorized); midpoints of the pieces bordering a
-        padded heavy cell are checked individually, as is a random sample;
-      - no interval may intersect a padded heavy cell (vectorized, exact);
+        (lam, depth); midpoints of the pieces bordering a padded heavy cell
+        are checked individually, as is a random sample;
+      - every base piece overlapping a padded heavy cell must be dropped;
       - every surviving atom-bearing cell must be light (exact rationals);
       - the non-concentration windows are checked against the exact set of
         violating t (closed-window sliding-run enumeration).
@@ -482,15 +578,13 @@ def verify_good_set(v: StepMeasure, params: GoodSetParams, iset: IntervalSet,
     _base_clearance_verified(lam, depth)
     family = build_removed_families(v, params)
     hs, he = _heavy_padded_units(family)
-    mids2 = iset.midpoints_units2()
+    bs, be = iset.base_starts, iset.base_ends
 
-    # (1) no surviving interval may intersect a padded heavy cell
-    midpoints_ok = True
-    for hl, hr in zip(hs.tolist(), he.tolist()):
-        i0 = int(np.searchsorted(iset.ends, hl, side="right"))
-        i1 = int(np.searchsorted(iset.starts, hr, side="left"))
-        if i0 < i1:
-            midpoints_ok = False
+    # (1) every base piece overlapping a padded heavy cell (more than in an
+    #     endpoint) lies in a dropped run
+    meet = iset._n_kept(np.searchsorted(be, hs, side="right"),
+                        np.searchsorted(bs, he, side="left"))
+    midpoints_ok = not bool(np.any(meet > 0))
 
     # (2) every surviving atom-bearing cell is light, exactly
     light_cells_ok = True
@@ -504,45 +598,50 @@ def verify_good_set(v: StepMeasure, params: GoodSetParams, iset: IntervalSet,
             if mass >= thr:
                 light_cells_ok = False
 
-    # (3) midpoints of pieces that end on a padded heavy cell's boundary
-    #     (every piece is a measure-free one, whose clearance the cached
-    #     base pass covers) plus a random sample go through the scalar
-    #     certifier
+    # (3) midpoints of kept pieces that end on a padded heavy cell's
+    #     boundary (every piece is a measure-free one, whose clearance the
+    #     cached base pass covers) plus a random sample go through the
+    #     scalar certifier
     check_idx: set[int] = set()
-    nn = iset.n_intervals
-    for hb in np.concatenate([hs, he]).tolist():
-        i = int(np.searchsorted(iset.ends, hb, side="left"))
-        if i < nn and int(iset.ends[i]) == hb:
-            check_idx.add(i)
-        i = int(np.searchsorted(iset.starts, hb, side="left"))
-        if i < nn and int(iset.starts[i]) == hb:
-            check_idx.add(i)
+    hb = np.concatenate([hs, he])
+    for ends_or_starts in (be, bs):
+        i = np.searchsorted(ends_or_starts, hb, side="left")
+        on = i < ends_or_starts.size
+        i = i[on][ends_or_starts[i[on]] == hb[on]]
+        i = i[iset._n_kept(i, i + 1) == 1]
+        check_idx.update((i - iset._dropped_below(i)).tolist())
     if rng is None:
         rng = np.random.default_rng(0)
-    if iset.n_intervals:
+    nn = iset.n_intervals
+    if nn:
         check_idx.update(
-            int(i) for i in rng.integers(0, iset.n_intervals,
-                                         size=min(n_samples, iset.n_intervals)))
+            int(i) for i in rng.integers(0, nn, size=min(n_samples, nn)))
     n_scalar = 0
     for k in sorted(check_idx):
         n_scalar += 1
         if not is_good_radius(v, iset.midpoint(k), params).ok:
             midpoints_ok = False
 
-    # (4) non-concentration: no midpoint may sit in a violating window
+    # (4) non-concentration: no midpoint may sit in a violating window;
+    #     midpoints in units u/2 are s + e, increasing in the base index
     non_concentration_ok = True
     u2 = iset.unit / 2
+    every = range(bs.size)
+
+    def mid2(i: int) -> int:
+        return int(bs[i]) + int(be[i])
+
     for n in range(1, depth + 1):
         for lo, hi in concentration_violations(v, params, n):
             m_lo = _frac_ceil((lo - iset.offset) / u2)
             m_hi = _frac_floor((hi - iset.offset) / u2)
             if m_lo > m_hi:
                 continue
-            i0 = int(np.searchsorted(mids2, m_lo, side="left"))
-            i1 = int(np.searchsorted(mids2, m_hi, side="right"))
-            if i0 < i1:
+            i0 = bisect_left(every, m_lo, key=mid2)
+            i1 = bisect_right(every, m_hi, key=mid2)
+            if iset._n_kept(i0, i1) > 0:
                 non_concentration_ok = False
-    return GoodSetVerification(n_midpoints=int(mids2.size),
+    return GoodSetVerification(n_midpoints=nn,
                                n_scalar_checked=n_scalar,
                                midpoints_ok=midpoints_ok,
                                non_concentration_ok=non_concentration_ok,

@@ -10,8 +10,10 @@ vectorized evaluation, and generic bases are antisymmetrized as
 
 from __future__ import annotations
 
-import math
+import ast
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -48,11 +50,82 @@ NAMED_BASES: dict[str, Callable] = {
 }
 
 
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv,
+           ast.Pow: operator.pow}
+# the numpy functions an expression may call: elementwise ufuncs only
+_UFUNCS = frozenset({
+    "abs", "absolute", "sign", "sqrt", "cbrt", "square", "exp", "expm1",
+    "log", "log1p", "log2", "log10", "sin", "cos", "tan", "arcsin",
+    "arccos", "arctan", "arctan2", "sinh", "cosh", "tanh", "hypot",
+    "maximum", "minimum", "power"})
+
+
+def _compile(node: ast.AST, index: bool = False) -> Callable[[dict], object]:
+    """fn(env) evaluating one node of a base expression over env's x, y, d.
+
+    Admits numeric constants, the names x, y and d, + - * / ** and unary -,
+    subscripts by ints, slices and ..., and calls of the numpy ufuncs in
+    _UFUNCS; `index` marks a subscript's index, where only ints, slices,
+    ... and tuples of them may appear. Anything else raises InputError, so
+    an expression can compute but never reach attributes, builtins or I/O.
+    """
+    if isinstance(node, ast.Constant) and (
+            type(node.value) is int
+            or (index and node.value is Ellipsis)
+            or (not index and type(node.value) is float)):
+        return lambda env, v=node.value: v
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        a = _compile(node.operand, index)
+        return lambda env: -a(env)
+    if index and isinstance(node, ast.Slice):
+        parts = [None if p is None else _compile(p, index=True)
+                 for p in (node.lower, node.upper, node.step)]
+        return lambda env: slice(*(None if p is None else p(env)
+                                   for p in parts))
+    if index and isinstance(node, ast.Tuple):
+        parts = [_compile(p, index=True) for p in node.elts]
+        return lambda env: tuple(p(env) for p in parts)
+    if not index and isinstance(node, ast.Name) \
+            and node.id in ("x", "y", "d"):
+        return lambda env, name=node.id: env[name]
+    if not index and isinstance(node, ast.BinOp) \
+            and type(node.op) in _BINARY:
+        op = _BINARY[type(node.op)]
+        a, b = _compile(node.left), _compile(node.right)
+        return lambda env: op(a(env), b(env))
+    if not index and isinstance(node, ast.Subscript):
+        a, i = _compile(node.value), _compile(node.slice, index=True)
+        return lambda env: a(env)[i(env)]
+    if not index and isinstance(node, ast.Call) and not node.keywords \
+            and isinstance(node.func, ast.Attribute) \
+            and isinstance(node.func.value, ast.Name) \
+            and node.func.value.id == "np" and node.func.attr in _UFUNCS:
+        fn = getattr(np, node.func.attr)
+        args = [_compile(a) for a in node.args]
+        return lambda env: fn(*(a(env) for a in args))
+    raise InputError(f"kernel base expression may not contain "
+                     f"{ast.unparse(node)!r}")
+
+
+@lru_cache(maxsize=32)
+def _base_expression(text: str) -> Callable[[dict], object]:
+    """A base expression in x, y, d as fn(env); InputError if it does not
+    parse or steps outside _compile's whitelist."""
+    try:
+        tree = ast.parse(text, mode="eval")
+    except SyntaxError as exc:
+        raise InputError(f"kernel base expression {text!r} does not "
+                         f"parse: {exc.msg}") from None
+    return _compile(tree.body)
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """family "coordinate_riesz": k(x,y) = (x_i - y_i)/|x - y|^{n+1} with the
     Euclidean norm (i is 1-based). family "generic_antisymmetrized":
-    (b(x,y) - b(y,x))/2 for a named base b or an expression in x, y, d.
+    (b(x,y) - b(y,x))/2 for a named base b or an expression in x, y, d,
+    checked here against _compile's whitelist.
     `c` is the claimed size constant; check_size_bound certifies the actual one.
     """
 
@@ -73,18 +146,18 @@ class KernelSpec:
             raise InputError("kernel dimension s must be positive")
         if self.family == COORDINATE_RIESZ and self.i < 1:
             raise InputError("Riesz coordinate index is 1-based")
+        if self.base not in NAMED_BASES:
+            _base_expression(self.base)
 
 
 def _base_matrix(k: KernelSpec, cloud: PointCloud) -> np.ndarray:
     if k.base in NAMED_BASES:
         return NAMED_BASES[k.base](cloud, k.s)
-    # expression in x, y (coordinate arrays), d (Euclidean distance), np
-    x = cloud.coords[:, None, :]
-    y = cloud.coords[None, :, :]
-    d = _norm(_EUCLIDEAN, _differences(cloud.coords))
+    # expression in x, y (coordinate arrays), d (Euclidean distance)
+    env = {"x": cloud.coords[:, None, :], "y": cloud.coords[None, :, :],
+           "d": _norm(_EUCLIDEAN, _differences(cloud.coords))}
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = eval(k.base, {"__builtins__": {}},  # noqa: S307 - documented escape hatch
-                   {"x": x, "y": y, "d": d, "np": np, "math": math})
+        out = _base_expression(k.base)(env)
     n = cloud.n_points
     return np.broadcast_to(np.asarray(out, dtype=np.float64), (n, n)).copy()
 

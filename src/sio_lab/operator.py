@@ -14,9 +14,11 @@ intersection.
 Determinism contract: each row is folded over the fixed perfect binary tree
 of sums.fold_rows, and the row results over pairwise_sum, in ascending
 (id, id) order, so results are bit-identical across runs, tile sizes and
-worker counts. Truncation is strict (d > eps) and bands are open
-(delta < d < eps); pairs landing exactly on eps are excluded, which
-discrete measures can realize.
+worker counts. Truncation is strict (d > eps), so <T_delta f, g> -
+<T_eps f, g> runs over the pairs with delta < d <= eps: the four-term
+bound's boundary bands and its scale band are closed at eps to match, since
+discrete measures put pairs exactly on eps. The cancellation residual's
+band stays open (delta < d < eps).
 """
 
 from __future__ import annotations
@@ -90,9 +92,9 @@ def _truncated_folds(kt: np.ndarray, dt: np.ndarray, fw: np.ndarray,
 def _band_folds(aw: np.ndarray, dt: np.ndarray, outside: np.ndarray,
                 bands) -> np.ndarray:
     """Per row x and band, the sum of |k(x,y)| w(y) over y outside the ball
-    with delta < d(x,y) < eps; aw holds the rows' |k| w."""
+    with delta < d(x,y) <= eps; aw holds the rows' |k| w."""
     return np.stack([fold_rows(np.where(
-        outside[None, :] & (dt > delta) & (dt < eps), aw, 0.0))
+        outside[None, :] & (dt > delta) & (dt <= eps), aw, 0.0))
         for delta, eps in bands], axis=1)
 
 
@@ -142,7 +144,7 @@ def _check_grid(eps_grid) -> list[float]:
 
 def boundary_term(k: KernelSpec, m: DiscreteMeasure, ball: Ball,
                   delta: float, eps: float) -> float:
-    """Double sum of |k(x,y)| w(x) w(y), x in B, y outside B, delta<d<eps."""
+    """Double sum of |k(x,y)| w(x) w(y), x in B, y outside B, delta<d<=eps."""
     if not 0.0 < delta < eps:
         raise InputError("need 0 < delta < eps")
     return _boundary_term(k, m, ball, delta, eps)
@@ -216,7 +218,8 @@ def pairing_difference_bound(k: KernelSpec, m: DiscreteMeasure,
                              delta: float, eps: float
                              ) -> PairingDifferenceReport:
     """|<T_eps f, g> - <T_delta f, g>| against the four-term boundary bound:
-    sum_ij |a_i b_j| (boundary(B_i) + 2 boundary(S_j)) over the open band.
+    sum_ij |a_i b_j| (boundary(B_i) + 2 boundary(S_j)) over the band
+    delta < d <= eps.
 
     Raises CertificationError, with the witness, if the bound fails.
     """
@@ -233,8 +236,8 @@ def _pairing_engine(k: KernelSpec, m: DiscreteMeasure, f: SimpleFunction,
     each consecutive pair, from one pass over the row tiles.
 
     Per tile, per-row folds are taken of: the strict truncation at each eps;
-    the scale band delta < d <= eps of each step; and each ball's open band
-    delta < d < eps (rows in the ball, columns outside it). Row folds are
+    the scale band delta < d <= eps of each step; and each ball's band
+    delta < d <= eps (rows in the ball, columns outside it). Row folds are
     then reduced with pairwise_sum exactly as one pairing, one boundary term
     or one scale would reduce them alone.
     """

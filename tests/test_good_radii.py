@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sio_lab import good_radii
 from sio_lab.errors import BudgetError, CertificationError, InputError
 from sio_lab.good_radii import (GoodSetParams, build_removed_families,
                                 concentration_violations, is_good_radius,
@@ -224,11 +226,10 @@ def test_measure_bound_property(atoms, lam, depth):
 
 
 def test_materialize_below_bound_raises_with_witness(monkeypatch):
-    from sio_lab import good_radii
     # a base set holding only its first interval falls below the floor
-    s, e = good_radii._base_good(5, 1)
+    s, e, _ = good_radii._base_good(5, 1)
     monkeypatch.setattr(good_radii, "_base_good",
-                        lambda lam, depth: (s[:1], e[:1]))
+                        lambda lam, depth: (s[:1], e[:1], int(e[0] - s[0])))
     with pytest.raises(CertificationError) as err:
         materialize_good_set(EMPTY, P5)
     assert err.value.witness == {"total_units": int(e[0] - s[0]),
@@ -237,10 +238,9 @@ def test_materialize_below_bound_raises_with_witness(monkeypatch):
 
 
 def test_base_clearance_violation_raises_with_witness(monkeypatch):
-    from sio_lab import good_radii
     # an interval centred on generation 1's first interior gridline
     monkeypatch.setattr(good_radii, "_base_good", lambda lam, depth: (
-        np.asarray([4], dtype=np.int64), np.asarray([6], dtype=np.int64)))
+        np.asarray([4], dtype=np.int64), np.asarray([6], dtype=np.int64), 2))
     good_radii._base_clearance_verified.cache_clear()
     try:
         with pytest.raises(CertificationError) as err:
@@ -248,3 +248,159 @@ def test_base_clearance_violation_raises_with_witness(monkeypatch):
     finally:
         good_radii._base_clearance_verified.cache_clear()
     assert err.value.witness == {"generation": 1, "lam": 5, "depth": 1}
+
+
+def _per_cell_base(lam, depth):
+    """The per-cell formula over every depth cell at once, without the
+    generation-1 period: the oracle for _base_good."""
+    n_cells = lam ** (2 * depth)
+    s = np.zeros(n_cells, dtype=np.int64)
+    e = np.full(n_cells, lam ** (3 * depth), dtype=np.int64)
+    for n in range(1, depth + 1):
+        spacing = lam ** (3 * depth - 2 * n)
+        half = lam ** (3 * (depth - n))
+        lo = np.arange(lam ** (2 * n), dtype=np.int64)[:, None] * spacing
+        sv = s.reshape(lam ** (2 * n), -1)
+        ev = e.reshape(lam ** (2 * n), -1)
+        np.maximum(sv, lo + half, out=sv)
+        np.minimum(ev, lo + (spacing - half), out=ev)
+    keep = e > s
+    return s[keep], e[keep]
+
+
+@pytest.mark.parametrize("lam", [3, 4, 5, 8])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_base_good_equals_the_per_cell_oracle(lam, depth):
+    s, e, total = good_radii._base_good(lam, depth)
+    want_s, want_e = _per_cell_base(lam, depth)
+    assert s.dtype == want_s.dtype and e.dtype == want_e.dtype
+    assert s.tobytes() == want_s.tobytes()
+    assert e.tobytes() == want_e.tobytes()
+    assert total == int((want_e - want_s).sum())
+
+
+def _explicit(v, params):
+    """The good set's arrays by one boolean mask over the base: every piece
+    starting inside a padded heavy cell is dropped."""
+    s, e, _ = good_radii._base_good(params.lam, params.depth)
+    hs, he = good_radii._heavy_padded_units(build_removed_families(v, params))
+    keep = np.ones(s.size, dtype=bool)
+    for lo, hi in zip(hs.tolist(), he.tolist()):
+        keep[np.searchsorted(s, lo):np.searchsorted(s, hi)] = False
+    return s[keep], e[keep]
+
+
+def _view_measures(lam):
+    """Heavy generation-1 cells: 0 and last, 0 and 1, and the last two; a
+    heavy generation-2 cell just left of a heavy generation-1 cell, so that
+    padded cells of two generations overlap; and random measures with atoms
+    on gridlines."""
+    w1, w2 = Fraction(1, lam ** 2), Fraction(1, lam ** 4)
+    for pair in ((0, 1), (0, w1), (1 - 2 * w1, 1)):
+        yield make_step_measure([(Fraction(p), Fraction(1, 2)) for p in pair])
+    yield make_step_measure([(2 * w1 - w2 / 2, Fraction(1, lam ** 2)),
+                             (2 * w1 + w2, Fraction(1, lam))])
+    rng = np.random.default_rng(lam)
+    for _ in range(12):
+        n = int(rng.integers(1, 9))
+        pos = rng.integers(0, lam ** 4 + 1, size=n).tolist()
+        mass = rng.integers(1, 100, size=n).tolist()
+        total = sum(mass) + int(rng.integers(0, 100))
+        yield make_step_measure([(Fraction(p, lam ** 4), Fraction(m, total))
+                                 for p, m in zip(pos, mass)])
+
+
+@pytest.mark.parametrize("lam, depth", [(3, 2), (3, 3), (4, 1), (5, 2)])
+def test_view_queries_match_an_explicit_materialization(lam, depth):
+    params = GoodSetParams(lam=lam, depth=depth)
+    n_overlapping = 0
+    for v in _view_measures(lam):
+        iset = materialize_good_set(v, params)
+        s, e = _explicit(v, params)
+        hs, he = good_radii._heavy_padded_units(
+            build_removed_families(v, params))
+        # verify's scalar checks: the pieces ending or starting on a padded
+        # heavy cell's boundary, here found on the explicit arrays
+        bounds = set(np.concatenate([hs, he]).tolist())
+        rep = verify_good_set(v, params, iset, n_samples=0)
+        assert rep.n_scalar_checked == sum(
+            a in bounds or b in bounds for a, b in zip(s.tolist(), e.tolist()))
+        assert rep.midpoints_ok and rep.non_concentration_ok
+        assert iset.starts.tobytes() == s.tobytes()
+        assert iset.ends.tobytes() == e.tobytes()
+        assert iset.n_intervals == s.size
+        assert iset.total_units == int((e - s).sum())
+        for k in list(range(s.size)) + [-1, -s.size]:
+            assert iset.interval(k) == (s[k] * iset.unit, e[k] * iset.unit)
+            assert iset.midpoint(k) == (s[k] + e[k]) * iset.unit / 2
+        for k in (s.size, -s.size - 1):
+            with pytest.raises(IndexError):
+                iset.interval(k)
+        order = np.argsort(hs)
+        n_overlapping += bool(np.any(hs[order][1:] < he[order][:-1]))
+    assert n_overlapping  # some padded heavy cells overlap
+
+
+def test_verify_flags_a_view_keeping_a_piece_in_a_heavy_cell():
+    """A view that keeps one piece from the middle of a dropped run fails
+    check (1), the only check that sees it with no random sample."""
+    params = GoodSetParams(lam=5, depth=2)
+    iset = materialize_good_set(DELTA_HALF, params)
+    (lo,), (hi,) = iset.drop_lo.tolist(), iset.drop_hi.tolist()
+    assert verify_good_set(DELTA_HALF, params, iset, n_samples=0).midpoints_ok
+    mid = (lo + hi) // 2
+    doctored = dataclasses.replace(iset, drop_lo=np.array([lo, mid + 1]),
+                                   drop_hi=np.array([mid, hi]))
+    assert doctored.n_intervals == iset.n_intervals + 1
+    rep = verify_good_set(DELTA_HALF, params, doctored, n_samples=0)
+    assert not rep.midpoints_ok
+    assert rep.light_cells_ok and rep.n_midpoints == iset.n_intervals + 1
+
+
+# lam 3, depth 2 in units of 1/729: generation-1 gridlines every 81 units
+# with shells of 27, generation-2 gridlines every 9 with shells of 1; chunks
+# of 3 pieces, so the fourth piece is alone in the last, partial chunk.
+# [28, 35], [37, 44] and [46, 53] are clear; [703, 705] sits in the
+# generation-1 shell around 729, [683, 684] in a generation-2 shell only and
+# [25, 27] in the generation-1 shell around 0.
+@pytest.mark.parametrize("starts, ends", [
+    ([28, 37, 46, 703], [35, 44, 53, 705]),  # only the last chunk fails
+    ([25, 37, 46, 683], [27, 44, 53, 684]),  # the lower generation wins
+])
+def test_clearance_violation_in_the_last_partial_chunk(starts, ends,
+                                                       monkeypatch):
+    s = np.asarray(starts, dtype=np.int64)
+    e = np.asarray(ends, dtype=np.int64)
+    monkeypatch.setattr(good_radii, "_base_good",
+                        lambda lam, depth: (s, e, int((e - s).sum())))
+    monkeypatch.setattr(good_radii, "_CLEARANCE_CHUNK", 3)
+    good_radii._base_clearance_verified.cache_clear()
+    try:
+        with pytest.raises(CertificationError) as err:
+            good_radii._base_clearance_verified(3, 2)
+    finally:
+        good_radii._base_clearance_verified.cache_clear()
+    # the lowest violated generation, as one whole-array pass reports it
+    assert err.value.witness == {"generation": 1, "lam": 3, "depth": 2}
+
+
+def test_merged_runs():
+    lo, hi = good_radii._merged_runs(np.asarray([5, 0, 3, 9, 12, 13]),
+                                     np.asarray([7, 4, 5, 9, 14, 14]))
+    assert lo.tolist() == [0, 12] and hi.tolist() == [7, 14]
+
+
+@pytest.mark.parametrize("start, end, clear", [(61, 62, False),
+                                               (63, 64, False),
+                                               (63, 65, True)])
+def test_non_concentration_windows_are_closed(start, end, clear):
+    """The point mass at 1/2 violates the window bound for t in
+    [1/2 - 1/125, 1/2 + 1/125], midpoints 123 to 127 in units of 1/250; a
+    one-piece view with its midpoint on either end fails check (4)."""
+    iset = good_radii.IntervalSet(
+        base_starts=np.asarray([start]), base_ends=np.asarray([end]),
+        base_total_units=end - start, drop_lo=np.asarray([], np.int64),
+        drop_hi=np.asarray([], np.int64), unit=Fraction(1, 125),
+        offset=Fraction(0))
+    rep = verify_good_set(DELTA_HALF, P5, iset, n_samples=0)
+    assert rep.non_concentration_ok == clear

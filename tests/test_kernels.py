@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sio_lab.errors import DiagonalError
+from sio_lab.errors import DiagonalError, InputError
 from sio_lab.kernels import (KernelSpec, check_antisymmetry, check_size_bound,
                              eval_kernel, kernel_matrix)
 from sio_lab.metric import MetricDescriptor, make_cloud
@@ -108,3 +108,47 @@ def test_size_bound_certified_against_cloud_metric():
     # |k| = 1/0.25 = 4; d = 0.5; c = 4 * 0.5 = 2 for s = 1
     c, _ = check_size_bound(RIESZ, cloud, 1.0)
     assert c == pytest.approx(2.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("base", [
+    "np.savetxt('{path}', d) or d",
+    "x.__class__",
+    "__import__('os').getcwd()",
+    "np.sqrt.__call__(d)",
+    "np.sqrt(d, out=d)",
+    "np.sum(d)",
+    "(lambda: d)()",
+    "d if d else x",
+    "d[x]",
+    "d[1.5]",
+    "True * d",
+    "'d' * 2",
+    "y @ x",
+])
+def test_expression_outside_the_whitelist_is_rejected(base, tmp_path):
+    path = tmp_path / "written.txt"
+    with pytest.raises(InputError):
+        KernelSpec(family="generic_antisymmetrized", s=1.0,
+                   base=base.format(path=path))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("base", [
+    "x[..., 0] * (x[..., 1] + 2.0 * y[..., 0]) / d ** 1.5",
+    "np.sqrt(5.0 - x[..., 0]) * (y[..., 1] + 1.0) / d",
+    "-np.arctan2(x[..., -1], y[..., 0:1][..., 0]) / (d + 1) ** 2",
+])
+def test_whitelisted_expression_matches_python_evaluation(base):
+    """The expression evaluator gives the bits Python's own evaluation of
+    the same expression gives."""
+    coords = np.random.default_rng(4).random((9, 2)) * 3.0
+    cloud = make_cloud(coords, E2)
+    k = KernelSpec(family="generic_antisymmetrized", s=1.0, base=base,
+                   antisymmetrize=False)
+    x, y = coords[:, None, :], coords[None, :, :]
+    d = np.sqrt((x[..., 0] - y[..., 0]) ** 2 + (x[..., 1] - y[..., 1]) ** 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = eval(base, {"__builtins__": {}},  # noqa: S307 - test oracle
+                    {"x": x, "y": y, "d": d, "np": np})
+    np.fill_diagonal(want, 0.0)
+    assert kernel_matrix(k, cloud).tobytes() == want.tobytes()

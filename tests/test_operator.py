@@ -312,7 +312,7 @@ def dense_oracle(k, m, f, g, grid):
         rows = np.nonzero(inside)[0]
         if rows.size in (0, m.n_atoms):
             return 0.0
-        mask = ~inside[None, :] & (d[rows] > delta) & (d[rows] < eps)
+        mask = ~inside[None, :] & (d[rows] > delta) & (d[rows] <= eps)
         terms = np.where(mask, np.abs(km[rows]) * w[None, :], 0.0)
         return pairwise_sum(fold_rows(terms) * w[rows])
 
@@ -367,6 +367,18 @@ def test_engine_matches_dense_oracle(kernel, metric, workers, monkeypatch):
         == bits([boundary(ball, grid[2], grid[0])])
     assert bits([total_boundary_integral(kernel, m, ball)]) \
         == bits([boundary(ball, 0.0, math.inf)])
+
+
+def test_four_term_bands_are_closed_at_eps():
+    """T_eps truncates strictly, so the pairing difference at (delta, eps)
+    runs over delta < d <= eps: here over the two corner atoms at the L1
+    diameter 23, which the boundary bands must count."""
+    m = lattice_measure(L1, seed=0)
+    f = indicator(Ball(0, 5.0))
+    g = indicator(Ball(155, 5.0))
+    trace = compute_pairing_trace(RIESZ, m, f, g, (23.0, 22.0))
+    assert 0.0 < trace.cauchy_diffs[0] <= trace.bound_values[0]
+    assert boundary_term(RIESZ, m, Ball(0, 5.0), 22.0, 23.0) > 0.0
 
 
 @pytest.mark.parametrize("kernel", [RIESZ, GENERIC])
