@@ -40,8 +40,9 @@ def main() -> None:
 
         # contrast: the heaviest distance value (its cell is heavy at some
         # generation <= depth, so certification rejects it)
-        bad_pos = max((p for p in mu_z.positions if 0 < p < 1),
-                      key=lambda p: mu_z.masses[mu_z.positions.index(p)])
+        bad_pos, _ = max(((p, w) for p, w in zip(mu_z.positions,
+                                                  mu_z.masses)
+                          if 0 < p < 1), key=lambda pw: pw[1])
         rej = is_good_radius(mu_z, bad_pos, params)
         assert not rej.ok
         bad = total_boundary_integral(kernel, m, Ball(0, float(bad_pos)))

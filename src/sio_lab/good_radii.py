@@ -22,8 +22,10 @@ totals, single intervals and every check of verify_good_set are answered
 from the runs, so no per-measure array is as large as the set.
 
 All comparisons are exact: endpoints live on the integer grid of units
-u = |I| lam^(-3N) and measures are exact rationals, so certificates at deep
-generations (shell widths ~ lam^(-12)) never depend on float round-off.
+u = |I| lam^(-3N), and masses are integer numerators over the measure's
+denominator, so a threshold test mass >= lam^(-n) is the integer comparison
+units * lam^n >= denominator. Certificates at deep generations (shell
+widths ~ lam^(-12)) never depend on float round-off.
 """
 
 from __future__ import annotations
@@ -33,12 +35,13 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import groupby
 
 import numpy as np
 
 from .errors import (BudgetError, CertificationError, InputError,
                      SearchExhaustedError)
-from .measure import TOTAL_MASS_SLACK, StepMeasure, interval_mass
+from .measure import TOTAL_MASS_SLACK, StepMeasure
 
 HEAVY_CELL = "heavy_cell"
 GRIDLINE_SHELL = "gridline_shell"
@@ -62,9 +65,16 @@ class GoodSetParams:
         if not self.a < self.b:
             raise InputError("interval must satisfy a < b")
 
-    @property
+    @cached_property
     def length(self) -> Fraction:
         return self.b - self.a
+
+    @cached_property
+    def _widths(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """(cell width, shell half-width) of generations 0..depth."""
+        return tuple((self.length / self.lam ** (2 * n),
+                      self.length / self.lam ** (3 * n))
+                     for n in range(self.depth + 1))
 
     @property
     def lower_bound(self) -> Fraction:
@@ -78,10 +88,12 @@ class GoodSetParams:
         return 1 - Fraction(3, self.lam - 1) <= 0
 
     def cell_width(self, n: int) -> Fraction:
-        return self.length / self.lam ** (2 * n)
+        """Width of a generation-n cell, n <= depth."""
+        return self._widths[n][0]
 
     def shell_half_width(self, n: int) -> Fraction:
-        return self.length / self.lam ** (3 * n)
+        """Half-width of a generation-n shell, n <= depth."""
+        return self._widths[n][1]
 
     def n_cells(self, n: int) -> int:
         return self.lam ** (2 * n)
@@ -128,26 +140,43 @@ def _check_total(v: StepMeasure) -> None:
         raise InputError("StepMeasure must be (sub-)probability: total <= 1")
 
 
+def _heavy(v: StepMeasure, units: int, lam: int, n: int) -> bool:
+    """Whether units / v.denominator >= lam^(-n)."""
+    return units * lam ** n >= v.denominator
+
+
 def _cell_index(params: GoodSetParams, n: int, pos: Fraction) -> int | None:
     """Grid cell of `pos` at generation n; None when pos is outside I.
 
     Cells are half-open [lo, hi) except the last, which is closed; a point
-    exactly on a gridline belongs to the cell on its right.
+    exactly on a gridline belongs to the cell on its right. Computed as
+    floor((pos - a) lam^(2n) / |I|) in integers.
     """
-    if pos < params.a or pos > params.b:
+    a, length = params.a, params.length
+    if pos < a or pos > params.b:
         return None
-    j = int((pos - params.a) * params.lam ** (2 * n) // params.length)
-    return min(j, params.n_cells(n) - 1)
+    cells = params.n_cells(n)
+    j = ((pos.numerator * a.denominator - a.numerator * pos.denominator)
+         * length.denominator * cells) \
+        // (pos.denominator * a.denominator * length.numerator)
+    return min(j, cells - 1)
 
 
 def _cell_masses(v: StepMeasure, params: GoodSetParams, n: int
-                 ) -> dict[int, Fraction]:
-    """Exact mass per atom-bearing grid cell at generation n."""
-    out: dict[int, Fraction] = {}
-    for pos, mass in zip(v.positions, v.masses):
-        j = _cell_index(params, n, pos)
-        if j is not None and mass > 0:
-            out[j] = out.get(j, Fraction(0)) + mass
+                 ) -> dict[int, int]:
+    """Exact mass per atom-bearing grid cell at generation n, in units of
+    1/v.denominator, in ascending cell order; cells of zero mass are left
+    out. Positions are sorted, so a cell's atoms are one run and its mass a
+    difference of prefix sums."""
+    pos, prefix = v.positions, v.prefix
+    i = bisect_left(pos, params.a)
+    out: dict[int, int] = {}
+    for j, run in groupby(range(i, bisect_right(pos, params.b)),
+                          key=lambda k: _cell_index(params, n, pos[k])):
+        k = i + sum(1 for _ in run)
+        if prefix[k] > prefix[i]:
+            out[j] = prefix[k] - prefix[i]
+        i = k
     return out
 
 
@@ -158,22 +187,34 @@ def _buried(removed: list[set[int]], lam: int, n: int, j: int) -> bool:
                for m in range(1, n))
 
 
-def build_removed_families(v: StepMeasure, params: GoodSetParams
-                           ) -> RemovedFamily:
-    """Heavy grid cells per generation, in exact rational arithmetic."""
-    _check_total(v)
+def _generation_masses(v: StepMeasure, params: GoodSetParams
+                       ) -> list[dict[int, int]]:
+    """_cell_masses of generations 1..depth."""
+    return [_cell_masses(v, params, n) for n in range(1, params.depth + 1)]
+
+
+def _family(v: StepMeasure, params: GoodSetParams,
+            masses: list[dict[int, int]]) -> RemovedFamily:
+    """The heavy cells of the generation masses, minus those inside a heavy
+    ancestor."""
     lam = params.lam
     removed: list[set[int]] = []
     heavy: list[tuple[tuple[int, Fraction], ...]] = []
-    for n in range(1, params.depth + 1):
-        thr = Fraction(1, lam ** n)
-        # only descendants of surviving cells enter the family
-        gen = tuple((j, mass)
-                    for j, mass in sorted(_cell_masses(v, params, n).items())
-                    if mass >= thr and not _buried(removed, lam, n, j))
-        removed.append({j for j, _ in gen})
-        heavy.append(gen)
+    for n, cells in enumerate(masses, 1):
+        gen = [j for j, units in cells.items()
+               if _heavy(v, units, lam, n)
+               and not _buried(removed, lam, n, j)]
+        removed.append(set(gen))
+        heavy.append(tuple((j, Fraction(cells[j], v.denominator))
+                           for j in gen))
     return RemovedFamily(params=params, heavy=tuple(heavy))
+
+
+def build_removed_families(v: StepMeasure, params: GoodSetParams
+                           ) -> RemovedFamily:
+    """Heavy grid cells per generation, in exact integer arithmetic."""
+    _check_total(v)
+    return _family(v, params, _generation_masses(v, params))
 
 
 def cell_bounds(params: GoodSetParams, n: int, j: int
@@ -198,14 +239,14 @@ def is_good_radius(v: StepMeasure, t, params: GoodSetParams):
         j = _cell_index(params, n, t)
         lo, hi = cell_bounds(params, n, j)
         last = j == params.n_cells(n) - 1
-        mass = interval_mass(v, lo, hi, lo_closed=True, hi_closed=last)
-        if mass >= Fraction(1, params.lam ** n):
+        units = v.mass_units(lo, hi, lo_closed=True, hi_closed=last)
+        if _heavy(v, units, params.lam, n):
             return GoodRadiusRejection(t=t, generation=n, reason=HEAVY_CELL)
         clearance = min(t - lo, hi - t)
         if clearance < params.shell_half_width(n):
             return GoodRadiusRejection(t=t, generation=n,
                                        reason=GRIDLINE_SHELL)
-        witnesses.append((n, j, mass, clearance))
+        witnesses.append((n, j, Fraction(units, v.denominator), clearance))
     return GoodRadiusCertificate(t=t, lam=params.lam, depth=params.depth,
                                  witnesses=tuple(witnesses))
 
@@ -523,17 +564,13 @@ def concentration_violations(v: StepMeasure, params: GoodSetParams, n: int
     t in [pos_j - w, pos_i + w].
     """
     w = params.shell_half_width(n)
-    thr = Fraction(1, params.lam ** n)
-    pos = v.positions
-    mass = v.masses
+    pos, prefix = v.positions, v.prefix
     out: list[tuple[Fraction, Fraction]] = []
     for i in range(len(pos)):
-        acc = Fraction(0)
         for j in range(i, len(pos)):
             if pos[j] - pos[i] > 2 * w:
                 break
-            acc += mass[j]
-            if acc >= thr:
+            if _heavy(v, prefix[j + 1] - prefix[i], params.lam, n):
                 out.append((pos[j] - w, pos[i] + w))
                 break  # wider runs only shrink the t-interval
     out.sort()
@@ -576,7 +613,10 @@ def verify_good_set(v: StepMeasure, params: GoodSetParams, iset: IntervalSet,
     _check_total(v)
     lam, depth = params.lam, params.depth
     _base_clearance_verified(lam, depth)
-    family = build_removed_families(v, params)
+    # the family is derived from the measure here, not taken from the
+    # materialization under test; (2) checks the same cell masses
+    masses = _generation_masses(v, params)
+    family = _family(v, params, masses)
     hs, he = _heavy_padded_units(family)
     bs, be = iset.base_starts, iset.base_ends
 
@@ -590,12 +630,11 @@ def verify_good_set(v: StepMeasure, params: GoodSetParams, iset: IntervalSet,
     light_cells_ok = True
     removed = [{j for j, _ in family.heavy_at(n)}
                for n in range(1, depth + 1)]
-    for n in range(1, depth + 1):
-        thr = Fraction(1, lam ** n)
-        for j, mass in _cell_masses(v, params, n).items():
+    for n, cells in enumerate(masses, 1):
+        for j, units in cells.items():
             if j in removed[n - 1] or _buried(removed, lam, n, j):
                 continue
-            if mass >= thr:
+            if _heavy(v, units, lam, n):
                 light_cells_ok = False
 
     # (3) midpoints of kept pieces that end on a padded heavy cell's

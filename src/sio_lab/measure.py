@@ -1,17 +1,25 @@
 """Discrete measures on point clouds and their radial pushforwards.
 
-DiscreteMeasure lives in float64 on a cloud; StepMeasure is the exact-rational
-atomic measure on the line that all multiscale interval arithmetic runs on.
-Every float position or mass is lifted to the rational it denotes exactly, so
-interval queries and the good-radius machinery never see round-off.
+DiscreteMeasure lives in float64 on a cloud; StepMeasure is the exact atomic
+measure on the line that all multiscale interval arithmetic runs on. A
+StepMeasure holds sorted exact positions and integer mass numerators over
+one common denominator, with their prefix sums: an interval's mass is two
+bisections and one integer subtraction, and a threshold test is an integer
+comparison. A pushforward of float weights needs no rounding (every float
+is dyadic, so the denominator is a power of two); a measure built from
+rationals uses the LCM of their denominators. Fraction appears only at the
+API boundary (masses, total, the value interval_mass returns).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -107,31 +115,77 @@ def growth_constant(m: DiscreteMeasure, s: float, r_min: float,
 
 @dataclass(frozen=True)
 class StepMeasure:
-    """Purely atomic measure on the line with exact rational atoms."""
+    """Purely atomic measure on the line with exact rational atoms: atom k
+    sits at positions[k] (sorted, distinct) with mass
+    numerators[k] / denominator."""
 
     positions: tuple[Fraction, ...]
-    masses: tuple[Fraction, ...]
-    total: Fraction
+    numerators: tuple[int, ...]
+    denominator: int
 
     @property
     def n_atoms(self) -> int:
         return len(self.positions)
 
+    @cached_property
+    def prefix(self) -> tuple[int, ...]:
+        """prefix[k] = sum(numerators[:k]), one entry longer than
+        positions."""
+        return (0, *accumulate(self.numerators))
+
+    @cached_property
+    def masses(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(q, self.denominator) for q in self.numerators)
+
+    @property
+    def total(self) -> Fraction:
+        return Fraction(self.prefix[-1], self.denominator)
+
+    def mass_units(self, lo, hi, lo_closed: bool = True,
+                   hi_closed: bool = True) -> int:
+        """Mass of the interval from lo to hi, with the given endpoint
+        inclusion, in units of 1/denominator. lo and hi are compared
+        exactly, never rounded."""
+        lo = _exact(lo, "interval endpoint")
+        hi = _exact(hi, "interval endpoint")
+        if lo > hi:
+            raise InputError("need lo <= hi")
+        pos = self.positions
+        i = bisect_left(pos, lo) if lo_closed else bisect_right(pos, lo)
+        j = bisect_right(pos, hi) if hi_closed else bisect_left(pos, hi)
+        return self.prefix[j] - self.prefix[i] if j > i else 0
+
+
+def _exact(x, what: str) -> Fraction:
+    """x as the rational it denotes; InputError unless x is a finite
+    number (or a numeric string Fraction accepts)."""
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{what} must be a finite number, got {x!r}") \
+            from None
+
 
 def make_step_measure(pairs) -> StepMeasure:
-    """Build from (position, mass) pairs; equal positions merge exactly."""
-    acc: dict[Fraction, Fraction] = {}
+    """Build from (position, mass) pairs; equal positions merge exactly.
+    Masses go over the LCM of their denominators."""
+    atoms = []
     for pos, mass in pairs:
-        pos = Fraction(pos)
-        mass = Fraction(mass)
+        pos = _exact(pos, "atom position")
+        mass = _exact(mass, "atom mass")
         if mass < 0:
             raise InputError("atom masses must be nonnegative")
         if pos < 0:
             raise InputError("atom positions must be nonnegative")
-        acc[pos] = acc.get(pos, Fraction(0)) + mass
+        atoms.append((pos, mass))
+    den = math.lcm(*(mass.denominator for _, mass in atoms))
+    acc: dict[Fraction, int] = {}
+    for pos, mass in atoms:
+        acc[pos] = acc.get(pos, 0) + mass.numerator * (den // mass.denominator)
     positions = tuple(sorted(acc))
-    masses = tuple(acc[p] for p in positions)
-    return StepMeasure(positions=positions, masses=masses, total=sum(masses, Fraction(0)))
+    return StepMeasure(positions=positions,
+                       numerators=tuple(acc[p] for p in positions),
+                       denominator=den)
 
 
 def radial_pushforward(m: DiscreteMeasure, z: int) -> StepMeasure:
@@ -145,24 +199,22 @@ def radial_pushforward(m: DiscreteMeasure, z: int) -> StepMeasure:
             "cloud diameter exceeds 1; rescale_to_unit_diameter first")
     d = m.cloud.distances_from(z)
     vals, inverse = np.unique(d, return_inverse=True)
-    masses = [Fraction(0)] * vals.size
-    for k, w in zip(inverse, m.weights):
-        masses[k] += Fraction(float(w))
-    return StepMeasure(positions=tuple(Fraction(float(v)) for v in vals),
-                       masses=tuple(masses),
-                       total=sum(masses, Fraction(0)))
+    # each weight is exactly p / 2^k, so all are integers over the largest
+    # 2^k
+    ratios = [w.as_integer_ratio() for w in m.weights.tolist()]
+    den = max(q for _, q in ratios)
+    numerators = [0] * vals.size
+    for k, (p, q) in zip(inverse.tolist(), ratios):
+        numerators[k] += p * (den // q)
+    return StepMeasure(positions=tuple(map(Fraction, vals.tolist())),
+                       numerators=tuple(numerators), denominator=den)
 
 
 def interval_mass(v: StepMeasure, lo, hi, lo_closed: bool = True,
                   hi_closed: bool = True) -> Fraction:
     """Exact mass of the interval with the given endpoint inclusion."""
-    lo = Fraction(lo)
-    hi = Fraction(hi)
-    if lo > hi:
-        raise InputError("need lo <= hi")
-    i = bisect_left(v.positions, lo) if lo_closed else bisect_right(v.positions, lo)
-    j = bisect_right(v.positions, hi) if hi_closed else bisect_left(v.positions, hi)
-    return sum(v.masses[i:j], Fraction(0))
+    return Fraction(v.mass_units(lo, hi, lo_closed, hi_closed),
+                    v.denominator)
 
 
 def measure_to_json(m: DiscreteMeasure) -> dict:

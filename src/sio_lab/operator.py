@@ -33,7 +33,7 @@ from .errors import CertificationError, InputError
 from .good_radii import GoodRadiusCertificate
 from . import metric
 from .kernels import KernelSpec, kernel_blocks, map_pair_tiles
-from .measure import DiscreteMeasure, StepMeasure, interval_mass, radial_pushforward
+from .measure import DiscreteMeasure, StepMeasure
 from .metric import PointCloud, _distance_rows
 from .sums import fold_raveled, fold_rows, pairwise_sum
 
@@ -48,9 +48,6 @@ class Ball:
     def members(self, cloud: PointCloud) -> np.ndarray:
         cloud.check_id(self.center)
         return cloud.distances_from(self.center) <= self.radius
-
-    def interior(self, cloud: PointCloud) -> np.ndarray:
-        return cloud.distances_from(self.center) < self.radius
 
 
 @dataclass(frozen=True)
@@ -355,9 +352,10 @@ class ShellReport:
         return all(r.ok for r in self.records)
 
 
-def shell_mass_check(m: DiscreteMeasure, z: int, r, cert: GoodRadiusCertificate
+def shell_mass_check(mu_z: StepMeasure, r, cert: GoodRadiusCertificate
                      ) -> ShellReport:
-    """Exact shell masses of mu_z around a certified radius r.
+    """Exact shell masses of the radial pushforward mu_z around a radius r
+    that cert certifies for mu_z.
 
     For each n <= depth: mu_z([r - lam^-3n, r + lam^-3n)) <= lam^-n. The
     certificate must be for r itself (I = [0,1], so the unpadded widths
@@ -366,16 +364,16 @@ def shell_mass_check(m: DiscreteMeasure, z: int, r, cert: GoodRadiusCertificate
     r = Fraction(r)
     if cert.t != r:
         raise InputError("certificate does not certify the given radius")
-    mu_z = radial_pushforward(m, z)
     lam = cert.lam
     records = []
     for n in range(1, cert.depth + 1):
         w = Fraction(1, lam ** (3 * n))
-        mass = interval_mass(mu_z, r - w, r + w, lo_closed=True,
-                             hi_closed=False)
-        thr = Fraction(1, lam ** n)
-        records.append(ShellRecord(n=n, mass=mass, threshold=thr,
-                                   ok=mass <= thr))
+        units = mu_z.mass_units(r - w, r + w, lo_closed=True,
+                                hi_closed=False)
+        records.append(ShellRecord(
+            n=n, mass=Fraction(units, mu_z.denominator),
+            threshold=Fraction(1, lam ** n),
+            ok=units * lam ** n <= mu_z.denominator))
     tail = sum(lam ** (-n) * 3.0 * (n + 1) * math.log(lam)
                for n in range(1, cert.depth + 1))
     return ShellReport(records=tuple(records), tail_sum=tail)
@@ -393,13 +391,15 @@ class LogBoundaryReport:
         return math.isfinite(self.value) and self.value <= self.bound
 
 
-def log_boundary_sum(m: DiscreteMeasure, ball: Ball, lam: int
-                     ) -> LogBoundaryReport:
+def log_boundary_sum(m: DiscreteMeasure, ball: Ball, lam: int,
+                     mu_z: StepMeasure) -> LogBoundaryReport:
     """Integral of |log d(x, boundary)| over the ball interior, with the
     shell-decomposed upper bound: the core B(z, r - lam^-3) contributes
     3 log(lam) per unit mass, and the shell [r - lam^-3n, r - lam^-3(n+1))
     contributes 3 (n+1) log(lam) per unit mass. Shells extend past the
     certificate depth until they are empty, so the bound covers every atom.
+    mu_z is m's radial pushforward at the ball's center; its exact masses
+    give the bound.
     """
     dc = m.cloud.distances_from(ball.center)
     interior = np.nonzero((dc < ball.radius) & (m.weights > 0))[0]
@@ -408,26 +408,26 @@ def log_boundary_sum(m: DiscreteMeasure, ball: Ball, lam: int
     gaps = ball.radius - dc[interior]
     value = pairwise_sum(m.weights[interior] * np.abs(np.log(gaps)))
 
-    mu_z = radial_pushforward(m, ball.center)
     r = Fraction(ball.radius)
     loglam = math.log(lam)
-    core_mass = interval_mass(mu_z, Fraction(0), r - Fraction(1, lam ** 3),
-                              lo_closed=True, hi_closed=False)
-    bound = float(core_mass) * 3.0 * loglam
+    den = mu_z.denominator
+    # int / int is correctly rounded: the float of the exact mass
+    core_mass = mu_z.mass_units(0, r - Fraction(1, lam ** 3),
+                                lo_closed=True, hi_closed=False) / den
+    bound = core_mass * 3.0 * loglam
     n = 1
     while True:
         lo = r - Fraction(1, lam ** (3 * n))
         hi = r - Fraction(1, lam ** (3 * (n + 1)))
-        shell_mass = interval_mass(mu_z, lo, hi, lo_closed=True,
-                                   hi_closed=False)
-        bound += float(shell_mass) * 3.0 * (n + 1) * loglam
+        shell_mass = mu_z.mass_units(lo, hi, lo_closed=True,
+                                     hi_closed=False) / den
+        bound += shell_mass * 3.0 * (n + 1) * loglam
         # remaining interior mass beyond this shell
-        rest = interval_mass(mu_z, hi, r, lo_closed=True, hi_closed=False)
-        if rest == 0:
+        if mu_z.mass_units(hi, r, lo_closed=True, hi_closed=False) == 0:
             break
         n += 1
     return LogBoundaryReport(value=value, bound=bound,
-                             core_mass=float(core_mass), n_shells=n)
+                             core_mass=core_mass, n_shells=n)
 
 
 @dataclass(frozen=True)

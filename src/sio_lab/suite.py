@@ -23,8 +23,8 @@ from .errors import CertificationError, InputError
 from .generators import GeneratorSpec, generate
 from .good_radii import GoodSetParams, is_good_radius, select_good_radius_near
 from .kernels import KernelSpec, check_antisymmetry, check_size_bound
-from .measure import (DiscreteMeasure, growth_constant, normalize,
-                      radial_pushforward)
+from .measure import (DiscreteMeasure, StepMeasure, growth_constant,
+                      normalize, radial_pushforward)
 from .operator import (Ball, PairingTrace, SimpleFunction,
                        annuli_log_bound_check, cancellation_residual,
                        compute_pairing_trace, log_boundary_sum,
@@ -113,8 +113,10 @@ def _check(checks: list, name: str, lhs, rhs, ok: bool) -> None:
 
 
 def certify_ball(m: DiscreteMeasure, center: int, target: float,
-                 params: GoodSetParams) -> tuple[Ball, BallRecord]:
-    """Pushforward at the center, nearest certified radius, shell masses."""
+                 params: GoodSetParams
+                 ) -> tuple[Ball, BallRecord, StepMeasure]:
+    """Pushforward at the center, nearest certified radius, shell masses;
+    returns the pushforward too, for the checks that reuse it."""
     mu_z = radial_pushforward(m, center)
     r = select_good_radius_near(mu_z, Fraction(target), params)
     cert = is_good_radius(mu_z, r, params)
@@ -122,7 +124,7 @@ def certify_ball(m: DiscreteMeasure, center: int, target: float,
         raise CertificationError(
             f"selected radius failed certification at center {center}",
             witness=cert)
-    shells = shell_mass_check(m, center, r, cert)
+    shells = shell_mass_check(mu_z, r, cert)
     if not shells.all_ok:
         raise CertificationError(
             f"shell mass bound failed at center {center}", witness=shells)
@@ -135,7 +137,7 @@ def certify_ball(m: DiscreteMeasure, center: int, target: float,
                                     s.threshold.denominator],
                       "ok": s.ok} for s in shells.records),
         shell_tail_sum=shells.tail_sum)
-    return Ball(center=center, radius=float(r)), rec
+    return Ball(center=center, radius=float(r)), rec, mu_z
 
 
 def run_convergence_suite(config: SuiteConfig) -> ConvergenceReport:
@@ -161,12 +163,14 @@ def run_convergence_suite(config: SuiteConfig) -> ConvergenceReport:
     rng = np.random.default_rng(config.seed)
     balls: list[Ball] = []
     records: list[BallRecord] = []
+    pushforwards: list[StepMeasure] = []
     centers = rng.integers(0, m.n_atoms, size=config.n_balls)
     targets = 0.2 + 0.6 * rng.random(config.n_balls)
     for z, target in zip(centers.tolist(), targets.tolist()):
-        ball, rec = certify_ball(m, int(z), float(target), params)
+        ball, rec, mu_z = certify_ball(m, int(z), float(target), params)
         balls.append(ball)
         records.append(rec)
+        pushforwards.append(mu_z)
         _check(checks, f"good_radius_center_{z}",
                [rec.radius[0], rec.radius[1]], None, True)
 
@@ -205,7 +209,7 @@ def run_convergence_suite(config: SuiteConfig) -> ConvergenceReport:
     _check(checks, "annuli_log_bound", annuli_worst["lhs"],
            annuli_worst["rhs"], annuli_ok)
 
-    lb = log_boundary_sum(m, balls[0], config.lam)
+    lb = log_boundary_sum(m, balls[0], config.lam, pushforwards[0])
     log_boundary = {"value": lb.value, "bound": lb.bound,
                     "core_mass": lb.core_mass, "n_shells": lb.n_shells,
                     "ok": lb.ok}

@@ -188,7 +188,7 @@ def test_criterion_7_annuli_and_log_chain():
     ball = Ball(0, float(r))
     records, _ = annuli_log_bound_check(RIESZ, m, ball, 1.0, c_cert, c_mu)
     assert records and all(rec.ok for rec in records)
-    lb = log_boundary_sum(m, ball, lam=5)
+    lb = log_boundary_sum(m, ball, lam=5, mu_z=mu_z)
     assert np.isfinite(lb.value) and lb.value <= lb.bound
     elapsed = time.monotonic() - start
     assert elapsed <= 60.0, f"criterion 7 took {elapsed:.1f}s"
@@ -206,8 +206,8 @@ def test_criterion_8_boundedness_trend():
         assert is_good_radius(mu_z, r, params).ok
         values.append(total_boundary_integral(RIESZ, m, Ball(0, float(r))))
         # uncertified contrast radius: the heaviest pushforward distance
-        bad = max((p for p in mu_z.positions if 0 < p < 1),
-                  key=lambda p: mu_z.masses[mu_z.positions.index(p)])
+        bad, _ = max(((p, w) for p, w in zip(mu_z.positions, mu_z.masses)
+                      if 0 < p < 1), key=lambda pw: pw[1])
         assert not is_good_radius(mu_z, bad, params).ok
         contrast.append(total_boundary_integral(RIESZ, m,
                                                 Ball(0, float(bad))))

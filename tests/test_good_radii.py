@@ -53,6 +53,46 @@ def test_heavy_cells_uniform_quarter():
     assert tuple(j for j, _ in fam.heavy_at(1)) == (2, 5, 7, 22)
 
 
+@settings(max_examples=60, deadline=None)
+@given(atoms=st.lists(st.tuples(st.fractions(0, 3, max_denominator=500),
+                                st.fractions(0, 1, max_denominator=97)),
+                      max_size=12),
+       a=st.fractions(0, 1, max_denominator=50),
+       length=st.fractions(Fraction(1, 10), 2, max_denominator=50),
+       lam=st.integers(3, 6), n=st.integers(1, 3))
+def test_cell_masses_equal_the_fraction_oracle(atoms, a, length, lam, n):
+    v = make_step_measure(atoms)
+    params = GoodSetParams(lam=lam, depth=3, a=a, b=a + length)
+    expected = {}
+    for pos, mass in zip(v.positions, v.masses):
+        if a <= pos <= a + length and mass > 0:
+            j = min(int((pos - a) * lam ** (2 * n) // length),
+                    lam ** (2 * n) - 1)
+            expected[j] = expected.get(j, 0) + mass
+    got = good_radii._cell_masses(v, params, n)
+    assert {j: Fraction(u, v.denominator) for j, u in got.items()} \
+        == expected
+    assert list(got) == sorted(got)
+
+
+def test_verify_shares_its_cell_masses(monkeypatch):
+    # materialize needs each generation's cell masses once, and verify
+    # once more: its family and its light-cell check read the same masses
+    calls = []
+    real = good_radii._cell_masses
+
+    def counting(v, params, n):
+        calls.append(n)
+        return real(v, params, n)
+    monkeypatch.setattr(good_radii, "_cell_masses", counting)
+    params = GoodSetParams(lam=5, depth=3)
+    v = make_step_measure([(Fraction(1, 2), Fraction(1, 2)),
+                           (Fraction(1, 7), Fraction(1, 3))])
+    rep = verify_good_set(v, params, materialize_good_set(v, params))
+    assert rep.midpoints_ok and rep.light_cells_ok
+    assert sorted(calls) == [1, 1, 2, 2, 3, 3]
+
+
 def test_is_good_radius_certificate_03():
     params = GoodSetParams(lam=5, depth=2)
     res = is_good_radius(DELTA_HALF, Fraction(3, 10), params)

@@ -107,6 +107,26 @@ def test_radial_pushforward_quarter_grid_merges():
     assert v.total == 1
 
 
+def test_radial_pushforward_masses_are_integers_over_a_power_of_two():
+    cloud = make_cloud([[0.0], [0.5], [1.0]], E1)
+    m = make_measure(cloud, [0.5, 0.375, 2.0 ** -60])
+    v = radial_pushforward(m, 0)
+    assert v.denominator == 2 ** 60
+    assert v.numerators == (2 ** 59, 3 * 2 ** 57, 1)
+    assert v.prefix == (0, 2 ** 59, 7 * 2 ** 57, 7 * 2 ** 57 + 1)
+    assert v.masses == (Fraction(1, 2), Fraction(3, 8), Fraction(1, 2 ** 60))
+
+
+def test_step_measure_masses_go_over_the_lcm():
+    v = make_step_measure([(Fraction(1, 2), Fraction(1, 30)),
+                           (0, Fraction(7, 10 ** 6)),
+                           (Fraction(1, 2), Fraction(1, 30))])
+    assert v.positions == (0, Fraction(1, 2))
+    assert v.denominator == 3 * 10 ** 6
+    assert v.numerators == (21, 2 * 10 ** 5)
+    assert v.total == Fraction(7, 10 ** 6) + Fraction(1, 15)
+
+
 def test_radial_pushforward_requires_unit_diameter():
     cloud = make_cloud([[0.0], [2.0]], E1)
     m = make_measure(cloud, [0.5, 0.5])
@@ -123,6 +143,23 @@ def test_interval_mass_examples():
     assert interval_mass(d, Fraction(482, 1000), Fraction(498, 1000)) == 0
     with pytest.raises(InputError):
         interval_mass(d, 1, 0)
+
+
+@pytest.mark.parametrize("pair", [
+    (0.5, float("nan")), (float("nan"), 0.5), (float("inf"), 0.5),
+    (0.5, float("-inf")), ("abc", 0.5), (0.5, "abc"), (None, 0.5),
+])
+def test_step_measure_rejects_non_finite_or_non_numeric_atoms(pair):
+    with pytest.raises(InputError):
+        make_step_measure([pair])
+
+
+def test_interval_mass_rejects_non_finite_endpoints():
+    v = make_step_measure([(Fraction(1, 2), 1)])
+    with pytest.raises(InputError):
+        interval_mass(v, float("nan"), 1)
+    with pytest.raises(InputError):
+        interval_mass(v, 0, float("inf"))
 
 
 def test_ball_mass_monotone_and_total():
@@ -152,6 +189,26 @@ def test_measure_json_roundtrip():
 positions = st.lists(st.fractions(min_value=0, max_value=1,
                                   max_denominator=1000),
                      min_size=1, max_size=20)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pos=positions,
+       masses=st.lists(st.fractions(min_value=0, max_value=1,
+                                    max_denominator=10 ** 6),
+                       min_size=20, max_size=20),
+       lo=st.fractions(min_value=0, max_value=1, max_denominator=1000),
+       width=st.fractions(min_value=0, max_value=1, max_denominator=1000),
+       closed=st.tuples(st.booleans(), st.booleans()))
+def test_interval_mass_equals_the_sum_of_its_atoms(pos, masses, lo, width,
+                                                   closed):
+    v = make_step_measure(zip(pos, masses))
+    hi = lo + width
+    inside = {p for p in pos
+              if (lo <= p if closed[0] else lo < p)
+              and (p <= hi if closed[1] else p < hi)}
+    expected = sum((m for p, m in zip(pos, masses) if p in inside),
+                   Fraction(0))
+    assert interval_mass(v, lo, hi, *closed) == expected
 
 
 @settings(max_examples=100, deadline=None)

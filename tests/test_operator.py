@@ -222,12 +222,12 @@ def test_shell_mass_check():
     params = GoodSetParams(lam=5, depth=3)
     r = select_good_radius_near(mu_z, Fraction(2, 5), params)
     cert = is_good_radius(mu_z, r, params)
-    report = shell_mass_check(m, 0, r, cert)
+    report = shell_mass_check(mu_z, r, cert)
     assert report.all_ok
     for rec in report.records:
         assert rec.mass <= rec.threshold
     with pytest.raises(InputError):
-        shell_mass_check(m, 0, Fraction(1, 7), cert)
+        shell_mass_check(mu_z, Fraction(1, 7), cert)
 
 
 def test_log_boundary_sum_single_atom():
@@ -235,7 +235,8 @@ def test_log_boundary_sum_single_atom():
     m = make_measure(cloud, [0.5, 0.5])
     # interior atoms of B(0, r): the center (gap r) and the one at 0.5
     r = 0.5 + 1.0 / math.e
-    report = log_boundary_sum(m, Ball(0, r), lam=5)
+    report = log_boundary_sum(m, Ball(0, r), lam=5,
+                              mu_z=radial_pushforward(m, 0))
     # second atom's gap is exactly 1/e: contributes w * 1
     assert report.value == pytest.approx(
         0.5 * abs(math.log(r)) + 0.5 * 1.0, rel=1e-12)
@@ -247,7 +248,7 @@ def test_log_boundary_bound_four_corner():
     mu_z = radial_pushforward(m, 0)
     params = GoodSetParams(lam=5, depth=3)
     r = select_good_radius_near(mu_z, Fraction(1, 2), params)
-    report = log_boundary_sum(m, Ball(0, float(r)), lam=5)
+    report = log_boundary_sum(m, Ball(0, float(r)), lam=5, mu_z=mu_z)
     assert math.isfinite(report.value)
     assert report.value <= report.bound
 

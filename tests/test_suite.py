@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from sio_lab import measure, operator, suite
 from sio_lab.generators import GeneratorSpec
 from sio_lab.kernels import KernelSpec
 from sio_lab.suite import (SuiteConfig, emit_report, geometric_grid,
@@ -22,6 +23,59 @@ def small_config(**kw):
     return SuiteConfig(**defaults)
 
 
+def _ball_fields(balls):
+    return [(tuple(b.radius), b.cert_depth,
+             [(tuple(s["mass"]), tuple(s["threshold"])) for s in b.shells])
+            for b in balls]
+
+
+SHELLS_0 = [((0, 1), (1, 5)), ((0, 1), (1, 25)), ((0, 1), (1, 125))]
+
+# exact fields of the default converge run (lambda 5, depth 3, 5 balls):
+# radii, shell masses, the trend's radii and the log-boundary core come from
+# correctly rounded distances and exact rational arithmetic
+PINNED = {
+    (4, 0): dict(
+        balls=[((6559, 31250), 3, SHELLS_0),
+               ((21503, 31250), 3, [((11, 256), (1, 5)), *SHELLS_0[1:]]),
+               ((4673, 6250), 3, [((3, 256), (1, 5)), *SHELLS_0[1:]]),
+               ((17753, 31250), 3, [((21, 256), (1, 5)), *SHELLS_0[1:]]),
+               ((19747, 31250), 3, [((1, 16), (1, 5)), ((1, 256), (1, 25)),
+                                    SHELLS_0[2]])],
+        boundedness=[((6559, 31250), 3)] * 3, core_mass=0.25, n_shells=1),
+    (4, 1): dict(
+        balls=[((24037, 31250), 3, [((5, 256), (1, 5)), *SHELLS_0[1:]]),
+               ((12097, 31250), 3, [((3, 256), (1, 5)), *SHELLS_0[1:]]),
+               ((14187, 31250), 3, SHELLS_0),
+               ((21769, 31250), 3, SHELLS_0),
+               ((14003, 31250), 3, SHELLS_0)],
+        boundedness=[((24037, 31250), 3)] * 3, core_mass=0.90625,
+        n_shells=1),
+    (5, 0): dict(
+        balls=[((6559, 31250), 3, SHELLS_0),
+               ((21503, 31250), 3, [((21, 512), (1, 5)),
+                                    ((1, 1024), (1, 25)), SHELLS_0[2]]),
+               ((4673, 6250), 3, [((3, 256), (1, 5)), *SHELLS_0[1:]]),
+               ((17753, 31250), 3, [((5, 64), (1, 5)), *SHELLS_0[1:]]),
+               ((19747, 31250), 3, [((7, 128), (1, 5)), *SHELLS_0[1:]])],
+        boundedness=[((6559, 31250), 3)] * 3, core_mass=0.25, n_shells=1),
+}
+
+
+@pytest.mark.parametrize("level, seed", sorted(PINNED))
+def test_exact_fields_of_converge_are_pinned(level, seed):
+    # the eps grid sets none of these fields, so a short one keeps it quick
+    report = run_convergence_suite(SuiteConfig(
+        generator=GeneratorSpec(family="four_corner_cantor", level=level),
+        kernel=RIESZ, eps_count=2, seed=seed))
+    want = PINNED[(level, seed)]
+    assert _ball_fields(report.balls) == want["balls"]
+    assert [(tuple(b["radius"]), b["cert_depth"])
+            for b in report.boundedness] == want["boundedness"]
+    assert report.log_boundary["core_mass"] == want["core_mass"]
+    assert report.log_boundary["n_shells"] == want["n_shells"]
+
+
 def test_parse_eps_grid():
     assert parse_eps_grid("geometric:start=0.5,ratio=0.5,count=3") \
         == (0.5, 0.25, 0.125)
@@ -39,6 +93,23 @@ def test_suite_smoke_all_checks_pass():
     assert report.annuli_ok
     assert report.log_boundary["ok"]
     assert len(report.boundedness) == 2  # levels 2 and 3
+
+
+def test_each_center_is_pushed_forward_once(monkeypatch):
+    calls = []
+    real = measure.radial_pushforward
+
+    def counting(m, z):
+        calls.append(z)
+        return real(m, z)
+    for mod in (suite, operator):
+        if hasattr(mod, "radial_pushforward"):
+            monkeypatch.setattr(mod, "radial_pushforward", counting)
+    report = run_convergence_suite(small_config())
+    # one per ball (shell masses and the log bound reuse it), one per
+    # level of the boundedness trend
+    assert len(calls) == len(report.balls) + len(report.boundedness) == 5
+    assert calls[:3] == [b.center for b in report.balls]
 
 
 def test_emit_report_files(tmp_path):
