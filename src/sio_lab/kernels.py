@@ -237,11 +237,12 @@ def eval_kernel(k: KernelSpec, cloud: PointCloud, x: int, y: int) -> float:
     return -float(kernel_rows(k, cloud, [y])[0, x])
 
 
-def _first_max(vals: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _first_max(vals: np.ndarray, rows: np.ndarray, col0: int = 0
+               ) -> np.ndarray:
     """[[value, x, y]] at a tile's first maximal entry, or its first NaN,
-    in row-major order; y is the column index."""
+    in row-major order; y is col0 plus the column index."""
     i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    return np.array([[vals[i, j], rows[i], j]])
+    return np.array([[vals[i, j], rows[i], col0 + j]])
 
 
 def _pick_first_max(per_tile: np.ndarray) -> tuple[float, tuple[int, int]]:
@@ -264,9 +265,14 @@ def check_antisymmetry(k: KernelSpec, cloud: PointCloud, workers: int = 1
                        ) -> AntisymmetryReport:
     """Max |k(x,y) + k(y,x)| over distinct pairs vs 1e-13 * max |k|.
 
-    Walks row tiles, split over `workers` threads: each tile's rows
-    k(x, .) and columns k(., x), so a Riesz kernel never builds an N x N
-    array.
+    Walks row tiles, split over `workers` threads. The residual is
+    symmetric in the pair, so a tile starting at row x0 evaluates only
+    columns y >= x0, as rows k(x, .) and, on their own, columns k(., x):
+    a Riesz kernel never builds an N x N array, and k(y, x) is never
+    derived from k(x, y). Entries y < x are masked, which keeps the
+    row-major first maximum of the whole matrix; the diagonal stays, so an
+    all-zero residual reports the pair (0, 0). The scale, max |k|, reads
+    both orientations, so it covers every pair.
     """
     n = cloud.n_points
     if n < 2:
@@ -275,10 +281,13 @@ def check_antisymmetry(k: KernelSpec, cloud: PointCloud, workers: int = 1
     kernel = kernel_blocks(k, cloud)
 
     def tile(rows):
-        kt = kernel(rows)
-        kc = kernel(every, rows).T  # k(y, x) for x in rows
-        return np.hstack([_first_max(np.abs(kt + kc), rows),
-                          [[np.abs(kt).max()]]])
+        cols = every[rows[0]:]
+        kt = kernel(rows, cols)
+        kc = kernel(cols, rows).T  # k(y, x) for x in rows
+        resid = np.abs(kt + kc)
+        resid[cols[None, :] < rows[:, None]] = -np.inf
+        scale = np.maximum(np.abs(kt).max(), np.abs(kc).max())
+        return np.hstack([_first_max(resid, rows, rows[0]), [[scale]]])
     per_tile = tile_map(tile, every, n, workers)
     worst, pair = _pick_first_max(per_tile)
     scale = float(per_tile[:, 3].max())

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import BudgetError, DegenerateInputError, InputError
+from .sums import thread_map
 
 EUCLIDEAN_P = "euclidean_p"
 SNOWFLAKE = "snowflake"
@@ -153,12 +153,7 @@ def tile_map(fn, rows, n_cols: int, workers: int = 1) -> np.ndarray:
     rows = np.asarray(rows)
     step = max(1, _TILE_PAIRS // max(1, n_cols))
     tiles = [rows[i:i + step] for i in range(0, rows.size, step)] or [rows]
-    if workers > 1 and len(tiles) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(fn, tiles))
-    else:
-        parts = [fn(tile) for tile in tiles]
-    return np.concatenate(parts)
+    return np.concatenate(thread_map(fn, tiles, workers))
 
 
 def make_cloud(coords, metric: MetricDescriptor, table=None) -> PointCloud:

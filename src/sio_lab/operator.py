@@ -8,8 +8,9 @@ pairs, max(1, _TILE_PAIRS // N) rows of N columns each, so memory stays
 bounded at any N. compute_pairing_trace
 evaluates each pair once per trace: it applies every eps mask, every ball
 band and every scale mask of the grid to a tile while it holds it.
-cancellation_residual walks only the rows and columns of its ball
-intersection.
+cancellation_residual walks only the upper triangle y > x of its ball
+intersection, in raveled chunks split over `workers` threads; k(x, y) and
+k(y, x) are evaluated separately, so an antisymmetry defect still shows.
 
 Determinism contract: each row is folded over the fixed perfect binary tree
 of sums.fold_rows, and the row results over pairwise_sum, in ascending
@@ -167,13 +168,17 @@ def _boundary_term(k: KernelSpec, m: DiscreteMeasure, ball: Ball,
 
 
 def cancellation_residual(k: KernelSpec, m: DiscreteMeasure, b1: Ball,
-                          b2: Ball, delta: float, eps: float
-                          ) -> tuple[float, float]:
+                          b2: Ball, delta: float, eps: float,
+                          workers: int = 1) -> tuple[float, float]:
     """Double sum of k(x,y) w(x) w(y) over (B1 cap B2)^2 in the open band.
 
     Canonical pair ordering: each unordered pair contributes
     k(x,y)w(x)w(y) + k(y,x)w(y)w(x), which cancels bit-exactly for
     antisymmetric kernels. Returns (residual, sum of term magnitudes).
+
+    Only the upper triangle y > x is evaluated, k(x, y) and k(y, x) each on
+    its own; the rest of each raveled row is zero. The raveled chunks are
+    folded on `workers` threads, with the same bits for any count.
     """
     if not 0.0 < delta < eps:
         raise InputError("need 0 < delta < eps")
@@ -186,18 +191,23 @@ def cancellation_residual(k: KernelSpec, m: DiscreteMeasure, b1: Ball,
     wr = m.weights[rows]
 
     def block(a0, a1):
-        # rows a0..a1-1 of the (B1 cap B2)^2 arrays, upper triangle kept
-        ids, a = rows[a0:a1], np.arange(a0, a1)
-        km = kernel(ids, rows)
-        km_t = kernel(rows, ids).T      # k(y, x) for x in ids
-        d = _distance_rows(m.cloud, ids, rows)
-        keep = (d > delta) & (d < eps) & (np.arange(r)[None, :] > a[:, None])
-        t_upper = np.where(keep, km * np.outer(wr[a], wr), 0.0)
-        t_lower = np.where(keep, km_t * np.outer(wr, wr[a]).T, 0.0)
-        return np.stack([t_upper + t_lower, np.abs(t_upper),
-                         np.abs(t_lower)])
+        # rows a0..a1-1 of the (B1 cap B2)^2 arrays, zero outside the upper
+        # triangle; only columns b > a0, the ones it can reach, are evaluated
+        ids, a, b = rows[a0:a1], np.arange(a0, a1), np.arange(a0 + 1, r)
+        cols = rows[a0 + 1:]
+        km = kernel(ids, cols)
+        km_t = kernel(cols, ids).T      # k(y, x) for x in ids
+        d = _distance_rows(m.cloud, ids, cols)
+        keep = (d > delta) & (d < eps) & (b[None, :] > a[:, None])
+        t_upper = np.where(keep, km * np.outer(wr[a], wr[b]), 0.0)
+        t_lower = np.where(keep, km_t * np.outer(wr[b], wr[a]).T, 0.0)
+        out = np.zeros((3, a1 - a0, r))
+        out[0, :, a0 + 1:] = t_upper + t_lower
+        out[1, :, a0 + 1:] = np.abs(t_upper)
+        out[2, :, a0 + 1:] = np.abs(t_lower)
+        return out
     # chunks of the tile size, read when called, like tile_map's
-    residual, up, low = fold_raveled(block, r, r, metric._TILE_PAIRS)
+    residual, up, low = fold_raveled(block, r, r, metric._TILE_PAIRS, workers)
     return float(residual), float(up) + float(low)
 
 

@@ -49,6 +49,13 @@ class SuiteConfig:
     seed: int = 0
     workers: int = 1
 
+    def __post_init__(self):
+        for name, low in (("n_balls", 1), ("n_cancellation", 0),
+                          ("levels_back", 0), ("workers", 1)):
+            if getattr(self, name) < low:
+                raise InputError(f"{name} must be >= {low}, "
+                                 f"got {getattr(self, name)}")
+
     def eps_grid(self) -> tuple[float, ...]:
         return geometric_grid(self.eps_start, self.eps_ratio, self.eps_count)
 
@@ -193,7 +200,8 @@ def run_convergence_suite(config: SuiteConfig) -> ConvergenceReport:
         b2 = balls[(j + 1) % len(balls)]
         lo = float(0.01 + 0.4 * rng.random())
         hi = float(lo + 0.05 + 0.5 * rng.random())
-        resid, scale = cancellation_residual(config.kernel, m, b1, b2, lo, hi)
+        resid, scale = cancellation_residual(config.kernel, m, b1, b2, lo, hi,
+                                             workers=config.workers)
         ok = abs(resid) <= 1e-13 * max(scale, 1e-300)
         cancellation.append({"balls": [b1.center, b2.center],
                              "delta": lo, "eps": hi,

@@ -1,9 +1,11 @@
 """Deterministic pairwise-tree float reduction.
 
 Every double sum in the lab funnels through fold_rows (pairwise_sum is its
-one-row case) so that results are bit-identical across runs and across worker counts: the reduction tree is a
-perfect binary tree over the zero-padded input, and parallel execution only
-ever hands out whole subtrees.
+one-row case) so that results are bit-identical across runs and across
+worker counts: the reduction tree is a perfect binary tree over the
+zero-padded input, and parallel execution only ever hands out whole
+subtrees. thread_map is the lab's one thread pool; metric.tile_map hands it
+row tiles, pairwise_sum and fold_raveled hand it subtrees.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -47,27 +49,29 @@ def pairwise_sum(values, workers: int = 1) -> float:
             nblocks *= 2
         if nblocks > 1:
             blocks = a.reshape(nblocks, 1, m // nblocks)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                partials = np.concatenate(list(pool.map(fold_rows, blocks)))
+            partials = np.concatenate(thread_map(fold_rows, blocks, workers))
             return float(fold_rows(partials[None, :])[0])
     return float(fold_rows(a[None, :])[0])
 
 
-def fold_raveled(block, n_rows: int, n_cols: int, chunk: int) -> np.ndarray:
+def fold_raveled(block, n_rows: int, n_cols: int, chunk: int,
+                 workers: int = 1) -> np.ndarray:
     """pairwise_sum of the row-major raveling of each of Q matrices of shape
     (n_rows, n_cols), without building them: block(a0, a1) returns rows
     a0..a1-1 of all Q as a (Q, a1 - a0, n_cols) array.
 
     The raveled length is walked in aligned power-of-two chunks of at most
     `chunk` entries; each chunk is a whole subtree of pairwise_sum's tree,
-    so the Q results are bit-identical to pairwise_sum(matrix.ravel()). A
-    row that a chunk boundary cuts is asked for by both chunks.
+    so the Q results are bit-identical to pairwise_sum(matrix.ravel()) for
+    any `workers`, the number of threads the chunks are folded on (block
+    is then called from several threads at once). A row that a chunk
+    boundary cuts is asked for by both chunks.
     """
     n = n_rows * n_cols
     m = 1 << (n - 1).bit_length()
     c = min(m, 1 << (max(1, chunk).bit_length() - 1))
-    partials = []
-    for start in range(0, n, c):
+
+    def fold_chunk(start):
         end = min(start + c, n)
         a0, a1 = start // n_cols, (end - 1) // n_cols + 1
         flat = block(a0, a1).reshape(-1, (a1 - a0) * n_cols)
@@ -75,5 +79,15 @@ def fold_raveled(block, n_rows: int, n_cols: int, chunk: int) -> np.ndarray:
         if end - start < c:
             flat = np.concatenate(
                 [flat, np.zeros((flat.shape[0], c - (end - start)))], axis=1)
-        partials.append(fold_rows(flat))
+        return fold_rows(flat)
+    partials = thread_map(fold_chunk, range(0, n, c), workers)
     return fold_rows(np.stack(partials, axis=1))
+
+
+def thread_map(fn, items, workers: int = 1) -> list:
+    """[fn(item) for item in items], on up to `workers` threads when there
+    is more than one item; results come back in the order of items."""
+    if workers > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from sio_lab.cli import main
+from sio_lab.errors import InputError
 
 
 def run(args, capsys):
@@ -128,3 +129,10 @@ def test_good_radii_rejects_a_malformed_radius(tmp_path, capsys, flag,
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}: invalid Fraction value: '{value}'" in err
+
+
+def test_converge_rejects_zero_balls_before_any_work(tmp_path):
+    with pytest.raises(InputError, match="n_balls must be >= 1, got 0"):
+        main(["converge", "--level", "1", "--balls", "0",
+              "--out-dir", str(tmp_path)])
+    assert not list(tmp_path.iterdir())

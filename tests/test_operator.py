@@ -490,6 +490,48 @@ def test_tiled_checks_match_dense_oracle(kernel, metric, workers,
         b1 = Ball(center, float(dist[radius]))
         b2 = Ball(80, float(dist[n // 2]))
         got = cancellation_residual(kernel, m, b1, b2, float(dist[delta]),
-                                    float(dist[eps]))
+                                    float(dist[eps]), workers)
         assert bits(got) == bits(dense_cancellation(
             kernel, m, b1, b2, float(dist[delta]), float(dist[eps])))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_symmetric_checks_evaluate_only_the_upper_triangle(workers,
+                                                           monkeypatch):
+    # 7-row tiles; cancellation walks 1024-entry chunks of its raveling
+    monkeypatch.setattr(metric_module, "_TILE_PAIRS", 7 * 156)
+    pairs = []
+    real_rows = kernels.kernel_rows
+
+    def counting_rows(k, cloud, rows, cols=None):
+        out = real_rows(k, cloud, rows, cols)
+        pairs.append(out.size)
+        return out
+    monkeypatch.setattr(kernels, "kernel_rows", counting_rows)
+    m, n = lattice_measure(E2, seed=5), 156
+    kernels.check_antisymmetry(RIESZ, m.cloud, workers)
+    # the tile of rows x0..x0+6 evaluates k(x, y) and k(y, x) for y >= x0
+    assert sum(pairs) == sum(2 * min(7, n - x0) * (n - x0)
+                             for x0 in range(0, n, 7)) == 25418
+    pairs.clear()
+    dist = np.unique(m.cloud.distance_matrix())
+    b1, b2 = Ball(3, float(dist[33])), Ball(80, float(dist[dist.size // 2]))
+    r = int(np.sum(b1.members(m.cloud) & b2.members(m.cloud)))
+    delta, eps = float(dist[2]), float(dist[40])
+    got = cancellation_residual(RIESZ, m, b1, b2, delta, eps, workers)
+    # the chunk of raveled entries start..end-1 spans rows a0..a1-1 and
+    # evaluates columns b > a0 in both orientations; the last chunk starts
+    # in row r - 1, where no column is left
+    spans = [(start // r, (min(start + 1024, r * r) - 1) // r + 1)
+             for start in range(0, r * r, 1024)]
+    assert r == 91 and spans[-1] == (r - 1, r)
+    assert sum(pairs) == sum(2 * (a1 - a0) * (r - a0 - 1)
+                             for a0, a1 in spans) == 9930
+    assert got[0] == 0.0
+    assert bits(got) == bits(dense_cancellation(RIESZ, m, b1, b2, delta,
+                                                eps))
+    # k(y, x) is evaluated, not derived: a symmetric kernel leaves a residual
+    got = cancellation_residual(SYMMETRIC, m, b1, b2, delta, eps, workers)
+    assert got[0] > 0.0
+    assert bits(got) == bits(dense_cancellation(SYMMETRIC, m, b1, b2, delta,
+                                                eps))

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from sio_lab import measure, operator, suite
+from sio_lab.errors import InputError
 from sio_lab.generators import GeneratorSpec
 from sio_lab.kernels import KernelSpec
 from sio_lab.suite import (SuiteConfig, emit_report, geometric_grid,
@@ -74,6 +75,14 @@ def test_exact_fields_of_converge_are_pinned(level, seed):
             for b in report.boundedness] == want["boundedness"]
     assert report.log_boundary["core_mass"] == want["core_mass"]
     assert report.log_boundary["n_shells"] == want["n_shells"]
+
+
+@pytest.mark.parametrize("field, low", [("n_balls", 1), ("n_cancellation", 0),
+                                        ("levels_back", 0), ("workers", 1)])
+def test_config_rejects_sizes_below_their_minimum(field, low):
+    with pytest.raises(InputError, match=field):
+        small_config(**{field: low - 1})
+    assert getattr(small_config(**{field: low}), field) == low
 
 
 def test_parse_eps_grid():
