@@ -14,15 +14,16 @@ import os
 import sys
 from fractions import Fraction
 
+from .errors import InputError
 from .generators import GeneratorSpec, generate
 from .good_radii import (GoodSetParams, interval_set_to_file, is_good_radius,
                          materialize_good_set, select_good_radius_near)
 from .kernels import KernelSpec, check_antisymmetry, check_size_bound
 from .measure import (growth_constant, load_measure, measure_to_json,
                       normalize, radial_pushforward, save_measure)
-from .operator import simple_function_from_json
-from .suite import (SuiteConfig, compute_pairing_trace, emit_report,
-                    parse_eps_grid, run_convergence_suite, trace_csv_lines)
+from .operator import compute_pairing_trace, simple_function_from_json
+from .suite import (SuiteConfig, emit_report, parse_eps_grid,
+                    run_convergence_suite, trace_csv_lines)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -48,17 +49,32 @@ def _given_flags(parser: argparse.ArgumentParser, argv: list[str]
 
 def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
                   given: set[str]) -> argparse.Namespace:
-    """File values fill in the flags the command line did not give."""
+    """File values fill in the flags the command line did not give; a
+    string value goes through the flag's type, as if typed."""
     if not getattr(args, "config", None):
         return args
     with open(args.config) as fh:
         file_vals = json.load(fh)
-    dests = {a.dest for a in parser._actions}
+    actions = {a.dest: a for a in parser._actions}
     for key, val in file_vals.items():
         dest = key.replace("-", "_")
-        if dest in dests and dest not in given:
+        if dest in actions and dest not in given:
+            convert = actions[dest].type
+            if isinstance(val, str) and convert is not None:
+                try:
+                    val = convert(val)
+                except (argparse.ArgumentTypeError, ValueError) as exc:
+                    parser.error(f"config value {key}: {exc}")
             setattr(args, dest, val)
     return args
+
+
+def _eps_grid(text: str) -> tuple[float, ...]:
+    """parse_eps_grid for argparse: a malformed grid is a usage error."""
+    try:
+        return parse_eps_grid(text)
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _kernel_from_args(args) -> KernelSpec:
@@ -154,7 +170,7 @@ def cmd_pairing(args) -> int:
         f = simple_function_from_json(json.load(fh))
     with open(args.g) as fh:
         g = simple_function_from_json(json.load(fh))
-    grid = parse_eps_grid(args.eps_grid)
+    grid = args.eps_grid
     trace = compute_pairing_trace(k, m, f, g, grid, workers=args.threads)
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, args.out)
@@ -239,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kernel_flags(p)
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
-    p.add_argument("--eps-grid", default="geometric:start=0.5,ratio=0.5,count=20")
+    p.add_argument("--eps-grid", type=_eps_grid,
+                   default="geometric:start=0.5,ratio=0.5,count=20")
     p.add_argument("--out", default="trace.csv")
     p.set_defaults(func=cmd_pairing, parser=p)
 

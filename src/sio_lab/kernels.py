@@ -11,6 +11,7 @@ vectorized evaluation, and generic bases are antisymmetrized as
 from __future__ import annotations
 
 import ast
+import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -19,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DiagonalError, InputError
-from .metric import (EUCLIDEAN_P, MetricDescriptor, PointCloud,
+from .metric import (EUCLIDEAN_P, MetricDescriptor, PointCloud, RowPass,
                      _differences, _distance_rows, _norm, tile_map)
 
 COORDINATE_RIESZ = "coordinate_riesz"
@@ -142,8 +143,9 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in (COORDINATE_RIESZ, GENERIC_ANTISYMMETRIZED):
             raise InputError(f"unknown kernel family {self.family!r}")
-        if self.s <= 0.0:
-            raise InputError("kernel dimension s must be positive")
+        if not (math.isfinite(self.s) and self.s > 0.0):
+            raise InputError(f"kernel dimension s must be finite and "
+                             f"positive, got {self.s!r}")
         if self.family == COORDINATE_RIESZ and self.i < 1:
             raise InputError("Riesz coordinate index is 1-based")
         if self.base not in NAMED_BASES:
@@ -216,13 +218,35 @@ def kernel_blocks(k: KernelSpec, cloud: PointCloud
 
 
 def map_pair_tiles(k: KernelSpec, cloud: PointCloud, rows, fn,
-                   workers: int = 1) -> np.ndarray:
+                   workers: int = 1):
     """The pair engine: fn(k, d, tile) on each row tile of `rows`, stacked
     in row order, where k holds the tile's kernel rows k(x, .) (zero where
     x == y) and d its distance rows d(x, .) in the cloud's metric."""
     kernel = kernel_blocks(k, cloud)
     return tile_map(lambda tile: fn(kernel(tile), _distance_rows(cloud, tile),
                                     tile), rows, cloud.n_points, workers)
+
+
+def run_pass(k: KernelSpec, cloud: PointCloud, p: RowPass,
+             workers: int = 1):
+    """A RowPass's result from a walk of its own rows."""
+    return p.reduce(map_pair_tiles(k, cloud, p.rows, p.tile, workers))
+
+
+def sweep_pair_tiles(k: KernelSpec, cloud: PointCloud, passes,
+                     workers: int = 1) -> list[np.ndarray]:
+    """One walk of the row tiles for several RowPasses: each tile's kernel
+    and distance rows are built once and handed to every pass's tile
+    function in turn. Returns each pass's block over its own rows, for the
+    caller to reduce; every row's entries are those of the pass's own walk,
+    so each reduction gives the same bits as run_pass."""
+    read = np.zeros(cloud.n_points, dtype=bool)
+    for p in passes:
+        read[p.rows] = True
+    rows = np.flatnonzero(read)
+    blocks = map_pair_tiles(k, cloud, rows, lambda kt, dt, tile: tuple(
+        p.tile(kt, dt, tile) for p in passes), workers)
+    return [b[np.searchsorted(rows, p.rows)] for p, b in zip(passes, blocks)]
 
 
 def eval_kernel(k: KernelSpec, cloud: PointCloud, x: int, y: int) -> float:
@@ -239,18 +263,18 @@ def eval_kernel(k: KernelSpec, cloud: PointCloud, x: int, y: int) -> float:
 
 def _first_max(vals: np.ndarray, rows: np.ndarray, col0: int = 0
                ) -> np.ndarray:
-    """[[value, x, y]] at a tile's first maximal entry, or its first NaN,
-    in row-major order; y is col0 plus the column index."""
-    i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    return np.array([[vals[i, j], rows[i], col0 + j]])
+    """[value, x, y] per row x at the row's first maximal entry, or its
+    first NaN; y is col0 plus the column index."""
+    j = np.argmax(vals, axis=1)
+    return np.stack([vals[np.arange(rows.size), j], rows, col0 + j], axis=1)
 
 
-def _pick_first_max(per_tile: np.ndarray) -> tuple[float, tuple[int, int]]:
+def _pick_first_max(per_row: np.ndarray) -> tuple[float, tuple[int, int]]:
     """The whole pass's first maximum (or first NaN) from the stacked
-    per-tile _first_max rows: the same value and pair as an argmax over
-    the whole matrix."""
-    t = int(np.argmax(per_tile[:, 0]))
-    return float(per_tile[t, 0]), (int(per_tile[t, 1]), int(per_tile[t, 2]))
+    per-row _first_max rows: the first row holding it, so the same value
+    and pair as a row-major argmax over the whole matrix."""
+    t = int(np.argmax(per_row[:, 0]))
+    return float(per_row[t, 0]), (int(per_row[t, 1]), int(per_row[t, 2]))
 
 
 @dataclass(frozen=True)
@@ -286,11 +310,11 @@ def check_antisymmetry(k: KernelSpec, cloud: PointCloud, workers: int = 1
         kc = kernel(cols, rows).T  # k(y, x) for x in rows
         resid = np.abs(kt + kc)
         resid[cols[None, :] < rows[:, None]] = -np.inf
-        scale = np.maximum(np.abs(kt).max(), np.abs(kc).max())
-        return np.hstack([_first_max(resid, rows, rows[0]), [[scale]]])
-    per_tile = tile_map(tile, every, n, workers)
-    worst, pair = _pick_first_max(per_tile)
-    scale = float(per_tile[:, 3].max())
+        scale = np.maximum(np.abs(kt).max(axis=1), np.abs(kc).max(axis=1))
+        return np.hstack([_first_max(resid, rows, rows[0]), scale[:, None]])
+    per_row = tile_map(tile, every, n, workers)
+    worst, pair = _pick_first_max(per_row)
+    scale = float(per_row[:, 3].max())
     return AntisymmetryReport(ok=worst <= 1e-13 * max(scale, 1e-300),
                               worst_pair=pair, worst_residual=worst,
                               scale=scale)
@@ -304,6 +328,12 @@ def check_size_bound(k: KernelSpec, cloud: PointCloud, s: float,
     attaining it (ties break to the lexicographically smallest pair). Row
     tiles are split over `workers` threads.
     """
+    return run_pass(k, cloud, size_bound_pass(cloud, s), workers)
+
+
+def size_bound_pass(cloud: PointCloud, s: float) -> RowPass:
+    """check_size_bound as a RowPass over every row: per row, the first
+    maximum of |k| d^s off the diagonal and its column."""
     if cloud.n_points < 2:
         raise InputError("need at least two points")
 
@@ -311,6 +341,8 @@ def check_size_bound(k: KernelSpec, cloud: PointCloud, s: float,
         prod = np.abs(kt) * dt ** s
         prod[np.arange(rows.size), rows] = -1.0
         return _first_max(prod, rows)
-    c, pair = _pick_first_max(map_pair_tiles(
-        k, cloud, np.arange(cloud.n_points), tile, workers))
-    return max(c, 0.0), pair
+
+    def reduce(per_row):
+        c, pair = _pick_first_max(per_row)
+        return max(c, 0.0), pair
+    return RowPass(np.arange(cloud.n_points), tile, reduce)

@@ -24,7 +24,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import DegenerateInputError, InputError
-from .metric import (PointCloud, _distance_rows, cloud_from_json,
+from .metric import (PointCloud, RowPass, _distance_rows, cloud_from_json,
                      cloud_to_json, load_cloud, tile_map)
 from .sums import pairwise_sum
 
@@ -81,20 +81,34 @@ def growth_constant(m: DiscreteMeasure, s: float, r_min: float,
     Row tiles are split over `workers` threads; the result does not depend
     on how.
     """
+    p = growth_pass(m, s, r_min)
+    return p.reduce(tile_map(
+        lambda rows: p.tile(None, _distance_rows(m.cloud, rows), rows),
+        p.rows, m.n_atoms, workers))
+
+
+def growth_pass(m: DiscreteMeasure, s: float, r_min: float) -> RowPass:
+    """growth_constant as a RowPass over every row: per row, the best ratio
+    and its radius; reduced to the first row attaining the maximum."""
     if m.n_atoms == 0 or m.total_mass <= 0.0:
         raise DegenerateInputError("empty measure")
     if r_min <= 0.0:
         raise InputError("r_min must be positive")
     w = m.weights
-    n = m.n_atoms
     r_min_s = (np.full(1, r_min) ** s)[0]  # the same array power as ds ** s
+    # equal weights add up alike in any order, so one cumulative row serves
+    # every sorted row, and the distances need no stable argsort
+    equal_cum = np.cumsum(w) if np.all(w == w[0]) else None
 
-    def tile(rows):
+    def tile(_k, d, rows):
         # per row: sorted distances, cumulative masses, and the best ratio
-        d = _distance_rows(m.cloud, rows)
-        order = np.argsort(d, axis=1, kind="stable")
-        ds = np.take_along_axis(d, order, axis=1)
-        cum = np.cumsum(w[order], axis=1)
+        if equal_cum is None:
+            order = np.argsort(d, axis=1, kind="stable")
+            ds = np.take_along_axis(d, order, axis=1)
+            cum = np.cumsum(w[order], axis=1)
+        else:
+            ds = np.sort(d, axis=1)
+            cum = np.broadcast_to(equal_cum, ds.shape)
         # candidates: the distances >= r_min. Within a run of equal
         # distances the last holds the ball's mass; an earlier one holds no
         # more, so it can only tie it, at the same radius.
@@ -108,9 +122,11 @@ def growth_constant(m: DiscreteMeasure, s: float, r_min: float,
         use_r_min = ~np.any(ds == r_min, axis=1) & (below >= best)
         return np.stack([np.where(use_r_min, below, best),
                          np.where(use_r_min, r_min, radius)], axis=1)
-    per_row = tile_map(tile, np.arange(n), n, workers)
-    x = int(np.argmax(per_row[:, 0]))
-    return float(per_row[x, 0]), (x, float(per_row[x, 1]))
+
+    def reduce(per_row):
+        x = int(np.argmax(per_row[:, 0]))
+        return float(per_row[x, 0]), (x, float(per_row[x, 1]))
+    return RowPass(np.arange(m.n_atoms), tile, reduce)
 
 
 @dataclass(frozen=True)

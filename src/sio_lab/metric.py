@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -142,18 +143,39 @@ def _norm(md: MetricDescriptor, diffs) -> np.ndarray:
 _TILE_PAIRS = 1 << 16  # pair entries per row tile
 
 
-def tile_map(fn, rows, n_cols: int, workers: int = 1) -> np.ndarray:
+def tile_map(fn, rows, n_cols: int, workers: int = 1):
     """The one row-tile walker: fn(tile) on each tile of `rows`, stacked.
 
     Tiles hold max(1, _TILE_PAIRS // n_cols) rows, so a tile of n_cols
     columns holds about _TILE_PAIRS pairs and memory stays bounded at any
     size. Tiles are split over `workers` threads; the stacked result does
-    not depend on how.
+    not depend on how. A fn returning a tuple of arrays gives the tuple of
+    their stacks.
     """
     rows = np.asarray(rows)
     step = max(1, _TILE_PAIRS // max(1, n_cols))
     tiles = [rows[i:i + step] for i in range(0, rows.size, step)] or [rows]
-    return np.concatenate(thread_map(fn, tiles, workers))
+    parts = thread_map(fn, tiles, workers)
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    return np.concatenate(parts)
+
+
+class RowPass(NamedTuple):
+    """One sum's share of a walk over row tiles, so that several sums can
+    share each tile (kernels.sweep_pair_tiles).
+
+    rows: the ascending point ids whose rows the sum reads.
+    tile(k, d, tile_rows): a per-row block, first axis tile_rows, from the
+      tile's kernel rows k (None for a sum of distances only) and distance
+      rows d. Rows outside `rows` may be handed in; their entries are
+      dropped.
+    reduce(block, *args): the sum's result from the block of `rows`.
+    """
+
+    rows: np.ndarray
+    tile: Callable
+    reduce: Callable
 
 
 def make_cloud(coords, metric: MetricDescriptor, table=None) -> PointCloud:

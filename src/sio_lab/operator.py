@@ -8,9 +8,16 @@ pairs, max(1, _TILE_PAIRS // N) rows of N columns each, so memory stays
 bounded at any N. compute_pairing_trace
 evaluates each pair once per trace: it applies every eps mask, every ball
 band and every scale mask of the grid to a tile while it holds it.
-cancellation_residual walks only the upper triangle y > x of its ball
-intersection, in raveled chunks split over `workers` threads; k(x, y) and
-k(y, x) are evaluated separately, so an antisymmetry defect still shows.
+
+The row sums are split into a per-tile function and a reduction, a
+`metric.RowPass`: trace_pass, annuli_pass and boundary_pass (with
+measure.growth_pass and kernels.size_bound_pass). Each public function
+walks its own pass; suite.run_convergence_suite hands one walk's tiles to
+all five with kernels.sweep_pair_tiles, with the same bits.
+cancellation_residual is no RowPass: it walks only the upper triangle
+y > x of its ball intersection, in raveled chunks split over `workers`
+threads; k(x, y) and k(y, x) are evaluated separately, so an antisymmetry
+defect still shows.
 
 Determinism contract: each row is folded over the fixed perfect binary tree
 of sums.fold_rows, and the row results over pairwise_sum, in ascending
@@ -33,9 +40,9 @@ import numpy as np
 from .errors import CertificationError, InputError
 from .good_radii import GoodRadiusCertificate
 from . import metric
-from .kernels import KernelSpec, kernel_blocks, map_pair_tiles
+from .kernels import KernelSpec, kernel_blocks, map_pair_tiles, run_pass
 from .measure import DiscreteMeasure, StepMeasure
-from .metric import PointCloud, _distance_rows
+from .metric import PointCloud, RowPass, _distance_rows
 from .sums import fold_raveled, fold_rows, pairwise_sum
 
 
@@ -96,10 +103,26 @@ def _band_folds(aw: np.ndarray, dt: np.ndarray, outside: np.ndarray,
         for delta, eps in bands], axis=1)
 
 
+def _on_rows(inside: np.ndarray, fn):
+    """A tile function applying fn(k, d, rows) to the tile rows x with
+    inside[x], zeros elsewhere; a tile of such rows only is handed over
+    whole. Rows are folded one by one, so the entries do not depend on
+    which other rows share the tile."""
+    def tile(kt, dt, rows):
+        sel = inside[rows]
+        if sel.all():
+            return fn(kt, dt, rows)
+        part = fn(kt[sel], dt[sel], rows[sel])
+        out = np.zeros((rows.size, *part.shape[1:]))
+        out[sel] = part
+        return out
+    return tile
+
+
 def apply_truncated(k: KernelSpec, m: DiscreteMeasure, f: SimpleFunction,
                     x: int, eps: float) -> float:
     """Sum of k(x,y) f(y) w(y) over atoms with d(x,y) > eps (strict)."""
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise InputError("eps must be positive")
     m.cloud.check_id(x)
     return pv_scan(k, m, f, x, [eps])[0]
@@ -113,9 +136,9 @@ def pairing(k: KernelSpec, m: DiscreteMeasure, f: SimpleFunction,
     `workers` splits the row tiles; the reduction tree is fixed, so the
     result is bit-identical for any worker count.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise InputError("eps must be positive")
-    values, _ = _pairing_engine(k, m, f, g, [eps], workers)
+    values, _ = run_pass(k, m.cloud, _pairing_pass(m, f, g, [eps]), workers)
     return values[0]
 
 
@@ -135,8 +158,10 @@ def pv_scan(k: KernelSpec, m: DiscreteMeasure, f: SimpleFunction, x: int,
 
 def _check_grid(eps_grid) -> list[float]:
     grid = [float(e) for e in eps_grid]
-    if any(e <= 0.0 for e in grid) or any(a <= b for a, b in zip(grid, grid[1:])):
-        raise InputError("eps grid must be positive and strictly decreasing")
+    if not all(math.isfinite(e) and e > 0.0 for e in grid) \
+            or any(a <= b for a, b in zip(grid, grid[1:])):
+        raise InputError("eps grid must be finite, positive and strictly "
+                         f"decreasing, got {grid!r}")
     return grid
 
 
@@ -157,14 +182,23 @@ def total_boundary_integral(k: KernelSpec, m: DiscreteMeasure,
 
 def _boundary_term(k: KernelSpec, m: DiscreteMeasure, ball: Ball,
                    delta: float, eps: float) -> float:
+    return run_pass(k, m.cloud, boundary_pass(m, ball, delta, eps))
+
+
+def boundary_pass(m: DiscreteMeasure, ball: Ball, delta: float,
+                  eps: float) -> RowPass:
+    """The boundary term as a RowPass over the rows in the ball: per row,
+    the band fold of |k| w outside the ball. A ball holding every atom has
+    an empty boundary and reads no rows."""
     inside = ball.members(m.cloud)
     rows = np.nonzero(inside)[0]
-    if rows.size == 0 or rows.size == m.n_atoms:
-        return 0.0
+    if rows.size == m.n_atoms:
+        rows = rows[:0]
     w = m.weights
-    folds = map_pair_tiles(k, m.cloud, rows, lambda kt, dt, _rows: _band_folds(
+    tile = _on_rows(inside, lambda kt, dt, _rows: _band_folds(
         np.abs(kt) * w[None, :], dt, ~inside, [(delta, eps)]))
-    return pairwise_sum(folds[:, 0] * w[rows])
+    return RowPass(rows, tile,
+                   lambda folds: pairwise_sum(folds[:, 0] * w[rows]))
 
 
 def cancellation_residual(k: KernelSpec, m: DiscreteMeasure, b1: Ball,
@@ -232,15 +266,15 @@ def pairing_difference_bound(k: KernelSpec, m: DiscreteMeasure,
     """
     if not 0.0 < delta < eps:
         raise InputError("need 0 < delta < eps")
-    _, reports = _pairing_engine(k, m, f, g, [eps, delta])
+    _, reports = run_pass(k, m.cloud, _pairing_pass(m, f, g, [eps, delta]))
     return reports[0]
 
 
-def _pairing_engine(k: KernelSpec, m: DiscreteMeasure, f: SimpleFunction,
-                    g: SimpleFunction, grid: list[float], workers: int = 1
-                    ) -> tuple[list[float], list[PairingDifferenceReport]]:
+def _pairing_pass(m: DiscreteMeasure, f: SimpleFunction, g: SimpleFunction,
+                  grid: list[float]) -> RowPass:
     """Pairings along a decreasing grid, and the four-term bound report of
-    each consecutive pair, from one pass over the row tiles.
+    each consecutive pair, as a RowPass over every row; reduced to
+    (values, reports).
 
     Per tile, per-row folds are taken of: the strict truncation at each eps;
     the scale band delta < d <= eps of each step; and each ball's band
@@ -267,42 +301,44 @@ def _pairing_engine(k: KernelSpec, m: DiscreteMeasure, f: SimpleFunction,
                     for delta, eps in steps]
             aw = a * w[None, :]
             for _, inside in banded:
-                sel = inside[rows]
-                folds = np.zeros((rows.size, len(steps)))
-                folds[sel] = _band_folds(aw[sel], dt[sel], ~inside, steps)
-                out += list(folds.T)
+                band = _on_rows(inside, lambda at, d, _rows, outside=~inside:
+                                _band_folds(at, d, outside, steps))
+                out += list(band(aw, dt, rows).T)
         return np.stack(out, axis=1)
 
-    res = map_pair_tiles(k, cloud, np.arange(m.n_atoms), tile, workers)
-    n_eps, n_steps = len(grid), len(steps)
-    values = [pairwise_sum(res[:, j] * gvals * w) for j in range(n_eps)]
-    scales = [pairwise_sum(res[:, n_eps + j] * np.abs(gvals) * w)
-              for j in range(n_steps)]
-    per_ball = {key: [0.0] * n_steps for key in balls}
-    for b, (key, inside) in enumerate(banded):
-        rows = np.nonzero(inside)[0]
-        first = n_eps + n_steps * (b + 1)
-        per_ball[key] = [pairwise_sum(res[rows, first + j] * w[rows])
-                         for j in range(n_steps)]
+    def reduce(res):
+        n_eps, n_steps = len(grid), len(steps)
+        values = [pairwise_sum(res[:, j] * gvals * w) for j in range(n_eps)]
+        scales = [pairwise_sum(res[:, n_eps + j] * np.abs(gvals) * w)
+                  for j in range(n_steps)]
+        per_ball = {key: [0.0] * n_steps for key in balls}
+        for b, (key, inside) in enumerate(banded):
+            rows = np.nonzero(inside)[0]
+            first = n_eps + n_steps * (b + 1)
+            per_ball[key] = [pairwise_sum(res[rows, first + j] * w[rows])
+                             for j in range(n_steps)]
 
-    reports = []
-    for j, (delta, eps) in enumerate(steps):
-        terms = {key: v[j] for key, v in per_ball.items()}
-        rhs = 0.0
-        for a_i, b_i in f.terms:
-            for b_j, s_j in g.terms:
-                rhs += abs(a_i * b_j) * (terms[(b_i.center, b_i.radius)]
-                                         + 2.0 * terms[(s_j.center, s_j.radius)])
-        lhs = abs(values[j] - values[j + 1])
-        if not lhs <= rhs + 1e-12 * scales[j]:
-            raise CertificationError(
-                f"four-term bound violated at step {j}: lhs={lhs!r} > "
-                f"rhs={rhs!r}",
-                witness={"step": j, "delta": delta, "eps": eps, "lhs": lhs,
-                         "rhs": rhs, "scale": scales[j]})
-        reports.append(PairingDifferenceReport(
-            lhs=lhs, rhs=rhs, per_ball_terms=terms, scale=scales[j], ok=True))
-    return values, reports
+        reports = []
+        for j, (delta, eps) in enumerate(steps):
+            terms = {key: v[j] for key, v in per_ball.items()}
+            rhs = 0.0
+            for a_i, b_i in f.terms:
+                for b_j, s_j in g.terms:
+                    rhs += abs(a_i * b_j) * (
+                        terms[(b_i.center, b_i.radius)]
+                        + 2.0 * terms[(s_j.center, s_j.radius)])
+            lhs = abs(values[j] - values[j + 1])
+            if not lhs <= rhs + 1e-12 * scales[j]:
+                raise CertificationError(
+                    f"four-term bound violated at step {j}: lhs={lhs!r} > "
+                    f"rhs={rhs!r}",
+                    witness={"step": j, "delta": delta, "eps": eps,
+                             "lhs": lhs, "rhs": rhs, "scale": scales[j]})
+            reports.append(PairingDifferenceReport(
+                lhs=lhs, rhs=rhs, per_ball_terms=terms, scale=scales[j],
+                ok=True))
+        return values, reports
+    return RowPass(np.arange(m.n_atoms), tile, reduce)
 
 
 @dataclass(frozen=True)
@@ -324,24 +360,36 @@ def annuli_log_bound_check(k: KernelSpec, m: DiscreteMeasure, ball: Ball,
     lower-bounds the distance to the complement. Atoms exactly on the sphere
     are excluded from the interior and returned separately.
     """
+    p = annuli_pass(m, ball)
+    return p.reduce(map_pair_tiles(k, m.cloud, p.rows, p.tile), s, c, c_mu)
+
+
+def annuli_pass(m: DiscreteMeasure, ball: Ball) -> RowPass:
+    """annuli_log_bound_check as a RowPass over the ball's interior rows:
+    per row, the fold of |k| w outside the ball within distance 2; reduced,
+    given (s, c, c_mu), to (records, on_sphere)."""
     dc = m.cloud.distances_from(ball.center)
-    interior = np.nonzero(dc < ball.radius)[0]
+    inner = dc < ball.radius
+    interior = np.nonzero(inner)[0]
     on_sphere = np.nonzero(dc == ball.radius)[0].tolist()
     if interior.size == 0:
         raise InputError("ball interior holds no atoms")
     outside = dc > ball.radius
     w = m.weights
-    lhs_rows = map_pair_tiles(
-        k, m.cloud, interior, lambda kt, dt, _rows: fold_rows(np.where(
-            outside[None, :] & (dt < 2.0), np.abs(kt) * w[None, :], 0.0)))
-    records = []
-    for x, lhs in zip(interior.tolist(), lhs_rows.tolist()):
-        gap = float(ball.radius - dc[x])
-        n_x = int(math.floor(math.log2(3.0 / gap))) + 1
-        rhs = c * c_mu * 2.0 ** s * n_x
-        records.append(AnnulusRecord(atom=x, gap=gap, lhs=lhs, n_annuli=n_x,
-                                     rhs=rhs, ok=lhs <= rhs))
-    return records, on_sphere
+    tile = _on_rows(inner, lambda kt, dt, _rows: fold_rows(np.where(
+        outside[None, :] & (dt < 2.0), np.abs(kt) * w[None, :], 0.0)))
+
+    def reduce(lhs_rows, s, c, c_mu):
+        records = []
+        for x, lhs in zip(interior.tolist(), lhs_rows.tolist()):
+            gap = float(ball.radius - dc[x])
+            n_x = int(math.floor(math.log2(3.0 / gap))) + 1
+            rhs = c * c_mu * 2.0 ** s * n_x
+            records.append(AnnulusRecord(atom=x, gap=gap, lhs=lhs,
+                                         n_annuli=n_x, rhs=rhs,
+                                         ok=lhs <= rhs))
+        return records, on_sphere
+    return RowPass(interior, tile, reduce)
 
 
 @dataclass(frozen=True)
@@ -468,9 +516,20 @@ def compute_pairing_trace(k: KernelSpec, m: DiscreteMeasure,
     One pass of the pair engine: each atom pair is evaluated once, and
     each step's lhs is the difference of the trace's own pairings.
     """
+    return run_pass(k, m.cloud, trace_pass(m, f, g, eps_grid), workers)
+
+
+def trace_pass(m: DiscreteMeasure, f: SimpleFunction, g: SimpleFunction,
+               eps_grid) -> RowPass:
+    """compute_pairing_trace as a RowPass over every row."""
     grid = _check_grid(eps_grid)
-    values, reports = _pairing_engine(k, m, f, g, grid, workers)
-    return PairingTrace(
-        eps_grid=tuple(grid), values=tuple(values),
-        cauchy_diffs=tuple(rep.lhs for rep in reports),
-        bound_values=tuple(rep.rhs + 1e-12 * rep.scale for rep in reports))
+    p = _pairing_pass(m, f, g, grid)
+
+    def reduce(res):
+        values, reports = p.reduce(res)
+        return PairingTrace(
+            eps_grid=tuple(grid), values=tuple(values),
+            cauchy_diffs=tuple(rep.lhs for rep in reports),
+            bound_values=tuple(rep.rhs + 1e-12 * rep.scale
+                               for rep in reports))
+    return p._replace(reduce=reduce)

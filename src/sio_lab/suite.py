@@ -2,6 +2,16 @@
 kernel bounds, select good radii, and verify every estimate in the
 truncation-difference argument on a decreasing eps grid.
 
+The balls are certified first, from O(N) pushforwards. Then one walk of the
+row tiles (kernels.sweep_pair_tiles) feeds five RowPasses: the growth
+constant, the kernel size bound, the pairing trace, ball 0's annuli and the
+boundedness trend's own level. Each is reduced as its stand-alone function
+reduces it, so it keeps that function's bits, and the checks run and raise
+in the order they are listed. Three walks stay separate: the antisymmetry
+check and the cancellation residuals walk their own upper triangles, since
+k(y, x) must be evaluated there, not read off k(x, y); and the trend's lower
+levels walk their own clouds.
+
 Outputs are byte-stable: data files carry no timestamps (run metadata goes to
 a sidecar), floats are serialized via repr, and all reductions are
 deterministic for any worker count.
@@ -10,11 +20,12 @@ deterministic for any worker count.
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -22,13 +33,14 @@ import numpy as np
 from .errors import CertificationError, InputError
 from .generators import GeneratorSpec, generate
 from .good_radii import GoodSetParams, is_good_radius, select_good_radius_near
-from .kernels import KernelSpec, check_antisymmetry, check_size_bound
-from .measure import (DiscreteMeasure, StepMeasure, growth_constant,
-                      normalize, radial_pushforward)
-from .operator import (Ball, PairingTrace, SimpleFunction,
-                       annuli_log_bound_check, cancellation_residual,
-                       compute_pairing_trace, log_boundary_sum,
-                       shell_mass_check, total_boundary_integral)
+from .kernels import (KernelSpec, check_antisymmetry, size_bound_pass,
+                      sweep_pair_tiles)
+from .measure import (DiscreteMeasure, StepMeasure, growth_pass, normalize,
+                      radial_pushforward)
+from .operator import (Ball, PairingTrace, SimpleFunction, _check_grid,
+                       annuli_pass, boundary_pass, cancellation_residual,
+                       log_boundary_sum, shell_mass_check,
+                       total_boundary_integral, trace_pass)
 
 TRACE_COLUMNS = ("epsilon", "pairing", "cauchy_diff", "four_term_bound")
 
@@ -55,6 +67,9 @@ class SuiteConfig:
             if getattr(self, name) < low:
                 raise InputError(f"{name} must be >= {low}, "
                                  f"got {getattr(self, name)}")
+        if not (math.isfinite(self.s) and self.s > 0.0):
+            raise InputError(f"s must be finite and positive, got {self.s!r}")
+        self.eps_grid()
 
     def eps_grid(self) -> tuple[float, ...]:
         return geometric_grid(self.eps_start, self.eps_ratio, self.eps_count)
@@ -62,18 +77,33 @@ class SuiteConfig:
 
 def geometric_grid(start: float, ratio: float, count: int
                    ) -> tuple[float, ...]:
-    if start <= 0.0 or not 0.0 < ratio < 1.0 or count < 1:
-        raise InputError("need start > 0, 0 < ratio < 1, count >= 1")
+    if not (math.isfinite(start) and start > 0.0) \
+            or not 0.0 < ratio < 1.0 or count < 1:
+        raise InputError("need finite start > 0, 0 < ratio < 1, count >= 1; "
+                         f"got start={start!r}, ratio={ratio!r}, "
+                         f"count={count!r}")
     return tuple(start * ratio ** j for j in range(count))
 
 
 def parse_eps_grid(text: str) -> tuple[float, ...]:
-    """"geometric:start=0.5,ratio=0.5,count=20" or a comma list of floats."""
-    if text.startswith("geometric:"):
-        kv = dict(part.split("=") for part in text[len("geometric:"):].split(","))
-        return geometric_grid(float(kv["start"]), float(kv["ratio"]),
-                              int(kv["count"]))
-    return tuple(float(x) for x in text.split(","))
+    """"geometric:start=0.5,ratio=0.5,count=20" or a comma list of floats;
+    InputError if the text is neither."""
+    try:
+        if text.startswith("geometric:"):
+            pairs = [part.split("=")
+                     for part in text[len("geometric:"):].split(",")]
+            kv = dict(pairs)  # ValueError unless every part is key=value
+            if sorted(key for key, _ in pairs) != ["count", "ratio", "start"]:
+                raise ValueError
+            return geometric_grid(float(kv["start"]), float(kv["ratio"]),
+                                  int(kv["count"]))
+        return tuple(_check_grid(float(x) for x in text.split(",")))
+    except InputError:
+        raise
+    except ValueError:
+        raise InputError(f"malformed eps grid {text!r}: want "
+                         "geometric:start=S,ratio=R,count=C or a comma "
+                         "list of numbers") from None
 
 
 @dataclass(frozen=True)
@@ -148,23 +178,15 @@ def certify_ball(m: DiscreteMeasure, center: int, target: float,
 
 
 def run_convergence_suite(config: SuiteConfig) -> ConvergenceReport:
-    """Full pipeline; any failed certification aborts with its witness."""
-    cloud, m, r_min = generate(config.generator)
+    """Full pipeline; any failed certification aborts with its witness.
+    A bad config raises before any work, and a ball that fails
+    certification before the swept checks, which raise in listed order."""
+    grid = config.eps_grid()
+    _cloud, m, r_min = generate(config.generator)
     m, _ = normalize(m)
     checks: list[dict] = []
-
-    c_mu, growth_witness = growth_constant(m, config.s, r_min,
-                                           workers=config.workers)
-    _check(checks, "growth_constant_finite", c_mu, None,
-           np.isfinite(c_mu) and c_mu > 0.0)
-
-    anti = check_antisymmetry(config.kernel, cloud, workers=config.workers)
-    _check(checks, "kernel_antisymmetry", anti.worst_residual,
-           1e-13 * max(anti.scale, 1e-300), anti.ok)
-    c_cert, kernel_witness = check_size_bound(config.kernel, cloud, config.s,
-                                              workers=config.workers)
-    _check(checks, "kernel_size_bound_finite", c_cert, None,
-           np.isfinite(c_cert))
+    growth = growth_pass(m, config.s, r_min)
+    size_bound = size_bound_pass(m.cloud, config.s)
 
     params = GoodSetParams(lam=config.lam, depth=config.depth)
     rng = np.random.default_rng(config.seed)
@@ -178,8 +200,6 @@ def run_convergence_suite(config: SuiteConfig) -> ConvergenceReport:
             mu_0 = mu_z  # the log-boundary bound reads ball 0's pushforward
         balls.append(ball)
         records.append(rec)
-        _check(checks, f"good_radius_center_{z}",
-               [rec.radius[0], rec.radius[1]], None, True)
 
     half = max(1, len(balls) // 2)
     f_coeffs = (rng.random(half) * 2.0 - 1.0).tolist()
@@ -189,8 +209,35 @@ def run_convergence_suite(config: SuiteConfig) -> ConvergenceReport:
     g = SimpleFunction(terms=tuple((c, b) for c, b
                                    in zip(g_coeffs, balls[half:])))
 
-    trace = compute_pairing_trace(config.kernel, m, f, g, config.eps_grid(),
-                                  workers=config.workers)
+    pairings = trace_pass(m, f, g, grid)
+    annuli = annuli_pass(m, balls[0])
+    passes = [growth, size_bound, pairings, annuli]
+    gen = config.generator
+    trend_top = None  # a uniform cloud has no refinement levels
+    if gen.family != "uniform_random" and gen.level >= 1:
+        trend_top = _trend_ball(params, records[0].target, m, gen.level)
+        passes.append(boundary_pass(m, trend_top[0], 0.0, math.inf))
+    growth_rows, size_rows, trace_rows, annuli_rows, *top_rows = \
+        sweep_pair_tiles(config.kernel, m.cloud, passes,
+                         workers=config.workers)
+
+    c_mu, growth_witness = growth.reduce(growth_rows)
+    _check(checks, "growth_constant_finite", c_mu, None,
+           np.isfinite(c_mu) and c_mu > 0.0)
+
+    anti = check_antisymmetry(config.kernel, m.cloud, workers=config.workers)
+    _check(checks, "kernel_antisymmetry", anti.worst_residual,
+           1e-13 * max(anti.scale, 1e-300), anti.ok)
+    c_cert, kernel_witness = size_bound.reduce(size_rows)
+    _check(checks, "kernel_size_bound_finite", c_cert, None,
+           np.isfinite(c_cert))
+
+    for rec in records:
+        _check(checks, f"good_radius_center_{rec.center}",
+               [rec.radius[0], rec.radius[1]], None, True)
+
+    trace = pairings.reduce(trace_rows)
+    del trace_rows  # the widest block; freed before the cancellation walks
     for j, (d, bnd) in enumerate(zip(trace.cauchy_diffs, trace.bound_values)):
         _check(checks, f"cauchy_bound_step_{j}", d, bnd, d <= bnd)
 
@@ -208,8 +255,8 @@ def run_convergence_suite(config: SuiteConfig) -> ConvergenceReport:
                              "residual": resid, "scale": scale, "ok": ok})
         _check(checks, f"cancellation_{j}", abs(resid), 1e-13 * scale, ok)
 
-    ann_records, _on_sphere = annuli_log_bound_check(
-        config.kernel, m, balls[0], config.s, max(c_cert, 1e-300), c_mu)
+    ann_records, _on_sphere = annuli.reduce(
+        annuli_rows, config.s, max(c_cert, 1e-300), c_mu)
     annuli_ok = all(r.ok for r in ann_records)
     worst = max(ann_records, key=lambda r: r.lhs - r.rhs)
     annuli_worst = {"atom": worst.atom, "lhs": worst.lhs, "rhs": worst.rhs,
@@ -223,7 +270,11 @@ def run_convergence_suite(config: SuiteConfig) -> ConvergenceReport:
                     "ok": lb.ok}
     _check(checks, "log_boundary_sum", lb.value, lb.bound, lb.ok)
 
-    boundedness = _boundedness_trend(config, params, records[0].target, m)
+    boundedness = []
+    if trend_top is not None:
+        boundedness = _boundedness_trend(config, params, records[0].target)
+        boundedness.append({**trend_top[1],
+                            "value": passes[-1].reduce(top_rows[0])})
 
     return ConvergenceReport(
         config=config, n_atoms=m.n_atoms, r_min=r_min, c_mu=c_mu,
@@ -238,30 +289,32 @@ def run_convergence_suite(config: SuiteConfig) -> ConvergenceReport:
         checks=tuple(checks))
 
 
+def _trend_ball(params: GoodSetParams, target: float, m: DiscreteMeasure,
+                level: int) -> tuple[Ball, dict]:
+    """The boundedness trend's ball on m, the measure at `level`: center
+    atom 0 (a fixed corner, present at every level) at a radius recertified
+    near target; and its trend row, still without the value."""
+    mu_z = radial_pushforward(m, 0)
+    r = select_good_radius_near(mu_z, Fraction(target), params)
+    cert = is_good_radius(mu_z, r, params)
+    return Ball(center=0, radius=float(r)), {
+        "level": level, "radius": [r.numerator, r.denominator],
+        "cert_depth": cert.depth}
+
+
 def _boundedness_trend(config: SuiteConfig, params: GoodSetParams,
-                       target: float, m: DiscreteMeasure) -> list[dict]:
-    """total_boundary_integral at a recertified radius across refinement
-    levels; the same center atom (id 0, a fixed corner) exists at each.
-    m is the run's own normalized measure, at the generator's level."""
+                       target: float) -> list[dict]:
+    """total_boundary_integral at a recertified radius on the levels below
+    the run's own, from m - levels_back up, each generated afresh; the
+    run's own level is read off the run's sweep."""
     gen = config.generator
-    if gen.family == "uniform_random":
-        return []
     out = []
-    lo_level = max(1, gen.level - config.levels_back)
-    for level in range(lo_level, gen.level + 1):
-        if level == gen.level:
-            m_lev = m
-        else:
-            _cloud, m_lev, _ = generate(replace(gen, level=level))
-            m_lev, _ = normalize(m_lev)
-        mu_z = radial_pushforward(m_lev, 0)
-        r = select_good_radius_near(mu_z, Fraction(target), params)
-        cert = is_good_radius(mu_z, r, params)
-        value = total_boundary_integral(config.kernel, m_lev,
-                                        Ball(center=0, radius=float(r)))
-        out.append({"level": level,
-                    "radius": [r.numerator, r.denominator],
-                    "cert_depth": cert.depth, "value": value})
+    for level in range(max(1, gen.level - config.levels_back), gen.level):
+        _cloud, m_lev, _ = generate(replace(gen, level=level))
+        m_lev, _ = normalize(m_lev)
+        ball, row = _trend_ball(params, target, m_lev, level)
+        out.append({**row, "value": total_boundary_integral(
+            config.kernel, m_lev, ball)})
     return out
 
 

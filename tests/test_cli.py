@@ -136,3 +136,42 @@ def test_converge_rejects_zero_balls_before_any_work(tmp_path):
         main(["converge", "--level", "1", "--balls", "0",
               "--out-dir", str(tmp_path)])
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("grid", ["geometric:start=0.5", "0.5,abc",
+                                  "geometric:start=0.5,ratio=0.5,count=2.5"])
+def test_pairing_rejects_a_malformed_eps_grid(tmp_path, capsys, grid):
+    run(["generate", "--level", "1", "--out-dir", str(tmp_path),
+         "--out", "m.json"], capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(["pairing", "--measure", str(tmp_path / "m.json"),
+              "--f", "f.json", "--g", "g.json", "--eps-grid", grid])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --eps-grid: malformed eps grid" in err
+
+
+def test_pairing_reads_the_eps_grid_of_a_config_file(tmp_path, capsys):
+    run(["generate", "--level", "2", "--out-dir", str(tmp_path),
+         "--out", "m.json"], capsys)
+    for name in ("f.json", "g.json"):
+        with open(tmp_path / name, "w") as fh:
+            json.dump({"terms": [{"coeff": 1.0, "center": 0,
+                                  "radius": 0.4}]}, fh)
+    with open(tmp_path / "cfg.json", "w") as fh:
+        json.dump({"eps-grid": "0.5,0.25,0.125"}, fh)
+    code, out = run(["pairing", "--config", str(tmp_path / "cfg.json"),
+                     "--measure", str(tmp_path / "m.json"),
+                     "--f", str(tmp_path / "f.json"),
+                     "--g", str(tmp_path / "g.json"),
+                     "--out-dir", str(tmp_path)], capsys)
+    assert code == 0 and "(3 epsilon values)" in out
+
+
+@pytest.mark.parametrize("flags, match", [
+    (["--eps-start", "nan", "--eps-count", "3"], "finite start > 0"),
+    (["--s", "nan"], "s must be finite and positive")])
+def test_converge_rejects_a_nan_before_any_work(tmp_path, flags, match):
+    with pytest.raises(InputError, match=match):
+        main(["converge", "--level", "2", *flags, "--out-dir", str(tmp_path)])
+    assert not list(tmp_path.iterdir())

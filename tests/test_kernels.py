@@ -22,6 +22,12 @@ def test_riesz_values():
     assert eval_kernel(k2, cloud, 0, 1) == 0.0
 
 
+@pytest.mark.parametrize("s", [float("nan"), float("inf"), 0.0, -1.0])
+def test_kernel_spec_needs_a_finite_positive_s(s):
+    with pytest.raises(InputError, match="finite and positive"):
+        KernelSpec(family="coordinate_riesz", s=s)
+
+
 def test_diagonal_raises():
     with pytest.raises(DiagonalError):
         eval_kernel(RIESZ, two_atoms(), 0, 0)

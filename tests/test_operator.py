@@ -230,6 +230,26 @@ def test_shell_mass_check():
         shell_mass_check(mu_z, Fraction(1, 7), cert)
 
 
+@pytest.mark.parametrize("grid", [[0.5, math.nan], [math.nan], [math.inf, 0.5],
+                                  [0.5, -math.inf], [0.5, 0.0], [0.25, 0.5]])
+def test_eps_grid_must_be_finite_positive_and_decreasing(grid):
+    m = two_atom_measure()
+    f = indicator(Ball(0, 1.0))
+    with pytest.raises(InputError, match="eps grid must be finite"):
+        compute_pairing_trace(RIESZ, m, f, f, grid)
+    with pytest.raises(InputError):
+        pv_scan(RIESZ, m, f, 0, grid)
+
+
+def test_pairing_rejects_a_nan_eps():
+    m = two_atom_measure()
+    f = indicator(Ball(0, 1.0))
+    with pytest.raises(InputError):
+        pairing(RIESZ, m, f, f, math.nan)
+    with pytest.raises(InputError):
+        apply_truncated(RIESZ, m, f, 0, math.nan)
+
+
 def test_log_boundary_sum_single_atom():
     cloud = make_cloud([[0.0, 0.0], [0.5, 0.0]], E2)
     m = make_measure(cloud, [0.5, 0.5])
@@ -493,6 +513,24 @@ def test_tiled_checks_match_dense_oracle(kernel, metric, workers,
                                     float(dist[eps]), workers)
         assert bits(got) == bits(dense_cancellation(
             kernel, m, b1, b2, float(dist[delta]), float(dist[eps])))
+
+
+@pytest.mark.parametrize("metric", [E2, L1, SNOW])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_growth_of_equal_weights_matches_dense_oracle(metric, workers,
+                                                      monkeypatch):
+    # equal weights take the sorted-distances path; 1/156 is not dyadic,
+    # so the cumulative masses round
+    monkeypatch.setattr(metric_module, "_TILE_PAIRS", 7 * 156)
+    m = make_measure(lattice_measure(metric, seed=0).cloud,
+                     np.full(156, 1.0 / 156))
+    dist = np.unique(m.cloud.distance_matrix())
+    for s in (1.0, 2.5):
+        for r_min in (0.5 * dist[1], dist[3], 0.5 * (dist[5] + dist[6])):
+            got, witness = growth_constant(m, s, float(r_min), workers)
+            want, want_witness = dense_growth(m, s, float(r_min))
+            assert bits([got, witness[1]]) == bits([want, want_witness[1]])
+            assert witness[0] == want_witness[0]
 
 
 @pytest.mark.parametrize("workers", [1, 2])

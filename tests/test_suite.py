@@ -1,17 +1,33 @@
 import json
+import math
 import os
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from sio_lab import measure, operator, suite
-from sio_lab.errors import InputError
-from sio_lab.generators import GeneratorSpec
-from sio_lab.kernels import KernelSpec
+from sio_lab import kernels, measure, metric, operator, suite
+from sio_lab.errors import CertificationError, InputError
+from sio_lab.generators import GeneratorSpec, generate
+from sio_lab.kernels import KernelSpec, check_size_bound
+from sio_lab.measure import growth_constant, normalize
+from sio_lab.metric import MetricDescriptor
+from sio_lab.operator import (Ball, SimpleFunction, annuli_log_bound_check,
+                              compute_pairing_trace, total_boundary_integral)
 from sio_lab.suite import (SuiteConfig, emit_report, geometric_grid,
                            parse_eps_grid, run_convergence_suite,
                            trace_csv_lines)
 
 RIESZ = KernelSpec(family="coordinate_riesz", s=1.0, i=1, n=1)
+GENERIC = KernelSpec(family="generic_antisymmetrized", s=1.0,
+                     base="x[..., 0] * (x[..., 1] + 2.0 * y[..., 0]) / d ** 1.5")
+E2 = MetricDescriptor(family="euclidean_p", dimension=2, p=2.0)
+L1 = MetricDescriptor(family="euclidean_p", dimension=2, p=1.0)
+SNOW = MetricDescriptor(family="snowflake", dimension=2, p=2.0, alpha=0.5)
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
 
 
 def small_config(**kw):
@@ -90,6 +106,106 @@ def test_parse_eps_grid():
         == (0.5, 0.25, 0.125)
     assert parse_eps_grid("0.4,0.2") == (0.4, 0.2)
     assert geometric_grid(1.0, 0.5, 2) == (1.0, 0.5)
+
+
+@pytest.mark.parametrize("text", [
+    "geometric:start=0.5", "geometric:start=0.5,ratio=0.5,count=2.5",
+    "geometric:start=0.5,ratio=0.5,count=2,start=1",
+    "geometric:start=0.5,ratio=0.5,count=2,extra=1", "geometric:",
+    "0.5,abc", "", "0.2,0.4", "0.5,nan"])
+def test_parse_eps_grid_rejects_a_malformed_grid(text):
+    with pytest.raises(InputError):
+        parse_eps_grid(text)
+
+
+@pytest.mark.parametrize("start", [math.nan, math.inf, 0.0, -0.5])
+def test_geometric_grid_needs_a_finite_positive_start(start):
+    with pytest.raises(InputError, match="finite start > 0"):
+        geometric_grid(start, 0.5, 3)
+
+
+def test_config_rejects_a_non_finite_s_or_eps_start():
+    for s in (math.nan, math.inf, 0.0):
+        with pytest.raises(InputError, match="s must be finite"):
+            small_config(s=s)
+    with pytest.raises(InputError, match="finite start > 0"):
+        small_config(eps_start=math.nan)
+
+
+@pytest.mark.parametrize("kernel", [RIESZ, GENERIC])
+@pytest.mark.parametrize("md", [E2, L1, SNOW], ids=["E2", "L1", "snowflake"])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_sweep_matches_the_stand_alone_functions(kernel, md, workers,
+                                                 monkeypatch):
+    # 7-row tiles: 64 atoms are 9 full tiles and one of a single row
+    monkeypatch.setattr(metric, "_TILE_PAIRS", 7 * 64)
+    gen = GeneratorSpec(family="four_corner_cantor", level=3, metric=md)
+    config = small_config(generator=gen, kernel=kernel, s=1.5, eps_count=4,
+                          workers=workers)
+    report = run_convergence_suite(config)
+    _cloud, m, r_min = generate(gen)
+    m, _ = normalize(m)
+
+    c_mu, witness = growth_constant(m, config.s, r_min)
+    assert bits([report.c_mu, report.growth_witness[1]]) \
+        == bits([c_mu, witness[1]])
+    assert report.growth_witness[0] == witness[0]
+    c_cert, pair = check_size_bound(kernel, m.cloud, config.s)
+    assert bits([report.c_certified]) == bits([c_cert])
+    assert report.kernel_witness == pair
+
+    def simple(terms):
+        return SimpleFunction(terms=tuple((c, Ball(z, r))
+                                          for c, z, r in terms))
+    trace = compute_pairing_trace(kernel, m, simple(report.f_terms),
+                                  simple(report.g_terms), config.eps_grid())
+    for field in ("eps_grid", "values", "cauchy_diffs", "bound_values"):
+        assert bits(getattr(report.trace, field)) \
+            == bits(getattr(trace, field))
+
+    ball_0 = Ball(report.balls[0].center,
+                  float(Fraction(*report.balls[0].radius)))
+    assert ball_0.radius == report.f_terms[0][2]
+    records, _ = annuli_log_bound_check(kernel, m, ball_0, config.s,
+                                        max(c_cert, 1e-300), c_mu)
+    worst = max(records, key=lambda r: r.lhs - r.rhs)
+    assert report.annuli_worst["atom"] == worst.atom
+    assert report.annuli_worst["n_annuli"] == worst.n_annuli
+    assert bits([report.annuli_worst["lhs"], report.annuli_worst["rhs"]]) \
+        == bits([worst.lhs, worst.rhs])
+
+    top = report.boundedness[-1]
+    assert top["level"] == 3
+    value = total_boundary_integral(
+        kernel, m, Ball(0, float(Fraction(*top["radius"]))))
+    assert bits([top["value"]]) == bits([value])
+
+
+def test_a_failing_run_raises_its_first_failing_check():
+    # a symmetric base fails the antisymmetry check and also the four-term
+    # bound; the sweep reduces the trace later, so antisymmetry is raised
+    symmetric = KernelSpec(family="generic_antisymmetrized", s=1.0,
+                           base="inv_dist", antisymmetrize=False)
+    with pytest.raises(CertificationError) as err:
+        run_convergence_suite(small_config(kernel=symmetric))
+    assert err.value.witness["name"] == "kernel_antisymmetry"
+
+
+def test_each_full_kernel_row_is_requested_once(monkeypatch):
+    rows_seen = []
+    real = kernels.kernel_rows
+
+    def counting(k, cloud, rows, cols=None):
+        if cols is None and cloud.n_points == 256:
+            rows_seen.extend(np.asarray(rows).tolist())
+        return real(k, cloud, rows, cols)
+    monkeypatch.setattr(kernels, "kernel_rows", counting)
+    report = run_convergence_suite(small_config(
+        generator=GeneratorSpec(family="four_corner_cantor", level=4),
+        eps_count=3, levels_back=2))
+    assert report.all_ok and len(report.boundedness) == 3
+    # the trend's lower levels walk clouds of 64 and 16 atoms, not counted
+    assert sorted(rows_seen) == list(range(256))
 
 
 def test_suite_smoke_all_checks_pass():
