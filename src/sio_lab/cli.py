@@ -290,7 +290,11 @@ def main(argv=None) -> int:
     # argv[0] is the subcommand: the top-level parser takes no other flag
     given = _given_flags(args.parser, argv[1:])
     args = _apply_config(args, args.parser, given)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InputError as exc:
+        # a bad value is a usage error (exit 2), as a malformed flag is
+        args.parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -6,8 +6,12 @@ kernel rows and the metric-distance rows of each row tile. Every sum walks
 the rows it needs with `metric.tile_map`, in tiles of about _TILE_PAIRS
 pairs, max(1, _TILE_PAIRS // N) rows of N columns each, so memory stays
 bounded at any N. compute_pairing_trace
-evaluates each pair once per trace: it applies every eps mask, every ball
-band and every scale mask of the grid to a tile while it holds it.
+evaluates each pair once per trace: while it holds a tile it folds every
+eps truncation densely, and every step's scale band and ball bands in one
+sums.fold_keys call over the pairs inside the grid, keyed by band. That
+fold walks fold_rows' tree over the band's pairs alone, adding a lone child
+to +0.0 as the dense tree adds it to a masked zero, so the bits are those
+of one masked dense fold per band.
 
 The row sums are split into a per-tile function and a reduction, a
 `metric.RowPass`: trace_pass, annuli_pass and boundary_pass (with
@@ -43,7 +47,7 @@ from . import metric
 from .kernels import KernelSpec, kernel_blocks, map_pair_tiles, run_pass
 from .measure import DiscreteMeasure, StepMeasure
 from .metric import PointCloud, RowPass, _distance_rows
-from .sums import fold_raveled, fold_rows, pairwise_sum
+from .sums import fold_keys, fold_raveled, fold_rows, pairwise_sum
 
 
 @dataclass(frozen=True)
@@ -92,15 +96,6 @@ def _truncated_folds(kt: np.ndarray, dt: np.ndarray, fw: np.ndarray,
     """(T_eps(f mu))(x) per tile row for each eps: strict d(x, y) > eps."""
     terms = kt * fw[None, :]
     return [fold_rows(np.where(dt > eps, terms, 0.0)) for eps in grid]
-
-
-def _band_folds(aw: np.ndarray, dt: np.ndarray, outside: np.ndarray,
-                bands) -> np.ndarray:
-    """Per row x and band, the sum of |k(x,y)| w(y) over y outside the ball
-    with delta < d(x,y) <= eps; aw holds the rows' |k| w."""
-    return np.stack([fold_rows(np.where(
-        outside[None, :] & (dt > delta) & (dt <= eps), aw, 0.0))
-        for delta, eps in bands], axis=1)
 
 
 def _on_rows(inside: np.ndarray, fn):
@@ -194,11 +189,11 @@ def boundary_pass(m: DiscreteMeasure, ball: Ball, delta: float,
     rows = np.nonzero(inside)[0]
     if rows.size == m.n_atoms:
         rows = rows[:0]
-    w = m.weights
-    tile = _on_rows(inside, lambda kt, dt, _rows: _band_folds(
-        np.abs(kt) * w[None, :], dt, ~inside, [(delta, eps)]))
-    return RowPass(rows, tile,
-                   lambda folds: pairwise_sum(folds[:, 0] * w[rows]))
+    w, outside = m.weights, ~inside
+    tile = _on_rows(inside, lambda kt, dt, _rows: fold_rows(np.where(
+        outside[None, :] & (dt > delta) & (dt <= eps),
+        np.abs(kt) * w[None, :], 0.0)))
+    return RowPass(rows, tile, lambda folds: pairwise_sum(folds * w[rows]))
 
 
 def cancellation_residual(k: KernelSpec, m: DiscreteMeasure, b1: Ball,
@@ -278,9 +273,15 @@ def _pairing_pass(m: DiscreteMeasure, f: SimpleFunction, g: SimpleFunction,
 
     Per tile, per-row folds are taken of: the strict truncation at each eps;
     the scale band delta < d <= eps of each step; and each ball's band
-    delta < d <= eps (rows in the ball, columns outside it). Row folds are
-    then reduced with pairwise_sum exactly as one pairing, one boundary term
-    or one scale would reduce them alone.
+    delta < d <= eps (rows in the ball, columns outside it). The nested
+    truncations are dense folds. The bands of all steps are disjoint, so
+    the pairs with eps_last < d <= eps_0 are picked once, each gets its
+    step, and one fold_keys call folds every (band, step, row) over its
+    own pairs: bit-identical to a dense fold of the masked row, since a
+    lone child is added to +0.0 like a masked zero, at a cost that follows
+    the pairs inside eps_0, not the grid length times the balls. Row folds
+    are then reduced with pairwise_sum exactly as one pairing, one boundary
+    term or one scale would reduce them alone.
     """
     cloud, w = m.cloud, m.weights
     fvals, gvals = f.values(cloud), g.values(cloud)
@@ -292,19 +293,45 @@ def _pairing_pass(m: DiscreteMeasure, f: SimpleFunction, g: SimpleFunction,
     banded = [(key, inside) for key, inside in balls.items()
               if 0 < np.count_nonzero(inside) < m.n_atoms]
 
+    n_steps, n_cols = len(steps), m.n_atoms
+    pad = 1 << (n_cols - 1).bit_length()  # fold_keys' padded row width
+    ascending = np.asarray(grid[::-1])
+    step_type = np.min_scalar_type(n_steps)  # numpy radix-sorts these
+    ball_sides = [(inside, ~inside) for _, inside in banded]
+
+    def band_entries(kt, dt, rows):
+        """The tile's band terms and their fold_keys keys, in key order: one
+        row per (family, step, tile row), the scale band's |k| |f| w first,
+        then each ball's |k| w over rows inside it and columns outside."""
+        # the pairs inside eps_0 and outside eps_last, in row-major order,
+        # then stably by step j: eps_{j+1} < d <= eps_j
+        at = np.flatnonzero((dt > grid[-1]) & (dt <= grid[0]))
+        step = (n_steps - np.searchsorted(ascending, dt.ravel()[at])
+                ).astype(step_type)
+        order = np.argsort(step, kind="stable")
+        at = at[order]
+        r, c = np.divmod(at, n_cols)
+        key = (step[order].astype(np.int64) * rows.size + r) * pad + c
+        a = np.abs(kt.ravel()[at])
+        vals, keys = [a * afw[c]], [key]
+        family = n_steps * rows.size * pad  # keys per family
+        for b, (inside, outside) in enumerate(ball_sides, start=1):
+            held = inside[rows]
+            if not held.any():
+                continue
+            e = np.flatnonzero(outside[c] if held.all()
+                               else held[r] & outside[c])
+            vals.append(a[e] * w[c[e]])
+            keys.append(key[e] + b * family)
+        return np.concatenate(vals), np.concatenate(keys)
+
     def tile(kt, dt, rows):
-        out = _truncated_folds(kt, dt, fw, grid)
-        if steps:
-            a = np.abs(kt)
-            terms = a * afw[None, :]
-            out += [fold_rows(np.where((dt > delta) & (dt <= eps), terms, 0.0))
-                    for delta, eps in steps]
-            aw = a * w[None, :]
-            for _, inside in banded:
-                band = _on_rows(inside, lambda at, d, _rows, outside=~inside:
-                                _band_folds(at, d, outside, steps))
-                out += list(band(aw, dt, rows).T)
-        return np.stack(out, axis=1)
+        truncs = np.stack(_truncated_folds(kt, dt, fw, grid), axis=1)
+        if not steps:
+            return truncs
+        bands = fold_keys(*band_entries(kt, dt, rows),
+                          (1 + len(banded)) * n_steps * rows.size, n_cols)
+        return np.concatenate([truncs, bands.reshape(-1, rows.size).T], axis=1)
 
     def reduce(res):
         n_eps, n_steps = len(grid), len(steps)

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from sio_lab.cli import main
-from sio_lab.errors import InputError
 
 
 def run(args, capsys):
@@ -131,10 +130,12 @@ def test_good_radii_rejects_a_malformed_radius(tmp_path, capsys, flag,
     assert f"argument {flag}: invalid Fraction value: '{value}'" in err
 
 
-def test_converge_rejects_zero_balls_before_any_work(tmp_path):
-    with pytest.raises(InputError, match="n_balls must be >= 1, got 0"):
+def test_converge_rejects_zero_balls_before_any_work(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
         main(["converge", "--level", "1", "--balls", "0",
               "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "n_balls must be >= 1, got 0" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -171,7 +172,11 @@ def test_pairing_reads_the_eps_grid_of_a_config_file(tmp_path, capsys):
 @pytest.mark.parametrize("flags, match", [
     (["--eps-start", "nan", "--eps-count", "3"], "finite start > 0"),
     (["--s", "nan"], "s must be finite and positive")])
-def test_converge_rejects_a_nan_before_any_work(tmp_path, flags, match):
-    with pytest.raises(InputError, match=match):
+def test_converge_rejects_a_nan_before_any_work(tmp_path, capsys, flags,
+                                                match):
+    with pytest.raises(SystemExit) as exc:
         main(["converge", "--level", "2", *flags, "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: sio-lab converge" in err and match in err
     assert not list(tmp_path.iterdir())

@@ -389,6 +389,18 @@ def test_engine_matches_dense_oracle(kernel, metric, workers, monkeypatch):
     assert bits([total_boundary_integral(kernel, m, ball)]) \
         == bits([boundary(ball, 0.0, math.inf)])
 
+    # ten steps from the diameter down over ten exact pair distances and
+    # one midpoint: the step from the midpoint down to dist[3] holds no pair
+    grid = [float(x) for x in dist[[n - 1, 5 * n // 6, 2 * n // 3, n // 2,
+                                    n // 3, n // 4, 4]]]
+    grid += [float(dist[3] + dist[4]) / 2.0] + [float(x) for x in dist[3:0:-1]]
+    values, steps, _ = dense_oracle(kernel, m, f, g, grid)
+    trace = compute_pairing_trace(kernel, m, f, g, grid, workers=workers)
+    assert bits(trace.values) == bits(values)
+    assert bits(trace.cauchy_diffs) == bits(lhs for lhs, _, _ in steps)
+    assert bits(trace.bound_values) == bits(rhs + 1e-12 * scale
+                                            for _, rhs, scale in steps)
+
 
 def test_four_term_bands_are_closed_at_eps():
     """T_eps truncates strictly, so the pairing difference at (delta, eps)

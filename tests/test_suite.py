@@ -93,6 +93,33 @@ def test_exact_fields_of_converge_are_pinned(level, seed):
     assert report.log_boundary["n_shells"] == want["n_shells"]
 
 
+# trace.csv of the default level-4 converge (seed 0, 12-step grid) as
+# float.hex: every step's scale and ball bands are folded
+PINNED_TRACE = dict(
+    pairing=["0x1.ac242389b482cp-7", "0x1.b84a1d9967210p-7",
+             "0x1.339b4112ae76cp-6", "0x1.457b5d5f5eca0p-6",
+             "0x1.66551938d904cp-6", "0x1.97a7e36066fa8p-6",
+             *["0x1.a397c0de75990p-7"] * 6],
+    cauchy_diff=["0x1.84bf41f653c80p-12", "0x1.5dd8c917eb990p-8",
+                 "0x1.1e01c4cb05340p-10", "0x1.06cddecbd1d60p-9",
+                 "0x1.8a96513c6fae0p-9", "0x1.8bb805e2585c0p-7",
+                 *["0x0.0p+0"] * 5],
+    four_term_bound=["0x1.b08e84a952396p-3", "0x1.48eb008f28c55p-2",
+                     "0x1.56bad29f47ee3p-5", "0x1.7be480700f2f5p-3",
+                     "0x1.2e2b72ccda69ep-5", "0x1.95460ac6389e5p-5",
+                     *["0x0.0p+0"] * 5])
+
+
+def test_multi_step_trace_of_converge_is_pinned():
+    trace = run_convergence_suite(SuiteConfig(
+        generator=GeneratorSpec(family="four_corner_cantor", level=4),
+        kernel=RIESZ, seed=0)).trace
+    assert len(trace.eps_grid) == 12
+    assert bits(trace.values) == PINNED_TRACE["pairing"]
+    assert bits(trace.cauchy_diffs) == PINNED_TRACE["cauchy_diff"]
+    assert bits(trace.bound_values) == PINNED_TRACE["four_term_bound"]
+
+
 @pytest.mark.parametrize("field, low", [("n_balls", 1), ("n_cancellation", 0),
                                         ("levels_back", 0), ("workers", 1)])
 def test_config_rejects_sizes_below_their_minimum(field, low):
