@@ -2,10 +2,13 @@
 
 Coordinate Riesz kernels always use the Euclidean norm in their formula; the
 size bound |k| <= c d^{-s} is then certified against the cloud's own metric,
-so the certified constant absorbs any metric mismatch. Antisymmetry is
-bit-exact: numerators are antisymmetric and denominators symmetric under the
-vectorized evaluation, and generic bases are antisymmetrized as
-(b(x,y) - b(y,x))/2, whose two orientations negate exactly.
+so the certified constant absorbs any metric mismatch. kernel_rows is the
+one pair-block evaluator: both families are evaluated on (rows, cols)
+blocks, and no N x N array is built. Antisymmetry is bit-exact: numerators
+are antisymmetric and denominators symmetric under the vectorized
+evaluation, and a generic base, pointwise in the pair and evaluated on the
+block and on its swapped block, is antisymmetrized as (b(x,y) - b(y,x))/2,
+whose two orientations negate exactly.
 """
 
 from __future__ import annotations
@@ -30,22 +33,23 @@ GENERIC_ANTISYMMETRIZED = "generic_antisymmetrized"
 _EUCLIDEAN = MetricDescriptor(family=EUCLIDEAN_P, dimension=1, p=2.0)
 
 
-def _base_inv_dist(cloud: PointCloud, s: float) -> np.ndarray:
-    d = _distance_rows(cloud, np.arange(cloud.n_points))
+def _base_inv_dist(cloud: PointCloud, s: float, rows, cols) -> np.ndarray:
+    d = _distance_rows(cloud, rows, cols)
     with np.errstate(divide="ignore"):
         return d ** (-s)
 
 
-def _base_coord_product(cloud: PointCloud, s: float) -> np.ndarray:
+def _base_coord_product(cloud: PointCloud, s: float, rows, cols
+                        ) -> np.ndarray:
     # x_1 * (x_1 - y_1) / |x-y|^{s+1}: a deliberately non-antisymmetric base
-    diffs = _differences(cloud.coords)
+    diffs = _differences(cloud.coords, rows, cols)
     d = _norm(_EUCLIDEAN, diffs)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return cloud.coords[:, None, 0] * diffs[0] / d ** (s + 1.0)
+        return cloud.coords[rows, None, 0] * diffs[0] / d ** (s + 1.0)
 
 
 NAMED_BASES: dict[str, Callable] = {
-    "zero": lambda cloud, s: np.zeros((cloud.n_points, cloud.n_points)),
+    "zero": lambda cloud, s, rows, cols: np.zeros((rows.size, cols.size)),
     "inv_dist": _base_inv_dist,
     "coord_product": _base_coord_product,
 }
@@ -62,43 +66,31 @@ _UFUNCS = frozenset({
     "maximum", "minimum", "power"})
 
 
-def _compile(node: ast.AST, index: bool = False) -> Callable[[dict], object]:
+def _compile(node: ast.AST) -> Callable[[dict], object]:
     """fn(env) evaluating one node of a base expression over env's x, y, d.
 
-    Admits numeric constants, the names x, y and d, + - * / ** and unary -,
-    subscripts by ints, slices and ..., and calls of the numpy ufuncs in
-    _UFUNCS; `index` marks a subscript's index, where only ints, slices,
-    ... and tuples of them may appear. Anything else raises InputError, so
-    an expression can compute but never reach attributes, builtins or I/O.
+    Admits int and float constants, the names x, y and d, + - * / ** and
+    unary -, the coordinates x[..., i] and y[..., i] (_coordinate), and
+    calls of the numpy ufuncs in _UFUNCS. An expression is thus pointwise:
+    its value at (x, y) reads that pair alone, so a block of pairs gets the
+    values the whole matrix would hold. Anything else raises InputError, so
+    an expression can compute but never reach attributes, builtins, I/O or
+    another pair's values.
     """
-    if isinstance(node, ast.Constant) and (
-            type(node.value) is int
-            or (index and node.value is Ellipsis)
-            or (not index and type(node.value) is float)):
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
         return lambda env, v=node.value: v
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        a = _compile(node.operand, index)
+        a = _compile(node.operand)
         return lambda env: -a(env)
-    if index and isinstance(node, ast.Slice):
-        parts = [None if p is None else _compile(p, index=True)
-                 for p in (node.lower, node.upper, node.step)]
-        return lambda env: slice(*(None if p is None else p(env)
-                                   for p in parts))
-    if index and isinstance(node, ast.Tuple):
-        parts = [_compile(p, index=True) for p in node.elts]
-        return lambda env: tuple(p(env) for p in parts)
-    if not index and isinstance(node, ast.Name) \
-            and node.id in ("x", "y", "d"):
+    if isinstance(node, ast.Name) and node.id in ("x", "y", "d"):
         return lambda env, name=node.id: env[name]
-    if not index and isinstance(node, ast.BinOp) \
-            and type(node.op) in _BINARY:
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
         op = _BINARY[type(node.op)]
         a, b = _compile(node.left), _compile(node.right)
         return lambda env: op(a(env), b(env))
-    if not index and isinstance(node, ast.Subscript):
-        a, i = _compile(node.value), _compile(node.slice, index=True)
-        return lambda env: a(env)[i(env)]
-    if not index and isinstance(node, ast.Call) and not node.keywords \
+    if isinstance(node, ast.Subscript):
+        return _coordinate(node)
+    if isinstance(node, ast.Call) and not node.keywords \
             and isinstance(node.func, ast.Attribute) \
             and isinstance(node.func.value, ast.Name) \
             and node.func.value.id == "np" and node.func.attr in _UFUNCS:
@@ -107,6 +99,32 @@ def _compile(node: ast.AST, index: bool = False) -> Callable[[dict], object]:
         return lambda env: fn(*(a(env) for a in args))
     raise InputError(f"kernel base expression may not contain "
                      f"{ast.unparse(node)!r}")
+
+
+def _coordinate(node: ast.Subscript) -> Callable[[dict], object]:
+    """fn(env) reading x[..., i] or y[..., i] for an int literal i; any
+    other subscript raises InputError, and so does, when evaluated, an i
+    outside the cloud's dimension."""
+    try:
+        dots, i = node.slice.elts
+        i = ast.literal_eval(i)
+    except (AttributeError, ValueError):
+        dots = i = None
+    if not (isinstance(node.value, ast.Name) and node.value.id in ("x", "y")
+            and type(i) is int and isinstance(dots, ast.Constant)
+            and dots.value is Ellipsis):
+        raise InputError(f"kernel base expression may subscript only "
+                         f"x[..., i] or y[..., i] with an int literal i, "
+                         f"not {ast.unparse(node)!r}")
+    name, text = node.value.id, ast.unparse(node)
+
+    def read(env):
+        dim = env[name].shape[-1]
+        if not -dim <= i < dim:
+            raise InputError(f"coordinate index {i} in {text!r} is out of "
+                             f"range for dimension {dim}")
+        return env[name][..., i]
+    return read
 
 
 @lru_cache(maxsize=32)
@@ -152,16 +170,18 @@ class KernelSpec:
             _base_expression(self.base)
 
 
-def _base_matrix(k: KernelSpec, cloud: PointCloud) -> np.ndarray:
+def _base_rows(k: KernelSpec, cloud: PointCloud, rows: np.ndarray,
+               cols: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """b(x, y) for x in rows and y in cols at Euclidean distances d, maybe
+    a read-only view."""
     if k.base in NAMED_BASES:
-        return NAMED_BASES[k.base](cloud, k.s)
-    # expression in x, y (coordinate arrays), d (Euclidean distance)
-    env = {"x": cloud.coords[:, None, :], "y": cloud.coords[None, :, :],
-           "d": _norm(_EUCLIDEAN, _differences(cloud.coords))}
+        return NAMED_BASES[k.base](cloud, k.s, rows, cols)
+    env = {"x": cloud.coords[rows][:, None, :],
+           "y": cloud.coords[cols][None, :, :], "d": d}
     with np.errstate(divide="ignore", invalid="ignore"):
         out = _base_expression(k.base)(env)
-    n = cloud.n_points
-    return np.broadcast_to(np.asarray(out, dtype=np.float64), (n, n)).copy()
+    return np.broadcast_to(np.asarray(out, dtype=np.float64),
+                           (rows.size, cols.size))
 
 
 def _riesz_rows(k: KernelSpec, cloud: PointCloud, rows: np.ndarray,
@@ -180,41 +200,27 @@ def _riesz_rows(k: KernelSpec, cloud: PointCloud, rows: np.ndarray,
 
 
 def kernel_matrix(k: KernelSpec, cloud: PointCloud) -> np.ndarray:
-    """Full kernel matrix with zeros filled on the (undefined) diagonal.
-
-    The returned matrix is bit-exactly antisymmetric: M[a, b] == -M[b, a].
-    """
-    if k.family == COORDINATE_RIESZ:
-        return _riesz_rows(k, cloud, np.arange(cloud.n_points))
-    b = _base_matrix(k, cloud)
-    with np.errstate(invalid="ignore"):  # inf - inf on the diagonal
-        vals = (b - b.T) / 2.0 if k.antisymmetrize else b
-    np.fill_diagonal(vals, 0.0)
-    return vals
+    """Full N x N kernel matrix, zero on the (undefined) diagonal."""
+    return kernel_rows(k, cloud, np.arange(cloud.n_points))
 
 
 def kernel_rows(k: KernelSpec, cloud: PointCloud, rows, cols=None
                 ) -> np.ndarray:
-    """k(x, y) for x in rows and y in cols (every point when cols is None),
-    zero where x == y."""
+    """The one pair-block evaluator: k(x, y) for x in rows and y in cols
+    (every point when cols is None), zero where x == y."""
     rows = np.asarray(rows)
     if k.family == COORDINATE_RIESZ:
         return _riesz_rows(k, cloud, rows,
                            None if cols is None else np.asarray(cols))
-    return kernel_blocks(k, cloud)(rows, cols)
-
-
-def kernel_blocks(k: KernelSpec, cloud: PointCloud
-                  ) -> Callable[..., np.ndarray]:
-    """kernel_block(rows, cols=None): kernel_rows of k on cloud, except that
-    a generic kernel's base, a whole-matrix expression, is built once here
-    and sliced: the one dense case. Coordinate Riesz blocks are evaluated
-    per call."""
-    if k.family == COORDINATE_RIESZ:
-        return lambda rows, cols=None: kernel_rows(k, cloud, rows, cols)
-    full = kernel_matrix(k, cloud)
-    return lambda rows, cols=None: (full[rows] if cols is None
-                                    else full[np.ix_(rows, cols)])
+    cols = np.arange(cloud.n_points) if cols is None else np.asarray(cols)
+    d = _norm(_EUCLIDEAN, _differences(cloud.coords, rows, cols))
+    b = _base_rows(k, cloud, rows, cols, d)
+    # d(y, x) is d(x, y) bit for bit, as (x - y)^2 == (y - x)^2
+    with np.errstate(invalid="ignore"):  # inf - inf where x == y
+        vals = ((b - _base_rows(k, cloud, cols, rows, d.T).T) / 2.0
+                if k.antisymmetrize else b.copy())
+    vals[rows[:, None] == cols[None, :]] = 0.0
+    return vals
 
 
 def map_pair_tiles(k: KernelSpec, cloud: PointCloud, rows, fn,
@@ -222,9 +228,9 @@ def map_pair_tiles(k: KernelSpec, cloud: PointCloud, rows, fn,
     """The pair engine: fn(k, d, tile) on each row tile of `rows`, stacked
     in row order, where k holds the tile's kernel rows k(x, .) (zero where
     x == y) and d its distance rows d(x, .) in the cloud's metric."""
-    kernel = kernel_blocks(k, cloud)
-    return tile_map(lambda tile: fn(kernel(tile), _distance_rows(cloud, tile),
-                                    tile), rows, cloud.n_points, workers)
+    return tile_map(lambda tile: fn(kernel_rows(k, cloud, tile),
+                                    _distance_rows(cloud, tile), tile),
+                    rows, cloud.n_points, workers)
 
 
 def run_pass(k: KernelSpec, cloud: PointCloud, p: RowPass,
@@ -257,8 +263,8 @@ def eval_kernel(k: KernelSpec, cloud: PointCloud, x: int, y: int) -> float:
         raise DiagonalError("kernel is undefined on the diagonal x == y")
     # canonical orientation keeps eval_kernel(x,y) == -eval_kernel(y,x) bitwise
     if x <= y:
-        return float(kernel_rows(k, cloud, [x])[0, y])
-    return -float(kernel_rows(k, cloud, [y])[0, x])
+        return float(kernel_rows(k, cloud, [x], [y])[0, 0])
+    return -float(kernel_rows(k, cloud, [y], [x])[0, 0])
 
 
 def _first_max(vals: np.ndarray, rows: np.ndarray, col0: int = 0
@@ -291,23 +297,22 @@ def check_antisymmetry(k: KernelSpec, cloud: PointCloud, workers: int = 1
 
     Walks row tiles, split over `workers` threads. The residual is
     symmetric in the pair, so a tile starting at row x0 evaluates only
-    columns y >= x0, as rows k(x, .) and, on their own, columns k(., x):
-    a Riesz kernel never builds an N x N array, and k(y, x) is never
-    derived from k(x, y). Entries y < x are masked, which keeps the
-    row-major first maximum of the whole matrix; the diagonal stays, so an
-    all-zero residual reports the pair (0, 0). The scale, max |k|, reads
-    both orientations, so it covers every pair.
+    columns y >= x0, as rows k(x, .) and, on their own, columns k(., x),
+    blocks of kernel_rows for either family: no N x N array is built, and
+    k(y, x) is never derived from k(x, y). Entries y < x are masked, which
+    keeps the row-major first maximum of the whole matrix; the diagonal
+    stays, so an all-zero residual reports the pair (0, 0). The scale,
+    max |k|, reads both orientations, so it covers every pair.
     """
     n = cloud.n_points
     if n < 2:
         raise InputError("need at least two points")
     every = np.arange(n)
-    kernel = kernel_blocks(k, cloud)
 
     def tile(rows):
         cols = every[rows[0]:]
-        kt = kernel(rows, cols)
-        kc = kernel(cols, rows).T  # k(y, x) for x in rows
+        kt = kernel_rows(k, cloud, rows, cols)
+        kc = kernel_rows(k, cloud, cols, rows).T  # k(y, x) for x in rows
         resid = np.abs(kt + kc)
         resid[cols[None, :] < rows[:, None]] = -np.inf
         scale = np.maximum(np.abs(kt).max(axis=1), np.abs(kc).max(axis=1))

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import BudgetError, DegenerateInputError, InputError
+from .errors import DegenerateInputError, InputError
 from .sums import thread_map
 
 EUCLIDEAN_P = "euclidean_p"
@@ -56,17 +56,13 @@ class PointCloud:
     """Immutable finite metric space: coordinates plus a metric descriptor.
 
     Point ids are the row indices 0..N-1. `table` is only set for the
-    custom_table family. The full distance matrix is cached lazily for
-    clouds up to _DMAT_LIMIT points.
+    custom_table family.
     """
 
     coords: np.ndarray
     metric: MetricDescriptor
     diameter: float
     table: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _dmat: list = field(default_factory=list, repr=False, compare=False)
-
-    _DMAT_LIMIT = 5000
 
     @property
     def n_points(self) -> int:
@@ -80,15 +76,6 @@ class PointCloud:
         """Distance row d(i, .); bit-symmetric with distances_from(j)[i]."""
         self.check_id(i)
         return _distance_rows(self, np.asarray([i]))[0]
-
-    def distance_matrix(self) -> np.ndarray:
-        if not self._dmat:
-            if self.n_points > self._DMAT_LIMIT:
-                raise BudgetError(
-                    f"distance matrix for {self.n_points} points exceeds the "
-                    f"cache limit {self._DMAT_LIMIT}; use distances_from")
-            self._dmat.append(_distance_rows(self, np.arange(self.n_points)))
-        return self._dmat[0]
 
 
 def _distance_rows(cloud: PointCloud, rows: np.ndarray,
@@ -240,7 +227,7 @@ def validate_metric(cloud: PointCloud, seed: int = 0,
     if n == 0:
         raise DegenerateInputError("empty cloud")
     if n <= 1000:
-        dmat = cloud.distance_matrix()
+        dmat = _distance_rows(cloud, np.arange(n))
         symmetry_ok = bool(np.array_equal(dmat, dmat.T))
         identity_ok = bool(np.all(np.diag(dmat) == 0.0))
         if n > 1:

@@ -2,16 +2,17 @@
 
 Everything here is a finite double sum over atom pairs, evaluated by one
 pair engine. `kernels.map_pair_tiles(k, cloud, rows, fn)` hands fn the
-kernel rows and the metric-distance rows of each row tile. Every sum walks
-the rows it needs with `metric.tile_map`, in tiles of about _TILE_PAIRS
-pairs, max(1, _TILE_PAIRS // N) rows of N columns each, so memory stays
-bounded at any N. compute_pairing_trace
-evaluates each pair once per trace: while it holds a tile it folds every
-eps truncation densely, and every step's scale band and ball bands in one
-sums.fold_keys call over the pairs inside the grid, keyed by band. That
-fold walks fold_rows' tree over the band's pairs alone, adding a lone child
-to +0.0 as the dense tree adds it to a masked zero, so the bits are those
-of one masked dense fold per band.
+kernel rows and the metric-distance rows of each row tile, both built per
+tile by `kernels.kernel_rows` and `metric._distance_rows` for either kernel
+family, so no N x N kernel or distance array exists. Every sum walks the
+rows it needs with `metric.tile_map`, in tiles of about _TILE_PAIRS pairs,
+max(1, _TILE_PAIRS // N) rows of N columns each, so memory stays bounded
+at any N. compute_pairing_trace evaluates each pair once per trace: while
+it holds a tile it folds every eps truncation densely, and every step's
+scale band and ball bands in one sums.fold_keys call over the pairs inside
+the grid, keyed by band. That fold walks fold_rows' tree over the band's
+pairs alone, adding a lone child to +0.0 as the dense tree adds it to a
+masked zero, so the bits are those of one masked dense fold per band.
 
 The row sums are split into a per-tile function and a reduction, a
 `metric.RowPass`: trace_pass, annuli_pass and boundary_pass (with
@@ -43,8 +44,8 @@ import numpy as np
 
 from .errors import CertificationError, InputError
 from .good_radii import GoodRadiusCertificate
-from . import metric
-from .kernels import KernelSpec, kernel_blocks, map_pair_tiles, run_pass
+from . import kernels, metric
+from .kernels import KernelSpec, map_pair_tiles, run_pass
 from .measure import DiscreteMeasure, StepMeasure
 from .metric import PointCloud, RowPass, _distance_rows
 from .sums import fold_keys, fold_raveled, fold_rows, pairwise_sum
@@ -216,7 +217,6 @@ def cancellation_residual(k: KernelSpec, m: DiscreteMeasure, b1: Ball,
     r = rows.size
     if r < 2:
         return 0.0, 0.0
-    kernel = kernel_blocks(k, m.cloud)
     wr = m.weights[rows]
 
     def block(a0, a1):
@@ -224,8 +224,8 @@ def cancellation_residual(k: KernelSpec, m: DiscreteMeasure, b1: Ball,
         # triangle; only columns b > a0, the ones it can reach, are evaluated
         ids, a, b = rows[a0:a1], np.arange(a0, a1), np.arange(a0 + 1, r)
         cols = rows[a0 + 1:]
-        km = kernel(ids, cols)
-        km_t = kernel(cols, ids).T      # k(y, x) for x in ids
+        km = kernels.kernel_rows(k, m.cloud, ids, cols)
+        km_t = kernels.kernel_rows(k, m.cloud, cols, ids).T  # k(y, x)
         d = _distance_rows(m.cloud, ids, cols)
         keep = (d > delta) & (d < eps) & (b[None, :] > a[:, None])
         t_upper = np.where(keep, km * np.outer(wr[a], wr[b]), 0.0)

@@ -23,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import dense_distances
 from sio_lab.generators import GeneratorSpec, generate
 from sio_lab.good_radii import (GoodSetParams, is_good_radius,
                                 materialize_good_set,
@@ -143,7 +144,7 @@ def test_criterion_4_four_term_bound():
 
 def test_criterion_5_stabilization_oracle():
     m, _ = _normalized_four_corner(4)
-    dmat = m.cloud.distance_matrix()
+    dmat = dense_distances(m.cloud)
     eps = float(dmat[dmat > 0].min()) / 2.0
     km = kernel_matrix(RIESZ, m.cloud)
     w = m.weights

@@ -180,3 +180,21 @@ def test_converge_rejects_a_nan_before_any_work(tmp_path, capsys, flags,
     err = capsys.readouterr().err
     assert "usage: sio-lab converge" in err and match in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("expr, match", [
+    ("x[..., 5] / d", "coordinate index 5 in 'x[..., 5]' is out of range "
+                      "for dimension 2"),
+    ("d[0] * x[..., 0]", "may subscript only x[..., i] or y[..., i]")])
+def test_converge_rejects_a_bad_kernel_subscript(tmp_path, capsys, expr,
+                                                  match):
+    (tmp_path / "kernel.txt").write_text(expr + "\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["converge", "--level", "2", "--kernel", "custom",
+              "--kernel-file", str(tmp_path / "kernel.txt"),
+              "--out-dir", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: sio-lab converge" in err and match in err
+    assert not out.exists()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import dense_distances
 from sio_lab.errors import BudgetError, InputError
 from sio_lab.generators import GeneratorSpec, generate
 
@@ -58,7 +59,7 @@ def test_determinism_bit_exact():
 def test_uniform_random_r_min():
     cloud, _, r_min = generate(GeneratorSpec(family="uniform_random",
                                              count=16, seed=1))
-    dmat = cloud.distance_matrix()
+    dmat = dense_distances(cloud)
     assert r_min == float(dmat[dmat > 0].min())
 
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import dense_kernel
 from sio_lab.errors import DiagonalError, InputError
-from sio_lab.kernels import (KernelSpec, check_antisymmetry, check_size_bound,
-                             eval_kernel, kernel_matrix)
+from sio_lab.kernels import (_UFUNCS, NAMED_BASES, KernelSpec,
+                             check_antisymmetry, check_size_bound,
+                             eval_kernel, kernel_matrix, kernel_rows)
 from sio_lab.metric import MetricDescriptor, make_cloud
 
 E2 = MetricDescriptor(family="euclidean_p", dimension=2, p=2.0)
@@ -130,6 +132,19 @@ def test_size_bound_certified_against_cloud_metric():
     "True * d",
     "'d' * 2",
     "y @ x",
+    # subscripts other than x[..., i] and y[..., i] with an int literal i
+    "d[0] * x[..., 0]",
+    "d[...]",
+    "x[0, 0, 0]",
+    "x[0]",
+    "x[..., 0:1]",
+    "y[..., 0:1][..., 0]",
+    "x[..., 0][0]",
+    "(x + y)[..., 0]",
+    "x[..., y]",
+    "x[..., 1.0]",
+    "x[..., --1]",
+    "x[..., 0, 0]",
 ])
 def test_expression_outside_the_whitelist_is_rejected(base, tmp_path):
     path = tmp_path / "written.txt"
@@ -142,7 +157,7 @@ def test_expression_outside_the_whitelist_is_rejected(base, tmp_path):
 @pytest.mark.parametrize("base", [
     "x[..., 0] * (x[..., 1] + 2.0 * y[..., 0]) / d ** 1.5",
     "np.sqrt(5.0 - x[..., 0]) * (y[..., 1] + 1.0) / d",
-    "-np.arctan2(x[..., -1], y[..., 0:1][..., 0]) / (d + 1) ** 2",
+    "-np.arctan2(x[..., -1], y[..., 0]) / (d + 1) ** 2",
 ])
 def test_whitelisted_expression_matches_python_evaluation(base):
     """The expression evaluator gives the bits Python's own evaluation of
@@ -158,3 +173,49 @@ def test_whitelisted_expression_matches_python_evaluation(base):
                     {"x": x, "y": y, "d": d, "np": np})
     np.fill_diagonal(want, 0.0)
     assert kernel_matrix(k, cloud).tobytes() == want.tobytes()
+
+
+def test_out_of_range_coordinate_is_an_input_error():
+    k = KernelSpec(family="generic_antisymmetrized", s=1.0,
+                   base="x[..., 0] * y[..., -3]")
+    with pytest.raises(InputError, match="index -3 .* dimension 2"):
+        kernel_matrix(k, two_atoms())
+
+
+# one value per ufunc of the whitelist: on a full (rows, cols) argument in
+# its domain, on a per-row coordinate and on the Euclidean distance
+_A = "(0.5 + 0.45 * (x[..., 0] - y[..., 1]))"
+_B = "(0.5 + 0.45 * (y[..., 0] - x[..., 1]))"
+_BINARY_UFUNCS = {"arctan2", "hypot", "maximum", "minimum", "power"}
+
+
+def ufunc_bases(name):
+    if name in _BINARY_UFUNCS:
+        return [f"np.{name}({_A}, {_B}) / d",
+                f"np.{name}(x[..., 1], y[..., 0]) * d"]
+    return [f"np.{name}({_A}) / d", f"np.{name}(x[..., 1]) * y[..., 0]",
+            f"np.{name}(d)"]
+
+
+@pytest.mark.parametrize("antisymmetrize", [True, False])
+@pytest.mark.parametrize("name", sorted(_UFUNCS) + sorted(NAMED_BASES))
+def test_tiles_match_the_dense_construction(name, antisymmetrize):
+    """Blocks of kernel_rows carry the bits of the whole matrix b
+    antisymmetrized as (b - b.T) / 2, on row tiles and the column blocks
+    check_antisymmetry reads, starting at every offset 0 through 8."""
+    cloud = make_cloud(np.random.default_rng(3).random((37, 2)), E2)
+    every = np.arange(cloud.n_points)
+    bases = ufunc_bases(name) if name in _UFUNCS else [name]
+    for base in bases:
+        k = KernelSpec(family="generic_antisymmetrized", s=1.5, base=base,
+                       antisymmetrize=antisymmetrize)
+        want = dense_kernel(k, cloud)
+        assert kernel_rows(k, cloud, every).tobytes() == want.tobytes()
+        for x0 in range(9):
+            rows, cols = every[x0:x0 + 5], every[x0:]
+            assert kernel_rows(k, cloud, rows).tobytes() \
+                == want[rows].tobytes()
+            assert kernel_rows(k, cloud, rows, cols).tobytes() \
+                == want[np.ix_(rows, cols)].tobytes()
+            assert kernel_rows(k, cloud, cols, rows).tobytes() \
+                == want[np.ix_(cols, rows)].tobytes()

@@ -4,12 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import dense_distances, dense_kernel
 from sio_lab import kernels
 from sio_lab import metric as metric_module
 from sio_lab.errors import CertificationError, InputError
 from sio_lab.generators import GeneratorSpec, generate
 from sio_lab.good_radii import GoodSetParams, is_good_radius, select_good_radius_near
-from sio_lab.kernels import KernelSpec, kernel_matrix
+from sio_lab.kernels import KernelSpec
 from sio_lab.measure import (growth_constant, make_measure, normalize,
                              radial_pushforward)
 from sio_lab.metric import MetricDescriptor, make_cloud
@@ -154,10 +155,10 @@ def test_pairing_skew_symmetric():
 def test_stabilization_oracle():
     m, r_min = four_corner(3)
     rng = np.random.default_rng(4)
-    dmat = m.cloud.distance_matrix()
+    dmat = dense_distances(m.cloud)
     min_pos = float(dmat[dmat > 0].min())
     eps = min_pos / 2.0
-    km = kernel_matrix(RIESZ, m.cloud)
+    km = dense_kernel(RIESZ, m.cloud)
     for _ in range(5):
         f = SimpleFunction(terms=((float(rng.normal()),
                                    Ball(int(rng.integers(0, 64)),
@@ -322,8 +323,8 @@ def lattice_measure(metric, seed):
 
 def dense_oracle(k, m, f, g, grid):
     """Pairings and (lhs, rhs, scale) per step, one eps and one band at a
-    time, from the whole kernel_matrix and distance_matrix."""
-    km, d, w = kernel_matrix(k, m.cloud), m.cloud.distance_matrix(), m.weights
+    time, from the whole dense_kernel and dense_distances."""
+    km, d, w = dense_kernel(k, m.cloud), dense_distances(m.cloud), m.weights
     fv, gv = f.values(m.cloud), g.values(m.cloud)
     values = [pairwise_sum(fold_rows(np.where(d > e, km * (fv * w)[None, :],
                                               0.0)) * gv * w) for e in grid]
@@ -362,7 +363,7 @@ def test_engine_matches_dense_oracle(kernel, metric, workers, monkeypatch):
     # 7-row tiles: 156 atoms are 22 full tiles and one of 2 rows
     monkeypatch.setattr(metric_module, "_TILE_PAIRS", 7 * 156)
     m = lattice_measure(metric, seed=workers)
-    dist = np.unique(m.cloud.distance_matrix())
+    dist = np.unique(dense_distances(m.cloud))
     n = dist.size
     rng = np.random.default_rng(7)
 
@@ -433,10 +434,7 @@ def test_trace_evaluates_each_pair_once(kernel, monkeypatch):
     f = SimpleFunction(terms=((1.0, Ball(3, 4.0)), (-0.5, Ball(80, 6.0))))
     g = indicator(Ball(150, 5.0))
     compute_pairing_trace(kernel, m, f, g, (9.0, 4.5, 2.25, 1.125), workers=2)
-    if kernel is RIESZ:
-        assert sorted(rows_seen) == list(range(156)) and not matrices
-    else:
-        assert matrices == [156] and not rows_seen
+    assert sorted(rows_seen) == list(range(156)) and not matrices
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +447,12 @@ NAN_BASE = KernelSpec(family="generic_antisymmetrized", s=1.0,
 
 def dense_checks(k, cloud, s):
     """check_antisymmetry's and check_size_bound's results from the whole
-    kernel_matrix and distance_matrix."""
-    km = kernel_matrix(k, cloud)
+    dense_kernel and dense_distances."""
+    km = dense_kernel(k, cloud)
     resid = np.abs(km + km.T)
     a, b = np.unravel_index(int(resid.argmax()), resid.shape)
     anti = (float(resid.max()), (int(a), int(b)), float(np.abs(km).max()))
-    prod = np.abs(km) * cloud.distance_matrix() ** s
+    prod = np.abs(km) * dense_distances(cloud) ** s
     np.fill_diagonal(prod, -1.0)
     a, b = np.unravel_index(int(prod.argmax()), prod.shape)
     return anti, (max(float(prod.max()), 0.0), (int(a), int(b)))
@@ -462,8 +460,9 @@ def dense_checks(k, cloud, s):
 
 def dense_growth(m, s, r_min):
     best, witness = -1.0, (0, r_min)
+    dmat = dense_distances(m.cloud)
     for x in range(m.n_atoms):
-        d = m.cloud.distance_matrix()[x]
+        d = dmat[x]
         order = np.argsort(d, kind="stable")
         ds, cum = d[order], np.cumsum(m.weights[order])
         cand = np.unique(ds[ds >= r_min])
@@ -478,8 +477,8 @@ def dense_growth(m, s, r_min):
 
 def dense_cancellation(k, m, b1, b2, delta, eps):
     rows = np.nonzero(b1.members(m.cloud) & b2.members(m.cloud))[0]
-    km = kernel_matrix(k, m.cloud)[np.ix_(rows, rows)]
-    d = m.cloud.distance_matrix()[np.ix_(rows, rows)]
+    km = dense_kernel(k, m.cloud)[np.ix_(rows, rows)]
+    d = dense_distances(m.cloud)[np.ix_(rows, rows)]
     ww = np.outer(m.weights[rows], m.weights[rows])
     keep = (d > delta) & (d < eps) & np.triu(np.ones(d.shape, bool), k=1)
     t_upper = np.where(keep, km * ww, 0.0)
@@ -498,7 +497,7 @@ def test_tiled_checks_match_dense_oracle(kernel, metric, workers,
     # 7-row tiles end mid-lattice; cancellation walks 1024-entry chunks
     monkeypatch.setattr(metric_module, "_TILE_PAIRS", 7 * 156)
     m = lattice_measure(metric, seed=5)
-    dist = np.unique(m.cloud.distance_matrix())
+    dist = np.unique(dense_distances(m.cloud))
     for s in (1.0, 2.5):  # at s = 2.5 the r_min candidate wins some rows
         anti, size = dense_checks(kernel, m.cloud, s)
         rep = kernels.check_antisymmetry(kernel, m.cloud, workers)
@@ -536,7 +535,7 @@ def test_growth_of_equal_weights_matches_dense_oracle(metric, workers,
     monkeypatch.setattr(metric_module, "_TILE_PAIRS", 7 * 156)
     m = make_measure(lattice_measure(metric, seed=0).cloud,
                      np.full(156, 1.0 / 156))
-    dist = np.unique(m.cloud.distance_matrix())
+    dist = np.unique(dense_distances(m.cloud))
     for s in (1.0, 2.5):
         for r_min in (0.5 * dist[1], dist[3], 0.5 * (dist[5] + dist[6])):
             got, witness = growth_constant(m, s, float(r_min), workers)
@@ -564,7 +563,7 @@ def test_symmetric_checks_evaluate_only_the_upper_triangle(workers,
     assert sum(pairs) == sum(2 * min(7, n - x0) * (n - x0)
                              for x0 in range(0, n, 7)) == 25418
     pairs.clear()
-    dist = np.unique(m.cloud.distance_matrix())
+    dist = np.unique(dense_distances(m.cloud))
     b1, b2 = Ball(3, float(dist[33])), Ball(80, float(dist[dist.size // 2]))
     r = int(np.sum(b1.members(m.cloud) & b2.members(m.cloud)))
     delta, eps = float(dist[2]), float(dist[40])

@@ -120,6 +120,33 @@ def test_multi_step_trace_of_converge_is_pinned():
     assert bits(trace.bound_values) == PINNED_TRACE["four_term_bound"]
 
 
+# the same run with the generic kernel of the CI step, recorded while its
+# kernel was still built as one dense N x N matrix
+PINNED_GENERIC_TRACE = dict(
+    pairing=["0x1.3d25ae59d1a2cp-7", "0x1.40f78cfb51afcp-7",
+             "0x1.bb9576787d9edp-7", "0x1.bfe3626a50d90p-7",
+             "0x1.fd19de4ff50f7p-7", "0x1.04fb65c760300p-6",
+             *["0x1.0420001765546p-6"] * 6],
+    cauchy_diff=["0x1.e8ef50c006800p-14", "0x1.ea77a5f4afbc4p-9",
+                 "0x1.137afc74ce8c0p-13", "0x1.e9b3df2d21b38p-10",
+                 "0x1.9b9da7d96a120p-12", "0x1.b6cb5ff5b7400p-15",
+                 *["0x0.0p+0"] * 5],
+    four_term_bound=["0x1.70fc151b91e9fp-5", "0x1.7cef5007c55edp-5",
+                     "0x1.b099e0f293054p-8", "0x1.752677c0faa63p-7",
+                     "0x1.dffdc3f3f1364p-10", "0x1.8ca3c449e93c6p-10",
+                     *["0x0.0p+0"] * 5])
+
+
+def test_multi_step_generic_trace_of_converge_is_pinned():
+    trace = run_convergence_suite(SuiteConfig(
+        generator=GeneratorSpec(family="four_corner_cantor", level=4),
+        kernel=GENERIC, seed=0)).trace
+    assert len(trace.eps_grid) == 12
+    assert bits(trace.values) == PINNED_GENERIC_TRACE["pairing"]
+    assert bits(trace.cauchy_diffs) == PINNED_GENERIC_TRACE["cauchy_diff"]
+    assert bits(trace.bound_values) == PINNED_GENERIC_TRACE["four_term_bound"]
+
+
 @pytest.mark.parametrize("field, low", [("n_balls", 1), ("n_cancellation", 0),
                                         ("levels_back", 0), ("workers", 1)])
 def test_config_rejects_sizes_below_their_minimum(field, low):
@@ -299,9 +326,9 @@ def test_workers_do_not_change_outputs(tmp_path):
             == (tmp_path / "w8" / name).read_bytes()
 
 
-def test_riesz_run_generates_each_level_once_and_builds_no_matrix(
-        monkeypatch):
-    from sio_lab import kernels, suite
+@pytest.mark.parametrize("kernel", [RIESZ, GENERIC], ids=["riesz", "generic"])
+def test_run_generates_each_level_once_and_builds_no_matrix(kernel,
+                                                            monkeypatch):
     levels, matrices = [], []
     real_generate, real_matrix = suite.generate, kernels.kernel_matrix
 
@@ -316,7 +343,8 @@ def test_riesz_run_generates_each_level_once_and_builds_no_matrix(
     monkeypatch.setattr(kernels, "kernel_matrix", counting_matrix)
     config = small_config(
         generator=GeneratorSpec(family="four_corner_cantor", level=4),
-        depth=3, n_balls=5, eps_count=4, n_cancellation=4, levels_back=2)
+        kernel=kernel, depth=3, n_balls=5, eps_count=4, n_cancellation=4,
+        levels_back=2)
     report = run_convergence_suite(config)
     assert report.all_ok
     assert sorted(levels) == [2, 3, 4]  # levels_back + 1 calls
