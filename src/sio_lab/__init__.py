@@ -10,8 +10,9 @@ truncation-difference argument (`operator`), fractal generators
 (`generators`), and end-to-end convergence suites (`suite`, `cli`).
 """
 
-from .errors import (BudgetError, CertificationError, DegenerateInputError,
-                     DiagonalError, InputError, SearchExhaustedError)
+from .errors import (BudgetError, CertificationError, Check,
+                     DegenerateInputError, DiagonalError, InputError,
+                     SearchExhaustedError)
 from .generators import GeneratorSpec, generate
 from .good_radii import (GoodRadiusCertificate, GoodRadiusRejection,
                          GoodSetParams, IntervalSet, RemovedFamily,

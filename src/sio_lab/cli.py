@@ -14,7 +14,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import Check, InputError
 from .generators import GeneratorSpec, generate
 from .good_radii import (GoodSetParams, interval_set_to_file, is_good_radius,
                          materialize_good_set, select_good_radius_near)
@@ -91,6 +91,21 @@ def _kernel_from_args(args) -> KernelSpec:
     raise SystemExit(f"unknown kernel {args.kernel!r}")
 
 
+def _print_check(c: Check) -> None:
+    print(f"{'PASS' if c.ok else 'FAIL'}  {c.name}  lhs={c.lhs!r}  "
+          f"rhs={c.rhs!r}")
+
+
+def _verdict(checks, wrote: str) -> int:
+    """Print each failed check, then the verdict and what was written;
+    returns the exit status, 1 if any check failed."""
+    failed = [c for c in checks if not c.ok]
+    for c in failed:
+        _print_check(c)
+    print(f"{'CHECKS FAILED' if failed else 'all checks passed'}; {wrote}")
+    return 1 if failed else 0
+
+
 def _add_kernel_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kernel", default="riesz", choices=["riesz", "custom"])
     p.add_argument("--riesz-i", type=int, default=1)
@@ -125,8 +140,9 @@ def cmd_check_kernel(args) -> int:
     k = _kernel_from_args(args)
     anti = check_antisymmetry(k, m.cloud, workers=args.threads)
     c, pair = check_size_bound(k, m.cloud, args.s, workers=args.threads)
-    print(f"antisymmetry: {'ok' if anti.ok else 'FAIL'} "
-          f"(worst residual {anti.worst_residual!r} at {anti.worst_pair})")
+    _print_check(anti)
+    print(f"worst pair {anti.witness['pair']}, scale "
+          f"{anti.witness['scale']!r}")
     print(f"size bound: |k| <= {c!r} * d^-{args.s}, witness pair {pair}")
     return 0 if anti.ok else 1
 
@@ -176,8 +192,8 @@ def cmd_pairing(args) -> int:
     path = os.path.join(args.out_dir, args.out)
     with open(path, "w") as fh:
         fh.write("\n".join(trace_csv_lines(trace)) + "\n")
-    print(f"wrote {path} ({len(grid)} epsilon values)")
-    return 0
+    wrote = f"wrote {path} ({len(grid)} epsilon values)"
+    return _verdict(trace.checks, wrote)
 
 
 def cmd_converge(args) -> int:
@@ -191,19 +207,16 @@ def cmd_converge(args) -> int:
                       workers=args.threads)
     report = run_convergence_suite(cfg)
     written = emit_report(report, args.out_dir)
-    verdict = "all checks passed" if report.all_ok else "CHECKS FAILED"
-    print(f"{verdict}; wrote {', '.join(written)}")
-    return 0 if report.all_ok else 1
+    return _verdict(report.checks, f"wrote {', '.join(written)}")
 
 
 def cmd_report(args) -> int:
     with open(args.summary) as fh:
         summary = json.load(fh)
-    checks = summary.get("checks", [])
+    checks = [Check(**c) for c in summary.get("checks", [])]
     for c in checks:
-        print(f"{'PASS' if c['ok'] else 'FAIL'}  {c['name']}  "
-              f"lhs={c['lhs']!r}  rhs={c['rhs']!r}")
-    n_ok = sum(1 for c in checks if c["ok"])
+        _print_check(c)
+    n_ok = sum(1 for c in checks if c.ok)
     print(f"{n_ok}/{len(checks)} checks passed")
     return 0 if n_ok == len(checks) else 1
 

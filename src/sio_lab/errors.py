@@ -1,4 +1,9 @@
-"""Exception taxonomy shared across the lab."""
+"""Exception taxonomy shared across the lab, and the Check record that every
+certified inequality is judged by."""
+
+import math
+import numbers
+from dataclasses import dataclass
 
 
 class InputError(ValueError):
@@ -31,3 +36,27 @@ class CertificationError(RuntimeError):
     def __init__(self, msg, witness=None):
         super().__init__(msg)
         self.witness = witness
+
+
+@dataclass(frozen=True)
+class Check:
+    """One certified inequality lhs <= rhs: its verdict and its witness.
+
+    ok is given directly only for a predicate that is no inequality (a
+    finite constant, a certified radius); every inequality is judged by le.
+    """
+
+    name: str
+    lhs: object
+    rhs: object
+    ok: bool
+    witness: object = None
+
+    @classmethod
+    def le(cls, name: str, lhs, rhs, tol=0.0, witness=None) -> "Check":
+        """ok iff lhs is finite and lhs <= rhs + tol; NaN on either side
+        fails. Fractions and ints compare exactly, and a zero tol is not
+        added, so an exact rhs stays exact."""
+        finite = isinstance(lhs, numbers.Rational) or math.isfinite(lhs)
+        bound = rhs + tol if tol else rhs
+        return cls(name, lhs, rhs, bool(finite and lhs <= bound), witness)

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DiagonalError, InputError
+from .errors import Check, DiagonalError, InputError
 from .metric import (EUCLIDEAN_P, MetricDescriptor, PointCloud, RowPass,
                      _differences, _distance_rows, _norm, tile_map)
 
@@ -283,17 +283,10 @@ def _pick_first_max(per_row: np.ndarray) -> tuple[float, tuple[int, int]]:
     return float(per_row[t, 0]), (int(per_row[t, 1]), int(per_row[t, 2]))
 
 
-@dataclass(frozen=True)
-class AntisymmetryReport:
-    ok: bool
-    worst_pair: tuple[int, int] | None
-    worst_residual: float
-    scale: float
-
-
 def check_antisymmetry(k: KernelSpec, cloud: PointCloud, workers: int = 1
-                       ) -> AntisymmetryReport:
-    """Max |k(x,y) + k(y,x)| over distinct pairs vs 1e-13 * max |k|.
+                       ) -> Check:
+    """The Check kernel_antisymmetry: max |k(x,y) + k(y,x)| over distinct
+    pairs <= 1e-13 * max |k|, witnessed by the worst pair and the scale.
 
     Walks row tiles, split over `workers` threads. The residual is
     symmetric in the pair, so a tile starting at row x0 evaluates only
@@ -320,9 +313,9 @@ def check_antisymmetry(k: KernelSpec, cloud: PointCloud, workers: int = 1
     per_row = tile_map(tile, every, n, workers)
     worst, pair = _pick_first_max(per_row)
     scale = float(per_row[:, 3].max())
-    return AntisymmetryReport(ok=worst <= 1e-13 * max(scale, 1e-300),
-                              worst_pair=pair, worst_residual=worst,
-                              scale=scale)
+    return Check.le("kernel_antisymmetry", worst,
+                    1e-13 * max(scale, 1e-300),
+                    witness={"pair": pair, "scale": scale})
 
 
 def check_size_bound(k: KernelSpec, cloud: PointCloud, s: float,

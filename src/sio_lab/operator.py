@@ -32,6 +32,13 @@ worker counts. Truncation is strict (d > eps), so <T_delta f, g> -
 bound's boundary bands and its scale band are closed at eps to match, since
 discrete measures put pairs exactly on eps. The cancellation residual's
 band stays open (delta < d < eps).
+
+Each step of a trace is one errors.Check, cauchy_bound_step_j: lhs is
+|<T_eps f, g> - <T_delta f, g>|, the difference of the trace's own
+pairings; rhs is the four-term bound itself, the number trace.csv prints;
+and tol is 1e-12 times the step's scale, the band sum of |k| |f| |g| w w:
+a fixed allowance for the round-off of lhs, not a derived error bound. A
+failed step is reported, not raised.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CertificationError, InputError
+from .errors import Check, InputError
 from .good_radii import GoodRadiusCertificate
 from . import kernels, metric
 from .kernels import KernelSpec, map_pair_tiles, run_pass
@@ -240,36 +247,23 @@ def cancellation_residual(k: KernelSpec, m: DiscreteMeasure, b1: Ball,
     return float(residual), float(up) + float(low)
 
 
-@dataclass(frozen=True)
-class PairingDifferenceReport:
-    lhs: float
-    rhs: float
-    per_ball_terms: dict
-    scale: float
-    ok: bool
-
-
 def pairing_difference_bound(k: KernelSpec, m: DiscreteMeasure,
                              f: SimpleFunction, g: SimpleFunction,
-                             delta: float, eps: float
-                             ) -> PairingDifferenceReport:
-    """|<T_eps f, g> - <T_delta f, g>| against the four-term boundary bound:
-    sum_ij |a_i b_j| (boundary(B_i) + 2 boundary(S_j)) over the band
-    delta < d <= eps.
-
-    Raises CertificationError, with the witness, if the bound fails.
-    """
+                             delta: float, eps: float) -> Check:
+    """The Check |<T_eps f, g> - <T_delta f, g>| <= the four-term boundary
+    bound sum_ij |a_i b_j| (boundary(B_i) + 2 boundary(S_j)) over the band
+    delta < d <= eps, as one step of a trace."""
     if not 0.0 < delta < eps:
         raise InputError("need 0 < delta < eps")
-    _, reports = run_pass(k, m.cloud, _pairing_pass(m, f, g, [eps, delta]))
-    return reports[0]
+    _, checks = run_pass(k, m.cloud, _pairing_pass(m, f, g, [eps, delta]))
+    return checks[0]
 
 
 def _pairing_pass(m: DiscreteMeasure, f: SimpleFunction, g: SimpleFunction,
                   grid: list[float]) -> RowPass:
-    """Pairings along a decreasing grid, and the four-term bound report of
+    """Pairings along a decreasing grid, and the four-term bound Check of
     each consecutive pair, as a RowPass over every row; reduced to
-    (values, reports).
+    (values, checks).
 
     Per tile, per-row folds are taken of: the strict truncation at each eps;
     the scale band delta < d <= eps of each step; and each ball's band
@@ -345,7 +339,7 @@ def _pairing_pass(m: DiscreteMeasure, f: SimpleFunction, g: SimpleFunction,
             per_ball[key] = [pairwise_sum(res[rows, first + j] * w[rows])
                              for j in range(n_steps)]
 
-        reports = []
+        checks = []
         for j, (delta, eps) in enumerate(steps):
             terms = {key: v[j] for key, v in per_ball.items()}
             rhs = 0.0
@@ -354,34 +348,22 @@ def _pairing_pass(m: DiscreteMeasure, f: SimpleFunction, g: SimpleFunction,
                     rhs += abs(a_i * b_j) * (
                         terms[(b_i.center, b_i.radius)]
                         + 2.0 * terms[(s_j.center, s_j.radius)])
-            lhs = abs(values[j] - values[j + 1])
-            if not lhs <= rhs + 1e-12 * scales[j]:
-                raise CertificationError(
-                    f"four-term bound violated at step {j}: lhs={lhs!r} > "
-                    f"rhs={rhs!r}",
-                    witness={"step": j, "delta": delta, "eps": eps,
-                             "lhs": lhs, "rhs": rhs, "scale": scales[j]})
-            reports.append(PairingDifferenceReport(
-                lhs=lhs, rhs=rhs, per_ball_terms=terms, scale=scales[j],
-                ok=True))
-        return values, reports
+            checks.append(Check.le(
+                f"cauchy_bound_step_{j}", abs(values[j] - values[j + 1]),
+                rhs, tol=1e-12 * scales[j],
+                witness={"step": j, "delta": delta, "eps": eps,
+                         "scale": scales[j]}))
+        return values, checks
     return RowPass(np.arange(m.n_atoms), tile, reduce)
-
-
-@dataclass(frozen=True)
-class AnnulusRecord:
-    atom: int
-    gap: float       # radius - d(center, atom): inner distance to the sphere
-    lhs: float       # integral of |k| over B(atom, 2) minus the ball
-    n_annuli: int    # N(x) = floor(log2(3 / gap)) + 1
-    rhs: float       # c * c_mu * 2^s * N(x)
-    ok: bool
 
 
 def annuli_log_bound_check(k: KernelSpec, m: DiscreteMeasure, ball: Ball,
                            s: float, c: float, c_mu: float
-                           ) -> tuple[list[AnnulusRecord], list[int]]:
-    """Per interior atom: dyadic-annuli bound on the outside |k| integral.
+                           ) -> tuple[list[Check], list[int]]:
+    """Per interior atom x, the Check annulus_x of the dyadic-annuli bound:
+    lhs, the integral of |k| over B(x, 2) minus the ball, <= rhs,
+    c * c_mu * 2^s * N(x), with N(x) = floor(log2(3 / gap)) + 1; witnessed
+    by the atom, its gap and N(x).
 
     d(x, boundary) is taken as the inner gap radius - d(center, x), which
     lower-bounds the distance to the complement. Atoms exactly on the sphere
@@ -394,7 +376,7 @@ def annuli_log_bound_check(k: KernelSpec, m: DiscreteMeasure, ball: Ball,
 def annuli_pass(m: DiscreteMeasure, ball: Ball) -> RowPass:
     """annuli_log_bound_check as a RowPass over the ball's interior rows:
     per row, the fold of |k| w outside the ball within distance 2; reduced,
-    given (s, c, c_mu), to (records, on_sphere)."""
+    given (s, c, c_mu), to (checks, on_sphere)."""
     dc = m.cloud.distances_from(ball.center)
     inner = dc < ball.radius
     interior = np.nonzero(inner)[0]
@@ -407,34 +389,21 @@ def annuli_pass(m: DiscreteMeasure, ball: Ball) -> RowPass:
         outside[None, :] & (dt < 2.0), np.abs(kt) * w[None, :], 0.0)))
 
     def reduce(lhs_rows, s, c, c_mu):
-        records = []
+        checks = []
         for x, lhs in zip(interior.tolist(), lhs_rows.tolist()):
             gap = float(ball.radius - dc[x])
             n_x = int(math.floor(math.log2(3.0 / gap))) + 1
-            rhs = c * c_mu * 2.0 ** s * n_x
-            records.append(AnnulusRecord(atom=x, gap=gap, lhs=lhs,
-                                         n_annuli=n_x, rhs=rhs,
-                                         ok=lhs <= rhs))
-        return records, on_sphere
+            checks.append(Check.le(
+                f"annulus_{x}", lhs, c * c_mu * 2.0 ** s * n_x,
+                witness={"atom": x, "gap": gap, "n_annuli": n_x}))
+        return checks, on_sphere
     return RowPass(interior, tile, reduce)
 
 
 @dataclass(frozen=True)
-class ShellRecord:
-    n: int
-    mass: Fraction       # mu_z([r - lam^-3n, r + lam^-3n)), exact
-    threshold: Fraction  # lam^-n
-    ok: bool
-
-
-@dataclass(frozen=True)
 class ShellReport:
-    records: tuple[ShellRecord, ...]
+    checks: tuple[Check, ...]  # shell_mass_n: exact mass <= lam^-n
     tail_sum: float  # sum_{n<=depth} lam^-n * 3 (n+1) log(lam)
-
-    @property
-    def all_ok(self) -> bool:
-        return all(r.ok for r in self.records)
 
 
 def shell_mass_check(mu_z: StepMeasure, r, cert: GoodRadiusCertificate
@@ -442,7 +411,8 @@ def shell_mass_check(mu_z: StepMeasure, r, cert: GoodRadiusCertificate
     """Exact shell masses of the radial pushforward mu_z around a radius r
     that cert certifies for mu_z.
 
-    For each n <= depth: mu_z([r - lam^-3n, r + lam^-3n)) <= lam^-n. The
+    For each n <= depth, the Check shell_mass_n, witnessed by n:
+    mu_z([r - lam^-3n, r + lam^-3n)) <= lam^-n, both Fractions. The
     certificate must be for r itself (I = [0,1], so the unpadded widths
     apply). Also reports the log-weighted tail sum of the shell bounds.
     """
@@ -450,41 +420,31 @@ def shell_mass_check(mu_z: StepMeasure, r, cert: GoodRadiusCertificate
     if cert.t != r:
         raise InputError("certificate does not certify the given radius")
     lam = cert.lam
-    records = []
+    checks = []
     for n in range(1, cert.depth + 1):
         w = Fraction(1, lam ** (3 * n))
         units = mu_z.mass_units(r - w, r + w, lo_closed=True,
                                 hi_closed=False)
-        records.append(ShellRecord(
-            n=n, mass=Fraction(units, mu_z.denominator),
-            threshold=Fraction(1, lam ** n),
-            ok=units * lam ** n <= mu_z.denominator))
+        checks.append(Check.le(f"shell_mass_{n}",
+                               Fraction(units, mu_z.denominator),
+                               Fraction(1, lam ** n), witness={"n": n}))
     tail = sum(lam ** (-n) * 3.0 * (n + 1) * math.log(lam)
                for n in range(1, cert.depth + 1))
-    return ShellReport(records=tuple(records), tail_sum=tail)
-
-
-@dataclass(frozen=True)
-class LogBoundaryReport:
-    value: float          # sum over interior atoms of w |log(gap)|
-    bound: float          # shell-decomposed upper bound (exact shell masses)
-    core_mass: float
-    n_shells: int
-
-    @property
-    def ok(self) -> bool:
-        return math.isfinite(self.value) and self.value <= self.bound
+    return ShellReport(checks=tuple(checks), tail_sum=tail)
 
 
 def log_boundary_sum(m: DiscreteMeasure, ball: Ball, lam: int,
-                     mu_z: StepMeasure) -> LogBoundaryReport:
-    """Integral of |log d(x, boundary)| over the ball interior, with the
-    shell-decomposed upper bound: the core B(z, r - lam^-3) contributes
-    3 log(lam) per unit mass, and the shell [r - lam^-3n, r - lam^-3(n+1))
-    contributes 3 (n+1) log(lam) per unit mass. Shells extend past the
-    certificate depth until they are empty, so the bound covers every atom.
-    mu_z is m's radial pushforward at the ball's center; its exact masses
-    give the bound.
+                     mu_z: StepMeasure) -> Check:
+    """The Check log_boundary_sum: lhs, the integral of |log d(x, boundary)|
+    over the ball interior (sum of w |log(gap)|), <= rhs, its
+    shell-decomposed upper bound; witnessed by the core mass and the number
+    of shells.
+
+    The core B(z, r - lam^-3) contributes 3 log(lam) per unit mass, and the
+    shell [r - lam^-3n, r - lam^-3(n+1)) contributes 3 (n+1) log(lam) per
+    unit mass. Shells extend past the certificate depth until they are
+    empty, so the bound covers every atom. mu_z is m's radial pushforward at
+    the ball's center; its exact masses give the bound.
     """
     dc = m.cloud.distances_from(ball.center)
     interior = np.nonzero((dc < ball.radius) & (m.weights > 0))[0]
@@ -511,27 +471,25 @@ def log_boundary_sum(m: DiscreteMeasure, ball: Ball, lam: int,
         if mu_z.mass_units(hi, r, lo_closed=True, hi_closed=False) == 0:
             break
         n += 1
-    return LogBoundaryReport(value=value, bound=bound,
-                             core_mass=core_mass, n_shells=n)
+    return Check.le("log_boundary_sum", value, bound,
+                    witness={"core_mass": core_mass, "n_shells": n})
 
 
 @dataclass(frozen=True)
 class PairingTrace:
     eps_grid: tuple[float, ...]
     values: tuple[float, ...]
-    cauchy_diffs: tuple[float, ...]   # |value_j - value_{j+1}|
-    bound_values: tuple[float, ...]   # four-term bound for each consecutive pair
+    checks: tuple[Check, ...]  # cauchy_bound_step_j per consecutive pair
 
-    def __post_init__(self):
-        for j, (d, b) in enumerate(zip(self.cauchy_diffs, self.bound_values)):
-            scale = max(1.0, abs(b))
-            if d > b + 1e-12 * scale:
-                raise CertificationError(
-                    f"Cauchy difference exceeds its bound at step {j}: "
-                    f"{d!r} > {b!r}",
-                    witness={"step": j, "delta": self.eps_grid[j + 1],
-                             "eps": self.eps_grid[j], "lhs": d, "rhs": b,
-                             "scale": scale})
+    @property
+    def cauchy_diffs(self) -> tuple[float, ...]:
+        """|value_j - value_{j+1}| per step."""
+        return tuple(c.lhs for c in self.checks)
+
+    @property
+    def bound_values(self) -> tuple[float, ...]:
+        """The four-term bound per step."""
+        return tuple(c.rhs for c in self.checks)
 
 
 def compute_pairing_trace(k: KernelSpec, m: DiscreteMeasure,
@@ -553,10 +511,7 @@ def trace_pass(m: DiscreteMeasure, f: SimpleFunction, g: SimpleFunction,
     p = _pairing_pass(m, f, g, grid)
 
     def reduce(res):
-        values, reports = p.reduce(res)
-        return PairingTrace(
-            eps_grid=tuple(grid), values=tuple(values),
-            cauchy_diffs=tuple(rep.lhs for rep in reports),
-            bound_values=tuple(rep.rhs + 1e-12 * rep.scale
-                               for rep in reports))
+        values, checks = p.reduce(res)
+        return PairingTrace(eps_grid=tuple(grid), values=tuple(values),
+                            checks=tuple(checks))
     return p._replace(reduce=reduce)

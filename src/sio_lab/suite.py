@@ -2,15 +2,21 @@
 kernel bounds, select good radii, and verify every estimate in the
 truncation-difference argument on a decreasing eps grid.
 
+Every certified inequality is one errors.Check, and a run collects them all
+in a fixed order: growth constant, antisymmetry, size bound, the good radius
+of each ball, each step's four-term bound, the cancellation residuals, the
+annuli bound and the log-boundary sum. A failed check is recorded, not
+raised, so a failing run still reports every check and is written out whole;
+report_to_json derives the summary's verdict fields from the checks.
+
 The balls are certified first, from O(N) pushforwards. Then one walk of the
 row tiles (kernels.sweep_pair_tiles) feeds five RowPasses: the growth
 constant, the kernel size bound, the pairing trace, ball 0's annuli and the
 boundedness trend's own level. Each is reduced as its stand-alone function
-reduces it, so it keeps that function's bits, and the checks run and raise
-in the order they are listed. Three walks stay separate: the antisymmetry
-check and the cancellation residuals walk their own upper triangles, since
-k(y, x) must be evaluated there, not read off k(x, y); and the trend's lower
-levels walk their own clouds.
+reduces it, so it keeps that function's bits. Three walks stay separate:
+the antisymmetry check and the cancellation residuals walk their own upper
+triangles, since k(y, x) must be evaluated there, not read off k(x, y); and
+the trend's lower levels walk their own clouds.
 
 Outputs are byte-stable: data files carry no timestamps (run metadata goes to
 a sidecar), floats are serialized via repr, and all reductions are
@@ -30,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CertificationError, InputError
+from .errors import Check, InputError
 from .generators import GeneratorSpec, generate
 from .good_radii import GoodSetParams, is_good_radius, select_good_radius_near
 from .kernels import (KernelSpec, check_antisymmetry, size_bound_pass,
@@ -112,8 +118,9 @@ class BallRecord:
     target: float
     radius: tuple[int, int]          # exact rational (num, den)
     cert_depth: int
-    shells: tuple[dict, ...]         # per-generation mass vs threshold
+    shells: tuple[Check, ...]        # shell_mass_n: exact mass vs lam^-n
     shell_tail_sum: float
+    check: Check                     # good_radius_center_<center>
 
 
 @dataclass(frozen=True)
@@ -125,66 +132,50 @@ class ConvergenceReport:
     growth_witness: tuple[int, float]
     c_certified: float
     kernel_witness: tuple[int, int]
-    antisymmetry_ok: bool
     balls: tuple[BallRecord, ...]
     f_terms: tuple[tuple[float, int, float], ...]   # (coeff, center, radius)
     g_terms: tuple[tuple[float, int, float], ...]
     trace: PairingTrace
-    cancellation: tuple[dict, ...]
-    annuli_ok: bool
-    annuli_worst: dict
-    log_boundary: dict
     boundedness: tuple[dict, ...]
-    checks: tuple[dict, ...]
+    checks: tuple[Check, ...]
 
     @property
     def all_ok(self) -> bool:
-        return all(c["ok"] for c in self.checks)
+        return all(c.ok for c in self.checks)
 
-
-def _check(checks: list, name: str, lhs, rhs, ok: bool) -> None:
-    checks.append({"name": name, "lhs": lhs, "rhs": rhs, "ok": bool(ok)})
-    if not ok:
-        raise CertificationError(f"{name}: lhs={lhs!r} rhs={rhs!r}",
-                                 witness={"name": name, "lhs": lhs, "rhs": rhs})
+    def check(self, name: str) -> Check:
+        return next(c for c in self.checks if c.name == name)
 
 
 def certify_ball(m: DiscreteMeasure, center: int, target: float,
                  params: GoodSetParams
                  ) -> tuple[Ball, BallRecord, StepMeasure]:
     """Pushforward at the center, nearest certified radius, shell masses;
-    returns the pushforward too, for the checks that reuse it."""
+    returns the pushforward too, for the checks that reuse it. The record's
+    check good_radius_center_<center> holds iff the radius is certified and
+    every shell mass is within its bound."""
     mu_z = radial_pushforward(m, center)
     r = select_good_radius_near(mu_z, Fraction(target), params)
     cert = is_good_radius(mu_z, r, params)
-    if not cert.ok:
-        raise CertificationError(
-            f"selected radius failed certification at center {center}",
-            witness=cert)
     shells = shell_mass_check(mu_z, r, cert)
-    if not shells.all_ok:
-        raise CertificationError(
-            f"shell mass bound failed at center {center}", witness=shells)
     rec = BallRecord(
         center=center, target=float(target),
         radius=(r.numerator, r.denominator), cert_depth=cert.depth,
-        shells=tuple({"n": s.n,
-                      "mass": [s.mass.numerator, s.mass.denominator],
-                      "threshold": [s.threshold.numerator,
-                                    s.threshold.denominator],
-                      "ok": s.ok} for s in shells.records),
-        shell_tail_sum=shells.tail_sum)
+        shells=shells.checks, shell_tail_sum=shells.tail_sum,
+        check=Check(f"good_radius_center_{center}",
+                    [r.numerator, r.denominator], None,
+                    cert.ok and all(c.ok for c in shells.checks),
+                    witness=cert))
     return Ball(center=center, radius=float(r)), rec, mu_z
 
 
 def run_convergence_suite(config: SuiteConfig) -> ConvergenceReport:
-    """Full pipeline; any failed certification aborts with its witness.
-    A bad config raises before any work, and a ball that fails
-    certification before the swept checks, which raise in listed order."""
+    """Full pipeline: every check in the order of the module docstring. A
+    bad config raises InputError before any work; a failed check never
+    raises, it is reported with its witness and makes all_ok false."""
     grid = config.eps_grid()
     _cloud, m, r_min = generate(config.generator)
     m, _ = normalize(m)
-    checks: list[dict] = []
     growth = growth_pass(m, config.s, r_min)
     size_bound = size_bound_pass(m.cloud, config.s)
 
@@ -222,26 +213,19 @@ def run_convergence_suite(config: SuiteConfig) -> ConvergenceReport:
                          workers=config.workers)
 
     c_mu, growth_witness = growth.reduce(growth_rows)
-    _check(checks, "growth_constant_finite", c_mu, None,
-           np.isfinite(c_mu) and c_mu > 0.0)
-
-    anti = check_antisymmetry(config.kernel, m.cloud, workers=config.workers)
-    _check(checks, "kernel_antisymmetry", anti.worst_residual,
-           1e-13 * max(anti.scale, 1e-300), anti.ok)
+    checks = [Check("growth_constant_finite", c_mu, None,
+                    bool(np.isfinite(c_mu) and c_mu > 0.0), growth_witness)]
+    checks.append(check_antisymmetry(config.kernel, m.cloud,
+                                     workers=config.workers))
     c_cert, kernel_witness = size_bound.reduce(size_rows)
-    _check(checks, "kernel_size_bound_finite", c_cert, None,
-           np.isfinite(c_cert))
-
-    for rec in records:
-        _check(checks, f"good_radius_center_{rec.center}",
-               [rec.radius[0], rec.radius[1]], None, True)
+    checks.append(Check("kernel_size_bound_finite", c_cert, None,
+                        bool(np.isfinite(c_cert)), kernel_witness))
+    checks += [rec.check for rec in records]
 
     trace = pairings.reduce(trace_rows)
     del trace_rows  # the widest block; freed before the cancellation walks
-    for j, (d, bnd) in enumerate(zip(trace.cauchy_diffs, trace.bound_values)):
-        _check(checks, f"cauchy_bound_step_{j}", d, bnd, d <= bnd)
+    checks += trace.checks
 
-    cancellation = []
     for j in range(config.n_cancellation):
         b1 = balls[j % len(balls)]
         b2 = balls[(j + 1) % len(balls)]
@@ -249,26 +233,17 @@ def run_convergence_suite(config: SuiteConfig) -> ConvergenceReport:
         hi = float(lo + 0.05 + 0.5 * rng.random())
         resid, scale = cancellation_residual(config.kernel, m, b1, b2, lo, hi,
                                              workers=config.workers)
-        ok = abs(resid) <= 1e-13 * max(scale, 1e-300)
-        cancellation.append({"balls": [b1.center, b2.center],
-                             "delta": lo, "eps": hi,
-                             "residual": resid, "scale": scale, "ok": ok})
-        _check(checks, f"cancellation_{j}", abs(resid), 1e-13 * scale, ok)
+        checks.append(Check.le(
+            f"cancellation_{j}", abs(resid), 1e-13 * scale,
+            witness={"balls": [b1.center, b2.center], "delta": lo,
+                     "eps": hi, "residual": resid, "scale": scale}))
 
-    ann_records, _on_sphere = annuli.reduce(
+    ann_checks, _on_sphere = annuli.reduce(
         annuli_rows, config.s, max(c_cert, 1e-300), c_mu)
-    annuli_ok = all(r.ok for r in ann_records)
-    worst = max(ann_records, key=lambda r: r.lhs - r.rhs)
-    annuli_worst = {"atom": worst.atom, "lhs": worst.lhs, "rhs": worst.rhs,
-                    "n_annuli": worst.n_annuli}
-    _check(checks, "annuli_log_bound", annuli_worst["lhs"],
-           annuli_worst["rhs"], annuli_ok)
-
-    lb = log_boundary_sum(m, balls[0], config.lam, mu_0)
-    log_boundary = {"value": lb.value, "bound": lb.bound,
-                    "core_mass": lb.core_mass, "n_shells": lb.n_shells,
-                    "ok": lb.ok}
-    _check(checks, "log_boundary_sum", lb.value, lb.bound, lb.ok)
+    # the first failing atom, else the one with the least slack
+    worst = max(ann_checks, key=lambda c: (not c.ok, c.lhs - c.rhs))
+    checks.append(replace(worst, name="annuli_log_bound"))
+    checks.append(log_boundary_sum(m, balls[0], config.lam, mu_0))
 
     boundedness = []
     if trend_top is not None:
@@ -279,14 +254,10 @@ def run_convergence_suite(config: SuiteConfig) -> ConvergenceReport:
     return ConvergenceReport(
         config=config, n_atoms=m.n_atoms, r_min=r_min, c_mu=c_mu,
         growth_witness=growth_witness, c_certified=c_cert,
-        kernel_witness=kernel_witness, antisymmetry_ok=anti.ok,
-        balls=tuple(records),
+        kernel_witness=kernel_witness, balls=tuple(records),
         f_terms=tuple((c, b.center, b.radius) for c, b in f.terms),
         g_terms=tuple((c, b.center, b.radius) for c, b in g.terms),
-        trace=trace, cancellation=tuple(cancellation),
-        annuli_ok=annuli_ok, annuli_worst=annuli_worst,
-        log_boundary=log_boundary, boundedness=tuple(boundedness),
-        checks=tuple(checks))
+        trace=trace, boundedness=tuple(boundedness), checks=tuple(checks))
 
 
 def _trend_ball(params: GoodSetParams, target: float, m: DiscreteMeasure,
@@ -331,11 +302,23 @@ def trace_csv_lines(trace: PairingTrace) -> list[str]:
     return lines
 
 
+def _ball_json(b: BallRecord) -> dict:
+    return {"center": b.center, "target": b.target, "radius": b.radius,
+            "cert_depth": b.cert_depth, "shell_tail_sum": b.shell_tail_sum,
+            "shells": [{"n": c.witness["n"],
+                        "mass": [c.lhs.numerator, c.lhs.denominator],
+                        "threshold": [c.rhs.numerator, c.rhs.denominator],
+                        "ok": c.ok} for c in b.shells]}
+
+
 def report_to_json(report: ConvergenceReport) -> dict:
+    """The summary: every verdict field is read off report.checks."""
     cfg = asdict(report.config)
     cfg["generator"] = asdict(report.config.generator)
     cfg["kernel"] = asdict(report.config.kernel)
     del cfg["workers"]  # execution detail; results are worker-independent
+    annuli = report.check("annuli_log_bound")
+    lb = report.check("log_boundary_sum")
     return {
         "config": cfg,
         "n_atoms": report.n_atoms,
@@ -344,20 +327,25 @@ def report_to_json(report: ConvergenceReport) -> dict:
         "growth_witness": list(report.growth_witness),
         "c_certified": report.c_certified,
         "kernel_witness": list(report.kernel_witness),
-        "antisymmetry_ok": report.antisymmetry_ok,
-        "balls": [asdict(b) for b in report.balls],
+        "antisymmetry_ok": report.check("kernel_antisymmetry").ok,
+        "balls": [_ball_json(b) for b in report.balls],
         "f_terms": [list(t) for t in report.f_terms],
         "g_terms": [list(t) for t in report.g_terms],
         "trace": {"epsilon": list(report.trace.eps_grid),
                   "pairing": list(report.trace.values),
                   "cauchy_diff": list(report.trace.cauchy_diffs),
                   "four_term_bound": list(report.trace.bound_values)},
-        "cancellation": list(report.cancellation),
-        "annuli_ok": report.annuli_ok,
-        "annuli_worst": report.annuli_worst,
-        "log_boundary": report.log_boundary,
+        "cancellation": [{**c.witness, "ok": c.ok} for c in report.checks
+                         if c.name.startswith("cancellation_")],
+        "annuli_ok": annuli.ok,
+        "annuli_worst": {"atom": annuli.witness["atom"], "lhs": annuli.lhs,
+                         "rhs": annuli.rhs,
+                         "n_annuli": annuli.witness["n_annuli"]},
+        "log_boundary": {"value": lb.lhs, "bound": lb.rhs, **lb.witness,
+                         "ok": lb.ok},
         "boundedness": list(report.boundedness),
-        "checks": list(report.checks),
+        "checks": [{"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "ok": c.ok}
+                   for c in report.checks],
         "all_ok": report.all_ok,
     }
 

@@ -139,7 +139,7 @@ def test_criterion_4_four_term_bound():
         eps = delta + float(0.05 + 0.8 * rng.random())
         rep = pairing_difference_bound(RIESZ, m, rand_fn(), rand_fn(),
                                        delta, eps)
-        assert rep.lhs <= rep.rhs + 1e-12 * rep.scale
+        assert rep.lhs <= rep.rhs + 1e-12 * rep.witness["scale"]
 
 
 def test_criterion_5_stabilization_oracle():
@@ -170,10 +170,8 @@ def test_criterion_6_shell_masses_in_m4_suite():
     report = run_convergence_suite(cfg)
     assert report.balls  # at least one certified radius in play
     for rec in report.balls:
-        for shell in rec.shells:
-            mass = Fraction(*shell["mass"])
-            thr = Fraction(*shell["threshold"])
-            assert shell["ok"] and mass <= thr
+        for shell in rec.shells:  # exact masses and thresholds
+            assert shell.ok and shell.lhs <= shell.rhs
 
 
 def test_criterion_7_annuli_and_log_chain():
@@ -190,7 +188,7 @@ def test_criterion_7_annuli_and_log_chain():
     records, _ = annuli_log_bound_check(RIESZ, m, ball, 1.0, c_cert, c_mu)
     assert records and all(rec.ok for rec in records)
     lb = log_boundary_sum(m, ball, lam=5, mu_z=mu_z)
-    assert np.isfinite(lb.value) and lb.value <= lb.bound
+    assert np.isfinite(lb.lhs) and lb.lhs <= lb.rhs
     elapsed = time.monotonic() - start
     assert elapsed <= 60.0, f"criterion 7 took {elapsed:.1f}s"
 

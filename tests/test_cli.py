@@ -46,7 +46,7 @@ def test_check_growth_and_kernel(tmp_path, capsys):
                      "--r-min", "0.05"], capsys)
     assert code == 0 and "c_mu" in out
     code, out = run(["check-kernel", "--measure", measure], capsys)
-    assert code == 0 and "antisymmetry: ok" in out
+    assert code == 0 and "PASS  kernel_antisymmetry" in out
 
 
 def test_pairing_trace_csv(tmp_path, capsys):
@@ -198,3 +198,61 @@ def test_converge_rejects_a_bad_kernel_subscript(tmp_path, capsys, expr,
     err = capsys.readouterr().err
     assert "usage: sio-lab converge" in err and match in err
     assert not out.exists()
+
+
+NAN_BASE = "np.sqrt(-d)"  # NaN at every pair x != y
+
+
+def test_failing_converge_writes_its_summary(tmp_path, capsys):
+    (tmp_path / "kernel.txt").write_text(NAN_BASE + "\n")
+    out = tmp_path / "out"
+    code, printed = run(["converge", "--level", "2", "--kernel", "custom",
+                         "--kernel-file", str(tmp_path / "kernel.txt"),
+                         "--eps-count", "3", "--out-dir", str(out)], capsys)
+    assert code == 1
+    assert (out / "summary.json").exists() and (out / "trace.csv").exists()
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["all_ok"] is False
+    failed = [c["name"] for c in summary["checks"] if not c["ok"]]
+    assert failed[0] == "kernel_antisymmetry"
+    lines = printed.splitlines()
+    assert lines[0] == "FAIL  kernel_antisymmetry  lhs=nan  rhs=nan"
+    assert lines[-1].startswith("CHECKS FAILED; wrote ")
+    assert len(lines) == len(failed) + 1
+
+
+def test_pairing_with_a_nan_kernel_writes_its_trace_and_fails(tmp_path,
+                                                              capsys):
+    run(["generate", "--level", "2", "--out-dir", str(tmp_path),
+         "--out", "m.json"], capsys)
+    (tmp_path / "kernel.txt").write_text(NAN_BASE + "\n")
+    for name in ("f.json", "g.json"):
+        with open(tmp_path / name, "w") as fh:
+            json.dump({"terms": [{"coeff": 1.0, "center": 0,
+                                  "radius": 0.4}]}, fh)
+    code, out = run(["pairing", "--measure", str(tmp_path / "m.json"),
+                     "--kernel", "custom",
+                     "--kernel-file", str(tmp_path / "kernel.txt"),
+                     "--f", str(tmp_path / "f.json"),
+                     "--g", str(tmp_path / "g.json"),
+                     "--eps-grid", "0.5,0.25,0.125",
+                     "--out-dir", str(tmp_path)], capsys)
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL  cauchy_bound_step_0  lhs=nan  rhs=nan",
+        "FAIL  cauchy_bound_step_1  lhs=nan  rhs=0.0",  # an empty band
+        f"CHECKS FAILED; wrote {tmp_path / 'trace.csv'} (3 epsilon values)"]
+    lines = (tmp_path / "trace.csv").read_text().splitlines()
+    assert lines[1:] == ["0.5,nan,nan,nan", "0.25,nan,nan,0.0",
+                         "0.125,nan,,"]
+
+
+def test_check_kernel_with_a_nan_kernel_fails(tmp_path, capsys):
+    run(["generate", "--level", "2", "--out-dir", str(tmp_path),
+         "--out", "m.json"], capsys)
+    (tmp_path / "kernel.txt").write_text(NAN_BASE + "\n")
+    code, out = run(["check-kernel", "--measure", str(tmp_path / "m.json"),
+                     "--kernel", "custom",
+                     "--kernel-file", str(tmp_path / "kernel.txt")], capsys)
+    assert code == 1
+    assert out.splitlines()[0] == "FAIL  kernel_antisymmetry  lhs=nan  rhs=nan"

@@ -57,7 +57,7 @@ def test_check_antisymmetry_riesz_exact():
     cloud = make_cloud(rng.random((30, 2)), E2)
     report = check_antisymmetry(RIESZ, cloud)
     assert report.ok
-    assert report.worst_residual == 0.0
+    assert report.lhs == 0.0
 
 
 def test_check_antisymmetry_generic_ok():
@@ -74,7 +74,7 @@ def test_symmetric_base_detected():
     cloud = two_atoms()
     report = check_antisymmetry(k_raw, cloud)
     assert not report.ok
-    assert report.worst_residual == pytest.approx(2.0, rel=1e-15)
+    assert report.lhs == pytest.approx(2.0, rel=1e-15)
     # antisymmetrization repairs it to the zero kernel
     k = KernelSpec(family="generic_antisymmetrized", s=1.0, base="inv_dist")
     assert np.all(kernel_matrix(k, cloud) == 0.0)

@@ -7,14 +7,14 @@ import pytest
 from oracles import dense_distances, dense_kernel
 from sio_lab import kernels
 from sio_lab import metric as metric_module
-from sio_lab.errors import CertificationError, InputError
+from sio_lab.errors import InputError
 from sio_lab.generators import GeneratorSpec, generate
 from sio_lab.good_radii import GoodSetParams, is_good_radius, select_good_radius_near
 from sio_lab.kernels import KernelSpec
 from sio_lab.measure import (growth_constant, make_measure, normalize,
                              radial_pushforward)
 from sio_lab.metric import MetricDescriptor, make_cloud
-from sio_lab.operator import (Ball, PairingTrace, SimpleFunction,
+from sio_lab.operator import (Ball, SimpleFunction,
                               annuli_log_bound_check, apply_truncated,
                               boundary_term, cancellation_residual,
                               compute_pairing_trace, indicator,
@@ -203,7 +203,7 @@ def test_pairing_difference_bound_random():
         eps = delta + float(0.1 + 0.6 * rng.random())
         rep = pairing_difference_bound(RIESZ, m, SimpleFunction(terms_f),
                                        SimpleFunction(terms_g), delta, eps)
-        assert rep.ok and rep.lhs <= rep.rhs + 1e-12 * rep.scale
+        assert rep.ok and rep.lhs <= rep.rhs + 1e-12 * rep.witness["scale"]
 
 
 def test_annuli_log_bound_four_corner():
@@ -224,9 +224,10 @@ def test_shell_mass_check():
     r = select_good_radius_near(mu_z, Fraction(2, 5), params)
     cert = is_good_radius(mu_z, r, params)
     report = shell_mass_check(mu_z, r, cert)
-    assert report.all_ok
-    for rec in report.records:
-        assert rec.mass <= rec.threshold
+    assert [c.name for c in report.checks] \
+        == ["shell_mass_1", "shell_mass_2", "shell_mass_3"]
+    for c in report.checks:
+        assert c.ok and c.lhs <= c.rhs
     with pytest.raises(InputError):
         shell_mass_check(mu_z, Fraction(1, 7), cert)
 
@@ -259,7 +260,7 @@ def test_log_boundary_sum_single_atom():
     report = log_boundary_sum(m, Ball(0, r), lam=5,
                               mu_z=radial_pushforward(m, 0))
     # second atom's gap is exactly 1/e: contributes w * 1
-    assert report.value == pytest.approx(
+    assert report.lhs == pytest.approx(
         0.5 * abs(math.log(r)) + 0.5 * 1.0, rel=1e-12)
     assert report.ok
 
@@ -270,8 +271,8 @@ def test_log_boundary_bound_four_corner():
     params = GoodSetParams(lam=5, depth=3)
     r = select_good_radius_near(mu_z, Fraction(1, 2), params)
     report = log_boundary_sum(m, Ball(0, float(r)), lam=5, mu_z=mu_z)
-    assert math.isfinite(report.value)
-    assert report.value <= report.bound
+    assert math.isfinite(report.lhs)
+    assert report.lhs <= report.rhs
 
 
 def test_compute_pairing_trace_bounds_hold():
@@ -291,23 +292,30 @@ def test_simple_function_json_roundtrip():
     assert back == SimpleFunction(terms=f.terms)
 
 
-def test_pairing_difference_bound_violation_raises_with_witness():
+def test_pairing_difference_bound_violation_returns_its_witness():
     m = two_atom_measure()
     one = indicator(Ball(center=0, radius=1.0))
-    with pytest.raises(CertificationError) as err:
-        pairing_difference_bound(SYMMETRIC, m, one, one, 0.5, 1.5)
-    assert err.value.witness == {"step": 0, "delta": 0.5, "eps": 1.5,
-                                 "lhs": 0.5, "rhs": 0.0, "scale": 0.5}
-    with pytest.raises(CertificationError):
-        compute_pairing_trace(SYMMETRIC, m, one, one, (1.5, 0.5))
+    check = pairing_difference_bound(SYMMETRIC, m, one, one, 0.5, 1.5)
+    assert not check.ok and check.name == "cauchy_bound_step_0"
+    assert (check.lhs, check.rhs) == (0.5, 0.0)
+    assert check.witness == {"step": 0, "delta": 0.5, "eps": 1.5,
+                             "scale": 0.5}
+    trace = compute_pairing_trace(SYMMETRIC, m, one, one, (1.5, 0.5))
+    assert trace.checks == (check,)
 
 
-def test_pairing_trace_rejects_difference_above_bound():
-    with pytest.raises(CertificationError) as err:
-        PairingTrace(eps_grid=(1.0, 0.5, 0.25), values=(0.0, 0.0, 1.0),
-                     cauchy_diffs=(0.0, 1.0), bound_values=(0.0, 0.5))
-    assert err.value.witness == {"step": 1, "delta": 0.25, "eps": 0.5,
-                                 "lhs": 1.0, "rhs": 0.5, "scale": 1.0}
+def test_a_trace_step_above_its_bound_plus_tol_fails():
+    # the pair at distance 1 lies in step 0's band (0.5, 1.5]: lhs 0.5
+    # against a bound of 0 and a tol of 1e-12 * 0.5; step 1's band is empty
+    m = two_atom_measure()
+    one = indicator(Ball(center=0, radius=1.0))
+    trace = compute_pairing_trace(SYMMETRIC, m, one, one, (1.5, 0.5, 0.25))
+    first, second = trace.checks
+    assert first.lhs > first.rhs + 1e-12 * first.witness["scale"]
+    assert not first.ok
+    assert (second.lhs, second.rhs, second.witness["scale"]) \
+        == (0.0, 0.0, 0.0) and second.ok
+    assert trace.bound_values == (0.0, 0.0)  # the bound itself, unpadded
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +390,9 @@ def test_engine_matches_dense_oracle(kernel, metric, workers, monkeypatch):
     trace = compute_pairing_trace(kernel, m, f, g, grid, workers=workers)
     assert bits(trace.values) == bits(values)
     assert bits(trace.cauchy_diffs) == bits(lhs for lhs, _, _ in steps)
-    assert bits(trace.bound_values) == bits(rhs + 1e-12 * scale
-                                            for _, rhs, scale in steps)
+    assert bits(trace.bound_values) == bits(rhs for _, rhs, _ in steps)
+    assert bits(c.witness["scale"] for c in trace.checks) \
+        == bits(scale for _, _, scale in steps)
     ball = f.terms[0][1]
     assert bits([boundary_term(kernel, m, ball, grid[2], grid[0])]) \
         == bits([boundary(ball, grid[2], grid[0])])
@@ -399,8 +408,9 @@ def test_engine_matches_dense_oracle(kernel, metric, workers, monkeypatch):
     trace = compute_pairing_trace(kernel, m, f, g, grid, workers=workers)
     assert bits(trace.values) == bits(values)
     assert bits(trace.cauchy_diffs) == bits(lhs for lhs, _, _ in steps)
-    assert bits(trace.bound_values) == bits(rhs + 1e-12 * scale
-                                            for _, rhs, scale in steps)
+    assert bits(trace.bound_values) == bits(rhs for _, rhs, _ in steps)
+    assert bits(c.witness["scale"] for c in trace.checks) \
+        == bits(scale for _, _, scale in steps)
 
 
 def test_four_term_bands_are_closed_at_eps():
@@ -501,9 +511,9 @@ def test_tiled_checks_match_dense_oracle(kernel, metric, workers,
     for s in (1.0, 2.5):  # at s = 2.5 the r_min candidate wins some rows
         anti, size = dense_checks(kernel, m.cloud, s)
         rep = kernels.check_antisymmetry(kernel, m.cloud, workers)
-        assert bits([rep.worst_residual, rep.scale]) \
+        assert bits([rep.lhs, rep.witness["scale"]]) \
             == bits([anti[0], anti[2]])
-        assert rep.worst_pair == anti[1]
+        assert rep.witness["pair"] == anti[1]
         c, pair = kernels.check_size_bound(kernel, m.cloud, s, workers)
         assert bits([c]) == bits([size[0]]) and pair == size[1]
         # r_min below every distance, on one, and between two

@@ -1,13 +1,14 @@
 import json
 import math
 import os
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sio_lab import kernels, measure, metric, operator, suite
-from sio_lab.errors import CertificationError, InputError
+from sio_lab.errors import InputError
 from sio_lab.generators import GeneratorSpec, generate
 from sio_lab.kernels import KernelSpec, check_size_bound
 from sio_lab.measure import growth_constant, normalize
@@ -15,8 +16,8 @@ from sio_lab.metric import MetricDescriptor
 from sio_lab.operator import (Ball, SimpleFunction, annuli_log_bound_check,
                               compute_pairing_trace, total_boundary_integral)
 from sio_lab.suite import (SuiteConfig, emit_report, geometric_grid,
-                           parse_eps_grid, run_convergence_suite,
-                           trace_csv_lines)
+                           parse_eps_grid, report_to_json,
+                           run_convergence_suite, trace_csv_lines)
 
 RIESZ = KernelSpec(family="coordinate_riesz", s=1.0, i=1, n=1)
 GENERIC = KernelSpec(family="generic_antisymmetrized", s=1.0,
@@ -40,10 +41,10 @@ def small_config(**kw):
     return SuiteConfig(**defaults)
 
 
-def _ball_fields(balls):
-    return [(tuple(b.radius), b.cert_depth,
-             [(tuple(s["mass"]), tuple(s["threshold"])) for s in b.shells])
-            for b in balls]
+def _ball_fields(report):
+    return [(tuple(b["radius"]), b["cert_depth"],
+             [(tuple(s["mass"]), tuple(s["threshold"])) for s in b["shells"]])
+            for b in report_to_json(report)["balls"]]
 
 
 SHELLS_0 = [((0, 1), (1, 5)), ((0, 1), (1, 25)), ((0, 1), (1, 125))]
@@ -86,15 +87,18 @@ def test_exact_fields_of_converge_are_pinned(level, seed):
         generator=GeneratorSpec(family="four_corner_cantor", level=level),
         kernel=RIESZ, eps_count=2, seed=seed))
     want = PINNED[(level, seed)]
-    assert _ball_fields(report.balls) == want["balls"]
+    assert _ball_fields(report) == want["balls"]
     assert [(tuple(b["radius"]), b["cert_depth"])
             for b in report.boundedness] == want["boundedness"]
-    assert report.log_boundary["core_mass"] == want["core_mass"]
-    assert report.log_boundary["n_shells"] == want["n_shells"]
+    log_boundary = report.check("log_boundary_sum").witness
+    assert log_boundary["core_mass"] == want["core_mass"]
+    assert log_boundary["n_shells"] == want["n_shells"]
 
 
 # trace.csv of the default level-4 converge (seed 0, 12-step grid) as
-# float.hex: every step's scale and ball bands are folded
+# float.hex: every step's scale and ball bands are folded. The column
+# four_term_bound used to print fl(bound + 1e-12 * scale), kept as
+# padded_four_term_bound; it now prints the bound itself
 PINNED_TRACE = dict(
     pairing=["0x1.ac242389b482cp-7", "0x1.b84a1d9967210p-7",
              "0x1.339b4112ae76cp-6", "0x1.457b5d5f5eca0p-6",
@@ -104,20 +108,32 @@ PINNED_TRACE = dict(
                  "0x1.1e01c4cb05340p-10", "0x1.06cddecbd1d60p-9",
                  "0x1.8a96513c6fae0p-9", "0x1.8bb805e2585c0p-7",
                  *["0x0.0p+0"] * 5],
-    four_term_bound=["0x1.b08e84a952396p-3", "0x1.48eb008f28c55p-2",
-                     "0x1.56bad29f47ee3p-5", "0x1.7be480700f2f5p-3",
-                     "0x1.2e2b72ccda69ep-5", "0x1.95460ac6389e5p-5",
-                     *["0x0.0p+0"] * 5])
+    four_term_bound=["0x1.b08e84a951960p-3", "0x1.48eb008f27c3ap-2",
+                     "0x1.56bad29f453a0p-5", "0x1.7be480700d24fp-3",
+                     "0x1.2e2b72ccd822ep-5", "0x1.95460ac62ede6p-5",
+                     *["0x0.0p+0"] * 5],
+    padded_four_term_bound=["0x1.b08e84a952396p-3", "0x1.48eb008f28c55p-2",
+                            "0x1.56bad29f47ee3p-5", "0x1.7be480700f2f5p-3",
+                            "0x1.2e2b72ccda69ep-5", "0x1.95460ac6389e5p-5",
+                            *["0x0.0p+0"] * 5])
+
+
+def assert_trace_is_pinned(trace, pins):
+    assert len(trace.eps_grid) == 12
+    assert bits(trace.values) == pins["pairing"]
+    assert bits(trace.cauchy_diffs) == pins["cauchy_diff"]
+    assert bits(trace.bound_values) == pins["four_term_bound"]
+    # each new pin is its old one, unpadded: old == fl(new + 1e-12 * scale)
+    assert bits(float.fromhex(b) + 1e-12 * c.witness["scale"]
+                for b, c in zip(pins["four_term_bound"], trace.checks)) \
+        == pins["padded_four_term_bound"]
 
 
 def test_multi_step_trace_of_converge_is_pinned():
     trace = run_convergence_suite(SuiteConfig(
         generator=GeneratorSpec(family="four_corner_cantor", level=4),
         kernel=RIESZ, seed=0)).trace
-    assert len(trace.eps_grid) == 12
-    assert bits(trace.values) == PINNED_TRACE["pairing"]
-    assert bits(trace.cauchy_diffs) == PINNED_TRACE["cauchy_diff"]
-    assert bits(trace.bound_values) == PINNED_TRACE["four_term_bound"]
+    assert_trace_is_pinned(trace, PINNED_TRACE)
 
 
 # the same run with the generic kernel of the CI step, recorded while its
@@ -131,20 +147,21 @@ PINNED_GENERIC_TRACE = dict(
                  "0x1.137afc74ce8c0p-13", "0x1.e9b3df2d21b38p-10",
                  "0x1.9b9da7d96a120p-12", "0x1.b6cb5ff5b7400p-15",
                  *["0x0.0p+0"] * 5],
-    four_term_bound=["0x1.70fc151b91e9fp-5", "0x1.7cef5007c55edp-5",
-                     "0x1.b099e0f293054p-8", "0x1.752677c0faa63p-7",
-                     "0x1.dffdc3f3f1364p-10", "0x1.8ca3c449e93c6p-10",
-                     *["0x0.0p+0"] * 5])
+    four_term_bound=["0x1.70fc151b9168ap-5", "0x1.7cef5007c47cap-5",
+                     "0x1.b099e0f29085ap-8", "0x1.752677c0f8b27p-7",
+                     "0x1.dffdc3f3ed8dep-10", "0x1.8ca3c449dfb15p-10",
+                     *["0x0.0p+0"] * 5],
+    padded_four_term_bound=["0x1.70fc151b91e9fp-5", "0x1.7cef5007c55edp-5",
+                            "0x1.b099e0f293054p-8", "0x1.752677c0faa63p-7",
+                            "0x1.dffdc3f3f1364p-10", "0x1.8ca3c449e93c6p-10",
+                            *["0x0.0p+0"] * 5])
 
 
 def test_multi_step_generic_trace_of_converge_is_pinned():
     trace = run_convergence_suite(SuiteConfig(
         generator=GeneratorSpec(family="four_corner_cantor", level=4),
         kernel=GENERIC, seed=0)).trace
-    assert len(trace.eps_grid) == 12
-    assert bits(trace.values) == PINNED_GENERIC_TRACE["pairing"]
-    assert bits(trace.cauchy_diffs) == PINNED_GENERIC_TRACE["cauchy_diff"]
-    assert bits(trace.bound_values) == PINNED_GENERIC_TRACE["four_term_bound"]
+    assert_trace_is_pinned(trace, PINNED_GENERIC_TRACE)
 
 
 @pytest.mark.parametrize("field, low", [("n_balls", 1), ("n_cancellation", 0),
@@ -223,10 +240,9 @@ def test_sweep_matches_the_stand_alone_functions(kernel, md, workers,
     records, _ = annuli_log_bound_check(kernel, m, ball_0, config.s,
                                         max(c_cert, 1e-300), c_mu)
     worst = max(records, key=lambda r: r.lhs - r.rhs)
-    assert report.annuli_worst["atom"] == worst.atom
-    assert report.annuli_worst["n_annuli"] == worst.n_annuli
-    assert bits([report.annuli_worst["lhs"], report.annuli_worst["rhs"]]) \
-        == bits([worst.lhs, worst.rhs])
+    annuli = report.check("annuli_log_bound")
+    assert annuli.witness == worst.witness
+    assert bits([annuli.lhs, annuli.rhs]) == bits([worst.lhs, worst.rhs])
 
     top = report.boundedness[-1]
     assert top["level"] == 3
@@ -235,14 +251,46 @@ def test_sweep_matches_the_stand_alone_functions(kernel, md, workers,
     assert bits([top["value"]]) == bits([value])
 
 
-def test_a_failing_run_raises_its_first_failing_check():
+def test_a_failing_run_reports_its_first_failing_check():
     # a symmetric base fails the antisymmetry check and also the four-term
-    # bound; the sweep reduces the trace later, so antisymmetry is raised
+    # bound; antisymmetry comes first, and nothing is raised
     symmetric = KernelSpec(family="generic_antisymmetrized", s=1.0,
                            base="inv_dist", antisymmetrize=False)
-    with pytest.raises(CertificationError) as err:
-        run_convergence_suite(small_config(kernel=symmetric))
-    assert err.value.witness["name"] == "kernel_antisymmetry"
+    report = run_convergence_suite(small_config(kernel=symmetric))
+    assert not report.all_ok
+    failed = [c.name for c in report.checks if not c.ok]
+    assert failed[0] == "kernel_antisymmetry"
+    assert "cauchy_bound_step_2" in failed
+    summary = report_to_json(report)
+    assert summary["all_ok"] is False and summary["antisymmetry_ok"] is False
+
+
+def test_a_rejected_radius_fails_its_check_without_raising(monkeypatch):
+    real = suite.is_good_radius
+    monkeypatch.setattr(suite, "is_good_radius", lambda v, t, params: replace(
+        real(v, t, params), ok=False))
+    report = run_convergence_suite(small_config())
+    assert not report.all_ok
+    radii = [c for c in report.checks
+             if c.name.startswith("good_radius_center_")]
+    assert len(radii) == 3 and not any(c.ok for c in radii)
+    assert all(c.ok for c in report.checks if c not in radii)
+
+
+def test_a_shell_over_its_bound_fails_its_ball(monkeypatch):
+    real = suite.shell_mass_check
+
+    def last_shell_fails(mu_z, r, cert):
+        rep = real(mu_z, r, cert)
+        return replace(rep, checks=(*rep.checks[:-1],
+                                    replace(rep.checks[-1], ok=False)))
+    monkeypatch.setattr(suite, "shell_mass_check", last_shell_fails)
+    report = run_convergence_suite(small_config())
+    assert [c.name for c in report.checks if not c.ok] \
+        == [f"good_radius_center_{b.center}" for b in report.balls]
+    shells = [s["ok"] for b in report_to_json(report)["balls"]
+              for s in b["shells"]]
+    assert shells == [True, False] * 3  # depth 2: two shells per ball
 
 
 def test_each_full_kernel_row_is_requested_once(monkeypatch):
@@ -268,9 +316,12 @@ def test_suite_smoke_all_checks_pass():
     assert report.n_atoms == 64
     assert report.c_certified <= 1.0
     assert len(report.trace.values) == 6
-    assert all(c["ok"] for c in report.cancellation)
-    assert report.annuli_ok
-    assert report.log_boundary["ok"]
+    summary = report_to_json(report)
+    assert len(summary["cancellation"]) == 2
+    assert all(c["ok"] for c in summary["cancellation"])
+    assert summary["antisymmetry_ok"] and summary["annuli_ok"]
+    assert summary["log_boundary"]["ok"]
+    assert all(s["ok"] for b in summary["balls"] for s in b["shells"])
     assert len(report.boundedness) == 2  # levels 2 and 3
 
 
