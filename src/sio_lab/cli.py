@@ -213,7 +213,10 @@ def cmd_converge(args) -> int:
 def cmd_report(args) -> int:
     with open(args.summary) as fh:
         summary = json.load(fh)
-    checks = [Check(**c) for c in summary.get("checks", [])]
+    # summary.json holds a non-finite float as its repr string
+    checks = [Check(**{k: float(x) if x in ("nan", "inf", "-inf") else x
+                       for k, x in c.items()})
+              for c in summary.get("checks", [])]
     for c in checks:
         _print_check(c)
     n_ok = sum(1 for c in checks if c.ok)

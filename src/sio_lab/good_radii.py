@@ -21,17 +21,22 @@ the cached pieces minus the index runs below its padded heavy cells. Counts,
 totals, single intervals and every check of verify_good_set are answered
 from the runs, so no per-measure array is as large as the set.
 
-All comparisons are exact: endpoints live on the integer grid of units
-u = |I| lam^(-3N), and masses are integer numerators over the measure's
+All comparisons are exact and run on Python ints: good-set endpoints live
+on the integer grid of units u = |I| lam^(-3N), atoms are integer ticks over
+their measure's scale, and masses are integer numerators over its
 denominator, so a threshold test mass >= lam^(-n) is the integer comparison
-units * lam^n >= denominator. Certificates at deep generations (shell
+units * lam^n >= denominator. A radius t = p/q sits at (t - a) / |I| = X / Q
+(GoodSetParams._relative), so its generation-n cell is X lam^(2n) // Q, the
+remainder measures its clearance from the cell's ends, and the cell's mass
+is two tick bisections. Fraction appears only in what is returned
+(witnesses, radii, interval ends). Certificates at deep generations (shell
 widths ~ lam^(-12)) never depend on float round-off.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -41,7 +46,7 @@ import numpy as np
 
 from .errors import (BudgetError, CertificationError, InputError,
                      SearchExhaustedError)
-from .measure import TOTAL_MASS_SLACK, StepMeasure
+from .measure import TOTAL_MASS_SLACK, StepMeasure, _exact
 
 HEAVY_CELL = "heavy_cell"
 GRIDLINE_SHELL = "gridline_shell"
@@ -56,12 +61,15 @@ class GoodSetParams:
     budget: int = 10 ** 6
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if self.lam < 3:
-            raise InputError("lambda must be an integer > 2")
-        if self.depth < 1:
-            raise InputError("depth must be a positive integer")
+        # the integer predicate needs int powers of lam: no float, no bool
+        if type(self.lam) is not int or self.lam < 3:
+            raise InputError(f"lambda must be an integer > 2, got "
+                             f"{self.lam!r}")
+        if type(self.depth) is not int or self.depth < 1:
+            raise InputError(f"depth must be a positive integer, got "
+                             f"{self.depth!r}")
+        object.__setattr__(self, "a", _exact(self.a, "interval end a"))
+        object.__setattr__(self, "b", _exact(self.b, "interval end b"))
         if not self.a < self.b:
             raise InputError("interval must satisfy a < b")
 
@@ -97,6 +105,13 @@ class GoodSetParams:
 
     def n_cells(self, n: int) -> int:
         return self.lam ** (2 * n)
+
+    def _relative(self, p: int, q: int) -> tuple[int, int]:
+        """(p/q - a) / |I| as an unreduced pair (X, Q) of ints, Q > 0 when
+        q > 0: the point's cell at generation n is X lam^(2n) // Q."""
+        a, length = self.a, self.length
+        return ((p * a.denominator - a.numerator * q) * length.denominator,
+                q * a.denominator * length.numerator)
 
     def total_cells(self) -> int:
         return sum(self.lam ** (2 * n) for n in range(1, self.depth + 1))
@@ -136,7 +151,9 @@ class RemovedFamily:
 
 def _check_total(v: StepMeasure) -> None:
     # float-derived probability weights may exceed 1 by ulps; allow that
-    if v.total > 1 + TOTAL_MASS_SLACK:
+    slack = TOTAL_MASS_SLACK
+    if v.prefix[-1] * slack.denominator \
+            > (slack.denominator + slack.numerator) * v.denominator:
         raise InputError("StepMeasure must be (sub-)probability: total <= 1")
 
 
@@ -145,34 +162,26 @@ def _heavy(v: StepMeasure, units: int, lam: int, n: int) -> bool:
     return units * lam ** n >= v.denominator
 
 
-def _cell_index(params: GoodSetParams, n: int, pos: Fraction) -> int | None:
-    """Grid cell of `pos` at generation n; None when pos is outside I.
-
-    Cells are half-open [lo, hi) except the last, which is closed; a point
-    exactly on a gridline belongs to the cell on its right. Computed as
-    floor((pos - a) lam^(2n) / |I|) in integers.
-    """
-    a, length = params.a, params.length
-    if pos < a or pos > params.b:
-        return None
-    cells = params.n_cells(n)
-    j = ((pos.numerator * a.denominator - a.numerator * pos.denominator)
-         * length.denominator * cells) \
-        // (pos.denominator * a.denominator * length.numerator)
-    return min(j, cells - 1)
-
-
 def _cell_masses(v: StepMeasure, params: GoodSetParams, n: int
                  ) -> dict[int, int]:
     """Exact mass per atom-bearing grid cell at generation n, in units of
     1/v.denominator, in ascending cell order; cells of zero mass are left
-    out. Positions are sorted, so a cell's atoms are one run and its mass a
-    difference of prefix sums."""
-    pos, prefix = v.positions, v.prefix
-    i = bisect_left(pos, params.a)
+    out. Cells are half-open [lo, hi) except the last, which is closed, so
+    an atom on a gridline belongs to the cell on its right. Ticks are
+    sorted, so a cell's atoms are one run and its mass a difference of
+    prefix sums."""
+    ticks, prefix, scale = v.ticks, v.prefix, v.scale
+    cells = params.n_cells(n)
+
+    def cell(k: int) -> int:
+        x, q = params._relative(ticks[k], scale)
+        return min(x * cells // q, cells - 1)
+
+    a, b = params.a, params.b
+    i = v.below(a.numerator, a.denominator)
     out: dict[int, int] = {}
-    for j, run in groupby(range(i, bisect_right(pos, params.b)),
-                          key=lambda k: _cell_index(params, n, pos[k])):
+    for j, run in groupby(range(i, v.below(b.numerator, b.denominator,
+                                           closed=True)), key=cell):
         k = i + sum(1 for _ in run)
         if prefix[k] > prefix[i]:
             out[j] = prefix[k] - prefix[i]
@@ -217,10 +226,42 @@ def build_removed_families(v: StepMeasure, params: GoodSetParams
     return _family(v, params, _generation_masses(v, params))
 
 
-def cell_bounds(params: GoodSetParams, n: int, j: int
-                ) -> tuple[Fraction, Fraction]:
-    w = params.cell_width(n)
-    return params.a + j * w, params.a + (j + 1) * w
+def _good_radius(v: StepMeasure, params: GoodSetParams, p: int, q: int
+                 ) -> tuple[list[tuple[int, int, int, int, int]],
+                            tuple[int, str] | None]:
+    """is_good_radius of t = p/q, q > 0, in ints: the witnesses
+    (n, j, units, clearance numerator, clearance denominator) of the
+    generations t passes, and its first failure (n, reason), None if none.
+
+    With (t - a) / |I| = X / Q, t lies X lam^(2n) / Q cells into I: its
+    cell j and remainder r are divmod(X lam^(2n), Q), so t clears the cell's
+    ends by r / Q and (Q - r) / Q cell widths. The clearance is at least
+    |I| lam^(-3n) = lam^(-n) cell widths iff min(r, Q - r) lam^n >= Q. The
+    cell [lo, hi) (closed when last) has its ends over the denominator
+    a_d |I|_d lam^(2n), and its mass is two tick counts.
+    """
+    x, qq = params._relative(p, q)
+    if not 0 < x < qq:
+        raise InputError("t must lie in the interior of I")
+    a, length, lam = params.a, params.length, params.lam
+    step = length.numerator * a.denominator
+    prefix = v.prefix
+    witnesses = []
+    for n in range(1, params.depth + 1):
+        cells = lam ** (2 * n)
+        j, r = divmod(x * cells, qq)
+        den = a.denominator * length.denominator * cells
+        lo = a.numerator * length.denominator * cells + j * step
+        units = prefix[v.below(lo + step, den, closed=j == cells - 1)] \
+            - prefix[v.below(lo, den)]
+        if _heavy(v, units, lam, n):
+            return witnesses, (n, HEAVY_CELL)
+        clear = min(r, qq - r)
+        if clear * lam ** n < qq:
+            return witnesses, (n, GRIDLINE_SHELL)
+        witnesses.append((n, j, units, clear * length.numerator,
+                          qq * length.denominator * cells))
+    return witnesses, None
 
 
 def is_good_radius(v: StepMeasure, t, params: GoodSetParams):
@@ -228,27 +269,20 @@ def is_good_radius(v: StepMeasure, t, params: GoodSetParams):
 
     Checks, per generation n <= depth: the grid cell J_n(t) has exact mass
     < lam^(-n), and t sits at distance >= |I| lam^(-3n) from both cell
-    endpoints. Implicit check: no family materialization needed.
+    endpoints. Implicit check: no family materialization needed. Each
+    witness is (n, cell index, exact cell mass, exact clearance).
     """
     _check_total(v)
-    t = Fraction(t)
-    if not (params.a < t < params.b):
-        raise InputError("t must lie in the interior of I")
-    witnesses = []
-    for n in range(1, params.depth + 1):
-        j = _cell_index(params, n, t)
-        lo, hi = cell_bounds(params, n, j)
-        last = j == params.n_cells(n) - 1
-        units = v.mass_units(lo, hi, lo_closed=True, hi_closed=last)
-        if _heavy(v, units, params.lam, n):
-            return GoodRadiusRejection(t=t, generation=n, reason=HEAVY_CELL)
-        clearance = min(t - lo, hi - t)
-        if clearance < params.shell_half_width(n):
-            return GoodRadiusRejection(t=t, generation=n,
-                                       reason=GRIDLINE_SHELL)
-        witnesses.append((n, j, Fraction(units, v.denominator), clearance))
-    return GoodRadiusCertificate(t=t, lam=params.lam, depth=params.depth,
-                                 witnesses=tuple(witnesses))
+    t = _exact(t, "t")
+    witnesses, failure = _good_radius(v, params, t.numerator, t.denominator)
+    if failure is not None:
+        n, reason = failure
+        return GoodRadiusRejection(t=t, generation=n, reason=reason)
+    return GoodRadiusCertificate(
+        t=t, lam=params.lam, depth=params.depth,
+        witnesses=tuple((n, j, Fraction(units, v.denominator),
+                         Fraction(clr_num, clr_den))
+                        for n, j, units, clr_num, clr_den in witnesses))
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +380,23 @@ class IntervalSet:
         for s, e in zip(self.starts.tolist(), self.ends.tolist()):
             yield self.offset + s * self.unit, self.offset + e * self.unit
 
+    def _midpoint_ratio(self, i: int) -> tuple[int, int]:
+        """Base piece i's midpoint as an unreduced pair (p, q) of ints."""
+        o, u = self.offset, self.unit
+        return (2 * o.numerator * u.denominator
+                + (int(self.base_starts[i]) + int(self.base_ends[i]))
+                * u.numerator * o.denominator,
+                2 * o.denominator * u.denominator)
+
     def midpoint(self, k: int) -> Fraction:
-        i = self._base_index(k)
-        return self.offset + (int(self.base_starts[i])
-                              + int(self.base_ends[i])) * self.unit / 2
+        return Fraction(*self._midpoint_ratio(self._base_index(k)))
+
+    def _half_units(self, p: int, q: int) -> tuple[int, int]:
+        """(p/q - offset) / (unit/2) as an unreduced pair of ints, q > 0:
+        on this scale base piece i's midpoint sits at s + e."""
+        o, u = self.offset, self.unit
+        return ((p * o.denominator - o.numerator * q) * 2 * u.denominator,
+                q * o.denominator * u.numerator)
 
     def to_json(self) -> dict:
         ivals = []
@@ -486,25 +533,24 @@ def select_good_radius_near(v: StepMeasure, target, params: GoodSetParams
     """Nearest certified radius to `target` among depth-generation cell
     midpoints, scanning outward; ties break toward the smaller radius."""
     _check_total(v)
-    target = Fraction(target)
+    target = _exact(target, "target")
     if not (params.a < target < params.b):
         raise InputError("target must lie in the interior of I")
+    a, length = params.a, params.length
     n_cells = params.n_cells(params.depth)
-    w = params.cell_width(params.depth)
-
-    def mid(j: int) -> Fraction:
-        return params.a + (2 * j + 1) * w / 2
-
-    j0 = _cell_index(params, params.depth, target)
+    # cell j's midpoint a + (2j + 1) |I| / (2 n_cells), over one denominator
+    den = 2 * a.denominator * length.denominator * n_cells
+    base = 2 * a.numerator * length.denominator * n_cells
+    step = length.numerator * a.denominator
+    x, q = params._relative(target.numerator, target.denominator)
+    j0 = x * n_cells // q
     for k in range(n_cells):
-        cands = []
-        for j in (j0 - k, j0 + k) if k else (j0,):
-            if 0 <= j < n_cells:
-                cands.append(mid(j))
         # smaller first; equidistance then resolves toward the smaller radius
-        for t in sorted(cands):
-            if is_good_radius(v, t, params).ok:
-                return t
+        for j in (j0 - k, j0 + k) if k else (j0,):
+            mid = base + (2 * j + 1) * step
+            if 0 <= j < n_cells and _good_radius(v, params, mid, den)[1] \
+                    is None:
+                return Fraction(mid, den)
     raise SearchExhaustedError(
         f"no certified cell midpoint in I at lambda={params.lam}, "
         f"depth={params.depth}")
@@ -545,42 +591,55 @@ def _base_clearance_verified(lam: int, depth: int) -> int:
     return int(s.size)
 
 
-def _frac_ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
+def _violation_runs(v: StepMeasure, params: GoodSetParams, n: int
+                    ) -> list[list[int]]:
+    """concentration_violations in ticks: [lo, hi] stands for the closed
+    interval [lo / scale - w, hi / scale + w], w = |I| lam^-3n.
 
-
-def _frac_floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
+    The window around t covers the run of atoms within [t - w, t + w], so t
+    violates exactly when some run i..j spanning at most 2w with mass
+    >= lam^-n fits, i.e. t in [pos_j - w, pos_i + w]. For each i only the
+    shortest heavy run can fit (wider runs only shrink the t-interval), and
+    prefix sums find it by bisection. Its end j never decreases with i, so
+    the runs come sorted. Spans are tick differences against
+    floor(2 w scale).
+    """
+    length, lam = params.length, params.lam
+    span = 2 * length.numerator * v.scale \
+        // (length.denominator * lam ** (3 * n))
+    least = -(-v.denominator // lam ** n)  # the least heavy mass, in units
+    ticks, prefix = v.ticks, v.prefix
+    merged: list[list[int]] = []
+    for i, tick in enumerate(ticks):
+        j = bisect_left(prefix, prefix[i] + least, lo=i + 1) - 1
+        if j == len(ticks) or ticks[j] - tick > span:
+            continue
+        if merged and ticks[j] - merged[-1][1] <= span:
+            merged[-1][1] = tick  # ticks increase, so this is the max
+        else:
+            merged.append([ticks[j], tick])
+    return merged
 
 
 def concentration_violations(v: StepMeasure, params: GoodSetParams, n: int
                              ) -> list[tuple[Fraction, Fraction]]:
     """All t for which the closed window [t - |I| lam^-3n, t + |I| lam^-3n]
-    carries mass >= lam^-n, as a merged list of closed intervals.
-
-    Exact sliding-window enumeration over atom runs: the window around t
-    covers the run of atoms within [t - w, t + w], so t violates exactly
-    when some run (i..j) with span <= 2w and mass >= lam^-n fits, i.e.
-    t in [pos_j - w, pos_i + w].
-    """
+    carries mass >= lam^-n, as a merged list of closed intervals: exact
+    sliding-window enumeration over atom runs (see _violation_runs)."""
     w = params.shell_half_width(n)
-    pos, prefix = v.positions, v.prefix
-    out: list[tuple[Fraction, Fraction]] = []
-    for i in range(len(pos)):
-        for j in range(i, len(pos)):
-            if pos[j] - pos[i] > 2 * w:
-                break
-            if _heavy(v, prefix[j + 1] - prefix[i], params.lam, n):
-                out.append((pos[j] - w, pos[i] + w))
-                break  # wider runs only shrink the t-interval
-    out.sort()
-    merged: list[tuple[Fraction, Fraction]] = []
-    for lo, hi in out:
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    return merged
+    return [(Fraction(lo, v.scale) - w, Fraction(hi, v.scale) + w)
+            for lo, hi in _violation_runs(v, params, n)]
+
+
+def _first_midpoint_at_least(bs: np.ndarray, be: np.ndarray,
+                             m: np.ndarray) -> np.ndarray:
+    """Per entry of m, the first base index whose midpoint s + e (units
+    u/2) is >= m; bs.size when none is. The pieces are disjoint: those
+    before the first piece k with 2e >= m have s + e < 2e < m, and those
+    after it s + e > 2 e_k >= m. So the answer is k or k + 1."""
+    k = np.searchsorted(be, (m + 1) // 2)  # (m + 1) // 2 = ceil(m / 2)
+    kk = np.minimum(k, be.size - 1)
+    return k + ((k < be.size) & (bs[kk] + be[kk] < m))
 
 
 @dataclass(frozen=True)
@@ -606,7 +665,7 @@ def verify_good_set(v: StepMeasure, params: GoodSetParams, iset: IntervalSet,
         (lam, depth); midpoints of the pieces bordering a padded heavy cell
         are checked individually, as is a random sample;
       - every base piece overlapping a padded heavy cell must be dropped;
-      - every surviving atom-bearing cell must be light (exact rationals);
+      - every surviving atom-bearing cell must be light (exact integers);
       - the non-concentration windows are checked against the exact set of
         violating t (closed-window sliding-run enumeration).
     """
@@ -641,45 +700,50 @@ def verify_good_set(v: StepMeasure, params: GoodSetParams, iset: IntervalSet,
     #     boundary (every piece is a measure-free one, whose clearance the
     #     cached base pass covers) plus a random sample go through the
     #     scalar certifier
-    check_idx: set[int] = set()
+    check_base: set[int] = set()
     hb = np.concatenate([hs, he])
     for ends_or_starts in (be, bs):
         i = np.searchsorted(ends_or_starts, hb, side="left")
         on = i < ends_or_starts.size
         i = i[on][ends_or_starts[i[on]] == hb[on]]
-        i = i[iset._n_kept(i, i + 1) == 1]
-        check_idx.update((i - iset._dropped_below(i)).tolist())
+        check_base.update(i[iset._n_kept(i, i + 1) == 1].tolist())
     if rng is None:
         rng = np.random.default_rng(0)
     nn = iset.n_intervals
     if nn:
-        check_idx.update(
-            int(i) for i in rng.integers(0, nn, size=min(n_samples, nn)))
-    n_scalar = 0
-    for k in sorted(check_idx):
-        n_scalar += 1
-        if not is_good_radius(v, iset.midpoint(k), params).ok:
+        check_base.update(
+            iset._base_index(int(k))
+            for k in rng.integers(0, nn, size=min(n_samples, nn)))
+    n_scalar = len(check_base)
+    for i in check_base:
+        if _good_radius(v, params, *iset._midpoint_ratio(i))[1] is not None:
             midpoints_ok = False
 
-    # (4) non-concentration: no midpoint may sit in a violating window;
-    #     midpoints in units u/2 are s + e, increasing in the base index
+    # (4) non-concentration: no midpoint may sit in a violating window.
+    #     Midpoints in half units are s + e, increasing in the base index,
+    #     so a window holds those from the first with s + e >= its low end
+    #     in half units (rounded up) to the first above its high end
+    #     (rounded down). The ends are clipped to the midpoints' range,
+    #     where they still find the same pieces.
     non_concentration_ok = True
-    u2 = iset.unit / 2
-    every = range(bs.size)
-
-    def mid2(i: int) -> int:
-        return int(bs[i]) + int(be[i])
-
+    bounds = []
     for n in range(1, depth + 1):
-        for lo, hi in concentration_violations(v, params, n):
-            m_lo = _frac_ceil((lo - iset.offset) / u2)
-            m_hi = _frac_floor((hi - iset.offset) / u2)
-            if m_lo > m_hi:
-                continue
-            i0 = bisect_left(every, m_lo, key=mid2)
-            i1 = bisect_right(every, m_hi, key=mid2)
-            if iset._n_kept(i0, i1) > 0:
-                non_concentration_ok = False
+        # a window end tick / scale -+ w is (tick per_tick -+ w) / q
+        per_tick = params.length.denominator * lam ** (3 * n)
+        q, w = v.scale * per_tick, params.length.numerator * v.scale
+        for lo, hi in _violation_runs(v, params, n):
+            x_lo, d = iset._half_units(lo * per_tick - w, q)
+            x_hi, _ = iset._half_units(hi * per_tick + w, q)
+            m_lo, m_hi = -(-x_lo // d), x_hi // d
+            if m_lo <= m_hi:
+                bounds.append((m_lo, m_hi + 1))
+    if bounds and bs.size:
+        lowest, highest = int(bs[0] + be[0]), int(bs[-1] + be[-1]) + 1
+        first = _first_midpoint_at_least(bs, be, np.asarray(
+            [[min(max(m, lowest), highest) for m in b] for b in bounds],
+            dtype=np.int64))
+        non_concentration_ok = not bool(np.any(
+            iset._n_kept(first[:, 0], first[:, 1]) > 0))
     return GoodSetVerification(n_midpoints=nn,
                                n_scalar_checked=n_scalar,
                                midpoints_ok=midpoints_ok,

@@ -2,13 +2,17 @@
 
 DiscreteMeasure lives in float64 on a cloud; StepMeasure is the exact atomic
 measure on the line that all multiscale interval arithmetic runs on. A
-StepMeasure holds sorted exact positions and integer mass numerators over
-one common denominator, with their prefix sums: an interval's mass is two
-bisections and one integer subtraction, and a threshold test is an integer
-comparison. A pushforward of float weights needs no rounding (every float
-is dyadic, so the denominator is a power of two); a measure built from
-rationals uses the LCM of their denominators. Fraction appears only at the
-API boundary (masses, total, the value interval_mass returns).
+StepMeasure holds its atoms as sorted integer ticks over one scale (atom k
+sits at ticks[k] / scale) and their masses as integer numerators over one
+common denominator, with prefix sums. How many atoms lie below a rational
+p/q is one bisection of the ticks at ceil(p scale / q); an interval's mass
+is two such counts and one integer subtraction, and a threshold test is an
+integer comparison. Both scales are canonical, the LCM of the reduced
+denominators, so equal measures compare equal: a pushforward of float
+distances and weights needs no rounding (every float is dyadic, so each
+scale is a power of two), and a measure built from rationals uses the LCMs
+of their denominators. Fraction appears only at the API boundary
+(positions, masses, total, the value interval_mass returns).
 """
 
 from __future__ import annotations
@@ -132,22 +136,26 @@ def growth_pass(m: DiscreteMeasure, s: float, r_min: float) -> RowPass:
 @dataclass(frozen=True)
 class StepMeasure:
     """Purely atomic measure on the line with exact rational atoms: atom k
-    sits at positions[k] (sorted, distinct) with mass
+    sits at ticks[k] / scale (ticks sorted and distinct) with mass
     numerators[k] / denominator."""
 
-    positions: tuple[Fraction, ...]
+    ticks: tuple[int, ...]
+    scale: int
     numerators: tuple[int, ...]
     denominator: int
 
     @property
     def n_atoms(self) -> int:
-        return len(self.positions)
+        return len(self.ticks)
 
     @cached_property
     def prefix(self) -> tuple[int, ...]:
-        """prefix[k] = sum(numerators[:k]), one entry longer than
-        positions."""
+        """prefix[k] = sum(numerators[:k]), one entry longer than ticks."""
         return (0, *accumulate(self.numerators))
+
+    @cached_property
+    def positions(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(t, self.scale) for t in self.ticks)
 
     @cached_property
     def masses(self) -> tuple[Fraction, ...]:
@@ -156,6 +164,13 @@ class StepMeasure:
     @property
     def total(self) -> Fraction:
         return Fraction(self.prefix[-1], self.denominator)
+
+    def below(self, p: int, q: int, closed: bool = False) -> int:
+        """How many atoms lie below p/q (at or below it when closed), q > 0:
+        one bisection of the ticks at the first tick that is not."""
+        if closed:
+            return bisect_right(self.ticks, p * self.scale // q)
+        return bisect_left(self.ticks, -(-p * self.scale // q))
 
     def mass_units(self, lo, hi, lo_closed: bool = True,
                    hi_closed: bool = True) -> int:
@@ -166,9 +181,8 @@ class StepMeasure:
         hi = _exact(hi, "interval endpoint")
         if lo > hi:
             raise InputError("need lo <= hi")
-        pos = self.positions
-        i = bisect_left(pos, lo) if lo_closed else bisect_right(pos, lo)
-        j = bisect_right(pos, hi) if hi_closed else bisect_left(pos, hi)
+        i = self.below(lo.numerator, lo.denominator, closed=not lo_closed)
+        j = self.below(hi.numerator, hi.denominator, closed=hi_closed)
         return self.prefix[j] - self.prefix[i] if j > i else 0
 
 
@@ -184,7 +198,8 @@ def _exact(x, what: str) -> Fraction:
 
 def make_step_measure(pairs) -> StepMeasure:
     """Build from (position, mass) pairs; equal positions merge exactly.
-    Masses go over the LCM of their denominators."""
+    Positions go over the LCM of their denominators, masses over the LCM of
+    theirs."""
     atoms = []
     for pos, mass in pairs:
         pos = _exact(pos, "atom position")
@@ -194,13 +209,15 @@ def make_step_measure(pairs) -> StepMeasure:
         if pos < 0:
             raise InputError("atom positions must be nonnegative")
         atoms.append((pos, mass))
+    scale = math.lcm(*(pos.denominator for pos, _ in atoms))
     den = math.lcm(*(mass.denominator for _, mass in atoms))
-    acc: dict[Fraction, int] = {}
+    acc: dict[int, int] = {}
     for pos, mass in atoms:
-        acc[pos] = acc.get(pos, 0) + mass.numerator * (den // mass.denominator)
-    positions = tuple(sorted(acc))
-    return StepMeasure(positions=positions,
-                       numerators=tuple(acc[p] for p in positions),
+        t = pos.numerator * (scale // pos.denominator)
+        acc[t] = acc.get(t, 0) + mass.numerator * (den // mass.denominator)
+    ticks = tuple(sorted(acc))
+    return StepMeasure(ticks=ticks, scale=scale,
+                       numerators=tuple(acc[t] for t in ticks),
                        denominator=den)
 
 
@@ -215,15 +232,18 @@ def radial_pushforward(m: DiscreteMeasure, z: int) -> StepMeasure:
             "cloud diameter exceeds 1; rescale_to_unit_diameter first")
     d = m.cloud.distances_from(z)
     vals, inverse = np.unique(d, return_inverse=True)
-    # each weight is exactly p / 2^k, so all are integers over the largest
-    # 2^k
+    # every float is exactly p / 2^k, so the distances are integer ticks
+    # and the weights integer numerators over the largest 2^k of each
+    spots = [x.as_integer_ratio() for x in vals.tolist()]
+    scale = max(q for _, q in spots)
     ratios = [w.as_integer_ratio() for w in m.weights.tolist()]
     den = max(q for _, q in ratios)
     numerators = [0] * vals.size
     for k, (p, q) in zip(inverse.tolist(), ratios):
         numerators[k] += p * (den // q)
-    return StepMeasure(positions=tuple(map(Fraction, vals.tolist())),
-                       numerators=tuple(numerators), denominator=den)
+    return StepMeasure(ticks=tuple(p * (scale // q) for p, q in spots),
+                       scale=scale, numerators=tuple(numerators),
+                       denominator=den)
 
 
 def interval_mass(v: StepMeasure, lo, hi, lo_closed: bool = True,

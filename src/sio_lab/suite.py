@@ -20,7 +20,8 @@ the trend's lower levels walk their own clouds.
 
 Outputs are byte-stable: data files carry no timestamps (run metadata goes to
 a sidecar), floats are serialized via repr, and all reductions are
-deterministic for any worker count.
+deterministic for any worker count. summary.json is strict JSON: a
+non-finite float is written as its repr string.
 """
 
 from __future__ import annotations
@@ -311,15 +312,29 @@ def _ball_json(b: BallRecord) -> dict:
                         "ok": c.ok} for c in b.shells]}
 
 
+def _strict_json(x):
+    """x with every non-finite float, at any depth, replaced by its repr
+    string ("nan", "inf", "-inf"), so it dumps as strict JSON."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else repr(float(x))
+    if isinstance(x, dict):
+        return {k: _strict_json(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_strict_json(v) for v in x]
+    return x
+
+
 def report_to_json(report: ConvergenceReport) -> dict:
-    """The summary: every verdict field is read off report.checks."""
+    """The summary: every verdict field is read off report.checks. It is
+    strict JSON: a failed run's non-finite floats are written as their repr
+    strings."""
     cfg = asdict(report.config)
     cfg["generator"] = asdict(report.config.generator)
     cfg["kernel"] = asdict(report.config.kernel)
     del cfg["workers"]  # execution detail; results are worker-independent
     annuli = report.check("annuli_log_bound")
     lb = report.check("log_boundary_sum")
-    return {
+    return _strict_json({
         "config": cfg,
         "n_atoms": report.n_atoms,
         "r_min": report.r_min,
@@ -347,7 +362,7 @@ def report_to_json(report: ConvergenceReport) -> dict:
         "checks": [{"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "ok": c.ok}
                    for c in report.checks],
         "all_ok": report.all_ok,
-    }
+    })
 
 
 def emit_report(report: ConvergenceReport, out_dir: str,
@@ -364,7 +379,8 @@ def emit_report(report: ConvergenceReport, out_dir: str,
     if "json" in formats:
         path = os.path.join(out_dir, "summary.json")
         with open(path, "w") as fh:
-            json.dump(report_to_json(report), fh, sort_keys=True, indent=1)
+            json.dump(report_to_json(report), fh, sort_keys=True, indent=1,
+                      allow_nan=False)
             fh.write("\n")
         written.append(path)
     meta = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),

@@ -1,9 +1,19 @@
-"""Dense N x N oracles for the pair-block evaluator: every pair's distance
-and kernel value built as one whole matrix, independently of the tiles."""
+"""Oracles built independently of the code they check.
+
+Dense N x N oracles for the pair-block evaluator: every pair's distance and
+kernel value built as one whole matrix, independently of the tiles. And the
+good-radius predicate and the concentration windows in Fraction arithmetic,
+straight from their definitions and the atoms' Fraction positions, for
+the integer-tick versions.
+"""
+
+from fractions import Fraction
 
 import numpy as np
 
 from sio_lab import kernels
+from sio_lab.good_radii import (GRIDLINE_SHELL, HEAVY_CELL,
+                                GoodRadiusCertificate, GoodRadiusRejection)
 
 
 def dense_distances(cloud) -> np.ndarray:
@@ -44,3 +54,54 @@ def dense_kernel(k, cloud) -> np.ndarray:
         vals = (b - b.T) / 2.0 if k.antisymmetrize else b
     np.fill_diagonal(vals, 0.0)
     return vals
+
+
+def is_good_radius(v, t, params):
+    """The good-radius predicate in Fractions: per generation n, t's cell
+    [lo, hi) (closed when last) must carry mass < lam^-n, and t must clear
+    both of its ends by at least |I| lam^-3n."""
+    t = Fraction(t)
+    a, length, lam = params.a, params.length, params.lam
+    assert a < t < params.b
+    witnesses = []
+    for n in range(1, params.depth + 1):
+        cells = lam ** (2 * n)
+        width = length / cells
+        j = min(int((t - a) // width), cells - 1)
+        lo, hi = a + j * width, a + (j + 1) * width
+        last = j == cells - 1
+        mass = sum((m for p, m in zip(v.positions, v.masses)
+                    if lo <= p < hi or last and p == hi), Fraction(0))
+        if mass >= Fraction(1, lam ** n):
+            return GoodRadiusRejection(t=t, generation=n, reason=HEAVY_CELL)
+        clearance = min(t - lo, hi - t)
+        if clearance < length / lam ** (3 * n):
+            return GoodRadiusRejection(t=t, generation=n,
+                                       reason=GRIDLINE_SHELL)
+        witnesses.append((n, j, mass, clearance))
+    return GoodRadiusCertificate(t=t, lam=lam, depth=params.depth,
+                                 witnesses=tuple(witnesses))
+
+
+def concentration_violations(v, params, n):
+    """Every t whose closed window [t - w, t + w], w = |I| lam^-3n,
+    carries mass >= lam^-n, as merged closed intervals: a run of atoms
+    i..j spanning at most 2w with that mass puts [pos_j - w, pos_i + w] in
+    the set."""
+    w = params.length / params.lam ** (3 * n)
+    pos, masses = v.positions, v.masses
+    out = []
+    for i in range(len(pos)):
+        for j in range(i, len(pos)):
+            if pos[j] - pos[i] > 2 * w:
+                break
+            if sum(masses[i:j + 1]) >= Fraction(1, params.lam ** n):
+                out.append((pos[j] - w, pos[i] + w))
+                break
+    merged = []
+    for lo, hi in sorted(out):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return merged

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -211,14 +213,28 @@ def test_failing_converge_writes_its_summary(tmp_path, capsys):
                          "--eps-count", "3", "--out-dir", str(out)], capsys)
     assert code == 1
     assert (out / "summary.json").exists() and (out / "trace.csv").exists()
-    summary = json.loads((out / "summary.json").read_text())
+    summary = json.loads((out / "summary.json").read_text(),
+                         parse_constant=_reject_constant)
     assert summary["all_ok"] is False
     failed = [c["name"] for c in summary["checks"] if not c["ok"]]
     assert failed[0] == "kernel_antisymmetry"
+    anti = next(c for c in summary["checks"]
+                if c["name"] == "kernel_antisymmetry")
+    assert anti["lhs"] == anti["rhs"] == "nan"
     lines = printed.splitlines()
     assert lines[0] == "FAIL  kernel_antisymmetry  lhs=nan  rhs=nan"
     assert lines[-1].startswith("CHECKS FAILED; wrote ")
     assert len(lines) == len(failed) + 1
+    # report reads the strings back as the floats converge printed
+    code, reported = run(["report", "--summary", str(out / "summary.json")],
+                         capsys)
+    assert code == 1
+    assert [line for line in reported.splitlines()
+            if line.startswith("FAIL")] == lines[:-1]
+
+
+def _reject_constant(name):
+    raise AssertionError(f"summary.json holds the bare token {name}")
 
 
 def test_pairing_with_a_nan_kernel_writes_its_trace_and_fails(tmp_path,
@@ -256,3 +272,47 @@ def test_check_kernel_with_a_nan_kernel_fails(tmp_path, capsys):
                      "--kernel-file", str(tmp_path / "kernel.txt")], capsys)
     assert code == 1
     assert out.splitlines()[0] == "FAIL  kernel_antisymmetry  lhs=nan  rhs=nan"
+
+
+FOUR_CORNER_L3 = str(Path(__file__).parent / "data" / "four_corner_l3.json")
+
+# good-radii on the saved level-3 four-corner measure at center 5
+# (lambda 5, depth 3), as printed before atom positions became integer
+# ticks: reduced Fractions in every witness, radius and total.
+GOOD_RADII_PINS = [
+    (["--test", "0.1346870059"], 1,
+     "t = 1346870059/10000000000 rejected at generation 3: heavy_cell\n"),
+    (["--test", "0.37"], 0,
+     "t = 37/100 is a good radius (lambda=5, depth=3)\n"
+     "  generation 1: cell 9, mass 3/64, clearance 1/100\n"
+     "  generation 2: cell 231, mass 1/64, clearance 1/2500\n"
+     "  generation 3: cell 5781, mass 0, clearance 1/62500\n"),
+    (["--test", "0.8125"], 0,
+     "t = 13/16 is a good radius (lambda=5, depth=3)\n"
+     "  generation 1: cell 20, mass 1/64, clearance 1/80\n"
+     "  generation 2: cell 507, mass 0, clearance 3/10000\n"
+     "  generation 3: cell 12695, mass 0, clearance 1/50000\n"),
+    (["--test", "2/7"], 1,
+     "t = 2/7 rejected at generation 1: gridline_shell\n"),
+    (["--near", "0.1346870059"], 0, "4207/31250 (= 0.134624)\n"),
+    (["--near", "0.0336717515"], 0, "997/31250 (= 0.031904)\n"),
+    (["--near", "0.61"], 0, "19063/31250 (= 0.610016)\n"),
+]
+
+
+@pytest.mark.parametrize("flags, status, printed", GOOD_RADII_PINS)
+def test_good_radii_output_is_pinned(capsys, flags, status, printed):
+    code, out = run(["good-radii", "--measure", FOUR_CORNER_L3,
+                     "--center", "5", *flags], capsys)
+    assert (code, out) == (status, printed)
+
+
+def test_good_radii_materialize_file_is_pinned(tmp_path, capsys):
+    code, out = run(["good-radii", "--measure", FOUR_CORNER_L3,
+                     "--center", "5", "--materialize", "good.json",
+                     "--out-dir", str(tmp_path)], capsys)
+    assert code == 0
+    assert out == (f"wrote {tmp_path / 'good.json'}: 8597 intervals, total "
+                   f"length 1057431/1953125 (bound 32/125)\n")
+    assert hashlib.sha256((tmp_path / "good.json").read_bytes()).hexdigest() \
+        == "adf04a8f9f4973b9d14ae74a5e43d08c4c386aebeab0f65bf0ac0b7711c899f7"

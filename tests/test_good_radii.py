@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from sio_lab import good_radii
 from sio_lab.errors import BudgetError, CertificationError, InputError
 from sio_lab.good_radii import (GoodSetParams, build_removed_families,
@@ -26,6 +28,28 @@ def test_params_validation():
         GoodSetParams(lam=5, depth=0)
     assert GoodSetParams(lam=3, depth=1).bound_is_vacuous
     assert not GoodSetParams(lam=5, depth=1).bound_is_vacuous
+
+
+@pytest.mark.parametrize("bad", [
+    {"lam": 5.5}, {"lam": 5.0}, {"depth": 2.0}, {"depth": True},
+    {"a": math.nan}, {"b": math.inf}, {"a": "abc"}, {"b": None}])
+def test_params_reject_what_the_integer_predicate_cannot_take(bad):
+    """lambda and depth must be ints (a float lambda would make the powers
+    floats), and the ends finite numbers: each is an InputError."""
+    with pytest.raises(InputError):
+        GoodSetParams(**{"lam": 5, "depth": 2, **bad})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, "abc", None])
+def test_is_good_radius_rejects_a_non_number(bad):
+    with pytest.raises(InputError, match="t must be a finite number"):
+        is_good_radius(DELTA_HALF, bad, P5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, "abc", None])
+def test_select_rejects_a_non_number_target(bad):
+    with pytest.raises(InputError, match="target must be a finite number"):
+        select_good_radius_near(DELTA_HALF, bad, P5)
 
 
 def test_heavy_cell_for_point_mass():
@@ -444,3 +468,143 @@ def test_non_concentration_windows_are_closed(start, end, clear):
         offset=Fraction(0))
     rep = verify_good_set(DELTA_HALF, P5, iset, n_samples=0)
     assert rep.non_concentration_ok == clear
+
+
+@st.composite
+def oracle_cases(draw):
+    """A measure, an interval I = [a, b] with a != 0 and |I| != 1, and a
+    radius t in I: on a gridline, exactly on a shell edge, one unit inside
+    the shell, in the last cell, or anywhere. Atoms sit on gridlines, on
+    shell edges, on b (the last cell's closed end) or anywhere."""
+    lam, depth = draw(st.integers(3, 5)), draw(st.integers(1, 2))
+    a = draw(st.fractions(Fraction(1, 7), 2, max_denominator=12))
+    length = draw(st.fractions(Fraction(1, 5), 3, max_denominator=12)
+                  .filter(lambda x: x != 1))
+    params = GoodSetParams(lam=lam, depth=depth, a=a, b=a + length)
+    unit = length / lam ** (3 * depth + 2)
+
+    def gridline(n):
+        return a + draw(st.integers(0, lam ** (2 * n))) * length \
+            / lam ** (2 * n)
+
+    def point(kind, n):
+        h = params.shell_half_width(n)
+        sign = draw(st.sampled_from([-1, 1]))
+        return {"gridline": lambda: gridline(n),
+                "edge": lambda: gridline(n) + sign * h,
+                "inside": lambda: gridline(n) + sign * (h - unit),
+                "last": lambda: params.b - draw(st.integers(1, 4)) * unit,
+                "end": lambda: params.b,
+                "free": lambda: a + draw(st.fractions(0, 1)) * length}[kind]()
+
+    kinds = ["gridline", "edge", "inside", "last", "free"]
+    atoms = [(point(draw(st.sampled_from(kinds + ["end"])),
+                    draw(st.integers(1, depth))),
+              draw(st.fractions(0, 1, max_denominator=40)))
+             for _ in range(draw(st.integers(0, 6)))]
+    total = sum(m for _, m in atoms)
+    if total > 1:
+        atoms = [(p, m / total) for p, m in atoms]
+    kind, n = draw(st.sampled_from(kinds)), draw(st.integers(1, depth))
+    return make_step_measure(atoms), params, kind, n, point(kind, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=oracle_cases())
+def test_integer_predicate_equals_the_fraction_oracle(case):
+    """Whole results agree with the Fraction definitions: the rejecting
+    generation and reason, or every witness; and every concentration
+    window."""
+    v, params, kind, n, t = case
+    for m in range(1, params.depth + 1):
+        assert concentration_violations(v, params, m) \
+            == oracles.concentration_violations(v, params, m)
+    if not params.a < t < params.b:
+        return
+    res = is_good_radius(v, t, params)
+    assert res == oracles.is_good_radius(v, t, params)
+    shell_reject = (not res.ok and res.generation == n
+                    and res.reason == good_radii.GRIDLINE_SHELL)
+    if kind == "edge":  # clearance exactly the half-width: not in the shell
+        assert not shell_reject
+    if kind == "inside":
+        assert not res.ok and res.generation <= n
+
+
+def _check4_case(data):
+    """Parameters with a != 0 and |I| != 1, and a measure whose atoms
+    crowd [a, a + near u], on the grid of half units u/2 (where midpoints
+    and window ends meet) or off it."""
+    lam, depth = data.draw(st.integers(3, 4)), data.draw(st.integers(1, 2))
+    a = Fraction(data.draw(st.integers(1, 5)), 3)
+    length = Fraction(data.draw(st.integers(2, 5)), 7)
+    params = GoodSetParams(lam=lam, depth=depth, a=a, b=a + length)
+    big = lam ** (3 * depth)
+    near = min(big - 1, 32)
+    unit = length / big
+    atoms = data.draw(st.lists(st.tuples(
+        st.integers(1, 2 * near),
+        st.sampled_from([0, 0, Fraction(1, 3), Fraction(-2, 5)]),
+        st.fractions(0, 1, max_denominator=12)), max_size=8))
+    total = sum(m for _, _, m in atoms)
+    v = make_step_measure([(a + (k + off) * unit / 2,
+                            m / total if total > 1 else m)
+                           for k, off, m in atoms])
+    windows = [w for n in range(1, depth + 1)
+               for w in oracles.concentration_violations(v, params, n)]
+    return params, v, big, near, windows
+
+
+def _view(params, big, starts, ends, drop=(0, 0)):
+    s = np.asarray(starts, dtype=np.int64)
+    e = np.asarray(ends, dtype=np.int64)
+    runs = ([drop[0]], [drop[1]]) if drop[1] > drop[0] else ([], [])
+    return good_radii.IntervalSet(
+        base_starts=s, base_ends=e, base_total_units=int((e - s).sum()),
+        drop_lo=np.asarray(runs[0], np.int64),
+        drop_hi=np.asarray(runs[1], np.int64),
+        unit=params.length / big, offset=params.a)
+
+
+def _assert_check4_matches_the_oracle(v, params, iset, windows):
+    """verify_good_set's check (4) against every kept midpoint tested
+    against every Fraction window."""
+    clear = not any(lo <= iset.midpoint(k) <= hi for lo, hi in windows
+                    for k in range(iset.n_intervals))
+    rep = verify_good_set(v, params, iset, n_samples=0)
+    assert rep.non_concentration_ok == clear
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_non_concentration_check_equals_the_midpoint_oracle(data):
+    """Check (4) on views of random disjoint pieces, some dropped."""
+    params, v, big, near, windows = _check4_case(data)
+    cuts = sorted(set(data.draw(st.lists(st.integers(1, near),
+                                         min_size=2, max_size=16))))
+    starts, ends = cuts[0:len(cuts) - 1:2], cuts[1::2]
+    d0 = data.draw(st.integers(0, len(starts)))
+    iset = _view(params, big, starts, ends,
+                 (d0, data.draw(st.integers(d0, len(starts)))))
+    _assert_check4_matches_the_oracle(v, params, iset, windows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_non_concentration_check_is_exact_at_window_ends(data):
+    """Check (4) on one piece whose midpoint is a window's first or last
+    half unit inside it, or the half unit just outside."""
+    params, v, big, near, windows = _check4_case(data)
+    if not windows:
+        return
+    lo, hi = data.draw(st.sampled_from(windows))
+    half = params.length / big / 2
+    inside_lo = math.ceil((lo - params.a) / half)
+    inside_hi = math.floor((hi - params.a) / half)
+    m = data.draw(st.sampled_from([inside_lo - 1, inside_lo, inside_hi,
+                                   inside_hi + 1]))
+    s = (m - 1) // 2 if m % 2 else (m - 2) // 2  # e - s is 1 or 2
+    if not 0 <= s < m - s <= big:
+        return
+    iset = _view(params, big, [s], [m - s])
+    _assert_check4_matches_the_oracle(v, params, iset, windows)
