@@ -14,12 +14,19 @@ the window sits inside J_n(t) by the clearance, and J_n(t) is light.
 The good set is built cell by cell: inside each generation-N cell it is one
 closed piece (the points clearing every ancestor's endpoints), dropped whole
 when an ancestor is heavy. A heavy cell's padding is its neighbours' own
-shells, so no piece is ever trimmed. The measure-free pieces are periodic
-(generation-1 cell J holds cell 0's pieces translated), so they are built
-from one period and cached per (lam, depth). A measure's good set is a view:
-the cached pieces minus the index runs below its padded heavy cells. Counts,
-totals, single intervals and every check of verify_good_set are answered
-from the runs, so no per-measure array is as large as the set.
+shells, so no piece is ever trimmed. The measure-free pieces (the base) are
+periodic: generation-1 cell J holds cell 0's pieces translated by J T units,
+T = lam^(3N - 2). So the base is kept as that one period, R = lam^2 repeats
+of it, and cached per (lam, depth). With m pieces per period, base piece i
+is period piece i % m moved by (i // m) T, and a search of the base for x
+is J m + (search of the period for x - J T), J = clip(x // T, 0, R - 1):
+every period piece lies in [0, T). Shell clearance is checked on the one
+period when it is built: a translate moves each doubled midpoint by 2 J T,
+a multiple of every generation's doubled cell width. A measure's good set
+is a view: the base minus the index runs below its padded heavy cells.
+Counts, totals, single intervals and every check of verify_good_set are
+answered from the period and the runs, so no array is as large as the set
+unless its pieces are asked for.
 
 All comparisons are exact and run on Python ints: good-set endpoints live
 on the integer grid of units u = |I| lam^(-3N), atoms are integer ticks over
@@ -291,20 +298,81 @@ def is_good_radius(v: StepMeasure, t, params: GoodSetParams):
 
 
 @dataclass(frozen=True)
-class IntervalSet:
-    """Disjoint sorted closed intervals on the integer grid of `unit`: the
-    pieces of a base set minus the pieces whose base index lies in a
-    dropped run [lo, hi).
+class PeriodicPieces:
+    """`repeats` translates of one period's sorted, disjoint closed pieces,
+    in integer units: piece i is period piece i % m moved by
+    (i // m) * period, m the pieces per period.
 
-    Fractional endpoints are offset + starts[k] * unit etc.; lengths and the
-    total are exact rationals. The base arrays are shared, never copied:
-    count, total, interval(k) and midpoint(k) are answered from the runs.
+    Every period piece satisfies 0 <= start < end < period, so translates
+    never meet and the pieces stay sorted: a search for x is J m plus a
+    search of the period for x - J period, J = clip(x // period, 0,
+    repeats - 1). It stores nothing as large as all the pieces.
     """
 
-    base_starts: np.ndarray  # int64, sorted
-    base_ends: np.ndarray    # int64, base_ends[i] > base_starts[i]
-    base_total_units: int
-    drop_lo: np.ndarray      # int64; sorted, disjoint, non-touching runs
+    starts: np.ndarray  # int64, sorted
+    ends: np.ndarray    # int64, ends[i] > starts[i]
+    period: int
+    repeats: int
+
+    def __post_init__(self):
+        s, e = self.starts, self.ends
+        if not (s.ndim == 1 and s.shape == e.shape and self.repeats >= 1
+                and bool(np.all((0 <= s) & (s < e) & (e < self.period)))
+                and bool(np.all(e[:-1] <= s[1:]))):
+            raise InputError("period pieces must be sorted and disjoint, "
+                             "with 0 <= start < end < period")
+
+    @property
+    def size(self) -> int:
+        return self.repeats * self.starts.size
+
+    def at(self, ends_or_starts: np.ndarray, i):
+        """The piece ends (or starts) at piece indices i."""
+        j, r = np.divmod(np.asarray(i, dtype=np.int64), self.starts.size)
+        return j * self.period + ends_or_starts[r]
+
+    def search(self, ends_or_starts: np.ndarray, x, side: str = "left"):
+        """np.searchsorted of all the piece ends (or starts) for each x:
+        translates below x's own count whole, those above count none."""
+        x = np.asarray(x, dtype=np.int64)
+        j = np.clip(x // self.period, 0, self.repeats - 1)
+        return j * self.starts.size + np.searchsorted(
+            ends_or_starts, x - j * self.period, side=side)
+
+    def piece(self, i: int) -> tuple[int, int]:
+        """Piece i's (start, end) as ints."""
+        j, r = divmod(i, self.starts.size)
+        return (j * self.period + int(self.starts[r]),
+                j * self.period + int(self.ends[r]))
+
+    @cached_property
+    def _lengths_through(self) -> np.ndarray:
+        """The period's piece lengths summed, after a leading 0."""
+        return np.concatenate([[0], np.cumsum(self.ends - self.starts)])
+
+    def units_below(self, i):
+        """The total length of the pieces with index below each i."""
+        # an empty period has the one index 0
+        j, r = np.divmod(np.asarray(i, dtype=np.int64),
+                         max(self.starts.size, 1))
+        through = self._lengths_through
+        return j * through[-1] + through[r]
+
+
+@dataclass(frozen=True)
+class IntervalSet:
+    """Disjoint sorted closed intervals on the integer grid of `unit`: the
+    periodic pieces of `base` minus those whose index lies in a dropped run
+    [lo, hi).
+
+    Fractional endpoints are offset + start * unit etc.; lengths and the
+    total are exact rationals. The base is shared, never copied: count,
+    total, interval(k) and midpoint(k) are answered from its one period
+    and the runs.
+    """
+
+    base: PeriodicPieces
+    drop_lo: np.ndarray  # int64; sorted, disjoint, non-touching runs
     drop_hi: np.ndarray
     unit: Fraction
     offset: Fraction
@@ -343,38 +411,39 @@ class IntervalSet:
 
     @property
     def n_intervals(self) -> int:
-        return int(self.base_starts.size - self._dropped_through[-1])
+        return self.base.size - int(self._dropped_through[-1])
 
     @cached_property
     def total_units(self) -> int:
-        # each run's own slice: no temporary larger than the dropped pieces
-        return self.base_total_units - sum(
-            int((self.base_ends[lo:hi] - self.base_starts[lo:hi]).sum())
-            for lo, hi in zip(self.drop_lo.tolist(), self.drop_hi.tolist()))
+        below = self.base.units_below
+        return int(below(self.base.size)) \
+            - int((below(self.drop_hi) - below(self.drop_lo)).sum())
 
     @property
     def total_length(self) -> Fraction:
         return self.total_units * self.unit
 
-    def _kept(self, base: np.ndarray) -> np.ndarray:
-        """base's entries outside every dropped run."""
+    def _kept(self, ends_or_starts: np.ndarray) -> np.ndarray:
+        """The base's ends (or starts) outside every dropped run."""
+        b = self.base
+        every = (ends_or_starts[None, :] + b.period
+                 * np.arange(b.repeats, dtype=np.int64)[:, None]).ravel()
         return np.concatenate([
-            base[a:b] for a, b in zip([0, *self.drop_hi.tolist()],
-                                      [*self.drop_lo.tolist(), base.size])])
+            every[lo:hi] for lo, hi in zip([0, *self.drop_hi.tolist()],
+                                           [*self.drop_lo.tolist(), b.size])])
 
     @property
     def starts(self) -> np.ndarray:
         """Every kept start, built on demand (an N-sized array)."""
-        return self._kept(self.base_starts)
+        return self._kept(self.base.starts)
 
     @property
     def ends(self) -> np.ndarray:
-        return self._kept(self.base_ends)
+        return self._kept(self.base.ends)
 
     def interval(self, k: int) -> tuple[Fraction, Fraction]:
-        i = self._base_index(k)
-        return (self.offset + int(self.base_starts[i]) * self.unit,
-                self.offset + int(self.base_ends[i]) * self.unit)
+        s, e = self.base.piece(self._base_index(k))
+        return self.offset + s * self.unit, self.offset + e * self.unit
 
     def intervals(self):
         for s, e in zip(self.starts.tolist(), self.ends.tolist()):
@@ -384,8 +453,7 @@ class IntervalSet:
         """Base piece i's midpoint as an unreduced pair (p, q) of ints."""
         o, u = self.offset, self.unit
         return (2 * o.numerator * u.denominator
-                + (int(self.base_starts[i]) + int(self.base_ends[i]))
-                * u.numerator * o.denominator,
+                + sum(self.base.piece(i)) * u.numerator * o.denominator,
                 2 * o.denominator * u.denominator)
 
     def midpoint(self, k: int) -> Fraction:
@@ -408,12 +476,10 @@ class IntervalSet:
                 "total_length": [tl.numerator, tl.denominator]}
 
 
-@lru_cache(maxsize=8)
-def _base_good(lam: int, depth: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """I minus all gridline shells (no measure involved), in units of
-    |I| lam^(-3 depth) over [0, lam^(3 depth)], with its total length in
-    units. Cached: it is the common core of every materialization at this
-    (lam, depth).
+def _base_period(lam: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pieces of I minus all gridline shells (no measure involved)
+    inside generation-1 cell 0, in units of |I| lam^(-3 depth) over
+    [0, T], T = lam^(3 depth - 2).
 
     Inside depth-generation cell j the set is the single closed piece
     [max_n lo_n + h_n, min_n hi_n - h_n], where [lo_n, hi_n] is the
@@ -422,8 +488,7 @@ def _base_good(lam: int, depth: int) -> tuple[np.ndarray, np.ndarray, int]:
     is kept when it has positive length.
 
     The formula is periodic: generation-1 cell J is cell 0 translated by
-    J T, T = lam^(3 depth - 2), and so are all of its descendants' cells
-    and shells. So the pieces of cell 0 are built once and translated.
+    J T, and so are all of its descendants' cells and shells.
     """
     period = lam ** (3 * depth - 2)
     n_cells = lam ** (2 * depth - 2)  # depth cells in generation-1 cell 0
@@ -440,12 +505,47 @@ def _base_good(lam: int, depth: int) -> tuple[np.ndarray, np.ndarray, int]:
         np.maximum(sv, lo + half, out=sv)
         np.minimum(ev, lo + (spacing - half), out=ev)
     keep = e > s
-    ps, pe = s[keep], e[keep]
-    shift = np.arange(lam ** 2, dtype=np.int64)[:, None] * period
-    gs, ge = (ps[None, :] + shift).ravel(), (pe[None, :] + shift).ravel()
-    gs.setflags(write=False)
-    ge.setflags(write=False)
-    return gs, ge, lam ** 2 * int((pe - ps).sum())
+    return s[keep], e[keep]
+
+
+def _clearance_failure(pieces: PeriodicPieces, lam: int, depth: int) -> int:
+    """The lowest generation whose gridline shells hold the midpoint of
+    some piece (units |I| lam^(-3 depth)); 0 when every midpoint clears
+    every shell.
+
+    A translate by J periods moves a doubled midpoint s + e by 2 J period.
+    Where 2 period is a multiple of the doubled cell width, the offsets
+    within the cells repeat, and the first period stands for all of them;
+    elsewhere each translate is checked."""
+    mids2, period = pieces.starts + pieces.ends, pieces.period  # units u/2
+    for n in range(1, depth + 1):
+        cw2 = 2 * lam ** (3 * depth - 2 * n)
+        half2 = 2 * lam ** (3 * (depth - n))
+        for j in range(1 if 2 * period % cw2 == 0 else pieces.repeats):
+            off = (mids2 + 2 * j * period) % cw2
+            if not bool(np.all((off >= half2) & (cw2 - off >= half2))):
+                return n
+    return 0
+
+
+@lru_cache(maxsize=8)
+def _base_good(lam: int, depth: int) -> PeriodicPieces:
+    """_base_period translated lam^2 times by T = lam^(3 depth - 2) units,
+    its shell clearance certified (2 T is a multiple of every generation's
+    cell width, so the one period is checked). Cached: it is the common
+    core of every materialization at this (lam, depth), and
+    verify_good_set trusts its clearance."""
+    s, e = _base_period(lam, depth)
+    s.setflags(write=False)
+    e.setflags(write=False)
+    base = PeriodicPieces(s, e, period=lam ** (3 * depth - 2),
+                          repeats=lam ** 2)
+    failed = _clearance_failure(base, lam, depth)
+    if failed:
+        raise CertificationError(
+            f"base good set violates shell clearance at generation {failed}",
+            witness={"generation": failed, "lam": lam, "depth": depth})
+    return base
 
 
 def _heavy_padded_units(family: RemovedFamily
@@ -506,15 +606,14 @@ def materialize_good_set(v: StepMeasure, params: GoodSetParams) -> IntervalSet:
             f"removable intervals > budget {params.budget}; maximum feasible "
             f"depth is {n_ok}", max_feasible=n_ok)
     family = build_removed_families(v, params)
-    base_s, base_e, base_total = _base_good(params.lam, params.depth)
     hs, he = _heavy_padded_units(family)
+    base = _base_good(params.lam, params.depth)
     # a piece starts inside a padded heavy cell iff it lies in the cell
-    drop_lo, drop_hi = _merged_runs(np.searchsorted(base_s, hs),
-                                    np.searchsorted(base_s, he))
-    unit = params.length / params.lam ** (3 * params.depth)
-    out = IntervalSet(base_starts=base_s, base_ends=base_e,
-                      base_total_units=base_total, drop_lo=drop_lo,
-                      drop_hi=drop_hi, unit=unit, offset=params.a)
+    drop_lo, drop_hi = _merged_runs(base.search(base.starts, hs),
+                                    base.search(base.starts, he))
+    out = IntervalSet(base=base, drop_lo=drop_lo, drop_hi=drop_hi,
+                      unit=params.shell_half_width(params.depth),
+                      offset=params.a)
     floor_units = params.lam ** (3 * params.depth) \
         - 3 * sum(params.lam ** (3 * params.depth - n)
                   for n in range(1, params.depth + 1))
@@ -560,37 +659,6 @@ def select_good_radius_near(v: StepMeasure, target, params: GoodSetParams
 # exact whole-set verification (used by tests and the acceptance suite)
 
 
-_CLEARANCE_CHUNK = 1 << 16  # base pieces per step of the clearance pass
-
-
-@lru_cache(maxsize=8)
-def _base_clearance_verified(lam: int, depth: int) -> int:
-    """Check that every midpoint of the measure-free good set clears every
-    generation's gridline shells; returns the midpoint count.
-
-    Walks the base in chunks of _CLEARANCE_CHUNK pieces, so no temporary is
-    as large as the base. Runs once per (lam, depth); measure-specific
-    verification reuses it because untouched intervals keep their
-    midpoints.
-    """
-    s, e, _ = _base_good(lam, depth)
-    failed = depth + 1  # the lowest generation violated so far
-    for c0 in range(0, s.size, _CLEARANCE_CHUNK):
-        mids2 = s[c0:c0 + _CLEARANCE_CHUNK] + e[c0:c0 + _CLEARANCE_CHUNK]
-        for n in range(1, failed):  # units u/2
-            cw2 = 2 * lam ** (3 * depth - 2 * n)
-            half2 = 2 * lam ** (3 * (depth - n))
-            off = mids2 % cw2
-            if not bool(np.all((off >= half2) & (cw2 - off >= half2))):
-                failed = n
-                break
-    if failed <= depth:
-        raise CertificationError(
-            f"base good set violates shell clearance at generation {failed}",
-            witness={"generation": failed, "lam": lam, "depth": depth})
-    return int(s.size)
-
-
 def _violation_runs(v: StepMeasure, params: GoodSetParams, n: int
                     ) -> list[list[int]]:
     """concentration_violations in ticks: [lo, hi] stands for the closed
@@ -631,15 +699,16 @@ def concentration_violations(v: StepMeasure, params: GoodSetParams, n: int
             for lo, hi in _violation_runs(v, params, n)]
 
 
-def _first_midpoint_at_least(bs: np.ndarray, be: np.ndarray,
-                             m: np.ndarray) -> np.ndarray:
+def _first_midpoint_at_least(iset: IntervalSet, m: np.ndarray) -> np.ndarray:
     """Per entry of m, the first base index whose midpoint s + e (units
-    u/2) is >= m; bs.size when none is. The pieces are disjoint: those
-    before the first piece k with 2e >= m have s + e < 2e < m, and those
-    after it s + e > 2 e_k >= m. So the answer is k or k + 1."""
-    k = np.searchsorted(be, (m + 1) // 2)  # (m + 1) // 2 = ceil(m / 2)
-    kk = np.minimum(k, be.size - 1)
-    return k + ((k < be.size) & (bs[kk] + be[kk] < m))
+    u/2) is >= m; the base size when none is. The pieces are disjoint:
+    those before the first piece k with 2e >= m have s + e < 2e < m, and
+    those after it s + e > 2 e_k >= m. So the answer is k or k + 1."""
+    base = iset.base
+    k = base.search(base.ends, (m + 1) // 2)  # (m + 1) // 2 = ceil(m / 2)
+    kk = np.minimum(k, base.size - 1)
+    return k + ((k < base.size)
+                & (base.at(base.starts, kk) + base.at(base.ends, kk) < m))
 
 
 @dataclass(frozen=True)
@@ -659,11 +728,13 @@ def verify_good_set(v: StepMeasure, params: GoodSetParams, iset: IntervalSet,
 
     The per-midpoint predicate factorizes, so the whole-set check is exact
     without iterating 'is_good_radius' over millions of points. Each check
-    is a query on iset's base pieces and dropped runs, so none builds an
-    array as large as the set:
-      - shell clearance of all measure-free midpoints is verified once per
-        (lam, depth); midpoints of the pieces bordering a padded heavy cell
-        are checked individually, as is a random sample;
+    is a query on iset's period pieces and dropped runs, so none builds an
+    array as large as the set. iset must lie on params' grid (unit
+    |I| lam^(-3 depth) from a):
+      - shell clearance of every midpoint of iset's base: the cached base's
+        was certified when it was built, any other base is checked here;
+        midpoints of the pieces bordering a padded heavy cell are checked
+        individually, as is a random sample;
       - every base piece overlapping a padded heavy cell must be dropped;
       - every surviving atom-bearing cell must be light (exact integers);
       - the non-concentration windows are checked against the exact set of
@@ -671,19 +742,27 @@ def verify_good_set(v: StepMeasure, params: GoodSetParams, iset: IntervalSet,
     """
     _check_total(v)
     lam, depth = params.lam, params.depth
-    _base_clearance_verified(lam, depth)
+    unit = params.shell_half_width(depth)
+    if (iset.unit, iset.offset) != (unit, params.a):
+        raise InputError(
+            f"the set's grid ({iset.unit} from {iset.offset}) is not the "
+            f"params' ({unit} from {params.a})")
+    base = iset.base
+    # (0) every midpoint of iset's base clears every shell; the cached
+    #     base's clearance was certified when it was built
+    midpoints_ok = base is _base_good(lam, depth) \
+        or not _clearance_failure(base, lam, depth)
     # the family is derived from the measure here, not taken from the
     # materialization under test; (2) checks the same cell masses
     masses = _generation_masses(v, params)
     family = _family(v, params, masses)
     hs, he = _heavy_padded_units(family)
-    bs, be = iset.base_starts, iset.base_ends
 
     # (1) every base piece overlapping a padded heavy cell (more than in an
     #     endpoint) lies in a dropped run
-    meet = iset._n_kept(np.searchsorted(be, hs, side="right"),
-                        np.searchsorted(bs, he, side="left"))
-    midpoints_ok = not bool(np.any(meet > 0))
+    meet = iset._n_kept(base.search(base.ends, hs, side="right"),
+                        base.search(base.starts, he, side="left"))
+    midpoints_ok &= not bool(np.any(meet > 0))
 
     # (2) every surviving atom-bearing cell is light, exactly
     light_cells_ok = True
@@ -697,15 +776,14 @@ def verify_good_set(v: StepMeasure, params: GoodSetParams, iset: IntervalSet,
                 light_cells_ok = False
 
     # (3) midpoints of kept pieces that end on a padded heavy cell's
-    #     boundary (every piece is a measure-free one, whose clearance the
-    #     cached base pass covers) plus a random sample go through the
-    #     scalar certifier
+    #     boundary (every piece is a base one, whose clearance (0) covers)
+    #     plus a random sample go through the scalar certifier
     check_base: set[int] = set()
     hb = np.concatenate([hs, he])
-    for ends_or_starts in (be, bs):
-        i = np.searchsorted(ends_or_starts, hb, side="left")
-        on = i < ends_or_starts.size
-        i = i[on][ends_or_starts[i[on]] == hb[on]]
+    for ends_or_starts in (base.ends, base.starts):
+        i = base.search(ends_or_starts, hb)
+        on = i < base.size
+        i = i[on][base.at(ends_or_starts, i[on]) == hb[on]]
         check_base.update(i[iset._n_kept(i, i + 1) == 1].tolist())
     if rng is None:
         rng = np.random.default_rng(0)
@@ -737,9 +815,10 @@ def verify_good_set(v: StepMeasure, params: GoodSetParams, iset: IntervalSet,
             m_lo, m_hi = -(-x_lo // d), x_hi // d
             if m_lo <= m_hi:
                 bounds.append((m_lo, m_hi + 1))
-    if bounds and bs.size:
-        lowest, highest = int(bs[0] + be[0]), int(bs[-1] + be[-1]) + 1
-        first = _first_midpoint_at_least(bs, be, np.asarray(
+    if bounds and base.size:
+        lowest = sum(base.piece(0))
+        highest = sum(base.piece(base.size - 1)) + 1
+        first = _first_midpoint_at_least(iset, np.asarray(
             [[min(max(m, lowest), highest) for m in b] for b in bounds],
             dtype=np.int64))
         non_concentration_ok = not bool(np.any(

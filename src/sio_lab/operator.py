@@ -8,7 +8,8 @@ family, so no N x N kernel or distance array exists. Every sum walks the
 rows it needs with `metric.tile_map`, in tiles of about _TILE_PAIRS pairs,
 max(1, _TILE_PAIRS // N) rows of N columns each, so memory stays bounded
 at any N. compute_pairing_trace evaluates each pair once per trace: while
-it holds a tile it folds every eps truncation densely, and every step's
+it holds a tile it folds every distinct eps truncation densely (a step
+whose mask gains no pair reuses the previous fold), and every step's
 scale band and ball bands in one sums.fold_keys call over the pairs inside
 the grid, keyed by band. That fold walks fold_rows' tree over the band's
 pairs alone, adding a lone child to +0.0 as the dense tree adds it to a
@@ -101,9 +102,20 @@ def simple_function_from_json(obj: dict) -> SimpleFunction:
 
 def _truncated_folds(kt: np.ndarray, dt: np.ndarray, fw: np.ndarray,
                      grid) -> list[np.ndarray]:
-    """(T_eps(f mu))(x) per tile row for each eps: strict d(x, y) > eps."""
+    """(T_eps(f mu))(x) per tile row for each eps: strict d(x, y) > eps.
+
+    The grid decreases, so each mask holds the previous one; a mask with
+    as many entries as the previous is the same mask, and its fold is
+    reused."""
     terms = kt * fw[None, :]
-    return [fold_rows(np.where(dt > eps, terms, 0.0)) for eps in grid]
+    out, count = [], -1
+    for eps in grid:
+        mask = dt > eps
+        n = np.count_nonzero(mask)
+        if n != count:
+            count, fold = n, fold_rows(np.where(mask, terms, 0.0))
+        out.append(fold)
+    return out
 
 
 def _on_rows(inside: np.ndarray, fn):

@@ -290,28 +290,31 @@ def test_measure_bound_property(atoms, lam, depth):
 
 
 def test_materialize_below_bound_raises_with_witness(monkeypatch):
-    # a base set holding only its first interval falls below the floor
-    s, e, _ = good_radii._base_good(5, 1)
-    monkeypatch.setattr(good_radii, "_base_good",
-                        lambda lam, depth: (s[:1], e[:1], int(e[0] - s[0])))
+    # a base whose period holds only its first interval (of 16 at lam 5,
+    # depth 2; at depth 1 a period holds one) falls below the floor
+    base = good_radii._base_good(5, 2)
+    s, e = base.starts, base.ends
+    monkeypatch.setattr(good_radii, "_base_good", lambda lam, depth: (
+        good_radii.PeriodicPieces(s[:1], e[:1], base.period, base.repeats)))
     with pytest.raises(CertificationError) as err:
-        materialize_good_set(EMPTY, P5)
-    assert err.value.witness == {"total_units": int(e[0] - s[0]),
-                                 "floor_units": 125 - 3 * 25,
-                                 "lam": 5, "depth": 1}
+        materialize_good_set(EMPTY, GoodSetParams(lam=5, depth=2))
+    assert err.value.witness == {"total_units": 25 * int(e[0] - s[0]),
+                                 "floor_units": 5 ** 6 - 3 * (5 ** 5 + 5 ** 4),
+                                 "lam": 5, "depth": 2}
 
 
 def test_base_clearance_violation_raises_with_witness(monkeypatch):
-    # an interval centred on generation 1's first interior gridline
-    monkeypatch.setattr(good_radii, "_base_good", lambda lam, depth: (
-        np.asarray([4], dtype=np.int64), np.asarray([6], dtype=np.int64), 2))
-    good_radii._base_clearance_verified.cache_clear()
+    # lam 3, depth 2: a period of 81 units whose one piece [25, 27] sits in
+    # the generation-1 shell (27 units) around 0
+    monkeypatch.setattr(good_radii, "_base_period", lambda lam, depth: (
+        np.asarray([25], dtype=np.int64), np.asarray([27], dtype=np.int64)))
+    good_radii._base_good.cache_clear()
     try:
         with pytest.raises(CertificationError) as err:
-            good_radii._base_clearance_verified(5, 1)
+            good_radii._base_good(3, 2)
     finally:
-        good_radii._base_clearance_verified.cache_clear()
-    assert err.value.witness == {"generation": 1, "lam": 5, "depth": 1}
+        good_radii._base_good.cache_clear()
+    assert err.value.witness == {"generation": 1, "lam": 3, "depth": 2}
 
 
 def _per_cell_base(lam, depth):
@@ -332,21 +335,34 @@ def _per_cell_base(lam, depth):
     return s[keep], e[keep]
 
 
+def _expanded_base(lam, depth):
+    """_base_good's period translated lam^2 times by T = lam^(3 depth - 2)
+    units: the whole base."""
+    shift = np.arange(lam ** 2, dtype=np.int64)[:, None] \
+        * lam ** (3 * depth - 2)
+    base = good_radii._base_good(lam, depth)
+    return tuple((p[None, :] + shift).ravel() for p in (base.starts, base.ends))
+
+
 @pytest.mark.parametrize("lam", [3, 4, 5, 8])
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_base_good_equals_the_per_cell_oracle(lam, depth):
-    s, e, total = good_radii._base_good(lam, depth)
+    s, e = _expanded_base(lam, depth)
     want_s, want_e = _per_cell_base(lam, depth)
     assert s.dtype == want_s.dtype and e.dtype == want_e.dtype
     assert s.tobytes() == want_s.tobytes()
     assert e.tobytes() == want_e.tobytes()
-    assert total == int((want_e - want_s).sum())
+    whole = materialize_good_set(EMPTY, GoodSetParams(lam=lam, depth=depth))
+    assert whole.starts.tobytes() == want_s.tobytes()
+    assert whole.ends.tobytes() == want_e.tobytes()
+    assert whole.n_intervals == want_s.size
+    assert whole.total_units == int((want_e - want_s).sum())
 
 
 def _explicit(v, params):
     """The good set's arrays by one boolean mask over the base: every piece
     starting inside a padded heavy cell is dropped."""
-    s, e, _ = good_radii._base_good(params.lam, params.depth)
+    s, e = _expanded_base(params.lam, params.depth)
     hs, he = good_radii._heavy_padded_units(build_removed_families(v, params))
     keep = np.ones(s.size, dtype=bool)
     for lo, hi in zip(hs.tolist(), he.tolist()):
@@ -422,30 +438,170 @@ def test_verify_flags_a_view_keeping_a_piece_in_a_heavy_cell():
 
 
 # lam 3, depth 2 in units of 1/729: generation-1 gridlines every 81 units
-# with shells of 27, generation-2 gridlines every 9 with shells of 1; chunks
-# of 3 pieces, so the fourth piece is alone in the last, partial chunk.
-# [28, 35], [37, 44] and [46, 53] are clear; [703, 705] sits in the
-# generation-1 shell around 729, [683, 684] in a generation-2 shell only and
-# [25, 27] in the generation-1 shell around 0.
+# with shells of 27, generation-2 gridlines every 9 with shells of 1; one
+# period of 729 units, repeated once. [28, 35], [37, 44] and [46, 53] are
+# clear; [703, 705] sits in the generation-1 shell around 729, [683, 684]
+# in a generation-2 shell only and [25, 27] in the generation-1 shell
+# around 0.
 @pytest.mark.parametrize("starts, ends", [
-    ([28, 37, 46, 703], [35, 44, 53, 705]),  # only the last chunk fails
+    ([28, 37, 46, 703], [35, 44, 53, 705]),  # only the last piece fails
     ([25, 37, 46, 683], [27, 44, 53, 684]),  # the lower generation wins
 ])
-def test_clearance_violation_in_the_last_partial_chunk(starts, ends,
-                                                       monkeypatch):
-    s = np.asarray(starts, dtype=np.int64)
-    e = np.asarray(ends, dtype=np.int64)
-    monkeypatch.setattr(good_radii, "_base_good",
-                        lambda lam, depth: (s, e, int((e - s).sum())))
-    monkeypatch.setattr(good_radii, "_CLEARANCE_CHUNK", 3)
-    good_radii._base_clearance_verified.cache_clear()
+def test_clearance_violation_in_the_last_partial_chunk(starts, ends):
+    pieces = good_radii.PeriodicPieces(np.asarray(starts, dtype=np.int64),
+                                       np.asarray(ends, dtype=np.int64),
+                                       period=729, repeats=1)
+    # the lowest violated generation, wherever its piece lies
+    assert good_radii._clearance_failure(pieces, 3, 2) == 1
+
+
+def test_clearance_checks_each_translate_when_the_period_is_off_grid():
+    """lam 5, depth 1 (cells of 5 units, shells of 1): the piece [2, 3]
+    clears, its translate by 7 units, [9, 10], sits in the shell around 10.
+    A period of 5 units would move it onto a clear spot again."""
+    for period, repeats, ok in ((7, 1, True), (7, 2, False), (5, 25, True)):
+        iset = _one_period(P5, [2], [3], period=period, repeats=repeats)
+        assert good_radii._clearance_failure(iset.base, 5, 1) == (not ok)
+        assert verify_good_set(EMPTY, P5, iset, n_samples=0).midpoints_ok \
+            == ok
+
+
+def test_verify_checks_the_clearance_of_the_set_it_is_given():
+    """The one piece [4, 6] of 1/125 has its midpoint 1/25 on a
+    generation-1 gridline: no measure or sample is needed to reject it."""
+    iset = _one_period(P5, [4], [6])
+    assert not is_good_radius(EMPTY, iset.midpoint(0), P5).ok
+    rep = verify_good_set(EMPTY, P5, iset, n_samples=0)
+    assert not rep.midpoints_ok
+    assert rep.n_scalar_checked == 0 and rep.light_cells_ok
+
+
+def test_verify_reuses_the_cached_clearance_only_for_the_cached_period(
+        monkeypatch):
+    calls = []
+    real = good_radii._clearance_failure
+
+    def counting(pieces, lam, depth):
+        calls.append((pieces.period, pieces.repeats, lam, depth))
+        return real(pieces, lam, depth)
+    monkeypatch.setattr(good_radii, "_clearance_failure", counting)
+    params = GoodSetParams(lam=5, depth=2)
+    good_radii._base_good.cache_clear()
     try:
-        with pytest.raises(CertificationError) as err:
-            good_radii._base_clearance_verified(3, 2)
+        for v in (EMPTY, DELTA_HALF):
+            iset = materialize_good_set(v, params)
+            assert verify_good_set(v, params, iset).midpoints_ok
+        assert calls == [(625, 25, 5, 2)]  # built once, then trusted
+        copied = dataclasses.replace(iset, base=dataclasses.replace(
+            iset.base, starts=iset.base.starts.copy()))
+        assert verify_good_set(DELTA_HALF, params, copied).midpoints_ok
+        assert calls == [(625, 25, 5, 2)] * 2
     finally:
-        good_radii._base_clearance_verified.cache_clear()
-    # the lowest violated generation, as one whole-array pass reports it
-    assert err.value.witness == {"generation": 1, "lam": 3, "depth": 2}
+        good_radii._base_good.cache_clear()
+
+
+def test_verify_requires_the_params_grid():
+    iset = materialize_good_set(EMPTY, P5)
+    for change in ({"unit": iset.unit / 2}, {"offset": Fraction(1, 7)}):
+        with pytest.raises(InputError, match="grid"):
+            verify_good_set(EMPTY, P5, dataclasses.replace(iset, **change))
+    with pytest.raises(InputError, match="grid"):
+        verify_good_set(EMPTY, GoodSetParams(lam=5, depth=2), iset)
+
+
+@pytest.mark.parametrize("starts, ends", [
+    ([-1, 3], [2, 4]),  # a piece starting below 0
+    ([1, 3], [2, 10]),  # a piece ending at the period
+    ([1, 3], [1, 4]),   # an empty piece
+    ([3, 1], [4, 2]),   # unsorted
+    ([1, 3], [4, 5]),   # overlapping
+])
+def test_period_pieces_must_lie_inside_the_period(starts, ends):
+    with pytest.raises(InputError, match="period"):
+        _one_period(P5, starts, ends, period=10, repeats=3)
+
+
+def test_an_empty_period_is_an_empty_set():
+    iset = _one_period(P5, [], [], repeats=3)
+    assert (iset.n_intervals, iset.total_units) == (0, 0)
+    assert iset.to_json() == {"intervals": [], "total_length": [0, 1]}
+    rep = verify_good_set(DELTA_HALF, P5, iset)
+    assert rep.midpoints_ok and rep.non_concentration_ok
+    assert rep.n_midpoints == rep.n_scalar_checked == 0
+
+
+def _one_period(params, starts, ends, period=None, repeats=1, drop=(0, 0)):
+    """A view on params' grid of `repeats` translates of the pieces, the
+    base indices in [drop[0], drop[1]) dropped. The default period reaches
+    one unit past I, so a piece may end on I's right end."""
+    runs = ([drop[0]], [drop[1]]) if drop[1] > drop[0] else ([], [])
+    return good_radii.IntervalSet(
+        base=good_radii.PeriodicPieces(
+            np.asarray(starts, dtype=np.int64),
+            np.asarray(ends, dtype=np.int64),
+            period=period or params.lam ** (3 * params.depth) + 1,
+            repeats=repeats),
+        drop_lo=np.asarray(runs[0], np.int64),
+        drop_hi=np.asarray(runs[1], np.int64),
+        unit=params.length / params.lam ** (3 * params.depth),
+        offset=params.a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_periodic_lookups_equal_the_expanded_base(data):
+    """Searches, gathers, lengths below, midpoint searches and kept totals
+    from one period against the same queries on the expanded arrays. The period has at
+    most half as many pieces as units, so J m and J T differ from J = 1."""
+    period = data.draw(st.integers(2, 40))
+    cuts = sorted(data.draw(st.sets(st.integers(0, period - 1), min_size=2,
+                                    max_size=12)))
+    ps = np.asarray(cuts[0:len(cuts) - 1:2], dtype=np.int64)
+    pe = np.asarray(cuts[1::2], dtype=np.int64)
+    repeats, m = data.draw(st.integers(1, 6)), ps.size
+    shift = np.arange(repeats, dtype=np.int64)[:, None] * period
+    full_s = (ps[None, :] + shift).ravel()
+    full_e = (pe[None, :] + shift).ravel()
+    n = full_s.size
+    runs = data.draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n)),
+                              max_size=4))
+    drop_lo, drop_hi = good_radii._merged_runs(
+        np.asarray([a for a, _ in runs], np.int64),
+        np.asarray([b for _, b in runs], np.int64))
+    base = good_radii.PeriodicPieces(ps, pe, period=period, repeats=repeats)
+    iset = good_radii.IntervalSet(
+        base=base, drop_lo=drop_lo, drop_hi=drop_hi, unit=Fraction(1, 7),
+        offset=Fraction(0))
+
+    xs = np.asarray(sorted(
+        {j * period + d for j in range(-1, repeats + 2) for d in (-1, 0, 1)}
+        | set(full_s.tolist()) | set(full_e.tolist())
+        | {-period - 3, repeats * period, repeats * period + 5}),
+        dtype=np.int64)
+    for pieces, full in ((ps, full_s), (pe, full_e)):
+        for side in ("left", "right"):
+            assert base.search(pieces, xs, side).tolist() \
+                == np.searchsorted(full, xs, side).tolist(), (pieces, side)
+        i = np.arange(n)
+        assert base.at(pieces, i).tolist() == full.tolist()
+        assert base.at(pieces, i % m).tolist() == pieces[i % m].tolist()
+    assert [base.piece(i) for i in range(n)] \
+        == list(zip(full_s.tolist(), full_e.tolist()))
+
+    mids = full_s + full_e
+    probes = np.unique(np.concatenate([mids - 1, mids, mids + 1]))
+    assert good_radii._first_midpoint_at_least(iset, probes).tolist() \
+        == np.searchsorted(mids, probes).tolist()
+
+    keep = np.ones(n, dtype=bool)
+    for lo, hi in zip(drop_lo.tolist(), drop_hi.tolist()):
+        keep[lo:hi] = False
+    lengths = np.concatenate([[0], np.cumsum(full_e - full_s)])
+    assert base.units_below(np.arange(n + 1)).tolist() == lengths.tolist()
+    assert iset.total_units == int((full_e - full_s)[keep].sum())
+    assert iset.n_intervals == int(keep.sum())
+    assert iset.starts.tolist() == full_s[keep].tolist()
+    assert iset.ends.tolist() == full_e[keep].tolist()
 
 
 def test_merged_runs():
@@ -461,11 +617,7 @@ def test_non_concentration_windows_are_closed(start, end, clear):
     """The point mass at 1/2 violates the window bound for t in
     [1/2 - 1/125, 1/2 + 1/125], midpoints 123 to 127 in units of 1/250; a
     one-piece view with its midpoint on either end fails check (4)."""
-    iset = good_radii.IntervalSet(
-        base_starts=np.asarray([start]), base_ends=np.asarray([end]),
-        base_total_units=end - start, drop_lo=np.asarray([], np.int64),
-        drop_hi=np.asarray([], np.int64), unit=Fraction(1, 125),
-        offset=Fraction(0))
+    iset = _one_period(P5, [start], [end])
     rep = verify_good_set(DELTA_HALF, P5, iset, n_samples=0)
     assert rep.non_concentration_ok == clear
 
@@ -555,17 +707,6 @@ def _check4_case(data):
     return params, v, big, near, windows
 
 
-def _view(params, big, starts, ends, drop=(0, 0)):
-    s = np.asarray(starts, dtype=np.int64)
-    e = np.asarray(ends, dtype=np.int64)
-    runs = ([drop[0]], [drop[1]]) if drop[1] > drop[0] else ([], [])
-    return good_radii.IntervalSet(
-        base_starts=s, base_ends=e, base_total_units=int((e - s).sum()),
-        drop_lo=np.asarray(runs[0], np.int64),
-        drop_hi=np.asarray(runs[1], np.int64),
-        unit=params.length / big, offset=params.a)
-
-
 def _assert_check4_matches_the_oracle(v, params, iset, windows):
     """verify_good_set's check (4) against every kept midpoint tested
     against every Fraction window."""
@@ -584,8 +725,8 @@ def test_non_concentration_check_equals_the_midpoint_oracle(data):
                                          min_size=2, max_size=16))))
     starts, ends = cuts[0:len(cuts) - 1:2], cuts[1::2]
     d0 = data.draw(st.integers(0, len(starts)))
-    iset = _view(params, big, starts, ends,
-                 (d0, data.draw(st.integers(d0, len(starts)))))
+    iset = _one_period(params, starts, ends,
+                       drop=(d0, data.draw(st.integers(d0, len(starts)))))
     _assert_check4_matches_the_oracle(v, params, iset, windows)
 
 
@@ -606,5 +747,5 @@ def test_non_concentration_check_is_exact_at_window_ends(data):
     s = (m - 1) // 2 if m % 2 else (m - 2) // 2  # e - s is 1 or 2
     if not 0 <= s < m - s <= big:
         return
-    iset = _view(params, big, [s], [m - s])
+    iset = _one_period(params, [s], [m - s])
     _assert_check4_matches_the_oracle(v, params, iset, windows)

@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import dense_distances, dense_kernel
 from sio_lab import kernels
 from sio_lab import metric as metric_module
+from sio_lab import operator as operator_module
 from sio_lab.errors import InputError
 from sio_lab.generators import GeneratorSpec, generate
 from sio_lab.good_radii import GoodSetParams, is_good_radius, select_good_radius_near
@@ -594,3 +597,39 @@ def test_symmetric_checks_evaluate_only_the_upper_triangle(workers,
     assert got[0] > 0.0
     assert bits(got) == bits(dense_cancellation(SYMMETRIC, m, b1, b2, delta,
                                                 eps))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_truncated_folds_equal_one_masked_fold_per_eps(data):
+    """Distances from a few values, so that several steps of the grid gain
+    no pair, and terms with signed zeros, infinities and NaN: each column
+    has the bits of its own masked fold, and fold_rows runs once per
+    distinct mask."""
+    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 9))
+    dists = data.draw(st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+                               min_size=rows * cols, max_size=rows * cols))
+    dt = np.asarray(dists).reshape(rows, cols)
+    kt = np.asarray(data.draw(st.lists(
+        st.sampled_from([1.5, -2.0, 0.0, -0.0, math.inf, math.nan, 3e-300]),
+        min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
+    fw = np.asarray(data.draw(st.lists(st.sampled_from([1.0, -0.5, 0.0]),
+                                       min_size=cols, max_size=cols)))
+    grid = sorted(data.draw(st.sets(st.sampled_from(
+        [3.0, 1.5, 1.0, 0.75, 0.5, 0.3, 0.25, 0.1]), min_size=1)),
+        reverse=True)
+    calls = []
+
+    def counting(a):
+        calls.append(1)
+        return fold_rows(a)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operator_module, "fold_rows", counting)
+        got = operator_module._truncated_folds(kt, dt, fw, grid)
+    terms = kt * fw[None, :]
+    for col, eps in zip(got, grid):
+        assert col.tobytes() == fold_rows(np.where(dt > eps, terms,
+                                                   0.0)).tobytes()
+    assert len(calls) == len({int(np.count_nonzero(dt > eps))
+                              for eps in grid})
