@@ -158,7 +158,7 @@ def cmd_good_radii(args) -> int:
         path = os.path.join(args.out_dir, args.materialize)
         interval_set_to_file(iset, path)
         print(f"wrote {path}: {iset.n_intervals} intervals, total length "
-              f"{iset.total_length} (bound {params.length * params.lower_bound})")
+              f"{iset.total_length} (bound {params.lower_bound})")
         return 0
     if args.test is not None:
         res = is_good_radius(mu_z, args.test, params)

@@ -1,15 +1,17 @@
 """Constructive exponential-growth machinery: good radii for a StepMeasure.
 
-Multiscale construction over an interval I = [a, b]: generation n partitions
-I into lam^(2n) half-open cells of width |I| lam^(-2n) (the last cell is
-closed). A cell is *heavy* when its measure is >= lam^(-n); every gridline
-carries a *shell* of half-width |I| lam^(-3n). A point t is a good radius at
-depth N when, for every n <= N, its cell is light and t clears both cell
-endpoints by at least |I| lam^(-3n).
+Multiscale construction over the interval of radii I = [0, 1], where a
+ball's radial pushforward lives once its cloud is scaled to unit diameter
+(a measure on another interval is rescaled onto [0, 1] first): generation n
+partitions I into lam^(2n) half-open cells of width lam^(-2n) (the last cell
+is closed). A cell is *heavy* when its measure is >= lam^(-n); every
+gridline carries a *shell* of half-width lam^(-3n). A point t is a good
+radius at depth N when, for every n <= N, its cell is light and t clears
+both cell endpoints by at least lam^(-3n).
 
 Certified radii consequently satisfy the non-concentration window bound
-mass([t - |I| lam^(-3n), t + |I| lam^(-3n)]) < lam^(-n) for every n <= N:
-the window sits inside J_n(t) by the clearance, and J_n(t) is light.
+mass([t - lam^(-3n), t + lam^(-3n)]) < lam^(-n) for every n <= N: the
+window sits inside J_n(t) by the clearance, and J_n(t) is light.
 
 The good set is built cell by cell: inside each generation-N cell it is one
 closed piece (the points clearing every ancestor's endpoints), dropped whole
@@ -29,13 +31,13 @@ answered from the period and the runs, so no array is as large as the set
 unless its pieces are asked for.
 
 All comparisons are exact and run on Python ints: good-set endpoints live
-on the integer grid of units u = |I| lam^(-3N), atoms are integer ticks over
+on the integer grid of units u = lam^(-3N), atoms are integer ticks over
 their measure's scale, and masses are integer numerators over its
 denominator, so a threshold test mass >= lam^(-n) is the integer comparison
-units * lam^n >= denominator. A radius t = p/q sits at (t - a) / |I| = X / Q
-(GoodSetParams._relative), so its generation-n cell is X lam^(2n) // Q, the
-remainder measures its clearance from the cell's ends, and the cell's mass
-is two tick bisections. Fraction appears only in what is returned
+units * lam^n >= denominator. A radius t = p/q has its generation-n cell
+and remainder in divmod(p lam^(2n), q): the remainder measures its
+clearance from the cell's ends, and the cell's mass is two tick
+bisections. Fraction appears only in what is returned
 (witnesses, radii, interval ends). Certificates at deep generations (shell
 widths ~ lam^(-12)) never depend on float round-off.
 """
@@ -61,11 +63,13 @@ GRIDLINE_SHELL = "gridline_shell"
 
 @dataclass(frozen=True)
 class GoodSetParams:
+    """lambda, depth and the materialization budget of good radii on
+    I = [0, 1]."""
+
     lam: int
     depth: int
-    a: Fraction = Fraction(0)
-    b: Fraction = Fraction(1)
     budget: int = 10 ** 6
+    length = Fraction(1)  # |I|; a class constant, not a field
 
     def __post_init__(self):
         # the integer predicate needs int powers of lam: no float, no bool
@@ -75,21 +79,6 @@ class GoodSetParams:
         if type(self.depth) is not int or self.depth < 1:
             raise InputError(f"depth must be a positive integer, got "
                              f"{self.depth!r}")
-        object.__setattr__(self, "a", _exact(self.a, "interval end a"))
-        object.__setattr__(self, "b", _exact(self.b, "interval end b"))
-        if not self.a < self.b:
-            raise InputError("interval must satisfy a < b")
-
-    @cached_property
-    def length(self) -> Fraction:
-        return self.b - self.a
-
-    @cached_property
-    def _widths(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """(cell width, shell half-width) of generations 0..depth."""
-        return tuple((self.length / self.lam ** (2 * n),
-                      self.length / self.lam ** (3 * n))
-                     for n in range(self.depth + 1))
 
     @property
     def lower_bound(self) -> Fraction:
@@ -103,22 +92,15 @@ class GoodSetParams:
         return 1 - Fraction(3, self.lam - 1) <= 0
 
     def cell_width(self, n: int) -> Fraction:
-        """Width of a generation-n cell, n <= depth."""
-        return self._widths[n][0]
+        """Width of a generation-n cell."""
+        return Fraction(1, self.lam ** (2 * n))
 
     def shell_half_width(self, n: int) -> Fraction:
-        """Half-width of a generation-n shell, n <= depth."""
-        return self._widths[n][1]
+        """Half-width of a generation-n shell."""
+        return Fraction(1, self.lam ** (3 * n))
 
     def n_cells(self, n: int) -> int:
         return self.lam ** (2 * n)
-
-    def _relative(self, p: int, q: int) -> tuple[int, int]:
-        """(p/q - a) / |I| as an unreduced pair (X, Q) of ints, Q > 0 when
-        q > 0: the point's cell at generation n is X lam^(2n) // Q."""
-        a, length = self.a, self.length
-        return ((p * a.denominator - a.numerator * q) * length.denominator,
-                q * a.denominator * length.numerator)
 
     def total_cells(self) -> int:
         return sum(self.lam ** (2 * n) for n in range(1, self.depth + 1))
@@ -146,8 +128,8 @@ class GoodRadiusRejection:
 class RemovedFamily:
     """Heavy cells per generation; only descendants of survivors are listed
     (a cell inside an already-removed ancestor is covered by that ancestor).
-    Gridline shells are implicit: periodic with spacing |I| lam^(-2n) and
-    half-width |I| lam^(-3n)."""
+    Gridline shells are implicit: periodic with spacing lam^(-2n) and
+    half-width lam^(-3n)."""
 
     params: GoodSetParams
     heavy: tuple[tuple[tuple[int, Fraction], ...], ...]  # [gen-1][k] = (idx, mass)
@@ -181,14 +163,11 @@ def _cell_masses(v: StepMeasure, params: GoodSetParams, n: int
     cells = params.n_cells(n)
 
     def cell(k: int) -> int:
-        x, q = params._relative(ticks[k], scale)
-        return min(x * cells // q, cells - 1)
+        return min(ticks[k] * cells // scale, cells - 1)
 
-    a, b = params.a, params.b
-    i = v.below(a.numerator, a.denominator)
+    i = v.below(0, 1)
     out: dict[int, int] = {}
-    for j, run in groupby(range(i, v.below(b.numerator, b.denominator,
-                                           closed=True)), key=cell):
+    for j, run in groupby(range(i, v.below(1, 1, closed=True)), key=cell):
         k = i + sum(1 for _ in run)
         if prefix[k] > prefix[i]:
             out[j] = prefix[k] - prefix[i]
@@ -240,34 +219,27 @@ def _good_radius(v: StepMeasure, params: GoodSetParams, p: int, q: int
     (n, j, units, clearance numerator, clearance denominator) of the
     generations t passes, and its first failure (n, reason), None if none.
 
-    With (t - a) / |I| = X / Q, t lies X lam^(2n) / Q cells into I: its
-    cell j and remainder r are divmod(X lam^(2n), Q), so t clears the cell's
-    ends by r / Q and (Q - r) / Q cell widths. The clearance is at least
-    |I| lam^(-3n) = lam^(-n) cell widths iff min(r, Q - r) lam^n >= Q. The
-    cell [lo, hi) (closed when last) has its ends over the denominator
-    a_d |I|_d lam^(2n), and its mass is two tick counts.
+    t lies p lam^(2n) / q cells into I: its cell j and remainder r are
+    divmod(p lam^(2n), q), so t clears the cell's ends by r / q and
+    (q - r) / q cell widths. The clearance is at least lam^(-3n) = lam^(-n)
+    cell widths iff min(r, q - r) lam^n >= q. The cell [j, j + 1) / lam^(2n)
+    (closed when last) has its mass in two tick counts.
     """
-    x, qq = params._relative(p, q)
-    if not 0 < x < qq:
+    if not 0 < p < q:
         raise InputError("t must lie in the interior of I")
-    a, length, lam = params.a, params.length, params.lam
-    step = length.numerator * a.denominator
-    prefix = v.prefix
+    lam, prefix = params.lam, v.prefix
     witnesses = []
     for n in range(1, params.depth + 1):
         cells = lam ** (2 * n)
-        j, r = divmod(x * cells, qq)
-        den = a.denominator * length.denominator * cells
-        lo = a.numerator * length.denominator * cells + j * step
-        units = prefix[v.below(lo + step, den, closed=j == cells - 1)] \
-            - prefix[v.below(lo, den)]
+        j, r = divmod(p * cells, q)
+        units = prefix[v.below(j + 1, cells, closed=j == cells - 1)] \
+            - prefix[v.below(j, cells)]
         if _heavy(v, units, lam, n):
             return witnesses, (n, HEAVY_CELL)
-        clear = min(r, qq - r)
-        if clear * lam ** n < qq:
+        clear = min(r, q - r)
+        if clear * lam ** n < q:
             return witnesses, (n, GRIDLINE_SHELL)
-        witnesses.append((n, j, units, clear * length.numerator,
-                          qq * length.denominator * cells))
+        witnesses.append((n, j, units, clear, q * cells))
     return witnesses, None
 
 
@@ -275,7 +247,7 @@ def is_good_radius(v: StepMeasure, t, params: GoodSetParams):
     """Certify t, or report the first failing generation.
 
     Checks, per generation n <= depth: the grid cell J_n(t) has exact mass
-    < lam^(-n), and t sits at distance >= |I| lam^(-3n) from both cell
+    < lam^(-n), and t sits at distance >= lam^(-3n) from both cell
     endpoints. Implicit check: no family materialization needed. Each
     witness is (n, cell index, exact cell mass, exact clearance).
     """
@@ -297,7 +269,7 @@ def is_good_radius(v: StepMeasure, t, params: GoodSetParams):
 # measure drops, in integer units
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeriodicPieces:
     """`repeats` translates of one period's sorted, disjoint closed pieces,
     in integer units: piece i is period piece i % m moved by
@@ -359,23 +331,22 @@ class PeriodicPieces:
         return j * through[-1] + through[r]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntervalSet:
     """Disjoint sorted closed intervals on the integer grid of `unit`: the
     periodic pieces of `base` minus those whose index lies in a dropped run
     [lo, hi).
 
-    Fractional endpoints are offset + start * unit etc.; lengths and the
-    total are exact rationals. The base is shared, never copied: count,
-    total, interval(k) and midpoint(k) are answered from its one period
-    and the runs.
+    Fractional endpoints are start * unit etc.; lengths and the total are
+    exact rationals. The base is shared, never copied: count, total,
+    interval(k) and midpoint(k) are answered from its one period and the
+    runs. == is identity, as for PeriodicPieces: fields are arrays.
     """
 
     base: PeriodicPieces
     drop_lo: np.ndarray  # int64; sorted, disjoint, non-touching runs
     drop_hi: np.ndarray
     unit: Fraction
-    offset: Fraction
 
     @cached_property
     def _dropped_through(self) -> np.ndarray:
@@ -443,28 +414,19 @@ class IntervalSet:
 
     def interval(self, k: int) -> tuple[Fraction, Fraction]:
         s, e = self.base.piece(self._base_index(k))
-        return self.offset + s * self.unit, self.offset + e * self.unit
+        return s * self.unit, e * self.unit
 
     def intervals(self):
         for s, e in zip(self.starts.tolist(), self.ends.tolist()):
-            yield self.offset + s * self.unit, self.offset + e * self.unit
+            yield s * self.unit, e * self.unit
 
     def _midpoint_ratio(self, i: int) -> tuple[int, int]:
         """Base piece i's midpoint as an unreduced pair (p, q) of ints."""
-        o, u = self.offset, self.unit
-        return (2 * o.numerator * u.denominator
-                + sum(self.base.piece(i)) * u.numerator * o.denominator,
-                2 * o.denominator * u.denominator)
+        u = self.unit
+        return sum(self.base.piece(i)) * u.numerator, 2 * u.denominator
 
     def midpoint(self, k: int) -> Fraction:
         return Fraction(*self._midpoint_ratio(self._base_index(k)))
-
-    def _half_units(self, p: int, q: int) -> tuple[int, int]:
-        """(p/q - offset) / (unit/2) as an unreduced pair of ints, q > 0:
-        on this scale base piece i's midpoint sits at s + e."""
-        o, u = self.offset, self.unit
-        return ((p * o.denominator - o.numerator * q) * 2 * u.denominator,
-                q * o.denominator * u.numerator)
 
     def to_json(self) -> dict:
         ivals = []
@@ -478,7 +440,7 @@ class IntervalSet:
 
 def _base_period(lam: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """The pieces of I minus all gridline shells (no measure involved)
-    inside generation-1 cell 0, in units of |I| lam^(-3 depth) over
+    inside generation-1 cell 0, in units of lam^(-3 depth) over
     [0, T], T = lam^(3 depth - 2).
 
     Inside depth-generation cell j the set is the single closed piece
@@ -510,7 +472,7 @@ def _base_period(lam: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _clearance_failure(pieces: PeriodicPieces, lam: int, depth: int) -> int:
     """The lowest generation whose gridline shells hold the midpoint of
-    some piece (units |I| lam^(-3 depth)); 0 when every midpoint clears
+    some piece (units lam^(-3 depth)); 0 when every midpoint clears
     every shell.
 
     A translate by J periods moves a doubled midpoint s + e by 2 J period.
@@ -589,7 +551,7 @@ def materialize_good_set(v: StepMeasure, params: GoodSetParams) -> IntervalSet:
     the pieces starting inside it. A heavy cell's padding is its
     neighbours' own shells, so removal drops whole pieces and trims none.
     Certifies the truncated lower bound
-    Leb >= |I| (1 - 3 sum_{n<=depth} lam^-n) before returning.
+    Leb >= 1 - 3 sum_{n<=depth} lam^-n before returning.
     """
     _check_total(v)
     total_cells = params.total_cells()
@@ -612,15 +574,14 @@ def materialize_good_set(v: StepMeasure, params: GoodSetParams) -> IntervalSet:
     drop_lo, drop_hi = _merged_runs(base.search(base.starts, hs),
                                     base.search(base.starts, he))
     out = IntervalSet(base=base, drop_lo=drop_lo, drop_hi=drop_hi,
-                      unit=params.shell_half_width(params.depth),
-                      offset=params.a)
+                      unit=params.shell_half_width(params.depth))
     floor_units = params.lam ** (3 * params.depth) \
         - 3 * sum(params.lam ** (3 * params.depth - n)
                   for n in range(1, params.depth + 1))
     if out.total_units < floor_units:
         raise CertificationError(
             f"good-set measure {out.total_length} fell below the guaranteed "
-            f"bound {params.length * params.lower_bound}",
+            f"bound {params.lower_bound}",
             witness={"total_units": out.total_units,
                      "floor_units": floor_units, "lam": params.lam,
                      "depth": params.depth})
@@ -630,26 +591,20 @@ def materialize_good_set(v: StepMeasure, params: GoodSetParams) -> IntervalSet:
 def select_good_radius_near(v: StepMeasure, target, params: GoodSetParams
                             ) -> Fraction:
     """Nearest certified radius to `target` among depth-generation cell
-    midpoints, scanning outward; ties break toward the smaller radius."""
+    midpoints (2j + 1) / (2 lam^(2 depth)), scanning outward from the cell
+    holding the target; ties break toward the smaller radius."""
     _check_total(v)
     target = _exact(target, "target")
-    if not (params.a < target < params.b):
+    if not 0 < target < 1:
         raise InputError("target must lie in the interior of I")
-    a, length = params.a, params.length
     n_cells = params.n_cells(params.depth)
-    # cell j's midpoint a + (2j + 1) |I| / (2 n_cells), over one denominator
-    den = 2 * a.denominator * length.denominator * n_cells
-    base = 2 * a.numerator * length.denominator * n_cells
-    step = length.numerator * a.denominator
-    x, q = params._relative(target.numerator, target.denominator)
-    j0 = x * n_cells // q
+    j0 = target.numerator * n_cells // target.denominator
     for k in range(n_cells):
         # smaller first; equidistance then resolves toward the smaller radius
         for j in (j0 - k, j0 + k) if k else (j0,):
-            mid = base + (2 * j + 1) * step
-            if 0 <= j < n_cells and _good_radius(v, params, mid, den)[1] \
-                    is None:
-                return Fraction(mid, den)
+            if 0 <= j < n_cells and _good_radius(
+                    v, params, 2 * j + 1, 2 * n_cells)[1] is None:
+                return Fraction(2 * j + 1, 2 * n_cells)
     raise SearchExhaustedError(
         f"no certified cell midpoint in I at lambda={params.lam}, "
         f"depth={params.depth}")
@@ -662,7 +617,7 @@ def select_good_radius_near(v: StepMeasure, target, params: GoodSetParams
 def _violation_runs(v: StepMeasure, params: GoodSetParams, n: int
                     ) -> list[list[int]]:
     """concentration_violations in ticks: [lo, hi] stands for the closed
-    interval [lo / scale - w, hi / scale + w], w = |I| lam^-3n.
+    interval [lo / scale - w, hi / scale + w], w = lam^-3n.
 
     The window around t covers the run of atoms within [t - w, t + w], so t
     violates exactly when some run i..j spanning at most 2w with mass
@@ -672,9 +627,8 @@ def _violation_runs(v: StepMeasure, params: GoodSetParams, n: int
     the runs come sorted. Spans are tick differences against
     floor(2 w scale).
     """
-    length, lam = params.length, params.lam
-    span = 2 * length.numerator * v.scale \
-        // (length.denominator * lam ** (3 * n))
+    lam = params.lam
+    span = 2 * v.scale // lam ** (3 * n)
     least = -(-v.denominator // lam ** n)  # the least heavy mass, in units
     ticks, prefix = v.ticks, v.prefix
     merged: list[list[int]] = []
@@ -691,7 +645,7 @@ def _violation_runs(v: StepMeasure, params: GoodSetParams, n: int
 
 def concentration_violations(v: StepMeasure, params: GoodSetParams, n: int
                              ) -> list[tuple[Fraction, Fraction]]:
-    """All t for which the closed window [t - |I| lam^-3n, t + |I| lam^-3n]
+    """All t for which the closed window [t - lam^-3n, t + lam^-3n]
     carries mass >= lam^-n, as a merged list of closed intervals: exact
     sliding-window enumeration over atom runs (see _violation_runs)."""
     w = params.shell_half_width(n)
@@ -730,7 +684,7 @@ def verify_good_set(v: StepMeasure, params: GoodSetParams, iset: IntervalSet,
     without iterating 'is_good_radius' over millions of points. Each check
     is a query on iset's period pieces and dropped runs, so none builds an
     array as large as the set. iset must lie on params' grid (unit
-    |I| lam^(-3 depth) from a):
+    lam^(-3 depth)):
       - shell clearance of every midpoint of iset's base: the cached base's
         was certified when it was built, any other base is checked here;
         midpoints of the pieces bordering a padded heavy cell are checked
@@ -743,10 +697,9 @@ def verify_good_set(v: StepMeasure, params: GoodSetParams, iset: IntervalSet,
     _check_total(v)
     lam, depth = params.lam, params.depth
     unit = params.shell_half_width(depth)
-    if (iset.unit, iset.offset) != (unit, params.a):
+    if iset.unit != unit:
         raise InputError(
-            f"the set's grid ({iset.unit} from {iset.offset}) is not the "
-            f"params' ({unit} from {params.a})")
+            f"the set's grid ({iset.unit}) is not the params' ({unit})")
     base = iset.base
     # (0) every midpoint of iset's base clears every shell; the cached
     #     base's clearance was certified when it was built
@@ -801,18 +754,19 @@ def verify_good_set(v: StepMeasure, params: GoodSetParams, iset: IntervalSet,
     #     Midpoints in half units are s + e, increasing in the base index,
     #     so a window holds those from the first with s + e >= its low end
     #     in half units (rounded up) to the first above its high end
-    #     (rounded down). The ends are clipped to the midpoints' range,
-    #     where they still find the same pieces.
+    #     (rounded down). With unit 1 / big, a window [lo / scale - w,
+    #     hi / scale + w] has its ends at 2 big lo / scale - w2 and
+    #     2 big hi / scale + w2 half units, where w2 = 2 lam^(3 (depth - n))
+    #     is w = lam^(-3n) in half units. The ends are clipped to the
+    #     midpoints' range, where they still find the same pieces.
     non_concentration_ok = True
     bounds = []
+    big = lam ** (3 * depth)
     for n in range(1, depth + 1):
-        # a window end tick / scale -+ w is (tick per_tick -+ w) / q
-        per_tick = params.length.denominator * lam ** (3 * n)
-        q, w = v.scale * per_tick, params.length.numerator * v.scale
+        w2 = 2 * lam ** (3 * (depth - n))
         for lo, hi in _violation_runs(v, params, n):
-            x_lo, d = iset._half_units(lo * per_tick - w, q)
-            x_hi, _ = iset._half_units(hi * per_tick + w, q)
-            m_lo, m_hi = -(-x_lo // d), x_hi // d
+            m_lo = -(-2 * big * lo // v.scale) - w2
+            m_hi = 2 * big * hi // v.scale + w2
             if m_lo <= m_hi:
                 bounds.append((m_lo, m_hi + 1))
     if bounds and base.size:

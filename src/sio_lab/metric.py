@@ -166,8 +166,9 @@ class RowPass(NamedTuple):
 
 
 def make_cloud(coords, metric: MetricDescriptor, table=None) -> PointCloud:
-    """Validated cloud: finite coordinates (and table), no two points at
-    distance 0 (duplicate atoms), diameter from one tiled pass."""
+    """Validated cloud: finite coordinates (and a finite table with a zero
+    diagonal, bitwise symmetric), no two points at distance 0 (duplicate
+    atoms), diameter from one tiled pass."""
     coords = np.asarray(coords, dtype=np.float64)
     if coords.ndim != 2 or coords.shape[1] != metric.dimension:
         raise InputError(
@@ -181,6 +182,13 @@ def make_cloud(coords, metric: MetricDescriptor, table=None) -> PointCloud:
             raise InputError("custom table must be N x N")
         if not np.all(np.isfinite(table)):
             raise InputError("custom table entries must be finite")
+        bad = np.argwhere((table != table.T) | np.diag(np.diag(table) != 0))
+        if bad.size:
+            i, j = bad[0].tolist()
+            where = "on the diagonal" if i == j \
+                else f"but d({j}, {i}) = {table[j, i]}"
+            raise InputError(f"custom table is not a metric: d({i}, {j}) = "
+                             f"{table[i, j]} {where}")
     cloud = PointCloud(coords=coords, metric=metric, diameter=0.0, table=table)
 
     def tile(rows):

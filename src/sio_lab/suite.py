@@ -365,28 +365,22 @@ def report_to_json(report: ConvergenceReport) -> dict:
     })
 
 
-def emit_report(report: ConvergenceReport, out_dir: str,
-                formats: tuple[str, ...] = ("csv", "json")) -> list[str]:
+def emit_report(report: ConvergenceReport, out_dir: str) -> list[str]:
     """Write trace CSV and summary JSON (byte-stable) plus a metadata
     sidecar (the only file with timestamps); returns the data-file paths."""
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-    if "csv" in formats:
-        path = os.path.join(out_dir, "trace.csv")
-        with open(path, "w") as fh:
-            fh.write("\n".join(trace_csv_lines(report.trace)) + "\n")
-        written.append(path)
-    if "json" in formats:
-        path = os.path.join(out_dir, "summary.json")
-        with open(path, "w") as fh:
-            json.dump(report_to_json(report), fh, sort_keys=True, indent=1,
-                      allow_nan=False)
-            fh.write("\n")
-        written.append(path)
+    csv_path = os.path.join(out_dir, "trace.csv")
+    with open(csv_path, "w") as fh:
+        fh.write("\n".join(trace_csv_lines(report.trace)) + "\n")
+    json_path = os.path.join(out_dir, "summary.json")
+    with open(json_path, "w") as fh:
+        json.dump(report_to_json(report), fh, sort_keys=True, indent=1,
+                  allow_nan=False)
+        fh.write("\n")
     meta = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "python": sys.version, "platform": platform.platform(),
             "numpy": np.__version__}
     with open(os.path.join(out_dir, "run_meta.json"), "w") as fh:
         json.dump(meta, fh, sort_keys=True, indent=1)
         fh.write("\n")
-    return written
+    return [csv_path, json_path]

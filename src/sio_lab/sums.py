@@ -7,8 +7,7 @@ fold_keys walks the same tree over rows given only by their nonzero
 entries; it adds a lone child to +0.0 as the dense tree adds it to a masked
 zero, so its rows are bit-identical to fold_rows'. Parallel execution only
 ever hands out whole subtrees. thread_map is the lab's one thread pool;
-metric.tile_map hands it row tiles, pairwise_sum and fold_raveled hand it
-subtrees.
+metric.tile_map hands it row tiles, fold_raveled hands it subtrees.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -86,29 +85,13 @@ def fold_keys(vals, keys, n_groups: int, width: int) -> np.ndarray:
     return out
 
 
-def pairwise_sum(values, workers: int = 1) -> float:
-    """Sum a 1-D float array over a fixed perfect binary tree.
-
-    The result is a deterministic function of the input values and their
-    order; `workers` affects wall time only, never the bits.
-    """
+def pairwise_sum(values) -> float:
+    """Sum a 1-D float array over a fixed perfect binary tree: one row of
+    fold_rows. The result is a deterministic function of the input values
+    and their order."""
     a = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    n = a.size
-    if n == 0:
+    if a.size == 0:
         return 0.0
-    m = 1 << (n - 1).bit_length()
-    if m != n:
-        a = np.concatenate([a, np.zeros(m - n)])
-    if workers > 1 and m >= 1 << 16:
-        # power-of-two block count: each block is a whole subtree of the
-        # serial reduction, so the parallel result is bit-identical to it
-        nblocks = 1
-        while nblocks * 2 <= workers and m // (nblocks * 2) >= 1 << 12:
-            nblocks *= 2
-        if nblocks > 1:
-            blocks = a.reshape(nblocks, 1, m // nblocks)
-            partials = np.concatenate(thread_map(fold_rows, blocks, workers))
-            return float(fold_rows(partials[None, :])[0])
     return float(fold_rows(a[None, :])[0])
 
 

@@ -57,25 +57,25 @@ def dense_kernel(k, cloud) -> np.ndarray:
 
 
 def is_good_radius(v, t, params):
-    """The good-radius predicate in Fractions: per generation n, t's cell
-    [lo, hi) (closed when last) must carry mass < lam^-n, and t must clear
-    both of its ends by at least |I| lam^-3n."""
+    """The good-radius predicate in Fractions on I = [0, 1]: per generation
+    n, t's cell [lo, hi) (closed when last) must carry mass < lam^-n, and t
+    must clear both of its ends by at least lam^-3n."""
     t = Fraction(t)
-    a, length, lam = params.a, params.length, params.lam
-    assert a < t < params.b
+    lam = params.lam
+    assert 0 < t < 1
     witnesses = []
     for n in range(1, params.depth + 1):
         cells = lam ** (2 * n)
-        width = length / cells
-        j = min(int((t - a) // width), cells - 1)
-        lo, hi = a + j * width, a + (j + 1) * width
+        width = Fraction(1, cells)
+        j = min(int(t // width), cells - 1)
+        lo, hi = j * width, (j + 1) * width
         last = j == cells - 1
         mass = sum((m for p, m in zip(v.positions, v.masses)
                     if lo <= p < hi or last and p == hi), Fraction(0))
         if mass >= Fraction(1, lam ** n):
             return GoodRadiusRejection(t=t, generation=n, reason=HEAVY_CELL)
         clearance = min(t - lo, hi - t)
-        if clearance < length / lam ** (3 * n):
+        if clearance < Fraction(1, lam ** (3 * n)):
             return GoodRadiusRejection(t=t, generation=n,
                                        reason=GRIDLINE_SHELL)
         witnesses.append((n, j, mass, clearance))
@@ -84,11 +84,11 @@ def is_good_radius(v, t, params):
 
 
 def concentration_violations(v, params, n):
-    """Every t whose closed window [t - w, t + w], w = |I| lam^-3n,
-    carries mass >= lam^-n, as merged closed intervals: a run of atoms
-    i..j spanning at most 2w with that mass puts [pos_j - w, pos_i + w] in
-    the set."""
-    w = params.length / params.lam ** (3 * n)
+    """Every t whose closed window [t - w, t + w], w = lam^-3n, carries
+    mass >= lam^-n, as merged closed intervals: a run of atoms i..j
+    spanning at most 2w with that mass puts [pos_j - w, pos_i + w] in the
+    set."""
+    w = Fraction(1, params.lam ** (3 * n))
     pos, masses = v.positions, v.masses
     out = []
     for i in range(len(pos)):

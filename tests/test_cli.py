@@ -51,6 +51,23 @@ def test_check_growth_and_kernel(tmp_path, capsys):
     assert code == 0 and "PASS  kernel_antisymmetry" in out
 
 
+def test_check_growth_rejects_an_asymmetric_table(tmp_path, capsys):
+    """d(0, 1) = 1 but d(1, 0) = 2: a usage error (exit 2), no certificate."""
+    cloud = {"metric": {"family": "custom_table", "dimension": 1},
+             "points": [{"id": i, "coords": [float(i)]} for i in range(3)],
+             "distances": [[0.0, 1.0, 5.0], [2.0, 0.0, 1.0],
+                           [5.0, 1.0, 0.0]]}
+    with open(tmp_path / "m.json", "w") as fh:
+        json.dump({"cloud": cloud, "weights": [1 / 3] * 3}, fh)
+    with pytest.raises(SystemExit) as exc:
+        main(["check-growth", "--measure", str(tmp_path / "m.json"),
+              "--r-min", "0.05"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "d(0, 1) = 1.0 but d(1, 0) = 2.0" in captured.err
+    assert "c_mu" not in captured.out
+
+
 def test_pairing_trace_csv(tmp_path, capsys):
     run(["generate", "--level", "2", "--out-dir", str(tmp_path),
          "--out", "m.json"], capsys)

@@ -31,11 +31,10 @@ def test_params_validation():
 
 
 @pytest.mark.parametrize("bad", [
-    {"lam": 5.5}, {"lam": 5.0}, {"depth": 2.0}, {"depth": True},
-    {"a": math.nan}, {"b": math.inf}, {"a": "abc"}, {"b": None}])
+    {"lam": 5.5}, {"lam": 5.0}, {"depth": 2.0}, {"depth": True}])
 def test_params_reject_what_the_integer_predicate_cannot_take(bad):
     """lambda and depth must be ints (a float lambda would make the powers
-    floats), and the ends finite numbers: each is an InputError."""
+    floats): each is an InputError."""
     with pytest.raises(InputError):
         GoodSetParams(**{"lam": 5, "depth": 2, **bad})
 
@@ -81,17 +80,14 @@ def test_heavy_cells_uniform_quarter():
 @given(atoms=st.lists(st.tuples(st.fractions(0, 3, max_denominator=500),
                                 st.fractions(0, 1, max_denominator=97)),
                       max_size=12),
-       a=st.fractions(0, 1, max_denominator=50),
-       length=st.fractions(Fraction(1, 10), 2, max_denominator=50),
        lam=st.integers(3, 6), n=st.integers(1, 3))
-def test_cell_masses_equal_the_fraction_oracle(atoms, a, length, lam, n):
+def test_cell_masses_equal_the_fraction_oracle(atoms, lam, n):
     v = make_step_measure(atoms)
-    params = GoodSetParams(lam=lam, depth=3, a=a, b=a + length)
+    params = GoodSetParams(lam=lam, depth=3)
     expected = {}
     for pos, mass in zip(v.positions, v.masses):
-        if a <= pos <= a + length and mass > 0:
-            j = min(int((pos - a) * lam ** (2 * n) // length),
-                    lam ** (2 * n) - 1)
+        if pos <= 1 and mass > 0:
+            j = min(int(pos * lam ** (2 * n)), lam ** (2 * n) - 1)
             expected[j] = expected.get(j, 0) + mass
     got = good_radii._cell_masses(v, params, n)
     assert {j: Fraction(u, v.denominator) for j, u in got.items()} \
@@ -502,9 +498,9 @@ def test_verify_reuses_the_cached_clearance_only_for_the_cached_period(
 
 def test_verify_requires_the_params_grid():
     iset = materialize_good_set(EMPTY, P5)
-    for change in ({"unit": iset.unit / 2}, {"offset": Fraction(1, 7)}):
-        with pytest.raises(InputError, match="grid"):
-            verify_good_set(EMPTY, P5, dataclasses.replace(iset, **change))
+    with pytest.raises(InputError, match="grid"):
+        verify_good_set(EMPTY, P5, dataclasses.replace(iset,
+                                                       unit=iset.unit / 2))
     with pytest.raises(InputError, match="grid"):
         verify_good_set(EMPTY, GoodSetParams(lam=5, depth=2), iset)
 
@@ -543,8 +539,7 @@ def _one_period(params, starts, ends, period=None, repeats=1, drop=(0, 0)):
             repeats=repeats),
         drop_lo=np.asarray(runs[0], np.int64),
         drop_hi=np.asarray(runs[1], np.int64),
-        unit=params.length / params.lam ** (3 * params.depth),
-        offset=params.a)
+        unit=params.length / params.lam ** (3 * params.depth))
 
 
 @settings(max_examples=300, deadline=None)
@@ -570,8 +565,7 @@ def test_periodic_lookups_equal_the_expanded_base(data):
         np.asarray([b for _, b in runs], np.int64))
     base = good_radii.PeriodicPieces(ps, pe, period=period, repeats=repeats)
     iset = good_radii.IntervalSet(
-        base=base, drop_lo=drop_lo, drop_hi=drop_hi, unit=Fraction(1, 7),
-        offset=Fraction(0))
+        base=base, drop_lo=drop_lo, drop_hi=drop_hi, unit=Fraction(1, 7))
 
     xs = np.asarray(sorted(
         {j * period + d for j in range(-1, repeats + 2) for d in (-1, 0, 1)}
@@ -604,6 +598,20 @@ def test_periodic_lookups_equal_the_expanded_base(data):
     assert iset.ends.tolist() == full_e[keep].tolist()
 
 
+def test_sets_with_two_dropped_runs_compare_without_raising():
+    """Masses 1/2 at 1/5 and at 4/5 drop two runs at lam 5, depth 2. A set
+    equals itself; two materializations are two sets, and comparing them
+    is no elementwise comparison of their run arrays."""
+    v = make_step_measure([(Fraction(1, 5), Fraction(1, 2)),
+                           (Fraction(4, 5), Fraction(1, 2))])
+    params = GoodSetParams(lam=5, depth=2)
+    one, two = (materialize_good_set(v, params) for _ in range(2))
+    assert one.drop_lo.tolist() == [75, 300]
+    assert one == one
+    assert not one == two
+    assert one.base == two.base  # the one cached base
+
+
 def test_merged_runs():
     lo, hi = good_radii._merged_runs(np.asarray([5, 0, 3, 9, 12, 13]),
                                      np.asarray([7, 4, 5, 9, 14, 14]))
@@ -624,30 +632,27 @@ def test_non_concentration_windows_are_closed(start, end, clear):
 
 @st.composite
 def oracle_cases(draw):
-    """A measure, an interval I = [a, b] with a != 0 and |I| != 1, and a
-    radius t in I: on a gridline, exactly on a shell edge, one unit inside
-    the shell, in the last cell, or anywhere. Atoms sit on gridlines, on
-    shell edges, on b (the last cell's closed end) or anywhere."""
+    """A measure, parameters, and a radius t in I = [0, 1]: on a gridline,
+    exactly on a shell edge, one unit inside the shell, in the last cell,
+    or anywhere. Atoms sit on gridlines, on shell edges, on 1 (the last
+    cell's closed end) or anywhere. Positions are >= 0, so a shell edge or
+    inside point below gridline 0 is mirrored above it."""
     lam, depth = draw(st.integers(3, 5)), draw(st.integers(1, 2))
-    a = draw(st.fractions(Fraction(1, 7), 2, max_denominator=12))
-    length = draw(st.fractions(Fraction(1, 5), 3, max_denominator=12)
-                  .filter(lambda x: x != 1))
-    params = GoodSetParams(lam=lam, depth=depth, a=a, b=a + length)
-    unit = length / lam ** (3 * depth + 2)
+    params = GoodSetParams(lam=lam, depth=depth)
+    unit = Fraction(1, lam ** (3 * depth + 2))
 
     def gridline(n):
-        return a + draw(st.integers(0, lam ** (2 * n))) * length \
-            / lam ** (2 * n)
+        return Fraction(draw(st.integers(0, lam ** (2 * n))), lam ** (2 * n))
 
     def point(kind, n):
         h = params.shell_half_width(n)
         sign = draw(st.sampled_from([-1, 1]))
         return {"gridline": lambda: gridline(n),
-                "edge": lambda: gridline(n) + sign * h,
-                "inside": lambda: gridline(n) + sign * (h - unit),
-                "last": lambda: params.b - draw(st.integers(1, 4)) * unit,
-                "end": lambda: params.b,
-                "free": lambda: a + draw(st.fractions(0, 1)) * length}[kind]()
+                "edge": lambda: abs(gridline(n) + sign * h),
+                "inside": lambda: abs(gridline(n) + sign * (h - unit)),
+                "last": lambda: 1 - draw(st.integers(1, 4)) * unit,
+                "end": lambda: Fraction(1),
+                "free": lambda: draw(st.fractions(0, 1))}[kind]()
 
     kinds = ["gridline", "edge", "inside", "last", "free"]
     atoms = [(point(draw(st.sampled_from(kinds + ["end"])),
@@ -671,7 +676,7 @@ def test_integer_predicate_equals_the_fraction_oracle(case):
     for m in range(1, params.depth + 1):
         assert concentration_violations(v, params, m) \
             == oracles.concentration_violations(v, params, m)
-    if not params.a < t < params.b:
+    if not 0 < t < 1:
         return
     res = is_good_radius(v, t, params)
     assert res == oracles.is_good_radius(v, t, params)
@@ -684,22 +689,19 @@ def test_integer_predicate_equals_the_fraction_oracle(case):
 
 
 def _check4_case(data):
-    """Parameters with a != 0 and |I| != 1, and a measure whose atoms
-    crowd [a, a + near u], on the grid of half units u/2 (where midpoints
-    and window ends meet) or off it."""
+    """Parameters and a measure whose atoms crowd [0, near u], on the grid
+    of half units u/2 (where midpoints and window ends meet) or off it."""
     lam, depth = data.draw(st.integers(3, 4)), data.draw(st.integers(1, 2))
-    a = Fraction(data.draw(st.integers(1, 5)), 3)
-    length = Fraction(data.draw(st.integers(2, 5)), 7)
-    params = GoodSetParams(lam=lam, depth=depth, a=a, b=a + length)
+    params = GoodSetParams(lam=lam, depth=depth)
     big = lam ** (3 * depth)
     near = min(big - 1, 32)
-    unit = length / big
+    unit = Fraction(1, big)
     atoms = data.draw(st.lists(st.tuples(
         st.integers(1, 2 * near),
         st.sampled_from([0, 0, Fraction(1, 3), Fraction(-2, 5)]),
         st.fractions(0, 1, max_denominator=12)), max_size=8))
     total = sum(m for _, _, m in atoms)
-    v = make_step_measure([(a + (k + off) * unit / 2,
+    v = make_step_measure([((k + off) * unit / 2,
                             m / total if total > 1 else m)
                            for k, off, m in atoms])
     windows = [w for n in range(1, depth + 1)
@@ -740,8 +742,8 @@ def test_non_concentration_check_is_exact_at_window_ends(data):
         return
     lo, hi = data.draw(st.sampled_from(windows))
     half = params.length / big / 2
-    inside_lo = math.ceil((lo - params.a) / half)
-    inside_hi = math.floor((hi - params.a) / half)
+    inside_lo = math.ceil(lo / half)
+    inside_hi = math.floor(hi / half)
     m = data.draw(st.sampled_from([inside_lo - 1, inside_lo, inside_hi,
                                    inside_hi + 1]))
     s = (m - 1) // 2 if m % 2 else (m - 2) // 2  # e - s is 1 or 2

@@ -185,6 +185,13 @@ def test_make_cloud_rejects_duplicates_and_non_finite():
                    table=[[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     with pytest.raises(InputError):
         make_cloud([[0.0], [1.0]], md, table=[[0.0, np.nan], [np.nan, 0.0]])
+    # a nonzero diagonal entry or an asymmetric pair is named
+    with pytest.raises(InputError, match=r"d\(0, 0\) = 3.0 on the diagonal"):
+        make_cloud([[0.0], [1.0]], md, table=[[3.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(InputError,
+                       match=r"d\(0, 1\) = 1.0 but d\(1, 0\) = 2.0"):
+        make_cloud([[0.0], [1.0], [2.0]], md,
+                   table=[[0.0, 1.0, 5.0], [2.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
     # coordinates do not matter under a table metric
     assert make_cloud([[0.0], [0.0]], md,
                       table=[[0.0, 2.0], [2.0, 0.0]]).diameter == 2.0
