@@ -26,8 +26,7 @@ from .measure import (DiscreteMeasure, StepMeasure, ball_mass,
                       make_measure, make_step_measure, normalize,
                       radial_pushforward, save_measure)
 from .metric import (MetricDescriptor, PointCloud, distance, load_cloud,
-                     make_cloud, rescale_to_unit_diameter, save_cloud,
-                     validate_metric)
+                     make_cloud, rescale_to_unit_diameter, save_cloud)
 from .operator import (Ball, PairingTrace, SimpleFunction,
                        annuli_log_bound_check, apply_truncated,
                        boundary_term, cancellation_residual,

@@ -26,9 +26,17 @@ from .suite import (SuiteConfig, emit_report, parse_eps_grid,
                     run_convergence_suite, trace_csv_lines)
 
 
+def _threads(text: str) -> int:
+    """A worker count for argparse: below 1 is a usage error."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file supplying defaults for flags")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_threads, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default=".")
 
@@ -117,7 +125,7 @@ def _add_kernel_flags(p: argparse.ArgumentParser) -> None:
 def cmd_generate(args) -> int:
     spec = GeneratorSpec(family=args.family, level=args.level,
                          ratio=args.ratio, count=args.count, seed=args.seed)
-    cloud, m, r_min = generate(spec)
+    cloud, m, r_min = generate(spec, workers=args.threads)
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, args.out)
     save_measure(m, path)

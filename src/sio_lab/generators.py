@@ -39,6 +39,9 @@ class GeneratorSpec:
             raise InputError(f"unknown generator family {self.family!r}")
         if self.family == CANTOR_1D and not 0.0 < self.ratio < 0.5:
             raise InputError("cantor_1d ratio must lie in (0, 1/2)")
+        if self.family == UNIFORM_RANDOM and self.count < 2:
+            raise InputError(f"uniform_random count must be >= 2, "
+                             f"got {self.count}")
 
 
 def _default_metric(family: str) -> MetricDescriptor:
@@ -46,9 +49,13 @@ def _default_metric(family: str) -> MetricDescriptor:
     return MetricDescriptor(family=EUCLIDEAN_P, dimension=dim, p=2.0)
 
 
-def generate(spec: GeneratorSpec
+def generate(spec: GeneratorSpec, workers: int = 1
              ) -> tuple[PointCloud, DiscreteMeasure, float]:
-    """Build (cloud, measure, r_min); the cloud has unit diameter."""
+    """Build (cloud, measure, r_min); the cloud has unit diameter.
+
+    The N^2 passes (make_cloud's diameter and a uniform cloud's r_min)
+    walk the upper triangle of the row tiles on `workers` threads; the
+    result does not depend on how many."""
     metric = spec.metric or _default_metric(spec.family)
     if spec.family == FOUR_CORNER:
         if 4 ** spec.level > MAX_ATOMS:
@@ -69,14 +76,18 @@ def generate(spec: GeneratorSpec
         coords = rng.random((spec.count, metric.dimension))
         weights = np.full(spec.count, 1.0 / spec.count)
         cell = 0.0
-    cloud = make_cloud(coords, metric)
+    cloud = make_cloud(coords, metric, workers=workers)
     cloud, scale = rescale_to_unit_diameter(cloud)
     if spec.family == UNIFORM_RANDOM:
-        # resolution floor: the smallest positive pairwise distance
+        # resolution floor: the smallest distance d(x, y), y > x
         every = np.arange(cloud.n_points)
-        r_min = float(tile_map(lambda rows: np.where(
-            every[None, :] > rows[:, None], _distance_rows(cloud, rows),
-            np.inf).min(axis=1), every, cloud.n_points).min())
+
+        def tile(rows):
+            cols = every[rows[0]:]
+            return np.where(cols[None, :] > rows[:, None],
+                            _distance_rows(cloud, rows, cols),
+                            np.inf).min(axis=1)
+        r_min = float(tile_map(tile, every, cloud.n_points, workers).min())
     else:
         r_min = cell / scale if metric.family != "snowflake" \
             else (cell / scale ** (1.0 / metric.alpha)) ** metric.alpha

@@ -288,34 +288,55 @@ def check_antisymmetry(k: KernelSpec, cloud: PointCloud, workers: int = 1
     """The Check kernel_antisymmetry: max |k(x,y) + k(y,x)| over distinct
     pairs <= 1e-13 * max |k|, witnessed by the worst pair and the scale.
 
-    Walks row tiles, split over `workers` threads. The residual is
-    symmetric in the pair, so a tile starting at row x0 evaluates only
-    columns y >= x0, as rows k(x, .) and, on their own, columns k(., x),
-    blocks of kernel_rows for either family: no N x N array is built, and
-    k(y, x) is never derived from k(x, y). Entries y < x are masked, which
-    keeps the row-major first maximum of the whole matrix; the diagonal
-    stays, so an all-zero residual reports the pair (0, 0). The scale,
-    max |k|, reads both orientations, so it covers every pair.
+    Walks the upper triangle of the row tiles, split over `workers`
+    threads: the residual is symmetric in the pair, so a tile starting at
+    row x0 evaluates only the columns y >= x0 of its rows k(x, .), and
+    _antisymmetry_rows evaluates the matching columns k(., x) on their own.
+    A converge run takes the same per-tile code through antisymmetry_pass,
+    reading k(x, .) off its sweep instead.
     """
-    n = cloud.n_points
-    if n < 2:
-        raise InputError("need at least two points")
-    every = np.arange(n)
+    every = np.arange(cloud.n_points)
+    p = antisymmetry_pass(k, cloud)
+    return p.reduce(tile_map(lambda rows: _antisymmetry_rows(
+        k, cloud, kernel_rows(k, cloud, rows, every[rows[0]:]), rows),
+        every, cloud.n_points, workers))
 
-    def tile(rows):
-        cols = every[rows[0]:]
-        kt = kernel_rows(k, cloud, rows, cols)
-        kc = kernel_rows(k, cloud, cols, rows).T  # k(y, x) for x in rows
-        resid = np.abs(kt + kc)
-        resid[cols[None, :] < rows[:, None]] = -np.inf
-        scale = np.maximum(np.abs(kt).max(axis=1), np.abs(kc).max(axis=1))
-        return np.hstack([_first_max(resid, rows, rows[0]), scale[:, None]])
-    per_row = tile_map(tile, every, n, workers)
-    worst, pair = _pick_first_max(per_row)
-    scale = float(per_row[:, 3].max())
-    return Check.le("kernel_antisymmetry", worst,
-                    1e-13 * max(scale, 1e-300),
-                    witness={"pair": pair, "scale": scale})
+
+def antisymmetry_pass(k: KernelSpec, cloud: PointCloud) -> RowPass:
+    """check_antisymmetry as a RowPass over every row: a tile starting at
+    row x0 reads k(x, y) for y >= x0 off the sweep's kernel rows."""
+    if cloud.n_points < 2:
+        raise InputError("need at least two points")
+
+    def reduce(per_row):
+        worst, pair = _pick_first_max(per_row)
+        scale = float(per_row[:, 3].max())
+        return Check.le("kernel_antisymmetry", worst,
+                        1e-13 * max(scale, 1e-300),
+                        witness={"pair": pair, "scale": scale})
+    return RowPass(np.arange(cloud.n_points), lambda kt, dt, rows:
+                   _antisymmetry_rows(k, cloud, kt[:, rows[0]:], rows),
+                   reduce)
+
+
+def _antisymmetry_rows(k: KernelSpec, cloud: PointCloud, kt: np.ndarray,
+                       rows: np.ndarray) -> np.ndarray:
+    """Per row x of a tile starting at row x0, from kt = k(x, y) for
+    y >= x0: [residual, x, y, scale] at the first maximum of
+    |k(x, y) + k(y, x)| over y >= x, and max |k| over both orientations.
+
+    k(y, x) is evaluated here, as a block of kernel_rows, never derived
+    from k(x, y). Entries y < x are masked, which keeps the row-major first
+    maximum of the whole matrix; the diagonal stays, so an all-zero
+    residual reports the pair (0, 0). The scale reads both orientations of
+    every y >= x0, so the rows of all tiles cover every pair.
+    """
+    cols = np.arange(rows[0], cloud.n_points)
+    kc = kernel_rows(k, cloud, cols, rows).T  # k(y, x) for x in rows
+    resid = np.abs(kt + kc)
+    resid[cols[None, :] < rows[:, None]] = -np.inf
+    scale = np.maximum(np.abs(kt).max(axis=1), np.abs(kc).max(axis=1))
+    return np.hstack([_first_max(resid, rows, rows[0]), scale[:, None]])
 
 
 def check_size_bound(k: KernelSpec, cloud: PointCloud, s: float,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -165,10 +166,19 @@ class RowPass(NamedTuple):
     reduce: Callable
 
 
-def make_cloud(coords, metric: MetricDescriptor, table=None) -> PointCloud:
+def make_cloud(coords, metric: MetricDescriptor, table=None,
+               workers: int = 1) -> PointCloud:
     """Validated cloud: finite coordinates (and a finite table with a zero
-    diagonal, bitwise symmetric), no two points at distance 0 (duplicate
-    atoms), diameter from one tiled pass."""
+    diagonal, bitwise symmetric, that satisfies the triangle inequality),
+    no two points at distance 0 (duplicate atoms), diameter from one tiled
+    pass.
+
+    d is bit-symmetric (p-metrics and snowflakes by construction, a table
+    by the check above), so the pass evaluates only the columns y >= x0 of
+    a tile starting at row x0, on `workers` threads. Its diameter is the
+    full matrix's maximum, and the duplicate pair it names is the full
+    matrix's row-major first.
+    """
     coords = np.asarray(coords, dtype=np.float64)
     if coords.ndim != 2 or coords.shape[1] != metric.dimension:
         raise InputError(
@@ -189,19 +199,61 @@ def make_cloud(coords, metric: MetricDescriptor, table=None) -> PointCloud:
                 else f"but d({j}, {i}) = {table[j, i]}"
             raise InputError(f"custom table is not a metric: d({i}, {j}) = "
                              f"{table[i, j]} {where}")
+        _check_triangles(table, workers)
     cloud = PointCloud(coords=coords, metric=metric, diameter=0.0, table=table)
+    every = np.arange(cloud.n_points)
 
     def tile(rows):
-        d = _distance_rows(cloud, rows)
-        zero = d == 0.0
-        zero[np.arange(rows.size), rows] = False
+        cols = every[rows[0]:] if rows.size else rows
+        d = _distance_rows(cloud, rows, cols)
+        zero = (d == 0.0) & (cols[None, :] > rows[:, None])
         if zero.any():
             i, j = np.argwhere(zero)[0]
-            raise DegenerateInputError(f"points {rows[i]} and {j} are at "
-                                       "distance 0 (duplicate atoms)")
+            raise DegenerateInputError(f"points {rows[i]} and {cols[j]} are "
+                                       "at distance 0 (duplicate atoms)")
         return d.max(axis=1, initial=0.0)
-    diam = tile_map(tile, np.arange(cloud.n_points), cloud.n_points)
+    diam = tile_map(tile, every, cloud.n_points, workers)
     return replace(cloud, diameter=float(diam.max(initial=0.0)))
+
+
+def _check_triangles(table: np.ndarray, workers: int = 1) -> None:
+    """Raise InputError naming the first triple (x, y, z), in row-major
+    order, with d(x, z) > d(x, y) + d(y, z), and its excess.
+
+    Exact: a + b < c iff fl(a + b) < c, or fl(a + b) == c and the TwoSum
+    error term (a + b) - fl(a + b) is negative. The walk takes the pairs
+    (x, y) in row tiles of tile_map, on `workers` threads: O(N^3) time in
+    tile-bounded memory. The table is symmetric, so (x, y, z) and
+    (z, y, x) are one inequality, and the first violation has z >= x: a
+    tile whose first pair has x = x0 reads only the columns z >= x0.
+    """
+    n = table.shape[0]
+    if n == 0:
+        return
+    flat = table.ravel()
+
+    def tile(xy):
+        x0 = xy[0] // n
+        a = flat[xy, None]                   # d(x, y)
+        b = table[xy % n, x0:]               # d(y, z)
+        c = table[xy // n, x0:]              # d(x, z)
+        s = a + b
+        viol = s < c
+        tie = s == c
+        if tie.any():
+            bb = s - a
+            err = (a - (s - bb)) + (b - bb)
+            viol |= tie & (err < 0.0)
+        return np.where(viol.any(axis=1), x0 + viol.argmax(axis=1), -1)
+    first_z = tile_map(tile, np.arange(n * n), n, workers)
+    hits = np.flatnonzero(first_z >= 0)
+    if hits.size:
+        (x, y), z = divmod(int(hits[0]), n), int(first_z[hits[0]])
+        a, b, c = (float(table[i, j]) for i, j in ((x, y), (y, z), (x, z)))
+        excess = float(Fraction(c) - Fraction(a) - Fraction(b))
+        raise InputError(f"custom table is not a metric: d({x}, {z}) = {c!r}"
+                         f" > d({x}, {y}) + d({y}, {z}) = {a!r} + {b!r}, "
+                         f"excess {excess!r}")
 
 
 def distance(cloud: PointCloud, i: int, j: int) -> float:
@@ -210,81 +262,6 @@ def distance(cloud: PointCloud, i: int, j: int) -> float:
     cloud.check_id(j)
     a, b = (i, j) if i <= j else (j, i)
     return float(cloud.distances_from(a)[b])
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    symmetry_ok: bool
-    identity_ok: bool
-    triangle_ok: bool
-    worst_triple: tuple[int, int, int] | None
-    worst_violation: float
-
-    @property
-    def all_ok(self) -> bool:
-        return self.symmetry_ok and self.identity_ok and self.triangle_ok
-
-
-def validate_metric(cloud: PointCloud, seed: int = 0,
-                    sample_triples: int = 10 ** 6) -> MetricReport:
-    """Check the metric axioms; exhaustive up to 1000 points, sampled above.
-
-    Failures are reported, never raised: this guards user-supplied tables.
-    """
-    n = cloud.n_points
-    if n == 0:
-        raise DegenerateInputError("empty cloud")
-    if n <= 1000:
-        dmat = _distance_rows(cloud, np.arange(n))
-        symmetry_ok = bool(np.array_equal(dmat, dmat.T))
-        identity_ok = bool(np.all(np.diag(dmat) == 0.0))
-        if n > 1:
-            mask = ~np.eye(n, dtype=bool)
-            identity_ok = identity_ok and bool(np.all(dmat[mask] > 0.0))
-        worst = 0.0
-        worst_triple = None
-        for y in range(n):
-            viol = dmat - (dmat[:, y, None] + dmat[None, y, :])
-            m = float(viol.max())
-            if m > worst:
-                worst = m
-                x, z = np.unravel_index(int(viol.argmax()), viol.shape)
-                worst_triple = (int(x), y, int(z))
-        triangle_ok = worst <= 0.0
-        return MetricReport(symmetry_ok, identity_ok, triangle_ok,
-                            worst_triple, worst)
-    rng = np.random.default_rng(seed)
-    xs, ys, zs = rng.integers(0, n, size=(3, sample_triples))
-    worst = 0.0
-    worst_triple = None
-    symmetry_ok = True
-    identity_ok = True
-    for x, y, z in zip(xs[:2000], ys[:2000], zs[:2000]):
-        if distance(cloud, x, y) != distance(cloud, y, x):
-            symmetry_ok = False
-        if x != y and distance(cloud, x, y) == 0.0:
-            identity_ok = False
-    for start in range(0, sample_triples, 10 ** 5):
-        sl = slice(start, start + 10 ** 5)
-        dxz = _pair_distances(cloud, xs[sl], zs[sl])
-        dxy = _pair_distances(cloud, xs[sl], ys[sl])
-        dyz = _pair_distances(cloud, ys[sl], zs[sl])
-        viol = dxz - (dxy + dyz)
-        m = float(viol.max())
-        if m > worst:
-            worst = m
-            k = start + int(viol.argmax())
-            worst_triple = (int(xs[k]), int(ys[k]), int(zs[k]))
-    return MetricReport(symmetry_ok, identity_ok, worst <= 0.0,
-                        worst_triple, worst)
-
-
-def _pair_distances(cloud: PointCloud, ii, jj) -> np.ndarray:
-    if cloud.metric.family == CUSTOM_TABLE:
-        return cloud.table[ii, jj]
-    x = cloud.coords
-    return _norm(cloud.metric,
-                 [x[ii, c] - x[jj, c] for c in range(x.shape[1])])
 
 
 def rescale_to_unit_diameter(cloud: PointCloud) -> tuple[PointCloud, float]:
@@ -296,6 +273,7 @@ def rescale_to_unit_diameter(cloud: PointCloud) -> tuple[PointCloud, float]:
     coords, table = cloud.coords, cloud.table
     if md.family == CUSTOM_TABLE:
         table = table / scale
+        _check_triangles(table)  # division rounds: check what is read
     elif md.family == SNOWFLAKE:
         # distances scale as (base distance)^alpha
         coords = coords / scale ** (1.0 / md.alpha)

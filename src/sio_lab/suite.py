@@ -10,13 +10,15 @@ raised, so a failing run still reports every check and is written out whole;
 report_to_json derives the summary's verdict fields from the checks.
 
 The balls are certified first, from O(N) pushforwards. Then one walk of the
-row tiles (kernels.sweep_pair_tiles) feeds five RowPasses: the growth
-constant, the kernel size bound, the pairing trace, ball 0's annuli and the
-boundedness trend's own level. Each is reduced as its stand-alone function
-reduces it, so it keeps that function's bits. Three walks stay separate:
-the antisymmetry check and the cancellation residuals walk their own upper
-triangles, since k(y, x) must be evaluated there, not read off k(x, y); and
-the trend's lower levels walk their own clouds.
+row tiles (kernels.sweep_pair_tiles) feeds six RowPasses: the growth
+constant, the antisymmetry check, the kernel size bound, the pairing trace,
+ball 0's annuli and the boundedness trend's own level. Each is reduced as
+its stand-alone function reduces it, so it keeps that function's bits. The
+antisymmetry check reads k(x, y) off the sweep's rows and evaluates k(y, x)
+itself, never reading it off k(x, y). Two walks stay separate: the
+cancellation residuals walk their own upper triangles, and the trend's
+lower levels walk their own clouds. generate walks the upper triangle of
+its N^2 passes on the run's threads.
 
 Outputs are byte-stable: data files carry no timestamps (run metadata goes to
 a sidecar), floats are serialized via repr, and all reductions are
@@ -40,7 +42,7 @@ import numpy as np
 from .errors import Check, InputError
 from .generators import GeneratorSpec, generate
 from .good_radii import GoodSetParams, is_good_radius, select_good_radius_near
-from .kernels import (KernelSpec, check_antisymmetry, size_bound_pass,
+from .kernels import (KernelSpec, antisymmetry_pass, size_bound_pass,
                       sweep_pair_tiles)
 from .measure import (DiscreteMeasure, StepMeasure, growth_pass, normalize,
                       radial_pushforward)
@@ -175,9 +177,10 @@ def run_convergence_suite(config: SuiteConfig) -> ConvergenceReport:
     bad config raises InputError before any work; a failed check never
     raises, it is reported with its witness and makes all_ok false."""
     grid = config.eps_grid()
-    _cloud, m, r_min = generate(config.generator)
+    _cloud, m, r_min = generate(config.generator, workers=config.workers)
     m, _ = normalize(m)
     growth = growth_pass(m, config.s, r_min)
+    antisymmetry = antisymmetry_pass(config.kernel, m.cloud)
     size_bound = size_bound_pass(m.cloud, config.s)
 
     params = GoodSetParams(lam=config.lam, depth=config.depth)
@@ -203,21 +206,20 @@ def run_convergence_suite(config: SuiteConfig) -> ConvergenceReport:
 
     pairings = trace_pass(m, f, g, grid)
     annuli = annuli_pass(m, balls[0])
-    passes = [growth, size_bound, pairings, annuli]
+    passes = [growth, antisymmetry, size_bound, pairings, annuli]
     gen = config.generator
     trend_top = None  # a uniform cloud has no refinement levels
     if gen.family != "uniform_random" and gen.level >= 1:
         trend_top = _trend_ball(params, records[0].target, m, gen.level)
         passes.append(boundary_pass(m, trend_top[0], 0.0, math.inf))
-    growth_rows, size_rows, trace_rows, annuli_rows, *top_rows = \
+    growth_rows, anti_rows, size_rows, trace_rows, annuli_rows, *top_rows = \
         sweep_pair_tiles(config.kernel, m.cloud, passes,
                          workers=config.workers)
 
     c_mu, growth_witness = growth.reduce(growth_rows)
     checks = [Check("growth_constant_finite", c_mu, None,
                     bool(np.isfinite(c_mu) and c_mu > 0.0), growth_witness)]
-    checks.append(check_antisymmetry(config.kernel, m.cloud,
-                                     workers=config.workers))
+    checks.append(antisymmetry.reduce(anti_rows))
     c_cert, kernel_witness = size_bound.reduce(size_rows)
     checks.append(Check("kernel_size_bound_finite", c_cert, None,
                         bool(np.isfinite(c_cert)), kernel_witness))
@@ -282,7 +284,8 @@ def _boundedness_trend(config: SuiteConfig, params: GoodSetParams,
     gen = config.generator
     out = []
     for level in range(max(1, gen.level - config.levels_back), gen.level):
-        _cloud, m_lev, _ = generate(replace(gen, level=level))
+        _cloud, m_lev, _ = generate(replace(gen, level=level),
+                                    workers=config.workers)
         m_lev, _ = normalize(m_lev)
         ball, row = _trend_ball(params, target, m_lev, level)
         out.append({**row, "value": total_boundary_integral(

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from sio_lab.cli import main
+from sio_lab.generators import generate
 
 
 def run(args, capsys):
@@ -66,6 +67,59 @@ def test_check_growth_rejects_an_asymmetric_table(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "d(0, 1) = 1.0 but d(1, 0) = 2.0" in captured.err
     assert "c_mu" not in captured.out
+
+
+def test_check_growth_rejects_a_table_breaking_the_triangle_inequality(
+        tmp_path, capsys):
+    """Symmetric, but d(0, 2) = 5 > d(0, 1) + d(1, 2) = 2: exit 2."""
+    cloud = {"metric": {"family": "custom_table", "dimension": 1},
+             "points": [{"id": i, "coords": [float(i)]} for i in range(3)],
+             "distances": [[0.0, 1.0, 5.0], [1.0, 0.0, 1.0],
+                           [5.0, 1.0, 0.0]]}
+    with open(tmp_path / "m.json", "w") as fh:
+        json.dump({"cloud": cloud, "weights": [1 / 3] * 3}, fh)
+    with pytest.raises(SystemExit) as exc:
+        main(["check-growth", "--measure", str(tmp_path / "m.json"),
+              "--r-min", "0.05"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "d(0, 2) = 5.0 > d(0, 1) + d(1, 2) = 1.0 + 1.0, excess 3.0" \
+        in captured.err
+    assert "c_mu" not in captured.out
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_generate_rejects_a_uniform_count_below_two(tmp_path, capsys, count):
+    # formerly a ZeroDivisionError (0) or numpy's ValueError (-3): exit 1
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--family", "uniform_random", "--count", count,
+              "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"count must be >= 2, got {count}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_are_a_usage_error(tmp_path, capsys, threads):
+    run(["generate", "--level", "2", "--out-dir", str(tmp_path),
+         "--out", "m.json"], capsys)
+    with pytest.raises(SystemExit) as exc:  # formerly ran, exit 0
+        main(["check-growth", "--measure", str(tmp_path / "m.json"),
+              "--r-min", "0.05", "--threads", threads])
+    assert exc.value.code == 2
+    assert f"must be >= 1, got {threads}" in capsys.readouterr().err
+
+
+def test_generate_runs_on_the_given_threads(tmp_path, capsys, monkeypatch):
+    from sio_lab import cli
+    seen = []
+
+    def recording_generate(spec, workers=1):
+        seen.append(workers)
+        return generate(spec, workers=workers)
+    monkeypatch.setattr(cli, "generate", recording_generate)
+    code, _ = run(["generate", "--level", "2", "--threads", "3",
+                   "--out-dir", str(tmp_path)], capsys)
+    assert code == 0 and seen == [3]
 
 
 def test_pairing_trace_csv(tmp_path, capsys):

@@ -70,3 +70,17 @@ def test_budget_and_ratio_validation():
         GeneratorSpec(family="cantor_1d", ratio=0.5)
     with pytest.raises(InputError):
         GeneratorSpec(family="nonsense")
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_uniform_random_r_min_is_pinned(workers):
+    # the CLI's --family uniform_random --count 300; the full-row walk's bits
+    _cloud, _, r_min = generate(GeneratorSpec(family="uniform_random",
+                                              count=300), workers=workers)
+    assert r_min.hex() == "0x1.ea1e837a5f27fp-10"
+
+
+@pytest.mark.parametrize("count", [1, 0, -3])
+def test_uniform_random_needs_two_atoms(count):
+    with pytest.raises(InputError, match=f"count must be >= 2, got {count}"):
+        GeneratorSpec(family="uniform_random", count=count)

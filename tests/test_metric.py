@@ -1,4 +1,6 @@
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,12 +9,14 @@ from hypothesis import strategies as st
 
 from oracles import dense_distances
 from sio_lab.errors import DegenerateInputError, InputError
-from sio_lab.metric import (MetricDescriptor, _pair_distances,
+from sio_lab.metric import (MetricDescriptor, PointCloud, _distance_rows,
                             cloud_from_json, cloud_to_json, distance,
-                            make_cloud, rescale_to_unit_diameter,
-                            validate_metric)
+                            make_cloud, rescale_to_unit_diameter)
 
 E2 = MetricDescriptor(family="euclidean_p", dimension=2, p=2.0)
+L1 = MetricDescriptor(family="euclidean_p", dimension=2, p=1.0)
+SNOW = MetricDescriptor(family="snowflake", dimension=2, p=2.0, alpha=0.5)
+TABLE = MetricDescriptor(family="custom_table", dimension=1)
 
 
 def test_distance_unit_segment():
@@ -46,25 +50,107 @@ def test_unknown_id_raises():
         distance(cloud, 0, 2)
 
 
+def table_of(md):
+    """The distance table of five random points under md, as a table
+    cloud, and the cloud it came from."""
+    cloud = make_cloud(np.random.default_rng(0).random((5, 2)), md)
+    return make_cloud(cloud.coords[:, :1], TABLE,
+                      table=dense_distances(cloud)), cloud
+
+
 def test_validate_euclidean_ok():
-    rng = np.random.default_rng(0)
-    assert validate_metric(make_cloud(rng.random((5, 2)), E2)).all_ok
+    table, cloud = table_of(E2)
+    assert table.diameter == cloud.diameter
+    assert rescale_to_unit_diameter(table)[0].diameter == 1.0
 
 
 def test_validate_snowflake_ok():
-    md = MetricDescriptor(family="snowflake", dimension=2, p=2.0, alpha=0.5)
-    rng = np.random.default_rng(0)
-    assert validate_metric(make_cloud(rng.random((5, 2)), md)).all_ok
+    table, cloud = table_of(SNOW)
+    assert table.diameter == cloud.diameter
+    assert rescale_to_unit_diameter(table)[0].diameter == 1.0
 
 
 def test_validate_squared_euclidean_fails_triangle():
     # squared Euclidean on {0, 1, 2} in R^1: 4 > 1 + 1
-    coords = [[0.0], [1.0], [2.0]]
-    table = [[0.0, 1.0, 4.0], [1.0, 0.0, 1.0], [4.0, 1.0, 0.0]]
-    md = MetricDescriptor(family="custom_table", dimension=1)
-    report = validate_metric(make_cloud(coords, md, table=table))
-    assert not report.triangle_ok
-    assert report.worst_triple == (0, 1, 2)
+    with pytest.raises(InputError, match=re.escape(
+            "d(0, 2) = 4.0 > d(0, 1) + d(1, 2) = 1.0 + 1.0, excess 2.0")):
+        make_cloud([[0.0], [1.0], [2.0]], TABLE,
+                   table=[[0.0, 1.0, 4.0], [1.0, 0.0, 1.0], [4.0, 1.0, 0.0]])
+
+
+@pytest.mark.parametrize("table,message", [
+    # symmetric, but 5 > 1 + 1
+    ([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]],
+     "d(0, 2) = 5.0 > d(0, 1) + d(1, 2) = 1.0 + 1.0, excess 3.0"),
+    # a negative distance breaks the triple (0, 1, 0): 0 > -1 + -1
+    ([[0.0, -1.0], [-1.0, 0.0]],
+     "d(0, 0) = 0.0 > d(0, 1) + d(1, 0) = -1.0 + -1.0, excess 2.0"),
+], ids=["roadmap", "negative"])
+def test_make_cloud_rejects_a_table_breaking_the_triangle_inequality(
+        table, message):
+    with pytest.raises(InputError) as exc:
+        make_cloud([[float(i)] for i in range(len(table))], TABLE,
+                   table=table)
+    assert str(exc.value) == f"custom table is not a metric: {message}"
+
+
+def test_a_violation_below_half_an_ulp_is_caught_by_the_tie_rule():
+    # 1 + 0.75 ulp(1) rounds up to 1 + ulp(1): fl(a + b) == c, a + b < c
+    a, b, c = 1.0, 0.75 * 2.0 ** -52, 1.0 + 2.0 ** -52
+    assert a + b == c
+    with pytest.raises(InputError, match=re.escape(
+            f"d(0, 2) = {c!r} > d(0, 1) + d(1, 2) = {a!r} + {b!r}, "
+            f"excess {2.0 ** -54!r}")):
+        make_cloud([[0.0], [1.0], [2.0]], TABLE,
+                   table=[[0.0, a, c], [a, 0.0, b], [c, b, 0.0]])
+    # an exact tie is no violation
+    make_cloud([[0.0], [1.0], [2.0]], TABLE,
+               table=[[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_triple_named_is_the_first_in_row_major_order(workers,
+                                                         monkeypatch):
+    """Against every triple in Fraction arithmetic, on random symmetric
+    tables of values whose sums tie or round (0.1 + 0.2 > 0.3 in floats),
+    walked in tiles of 3 pairs that end mid-row."""
+    from sio_lab import metric
+    monkeypatch.setattr(metric, "_TILE_PAIRS", 3 * 6)
+    values = [0.1, 0.2, 0.3, 1 / 3, 2 / 3, 1.0, 0.5, 0.8]
+    rng = np.random.default_rng(11)
+    named = set()
+    for _ in range(60):
+        n = int(rng.integers(3, 7))
+        table = np.array(values)[rng.integers(0, len(values), (n, n))]
+        table = np.triu(table, 1) + np.triu(table, 1).T
+        exact = [[Fraction(v) for v in row] for row in table.tolist()]
+        first = next(((x, y, z) for x in range(n) for y in range(n)
+                      for z in range(n)
+                      if exact[x][y] + exact[y][z] < exact[x][z]), None)
+        try:
+            metric._check_triangles(table, workers)
+            assert first is None
+        except InputError as exc:
+            x, y, z = first
+            excess = exact[x][z] - exact[x][y] - exact[y][z]
+            assert str(exc).startswith(
+                f"custom table is not a metric: d({x}, {z}) = "
+                f"{float(table[x, z])!r} > d({x}, {y}) + d({y}, {z})")
+            assert str(exc).endswith(f"excess {float(excess)!r}")
+            named.add((x, y, z))
+    assert len(named) > 5
+
+
+def test_rescaling_checks_the_divided_table():
+    # 1 + 2 = 3 holds exactly, but fl(1/3) + fl(2/3) = 1 - 2^-54 < 1,
+    # which rounds to 1 = fl(3/3): only the tie rule sees the violation
+    cloud = make_cloud([[0.0], [1.0], [2.0]], TABLE,
+                       table=[[0.0, 1.0, 3.0], [1.0, 0.0, 2.0],
+                              [3.0, 2.0, 0.0]])
+    with pytest.raises(InputError, match=re.escape(
+            f"d(0, 2) = 1.0 > d(0, 1) + d(1, 2) = {1 / 3!r} + {2 / 3!r}, "
+            f"excess {2.0 ** -54!r}")):
+        rescale_to_unit_diameter(cloud)
 
 
 def test_rescale_two_points():
@@ -154,8 +240,9 @@ def test_per_coordinate_norm_matches_summed_formula(dim, p):
                       old ** 0.5)):
         cloud = make_cloud(x, md)
         assert np.array_equal(dense_distances(cloud), want)
-        assert np.array_equal(_pair_distances(cloud, [3, 7], [11, 2]),
-                              want[[3, 7], [11, 2]])
+        rows, cols = np.array([3, 7]), np.array([11, 2, 30])
+        assert np.array_equal(_distance_rows(cloud, rows, cols),
+                              want[np.ix_(rows, cols)])
 
 
 def test_diameter_pass_walks_row_tiles(monkeypatch):
@@ -167,6 +254,53 @@ def test_diameter_pass_walks_row_tiles(monkeypatch):
         assert cloud.diameter == dense_distances(cloud).max()
         with pytest.raises(DegenerateInputError):  # a duplicate in tile 12
             make_cloud(np.concatenate([cloud.coords, cloud.coords[7:8]]), md)
+
+
+def full_row_walk(coords, md):
+    """The diameter and the duplicate-pair message of a walk of every full
+    row: the dense matrix's maximum and its row-major first zero off the
+    diagonal."""
+    dmat = dense_distances(PointCloud(np.asarray(coords), md, 0.0))
+    zeros = np.argwhere((dmat == 0.0) & ~np.eye(len(dmat), dtype=bool))
+    if zeros.size:
+        i, j = zeros[0]
+        return f"points {i} and {j} are at distance 0 (duplicate atoms)"
+    return float(dmat.max()).hex()
+
+
+@pytest.mark.parametrize("md", [E2, L1, SNOW], ids=["E2", "L1", "snowflake"])
+def test_diameter_pass_walks_the_upper_triangle(md, monkeypatch):
+    from sio_lab import metric
+    # the 12 x 13 integer lattice in 7-row tiles
+    monkeypatch.setattr(metric, "_TILE_PAIRS", 7 * 156)
+    pairs = []
+    real_rows = metric._distance_rows
+
+    def counting_rows(cloud, rows, cols=None):
+        out = real_rows(cloud, rows, cols)
+        pairs.append(out.size)
+        return out
+    monkeypatch.setattr(metric, "_distance_rows", counting_rows)
+    lattice = np.array([(i, j) for i in range(12) for j in range(13)], float)
+    # duplicates in one tile, across tiles, and two across tiles
+    for copies in ({}, {5: 3}, {100: 3}, {150: 140, 60: 10}):
+        coords = lattice.copy()
+        for dst, src in copies.items():
+            coords[dst] = coords[src]
+        want = full_row_walk(coords, md)
+        for workers in (1, 2, 3):
+            pairs.clear()
+            try:
+                got = float(make_cloud(coords, md,
+                                       workers=workers).diameter).hex()
+            except DegenerateInputError as exc:
+                got = str(exc)
+            assert got == want
+            if not copies:
+                # the tile of rows x0..x0+6 evaluates columns y >= x0
+                assert sum(pairs) == sum(min(7, 156 - x0) * (156 - x0)
+                                         for x0 in range(0, 156, 7)) == 12709
+    assert want.startswith("points 10 and 60 ")
 
 
 def test_make_cloud_rejects_duplicates_and_non_finite():

@@ -10,7 +10,7 @@ import pytest
 from sio_lab import kernels, measure, metric, operator, suite
 from sio_lab.errors import InputError
 from sio_lab.generators import GeneratorSpec, generate
-from sio_lab.kernels import KernelSpec, check_size_bound
+from sio_lab.kernels import KernelSpec, check_antisymmetry, check_size_bound
 from sio_lab.measure import growth_constant, normalize
 from sio_lab.metric import MetricDescriptor
 from sio_lab.operator import (Ball, SimpleFunction, annuli_log_bound_check,
@@ -22,6 +22,7 @@ from sio_lab.suite import (SuiteConfig, emit_report, geometric_grid,
 RIESZ = KernelSpec(family="coordinate_riesz", s=1.0, i=1, n=1)
 GENERIC = KernelSpec(family="generic_antisymmetrized", s=1.0,
                      base="x[..., 0] * (x[..., 1] + 2.0 * y[..., 0]) / d ** 1.5")
+RAW = replace(GENERIC, antisymmetrize=False)  # fails the antisymmetry check
 E2 = MetricDescriptor(family="euclidean_p", dimension=2, p=2.0)
 L1 = MetricDescriptor(family="euclidean_p", dimension=2, p=1.0)
 SNOW = MetricDescriptor(family="snowflake", dimension=2, p=2.0, alpha=0.5)
@@ -203,7 +204,7 @@ def test_config_rejects_a_non_finite_s_or_eps_start():
         small_config(eps_start=math.nan)
 
 
-@pytest.mark.parametrize("kernel", [RIESZ, GENERIC])
+@pytest.mark.parametrize("kernel", [RIESZ, GENERIC, RAW])
 @pytest.mark.parametrize("md", [E2, L1, SNOW], ids=["E2", "L1", "snowflake"])
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_sweep_matches_the_stand_alone_functions(kernel, md, workers,
@@ -221,6 +222,12 @@ def test_sweep_matches_the_stand_alone_functions(kernel, md, workers,
     assert bits([report.c_mu, report.growth_witness[1]]) \
         == bits([c_mu, witness[1]])
     assert report.growth_witness[0] == witness[0]
+    anti = check_antisymmetry(kernel, m.cloud)
+    swept = report.check("kernel_antisymmetry")
+    assert bits([swept.lhs, swept.rhs, swept.witness["scale"]]) \
+        == bits([anti.lhs, anti.rhs, anti.witness["scale"]])
+    assert swept.witness["pair"] == anti.witness["pair"]
+    assert swept.ok == anti.ok == (kernel is not RAW)
     c_cert, pair = check_size_bound(kernel, m.cloud, config.s)
     assert bits([report.c_certified]) == bits([c_cert])
     assert report.kernel_witness == pair
@@ -383,9 +390,9 @@ def test_run_generates_each_level_once_and_builds_no_matrix(kernel,
     levels, matrices = [], []
     real_generate, real_matrix = suite.generate, kernels.kernel_matrix
 
-    def counting_generate(spec):
+    def counting_generate(spec, workers=1):
         levels.append(spec.level)
-        return real_generate(spec)
+        return real_generate(spec, workers=workers)
 
     def counting_matrix(k, cloud):
         matrices.append(cloud.n_points)
