@@ -57,8 +57,10 @@ def _given_flags(parser: argparse.ArgumentParser, argv: list[str]
 
 def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
                   given: set[str]) -> argparse.Namespace:
-    """File values fill in the flags the command line did not give; a
-    string value goes through the flag's type, as if typed."""
+    """File values fill in the flags the command line did not give. Each
+    goes through the flag's type and choices as if typed: a string as it
+    is, any other value as its JSON text, so {"threads": 0} is refused as
+    --threads 0 is."""
     if not getattr(args, "config", None):
         return args
     with open(args.config) as fh:
@@ -67,12 +69,15 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
     for key, val in file_vals.items():
         dest = key.replace("-", "_")
         if dest in actions and dest not in given:
-            convert = actions[dest].type
-            if isinstance(val, str) and convert is not None:
-                try:
-                    val = convert(val)
-                except (argparse.ArgumentTypeError, ValueError) as exc:
-                    parser.error(f"config value {key}: {exc}")
+            action = actions[dest]
+            text = val if isinstance(val, str) else json.dumps(val)
+            try:
+                val = text if action.type is None else action.type(text)
+            except (argparse.ArgumentTypeError, ValueError) as exc:
+                parser.error(f"config value {key}: {exc}")
+            if action.choices is not None and val not in action.choices:
+                parser.error(f"config value {key}: {val!r} is not one of "
+                             f"{list(action.choices)}")
             setattr(args, dest, val)
     return args
 

@@ -2,13 +2,17 @@
 
 Coordinate Riesz kernels always use the Euclidean norm in their formula; the
 size bound |k| <= c d^{-s} is then certified against the cloud's own metric,
-so the certified constant absorbs any metric mismatch. kernel_rows is the
+so the certified constant absorbs any metric mismatch. pair_rows is the
 one pair-block evaluator: both families are evaluated on (rows, cols)
-blocks, and no N x N array is built. Antisymmetry is bit-exact: numerators
-are antisymmetric and denominators symmetric under the vectorized
-evaluation, and a generic base, pointwise in the pair and evaluated on the
-block and on its swapped block, is antisymmetrized as (b(x,y) - b(y,x))/2,
-whose two orientations negate exactly.
+blocks, and no N x N array is built. It returns each block's kernel values
+and its distances; on a Euclidean (p = 2) cloud the distances are the
+kernel formula's own norm, so that block is built once. kernel_rows gives
+the kernel values alone. A pair gets the same bits in any block shape.
+Antisymmetry is bit-exact: numerators are antisymmetric and denominators
+symmetric under the vectorized evaluation, and a generic base, pointwise in
+the pair and evaluated on the block and on its swapped block, is
+antisymmetrized as (b(x,y) - b(y,x))/2, whose two orientations negate
+exactly.
 """
 
 from __future__ import annotations
@@ -71,10 +75,12 @@ def _compile(node: ast.AST) -> Callable[[dict], object]:
 
     Admits int and float constants, the names x, y and d, + - * / ** and
     unary -, the coordinates x[..., i] and y[..., i] (_coordinate), and
-    calls of the numpy ufuncs in _UFUNCS. An expression is thus pointwise:
-    its value at (x, y) reads that pair alone, so a block of pairs gets the
-    values the whole matrix would hold. Anything else raises InputError, so
-    an expression can compute but never reach attributes, builtins, I/O or
+    calls of the numpy ufuncs in _UFUNCS on exactly their inputs (one more
+    argument would be an `out` array, written in place). An expression is
+    thus pointwise: its value at (x, y) reads that pair alone, so a block
+    of pairs gets the values the whole matrix would hold, and it writes to
+    no array, d included. Anything else raises InputError, so an
+    expression can compute but never reach attributes, builtins, I/O or
     another pair's values.
     """
     if isinstance(node, ast.Constant) and type(node.value) in (int, float):
@@ -95,6 +101,9 @@ def _compile(node: ast.AST) -> Callable[[dict], object]:
             and isinstance(node.func.value, ast.Name) \
             and node.func.value.id == "np" and node.func.attr in _UFUNCS:
         fn = getattr(np, node.func.attr)
+        if len(node.args) != fn.nin:  # a further argument would be `out`
+            raise InputError(f"np.{node.func.attr} takes {fn.nin} "
+                             f"argument(s), not {ast.unparse(node)!r}")
         args = [_compile(a) for a in node.args]
         return lambda env: fn(*(a(env) for a in args))
     raise InputError(f"kernel base expression may not contain "
@@ -185,9 +194,11 @@ def _base_rows(k: KernelSpec, cloud: PointCloud, rows: np.ndarray,
 
 
 def _riesz_rows(k: KernelSpec, cloud: PointCloud, rows: np.ndarray,
-                cols: np.ndarray | None = None) -> np.ndarray:
+                cols: np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
     """The one Riesz formula: k(x, y) for x in rows and y in cols (every
-    point when cols is None), zero where x == y."""
+    point when cols is None), zero where x == y, and the Euclidean norm
+    |x - y| of its denominator."""
     diffs = _differences(cloud.coords, rows, cols)
     dist = _norm(_EUCLIDEAN, diffs)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -196,7 +207,34 @@ def _riesz_rows(k: KernelSpec, cloud: PointCloud, rows: np.ndarray,
         vals[np.arange(rows.size), rows] = 0.0
     else:
         vals[rows[:, None] == cols[None, :]] = 0.0
-    return vals
+    return vals, dist
+
+
+def _generic_rows(k: KernelSpec, cloud: PointCloud, rows: np.ndarray,
+                  cols: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The one base construction: k(x, y) = (b(x, y) - b(y, x)) / 2, or b
+    itself when not antisymmetrized, for x in rows and y in cols (every
+    point when cols is None), zero where x == y, and the Euclidean norm d
+    the base reads."""
+    cols = np.arange(cloud.n_points) if cols is None else cols
+    d = _norm(_EUCLIDEAN, _differences(cloud.coords, rows, cols))
+    b = _base_rows(k, cloud, rows, cols, d)
+    # d(y, x) is d(x, y) bit for bit, as (x - y)^2 == (y - x)^2
+    with np.errstate(invalid="ignore"):  # inf - inf where x == y
+        vals = ((b - _base_rows(k, cloud, cols, rows, d.T).T) / 2.0
+                if k.antisymmetrize else b.copy())
+    vals[rows[:, None] == cols[None, :]] = 0.0
+    return vals, d
+
+
+def _kernel_block(k: KernelSpec, cloud: PointCloud, rows, cols
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(k(x, y), |x - y|) from the kernel's family formula."""
+    rows = np.asarray(rows)
+    cols = None if cols is None else np.asarray(cols)
+    block = _riesz_rows if k.family == COORDINATE_RIESZ else _generic_rows
+    return block(k, cloud, rows, cols)
 
 
 def kernel_matrix(k: KernelSpec, cloud: PointCloud) -> np.ndarray:
@@ -206,30 +244,35 @@ def kernel_matrix(k: KernelSpec, cloud: PointCloud) -> np.ndarray:
 
 def kernel_rows(k: KernelSpec, cloud: PointCloud, rows, cols=None
                 ) -> np.ndarray:
-    """The one pair-block evaluator: k(x, y) for x in rows and y in cols
-    (every point when cols is None), zero where x == y."""
-    rows = np.asarray(rows)
-    if k.family == COORDINATE_RIESZ:
-        return _riesz_rows(k, cloud, rows,
-                           None if cols is None else np.asarray(cols))
-    cols = np.arange(cloud.n_points) if cols is None else np.asarray(cols)
-    d = _norm(_EUCLIDEAN, _differences(cloud.coords, rows, cols))
-    b = _base_rows(k, cloud, rows, cols, d)
-    # d(y, x) is d(x, y) bit for bit, as (x - y)^2 == (y - x)^2
-    with np.errstate(invalid="ignore"):  # inf - inf where x == y
-        vals = ((b - _base_rows(k, cloud, cols, rows, d.T).T) / 2.0
-                if k.antisymmetrize else b.copy())
-    vals[rows[:, None] == cols[None, :]] = 0.0
-    return vals
+    """k(x, y) for x in rows and y in cols (every point when cols is None),
+    zero where x == y. A pair gets the same bits in any block shape."""
+    return _kernel_block(k, cloud, rows, cols)[0]
+
+
+def pair_rows(k: KernelSpec, cloud: PointCloud, rows, cols=None
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """The one pair-block evaluator: (k(x, y), d(x, y)) for x in rows and y
+    in cols (every point when cols is None), d in the cloud's metric.
+
+    Both kernel families compute the Euclidean norm of the block. On an
+    euclidean_p cloud with p = 2 that norm is _distance_rows' block bit
+    for bit (_norm reads only the family and p), so it is returned as d;
+    any other metric has its block built by _distance_rows.
+    """
+    vals, norm = _kernel_block(k, cloud, rows, cols)
+    md = cloud.metric
+    if md.family == EUCLIDEAN_P and md.p == 2.0:
+        return vals, norm
+    return vals, _distance_rows(cloud, rows, cols)
 
 
 def map_pair_tiles(k: KernelSpec, cloud: PointCloud, rows, fn,
                    workers: int = 1):
     """The pair engine: fn(k, d, tile) on each row tile of `rows`, stacked
-    in row order, where k holds the tile's kernel rows k(x, .) (zero where
-    x == y) and d its distance rows d(x, .) in the cloud's metric."""
-    return tile_map(lambda tile: fn(kernel_rows(k, cloud, tile),
-                                    _distance_rows(cloud, tile), tile),
+    in row order, where (k, d) is the tile's pair_rows: its kernel rows
+    k(x, .) (zero where x == y) and distance rows d(x, .) in the cloud's
+    metric."""
+    return tile_map(lambda tile: fn(*pair_rows(k, cloud, tile), tile),
                     rows, cloud.n_points, workers)
 
 

@@ -3,11 +3,10 @@
 Everything here is a finite double sum over atom pairs, evaluated by one
 pair engine. `kernels.map_pair_tiles(k, cloud, rows, fn)` hands fn the
 kernel rows and the metric-distance rows of each row tile, both built per
-tile by `kernels.kernel_rows` and `metric._distance_rows` for either kernel
-family, so no N x N kernel or distance array exists. Every sum walks the
-rows it needs with `metric.tile_map`, in tiles of about _TILE_PAIRS pairs,
-max(1, _TILE_PAIRS // N) rows of N columns each, so memory stays bounded
-at any N. compute_pairing_trace evaluates each pair once per trace: while
+tile by `kernels.pair_rows` for either kernel family, so no N x N kernel or
+distance array exists. Every sum walks the rows it needs with
+`metric.tile_map`, in tiles of about _TILE_PAIRS pairs, max(1, _TILE_PAIRS
+// N) rows of N columns each, so memory stays bounded at any N. compute_pairing_trace evaluates each pair once per trace: while
 it holds a tile it folds every distinct eps truncation densely (a step
 whose mask gains no pair reuses the previous fold), and every step's
 scale band and ball bands in one sums.fold_keys call over the pairs inside
@@ -22,8 +21,10 @@ walks its own pass; suite.run_convergence_suite hands one walk's tiles to
 all five with kernels.sweep_pair_tiles, with the same bits.
 cancellation_residual is no RowPass: it walks only the upper triangle
 y > x of its ball intersection, in raveled chunks split over `workers`
-threads; k(x, y) and k(y, x) are evaluated separately, so an antisymmetry
-defect still shows.
+threads. Given a kernel_antisymmetry Check that read exactly 0, it
+evaluates k(x, y) alone and certifies the residual +0.0 from that check;
+otherwise k(x, y) and k(y, x) are evaluated separately, so an
+antisymmetry defect still shows.
 
 Determinism contract: each row is folded over the fixed perfect binary tree
 of sums.fold_rows, and the row results over pairwise_sum, in ascending
@@ -55,7 +56,7 @@ from .good_radii import GoodRadiusCertificate
 from . import kernels, metric
 from .kernels import KernelSpec, map_pair_tiles, run_pass
 from .measure import DiscreteMeasure, StepMeasure
-from .metric import PointCloud, RowPass, _distance_rows
+from .metric import PointCloud, RowPass
 from .sums import fold_keys, fold_raveled, fold_rows, pairwise_sum
 
 
@@ -189,15 +190,16 @@ def boundary_term(k: KernelSpec, m: DiscreteMeasure, ball: Ball,
 
 
 def total_boundary_integral(k: KernelSpec, m: DiscreteMeasure,
-                            ball: Ball) -> float:
+                            ball: Ball, workers: int = 1) -> float:
     """All pairs x in B, y outside B of |k(x,y)| w(x) w(y) (Eq.-finiteness
-    probe; always finite on discrete measures, interesting across levels)."""
-    return _boundary_term(k, m, ball, 0.0, math.inf)
+    probe; always finite on discrete measures, interesting across levels).
+    `workers` splits the row tiles, with the same bits for any count."""
+    return _boundary_term(k, m, ball, 0.0, math.inf, workers)
 
 
 def _boundary_term(k: KernelSpec, m: DiscreteMeasure, ball: Ball,
-                   delta: float, eps: float) -> float:
-    return run_pass(k, m.cloud, boundary_pass(m, ball, delta, eps))
+                   delta: float, eps: float, workers: int = 1) -> float:
+    return run_pass(k, m.cloud, boundary_pass(m, ball, delta, eps), workers)
 
 
 def boundary_pass(m: DiscreteMeasure, ball: Ball, delta: float,
@@ -218,16 +220,33 @@ def boundary_pass(m: DiscreteMeasure, ball: Ball, delta: float,
 
 def cancellation_residual(k: KernelSpec, m: DiscreteMeasure, b1: Ball,
                           b2: Ball, delta: float, eps: float,
-                          workers: int = 1) -> tuple[float, float]:
+                          workers: int = 1,
+                          antisymmetry: Check | None = None
+                          ) -> tuple[float, float]:
     """Double sum of k(x,y) w(x) w(y) over (B1 cap B2)^2 in the open band.
 
     Canonical pair ordering: each unordered pair contributes
-    k(x,y)w(x)w(y) + k(y,x)w(y)w(x), which cancels bit-exactly for
-    antisymmetric kernels. Returns (residual, sum of term magnitudes).
+    t_upper + t_lower = k(x,y)w(x)w(y) + k(y,x)w(y)w(x), which cancels
+    bit-exactly for antisymmetric kernels. Returns (residual, sum of term
+    magnitudes). Only the upper triangle y > x is evaluated, in blocks of
+    kernels.pair_rows; the rest of each raveled row is zero. The raveled
+    chunks are folded on `workers` threads, with the same bits for any
+    count.
 
-    Only the upper triangle y > x is evaluated, k(x, y) and k(y, x) each on
-    its own; the rest of each raveled row is zero. The raveled chunks are
-    folded on `workers` threads, with the same bits for any count.
+    Two paths give the same bits. `antisymmetry` is the kernel_antisymmetry
+    Check of k on m.cloud, if the caller has one (cancellation_path).
+
+    - exact: the Check read lhs == 0.0, so k(x, y) + k(y, x) == 0 exactly
+      for every pair, and every value is finite (inf + -inf is NaN).
+      kernel_rows gives a pair the same bits in any block shape, so the
+      values here are those the check read: k(y, x) == -k(x, y). As
+      w(y) w(x) and w(x) w(y) round alike, t_lower == -t_upper bit for
+      bit, and no weight above 1 means no product overflows. So each
+      entry of the residual array is x + (-x) = +0.0, the residual is
+      +0.0, and |t_lower| == |t_upper|: only k(x, y) is evaluated, and
+      only |t_upper| is folded, to `up`; the scale is up + up.
+    - computed: k(x, y) and k(y, x) are evaluated each on its own and all
+      three arrays are folded, so an antisymmetry defect still shows.
     """
     if not 0.0 < delta < eps:
         raise InputError("need 0 < delta < eps")
@@ -237,26 +256,43 @@ def cancellation_residual(k: KernelSpec, m: DiscreteMeasure, b1: Ball,
     if r < 2:
         return 0.0, 0.0
     wr = m.weights[rows]
+    exact = cancellation_path(antisymmetry, m) == "exact"
 
     def block(a0, a1):
         # rows a0..a1-1 of the (B1 cap B2)^2 arrays, zero outside the upper
         # triangle; only columns b > a0, the ones it can reach, are evaluated
         ids, a, b = rows[a0:a1], np.arange(a0, a1), np.arange(a0 + 1, r)
         cols = rows[a0 + 1:]
-        km = kernels.kernel_rows(k, m.cloud, ids, cols)
-        km_t = kernels.kernel_rows(k, m.cloud, cols, ids).T  # k(y, x)
-        d = _distance_rows(m.cloud, ids, cols)
+        km, d = kernels.pair_rows(k, m.cloud, ids, cols)
         keep = (d > delta) & (d < eps) & (b[None, :] > a[:, None])
         t_upper = np.where(keep, km * np.outer(wr[a], wr[b]), 0.0)
+        out = np.zeros((1 if exact else 3, a1 - a0, r))
+        if exact:
+            np.abs(t_upper, out=out[0, :, a0 + 1:])
+            return out
+        km_t = kernels.kernel_rows(k, m.cloud, cols, ids).T  # k(y, x)
         t_lower = np.where(keep, km_t * np.outer(wr[b], wr[a]).T, 0.0)
-        out = np.zeros((3, a1 - a0, r))
         out[0, :, a0 + 1:] = t_upper + t_lower
         out[1, :, a0 + 1:] = np.abs(t_upper)
         out[2, :, a0 + 1:] = np.abs(t_lower)
         return out
     # chunks of the tile size, read when called, like tile_map's
-    residual, up, low = fold_raveled(block, r, r, metric._TILE_PAIRS, workers)
+    folds = fold_raveled(block, r, r, metric._TILE_PAIRS, workers)
+    if exact:
+        up = float(folds[0])
+        return 0.0, up + up
+    residual, up, low = folds
     return float(residual), float(up) + float(low)
+
+
+def cancellation_path(antisymmetry: Check | None, m: DiscreteMeasure) -> str:
+    """"exact" if cancellation_residual on m certifies its residual from
+    the kernel_antisymmetry Check `antisymmetry`: it read exactly 0.0 and
+    no weight of m exceeds 1; else "computed"."""
+    if antisymmetry is not None and antisymmetry.lhs == 0.0 \
+            and m.weights.max(initial=0.0) <= 1.0:
+        return "exact"
+    return "computed"
 
 
 def pairing_difference_bound(k: KernelSpec, m: DiscreteMeasure,

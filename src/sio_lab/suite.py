@@ -17,8 +17,15 @@ its stand-alone function reduces it, so it keeps that function's bits. The
 antisymmetry check reads k(x, y) off the sweep's rows and evaluates k(y, x)
 itself, never reading it off k(x, y). Two walks stay separate: the
 cancellation residuals walk their own upper triangles, and the trend's
-lower levels walk their own clouds. generate walks the upper triangle of
-its N^2 passes on the run's threads.
+lower levels walk their own clouds, on the run's threads. generate walks
+the upper triangle of its N^2 passes on the run's threads.
+
+An antisymmetry check reading exactly 0 certifies the cancellation
+residuals: k(y, x) == -k(x, y), finite, for every pair, and kernel_rows
+gives a pair the same bits in any block shape, so each residual is +0.0
+and its walk evaluates k(x, y) alone (operator.cancellation_residual
+states the argument). Each witness records "path", "exact" or "computed";
+summary.json keeps the five witness keys it had before.
 
 Outputs are byte-stable: data files carry no timestamps (run metadata goes to
 a sidecar), floats are serialized via repr, and all reductions are
@@ -47,11 +54,13 @@ from .kernels import (KernelSpec, antisymmetry_pass, size_bound_pass,
 from .measure import (DiscreteMeasure, StepMeasure, growth_pass, normalize,
                       radial_pushforward)
 from .operator import (Ball, PairingTrace, SimpleFunction, _check_grid,
-                       annuli_pass, boundary_pass, cancellation_residual,
-                       log_boundary_sum, shell_mass_check,
-                       total_boundary_integral, trace_pass)
+                       annuli_pass, boundary_pass, cancellation_path,
+                       cancellation_residual, log_boundary_sum,
+                       shell_mass_check, total_boundary_integral, trace_pass)
 
 TRACE_COLUMNS = ("epsilon", "pairing", "cauchy_diff", "four_term_bound")
+# the cancellation witness keys summary.json writes; the path is not one
+_CANCELLATION = ("balls", "delta", "eps", "residual", "scale")
 
 
 @dataclass(frozen=True)
@@ -219,7 +228,8 @@ def run_convergence_suite(config: SuiteConfig) -> ConvergenceReport:
     c_mu, growth_witness = growth.reduce(growth_rows)
     checks = [Check("growth_constant_finite", c_mu, None,
                     bool(np.isfinite(c_mu) and c_mu > 0.0), growth_witness)]
-    checks.append(antisymmetry.reduce(anti_rows))
+    anti = antisymmetry.reduce(anti_rows)
+    checks.append(anti)
     c_cert, kernel_witness = size_bound.reduce(size_rows)
     checks.append(Check("kernel_size_bound_finite", c_cert, None,
                         bool(np.isfinite(c_cert)), kernel_witness))
@@ -235,11 +245,13 @@ def run_convergence_suite(config: SuiteConfig) -> ConvergenceReport:
         lo = float(0.01 + 0.4 * rng.random())
         hi = float(lo + 0.05 + 0.5 * rng.random())
         resid, scale = cancellation_residual(config.kernel, m, b1, b2, lo, hi,
-                                             workers=config.workers)
+                                             workers=config.workers,
+                                             antisymmetry=anti)
         checks.append(Check.le(
             f"cancellation_{j}", abs(resid), 1e-13 * scale,
             witness={"balls": [b1.center, b2.center], "delta": lo,
-                     "eps": hi, "residual": resid, "scale": scale}))
+                     "eps": hi, "residual": resid, "scale": scale,
+                     "path": cancellation_path(anti, m)}))
 
     ann_checks, _on_sphere = annuli.reduce(
         annuli_rows, config.s, max(c_cert, 1e-300), c_mu)
@@ -289,7 +301,7 @@ def _boundedness_trend(config: SuiteConfig, params: GoodSetParams,
         m_lev, _ = normalize(m_lev)
         ball, row = _trend_ball(params, target, m_lev, level)
         out.append({**row, "value": total_boundary_integral(
-            config.kernel, m_lev, ball)})
+            config.kernel, m_lev, ball, workers=config.workers)})
     return out
 
 
@@ -353,7 +365,8 @@ def report_to_json(report: ConvergenceReport) -> dict:
                   "pairing": list(report.trace.values),
                   "cauchy_diff": list(report.trace.cauchy_diffs),
                   "four_term_bound": list(report.trace.bound_values)},
-        "cancellation": [{**c.witness, "ok": c.ok} for c in report.checks
+        "cancellation": [{**{key: c.witness[key] for key in _CANCELLATION},
+                          "ok": c.ok} for c in report.checks
                          if c.name.startswith("cancellation_")],
         "annuli_ok": annuli.ok,
         "annuli_worst": {"atom": annuli.witness["atom"], "lhs": annuli.lhs,

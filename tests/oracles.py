@@ -48,7 +48,7 @@ def dense_kernel(k, cloud) -> np.ndarray:
     """k over every pair, zero on the diagonal: the Riesz formula on every
     row at once, or a generic base's whole matrix b as (b - b.T) / 2."""
     if k.family == kernels.COORDINATE_RIESZ:
-        return kernels._riesz_rows(k, cloud, np.arange(cloud.n_points))
+        return kernels._riesz_rows(k, cloud, np.arange(cloud.n_points))[0]
     b = dense_base(k, cloud)
     with np.errstate(invalid="ignore"):  # inf - inf on the diagonal
         vals = (b - b.T) / 2.0 if k.antisymmetrize else b

@@ -189,6 +189,51 @@ def test_flag_typed_at_its_default_beats_the_config(tmp_path, capsys,
     assert seen == [(1, 10)]
 
 
+@pytest.mark.parametrize("command, cfg, match", [
+    ("check-growth", {"threads": 0},
+     "config value threads: must be >= 1, got 0"),
+    ("generate", {"level": 4.5},
+     "config value level: invalid literal for int() with base 10: '4.5'"),
+    ("check-kernel", {"kernel": "other"},
+     "config value kernel: 'other' is not one of ['riesz', 'custom']")])
+def test_config_values_are_typed_like_flags(tmp_path, capsys, command, cfg,
+                                            match):
+    """A file value goes through its flag's type and choices as its JSON
+    text, as if typed: what the flag refuses, the file does too."""
+    run(["generate", "--level", "2", "--out-dir", str(tmp_path),
+         "--out", "m.json"], capsys)
+    with open(tmp_path / "cfg.json", "w") as fh:
+        json.dump(cfg, fh)
+    flags = {"check-growth": ["--measure", str(tmp_path / "m.json"),
+                              "--r-min", "0.05"],
+             "check-kernel": ["--measure", str(tmp_path / "m.json")],
+             "generate": ["--out-dir", str(tmp_path)]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(tmp_path / "cfg.json"), *flags])
+    assert exc.value.code == 2
+    assert match in capsys.readouterr().err
+
+
+def test_config_number_values_reach_the_command(tmp_path, capsys,
+                                                monkeypatch):
+    from sio_lab import cli
+    run(["generate", "--level", "2", "--out-dir", str(tmp_path),
+         "--out", "m.json"], capsys)
+    with open(tmp_path / "cfg.json", "w") as fh:
+        json.dump({"threads": 2, "s": 1}, fh)  # s typed: 1.0, a float
+    seen = []
+    real = cli.growth_constant
+    monkeypatch.setattr(cli, "growth_constant", lambda m, s, r_min, workers:
+                        seen.append((s, r_min, workers))
+                        or real(m, s, r_min, workers=workers))
+    code, out = run(["check-growth", "--config", str(tmp_path / "cfg.json"),
+                     "--measure", str(tmp_path / "m.json"), "--r-min",
+                     "0.05"], capsys)
+    assert code == 0 and "c_mu" in out
+    assert seen == [(1.0, 0.05, 2)]
+    assert [type(v) for v in seen[0]] == [float, float, int]
+
+
 @pytest.mark.parametrize("flag, value", [("--test", "abc"),
                                          ("--near", "0.4x")])
 def test_good_radii_rejects_a_malformed_radius(tmp_path, capsys, flag,

@@ -3,9 +3,11 @@ import pytest
 
 from oracles import dense_kernel
 from sio_lab.errors import DiagonalError, InputError
+from sio_lab import kernels, metric
 from sio_lab.kernels import (_UFUNCS, NAMED_BASES, KernelSpec,
                              check_antisymmetry, check_size_bound,
-                             eval_kernel, kernel_matrix, kernel_rows)
+                             eval_kernel, kernel_matrix, kernel_rows,
+                             pair_rows)
 from sio_lab.metric import MetricDescriptor, make_cloud
 
 E2 = MetricDescriptor(family="euclidean_p", dimension=2, p=2.0)
@@ -124,6 +126,9 @@ def test_size_bound_certified_against_cloud_metric():
     "__import__('os').getcwd()",
     "np.sqrt.__call__(d)",
     "np.sqrt(d, out=d)",
+    "np.sqrt(d, d)",  # a further positional argument is `out`
+    "np.add(x[..., 0], d, d)",
+    "np.sqrt()",
     "np.sum(d)",
     "(lambda: d)()",
     "d if d else x",
@@ -219,3 +224,57 @@ def test_tiles_match_the_dense_construction(name, antisymmetrize):
                 == want[np.ix_(rows, cols)].tobytes()
             assert kernel_rows(k, cloud, cols, rows).tobytes() \
                 == want[np.ix_(cols, rows)].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])  # n >= 2 goes through np.power
+@pytest.mark.parametrize("i", [1, 2])
+def test_riesz_tiles_match_the_whole_matrix(i, n):
+    """A Riesz pair gets the same bits in any block shape: row tiles, the
+    column blocks check_antisymmetry reads and their transposes, at every
+    offset 0 through 8, and the kernel block of pair_rows."""
+    cloud = make_cloud(np.random.default_rng(4).random((37, 2)), E2)
+    every = np.arange(cloud.n_points)
+    k = KernelSpec(family="coordinate_riesz", s=float(n), i=i, n=n)
+    want = kernel_rows(k, cloud, every)
+    assert want.tobytes() == dense_kernel(k, cloud).tobytes()
+    for x0 in range(9):
+        rows, cols = every[x0:x0 + 5], every[x0:]
+        assert kernel_rows(k, cloud, rows).tobytes() == want[rows].tobytes()
+        for a, b in ((rows, cols), (cols, rows)):
+            block = want[np.ix_(a, b)].tobytes()
+            assert kernel_rows(k, cloud, a, b).tobytes() == block
+            assert pair_rows(k, cloud, a, b)[0].tobytes() == block
+
+
+GENERIC = KernelSpec(family="generic_antisymmetrized", s=1.0,
+                     base="x[..., 0] * (x[..., 1] + 2.0 * y[..., 0]) / d")
+
+
+@pytest.mark.parametrize("k", [RIESZ, GENERIC])
+@pytest.mark.parametrize("md, builds_d", [
+    (E2, False),
+    (MetricDescriptor(family="euclidean_p", dimension=2, p=1.0), True),
+    (MetricDescriptor(family="euclidean_p", dimension=2, p=np.inf), True),
+    (MetricDescriptor(family="snowflake", dimension=2, alpha=0.5), True),
+    (MetricDescriptor(family="custom_table", dimension=2), True)])
+def test_pair_rows_reads_d_off_the_kernel_norm_only_on_e2(k, md, builds_d,
+                                                          monkeypatch):
+    """pair_rows' d is _distance_rows' block bit for bit; it is built by
+    _distance_rows on every metric but E2, whose d is the kernel's own
+    Euclidean norm."""
+    coords = np.random.default_rng(6).random((23, 2))
+    table = np.sqrt(((coords[:, None] - coords[None]) ** 2).sum(-1)) ** 0.5
+    cloud = make_cloud(coords, md, table=table)
+    calls = []
+    real = kernels._distance_rows
+    monkeypatch.setattr(kernels, "_distance_rows", lambda *a: calls.append(
+        1) or real(*a))
+    every = np.arange(cloud.n_points)
+    for rows, cols in ((every[4:9], None), (every[4:9], every[2:]),
+                       (every[2:], every[4:9])):
+        calls.clear()
+        vals, d = pair_rows(k, cloud, rows, cols)
+        assert len(calls) == int(builds_d)
+        assert d.tobytes() == metric._distance_rows(cloud, rows,
+                                                    cols).tobytes()
+        assert vals.tobytes() == kernel_rows(k, cloud, rows, cols).tobytes()

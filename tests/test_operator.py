@@ -19,7 +19,8 @@ from sio_lab.measure import (growth_constant, make_measure, normalize,
 from sio_lab.metric import MetricDescriptor, make_cloud
 from sio_lab.operator import (Ball, SimpleFunction,
                               annuli_log_bound_check, apply_truncated,
-                              boundary_term, cancellation_residual,
+                              boundary_term, cancellation_path,
+                              cancellation_residual,
                               compute_pairing_trace, indicator,
                               log_boundary_sum, pairing,
                               pairing_difference_bound, pv_scan,
@@ -432,16 +433,20 @@ def test_four_term_bands_are_closed_at_eps():
 def test_trace_evaluates_each_pair_once(kernel, monkeypatch):
     monkeypatch.setattr(metric_module, "_TILE_PAIRS", 10 * 156)
     rows_seen, matrices = [], []
-    real_rows, real_matrix = kernels.kernel_rows, kernels.kernel_matrix
+    real_matrix = kernels.kernel_matrix
 
-    def counting_rows(k, cloud, rows, cols=None):
-        rows_seen.extend(np.asarray(rows).tolist())
-        return real_rows(k, cloud, rows, cols)
+    def counting(real):
+        def rows_of(k, cloud, rows, cols=None):
+            rows_seen.extend(np.asarray(rows).tolist())
+            return real(k, cloud, rows, cols)
+        return rows_of
 
     def counting_matrix(k, cloud):
         matrices.append(cloud.n_points)
         return real_matrix(k, cloud)
-    monkeypatch.setattr(kernels, "kernel_rows", counting_rows)
+    # the engine's evaluator, and the kernel alone, each count a row
+    for name in ("pair_rows", "kernel_rows"):
+        monkeypatch.setattr(kernels, name, counting(getattr(kernels, name)))
     monkeypatch.setattr(kernels, "kernel_matrix", counting_matrix)
     m = lattice_measure(E2, seed=0)
     f = SimpleFunction(terms=((1.0, Ball(3, 4.0)), (-0.5, Ball(80, 6.0))))
@@ -533,10 +538,19 @@ def test_tiled_checks_match_dense_oracle(kernel, metric, workers,
                                        (150, n - 1, 4, n - 1)):
         b1 = Ball(center, float(dist[radius]))
         b2 = Ball(80, float(dist[n // 2]))
+        want = dense_cancellation(kernel, m, b1, b2, float(dist[delta]),
+                                  float(dist[eps]))
         got = cancellation_residual(kernel, m, b1, b2, float(dist[delta]),
                                     float(dist[eps]), workers)
-        assert bits(got) == bits(dense_cancellation(
-            kernel, m, b1, b2, float(dist[delta]), float(dist[eps])))
+        assert bits(got) == bits(want)
+        # with the check, the exact path certifies the same bits; NaN
+        # values fail the check and keep the computed walk
+        got = cancellation_residual(kernel, m, b1, b2, float(dist[delta]),
+                                    float(dist[eps]), workers,
+                                    antisymmetry=rep)
+        assert bits(got) == bits(want)
+        assert cancellation_path(rep, m) \
+            == ("computed" if kernel is NAN_BASE else "exact")
 
 
 @pytest.mark.parametrize("metric", [E2, L1, SNOW])
@@ -563,15 +577,18 @@ def test_symmetric_checks_evaluate_only_the_upper_triangle(workers,
     # 7-row tiles; cancellation walks 1024-entry chunks of its raveling
     monkeypatch.setattr(metric_module, "_TILE_PAIRS", 7 * 156)
     pairs = []
-    real_rows = kernels.kernel_rows
 
-    def counting_rows(k, cloud, rows, cols=None):
-        out = real_rows(k, cloud, rows, cols)
-        pairs.append(out.size)
-        return out
-    monkeypatch.setattr(kernels, "kernel_rows", counting_rows)
+    def counting(real):
+        def pairs_of(k, cloud, rows, cols=None):
+            out = real(k, cloud, rows, cols)
+            pairs.append(np.size(out[0] if isinstance(out, tuple) else out))
+            return out
+        return pairs_of
+    # the engine's evaluator, and the kernel alone, each count their pairs
+    for name in ("pair_rows", "kernel_rows"):
+        monkeypatch.setattr(kernels, name, counting(getattr(kernels, name)))
     m, n = lattice_measure(E2, seed=5), 156
-    kernels.check_antisymmetry(RIESZ, m.cloud, workers)
+    anti = kernels.check_antisymmetry(RIESZ, m.cloud, workers)
     # the tile of rows x0..x0+6 evaluates k(x, y) and k(y, x) for y >= x0
     assert sum(pairs) == sum(2 * min(7, n - x0) * (n - x0)
                              for x0 in range(0, n, 7)) == 25418
@@ -592,11 +609,79 @@ def test_symmetric_checks_evaluate_only_the_upper_triangle(workers,
     assert got[0] == 0.0
     assert bits(got) == bits(dense_cancellation(RIESZ, m, b1, b2, delta,
                                                 eps))
+    # the exact path evaluates k(x, y) alone: half the pairs, same bits
+    pairs.clear()
+    assert anti.lhs == 0.0 and cancellation_path(anti, m) == "exact"
+    exact = cancellation_residual(RIESZ, m, b1, b2, delta, eps, workers,
+                                  antisymmetry=anti)
+    assert sum(pairs) == sum((a1 - a0) * (r - a0 - 1)
+                             for a0, a1 in spans) == 4965
+    assert bits(exact) == bits(got)
     # k(y, x) is evaluated, not derived: a symmetric kernel leaves a residual
     got = cancellation_residual(SYMMETRIC, m, b1, b2, delta, eps, workers)
     assert got[0] > 0.0
     assert bits(got) == bits(dense_cancellation(SYMMETRIC, m, b1, b2, delta,
                                                 eps))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_one_ulp_off_takes_the_computed_path(workers, monkeypatch):
+    """A kernel whose k(x, y) is one ulp off -k(y, x) at one pair fails the
+    exact antisymmetry check, so the residual is computed and shows it."""
+    monkeypatch.setattr(metric_module, "_TILE_PAIRS", 7 * 156)
+    m = lattice_measure(E2, seed=5)
+    dist = np.unique(dense_distances(m.cloud))
+    b1, b2 = Ball(3, float(dist[33])), Ball(80, float(dist[dist.size // 2]))
+    delta, eps = float(dist[2]), float(dist[40])
+    anti = kernels.check_antisymmetry(RIESZ, m.cloud, workers)
+    assert anti.lhs == 0.0 and cancellation_path(anti, m) == "exact"
+    # the first pair x < y of the intersection inside the band whose
+    # nonzero term k(x, y) w(x) w(y) still differs when k(x, y) is one ulp
+    # up: the residual is that difference, all other entries +0.0
+    rows = np.nonzero(b1.members(m.cloud) & b2.members(m.cloud))[0]
+    d = dense_distances(m.cloud)[np.ix_(rows, rows)]
+    km, w = dense_kernel(RIESZ, m.cloud), m.weights
+    terms = [(x, y, np.nextafter(km[x, y], np.inf) * (w[x] * w[y])
+              - km[x, y] * (w[x] * w[y]))
+             for x, y in rows[np.argwhere((d > delta) & (d < eps) & np.triu(
+                 np.ones(d.shape, bool), k=1))] if km[x, y] != 0.0]
+    x, y, want = next(t for t in terms if t[2] != 0.0)
+    real = kernels._kernel_block
+
+    def one_ulp_off(k, cloud, rows, cols):
+        vals, norm = real(k, cloud, rows, cols)
+        cols = np.arange(cloud.n_points) if cols is None else np.asarray(cols)
+        at = (np.asarray(rows)[:, None] == x) & (cols[None, :] == y)
+        vals[at] = np.nextafter(vals[at], np.inf)
+        return vals, norm
+    monkeypatch.setattr(kernels, "_kernel_block", one_ulp_off)
+    assert kernels.kernel_rows(RIESZ, m.cloud, [x], [y])[0, 0] \
+        != -kernels.kernel_rows(RIESZ, m.cloud, [y], [x])[0, 0]
+    off = kernels.check_antisymmetry(RIESZ, m.cloud, workers)
+    assert off.lhs > 0.0 and off.witness["pair"] == (x, y)
+    assert cancellation_path(off, m) == "computed"
+    resid, scale = cancellation_residual(RIESZ, m, b1, b2, delta, eps,
+                                         workers, antisymmetry=off)
+    assert resid == want != 0.0 and abs(resid) <= 1e-13 * scale
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_weights_above_one_keep_the_computed_path():
+    """Weights above 1 can overflow k(x, y) w(x) w(y) to inf, and then
+    inf + -inf is NaN: the exact path, which would read +0.0, is not
+    taken."""
+    m = lattice_measure(E2, seed=5)
+    anti = kernels.check_antisymmetry(RIESZ, m.cloud)
+    assert cancellation_path(anti, m) == "exact"
+    assert cancellation_path(None, m) == "computed"
+    heavy = make_measure(m.cloud, m.weights * 1e160)
+    assert cancellation_path(anti, heavy) == "computed"
+    got = cancellation_residual(RIESZ, heavy, Ball(3, 16.0), Ball(3, 16.0),
+                                0.5, 20.0, antisymmetry=anti)
+    assert math.isnan(got[0])
+    assert bits(got) == bits(dense_cancellation(RIESZ, heavy, Ball(3, 16.0),
+                                                Ball(3, 16.0), 0.5, 20.0))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

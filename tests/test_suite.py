@@ -272,6 +272,34 @@ def test_a_failing_run_reports_its_first_failing_check():
     assert summary["all_ok"] is False and summary["antisymmetry_ok"] is False
 
 
+@pytest.mark.parametrize("kernel, path", [(RIESZ, "exact"),
+                                          (GENERIC, "exact"),
+                                          (RAW, "computed")])
+def test_cancellation_witness_names_its_path(kernel, path):
+    """An antisymmetry check reading exactly 0 certifies each residual;
+    its bits are those of the computed walk, and summary.json keeps the
+    five witness keys it had before the path was recorded."""
+    config = small_config(kernel=kernel, n_cancellation=4, seed=3)
+    report = run_convergence_suite(config)
+    assert (report.check("kernel_antisymmetry").lhs == 0.0) \
+        == (path == "exact")
+    _cloud, m, _ = generate(config.generator)
+    m, _ = normalize(m)
+    radius = {b.center: float(Fraction(*b.radius)) for b in report.balls}
+    checks = [c for c in report.checks if c.name.startswith("cancellation_")]
+    assert len(checks) == 4
+    for c in checks:
+        w = c.witness
+        assert w["path"] == path
+        b1, b2 = (Ball(z, radius[z]) for z in w["balls"])
+        want = operator.cancellation_residual(kernel, m, b1, b2, w["delta"],
+                                              w["eps"])
+        assert bits([w["residual"], w["scale"]]) == bits(want)
+        assert w["scale"] > 0.0  # seed 3: every band holds pairs
+    assert [sorted(c) for c in report_to_json(report)["cancellation"]] \
+        == [["balls", "delta", "eps", "ok", "residual", "scale"]] * 4
+
+
 def test_a_rejected_radius_fails_its_check_without_raising(monkeypatch):
     real = suite.is_good_radius
     monkeypatch.setattr(suite, "is_good_radius", lambda v, t, params: replace(
@@ -302,13 +330,16 @@ def test_a_shell_over_its_bound_fails_its_ball(monkeypatch):
 
 def test_each_full_kernel_row_is_requested_once(monkeypatch):
     rows_seen = []
-    real = kernels.kernel_rows
 
-    def counting(k, cloud, rows, cols=None):
-        if cols is None and cloud.n_points == 256:
-            rows_seen.extend(np.asarray(rows).tolist())
-        return real(k, cloud, rows, cols)
-    monkeypatch.setattr(kernels, "kernel_rows", counting)
+    def counting(real):
+        def rows_of(k, cloud, rows, cols=None):
+            if cols is None and cloud.n_points == 256:
+                rows_seen.extend(np.asarray(rows).tolist())
+            return real(k, cloud, rows, cols)
+        return rows_of
+    # the engine's evaluator, and the kernel alone, each count a row
+    for name in ("pair_rows", "kernel_rows"):
+        monkeypatch.setattr(kernels, name, counting(getattr(kernels, name)))
     report = run_convergence_suite(small_config(
         generator=GeneratorSpec(family="four_corner_cantor", level=4),
         eps_count=3, levels_back=2))
