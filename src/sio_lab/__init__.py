@@ -20,18 +20,17 @@ from .good_radii import (GoodRadiusCertificate, GoodRadiusRejection,
                          materialize_good_set, select_good_radius_near,
                          verify_good_set)
 from .kernels import (KernelSpec, check_antisymmetry, check_size_bound,
-                      eval_kernel, kernel_matrix)
-from .measure import (DiscreteMeasure, StepMeasure, ball_mass,
-                      growth_constant, interval_mass, load_measure,
-                      make_measure, make_step_measure, normalize,
-                      radial_pushforward, save_measure)
-from .metric import (MetricDescriptor, PointCloud, distance, load_cloud,
-                     make_cloud, rescale_to_unit_diameter, save_cloud)
+                      kernel_matrix)
+from .measure import (DiscreteMeasure, StepMeasure, growth_constant,
+                      interval_mass, load_measure, make_measure,
+                      make_step_measure, normalize, radial_pushforward,
+                      save_measure)
+from .metric import (MetricDescriptor, PointCloud, load_cloud, make_cloud,
+                     rescale_to_unit_diameter)
 from .operator import (Ball, PairingTrace, SimpleFunction,
-                       annuli_log_bound_check, apply_truncated,
-                       boundary_term, cancellation_residual,
-                       compute_pairing_trace, indicator, log_boundary_sum,
-                       pairing, pairing_difference_bound, pv_scan,
+                       annuli_log_bound_check, boundary_term,
+                       cancellation_residual, compute_pairing_trace,
+                       log_boundary_sum, pairing, pairing_difference_bound,
                        shell_mass_check, total_boundary_integral)
 from .suite import (ConvergenceReport, SuiteConfig, emit_report,
                     geometric_grid, parse_eps_grid, run_convergence_suite)

@@ -1,15 +1,18 @@
 """Command-line entry point: sio-lab <subcommand>.
 
 Subcommands: generate, check-growth, check-kernel, good-radii, pairing,
-converge, report. A JSON config file (--config) may supply any flag value;
-explicit flags override the file.
+converge, report. A JSON config file (--config) holds one object, and may
+supply any flag value of its subcommand. A key is the flag's long name
+without its dashes ("r-min", "lambda") or its dest ("r_min", "lam"); any
+other key is a usage error. Each value is parsed as if typed, a string as
+it is and any other value as its JSON text, before the command line's own
+flags, so an explicit flag overrides the file.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -19,8 +22,8 @@ from .generators import GeneratorSpec, generate
 from .good_radii import (GoodSetParams, interval_set_to_file, is_good_radius,
                          materialize_good_set, select_good_radius_near)
 from .kernels import KernelSpec, check_antisymmetry, check_size_bound
-from .measure import (growth_constant, load_measure, measure_to_json,
-                      normalize, radial_pushforward, save_measure)
+from .measure import (growth_constant, load_measure, normalize,
+                      radial_pushforward, save_measure)
 from .operator import compute_pairing_trace, simple_function_from_json
 from .suite import (SuiteConfig, emit_report, parse_eps_grid,
                     run_convergence_suite, trace_csv_lines)
@@ -41,45 +44,25 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", default=".")
 
 
-_UNSET = object()
-
-
-def _given_flags(parser: argparse.ArgumentParser, argv: list[str]
-                 ) -> set[str]:
-    """Destinations of the flags argv sets: argv is parsed again with every
-    destination preset to a sentinel, which argparse leaves in place of the
-    defaults, so a flag typed at its default value still counts."""
-    dests = {a.dest for a in parser._actions}
-    ns = argparse.Namespace(**dict.fromkeys(dests, _UNSET))
-    parser.parse_args(argv, namespace=ns)
-    return {dest for dest in dests if getattr(ns, dest) is not _UNSET}
-
-
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                  given: set[str]) -> argparse.Namespace:
-    """File values fill in the flags the command line did not give. Each
-    goes through the flag's type and choices as if typed: a string as it
-    is, any other value as its JSON text, so {"threads": 0} is refused as
-    --threads 0 is."""
-    if not getattr(args, "config", None):
-        return args
-    with open(args.config) as fh:
-        file_vals = json.load(fh)
-    actions = {a.dest: a for a in parser._actions}
-    for key, val in file_vals.items():
-        dest = key.replace("-", "_")
-        if dest in actions and dest not in given:
-            action = actions[dest]
-            text = val if isinstance(val, str) else json.dumps(val)
-            try:
-                val = text if action.type is None else action.type(text)
-            except (argparse.ArgumentTypeError, ValueError) as exc:
-                parser.error(f"config value {key}: {exc}")
-            if action.choices is not None and val not in action.choices:
-                parser.error(f"config value {key}: {val!r} is not one of "
-                             f"{list(action.choices)}")
-            setattr(args, dest, val)
-    return args
+def _config_flags(parser: argparse.ArgumentParser, path: str) -> list[str]:
+    """The JSON object in `path` as --flag=value tokens for `parser`: a
+    string as it is, any other value as its JSON text. A key is a flag's
+    long name without its dashes, or the flag's dest; any other key, help
+    and config included, is a usage error."""
+    with open(path) as fh:
+        values = json.load(fh)
+    if not isinstance(values, dict):
+        parser.error(f"config file {path} must hold a JSON object")
+    flags = {}
+    for a in parser._actions:
+        if a.dest not in ("help", "config"):
+            flag = a.option_strings[0]
+            flags[flag[2:]] = flags[a.dest] = flag
+    for key in values:
+        if key not in flags:
+            parser.error(f"config key {key!r} names no flag")
+    return [f"{flags[key]}={v if isinstance(v, str) else json.dumps(v)}"
+            for key, v in values.items()]
 
 
 def _eps_grid(text: str) -> tuple[float, ...]:
@@ -315,10 +298,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    pre = argparse.ArgumentParser(prog="sio-lab", add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    if path and argv[0] in commands:
+        # argv[0] is the subcommand: the top-level parser takes no other
+        # flag. File values go first, so a typed flag, parsed later, wins.
+        argv[1:1] = _config_flags(commands[argv[0]], path)
     args = parser.parse_args(argv)
-    # argv[0] is the subcommand: the top-level parser takes no other flag
-    given = _given_flags(args.parser, argv[1:])
-    args = _apply_config(args, args.parser, given)
     try:
         return args.func(args)
     except InputError as exc:

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import Check, DiagonalError, InputError
+from .errors import Check, InputError
 from .metric import (EUCLIDEAN_P, MetricDescriptor, PointCloud, RowPass,
                      _differences, _distance_rows, _norm, tile_map)
 
@@ -35,28 +35,6 @@ GENERIC_ANTISYMMETRIZED = "generic_antisymmetrized"
 
 # the Euclidean norm of the kernel formulas (_norm reads only p and family)
 _EUCLIDEAN = MetricDescriptor(family=EUCLIDEAN_P, dimension=1, p=2.0)
-
-
-def _base_inv_dist(cloud: PointCloud, s: float, rows, cols) -> np.ndarray:
-    d = _distance_rows(cloud, rows, cols)
-    with np.errstate(divide="ignore"):
-        return d ** (-s)
-
-
-def _base_coord_product(cloud: PointCloud, s: float, rows, cols
-                        ) -> np.ndarray:
-    # x_1 * (x_1 - y_1) / |x-y|^{s+1}: a deliberately non-antisymmetric base
-    diffs = _differences(cloud.coords, rows, cols)
-    d = _norm(_EUCLIDEAN, diffs)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return cloud.coords[rows, None, 0] * diffs[0] / d ** (s + 1.0)
-
-
-NAMED_BASES: dict[str, Callable] = {
-    "zero": lambda cloud, s, rows, cols: np.zeros((rows.size, cols.size)),
-    "inv_dist": _base_inv_dist,
-    "coord_product": _base_coord_product,
-}
 
 
 _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
@@ -152,17 +130,16 @@ def _base_expression(text: str) -> Callable[[dict], object]:
 class KernelSpec:
     """family "coordinate_riesz": k(x,y) = (x_i - y_i)/|x - y|^{n+1} with the
     Euclidean norm (i is 1-based). family "generic_antisymmetrized":
-    (b(x,y) - b(y,x))/2 for a named base b or an expression in x, y, d,
-    checked here against _compile's whitelist.
-    `c` is the claimed size constant; check_size_bound certifies the actual one.
+    (b(x,y) - b(y,x))/2 for a base b, an expression in x, y, d checked here
+    against _compile's whitelist; the default "0.0" is the zero kernel.
+    check_size_bound certifies the kernel's size constant.
     """
 
     family: str
     s: float
     i: int = 1
     n: int = 1
-    base: str = "zero"
-    c: float | None = None
+    base: str = "0.0"
     # diagnostics only: evaluate the raw base b without antisymmetrizing,
     # so check_antisymmetry can exhibit a failing kernel
     antisymmetrize: bool = True
@@ -175,16 +152,13 @@ class KernelSpec:
                              f"positive, got {self.s!r}")
         if self.family == COORDINATE_RIESZ and self.i < 1:
             raise InputError("Riesz coordinate index is 1-based")
-        if self.base not in NAMED_BASES:
-            _base_expression(self.base)
+        _base_expression(self.base)
 
 
 def _base_rows(k: KernelSpec, cloud: PointCloud, rows: np.ndarray,
                cols: np.ndarray, d: np.ndarray) -> np.ndarray:
     """b(x, y) for x in rows and y in cols at Euclidean distances d, maybe
     a read-only view."""
-    if k.base in NAMED_BASES:
-        return NAMED_BASES[k.base](cloud, k.s, rows, cols)
     env = {"x": cloud.coords[rows][:, None, :],
            "y": cloud.coords[cols][None, :, :], "d": d}
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -296,18 +270,6 @@ def sweep_pair_tiles(k: KernelSpec, cloud: PointCloud, passes,
     blocks = map_pair_tiles(k, cloud, rows, lambda kt, dt, tile: tuple(
         p.tile(kt, dt, tile) for p in passes), workers)
     return [b[np.searchsorted(rows, p.rows)] for p, b in zip(passes, blocks)]
-
-
-def eval_kernel(k: KernelSpec, cloud: PointCloud, x: int, y: int) -> float:
-    """Scalar k(x, y); the diagonal is undefined and raises."""
-    cloud.check_id(x)
-    cloud.check_id(y)
-    if x == y:
-        raise DiagonalError("kernel is undefined on the diagonal x == y")
-    # canonical orientation keeps eval_kernel(x,y) == -eval_kernel(y,x) bitwise
-    if x <= y:
-        return float(kernel_rows(k, cloud, [x], [y])[0, 0])
-    return -float(kernel_rows(k, cloud, [y], [x])[0, 0])
 
 
 def _first_max(vals: np.ndarray, rows: np.ndarray, col0: int = 0

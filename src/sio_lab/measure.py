@@ -67,14 +67,6 @@ def normalize(m: DiscreteMeasure) -> tuple[DiscreteMeasure, float]:
     return make_measure(m.cloud, m.weights / scale), scale
 
 
-def ball_mass(m: DiscreteMeasure, z: int, r: float) -> float:
-    """Mass of the closed ball B(z, r)."""
-    if r < 0.0:
-        raise InputError("radius must be nonnegative")
-    d = m.cloud.distances_from(z)
-    return pairwise_sum(np.where(d <= r, m.weights, 0.0))
-
-
 def growth_constant(m: DiscreteMeasure, s: float, r_min: float,
                     workers: int = 1) -> tuple[float, tuple[int, float]]:
     """Smallest c with mu(B(x,r)) <= c r^s for all atoms x and all r >= r_min.

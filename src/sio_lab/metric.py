@@ -256,14 +256,6 @@ def _check_triangles(table: np.ndarray, workers: int = 1) -> None:
                          f"excess {excess!r}")
 
 
-def distance(cloud: PointCloud, i: int, j: int) -> float:
-    """d(i, j); canonical argument order makes it bit-exactly symmetric."""
-    cloud.check_id(i)
-    cloud.check_id(j)
-    a, b = (i, j) if i <= j else (j, i)
-    return float(cloud.distances_from(a)[b])
-
-
 def rescale_to_unit_diameter(cloud: PointCloud) -> tuple[PointCloud, float]:
     """Scale so the diameter becomes 1; returns the divisor applied to d."""
     if cloud.n_points < 2 or cloud.diameter <= 0.0:
@@ -315,8 +307,3 @@ def cloud_from_json(obj: dict) -> PointCloud:
 def load_cloud(path: str) -> PointCloud:
     with open(path) as fh:
         return cloud_from_json(json.load(fh))
-
-
-def save_cloud(cloud: PointCloud, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(cloud_to_json(cloud), fh, sort_keys=True)

@@ -6,13 +6,15 @@ kernel rows and the metric-distance rows of each row tile, both built per
 tile by `kernels.pair_rows` for either kernel family, so no N x N kernel or
 distance array exists. Every sum walks the rows it needs with
 `metric.tile_map`, in tiles of about _TILE_PAIRS pairs, max(1, _TILE_PAIRS
-// N) rows of N columns each, so memory stays bounded at any N. compute_pairing_trace evaluates each pair once per trace: while
-it holds a tile it folds every distinct eps truncation densely (a step
-whose mask gains no pair reuses the previous fold), and every step's
-scale band and ball bands in one sums.fold_keys call over the pairs inside
-the grid, keyed by band. That fold walks fold_rows' tree over the band's
-pairs alone, adding a lone child to +0.0 as the dense tree adds it to a
-masked zero, so the bits are those of one masked dense fold per band.
+// N) rows of N columns each, so memory stays bounded at any N.
+
+compute_pairing_trace evaluates each pair once per trace: while it holds a
+tile it folds every distinct eps truncation densely (a step whose mask
+gains no pair reuses the previous fold), and every step's scale band and
+ball bands in one sums.fold_keys call over the pairs inside the grid,
+keyed by band. That fold walks fold_rows' tree over the band's pairs
+alone, adding a lone child to +0.0 as the dense tree adds it to a masked
+zero, so the bits are those of one masked dense fold per band.
 
 The row sums are split into a per-tile function and a reduction, a
 `metric.RowPass`: trace_pass, annuli_pass and boundary_pass (with
@@ -85,15 +87,6 @@ class SimpleFunction:
         return out
 
 
-def indicator(ball: Ball) -> SimpleFunction:
-    return SimpleFunction(terms=((1.0, ball),))
-
-
-def simple_function_to_json(f: SimpleFunction) -> dict:
-    return {"terms": [{"coeff": float(c), "center": int(b.center),
-                       "radius": float(b.radius)} for c, b in f.terms]}
-
-
 def simple_function_from_json(obj: dict) -> SimpleFunction:
     return SimpleFunction(terms=tuple(
         (float(t["coeff"]), Ball(center=int(t["center"]),
@@ -135,15 +128,6 @@ def _on_rows(inside: np.ndarray, fn):
     return tile
 
 
-def apply_truncated(k: KernelSpec, m: DiscreteMeasure, f: SimpleFunction,
-                    x: int, eps: float) -> float:
-    """Sum of k(x,y) f(y) w(y) over atoms with d(x,y) > eps (strict)."""
-    if not eps > 0.0:
-        raise InputError("eps must be positive")
-    m.cloud.check_id(x)
-    return pv_scan(k, m, f, x, [eps])[0]
-
-
 def pairing(k: KernelSpec, m: DiscreteMeasure, f: SimpleFunction,
             g: SimpleFunction, eps: float, workers: int = 1) -> float:
     """<T_eps(f mu), g> against mu: the full truncated double sum.
@@ -156,20 +140,6 @@ def pairing(k: KernelSpec, m: DiscreteMeasure, f: SimpleFunction,
         raise InputError("eps must be positive")
     values, _ = run_pass(k, m.cloud, _pairing_pass(m, f, g, [eps]), workers)
     return values[0]
-
-
-def pv_scan(k: KernelSpec, m: DiscreteMeasure, f: SimpleFunction, x: int,
-            eps_grid) -> list[float]:
-    """Truncated values along a decreasing eps grid (principal-value probe).
-
-    For discrete measures the scan stabilizes once eps drops below the
-    smallest positive distance from x.
-    """
-    grid = _check_grid(eps_grid)
-    fw = f.values(m.cloud) * m.weights
-    row = map_pair_tiles(k, m.cloud, [x], lambda kt, dt, _rows: np.stack(
-        _truncated_folds(kt, dt, fw, grid), axis=1))
-    return row[0].tolist()
 
 
 def _check_grid(eps_grid) -> list[float]:
@@ -186,7 +156,7 @@ def boundary_term(k: KernelSpec, m: DiscreteMeasure, ball: Ball,
     """Double sum of |k(x,y)| w(x) w(y), x in B, y outside B, delta<d<=eps."""
     if not 0.0 < delta < eps:
         raise InputError("need 0 < delta < eps")
-    return _boundary_term(k, m, ball, delta, eps)
+    return run_pass(k, m.cloud, boundary_pass(m, ball, delta, eps))
 
 
 def total_boundary_integral(k: KernelSpec, m: DiscreteMeasure,
@@ -194,12 +164,8 @@ def total_boundary_integral(k: KernelSpec, m: DiscreteMeasure,
     """All pairs x in B, y outside B of |k(x,y)| w(x) w(y) (Eq.-finiteness
     probe; always finite on discrete measures, interesting across levels).
     `workers` splits the row tiles, with the same bits for any count."""
-    return _boundary_term(k, m, ball, 0.0, math.inf, workers)
-
-
-def _boundary_term(k: KernelSpec, m: DiscreteMeasure, ball: Ball,
-                   delta: float, eps: float, workers: int = 1) -> float:
-    return run_pass(k, m.cloud, boundary_pass(m, ball, delta, eps), workers)
+    return run_pass(k, m.cloud, boundary_pass(m, ball, 0.0, math.inf),
+                    workers)
 
 
 def boundary_pass(m: DiscreteMeasure, ball: Ball, delta: float,

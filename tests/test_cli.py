@@ -189,17 +189,9 @@ def test_flag_typed_at_its_default_beats_the_config(tmp_path, capsys,
     assert seen == [(1, 10)]
 
 
-@pytest.mark.parametrize("command, cfg, match", [
-    ("check-growth", {"threads": 0},
-     "config value threads: must be >= 1, got 0"),
-    ("generate", {"level": 4.5},
-     "config value level: invalid literal for int() with base 10: '4.5'"),
-    ("check-kernel", {"kernel": "other"},
-     "config value kernel: 'other' is not one of ['riesz', 'custom']")])
-def test_config_values_are_typed_like_flags(tmp_path, capsys, command, cfg,
-                                            match):
-    """A file value goes through its flag's type and choices as its JSON
-    text, as if typed: what the flag refuses, the file does too."""
+def config_error(tmp_path, capsys, command, cfg) -> str:
+    """The usage error (exit 2) of `command` run with the config file cfg
+    and its required flags typed."""
     run(["generate", "--level", "2", "--out-dir", str(tmp_path),
          "--out", "m.json"], capsys)
     with open(tmp_path / "cfg.json", "w") as fh:
@@ -211,7 +203,63 @@ def test_config_values_are_typed_like_flags(tmp_path, capsys, command, cfg,
     with pytest.raises(SystemExit) as exc:
         main([command, "--config", str(tmp_path / "cfg.json"), *flags])
     assert exc.value.code == 2
-    assert match in capsys.readouterr().err
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg, match", [
+    ("check-growth", {"threads": 0},
+     "argument --threads: must be >= 1, got 0"),
+    ("generate", {"level": 4.5},
+     "argument --level: invalid int value: '4.5'"),
+    ("check-kernel", {"kernel": "other"},
+     "argument --kernel: invalid choice: 'other' (choose from 'riesz', "
+     "'custom')")])
+def test_config_values_are_typed_like_flags(tmp_path, capsys, command, cfg,
+                                            match):
+    """A file value goes through its flag's type and choices as its JSON
+    text, as if typed: what the flag refuses, the file does too."""
+    assert match in config_error(tmp_path, capsys, command, cfg)
+
+
+@pytest.mark.parametrize("cfg, key", [({"thread": 0}, "thread"),
+                                      ({"help": True}, "help"),
+                                      ({"config": "other.json"}, "config")])
+def test_a_config_key_must_name_a_flag(tmp_path, capsys, cfg, key):
+    """A misspelled key is a usage error that names it, as are help and
+    config, which no file can set."""
+    err = config_error(tmp_path, capsys, "check-growth", cfg)
+    assert f"config key {key!r} names no flag" in err
+
+
+def test_a_config_file_must_hold_an_object(tmp_path, capsys):
+    err = config_error(tmp_path, capsys, "check-growth", [1])
+    assert "must hold a JSON object" in err
+
+
+def test_a_config_key_is_the_flag_name_or_its_dest(tmp_path, capsys):
+    """{"lambda": 7} and {"lam": 7} give what --lambda 7 gives."""
+    run(["generate", "--level", "2", "--out-dir", str(tmp_path),
+         "--out", "m.json"], capsys)
+    query = ["good-radii", "--measure", str(tmp_path / "m.json"),
+             "--center", "0", "--near", "0.4"]
+    code, want = run([*query, "--lambda", "7"], capsys)
+    assert code == 0 and want == "94119/235298 (= 0.39999915001402475)\n"
+    for key in ("lambda", "lam"):
+        with open(tmp_path / "cfg.json", "w") as fh:
+            json.dump({key: 7}, fh)
+        assert run([*query, "--config", str(tmp_path / "cfg.json")],
+                   capsys) == (0, want)
+
+
+def test_a_config_file_may_give_required_flags(tmp_path, capsys):
+    run(["generate", "--level", "2", "--out-dir", str(tmp_path),
+         "--out", "m.json"], capsys)
+    with open(tmp_path / "cfg.json", "w") as fh:
+        json.dump({"measure": str(tmp_path / "m.json"), "r-min": 0.05}, fh)
+    code, out = run(["check-growth", "--config", str(tmp_path / "cfg.json")],
+                    capsys)
+    assert code == 0
+    assert out.startswith("c_mu = 1.3541666666666667 (s = 1.0, r_min = 0.05)")
 
 
 def test_config_number_values_reach_the_command(tmp_path, capsys,

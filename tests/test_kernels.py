@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from oracles import dense_kernel
-from sio_lab.errors import DiagonalError, InputError
+from sio_lab.errors import InputError
 from sio_lab import kernels, metric
-from sio_lab.kernels import (_UFUNCS, NAMED_BASES, KernelSpec,
-                             check_antisymmetry, check_size_bound,
-                             eval_kernel, kernel_matrix, kernel_rows,
+from sio_lab.kernels import (_UFUNCS, KernelSpec, check_antisymmetry,
+                             check_size_bound, kernel_matrix, kernel_rows,
                              pair_rows)
 from sio_lab.metric import MetricDescriptor, make_cloud
 
@@ -20,10 +19,10 @@ def two_atoms():
 
 def test_riesz_values():
     cloud = two_atoms()
-    assert eval_kernel(RIESZ, cloud, 0, 1) == -1.0
-    assert eval_kernel(RIESZ, cloud, 1, 0) == 1.0
+    assert kernel_rows(RIESZ, cloud, [0], [1])[0, 0] == -1.0
+    assert kernel_rows(RIESZ, cloud, [1], [0])[0, 0] == 1.0
     k2 = KernelSpec(family="coordinate_riesz", s=1.0, i=2, n=1)
-    assert eval_kernel(k2, cloud, 0, 1) == 0.0
+    assert kernel_rows(k2, cloud, [0], [1])[0, 0] == 0.0
 
 
 @pytest.mark.parametrize("s", [float("nan"), float("inf"), 0.0, -1.0])
@@ -32,19 +31,21 @@ def test_kernel_spec_needs_a_finite_positive_s(s):
         KernelSpec(family="coordinate_riesz", s=s)
 
 
-def test_diagonal_raises():
-    with pytest.raises(DiagonalError):
-        eval_kernel(RIESZ, two_atoms(), 0, 0)
-
-
 def test_eval_bit_antisymmetric():
+    """k(x, y) == -k(y, x) bit for bit in either orientation of a block,
+    and in one-pair blocks."""
     rng = np.random.default_rng(2)
     cloud = make_cloud(rng.random((15, 2)), E2)
+    every = np.arange(15)
+    for x0 in range(9):
+        rows, cols = every[x0:x0 + 5], every[x0:]
+        assert np.array_equal(kernel_rows(RIESZ, cloud, rows, cols),
+                              -kernel_rows(RIESZ, cloud, cols, rows).T)
     for i in range(15):
         for j in range(15):
             if i != j:
-                assert eval_kernel(RIESZ, cloud, i, j) \
-                    == -eval_kernel(RIESZ, cloud, j, i)
+                assert kernel_rows(RIESZ, cloud, [i], [j])[0, 0] \
+                    == -kernel_rows(RIESZ, cloud, [j], [i])[0, 0]
 
 
 def test_matrix_bit_antisymmetric():
@@ -63,7 +64,7 @@ def test_check_antisymmetry_riesz_exact():
 
 
 def test_check_antisymmetry_generic_ok():
-    k = KernelSpec(family="generic_antisymmetrized", s=1.0, base="inv_dist")
+    k = KernelSpec(family="generic_antisymmetrized", s=1.0, base="d ** -1.0")
     rng = np.random.default_rng(8)
     cloud = make_cloud(rng.random((20, 2)), E2)
     assert check_antisymmetry(k, cloud).ok
@@ -72,13 +73,13 @@ def test_check_antisymmetry_generic_ok():
 def test_symmetric_base_detected():
     # b = d^-s without antisymmetrization: residual 2 d^-s > 0, not ok
     k_raw = KernelSpec(family="generic_antisymmetrized", s=1.0,
-                       base="inv_dist", antisymmetrize=False)
+                       base="d ** -1.0", antisymmetrize=False)
     cloud = two_atoms()
     report = check_antisymmetry(k_raw, cloud)
     assert not report.ok
     assert report.lhs == pytest.approx(2.0, rel=1e-15)
     # antisymmetrization repairs it to the zero kernel
-    k = KernelSpec(family="generic_antisymmetrized", s=1.0, base="inv_dist")
+    k = KernelSpec(family="generic_antisymmetrized", s=1.0, base="d ** -1.0")
     assert np.all(kernel_matrix(k, cloud) == 0.0)
 
 
@@ -96,9 +97,17 @@ def test_size_bound_riesz_at_most_one():
 
 
 def test_size_bound_zero_kernel():
-    k = KernelSpec(family="generic_antisymmetrized", s=1.0, base="zero")
+    k = KernelSpec(family="generic_antisymmetrized", s=1.0, base="0.0")
     c, _ = check_size_bound(k, two_atoms(), 1.0)
     assert c == 0.0
+    # the default base is the zero kernel
+    k = KernelSpec(family="generic_antisymmetrized", s=1.0)
+    assert check_size_bound(k, two_atoms(), 1.0)[0] == 0.0
+
+
+def test_a_base_is_an_expression_not_a_name():
+    with pytest.raises(InputError, match="may not contain 'zero'"):
+        KernelSpec(family="generic_antisymmetrized", s=1.0, base="zero")
 
 
 def test_size_bound_monotone_under_restriction():
@@ -202,15 +211,69 @@ def ufunc_bases(name):
             f"np.{name}(d)"]
 
 
+_FORMERLY_NAMED = ("coord_product", "inv_dist", "zero")
+
+
+def formerly_named(name, s):
+    """The expression that replaced the kernel's named base `name` at s."""
+    return {"zero": "0.0", "inv_dist": f"d ** -{s}",
+            "coord_product": f"x[..., 0] * (x[..., 0] - y[..., 0]) "
+                             f"/ d ** {s + 1.0}"}[name]
+
+
+def _named_base(name, cloud, s, rows, cols):
+    """b(x, y) on a (rows, cols) block by the formulas the named bases
+    used: zeros, d^-s in the cloud's metric, and x_1 (x_1 - y_1) /
+    |x - y|^(s+1)."""
+    if name == "zero":
+        return np.zeros((rows.size, cols.size))
+    if name == "inv_dist":
+        with np.errstate(divide="ignore"):
+            return metric._distance_rows(cloud, rows, cols) ** (-s)
+    diffs = metric._differences(cloud.coords, rows, cols)
+    d = metric._norm(E2, diffs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return cloud.coords[rows, None, 0] * diffs[0] / d ** (s + 1.0)
+
+
 @pytest.mark.parametrize("antisymmetrize", [True, False])
-@pytest.mark.parametrize("name", sorted(_UFUNCS) + sorted(NAMED_BASES))
+@pytest.mark.parametrize("name, s", [("inv_dist", 1.0), ("inv_dist", 1.5),
+                                     ("coord_product", 1.5), ("zero", 1.5)])
+def test_expressions_give_the_bits_of_the_named_bases(name, s,
+                                                      antisymmetrize):
+    """On an E2 cloud, each expression that replaced a named base gives
+    that base's kernel bit for bit, (b(x,y) - b(y,x)) / 2 or b itself and
+    zero where x == y, in kernel_rows blocks at offsets 0 through 8."""
+    cloud = make_cloud(np.random.default_rng(3).random((37, 2)), E2)
+    every = np.arange(cloud.n_points)
+    k = KernelSpec(family="generic_antisymmetrized", s=s,
+                   base=formerly_named(name, s),
+                   antisymmetrize=antisymmetrize)
+
+    def named(rows, cols):
+        b = _named_base(name, cloud, s, rows, cols)
+        with np.errstate(invalid="ignore"):
+            vals = ((b - _named_base(name, cloud, s, cols, rows).T) / 2.0
+                    if antisymmetrize else b.copy())
+        vals[rows[:, None] == cols[None, :]] = 0.0
+        return vals
+    for x0 in range(9):
+        rows, cols = every[x0:x0 + 5], every[x0:]
+        for a, b in ((rows, every), (rows, cols), (cols, rows)):
+            assert kernel_rows(k, cloud, a, b).tobytes() \
+                == named(a, b).tobytes()
+
+
+@pytest.mark.parametrize("antisymmetrize", [True, False])
+@pytest.mark.parametrize("name", sorted(_UFUNCS) + sorted(_FORMERLY_NAMED))
 def test_tiles_match_the_dense_construction(name, antisymmetrize):
     """Blocks of kernel_rows carry the bits of the whole matrix b
     antisymmetrized as (b - b.T) / 2, on row tiles and the column blocks
     check_antisymmetry reads, starting at every offset 0 through 8."""
     cloud = make_cloud(np.random.default_rng(3).random((37, 2)), E2)
     every = np.arange(cloud.n_points)
-    bases = ufunc_bases(name) if name in _UFUNCS else [name]
+    bases = ufunc_bases(name) if name in _UFUNCS \
+        else [formerly_named(name, 1.5)]
     for base in bases:
         k = KernelSpec(family="generic_antisymmetrized", s=1.5, base=base,
                        antisymmetrize=antisymmetrize)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from oracles import dense_distances
 from sio_lab.errors import DegenerateInputError, InputError
 from sio_lab.metric import (MetricDescriptor, PointCloud, _distance_rows,
-                            cloud_from_json, cloud_to_json, distance,
-                            make_cloud, rescale_to_unit_diameter)
+                            cloud_from_json, cloud_to_json, make_cloud,
+                            rescale_to_unit_diameter)
 
 E2 = MetricDescriptor(family="euclidean_p", dimension=2, p=2.0)
 L1 = MetricDescriptor(family="euclidean_p", dimension=2, p=1.0)
@@ -21,19 +21,19 @@ TABLE = MetricDescriptor(family="custom_table", dimension=1)
 
 def test_distance_unit_segment():
     cloud = make_cloud([[0.0, 0.0], [1.0, 0.0]], E2)
-    assert distance(cloud, 0, 1) == 1.0
+    assert cloud.distances_from(0)[1] == 1.0
 
 
 def test_distance_max_norm():
     md = MetricDescriptor(family="euclidean_p", dimension=2, p=math.inf)
     cloud = make_cloud([[1.0, 2.0], [4.0, 3.0]], md)
-    assert distance(cloud, 0, 1) == 3.0
+    assert cloud.distances_from(0)[1] == 3.0
 
 
 def test_distance_snowflake_sqrt():
     md = MetricDescriptor(family="snowflake", dimension=2, p=2.0, alpha=0.5)
     cloud = make_cloud([[0.0, 0.0], [4.0, 0.0]], md)
-    assert distance(cloud, 0, 1) == 2.0  # 4^0.5
+    assert cloud.distances_from(0)[1] == 2.0  # 4^0.5
 
 
 def test_distance_bit_symmetric():
@@ -41,13 +41,13 @@ def test_distance_bit_symmetric():
     cloud = make_cloud(rng.random((20, 2)), E2)
     for i in range(20):
         for j in range(20):
-            assert distance(cloud, i, j) == distance(cloud, j, i)
+            assert cloud.distances_from(i)[j] == cloud.distances_from(j)[i]
 
 
 def test_unknown_id_raises():
     cloud = make_cloud([[0.0, 0.0], [1.0, 0.0]], E2)
     with pytest.raises(InputError):
-        distance(cloud, 0, 2)
+        cloud.distances_from(2)
 
 
 def table_of(md):
@@ -157,7 +157,7 @@ def test_rescale_two_points():
     cloud = make_cloud([[0.0, 0.0], [2.0, 0.0]], E2)
     new, scale = rescale_to_unit_diameter(cloud)
     assert scale == 2.0
-    assert distance(new, 0, 1) == 1.0
+    assert new.distances_from(0)[1] == 1.0
     assert new.diameter == 1.0
 
 

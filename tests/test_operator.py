@@ -18,14 +18,11 @@ from sio_lab.measure import (growth_constant, make_measure, normalize,
                              radial_pushforward)
 from sio_lab.metric import MetricDescriptor, make_cloud
 from sio_lab.operator import (Ball, SimpleFunction,
-                              annuli_log_bound_check, apply_truncated,
-                              boundary_term, cancellation_path,
-                              cancellation_residual,
-                              compute_pairing_trace, indicator,
-                              log_boundary_sum, pairing,
-                              pairing_difference_bound, pv_scan,
+                              annuli_log_bound_check, boundary_term,
+                              cancellation_path, cancellation_residual,
+                              compute_pairing_trace, log_boundary_sum,
+                              pairing, pairing_difference_bound,
                               shell_mass_check, simple_function_from_json,
-                              simple_function_to_json,
                               total_boundary_integral)
 from sio_lab.sums import fold_rows, pairwise_sum
 
@@ -37,7 +34,7 @@ GENERIC = KernelSpec(family="generic_antisymmetrized", s=1.0,
                      base="x[..., 0] * (x[..., 1] + 2.0 * y[..., 0]) / d ** 1.5")
 # symmetric and positive: breaks the four-term bound on purpose
 SYMMETRIC = KernelSpec(family="generic_antisymmetrized", s=1.0,
-                       base="inv_dist", antisymmetrize=False)
+                       base="d ** -1.0", antisymmetrize=False)
 
 
 def two_atom_measure():
@@ -52,34 +49,15 @@ def four_corner(level):
     return m, r_min
 
 
-def test_apply_truncated_single_term():
-    m = two_atom_measure()
-    f = indicator(Ball(center=1, radius=0.5))
-    assert apply_truncated(RIESZ, m, f, 0, 0.5) == -0.5
-    assert apply_truncated(RIESZ, m, f, 0, 1.0) == 0.0  # strict truncation
-    whole = indicator(Ball(center=0, radius=1.0))
-    assert apply_truncated(RIESZ, m, whole, 0, 0.5) == -0.5
-
-
 def test_pairing_examples():
     m = two_atom_measure()
-    one = indicator(Ball(center=0, radius=1.0))
+    one = SimpleFunction(terms=((1.0, Ball(center=0, radius=1.0)),))
     assert pairing(RIESZ, m, one, one, 0.5) == 0.0  # antisymmetry
-    f = indicator(Ball(center=0, radius=0.5))
-    g = indicator(Ball(center=1, radius=0.5))
+    f = SimpleFunction(terms=((1.0, Ball(center=0, radius=0.5)),))
+    g = SimpleFunction(terms=((1.0, Ball(center=1, radius=0.5)),))
     assert pairing(RIESZ, m, f, g, 0.5) == 0.25  # k(b,a) * 1/2 * 1/2
+    assert pairing(RIESZ, m, f, g, 1.0) == 0.0   # strict truncation: d == eps
     assert pairing(RIESZ, m, f, g, 1.5) == 0.0   # eps beyond diameter
-
-
-def test_pv_scan_two_atoms():
-    m = two_atom_measure()
-    one = indicator(Ball(center=0, radius=1.0))
-    assert pv_scan(RIESZ, m, one, 0, (1.5, 0.5, 0.1)) == [0.0, -0.5, -0.5]
-    zero_f = SimpleFunction(terms=((0.0, Ball(center=0, radius=1.0)),))
-    assert pv_scan(RIESZ, m, zero_f, 0, (1.5, 0.5)) == [0.0, 0.0]
-    assert pv_scan(RIESZ, m, one, 0, (3.0, 2.0)) == [0.0, 0.0]
-    with pytest.raises(InputError):
-        pv_scan(RIESZ, m, one, 0, (0.5, 0.5))
 
 
 def test_boundary_term_examples():
@@ -136,7 +114,7 @@ def test_cancellation_four_corner():
 def test_pairing_bilinear():
     m, _ = four_corner(3)
     b1, b2, b3 = Ball(0, 0.3), Ball(7, 0.5), Ball(20, 0.7)
-    f1, f2, g = indicator(b1), indicator(b2), indicator(b3)
+    f1, f2, g = (SimpleFunction(terms=((1.0, b),)) for b in (b1, b2, b3))
     comb = SimpleFunction(terms=((2.0, b1), (-3.0, b2)))
     eps = 0.17
     lhs = pairing(RIESZ, m, comb, g, eps)
@@ -185,7 +163,7 @@ def test_stabilization_oracle():
 
 def test_pairing_difference_bound_trivial_cases():
     m = two_atom_measure()
-    one = indicator(Ball(center=0, radius=1.0))
+    one = SimpleFunction(terms=((1.0, Ball(center=0, radius=1.0)),))
     rep = pairing_difference_bound(RIESZ, m, one, one, 0.5, 1.5)
     assert rep.lhs == 0.0 and rep.ok
     assert rep.rhs == 0.0  # complement of the full ball is empty
@@ -240,20 +218,16 @@ def test_shell_mass_check():
                                   [0.5, -math.inf], [0.5, 0.0], [0.25, 0.5]])
 def test_eps_grid_must_be_finite_positive_and_decreasing(grid):
     m = two_atom_measure()
-    f = indicator(Ball(0, 1.0))
+    f = SimpleFunction(terms=((1.0, Ball(0, 1.0)),))
     with pytest.raises(InputError, match="eps grid must be finite"):
         compute_pairing_trace(RIESZ, m, f, f, grid)
-    with pytest.raises(InputError):
-        pv_scan(RIESZ, m, f, 0, grid)
 
 
 def test_pairing_rejects_a_nan_eps():
     m = two_atom_measure()
-    f = indicator(Ball(0, 1.0))
+    f = SimpleFunction(terms=((1.0, Ball(0, 1.0)),))
     with pytest.raises(InputError):
         pairing(RIESZ, m, f, f, math.nan)
-    with pytest.raises(InputError):
-        apply_truncated(RIESZ, m, f, 0, math.nan)
 
 
 def test_log_boundary_sum_single_atom():
@@ -281,8 +255,8 @@ def test_log_boundary_bound_four_corner():
 
 def test_compute_pairing_trace_bounds_hold():
     m, _ = four_corner(3)
-    f = indicator(Ball(0, 0.4))
-    g = indicator(Ball(63, 0.3))
+    f = SimpleFunction(terms=((1.0, Ball(0, 0.4)),))
+    g = SimpleFunction(terms=((1.0, Ball(63, 0.3)),))
     grid = tuple(0.5 * 0.5 ** j for j in range(6))
     trace = compute_pairing_trace(RIESZ, m, f, g, grid)
     assert len(trace.values) == 6
@@ -292,13 +266,15 @@ def test_compute_pairing_trace_bounds_hold():
 
 def test_simple_function_json_roundtrip():
     f = SimpleFunction(terms=((1.5, Ball(3, 0.25)), (-2.0, Ball(0, 0.75))))
-    back = simple_function_from_json(simple_function_to_json(f))
-    assert back == SimpleFunction(terms=f.terms)
+    back = simple_function_from_json({"terms": [
+        {"coeff": 1.5, "center": 3, "radius": 0.25},
+        {"coeff": -2.0, "center": 0, "radius": 0.75}]})
+    assert back == f
 
 
 def test_pairing_difference_bound_violation_returns_its_witness():
     m = two_atom_measure()
-    one = indicator(Ball(center=0, radius=1.0))
+    one = SimpleFunction(terms=((1.0, Ball(center=0, radius=1.0)),))
     check = pairing_difference_bound(SYMMETRIC, m, one, one, 0.5, 1.5)
     assert not check.ok and check.name == "cauchy_bound_step_0"
     assert (check.lhs, check.rhs) == (0.5, 0.0)
@@ -312,7 +288,7 @@ def test_a_trace_step_above_its_bound_plus_tol_fails():
     # the pair at distance 1 lies in step 0's band (0.5, 1.5]: lhs 0.5
     # against a bound of 0 and a tol of 1e-12 * 0.5; step 1's band is empty
     m = two_atom_measure()
-    one = indicator(Ball(center=0, radius=1.0))
+    one = SimpleFunction(terms=((1.0, Ball(center=0, radius=1.0)),))
     trace = compute_pairing_trace(SYMMETRIC, m, one, one, (1.5, 0.5, 0.25))
     first, second = trace.checks
     assert first.lhs > first.rhs + 1e-12 * first.witness["scale"]
@@ -422,8 +398,8 @@ def test_four_term_bands_are_closed_at_eps():
     runs over delta < d <= eps: here over the two corner atoms at the L1
     diameter 23, which the boundary bands must count."""
     m = lattice_measure(L1, seed=0)
-    f = indicator(Ball(0, 5.0))
-    g = indicator(Ball(155, 5.0))
+    f = SimpleFunction(terms=((1.0, Ball(0, 5.0)),))
+    g = SimpleFunction(terms=((1.0, Ball(155, 5.0)),))
     trace = compute_pairing_trace(RIESZ, m, f, g, (23.0, 22.0))
     assert 0.0 < trace.cauchy_diffs[0] <= trace.bound_values[0]
     assert boundary_term(RIESZ, m, Ball(0, 5.0), 22.0, 23.0) > 0.0
@@ -450,7 +426,7 @@ def test_trace_evaluates_each_pair_once(kernel, monkeypatch):
     monkeypatch.setattr(kernels, "kernel_matrix", counting_matrix)
     m = lattice_measure(E2, seed=0)
     f = SimpleFunction(terms=((1.0, Ball(3, 4.0)), (-0.5, Ball(80, 6.0))))
-    g = indicator(Ball(150, 5.0))
+    g = SimpleFunction(terms=((1.0, Ball(150, 5.0)),))
     compute_pairing_trace(kernel, m, f, g, (9.0, 4.5, 2.25, 1.125), workers=2)
     assert sorted(rows_seen) == list(range(156)) and not matrices
 

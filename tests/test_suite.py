@@ -262,7 +262,7 @@ def test_a_failing_run_reports_its_first_failing_check():
     # a symmetric base fails the antisymmetry check and also the four-term
     # bound; antisymmetry comes first, and nothing is raised
     symmetric = KernelSpec(family="generic_antisymmetrized", s=1.0,
-                           base="inv_dist", antisymmetrize=False)
+                           base="d ** -1.0", antisymmetrize=False)
     report = run_convergence_suite(small_config(kernel=symmetric))
     assert not report.all_ok
     failed = [c.name for c in report.checks if not c.ok]
