@@ -11,8 +11,7 @@ truncation-difference argument (`operator`), fractal generators
 """
 
 from .errors import (BudgetError, CertificationError, Check,
-                     DegenerateInputError, DiagonalError, InputError,
-                     SearchExhaustedError)
+                     DegenerateInputError, InputError, SearchExhaustedError)
 from .generators import GeneratorSpec, generate
 from .good_radii import (GoodRadiusCertificate, GoodRadiusRejection,
                          GoodSetParams, IntervalSet, RemovedFamily,

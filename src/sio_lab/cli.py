@@ -48,9 +48,15 @@ def _config_flags(parser: argparse.ArgumentParser, path: str) -> list[str]:
     """The JSON object in `path` as --flag=value tokens for `parser`: a
     string as it is, any other value as its JSON text. A key is a flag's
     long name without its dashes, or the flag's dest; any other key, help
-    and config included, is a usage error."""
-    with open(path) as fh:
-        values = json.load(fh)
+    and config included, is a usage error, and so is a file that cannot
+    be read or holds no valid JSON."""
+    try:
+        with open(path) as fh:
+            values = json.load(fh)
+    except OSError as exc:
+        parser.error(f"cannot read config file {path}: {exc.strerror}")
+    except ValueError as exc:  # malformed JSON or text
+        parser.error(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(values, dict):
         parser.error(f"config file {path} must hold a JSON object")
     flags = {}

@@ -14,10 +14,6 @@ class DegenerateInputError(InputError):
     """Input is structurally empty: zero measure, single-point cloud, ..."""
 
 
-class DiagonalError(InputError):
-    """Kernel evaluated on the diagonal x == y, where it is undefined."""
-
-
 class BudgetError(RuntimeError):
     """A resource budget would be exceeded; carries the feasible maximum."""
 

@@ -53,9 +53,12 @@ def generate(spec: GeneratorSpec, workers: int = 1
              ) -> tuple[PointCloud, DiscreteMeasure, float]:
     """Build (cloud, measure, r_min); the cloud has unit diameter.
 
-    The N^2 passes (make_cloud's diameter and a uniform cloud's r_min)
-    walk the upper triangle of the row tiles on `workers` threads; the
-    result does not depend on how many."""
+    The N^2 passes walk the upper triangle on `workers` threads; the
+    result does not depend on how many. make_cloud's diameter pass
+    evaluates only the blocks of 64 ids whose exact distance bounds allow
+    the diameter or a duplicate pair, so a fractal cloud, whose
+    consecutive ids are near, skips most of them; a uniform cloud's
+    r_min walks every row tile."""
     metric = spec.metric or _default_metric(spec.family)
     if spec.family == FOUR_CORNER:
         if 4 ** spec.level > MAX_ATOMS:

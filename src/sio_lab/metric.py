@@ -4,6 +4,22 @@ Metrics are a closed enumeration (p-metrics, snowflakes of them, or an
 explicit distance table) so that every experiment is serializable and
 reproducible. Clouds are immutable; distances are pure functions of the
 descriptor and the coordinates.
+
+_block_bounds bounds every computed distance between a set of rows and a
+block of _BLOCK consecutive columns, exactly, from the two boxes: with the
+rows in [rlo, rhi] and the block in [clo, chi] in coordinate c, the
+computed |fl(x_c - y_c)| is at least fl(rlo - chi) when rlo > chi (and
+fl(clo - rhi) when clo > rhi) and at most max(fl(rhi - clo),
+fl(chi - rlo)), because IEEE subtraction is sign-symmetric and
+round-to-nearest is monotone in the exact result. For euclidean_p with p
+in {1, 2, inf}, _norm uses only abs, multiplication, left-to-right
+addition, sqrt and maximum, each correctly rounded and so nondecreasing in
+nonnegative arguments: _norm of the per-coordinate box gaps and spans
+bounds _norm of the differences (Higham, Accuracy and Stability of
+Numerical Algorithms, 2nd ed., section 2.1). Any other p and snowflakes
+go through np.power, which carries no such guarantee, and a table has no
+coordinates: their bounds are (0, inf), so a caller that skips the pairs
+a bound decides evaluates every block of them.
 """
 
 from __future__ import annotations
@@ -128,6 +144,35 @@ def _norm(md: MetricDescriptor, diffs) -> np.ndarray:
     return d
 
 
+_BLOCK = 64  # consecutive points per box of _boxes
+
+
+def _boxes(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per coordinate, the least and the greatest value of each block of
+    _BLOCK consecutive points (the last block may hold fewer)."""
+    starts = np.arange(0, points.shape[0], _BLOCK)
+    return (np.minimum.reduceat(points, starts),
+            np.maximum.reduceat(points, starts))
+
+
+def _block_bounds(cloud: PointCloud, rows: np.ndarray, boxes
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(lb, ub) per column block of `boxes`, the _boxes of some points of
+    the cloud: every computed d(x, y), x in rows and y in the block, lies
+    in [lb, ub]. The bounds are _norm of the per-coordinate gaps and spans
+    of the boxes, exact for euclidean_p with p in {1, 2, inf} (module
+    docstring); any other metric gets (0, inf) for every block."""
+    lo, hi = boxes
+    md = cloud.metric
+    if md.family != EUCLIDEAN_P or md.p not in (1.0, 2.0, math.inf):
+        return np.zeros(lo.shape[0]), np.full(lo.shape[0], np.inf)
+    a = cloud.coords[rows]
+    rlo, rhi = a.min(axis=0), a.max(axis=0)
+    gaps = np.maximum(np.maximum(rlo - hi, lo - rhi), 0.0)
+    spans = np.maximum(rhi - lo, hi - rlo)
+    return _norm(md, list(gaps.T)), _norm(md, list(spans.T))
+
+
 _TILE_PAIRS = 1 << 16  # pair entries per row tile
 
 
@@ -170,14 +215,17 @@ def make_cloud(coords, metric: MetricDescriptor, table=None,
                workers: int = 1) -> PointCloud:
     """Validated cloud: finite coordinates (and a finite table with a zero
     diagonal, bitwise symmetric, that satisfies the triangle inequality),
-    no two points at distance 0 (duplicate atoms), diameter from one tiled
-    pass.
+    no two points at distance 0 (duplicate atoms), and the diameter.
 
     d is bit-symmetric (p-metrics and snowflakes by construction, a table
-    by the check above), so the pass evaluates only the columns y >= x0 of
-    a tile starting at row x0, on `workers` threads. Its diameter is the
-    full matrix's maximum, and the duplicate pair it names is the full
-    matrix's row-major first.
+    by the check above), so the pass walks the upper triangle: one row
+    block of _BLOCK ids at a time, on `workers` threads, in row tiles that
+    read the columns y >= x0 of a tile starting at row x0. floor, the
+    largest computed distance among the coordinate-extreme points, is at
+    most the diameter, so a block pair is evaluated only if its
+    _block_bounds allow a distance >= floor or a duplicate (lb == 0); the
+    pairs skipped hold neither. The diameter is the full matrix's maximum,
+    and the duplicate pair named is the full matrix's row-major first.
     """
     coords = np.asarray(coords, dtype=np.float64)
     if coords.ndim != 2 or coords.shape[1] != metric.dimension:
@@ -201,10 +249,14 @@ def make_cloud(coords, metric: MetricDescriptor, table=None,
                              f"{table[i, j]} {where}")
         _check_triangles(table, workers)
     cloud = PointCloud(coords=coords, metric=metric, diameter=0.0, table=table)
-    every = np.arange(cloud.n_points)
+    n = cloud.n_points
+    every = np.arange(n)
+    extremes = np.concatenate([coords.argmin(axis=0), coords.argmax(axis=0)]) \
+        if n else every
+    floor = _distance_rows(cloud, extremes, extremes).max(initial=0.0)
+    lo, hi = _boxes(coords)
 
-    def tile(rows):
-        cols = every[rows[0]:] if rows.size else rows
+    def tile(rows, cols):
         d = _distance_rows(cloud, rows, cols)
         zero = (d == 0.0) & (cols[None, :] > rows[:, None])
         if zero.any():
@@ -212,8 +264,16 @@ def make_cloud(coords, metric: MetricDescriptor, table=None,
             raise DegenerateInputError(f"points {rows[i]} and {cols[j]} are "
                                        "at distance 0 (duplicate atoms)")
         return d.max(axis=1, initial=0.0)
-    diam = tile_map(tile, every, cloud.n_points, workers)
-    return replace(cloud, diameter=float(diam.max(initial=0.0)))
+
+    def row_block(x0):
+        rows, b = every[x0:x0 + _BLOCK], x0 // _BLOCK
+        lb, ub = _block_bounds(cloud, rows, (lo[b:], hi[b:]))
+        cols = every[x0:][np.repeat((ub >= floor) | (lb == 0.0),
+                                    _BLOCK)[:n - x0]]
+        return tile_map(lambda t: tile(t, cols[cols >= t[0]]), rows,
+                        cols.size).max()
+    diam = thread_map(row_block, range(0, n, _BLOCK), workers)
+    return replace(cloud, diameter=float(max(diam, default=0.0)))
 
 
 def _check_triangles(table: np.ndarray, workers: int = 1) -> None:

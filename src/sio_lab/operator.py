@@ -8,13 +8,18 @@ distance array exists. Every sum walks the rows it needs with
 `metric.tile_map`, in tiles of about _TILE_PAIRS pairs, max(1, _TILE_PAIRS
 // N) rows of N columns each, so memory stays bounded at any N.
 
-compute_pairing_trace evaluates each pair once per trace: while it holds a
-tile it folds every distinct eps truncation densely (a step whose mask
-gains no pair reuses the previous fold), and every step's scale band and
-ball bands in one sums.fold_keys call over the pairs inside the grid,
-keyed by band. That fold walks fold_rows' tree over the band's pairs
-alone, adding a lone child to +0.0 as the dense tree adds it to a masked
-zero, so the bits are those of one masked dense fold per band.
+compute_pairing_trace evaluates each pair once per trace. While it holds a
+tile it folds every eps truncation over fold_rows' tree, by blocks of
+metric._BLOCK columns, each an aligned subtree: metric._block_bounds
+bounds every distance of a block exactly, so a block beyond eps serves
+its one unmasked fold, a block within eps serves +0.0, and only the
+blocks that straddle eps are masked and folded again (an eps that every
+block straddles is folded densely, and a dense mask that gains no pair
+reuses the previous fold). Every step's scale band and ball bands go in
+one sums.fold_keys call over the pairs inside the grid, keyed by band.
+That fold walks fold_rows' tree over the band's pairs alone, adding a
+lone child to +0.0 as the dense tree adds it to a masked zero, so the
+bits are those of one masked dense fold per band.
 
 The row sums are split into a per-tile function and a reduction, a
 `metric.RowPass`: trace_pass, annuli_pass and boundary_pass (with
@@ -23,7 +28,10 @@ walks its own pass; suite.run_convergence_suite hands one walk's tiles to
 all five with kernels.sweep_pair_tiles, with the same bits.
 cancellation_residual is no RowPass: it walks only the upper triangle
 y > x of its ball intersection, in raveled chunks split over `workers`
-threads. Given a kernel_antisymmetry Check that read exactly 0, it
+threads, and skips each block of metric._BLOCK rows against metric._BLOCK
+columns (in intersection order) whose bounds place every pair outside
+the open band: its entries stay +0.0, as the masked walk would leave
+them. Given a kernel_antisymmetry Check that read exactly 0, it
 evaluates k(x, y) alone and certifies the residual +0.0 from that check;
 otherwise k(x, y) and k(y, x) are evaluated separately, so an
 antisymmetry defect still shows.
@@ -95,20 +103,52 @@ def simple_function_from_json(obj: dict) -> SimpleFunction:
 
 
 def _truncated_folds(kt: np.ndarray, dt: np.ndarray, fw: np.ndarray,
-                     grid) -> list[np.ndarray]:
+                     grid, bounds=None) -> list[np.ndarray]:
     """(T_eps(f mu))(x) per tile row for each eps: strict d(x, y) > eps.
 
-    The grid decreases, so each mask holds the previous one; a mask with
-    as many entries as the previous is the same mask, and its fold is
-    reused."""
+    bounds is the tile rows' metric._block_bounds (lb, ub) per block of
+    metric._BLOCK columns; None bounds no block. Each block (the whole
+    row, if narrower) is an aligned subtree of fold_rows' tree. For an
+    eps, a block with lb > eps serves its unmasked fold, taken once; one
+    with ub <= eps serves +0.0, the fold of its masked zeros; only the
+    blocks in between are masked and folded again, a tile's worth of
+    (eps, block) pairs at a time, and the block values of every eps then
+    take the upper levels of the same tree together. An eps that leaves
+    every block in between is folded densely. The grid decreases, so the
+    masks nest: a dense mask with as many entries as an earlier one is
+    that mask, and its fold is reused.
+    """
+    rows, n = kt.shape
+    w = min(metric._BLOCK, 1 << (n - 1).bit_length())
+    n_blocks = -(-n // w)
+    lb, ub = bounds or (np.zeros(n_blocks), np.full(n_blocks, np.inf))
     terms = kt * fw[None, :]
-    out, count = [], -1
-    for eps in grid:
-        mask = dt > eps
-        n = np.count_nonzero(mask)
-        if n != count:
-            count, fold = n, fold_rows(np.where(mask, terms, 0.0))
-        out.append(fold)
+    eps = np.asarray(grid)[:, None]
+    mixed = (lb <= eps) & (ub > eps)  # (eps, block)
+    dense = np.flatnonzero(mixed.all(axis=1))
+    mixed[dense] = False
+    out = [None] * len(grid)
+    if dense.size < len(grid):
+        if n % w:  # zero columns up to whole blocks, as fold_rows pads
+            terms, dt = (np.pad(a, ((0, 0), (0, n_blocks * w - n)))
+                         for a in (terms, dt))
+        t3, d3 = (a.reshape(rows, n_blocks, w) for a in (terms, dt))
+        full = fold_rows(terms.reshape(-1, w)).reshape(rows, 1, n_blocks)
+        vals = np.where(lb > eps, full, 0.0)  # (row, eps, block)
+        e, b = np.nonzero(mixed)
+        for s in range(0, e.size, n_blocks):
+            es, bs = e[s:s + n_blocks], b[s:s + n_blocks]
+            vals[:, es, bs] = fold_rows(np.where(
+                d3[:, bs] > eps[es], t3[:, bs], 0.0).reshape(-1, w)
+                ).reshape(rows, -1)
+        out = list(fold_rows(vals.reshape(-1, n_blocks)).reshape(rows, -1).T)
+    count = -1
+    for j in dense:
+        mask = dt > grid[j]
+        c = np.count_nonzero(mask)
+        if c != count:
+            count, fold = c, fold_rows(np.where(mask, terms, 0.0))
+        out[j] = fold
     return out
 
 
@@ -195,9 +235,12 @@ def cancellation_residual(k: KernelSpec, m: DiscreteMeasure, b1: Ball,
     t_upper + t_lower = k(x,y)w(x)w(y) + k(y,x)w(y)w(x), which cancels
     bit-exactly for antisymmetric kernels. Returns (residual, sum of term
     magnitudes). Only the upper triangle y > x is evaluated, in blocks of
-    kernels.pair_rows; the rest of each raveled row is zero. The raveled
-    chunks are folded on `workers` threads, with the same bits for any
-    count.
+    kernels.pair_rows; the rest of each raveled row is zero. A chunk's
+    rows are taken one block of metric._BLOCK rows at a time, and a block
+    of columns whose metric._block_bounds lie at or below delta, or at or
+    above eps, is not evaluated: it holds no pair of the open band, so
+    its entries are the +0.0 the mask would give. The raveled chunks are
+    folded on `workers` threads, with the same bits for any count.
 
     Two paths give the same bits. `antisymmetry` is the kernel_antisymmetry
     Check of k on m.cloud, if the caller has one (cancellation_path).
@@ -223,24 +266,38 @@ def cancellation_residual(k: KernelSpec, m: DiscreteMeasure, b1: Ball,
         return 0.0, 0.0
     wr = m.weights[rows]
     exact = cancellation_path(antisymmetry, m) == "exact"
+    boxes = metric._boxes(m.cloud.coords[rows])
 
-    def block(a0, a1):
-        # rows a0..a1-1 of the (B1 cap B2)^2 arrays, zero outside the upper
-        # triangle; only columns b > a0, the ones it can reach, are evaluated
-        ids, a, b = rows[a0:a1], np.arange(a0, a1), np.arange(a0 + 1, r)
-        cols = rows[a0 + 1:]
+    def fill(out, a0, a1):
+        # rows a0..a1-1, within one block of rows: only the columns b > a0
+        # of the column blocks whose bounds meet the open band are evaluated
+        ids, a = rows[a0:a1], np.arange(a0, a1)
+        lb, ub = metric._block_bounds(m.cloud, ids, boxes)
+        live = np.repeat((ub > delta) & (lb < eps), metric._BLOCK)[:r]
+        b = np.flatnonzero(live[a0 + 1:]) + (a0 + 1)
+        if b.size == 0:
+            return
+        cols = rows[b]
         km, d = kernels.pair_rows(k, m.cloud, ids, cols)
         keep = (d > delta) & (d < eps) & (b[None, :] > a[:, None])
         t_upper = np.where(keep, km * np.outer(wr[a], wr[b]), 0.0)
-        out = np.zeros((1 if exact else 3, a1 - a0, r))
         if exact:
-            np.abs(t_upper, out=out[0, :, a0 + 1:])
-            return out
+            out[0][:, b] = np.abs(t_upper)
+            return
         km_t = kernels.kernel_rows(k, m.cloud, cols, ids).T  # k(y, x)
         t_lower = np.where(keep, km_t * np.outer(wr[b], wr[a]).T, 0.0)
-        out[0, :, a0 + 1:] = t_upper + t_lower
-        out[1, :, a0 + 1:] = np.abs(t_upper)
-        out[2, :, a0 + 1:] = np.abs(t_lower)
+        out[0][:, b] = t_upper + t_lower
+        out[1][:, b] = np.abs(t_upper)
+        out[2][:, b] = np.abs(t_lower)
+
+    def block(a0, a1):
+        # rows a0..a1-1 of the (B1 cap B2)^2 arrays, zero outside the upper
+        # triangle and the band, filled one block of rows at a time
+        out = np.zeros((1 if exact else 3, a1 - a0, r))
+        cuts = [a0, *range(a0 - a0 % metric._BLOCK + metric._BLOCK, a1,
+                           metric._BLOCK), a1]
+        for g0, g1 in zip(cuts, cuts[1:]):
+            fill(out[:, g0 - a0:g1 - a0], g0, g1)
         return out
     # chunks of the tile size, read when called, like tile_map's
     folds = fold_raveled(block, r, r, metric._TILE_PAIRS, workers)
@@ -333,8 +390,12 @@ def _pairing_pass(m: DiscreteMeasure, f: SimpleFunction, g: SimpleFunction,
             keys.append(key[e] + b * family)
         return np.concatenate(vals), np.concatenate(keys)
 
+    boxes = metric._boxes(cloud.coords)
+
     def tile(kt, dt, rows):
-        truncs = np.stack(_truncated_folds(kt, dt, fw, grid), axis=1)
+        truncs = np.stack(_truncated_folds(
+            kt, dt, fw, grid, metric._block_bounds(cloud, rows, boxes)),
+            axis=1)
         if not steps:
             return truncs
         bands = fold_keys(*band_entries(kt, dt, rows),

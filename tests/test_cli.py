@@ -236,6 +236,20 @@ def test_a_config_file_must_hold_an_object(tmp_path, capsys):
     assert "must hold a JSON object" in err
 
 
+@pytest.mark.parametrize("text", [None, '{"measure": '],
+                         ids=["missing", "malformed"])
+def test_a_config_file_must_be_readable_json(tmp_path, capsys, text):
+    """A missing file, or one that holds no valid JSON, is a usage error
+    naming the file, not a traceback."""
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["check-growth", "--config", str(path)])
+    assert exc.value.code == 2
+    assert f"config file {path}" in capsys.readouterr().err
+
+
 def test_a_config_key_is_the_flag_name_or_its_dest(tmp_path, capsys):
     """{"lambda": 7} and {"lam": 7} give what --lambda 7 gives."""
     run(["generate", "--level", "2", "--out-dir", str(tmp_path),

@@ -8,9 +8,12 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from oracles import dense_distances
+from sio_lab import kernels
 from sio_lab.errors import DegenerateInputError, InputError
-from sio_lab.metric import (MetricDescriptor, PointCloud, _distance_rows,
-                            cloud_from_json, cloud_to_json, make_cloud,
+from sio_lab.generators import _four_corner_coords
+from sio_lab.metric import (MetricDescriptor, PointCloud, _block_bounds,
+                            _boxes, _distance_rows, cloud_from_json,
+                            cloud_to_json, make_cloud,
                             rescale_to_unit_diameter)
 
 E2 = MetricDescriptor(family="euclidean_p", dimension=2, p=2.0)
@@ -297,9 +300,16 @@ def test_diameter_pass_walks_the_upper_triangle(md, monkeypatch):
                 got = str(exc)
             assert got == want
             if not copies:
-                # the tile of rows x0..x0+6 evaluates columns y >= x0
-                assert sum(pairs) == sum(min(7, 156 - x0) * (156 - x0)
-                                         for x0 in range(0, 156, 7)) == 12709
+                # the floor reads the 4 x 4 pairs of the extreme points 0,
+                # 0, 143 and 12. No block pair of the lattice is decided by
+                # its bounds, so the 64-row block from b reads all 156 - b
+                # columns y >= b, in tiles of 7 * 156 // (156 - b) rows,
+                # and the tile of rows from x0 evaluates columns y >= x0
+                assert sum(pairs) == 16 + sum(
+                    min(step, b + 64 - x0, 156 - x0) * (156 - x0)
+                    for b in range(0, 156, 64)
+                    for step in [7 * 156 // (156 - b)]
+                    for x0 in range(b, min(b + 64, 156), step)) == 13140
     assert want.startswith("points 10 and 60 ")
 
 
@@ -329,3 +339,122 @@ def test_make_cloud_rejects_duplicates_and_non_finite():
     # coordinates do not matter under a table metric
     assert make_cloud([[0.0], [0.0]], md,
                       table=[[0.0, 2.0], [2.0, 0.0]]).diameter == 2.0
+
+
+# ---------------------------------------------------------------------------
+# exact distance bounds per block of 64 points
+
+
+def bound_clouds(dim):
+    """Coordinate sets in dimension dim: an integer lattice, whose
+    consecutive blocks share box edges and whose box corners are points;
+    signed random points; and signed points of magnitude 1e200, whose
+    squared differences overflow."""
+    rng = np.random.default_rng(dim)
+    side = {1: 300, 2: 17, 3: 7}[dim]
+    lattice = np.stack(np.meshgrid(*[np.arange(side)] * dim, indexing="ij"),
+                       axis=-1).reshape(-1, dim).astype(float)
+    signed = rng.normal(size=(200, dim)) * 10.0 ** rng.integers(-3, 4, 200)[
+        :, None]
+    return [lattice, signed, rng.normal(size=(150, dim)) * 1e200]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_block_bounds_contain_every_computed_distance(dim, p):
+    """Every computed d(x, y) of a block, and pair_rows' d on a Euclidean
+    cloud, lies in the block's [lb, ub]: rows in consecutive tiles and in
+    random sets, columns in id order and in a random order."""
+    md = MetricDescriptor("euclidean_p", dim, p=p)
+    rng = np.random.default_rng(7)
+    riesz = kernels.KernelSpec("coordinate_riesz", s=1.0)
+    for coords in bound_clouds(dim):
+        cloud = PointCloud(coords, md, 0.0)
+        n = cloud.n_points
+        row_sets = [np.arange(x0, min(x0 + 13, n)) for x0 in range(0, n, 37)]
+        row_sets += [rng.choice(n, 5, replace=False) for _ in range(8)]
+        for cols in (np.arange(n), rng.permutation(n)[:n - 7]):
+            boxes = _boxes(coords[cols])
+            for rows in row_sets:
+                lb, ub = _block_bounds(cloud, rows, boxes)
+                assert lb.size == ub.size == -(-cols.size // 64)
+                for j in range(lb.size):
+                    block = cols[64 * j:64 * j + 64]
+                    blocks = [_distance_rows(cloud, rows, block)]
+                    if p == 2.0:
+                        blocks.append(kernels.pair_rows(
+                            riesz, cloud, rows, block)[1])
+                    for d in blocks:
+                        assert lb[j] <= d.min() and d.max() <= ub[j]
+
+
+def test_block_bounds_are_attained_on_lattices():
+    """On an integer lattice the box corners that give ub are points, so ub
+    is the block's largest computed distance; on the line, lb is the
+    smallest too."""
+    for dim in (1, 2):
+        for p in (1.0, 2.0, math.inf):
+            md = MetricDescriptor("euclidean_p", dim, p=p)
+            cloud = PointCloud(bound_clouds(dim)[0], md, 0.0)
+            rows = np.arange(64, 128)
+            lb, ub = _block_bounds(cloud, rows, _boxes(cloud.coords))
+            d = _distance_rows(cloud, rows)
+            for j in range(lb.size):
+                block = d[:, 64 * j:64 * j + 64]
+                assert ub[j] == block.max()
+                if dim == 1:
+                    assert lb[j] == block.min()
+
+
+@pytest.mark.parametrize("md", [
+    MetricDescriptor("euclidean_p", 2, p=1.5),
+    MetricDescriptor("euclidean_p", 2, p=3.0), SNOW,
+    MetricDescriptor("snowflake", 2, p=1.0, alpha=1.0), TABLE])
+def test_metrics_without_a_monotone_proof_bound_nothing(md):
+    """np.power carries no monotone-rounding proof, and a table has no
+    coordinates: every block gets (0, inf), and so is evaluated."""
+    coords = np.random.default_rng(0).random((150, md.dimension))
+    cloud = PointCloud(coords, md, 0.0)
+    lb, ub = _block_bounds(cloud, np.arange(10), _boxes(coords))
+    assert lb.tolist() == [0.0] * 3 and ub.tolist() == [math.inf] * 3
+
+
+def clustered(n, md):
+    """The first n lower-left corners of the level-5 four-corner cells, in
+    generation order: consecutive ids are near, so many block pairs are
+    decided by their bounds. dimension 1 keeps the first coordinate."""
+    return _four_corner_coords(5)[:n, :md.dimension].copy()
+
+
+@pytest.mark.parametrize("md", [E2, L1, MetricDescriptor(
+    "euclidean_p", 2, p=math.inf), SNOW], ids=["E2", "L1", "Linf", "SNOW"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_diameter_pass_skips_only_blocks_that_hold_neither(md, workers):
+    """make_cloud's diameter and the duplicate pair it names are the full
+    matrix's, with a duplicate inside a block, across blocks, and across a
+    block pair that the diameter floor alone would skip."""
+    base = clustered(300, md)
+    # duplicate 3 at 70: rows 0..63 against rows 64..127 hold no pair at
+    # the floor, the largest distance among the extreme points, but the
+    # boxes then overlap (lb == 0)
+    coords = base.copy()
+    coords[70] = coords[3]
+    cloud = PointCloud(coords, md, 0.0)
+    dense = dense_distances(cloud)
+    ext = np.unique([coords.argmin(axis=0), coords.argmax(axis=0)])
+    lb, ub = _block_bounds(cloud, np.arange(64), _boxes(coords))
+    if md is not SNOW:
+        assert ub[1] < dense[np.ix_(ext, ext)].max() == dense.max()
+        assert lb[1] == 0.0
+    for copies in ({}, {10: 20}, {200: 5}, {70: 3}, {299: 298, 150: 140}):
+        coords = base.copy()
+        for dst, src in copies.items():
+            coords[dst] = coords[src]
+        want = full_row_walk(coords, md)
+        try:
+            got = float(make_cloud(coords, md, workers=workers).diameter).hex()
+        except DegenerateInputError as exc:
+            got = str(exc)
+        assert got == want
+    assert want == "points 140 and 150 are at distance 0 (duplicate atoms)"

@@ -574,14 +574,18 @@ def test_symmetric_checks_evaluate_only_the_upper_triangle(workers,
     r = int(np.sum(b1.members(m.cloud) & b2.members(m.cloud)))
     delta, eps = float(dist[2]), float(dist[40])
     got = cancellation_residual(RIESZ, m, b1, b2, delta, eps, workers)
-    # the chunk of raveled entries start..end-1 spans rows a0..a1-1 and
-    # evaluates columns b > a0 in both orientations; the last chunk starts
-    # in row r - 1, where no column is left
+    # the chunk of raveled entries start..end-1 spans rows a0..a1-1, cut
+    # where a block of 64 rows begins; each piece from row a0 evaluates
+    # columns b > a0 in both orientations, as no column block's bounds
+    # miss the band here; the last chunk starts in row r - 1, where no
+    # column is left
     spans = [(start // r, (min(start + 1024, r * r) - 1) // r + 1)
              for start in range(0, r * r, 1024)]
-    assert r == 91 and spans[-1] == (r - 1, r)
+    spans = [piece for a0, a1 in spans for piece in (
+        [(a0, 64), (64, a1)] if a0 < 64 < a1 else [(a0, a1)])]
+    assert r == 91 and spans[-1] == (r - 1, r) and (56, 64) in spans
     assert sum(pairs) == sum(2 * (a1 - a0) * (r - a0 - 1)
-                             for a0, a1 in spans) == 9930
+                             for a0, a1 in spans) == 9866
     assert got[0] == 0.0
     assert bits(got) == bits(dense_cancellation(RIESZ, m, b1, b2, delta,
                                                 eps))
@@ -591,7 +595,7 @@ def test_symmetric_checks_evaluate_only_the_upper_triangle(workers,
     exact = cancellation_residual(RIESZ, m, b1, b2, delta, eps, workers,
                                   antisymmetry=anti)
     assert sum(pairs) == sum((a1 - a0) * (r - a0 - 1)
-                             for a0, a1 in spans) == 4965
+                             for a0, a1 in spans) == 4933
     assert bits(exact) == bits(got)
     # k(y, x) is evaluated, not derived: a symmetric kernel leaves a residual
     got = cancellation_residual(SYMMETRIC, m, b1, b2, delta, eps, workers)
@@ -694,3 +698,91 @@ def test_truncated_folds_equal_one_masked_fold_per_eps(data):
                                                    0.0)).tobytes()
     assert len(calls) == len({int(np.count_nonzero(dt > eps))
                               for eps in grid})
+
+
+# ---------------------------------------------------------------------------
+# blocks of 64 columns decided by their distance bounds
+
+
+def clustered_measure(n, metric, seed):
+    """The first n lower-left corners of the level-5 four-corner cells,
+    with random weights: consecutive ids are near, so many blocks are
+    decided by their bounds. n = 300 ends in a partial block."""
+    coords = generate(GeneratorSpec(family="four_corner_cantor",
+                                    level=5))[0].coords[:n]
+    cloud = make_cloud(coords, metric)
+    return make_measure(cloud, np.random.default_rng(seed).random(n))
+
+
+def bound_grid(m, rows, take):
+    """A decreasing grid of pair distances of the tile and of the tile's
+    box bounds lb and ub, every `take`-th of each."""
+    boxes = metric_module._boxes(m.cloud.coords)
+    lb, ub = metric_module._block_bounds(m.cloud, rows, boxes)
+    d = np.unique(metric_module._distance_rows(m.cloud, rows))
+    pool = np.unique(np.concatenate([d[1::take], lb, ub]))
+    pool = pool[(pool > 0.0) & np.isfinite(pool)]
+    return [float(e) for e in pool[::-1]], (lb, ub)
+
+
+@pytest.mark.parametrize("n", [300, 156, 40])
+@pytest.mark.parametrize("metric", [E2, L1, SNOW])
+def test_truncated_folds_with_bounds_equal_masked_folds(n, metric):
+    """eps on pair distances and on the bounds themselves: each column has
+    the bits of the tile's own masked dense fold, and blocks are decided
+    wherever the metric has bounds (below 64 columns, the one block of the
+    whole padded row)."""
+    m = (clustered_measure(n, metric, seed=n) if n != 156
+         else lattice_measure(metric, seed=1))
+    fw = m.weights * np.random.default_rng(2).normal(size=n)
+    decided = False
+    for x0 in range(0, n, 23):
+        rows = np.arange(x0, min(x0 + 23, n))
+        kt, dt = kernels.pair_rows(RIESZ, m.cloud, rows)
+        grid, (lb, ub) = bound_grid(m, rows, take=7)
+        got = operator_module._truncated_folds(kt, dt, fw, grid, (lb, ub))
+        for col, eps in zip(got, grid):
+            want = fold_rows(np.where(dt > eps, kt * fw[None, :], 0.0))
+            assert col.tobytes() == want.tobytes()
+        decided |= any(((lb > e) | (ub <= e)).any() for e in grid)
+    assert decided == (metric is not SNOW)
+
+
+@pytest.mark.parametrize("n", [300, 40])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_trace_and_cancellation_with_bounds_match_dense_oracle(n, workers):
+    """The trace and both cancellation paths on a clustered cloud, with eps
+    and delta on pair distances and on box bounds, against the dense
+    oracles; the residual walk evaluates fewer pairs than its triangle."""
+    m = clustered_measure(n, E2, seed=3)
+    rows = np.arange(min(n, 64))
+    grid, (lb, ub) = bound_grid(m, rows, take=max(1, n // 6))
+    grid = grid[::max(1, len(grid) // 8)]
+    dist = np.unique(dense_distances(m.cloud))
+    f = SimpleFunction(terms=((0.7, Ball(5, float(dist[dist.size // 3]))),
+                              (-1.2, Ball(n - 1, float(dist[-40])))))
+    g = SimpleFunction(terms=((1.1, Ball(n // 2, float(dist[-9]))),))
+    values, steps, _ = dense_oracle(RIESZ, m, f, g, grid)
+    trace = compute_pairing_trace(RIESZ, m, f, g, grid, workers=workers)
+    assert bits(trace.values) == bits(values)
+    assert bits(trace.cauchy_diffs) == bits(lhs for lhs, _, _ in steps)
+    assert bits(trace.bound_values) == bits(rhs for _, rhs, _ in steps)
+
+    anti = kernels.check_antisymmetry(RIESZ, m.cloud)
+    whole = Ball(0, float(dist[-1]))
+    real = kernels.pair_rows
+    for delta, eps in zip(grid[1:], grid):
+        want = dense_cancellation(RIESZ, m, whole, whole, delta, eps)
+        for check in (None, anti):
+            pairs = []
+
+            def counting(k, cloud, rows, cols=None):
+                pairs.append(np.size(rows) * np.size(cols))
+                return real(k, cloud, rows, cols)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kernels, "pair_rows", counting)
+                got = cancellation_residual(RIESZ, m, whole, whole, delta,
+                                            eps, workers, antisymmetry=check)
+            assert bits(got) == bits(want)
+            if n > 64:
+                assert sum(pairs) < n * (n - 1) // 2
