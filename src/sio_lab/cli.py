@@ -16,12 +16,14 @@ import json
 import os
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from .errors import Check, InputError
 from .generators import GeneratorSpec, generate
 from .good_radii import (GoodSetParams, interval_set_to_file, is_good_radius,
                          materialize_good_set, select_good_radius_near)
-from .kernels import KernelSpec, check_antisymmetry, check_size_bound
+from .kernels import (KernelSpec, antisymmetry_pass, size_bound_pass,
+                      sweep_pair_tiles)
 from .measure import (growth_constant, load_measure, normalize,
                       radial_pushforward, save_measure)
 from .operator import compute_pairing_trace, simple_function_from_json
@@ -44,19 +46,26 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", default=".")
 
 
+def _load(parser: argparse.ArgumentParser, what: str, path: str,
+          load=lambda path: json.loads(Path(path).read_text())):
+    """load(path), where a file that cannot be read, or holds malformed
+    JSON or text, is a usage error naming it. A bad value inside a
+    well-formed file is left to load's own InputError."""
+    try:
+        return load(path)
+    except OSError as exc:
+        parser.error(f"cannot read {what} {path}: {exc}")
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        parser.error(f"{what} {path} is not valid JSON or text: {exc}")
+
+
 def _config_flags(parser: argparse.ArgumentParser, path: str) -> list[str]:
     """The JSON object in `path` as --flag=value tokens for `parser`: a
     string as it is, any other value as its JSON text. A key is a flag's
     long name without its dashes, or the flag's dest; any other key, help
     and config included, is a usage error, and so is a file that cannot
     be read or holds no valid JSON."""
-    try:
-        with open(path) as fh:
-            values = json.load(fh)
-    except OSError as exc:
-        parser.error(f"cannot read config file {path}: {exc.strerror}")
-    except ValueError as exc:  # malformed JSON or text
-        parser.error(f"config file {path} is not valid JSON: {exc}")
+    values = _load(parser, "config file", path)
     if not isinstance(values, dict):
         parser.error(f"config file {path} must hold a JSON object")
     flags = {}
@@ -83,14 +92,16 @@ def _kernel_from_args(args) -> KernelSpec:
     if args.kernel == "riesz":
         return KernelSpec(family="coordinate_riesz", s=args.s,
                           i=args.riesz_i, n=args.riesz_n)
-    if args.kernel == "custom":
-        if not args.kernel_file:
-            raise SystemExit("--kernel custom requires --kernel-file")
-        with open(args.kernel_file) as fh:
-            expr = fh.read().strip()
-        return KernelSpec(family="generic_antisymmetrized", s=args.s,
-                          base=expr)
-    raise SystemExit(f"unknown kernel {args.kernel!r}")
+    if not args.kernel_file:
+        args.parser.error("--kernel custom requires --kernel-file")
+    expr = _load(args.parser, "kernel file", args.kernel_file,
+                 lambda path: Path(path).read_text().strip())
+    return KernelSpec(family="generic_antisymmetrized", s=args.s, base=expr)
+
+
+def _measure(args):
+    """The --measure file's measure; an unreadable file is a usage error."""
+    return _load(args.parser, "measure file", args.measure, load_measure)
 
 
 def _print_check(c: Check) -> None:
@@ -129,7 +140,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_check_growth(args) -> int:
-    m, _ = normalize(load_measure(args.measure))
+    m, _ = normalize(_measure(args))
     c_mu, (atom, radius) = growth_constant(m, args.s, args.r_min,
                                            workers=args.threads)
     print(f"c_mu = {c_mu!r} (s = {args.s}, r_min = {args.r_min}), "
@@ -138,10 +149,15 @@ def cmd_check_growth(args) -> int:
 
 
 def cmd_check_kernel(args) -> int:
-    m = load_measure(args.measure)
+    m = _measure(args)
     k = _kernel_from_args(args)
-    anti = check_antisymmetry(k, m.cloud, workers=args.threads)
-    c, pair = check_size_bound(k, m.cloud, args.s, workers=args.threads)
+    # both checks in one sweep of the pair tiles, as converge takes them
+    anti_pass, size_pass = (antisymmetry_pass(k, m.cloud),
+                            size_bound_pass(m.cloud, args.s))
+    anti_rows, size_rows = sweep_pair_tiles(k, m.cloud, [anti_pass, size_pass],
+                                            workers=args.threads)
+    anti = anti_pass.reduce(anti_rows)
+    c, pair = size_pass.reduce(size_rows)
     _print_check(anti)
     print(f"worst pair {anti.witness['pair']}, scale "
           f"{anti.witness['scale']!r}")
@@ -150,7 +166,7 @@ def cmd_check_kernel(args) -> int:
 
 
 def cmd_good_radii(args) -> int:
-    m, _ = normalize(load_measure(args.measure))
+    m, _ = normalize(_measure(args))
     mu_z = radial_pushforward(m, args.center)
     params = GoodSetParams(lam=args.lam, depth=args.depth,
                            budget=args.budget)
@@ -174,20 +190,16 @@ def cmd_good_radii(args) -> int:
         print(f"t = {args.test} rejected at generation {res.generation}: "
               f"{res.reason}")
         return 1
-    if args.near is not None:
-        t = select_good_radius_near(mu_z, args.near, params)
-        print(f"{t} (= {float(t)!r})")
-        return 0
-    raise SystemExit("choose one of --materialize / --test / --near")
+    t = select_good_radius_near(mu_z, args.near, params)
+    print(f"{t} (= {float(t)!r})")
+    return 0
 
 
 def cmd_pairing(args) -> int:
-    m, _ = normalize(load_measure(args.measure))
+    m, _ = normalize(_measure(args))
     k = _kernel_from_args(args)
-    with open(args.f) as fh:
-        f = simple_function_from_json(json.load(fh))
-    with open(args.g) as fh:
-        g = simple_function_from_json(json.load(fh))
+    f, g = (simple_function_from_json(_load(args.parser, flag, path))
+            for flag, path in (("--f file", args.f), ("--g file", args.g)))
     grid = args.eps_grid
     trace = compute_pairing_trace(k, m, f, g, grid, workers=args.threads)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -213,8 +225,7 @@ def cmd_converge(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.summary) as fh:
-        summary = json.load(fh)
+    summary = _load(args.parser, "summary file", args.summary)
     # summary.json holds a non-finite float as its repr string
     checks = [Check(**{k: float(x) if x in ("nan", "inf", "-inf") else x
                        for k, x in c.items()})
@@ -262,9 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=int, default=5)
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--budget", type=int, default=10 ** 6)
-    p.add_argument("--materialize", metavar="OUT_JSON")
-    p.add_argument("--test", metavar="T", type=Fraction)
-    p.add_argument("--near", metavar="TARGET", type=Fraction)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--materialize", metavar="OUT_JSON")
+    mode.add_argument("--test", metavar="T", type=Fraction)
+    mode.add_argument("--near", metavar="TARGET", type=Fraction)
     p.set_defaults(func=cmd_good_radii, parser=p)
 
     p = sub.add_parser("pairing", help="pairing trace along an eps grid")

@@ -86,15 +86,6 @@ class GoodSetParams:
         return 1 - 3 * sum(Fraction(1, self.lam ** n)
                            for n in range(1, self.depth + 1))
 
-    @property
-    def bound_is_vacuous(self) -> bool:
-        """The asymptotic bound 1 - 3/(lam-1) is positive only for lam >= 5."""
-        return 1 - Fraction(3, self.lam - 1) <= 0
-
-    def cell_width(self, n: int) -> Fraction:
-        """Width of a generation-n cell."""
-        return Fraction(1, self.lam ** (2 * n))
-
     def shell_half_width(self, n: int) -> Fraction:
         """Half-width of a generation-n shell."""
         return Fraction(1, self.lam ** (3 * n))

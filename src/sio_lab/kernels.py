@@ -13,6 +13,13 @@ symmetric under the vectorized evaluation, and a generic base, pointwise in
 the pair and evaluated on the block and on its swapped block, is
 antisymmetrized as (b(x,y) - b(y,x))/2, whose two orientations negate
 exactly.
+
+sweep_pair_tiles is the one pair engine: a single metric.tile_map walk that
+hands each tile's pair_rows to any number of RowPasses. run_pass is its
+one-pass case, so the stand-alone checks (check_antisymmetry,
+check_size_bound) walk the tiles a converge run walks, and sio-lab
+check-kernel sweeps both checks in one walk, as converge does. The
+antisymmetry check's own upper-triangle walk is gone.
 """
 
 from __future__ import annotations
@@ -240,35 +247,30 @@ def pair_rows(k: KernelSpec, cloud: PointCloud, rows, cols=None
     return vals, _distance_rows(cloud, rows, cols)
 
 
-def map_pair_tiles(k: KernelSpec, cloud: PointCloud, rows, fn,
-                   workers: int = 1):
-    """The pair engine: fn(k, d, tile) on each row tile of `rows`, stacked
-    in row order, where (k, d) is the tile's pair_rows: its kernel rows
-    k(x, .) (zero where x == y) and distance rows d(x, .) in the cloud's
-    metric."""
-    return tile_map(lambda tile: fn(*pair_rows(k, cloud, tile), tile),
-                    rows, cloud.n_points, workers)
-
-
 def run_pass(k: KernelSpec, cloud: PointCloud, p: RowPass,
              workers: int = 1):
-    """A RowPass's result from a walk of its own rows."""
-    return p.reduce(map_pair_tiles(k, cloud, p.rows, p.tile, workers))
+    """A RowPass's result from a sweep of its own rows."""
+    return p.reduce(sweep_pair_tiles(k, cloud, [p], workers)[0])
 
 
 def sweep_pair_tiles(k: KernelSpec, cloud: PointCloud, passes,
                      workers: int = 1) -> list[np.ndarray]:
-    """One walk of the row tiles for several RowPasses: each tile's kernel
-    and distance rows are built once and handed to every pass's tile
-    function in turn. Returns each pass's block over its own rows, for the
-    caller to reduce; every row's entries are those of the pass's own walk,
+    """The pair engine: one metric.tile_map walk of the row tiles that any
+    of several RowPasses reads. Each tile's pair_rows, its kernel rows
+    k(x, .) (zero where x == y) and distance rows d(x, .) in the cloud's
+    metric, are built once and handed to every pass's tile function in
+    turn. Returns each pass's block over its own rows, for the caller to
+    reduce; a row's entries do not depend on the other rows of its tile,
     so each reduction gives the same bits as run_pass."""
     read = np.zeros(cloud.n_points, dtype=bool)
     for p in passes:
         read[p.rows] = True
     rows = np.flatnonzero(read)
-    blocks = map_pair_tiles(k, cloud, rows, lambda kt, dt, tile: tuple(
-        p.tile(kt, dt, tile) for p in passes), workers)
+
+    def tile(t):
+        kt, dt = pair_rows(k, cloud, t)
+        return tuple(p.tile(kt, dt, t) for p in passes)
+    blocks = tile_map(tile, rows, cloud.n_points, workers)
     return [b[np.searchsorted(rows, p.rows)] for p, b in zip(passes, blocks)]
 
 
@@ -292,26 +294,35 @@ def check_antisymmetry(k: KernelSpec, cloud: PointCloud, workers: int = 1
                        ) -> Check:
     """The Check kernel_antisymmetry: max |k(x,y) + k(y,x)| over distinct
     pairs <= 1e-13 * max |k|, witnessed by the worst pair and the scale.
-
-    Walks the upper triangle of the row tiles, split over `workers`
-    threads: the residual is symmetric in the pair, so a tile starting at
-    row x0 evaluates only the columns y >= x0 of its rows k(x, .), and
-    _antisymmetry_rows evaluates the matching columns k(., x) on their own.
-    A converge run takes the same per-tile code through antisymmetry_pass,
-    reading k(x, .) off its sweep instead.
-    """
-    every = np.arange(cloud.n_points)
-    p = antisymmetry_pass(k, cloud)
-    return p.reduce(tile_map(lambda rows: _antisymmetry_rows(
-        k, cloud, kernel_rows(k, cloud, rows, every[rows[0]:]), rows),
-        every, cloud.n_points, workers))
+    antisymmetry_pass on a sweep of its own, split over `workers`
+    threads."""
+    return run_pass(k, cloud, antisymmetry_pass(k, cloud), workers)
 
 
 def antisymmetry_pass(k: KernelSpec, cloud: PointCloud) -> RowPass:
-    """check_antisymmetry as a RowPass over every row: a tile starting at
-    row x0 reads k(x, y) for y >= x0 off the sweep's kernel rows."""
+    """check_antisymmetry as a RowPass over every row. Per row x of a tile
+    starting at row x0: [residual, x, y, scale] at the first maximum of
+    |k(x, y) + k(y, x)| over y >= x, and max |k| over both orientations of
+    every y >= x0.
+
+    The residual is symmetric in the pair, so the tile reads k(x, y) for
+    y >= x0 off the sweep's kernel rows, and evaluates k(y, x) for those
+    columns as a block of kernel_rows, never deriving it from k(x, y).
+    Entries y < x are masked, which keeps the row-major first maximum of
+    the whole matrix; the diagonal stays, so an all-zero residual reports
+    the pair (0, 0). The rows of all tiles cover every pair.
+    """
     if cloud.n_points < 2:
         raise InputError("need at least two points")
+
+    def tile(kt, dt, rows):
+        cols = np.arange(rows[0], cloud.n_points)
+        kt = kt[:, rows[0]:]
+        kc = kernel_rows(k, cloud, cols, rows).T  # k(y, x) for x in rows
+        resid = np.abs(kt + kc)
+        resid[cols[None, :] < rows[:, None]] = -np.inf
+        scale = np.maximum(np.abs(kt).max(axis=1), np.abs(kc).max(axis=1))
+        return np.hstack([_first_max(resid, rows, rows[0]), scale[:, None]])
 
     def reduce(per_row):
         worst, pair = _pick_first_max(per_row)
@@ -319,29 +330,7 @@ def antisymmetry_pass(k: KernelSpec, cloud: PointCloud) -> RowPass:
         return Check.le("kernel_antisymmetry", worst,
                         1e-13 * max(scale, 1e-300),
                         witness={"pair": pair, "scale": scale})
-    return RowPass(np.arange(cloud.n_points), lambda kt, dt, rows:
-                   _antisymmetry_rows(k, cloud, kt[:, rows[0]:], rows),
-                   reduce)
-
-
-def _antisymmetry_rows(k: KernelSpec, cloud: PointCloud, kt: np.ndarray,
-                       rows: np.ndarray) -> np.ndarray:
-    """Per row x of a tile starting at row x0, from kt = k(x, y) for
-    y >= x0: [residual, x, y, scale] at the first maximum of
-    |k(x, y) + k(y, x)| over y >= x, and max |k| over both orientations.
-
-    k(y, x) is evaluated here, as a block of kernel_rows, never derived
-    from k(x, y). Entries y < x are masked, which keeps the row-major first
-    maximum of the whole matrix; the diagonal stays, so an all-zero
-    residual reports the pair (0, 0). The scale reads both orientations of
-    every y >= x0, so the rows of all tiles cover every pair.
-    """
-    cols = np.arange(rows[0], cloud.n_points)
-    kc = kernel_rows(k, cloud, cols, rows).T  # k(y, x) for x in rows
-    resid = np.abs(kt + kc)
-    resid[cols[None, :] < rows[:, None]] = -np.inf
-    scale = np.maximum(np.abs(kt).max(axis=1), np.abs(kc).max(axis=1))
-    return np.hstack([_first_max(resid, rows, rows[0]), scale[:, None]])
+    return RowPass(np.arange(cloud.n_points), tile, reduce)
 
 
 def check_size_bound(k: KernelSpec, cloud: PointCloud, s: float,

@@ -104,11 +104,10 @@ def _distance_rows(cloud: PointCloud, rows: np.ndarray,
     return _norm(cloud.metric, _differences(cloud.coords, rows, cols))
 
 
-def _differences(coords: np.ndarray, rows=None, cols=None
-                 ) -> list[np.ndarray]:
-    """x_c - y_c for x in rows and y in cols (every point when None): one
-    (rows, cols) array per coordinate c."""
-    a = coords if rows is None else coords[rows]
+def _differences(coords: np.ndarray, rows, cols=None) -> list[np.ndarray]:
+    """x_c - y_c for x in rows and y in cols (every point when cols is
+    None): one (rows, cols) array per coordinate c."""
+    a = coords[rows]
     b = coords if cols is None else coords[cols]
     return [a[:, c, None] - b[None, :, c] for c in range(coords.shape[1])]
 

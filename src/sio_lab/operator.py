@@ -1,22 +1,23 @@
 """Truncated singular integral operators and the proof-side estimates.
 
-Everything here is a finite double sum over atom pairs, evaluated by one
-pair engine. `kernels.map_pair_tiles(k, cloud, rows, fn)` hands fn the
-kernel rows and the metric-distance rows of each row tile, both built per
-tile by `kernels.pair_rows` for either kernel family, so no N x N kernel or
-distance array exists. Every sum walks the rows it needs with
+Everything here is a finite double sum over atom pairs: one tile walk and
+one reduction tree. Every N^2 pass walks the rows it needs with
 `metric.tile_map`, in tiles of about _TILE_PAIRS pairs, max(1, _TILE_PAIRS
-// N) rows of N columns each, so memory stays bounded at any N.
+// N) rows of N columns each, so memory stays bounded at any N and no
+N x N kernel or distance array exists. `kernels.sweep_pair_tiles` is the
+pair engine: it builds each tile's kernel rows and metric-distance rows
+once, by `kernels.pair_rows` for either kernel family, for every sum that
+reads the tile.
 
 compute_pairing_trace evaluates each pair once per trace. While it holds a
 tile it folds every eps truncation over fold_rows' tree, by blocks of
 metric._BLOCK columns, each an aligned subtree: metric._block_bounds
 bounds every distance of a block exactly, so a block beyond eps serves
 its one unmasked fold, a block within eps serves +0.0, and only the
-blocks that straddle eps are masked and folded again (an eps that every
-block straddles is folded densely, and a dense mask that gains no pair
-reuses the previous fold). Every step's scale band and ball bands go in
-one sums.fold_keys call over the pairs inside the grid, keyed by band.
+blocks that straddle eps are masked and folded again. That is the only
+path: the dense fold of an eps that every block straddles, and its reuse
+of an unchanged mask, are gone. Every step's scale band and ball bands go
+in one sums.fold_keys call over the pairs inside the grid, keyed by band.
 That fold walks fold_rows' tree over the band's pairs alone, adding a
 lone child to +0.0 as the dense tree adds it to a masked zero, so the
 bits are those of one masked dense fold per band.
@@ -24,17 +25,18 @@ bits are those of one masked dense fold per band.
 The row sums are split into a per-tile function and a reduction, a
 `metric.RowPass`: trace_pass, annuli_pass and boundary_pass (with
 measure.growth_pass and kernels.size_bound_pass). Each public function
-walks its own pass; suite.run_convergence_suite hands one walk's tiles to
-all five with kernels.sweep_pair_tiles, with the same bits.
-cancellation_residual is no RowPass: it walks only the upper triangle
-y > x of its ball intersection, in raveled chunks split over `workers`
-threads, and skips each block of metric._BLOCK rows against metric._BLOCK
-columns (in intersection order) whose bounds place every pair outside
-the open band: its entries stay +0.0, as the masked walk would leave
-them. Given a kernel_antisymmetry Check that read exactly 0, it
-evaluates k(x, y) alone and certifies the residual +0.0 from that check;
-otherwise k(x, y) and k(y, x) are evaluated separately, so an
-antisymmetry defect still shows.
+sweeps its own pass; suite.run_convergence_suite hands one sweep's tiles
+to all five, with the same bits. cancellation_residual is no RowPass: it
+reads only the upper triangle y > x of its ball intersection, in row tiles
+of one block of metric._BLOCK rows each, split over `workers` threads,
+and folds each row by blocks of metric._BLOCK columns as the truncations
+do: a block whose bounds place every pair outside the open band serves
++0.0 unevaluated, as the masked walk would leave it. Its rows take the
+same reduction tree as every other sum; the raveled chunks it once folded
+are gone, and with them the last bits of its scale changed, once. Given a
+kernel_antisymmetry Check that read exactly 0, it evaluates k(x, y) alone
+and certifies the residual +0.0 from that check; otherwise k(x, y) and
+k(y, x) are evaluated separately, so an antisymmetry defect still shows.
 
 Determinism contract: each row is folded over the fixed perfect binary tree
 of sums.fold_rows, and the row results over pairwise_sum, in ascending
@@ -64,10 +66,10 @@ import numpy as np
 from .errors import Check, InputError
 from .good_radii import GoodRadiusCertificate
 from . import kernels, metric
-from .kernels import KernelSpec, map_pair_tiles, run_pass
+from .kernels import KernelSpec, run_pass, sweep_pair_tiles
 from .measure import DiscreteMeasure, StepMeasure
 from .metric import PointCloud, RowPass
-from .sums import fold_keys, fold_raveled, fold_rows, pairwise_sum
+from .sums import fold_keys, fold_rows, pairwise_sum, thread_map
 
 
 @dataclass(frozen=True)
@@ -103,53 +105,39 @@ def simple_function_from_json(obj: dict) -> SimpleFunction:
 
 
 def _truncated_folds(kt: np.ndarray, dt: np.ndarray, fw: np.ndarray,
-                     grid, bounds=None) -> list[np.ndarray]:
+                     grid, bounds) -> list[np.ndarray]:
     """(T_eps(f mu))(x) per tile row for each eps: strict d(x, y) > eps.
 
     bounds is the tile rows' metric._block_bounds (lb, ub) per block of
-    metric._BLOCK columns; None bounds no block. Each block (the whole
-    row, if narrower) is an aligned subtree of fold_rows' tree. For an
-    eps, a block with lb > eps serves its unmasked fold, taken once; one
-    with ub <= eps serves +0.0, the fold of its masked zeros; only the
-    blocks in between are masked and folded again, a tile's worth of
-    (eps, block) pairs at a time, and the block values of every eps then
-    take the upper levels of the same tree together. An eps that leaves
-    every block in between is folded densely. The grid decreases, so the
-    masks nest: a dense mask with as many entries as an earlier one is
-    that mask, and its fold is reused.
+    metric._BLOCK columns. Each block (the whole row, if narrower) is an
+    aligned subtree of fold_rows' tree. For an eps, a block with lb > eps
+    serves its unmasked fold, taken once; one with ub <= eps serves +0.0,
+    the fold of its masked zeros; only the blocks in between are masked
+    and folded again, a tile's worth of (eps, block) pairs at a time, and
+    the block values of every eps then take the upper levels of the same
+    tree together. This block path is the only one: a metric without
+    bounds ((0, inf) for every block) and a uniform cloud in random order,
+    whose blocks straddle every eps, take it too, block by block.
     """
     rows, n = kt.shape
     w = min(metric._BLOCK, 1 << (n - 1).bit_length())
     n_blocks = -(-n // w)
-    lb, ub = bounds or (np.zeros(n_blocks), np.full(n_blocks, np.inf))
+    lb, ub = bounds
     terms = kt * fw[None, :]
+    if n % w:  # zero columns up to whole blocks, as fold_rows pads
+        terms, dt = (np.pad(a, ((0, 0), (0, n_blocks * w - n)))
+                     for a in (terms, dt))
+    t3, d3 = (a.reshape(rows, n_blocks, w) for a in (terms, dt))
     eps = np.asarray(grid)[:, None]
-    mixed = (lb <= eps) & (ub > eps)  # (eps, block)
-    dense = np.flatnonzero(mixed.all(axis=1))
-    mixed[dense] = False
-    out = [None] * len(grid)
-    if dense.size < len(grid):
-        if n % w:  # zero columns up to whole blocks, as fold_rows pads
-            terms, dt = (np.pad(a, ((0, 0), (0, n_blocks * w - n)))
-                         for a in (terms, dt))
-        t3, d3 = (a.reshape(rows, n_blocks, w) for a in (terms, dt))
-        full = fold_rows(terms.reshape(-1, w)).reshape(rows, 1, n_blocks)
-        vals = np.where(lb > eps, full, 0.0)  # (row, eps, block)
-        e, b = np.nonzero(mixed)
-        for s in range(0, e.size, n_blocks):
-            es, bs = e[s:s + n_blocks], b[s:s + n_blocks]
-            vals[:, es, bs] = fold_rows(np.where(
-                d3[:, bs] > eps[es], t3[:, bs], 0.0).reshape(-1, w)
-                ).reshape(rows, -1)
-        out = list(fold_rows(vals.reshape(-1, n_blocks)).reshape(rows, -1).T)
-    count = -1
-    for j in dense:
-        mask = dt > grid[j]
-        c = np.count_nonzero(mask)
-        if c != count:
-            count, fold = c, fold_rows(np.where(mask, terms, 0.0))
-        out[j] = fold
-    return out
+    full = fold_rows(terms.reshape(-1, w)).reshape(rows, 1, n_blocks)
+    vals = np.where(lb > eps, full, 0.0)  # (row, eps, block)
+    e, b = np.nonzero((lb <= eps) & (ub > eps))
+    for s in range(0, e.size, n_blocks):
+        es, bs = e[s:s + n_blocks], b[s:s + n_blocks]
+        vals[:, es, bs] = fold_rows(np.where(
+            d3[:, bs] > eps[es], t3[:, bs], 0.0).reshape(-1, w)
+            ).reshape(rows, -1)
+    return list(fold_rows(vals.reshape(-1, n_blocks)).reshape(rows, -1).T)
 
 
 def _on_rows(inside: np.ndarray, fn):
@@ -234,13 +222,20 @@ def cancellation_residual(k: KernelSpec, m: DiscreteMeasure, b1: Ball,
     Canonical pair ordering: each unordered pair contributes
     t_upper + t_lower = k(x,y)w(x)w(y) + k(y,x)w(y)w(x), which cancels
     bit-exactly for antisymmetric kernels. Returns (residual, sum of term
-    magnitudes). Only the upper triangle y > x is evaluated, in blocks of
-    kernels.pair_rows; the rest of each raveled row is zero. A chunk's
-    rows are taken one block of metric._BLOCK rows at a time, and a block
-    of columns whose metric._block_bounds lie at or below delta, or at or
-    above eps, is not evaluated: it holds no pair of the open band, so
-    its entries are the +0.0 the mask would give. The raveled chunks are
-    folded on `workers` threads, with the same bits for any count.
+    magnitudes), each taken over the row tree of every double sum: each
+    row of the r x r arrays in intersection order, zero outside the upper
+    triangle y > x and the band, folded with fold_rows, and the row
+    results with pairwise_sum.
+
+    The rows are walked one block of metric._BLOCK rows at a time, on
+    `workers` threads, in metric.tile_map tiles, so a tile's
+    metric._block_bounds are those of rows of one block. A tile starting
+    at row a0 folds each row by aligned blocks of metric._BLOCK columns,
+    subtrees of its tree: a block that lies left of column a0 + 1, or
+    whose bounds lie at or below delta or at or above eps, holds no pair
+    of the open band above the diagonal, so it serves +0.0, the fold of
+    its masked zeros, and is not evaluated; of the others only the columns
+    b > a0 are evaluated, by kernels.pair_rows.
 
     Two paths give the same bits. `antisymmetry` is the kernel_antisymmetry
     Check of k on m.cloud, if the caller has one (cancellation_path).
@@ -267,45 +262,47 @@ def cancellation_residual(k: KernelSpec, m: DiscreteMeasure, b1: Ball,
     wr = m.weights[rows]
     exact = cancellation_path(antisymmetry, m) == "exact"
     boxes = metric._boxes(m.cloud.coords[rows])
+    w = min(metric._BLOCK, 1 << (r - 1).bit_length())
+    n_blocks = -(-r // w)
 
-    def fill(out, a0, a1):
-        # rows a0..a1-1, within one block of rows: only the columns b > a0
-        # of the column blocks whose bounds meet the open band are evaluated
-        ids, a = rows[a0:a1], np.arange(a0, a1)
+    def tile(a):
+        # per row a, the folds of the (1 or 3) arrays, from the live column
+        # blocks right of a0 laid side by side
+        a0, ids, n_out = a[0], rows[a], 1 if exact else 3
         lb, ub = metric._block_bounds(m.cloud, ids, boxes)
-        live = np.repeat((ub > delta) & (lb < eps), metric._BLOCK)[:r]
-        b = np.flatnonzero(live[a0 + 1:]) + (a0 + 1)
-        if b.size == 0:
-            return
-        cols = rows[b]
-        km, d = kernels.pair_rows(k, m.cloud, ids, cols)
-        keep = (d > delta) & (d < eps) & (b[None, :] > a[:, None])
-        t_upper = np.where(keep, km * np.outer(wr[a], wr[b]), 0.0)
-        if exact:
-            out[0][:, b] = np.abs(t_upper)
-            return
-        km_t = kernels.kernel_rows(k, m.cloud, cols, ids).T  # k(y, x)
-        t_lower = np.where(keep, km_t * np.outer(wr[b], wr[a]).T, 0.0)
-        out[0][:, b] = t_upper + t_lower
-        out[1][:, b] = np.abs(t_upper)
-        out[2][:, b] = np.abs(t_lower)
+        live = np.flatnonzero((ub > delta) & (lb < eps))
+        live = live[live >= (a0 + 1) // w]
+        b = (live[:, None] * w + np.arange(w)).ravel()
+        at = np.flatnonzero((b > a0) & (b < r))
+        b = b[at]
+        entries = np.zeros((n_out, a.size, live.size * w))
+        if b.size:
+            km, d = kernels.pair_rows(k, m.cloud, ids, rows[b])
+            keep = (d > delta) & (d < eps) & (b[None, :] > a[:, None])
+            t_upper = np.where(keep, km * np.outer(wr[a], wr[b]), 0.0)
+            if exact:
+                entries[0][:, at] = np.abs(t_upper)
+            else:  # k(y, x), evaluated on its own
+                km_t = kernels.kernel_rows(k, m.cloud, rows[b], ids).T
+                t_lower = np.where(keep, km_t * np.outer(wr[b], wr[a]).T,
+                                   0.0)
+                entries[:, :, at] = (t_upper + t_lower, np.abs(t_upper),
+                                     np.abs(t_lower))
+        vals = np.zeros((n_out, a.size, n_blocks))
+        vals[:, :, live] = fold_rows(entries.reshape(-1, w)).reshape(
+            n_out, a.size, live.size)
+        return fold_rows(vals.reshape(-1, n_blocks)).reshape(n_out, -1).T
 
-    def block(a0, a1):
-        # rows a0..a1-1 of the (B1 cap B2)^2 arrays, zero outside the upper
-        # triangle and the band, filled one block of rows at a time
-        out = np.zeros((1 if exact else 3, a1 - a0, r))
-        cuts = [a0, *range(a0 - a0 % metric._BLOCK + metric._BLOCK, a1,
-                           metric._BLOCK), a1]
-        for g0, g1 in zip(cuts, cuts[1:]):
-            fill(out[:, g0 - a0:g1 - a0], g0, g1)
-        return out
-    # chunks of the tile size, read when called, like tile_map's
-    folds = fold_raveled(block, r, r, metric._TILE_PAIRS, workers)
+    def row_block(a0):
+        return metric.tile_map(
+            tile, np.arange(a0, min(a0 + metric._BLOCK, r)), r)
+    folds = np.concatenate(thread_map(row_block, range(0, r, metric._BLOCK),
+                                      workers))
+    sums = [pairwise_sum(f) for f in folds.T]
     if exact:
-        up = float(folds[0])
-        return 0.0, up + up
-    residual, up, low = folds
-    return float(residual), float(up) + float(low)
+        return 0.0, sums[0] + sums[0]
+    residual, up, low = sums
+    return residual, up + low
 
 
 def cancellation_path(antisymmetry: Check | None, m: DiscreteMeasure) -> str:
@@ -339,10 +336,10 @@ def _pairing_pass(m: DiscreteMeasure, f: SimpleFunction, g: SimpleFunction,
     Per tile, per-row folds are taken of: the strict truncation at each eps;
     the scale band delta < d <= eps of each step; and each ball's band
     delta < d <= eps (rows in the ball, columns outside it). The nested
-    truncations are dense folds. The bands of all steps are disjoint, so
-    the pairs with eps_last < d <= eps_0 are picked once, each gets its
-    step, and one fold_keys call folds every (band, step, row) over its
-    own pairs: bit-identical to a dense fold of the masked row, since a
+    truncations are _truncated_folds' block folds. The bands of all steps
+    are disjoint, so the pairs with eps_last < d <= eps_0 are picked once,
+    each gets its step, and one fold_keys call folds every (band, step,
+    row) over its own pairs: bit-identical to a dense fold of the masked row, since a
     lone child is added to +0.0 like a masked zero, at a cost that follows
     the pairs inside eps_0, not the grid length times the balls. Row folds
     are then reduced with pairwise_sum exactly as one pairing, one boundary
@@ -445,7 +442,7 @@ def annuli_log_bound_check(k: KernelSpec, m: DiscreteMeasure, ball: Ball,
     are excluded from the interior and returned separately.
     """
     p = annuli_pass(m, ball)
-    return p.reduce(map_pair_tiles(k, m.cloud, p.rows, p.tile), s, c, c_mu)
+    return p.reduce(sweep_pair_tiles(k, m.cloud, [p])[0], s, c, c_mu)
 
 
 def annuli_pass(m: DiscreteMeasure, ball: Ball) -> RowPass:

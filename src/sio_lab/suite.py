@@ -15,10 +15,16 @@ constant, the antisymmetry check, the kernel size bound, the pairing trace,
 ball 0's annuli and the boundedness trend's own level. Each is reduced as
 its stand-alone function reduces it, so it keeps that function's bits. The
 antisymmetry check reads k(x, y) off the sweep's rows and evaluates k(y, x)
-itself, never reading it off k(x, y). Two walks stay separate: the
-cancellation residuals walk their own upper triangles, and the trend's
-lower levels walk their own clouds, on the run's threads. generate walks
-the upper triangle of its N^2 passes on the run's threads.
+itself, never reading it off k(x, y). Two walks stay separate, each of the
+same metric.tile_map tiles: the cancellation residuals read the upper
+triangles of their ball intersections, and the trend's lower levels sweep
+their own clouds, on the run's threads. generate walks the upper triangle
+of its N^2 passes on the run's threads. Every double sum, the residuals
+included, takes one reduction tree: fold_rows per row, then pairwise_sum
+over the rows. The residuals took it last, when their raveled chunks were
+dropped; that moved the last bits of each cancellation scale (and so of
+the cancellation checks' rhs) once, and left every residual and every
+other number as it was.
 
 An antisymmetry check reading exactly 0 certifies the cancellation
 residuals: k(y, x) == -k(x, y), finite, for every pair, and kernel_rows

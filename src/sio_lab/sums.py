@@ -1,13 +1,17 @@
 """Deterministic pairwise-tree float reduction.
 
-Every double sum in the lab is taken over one tree, so that results are
-bit-identical across runs and across worker counts: the perfect binary tree
-over the zero-padded input of fold_rows (pairwise_sum is its one-row case).
-fold_keys walks the same tree over rows given only by their nonzero
-entries; it adds a lone child to +0.0 as the dense tree adds it to a masked
-zero, so its rows are bit-identical to fold_rows'. Parallel execution only
-ever hands out whole subtrees. thread_map is the lab's one thread pool;
-metric.tile_map hands it row tiles, fold_raveled hands it subtrees.
+Every double sum in the lab is taken over one reduction tree, so that
+results are bit-identical across runs and across worker counts: each row
+is folded over the perfect binary tree of its zero-padded width
+(fold_rows), and the row results over the same kind of tree in row order
+(pairwise_sum, fold_rows' one-row case). fold_keys walks the same tree
+over rows given only by their nonzero entries; it adds a lone child to
++0.0 as the dense tree adds it to a masked zero, so its rows are
+bit-identical to fold_rows'. Parallel execution only ever hands out whole
+rows. thread_map is the lab's one thread pool, and metric.tile_map hands
+it row tiles. No sum folds a raveled matrix any more: the cancellation
+residual, the last to do so, moved to the row tree, which changed the last
+bits of its scale once.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -93,36 +97,6 @@ def pairwise_sum(values) -> float:
     if a.size == 0:
         return 0.0
     return float(fold_rows(a[None, :])[0])
-
-
-def fold_raveled(block, n_rows: int, n_cols: int, chunk: int,
-                 workers: int = 1) -> np.ndarray:
-    """pairwise_sum of the row-major raveling of each of Q matrices of shape
-    (n_rows, n_cols), without building them: block(a0, a1) returns rows
-    a0..a1-1 of all Q as a (Q, a1 - a0, n_cols) array.
-
-    The raveled length is walked in aligned power-of-two chunks of at most
-    `chunk` entries; each chunk is a whole subtree of pairwise_sum's tree,
-    so the Q results are bit-identical to pairwise_sum(matrix.ravel()) for
-    any `workers`, the number of threads the chunks are folded on (block
-    is then called from several threads at once). A row that a chunk
-    boundary cuts is asked for by both chunks.
-    """
-    n = n_rows * n_cols
-    m = 1 << (n - 1).bit_length()
-    c = min(m, 1 << (max(1, chunk).bit_length() - 1))
-
-    def fold_chunk(start):
-        end = min(start + c, n)
-        a0, a1 = start // n_cols, (end - 1) // n_cols + 1
-        flat = block(a0, a1).reshape(-1, (a1 - a0) * n_cols)
-        flat = flat[:, start - a0 * n_cols:end - a0 * n_cols]
-        if end - start < c:
-            flat = np.concatenate(
-                [flat, np.zeros((flat.shape[0], c - (end - start)))], axis=1)
-        return fold_rows(flat)
-    partials = thread_map(fold_chunk, range(0, n, c), workers)
-    return fold_rows(np.stack(partials, axis=1))
 
 
 def thread_map(fn, items, workers: int = 1) -> list:

@@ -2,8 +2,10 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from sio_lab import kernels, metric
 from sio_lab.cli import main
 from sio_lab.generators import generate
 
@@ -450,6 +452,93 @@ def test_check_kernel_with_a_nan_kernel_fails(tmp_path, capsys):
                      "--kernel-file", str(tmp_path / "kernel.txt")], capsys)
     assert code == 1
     assert out.splitlines()[0] == "FAIL  kernel_antisymmetry  lhs=nan  rhs=nan"
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_check_kernel_prints_the_same_at_any_thread_count(
+        tmp_path, capsys, monkeypatch, threads):
+    """9-row tiles of the 64-atom cloud, one walk of them for both checks:
+    the kernel is evaluated on each row k(x, .) once, and on k(y, x) for
+    y >= x0 in the tile from row x0; the output does not depend on how the
+    tiles are split over threads."""
+    run(["generate", "--level", "3", "--out-dir", str(tmp_path),
+         "--out", "m.json"], capsys)
+    (tmp_path / "kernel.txt").write_text(
+        "x[..., 0] * (x[..., 1] + 2.0 * y[..., 0]) / d ** 1.5\n")
+    monkeypatch.setattr(metric, "_TILE_PAIRS", 9 * 64)
+    pairs = []
+    real = kernels._kernel_block
+    monkeypatch.setattr(kernels, "_kernel_block", lambda k, cloud, r, c: (
+        pairs.append(np.size(r) * (64 if c is None else np.size(c))),
+        real(k, cloud, r, c))[1])
+    outs = []
+    for flags in ([], ["--kernel", "custom",
+                       "--kernel-file", str(tmp_path / "kernel.txt")]):
+        query = ["check-kernel", "--measure", str(tmp_path / "m.json"),
+                 *flags]
+        pairs.clear()
+        code, out = run([*query, "--threads", str(threads)], capsys)
+        assert code == 0 and sum(pairs) == 64 * 64 + sum(
+            min(9, 64 - x0) * (64 - x0) for x0 in range(0, 64, 9))
+        assert run(query, capsys) == (0, out)
+        outs.append(out)
+    assert outs[0].startswith("PASS  kernel_antisymmetry  lhs=0.0  ")
+    assert outs[1].splitlines()[-1].startswith("size bound: |k| <= ")
+
+
+def usage_error(argv, capsys) -> str:
+    """The standard error of main(argv), which must exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("modes", [[], ["--near", "0.4", "--test", "0.04"]],
+                         ids=["none", "two"])
+def test_good_radii_takes_exactly_one_mode(capsys, modes):
+    """No mode formerly exited 1; two modes silently ran the first."""
+    err = usage_error(["good-radii", "--measure", FOUR_CORNER_L3,
+                       "--center", "5", *modes], capsys)
+    assert "--materialize" in err or "not allowed with" in err
+
+
+def test_a_custom_kernel_needs_its_file(tmp_path, capsys):
+    """Formerly exit 1, with no usage message."""
+    run(["generate", "--level", "2", "--out-dir", str(tmp_path),
+         "--out", "m.json"], capsys)
+    err = usage_error(["check-kernel", "--measure", str(tmp_path / "m.json"),
+                       "--kernel", "custom"], capsys)
+    assert "--kernel custom requires --kernel-file" in err
+
+
+@pytest.mark.parametrize("flag", ["--measure", "--kernel-file", "--f", "--g",
+                                  "--summary"])
+@pytest.mark.parametrize("text", [None, '{"terms": '],
+                         ids=["missing", "malformed"])
+def test_an_input_file_must_be_readable(tmp_path, capsys, flag, text):
+    """A missing file, or one of malformed JSON (for the kernel file, of
+    bytes that are not text), is a usage error naming the file, not a
+    FileNotFoundError or JSONDecodeError traceback."""
+    run(["generate", "--level", "2", "--out-dir", str(tmp_path),
+         "--out", "m.json"], capsys)
+    (tmp_path / "f.json").write_text('{"terms": []}')
+    (tmp_path / "kernel.txt").write_text("0.0")
+    bad = tmp_path / "bad.json"
+    if text is not None:
+        bad.write_bytes(b"\xff\xfe" if flag == "--kernel-file"
+                        else text.encode())
+    if flag == "--summary":
+        argv = ["report", "--summary", str(bad)]
+    else:
+        files = {"--measure": tmp_path / "m.json",
+                 "--kernel-file": tmp_path / "kernel.txt",
+                 "--f": tmp_path / "f.json", "--g": tmp_path / "f.json",
+                 flag: bad}
+        argv = ["pairing", "--kernel", "custom", "--eps-grid", "0.5,0.25",
+                "--out-dir", str(tmp_path),
+                *(x for key, path in files.items() for x in (key, str(path)))]
+    assert str(bad) in usage_error(argv, capsys)
 
 
 FOUR_CORNER_L3 = str(Path(__file__).parent / "data" / "four_corner_l3.json")

@@ -26,8 +26,6 @@ def test_params_validation():
         GoodSetParams(lam=2, depth=1)
     with pytest.raises(InputError):
         GoodSetParams(lam=5, depth=0)
-    assert GoodSetParams(lam=3, depth=1).bound_is_vacuous
-    assert not GoodSetParams(lam=5, depth=1).bound_is_vacuous
 
 
 @pytest.mark.parametrize("bad", [
@@ -189,7 +187,7 @@ def test_completeness_rejected_midcells_outside():
                            (Fraction(1, 7), Fraction(1, 2))])
     iset = materialize_good_set(v, params)
     ivals = list(iset.intervals())
-    w = params.cell_width(params.depth)
+    w = Fraction(1, params.n_cells(params.depth))  # the finest cell's width
     for j in range(params.n_cells(params.depth)):
         t = (2 * j + 1) * w / 2
         inside = any(lo <= t <= hi for lo, hi in ivals)

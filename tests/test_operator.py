@@ -477,9 +477,10 @@ def dense_cancellation(k, m, b1, b2, delta, eps):
     keep = (d > delta) & (d < eps) & np.triu(np.ones(d.shape, bool), k=1)
     t_upper = np.where(keep, km * ww, 0.0)
     t_lower = np.where(keep, km.T * ww.T, 0.0)
-    return (pairwise_sum((t_upper + t_lower).ravel()),
-            pairwise_sum(np.abs(t_upper).ravel())
-            + pairwise_sum(np.abs(t_lower).ravel()))
+    # the row tree of every double sum: fold each row, then the rows
+    return (pairwise_sum(fold_rows(t_upper + t_lower)),
+            pairwise_sum(fold_rows(np.abs(t_upper)))
+            + pairwise_sum(fold_rows(np.abs(t_lower))))
 
 
 @pytest.mark.parametrize("kernel,metric", [(RIESZ, E2), (RIESZ, L1),
@@ -550,58 +551,78 @@ def test_growth_of_equal_weights_matches_dense_oracle(metric, workers,
 @pytest.mark.parametrize("workers", [1, 2])
 def test_symmetric_checks_evaluate_only_the_upper_triangle(workers,
                                                            monkeypatch):
-    # 7-row tiles; cancellation walks 1024-entry chunks of its raveling
+    # 7-row tiles of the whole cloud; the residual's tiles are 12 rows
     monkeypatch.setattr(metric_module, "_TILE_PAIRS", 7 * 156)
-    pairs = []
+    pairs = {"pair_rows": [], "kernel_rows": []}
 
-    def counting(real):
+    def counting(name, real):
         def pairs_of(k, cloud, rows, cols=None):
             out = real(k, cloud, rows, cols)
-            pairs.append(np.size(out[0] if isinstance(out, tuple) else out))
+            pairs[name].append(np.size(out[0] if isinstance(out, tuple)
+                                       else out))
             return out
         return pairs_of
     # the engine's evaluator, and the kernel alone, each count their pairs
-    for name in ("pair_rows", "kernel_rows"):
-        monkeypatch.setattr(kernels, name, counting(getattr(kernels, name)))
+    for name in pairs:
+        monkeypatch.setattr(kernels, name, counting(name,
+                                                    getattr(kernels, name)))
     m, n = lattice_measure(E2, seed=5), 156
     anti = kernels.check_antisymmetry(RIESZ, m.cloud, workers)
-    # the tile of rows x0..x0+6 evaluates k(x, y) and k(y, x) for y >= x0
-    assert sum(pairs) == sum(2 * min(7, n - x0) * (n - x0)
-                             for x0 in range(0, n, 7)) == 25418
-    pairs.clear()
+    # the sweep evaluates each row k(x, .) once; the tile of rows
+    # x0..x0+6 evaluates k(y, x) only for y >= x0
+    assert sum(pairs["pair_rows"]) == n * n
+    assert sum(pairs["kernel_rows"]) == sum(
+        min(7, n - x0) * (n - x0) for x0 in range(0, n, 7)) == 12709
+
     dist = np.unique(dense_distances(m.cloud))
     b1, b2 = Ball(3, float(dist[33])), Ball(80, float(dist[dist.size // 2]))
-    r = int(np.sum(b1.members(m.cloud) & b2.members(m.cloud)))
-    delta, eps = float(dist[2]), float(dist[40])
-    got = cancellation_residual(RIESZ, m, b1, b2, delta, eps, workers)
-    # the chunk of raveled entries start..end-1 spans rows a0..a1-1, cut
-    # where a block of 64 rows begins; each piece from row a0 evaluates
-    # columns b > a0 in both orientations, as no column block's bounds
-    # miss the band here; the last chunk starts in row r - 1, where no
-    # column is left
-    spans = [(start // r, (min(start + 1024, r * r) - 1) // r + 1)
-             for start in range(0, r * r, 1024)]
-    spans = [piece for a0, a1 in spans for piece in (
-        [(a0, 64), (64, a1)] if a0 < 64 < a1 else [(a0, a1)])]
-    assert r == 91 and spans[-1] == (r - 1, r) and (56, 64) in spans
-    assert sum(pairs) == sum(2 * (a1 - a0) * (r - a0 - 1)
-                             for a0, a1 in spans) == 9866
-    assert got[0] == 0.0
-    assert bits(got) == bits(dense_cancellation(RIESZ, m, b1, b2, delta,
-                                                eps))
-    # the exact path evaluates k(x, y) alone: half the pairs, same bits
-    pairs.clear()
-    assert anti.lhs == 0.0 and cancellation_path(anti, m) == "exact"
-    exact = cancellation_residual(RIESZ, m, b1, b2, delta, eps, workers,
-                                  antisymmetry=anti)
-    assert sum(pairs) == sum((a1 - a0) * (r - a0 - 1)
-                             for a0, a1 in spans) == 4933
-    assert bits(exact) == bits(got)
-    # k(y, x) is evaluated, not derived: a symmetric kernel leaves a residual
-    got = cancellation_residual(SYMMETRIC, m, b1, b2, delta, eps, workers)
-    assert got[0] > 0.0
-    assert bits(got) == bits(dense_cancellation(SYMMETRIC, m, b1, b2, delta,
-                                                eps))
+    rows = np.nonzero(b1.members(m.cloud) & b2.members(m.cloud))[0]
+    r = rows.size
+    # tiles of 1092 // 91 = 12 rows, cut where a block of 64 rows begins;
+    # a tile from row a0 evaluates the columns b > a0 of the column blocks
+    # whose bounds from the tile's rows meet the open band
+    boxes = metric_module._boxes(m.cloud.coords[rows])
+    tiles = [np.arange(a0, min(a0 + 12, g0 + 64, r))
+             for g0 in range(0, r, 64) for a0 in range(g0, min(g0 + 64, r),
+                                                        12)]
+    assert r == 91 and len(tiles) == 9 and tiles[5].tolist() == [60, 61,
+                                                                  62, 63]
+
+    def live_pairs(delta, eps):
+        total = 0
+        for t in tiles:
+            lb, ub = metric_module._block_bounds(m.cloud, rows[t], boxes)
+            b = np.arange(t[0] + 1, r)
+            total += t.size * np.count_nonzero(((ub > delta)
+                                                & (lb < eps))[b // 64])
+        return total
+
+    def walk(kernel, delta, eps, check=None):
+        for name in pairs:
+            pairs[name].clear()
+        got = cancellation_residual(kernel, m, b1, b2, delta, eps, workers,
+                                    antisymmetry=check)
+        assert bits(got) == bits(dense_cancellation(kernel, m, b1, b2,
+                                                    delta, eps))
+        return got, sum(pairs["pair_rows"]), sum(pairs["kernel_rows"])
+    # every column block meets the wide band; at eps = 4 the first tiles'
+    # blocks of columns 64-90 lie at or beyond eps and are skipped
+    triangle = sum(t.size * (r - t[0] - 1) for t in tiles)
+    for eps, live in ((float(dist[40]), 4566), (4.0, 4242)):
+        delta = float(dist[2])
+        assert live_pairs(delta, eps) == live <= triangle == 4566
+        # the computed path evaluates k(x, y) and k(y, x) on the live
+        # columns
+        got, upper, lower = walk(RIESZ, delta, eps)
+        assert got[0] == 0.0 and upper == lower == live
+        # the exact path evaluates k(x, y) alone: half the pairs, same bits
+        assert anti.lhs == 0.0 and cancellation_path(anti, m) == "exact"
+        exact, upper, lower = walk(RIESZ, delta, eps, anti)
+        assert bits(exact) == bits(got) and (upper, lower) == (live, 0)
+        # k(y, x) is evaluated, not derived: a symmetric kernel leaves a
+        # residual
+        got, upper, lower = walk(SYMMETRIC, delta, eps)
+        assert got[0] > 0.0 and upper == lower == live
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -670,8 +691,8 @@ def test_weights_above_one_keep_the_computed_path():
 def test_truncated_folds_equal_one_masked_fold_per_eps(data):
     """Distances from a few values, so that several steps of the grid gain
     no pair, and terms with signed zeros, infinities and NaN: each column
-    has the bits of its own masked fold, and fold_rows runs once per
-    distinct mask."""
+    has the bits of its own masked fold. The bounds decide no block, as
+    for a metric without them."""
     rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 9))
     dists = data.draw(st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0]),
                                min_size=rows * cols, max_size=rows * cols))
@@ -684,20 +705,12 @@ def test_truncated_folds_equal_one_masked_fold_per_eps(data):
     grid = sorted(data.draw(st.sets(st.sampled_from(
         [3.0, 1.5, 1.0, 0.75, 0.5, 0.3, 0.25, 0.1]), min_size=1)),
         reverse=True)
-    calls = []
-
-    def counting(a):
-        calls.append(1)
-        return fold_rows(a)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(operator_module, "fold_rows", counting)
-        got = operator_module._truncated_folds(kt, dt, fw, grid)
+    got = operator_module._truncated_folds(
+        kt, dt, fw, grid, (np.zeros(1), np.full(1, math.inf)))
     terms = kt * fw[None, :]
     for col, eps in zip(got, grid):
         assert col.tobytes() == fold_rows(np.where(dt > eps, terms,
                                                    0.0)).tobytes()
-    assert len(calls) == len({int(np.count_nonzero(dt > eps))
-                              for eps in grid})
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
-import itertools
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sio_lab.sums import fold_keys, fold_raveled, fold_rows, pairwise_sum
+from sio_lab.sums import fold_keys, fold_rows, pairwise_sum
 
 
 def tree_sum(xs):
@@ -47,24 +46,6 @@ def test_permutation_of_padding_irrelevant(xs):
     # appending explicit zeros must not change the tree result
     padded = np.concatenate([x, np.zeros(3)])
     assert pairwise_sum(padded) == pairwise_sum(x) or np.isnan(pairwise_sum(x))
-
-
-def test_fold_raveled_matches_pairwise_sum_of_the_raveling():
-    rng = np.random.default_rng(3)
-    # 13 x 17 in chunks of 64: chunk boundaries cut rows 3, 7 and 11, and
-    # the last chunk holds 29 of its 64 entries
-    for n_rows, n_cols in ((1, 1), (2, 3), (7, 5), (13, 17), (40, 40)):
-        mats = rng.normal(size=(2, n_rows, n_cols)) \
-            * 10.0 ** rng.integers(-8, 8, size=(2, n_rows, n_cols))
-        # all -0.0: only zero padding turns the sum into +0.0
-        mats = np.concatenate([mats, np.full((1, n_rows, n_cols), -0.0)])
-        want = [pairwise_sum(m.ravel()).hex() for m in mats]
-        for chunk, workers in itertools.product((1, 3, 4, 7, 64, 1 << 20),
-                                                (1, 2, 3)):
-            got = fold_raveled(lambda a0, a1: mats[:, a0:a1], n_rows, n_cols,
-                               chunk, workers)
-            assert [float(x).hex() for x in got] == want
-
 
 
 SPECIAL = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 1.0, -1.0])
