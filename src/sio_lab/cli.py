@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import Check, InputError
+from .errors import BudgetError, Check, InputError, json_shape
 from .generators import GeneratorSpec, generate
 from .good_radii import (GoodSetParams, interval_set_to_file, is_good_radius,
                          materialize_good_set, select_good_radius_near)
@@ -46,17 +46,23 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", default=".")
 
 
+def _read_json(path: str):
+    return json.loads(Path(path).read_text())
+
+
 def _load(parser: argparse.ArgumentParser, what: str, path: str,
-          load=lambda path: json.loads(Path(path).read_text())):
-    """load(path), where a file that cannot be read, or holds malformed
-    JSON or text, is a usage error naming it. A bad value inside a
-    well-formed file is left to load's own InputError."""
+          load=_read_json):
+    """load(path), where a file that cannot be read, holds malformed JSON
+    or text, or that load rejects with InputError (a bad value, or JSON of
+    the wrong shape), is a usage error naming it."""
     try:
         return load(path)
     except OSError as exc:
         parser.error(f"cannot read {what} {path}: {exc}")
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         parser.error(f"{what} {path} is not valid JSON or text: {exc}")
+    except InputError as exc:
+        parser.error(f"{what} {path}: {exc}")
 
 
 def _config_flags(parser: argparse.ArgumentParser, path: str) -> list[str]:
@@ -130,7 +136,7 @@ def _add_kernel_flags(p: argparse.ArgumentParser) -> None:
 def cmd_generate(args) -> int:
     spec = GeneratorSpec(family=args.family, level=args.level,
                          ratio=args.ratio, count=args.count, seed=args.seed)
-    cloud, m, r_min = generate(spec, workers=args.threads)
+    cloud, m, r_min = generate(spec)
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, args.out)
     save_measure(m, path)
@@ -198,7 +204,8 @@ def cmd_good_radii(args) -> int:
 def cmd_pairing(args) -> int:
     m, _ = normalize(_measure(args))
     k = _kernel_from_args(args)
-    f, g = (simple_function_from_json(_load(args.parser, flag, path))
+    f, g = (_load(args.parser, flag, path,
+                  lambda path: simple_function_from_json(_read_json(path)))
             for flag, path in (("--f file", args.f), ("--g file", args.g)))
     grid = args.eps_grid
     trace = compute_pairing_trace(k, m, f, g, grid, workers=args.threads)
@@ -227,9 +234,10 @@ def cmd_converge(args) -> int:
 def cmd_report(args) -> int:
     summary = _load(args.parser, "summary file", args.summary)
     # summary.json holds a non-finite float as its repr string
-    checks = [Check(**{k: float(x) if x in ("nan", "inf", "-inf") else x
-                       for k, x in c.items()})
-              for c in summary.get("checks", [])]
+    with json_shape(f"summary file {args.summary}"):
+        checks = [Check(**{k: float(x) if x in ("nan", "inf", "-inf") else x
+                           for k, x in c.items()})
+                  for c in summary.get("checks", [])]
     for c in checks:
         _print_check(c)
     n_ok = sum(1 for c in checks if c.ok)
@@ -327,8 +335,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        # a bad value is a usage error (exit 2), as a malformed flag is
+    except (InputError, BudgetError) as exc:
+        # a bad value or a budget overrun is a usage error (exit 2)
         args.parser.error(str(exc))
 
 

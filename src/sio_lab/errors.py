@@ -3,11 +3,23 @@ certified inequality is judged by."""
 
 import math
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 
 class InputError(ValueError):
     """Bad argument (unknown id, negative radius, inverted interval, ...)."""
+
+
+@contextmanager
+def json_shape(what: str):
+    """A parsed JSON document read here with the wrong shape (a missing
+    key, a list for an object) raises InputError naming `what`."""
+    try:
+        yield
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise InputError(f"{what} has the wrong shape: "
+                         f"{type(exc).__name__}: {exc}") from None
 
 
 class DegenerateInputError(InputError):

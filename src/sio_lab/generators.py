@@ -49,16 +49,15 @@ def _default_metric(family: str) -> MetricDescriptor:
     return MetricDescriptor(family=EUCLIDEAN_P, dimension=dim, p=2.0)
 
 
-def generate(spec: GeneratorSpec, workers: int = 1
+def generate(spec: GeneratorSpec
              ) -> tuple[PointCloud, DiscreteMeasure, float]:
     """Build (cloud, measure, r_min); the cloud has unit diameter.
 
-    The N^2 passes walk the upper triangle on `workers` threads; the
-    result does not depend on how many. make_cloud's diameter pass
-    evaluates only the blocks of 64 ids whose exact distance bounds allow
-    the diameter or a duplicate pair, so a fractal cloud, whose
-    consecutive ids are near, skips most of them; a uniform cloud's
-    r_min walks every row tile."""
+    The N^2 passes walk the upper triangle serially. make_cloud's diameter
+    pass evaluates only the blocks of 64 ids whose exact distance bounds
+    allow the diameter or a duplicate pair, so a fractal cloud, whose
+    consecutive ids are near, skips most of them; a uniform cloud's r_min
+    walks every row tile."""
     metric = spec.metric or _default_metric(spec.family)
     if spec.family == FOUR_CORNER:
         if 4 ** spec.level > MAX_ATOMS:
@@ -79,7 +78,7 @@ def generate(spec: GeneratorSpec, workers: int = 1
         coords = rng.random((spec.count, metric.dimension))
         weights = np.full(spec.count, 1.0 / spec.count)
         cell = 0.0
-    cloud = make_cloud(coords, metric, workers=workers)
+    cloud = make_cloud(coords, metric)
     cloud, scale = rescale_to_unit_diameter(cloud)
     if spec.family == UNIFORM_RANDOM:
         # resolution floor: the smallest distance d(x, y), y > x
@@ -90,7 +89,7 @@ def generate(spec: GeneratorSpec, workers: int = 1
             return np.where(cols[None, :] > rows[:, None],
                             _distance_rows(cloud, rows, cols),
                             np.inf).min(axis=1)
-        r_min = float(tile_map(tile, every, cloud.n_points, workers).min())
+        r_min = float(tile_map(tile, every, cloud.n_points).min())
     else:
         r_min = cell / scale if metric.family != "snowflake" \
             else (cell / scale ** (1.0 / metric.alpha)) ** metric.alpha

@@ -19,7 +19,9 @@ hands each tile's pair_rows to any number of RowPasses. run_pass is its
 one-pass case, so the stand-alone checks (check_antisymmetry,
 check_size_bound) walk the tiles a converge run walks, and sio-lab
 check-kernel sweeps both checks in one walk, as converge does. The
-antisymmetry check's own upper-triangle walk is gone.
+antisymmetry check's own upper-triangle walk is gone. An antisymmetry check
+reading exactly 0 certifies every cancellation residual +0.0 with no walk
+(operator.cancellation_path), so converge walks none and writes no scale.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import DegenerateInputError, InputError
+from .errors import DegenerateInputError, InputError, json_shape
 from .metric import (PointCloud, RowPass, _distance_rows, cloud_from_json,
                      cloud_to_json, load_cloud, tile_map)
 from .sums import pairwise_sum
@@ -251,13 +251,14 @@ def measure_to_json(m: DiscreteMeasure) -> dict:
 
 
 def measure_from_json(obj: dict, base_dir: str = ".") -> DiscreteMeasure:
-    cloud = obj["cloud"]
+    with json_shape("measure JSON"):
+        cloud, weights = obj["cloud"], np.asarray(obj["weights"], float)
     if isinstance(cloud, str):
         import os
         cloud = load_cloud(os.path.join(base_dir, cloud))
     else:
         cloud = cloud_from_json(cloud)
-    return make_measure(cloud, obj["weights"])
+    return make_measure(cloud, weights)
 
 
 def load_measure(path: str) -> DiscreteMeasure:

@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateInputError, InputError
+from .errors import DegenerateInputError, InputError, json_shape
 from .sums import thread_map
 
 EUCLIDEAN_P = "euclidean_p"
@@ -210,16 +210,15 @@ class RowPass(NamedTuple):
     reduce: Callable
 
 
-def make_cloud(coords, metric: MetricDescriptor, table=None,
-               workers: int = 1) -> PointCloud:
+def make_cloud(coords, metric: MetricDescriptor, table=None) -> PointCloud:
     """Validated cloud: finite coordinates (and a finite table with a zero
     diagonal, bitwise symmetric, that satisfies the triangle inequality),
     no two points at distance 0 (duplicate atoms), and the diameter.
 
     d is bit-symmetric (p-metrics and snowflakes by construction, a table
     by the check above), so the pass walks the upper triangle: one row
-    block of _BLOCK ids at a time, on `workers` threads, in row tiles that
-    read the columns y >= x0 of a tile starting at row x0. floor, the
+    block of _BLOCK ids at a time, in order, in row tiles that read the
+    columns y >= x0 of a tile starting at row x0. floor, the
     largest computed distance among the coordinate-extreme points, is at
     most the diameter, so a block pair is evaluated only if its
     _block_bounds allow a distance >= floor or a duplicate (lb == 0); the
@@ -246,7 +245,7 @@ def make_cloud(coords, metric: MetricDescriptor, table=None,
                 else f"but d({j}, {i}) = {table[j, i]}"
             raise InputError(f"custom table is not a metric: d({i}, {j}) = "
                              f"{table[i, j]} {where}")
-        _check_triangles(table, workers)
+        _check_triangles(table)
     cloud = PointCloud(coords=coords, metric=metric, diameter=0.0, table=table)
     n = cloud.n_points
     every = np.arange(n)
@@ -271,20 +270,20 @@ def make_cloud(coords, metric: MetricDescriptor, table=None,
                                     _BLOCK)[:n - x0]]
         return tile_map(lambda t: tile(t, cols[cols >= t[0]]), rows,
                         cols.size).max()
-    diam = thread_map(row_block, range(0, n, _BLOCK), workers)
-    return replace(cloud, diameter=float(max(diam, default=0.0)))
+    return replace(cloud, diameter=float(max(
+        (row_block(x0) for x0 in range(0, n, _BLOCK)), default=0.0)))
 
 
-def _check_triangles(table: np.ndarray, workers: int = 1) -> None:
+def _check_triangles(table: np.ndarray) -> None:
     """Raise InputError naming the first triple (x, y, z), in row-major
     order, with d(x, z) > d(x, y) + d(y, z), and its excess.
 
     Exact: a + b < c iff fl(a + b) < c, or fl(a + b) == c and the TwoSum
     error term (a + b) - fl(a + b) is negative. The walk takes the pairs
-    (x, y) in row tiles of tile_map, on `workers` threads: O(N^3) time in
-    tile-bounded memory. The table is symmetric, so (x, y, z) and
-    (z, y, x) are one inequality, and the first violation has z >= x: a
-    tile whose first pair has x = x0 reads only the columns z >= x0.
+    (x, y) in row tiles of tile_map: O(N^3) time in tile-bounded memory.
+    The table is symmetric, so (x, y, z) and (z, y, x) are one inequality,
+    and the first violation has z >= x: a tile whose first pair has x = x0
+    reads only the columns z >= x0.
     """
     n = table.shape[0]
     if n == 0:
@@ -304,7 +303,7 @@ def _check_triangles(table: np.ndarray, workers: int = 1) -> None:
             err = (a - (s - bb)) + (b - bb)
             viol |= tie & (err < 0.0)
         return np.where(viol.any(axis=1), x0 + viol.argmax(axis=1), -1)
-    first_z = tile_map(tile, np.arange(n * n), n, workers)
+    first_z = tile_map(tile, np.arange(n * n), n)
     hits = np.flatnonzero(first_z >= 0)
     if hits.size:
         (x, y), z = divmod(int(hits[0]), n), int(first_z[hits[0]])
@@ -349,18 +348,19 @@ def cloud_to_json(cloud: PointCloud) -> dict:
 
 
 def cloud_from_json(obj: dict) -> PointCloud:
-    m = obj["metric"]
-    p = m.get("p", 2.0)
-    if p in ("inf", "Infinity"):
-        p = math.inf
-    md = MetricDescriptor(family=m["family"], dimension=int(m["dimension"]),
-                          p=float(p), alpha=float(m.get("alpha", 1.0)))
-    pts = sorted(obj["points"], key=lambda q: q["id"])
-    ids = [q["id"] for q in pts]
+    with json_shape("cloud JSON"):
+        m, pts = obj["metric"], sorted(obj["points"], key=lambda q: q["id"])
+        p = m.get("p", 2.0)
+        md = dict(family=m["family"], dimension=int(m["dimension"]),
+                  p=math.inf if p in ("inf", "Infinity") else float(p),
+                  alpha=float(m.get("alpha", 1.0)))
+        ids = [q["id"] for q in pts]
+        coords = np.asarray([q["coords"] for q in pts], dtype=np.float64)
+        table = obj.get("distances")
+        table = None if table is None else np.asarray(table, dtype=np.float64)
     if ids != list(range(len(ids))):
         raise InputError("point ids must be unique and contiguous from 0")
-    coords = [q["coords"] for q in pts]
-    return make_cloud(coords, md, table=obj.get("distances"))
+    return make_cloud(coords, MetricDescriptor(**md), table=table)
 
 
 def load_cloud(path: str) -> PointCloud:

@@ -32,11 +32,9 @@ of one block of metric._BLOCK rows each, split over `workers` threads,
 and folds each row by blocks of metric._BLOCK columns as the truncations
 do: a block whose bounds place every pair outside the open band serves
 +0.0 unevaluated, as the masked walk would leave it. Its rows take the
-same reduction tree as every other sum; the raveled chunks it once folded
-are gone, and with them the last bits of its scale changed, once. Given a
-kernel_antisymmetry Check that read exactly 0, it evaluates k(x, y) alone
-and certifies the residual +0.0 from that check; otherwise k(x, y) and
-k(y, x) are evaluated separately, so an antisymmetry defect still shows.
+same reduction tree as every other sum. It evaluates k(x, y) and k(y, x)
+separately, so an antisymmetry defect shows; cancellation_path tells when
+the antisymmetry check certifies the residual +0.0 without it.
 
 Determinism contract: each row is folded over the fixed perfect binary tree
 of sums.fold_rows, and the row results over pairwise_sum, in ascending
@@ -63,7 +61,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import Check, InputError
+from .errors import Check, InputError, json_shape
 from .good_radii import GoodRadiusCertificate
 from . import kernels, metric
 from .kernels import KernelSpec, run_pass, sweep_pair_tiles
@@ -98,10 +96,11 @@ class SimpleFunction:
 
 
 def simple_function_from_json(obj: dict) -> SimpleFunction:
-    return SimpleFunction(terms=tuple(
-        (float(t["coeff"]), Ball(center=int(t["center"]),
-                                 radius=float(t["radius"])))
-        for t in obj["terms"]))
+    with json_shape("simple function JSON"):
+        return SimpleFunction(terms=tuple(
+            (float(t["coeff"]), Ball(center=int(t["center"]),
+                                     radius=float(t["radius"])))
+            for t in obj["terms"]))
 
 
 def _truncated_folds(kt: np.ndarray, dt: np.ndarray, fw: np.ndarray,
@@ -214,18 +213,16 @@ def boundary_pass(m: DiscreteMeasure, ball: Ball, delta: float,
 
 def cancellation_residual(k: KernelSpec, m: DiscreteMeasure, b1: Ball,
                           b2: Ball, delta: float, eps: float,
-                          workers: int = 1,
-                          antisymmetry: Check | None = None
-                          ) -> tuple[float, float]:
+                          workers: int = 1) -> tuple[float, float]:
     """Double sum of k(x,y) w(x) w(y) over (B1 cap B2)^2 in the open band.
 
     Canonical pair ordering: each unordered pair contributes
-    t_upper + t_lower = k(x,y)w(x)w(y) + k(y,x)w(y)w(x), which cancels
-    bit-exactly for antisymmetric kernels. Returns (residual, sum of term
-    magnitudes), each taken over the row tree of every double sum: each
-    row of the r x r arrays in intersection order, zero outside the upper
-    triangle y > x and the band, folded with fold_rows, and the row
-    results with pairwise_sum.
+    t_upper + t_lower = k(x,y)w(x)w(y) + k(y,x)w(y)w(x), with k(x, y) and
+    k(y, x) each evaluated on its own, so an antisymmetry defect shows.
+    Returns (residual, sum of term magnitudes), each taken over the row
+    tree of every double sum: each row of the r x r arrays in intersection
+    order, zero outside the upper triangle y > x and the band, folded with
+    fold_rows, and the row results with pairwise_sum.
 
     The rows are walked one block of metric._BLOCK rows at a time, on
     `workers` threads, in metric.tile_map tiles, so a tile's
@@ -235,22 +232,7 @@ def cancellation_residual(k: KernelSpec, m: DiscreteMeasure, b1: Ball,
     whose bounds lie at or below delta or at or above eps, holds no pair
     of the open band above the diagonal, so it serves +0.0, the fold of
     its masked zeros, and is not evaluated; of the others only the columns
-    b > a0 are evaluated, by kernels.pair_rows.
-
-    Two paths give the same bits. `antisymmetry` is the kernel_antisymmetry
-    Check of k on m.cloud, if the caller has one (cancellation_path).
-
-    - exact: the Check read lhs == 0.0, so k(x, y) + k(y, x) == 0 exactly
-      for every pair, and every value is finite (inf + -inf is NaN).
-      kernel_rows gives a pair the same bits in any block shape, so the
-      values here are those the check read: k(y, x) == -k(x, y). As
-      w(y) w(x) and w(x) w(y) round alike, t_lower == -t_upper bit for
-      bit, and no weight above 1 means no product overflows. So each
-      entry of the residual array is x + (-x) = +0.0, the residual is
-      +0.0, and |t_lower| == |t_upper|: only k(x, y) is evaluated, and
-      only |t_upper| is folded, to `up`; the scale is up + up.
-    - computed: k(x, y) and k(y, x) are evaluated each on its own and all
-      three arrays are folded, so an antisymmetry defect still shows.
+    b > a0 are evaluated, by kernels.pair_rows and kernels.kernel_rows.
     """
     if not 0.0 < delta < eps:
         raise InputError("need 0 < delta < eps")
@@ -260,55 +242,54 @@ def cancellation_residual(k: KernelSpec, m: DiscreteMeasure, b1: Ball,
     if r < 2:
         return 0.0, 0.0
     wr = m.weights[rows]
-    exact = cancellation_path(antisymmetry, m) == "exact"
     boxes = metric._boxes(m.cloud.coords[rows])
     w = min(metric._BLOCK, 1 << (r - 1).bit_length())
     n_blocks = -(-r // w)
 
     def tile(a):
-        # per row a, the folds of the (1 or 3) arrays, from the live column
+        # per row a, the folds of the three arrays, from the live column
         # blocks right of a0 laid side by side
-        a0, ids, n_out = a[0], rows[a], 1 if exact else 3
+        a0, ids = a[0], rows[a]
         lb, ub = metric._block_bounds(m.cloud, ids, boxes)
         live = np.flatnonzero((ub > delta) & (lb < eps))
         live = live[live >= (a0 + 1) // w]
         b = (live[:, None] * w + np.arange(w)).ravel()
         at = np.flatnonzero((b > a0) & (b < r))
         b = b[at]
-        entries = np.zeros((n_out, a.size, live.size * w))
+        entries = np.zeros((3, a.size, live.size * w))
         if b.size:
             km, d = kernels.pair_rows(k, m.cloud, ids, rows[b])
             keep = (d > delta) & (d < eps) & (b[None, :] > a[:, None])
             t_upper = np.where(keep, km * np.outer(wr[a], wr[b]), 0.0)
-            if exact:
-                entries[0][:, at] = np.abs(t_upper)
-            else:  # k(y, x), evaluated on its own
-                km_t = kernels.kernel_rows(k, m.cloud, rows[b], ids).T
-                t_lower = np.where(keep, km_t * np.outer(wr[b], wr[a]).T,
-                                   0.0)
-                entries[:, :, at] = (t_upper + t_lower, np.abs(t_upper),
-                                     np.abs(t_lower))
-        vals = np.zeros((n_out, a.size, n_blocks))
+            km_t = kernels.kernel_rows(k, m.cloud, rows[b], ids).T
+            t_lower = np.where(keep, km_t * np.outer(wr[b], wr[a]).T, 0.0)
+            entries[:, :, at] = (t_upper + t_lower, np.abs(t_upper),
+                                 np.abs(t_lower))
+        vals = np.zeros((3, a.size, n_blocks))
         vals[:, :, live] = fold_rows(entries.reshape(-1, w)).reshape(
-            n_out, a.size, live.size)
-        return fold_rows(vals.reshape(-1, n_blocks)).reshape(n_out, -1).T
+            3, a.size, live.size)
+        return fold_rows(vals.reshape(-1, n_blocks)).reshape(3, -1).T
 
     def row_block(a0):
         return metric.tile_map(
             tile, np.arange(a0, min(a0 + metric._BLOCK, r)), r)
     folds = np.concatenate(thread_map(row_block, range(0, r, metric._BLOCK),
                                       workers))
-    sums = [pairwise_sum(f) for f in folds.T]
-    if exact:
-        return 0.0, sums[0] + sums[0]
-    residual, up, low = sums
+    residual, up, low = (pairwise_sum(f) for f in folds.T)
     return residual, up + low
 
 
 def cancellation_path(antisymmetry: Check | None, m: DiscreteMeasure) -> str:
-    """"exact" if cancellation_residual on m certifies its residual from
-    the kernel_antisymmetry Check `antisymmetry`: it read exactly 0.0 and
-    no weight of m exceeds 1; else "computed"."""
+    """"exact" if the kernel_antisymmetry Check `antisymmetry` of k on
+    m.cloud certifies every cancellation_residual of k on m +0.0 with no
+    walk: it read lhs == 0.0 and no weight of m exceeds 1. Else "computed".
+
+    Then k(x, y) + k(y, x) == 0 for every pair, all finite (inf + -inf is
+    NaN), and kernel_rows gives a pair the same bits in any block shape,
+    so a walk reads k(y, x) == -k(x, y); w(y) w(x) and w(x) w(y) round
+    alike, and weights <= 1 overflow no product, so t_lower == -t_upper:
+    every entry, and every fold, is +0.0.
+    """
     if antisymmetry is not None and antisymmetry.lhs == 0.0 \
             and m.weights.max(initial=0.0) <= 1.0:
         return "exact"

@@ -15,23 +15,17 @@ constant, the antisymmetry check, the kernel size bound, the pairing trace,
 ball 0's annuli and the boundedness trend's own level. Each is reduced as
 its stand-alone function reduces it, so it keeps that function's bits. The
 antisymmetry check reads k(x, y) off the sweep's rows and evaluates k(y, x)
-itself, never reading it off k(x, y). Two walks stay separate, each of the
-same metric.tile_map tiles: the cancellation residuals read the upper
-triangles of their ball intersections, and the trend's lower levels sweep
-their own clouds, on the run's threads. generate walks the upper triangle
-of its N^2 passes on the run's threads. Every double sum, the residuals
-included, takes one reduction tree: fold_rows per row, then pairwise_sum
-over the rows. The residuals took it last, when their raveled chunks were
-dropped; that moved the last bits of each cancellation scale (and so of
-the cancellation checks' rhs) once, and left every residual and every
-other number as it was.
+itself, never reading it off k(x, y). The trend's lower levels sweep their
+own clouds, on the run's threads, in the same metric.tile_map tiles.
+generate validates each cloud in one serial pass over its upper triangle.
+Every double sum takes one reduction tree: fold_rows per row, then
+pairwise_sum over the rows.
 
-An antisymmetry check reading exactly 0 certifies the cancellation
-residuals: k(y, x) == -k(x, y), finite, for every pair, and kernel_rows
-gives a pair the same bits in any block shape, so each residual is +0.0
-and its walk evaluates k(x, y) alone (operator.cancellation_residual
-states the argument). Each witness records "path", "exact" or "computed";
-summary.json keeps the five witness keys it had before.
+operator.cancellation_path picks the cancellation residuals' path once per
+run. On "exact" the antisymmetry check certifies each +0.0 and none is
+walked: cancellation_j is 0.0 <= 0.0, with scale None (null in
+summary.json). On "computed" (a raw base, NaN values) each is walked and
+judged against 1e-13 times its scale. Each witness records its path.
 
 Outputs are byte-stable: data files carry no timestamps (run metadata goes to
 a sidecar), floats are serialized via repr, and all reductions are
@@ -192,7 +186,7 @@ def run_convergence_suite(config: SuiteConfig) -> ConvergenceReport:
     bad config raises InputError before any work; a failed check never
     raises, it is reported with its witness and makes all_ok false."""
     grid = config.eps_grid()
-    _cloud, m, r_min = generate(config.generator, workers=config.workers)
+    _cloud, m, r_min = generate(config.generator)
     m, _ = normalize(m)
     growth = growth_pass(m, config.s, r_min)
     antisymmetry = antisymmetry_pass(config.kernel, m.cloud)
@@ -245,19 +239,22 @@ def run_convergence_suite(config: SuiteConfig) -> ConvergenceReport:
     del trace_rows  # the widest block; freed before the cancellation walks
     checks += trace.checks
 
+    path = cancellation_path(anti, m)
     for j in range(config.n_cancellation):
         b1 = balls[j % len(balls)]
         b2 = balls[(j + 1) % len(balls)]
         lo = float(0.01 + 0.4 * rng.random())
         hi = float(lo + 0.05 + 0.5 * rng.random())
-        resid, scale = cancellation_residual(config.kernel, m, b1, b2, lo, hi,
-                                             workers=config.workers,
-                                             antisymmetry=anti)
+        if path == "exact":  # certified +0.0 by the antisymmetry check
+            resid, scale = 0.0, None
+        else:
+            resid, scale = cancellation_residual(
+                config.kernel, m, b1, b2, lo, hi, workers=config.workers)
         checks.append(Check.le(
-            f"cancellation_{j}", abs(resid), 1e-13 * scale,
+            f"cancellation_{j}", abs(resid), 1e-13 * (scale or 0.0),
             witness={"balls": [b1.center, b2.center], "delta": lo,
                      "eps": hi, "residual": resid, "scale": scale,
-                     "path": cancellation_path(anti, m)}))
+                     "path": path}))
 
     ann_checks, _on_sphere = annuli.reduce(
         annuli_rows, config.s, max(c_cert, 1e-300), c_mu)
@@ -302,8 +299,7 @@ def _boundedness_trend(config: SuiteConfig, params: GoodSetParams,
     gen = config.generator
     out = []
     for level in range(max(1, gen.level - config.levels_back), gen.level):
-        _cloud, m_lev, _ = generate(replace(gen, level=level),
-                                    workers=config.workers)
+        _cloud, m_lev, _ = generate(replace(gen, level=level))
         m_lev, _ = normalize(m_lev)
         ball, row = _trend_ball(params, target, m_lev, level)
         out.append({**row, "value": total_boundary_integral(

@@ -7,7 +7,6 @@ import pytest
 
 from sio_lab import kernels, metric
 from sio_lab.cli import main
-from sio_lab.generators import generate
 
 
 def run(args, capsys):
@@ -111,17 +110,78 @@ def test_threads_below_one_are_a_usage_error(tmp_path, capsys, threads):
     assert f"must be >= 1, got {threads}" in capsys.readouterr().err
 
 
-def test_generate_runs_on_the_given_threads(tmp_path, capsys, monkeypatch):
-    from sio_lab import cli
-    seen = []
+# formerly each exited 1 with a traceback
+@pytest.mark.parametrize("command, file, content, match", [
+    ("check-growth", "--measure", "no weights",
+     "measure JSON has the wrong shape: KeyError: 'weights'"),
+    ("check-growth", "--measure", [1, 2],
+     "measure JSON has the wrong shape: TypeError"),
+    ("check-growth", "--measure", "text weights",
+     "measure JSON has the wrong shape: ValueError"),
+    ("check-growth", "--measure", "ragged coords",
+     "cloud JSON has the wrong shape: ValueError"),
+    ("check-growth", "--measure",
+     {"cloud": {"metric": {"family": "custom_table", "dimension": 1},
+                "points": [{"id": 0, "coords": [0.0]},
+                           {"id": 1, "coords": [1.0]}],
+                "distances": [[0.0, 1.0], [1.0]]},
+      "weights": [0.5, 0.5]},
+     "cloud JSON has the wrong shape: ValueError"),
+    ("report", "--summary", {"checks": [{"name": "c", "lhs": 1.0}]},
+     "has the wrong shape: TypeError"),
+    ("report", "--summary", [{"checks": []}],
+     "has the wrong shape: AttributeError"),
+    ("pairing", "--f", {"terms": [{"coeff": 1.0, "radius": 0.4}]},
+     "simple function JSON has the wrong shape: KeyError: 'center'")],
+    ids=["measure-without-weights", "measure-list", "text-weights",
+         "ragged-coords", "ragged-table", "check-without-rhs", "summary-list",
+         "term-without-center"])
+def test_json_of_the_wrong_shape_is_a_usage_error_naming_its_file(
+        tmp_path, capsys, command, file, content, match):
+    run(["generate", "--level", "2", "--out-dir", str(tmp_path),
+         "--out", "m.json"], capsys)
+    if isinstance(content, str):  # the generated measure, broken
+        measure = json.loads((tmp_path / "m.json").read_text())
+        if content == "no weights":
+            del measure["weights"]
+        elif content == "text weights":
+            measure["weights"][0] = "heavy"
+        else:
+            measure["cloud"]["points"][3]["coords"] = [0.1]
+        content = measure
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({"terms": [{"coeff": 1.0, "center": 0,
+                                        "radius": 0.4}]}))
+    flags = {"check-growth": ["--measure", str(path), "--r-min", "0.05"],
+             "report": ["--summary", str(path)],
+             "pairing": ["--measure", str(tmp_path / "m.json"),
+                         "--f", str(path), "--g", str(g)]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *flags, "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and match in err
 
-    def recording_generate(spec, workers=1):
-        seen.append(workers)
-        return generate(spec, workers=workers)
-    monkeypatch.setattr(cli, "generate", recording_generate)
-    code, _ = run(["generate", "--level", "2", "--threads", "3",
-                   "--out-dir", str(tmp_path)], capsys)
-    assert code == 0 and seen == [3]
+
+@pytest.mark.parametrize("argv, match", [
+    (["generate", "--level", "9"], "level 9 exceeds 65536 atoms"),
+    (["converge", "--level", "9"], "level 9 exceeds 65536 atoms"),
+    (["good-radii", "--center", "0", "--lambda", "16", "--depth", "4",
+      "--materialize", "good.json"], "maximum feasible depth is 2")],
+    ids=["generate", "converge", "good-radii"])
+def test_a_budget_overrun_is_a_usage_error_naming_the_limit(
+        tmp_path, capsys, argv, match):
+    # formerly a BudgetError traceback: exit 1
+    run(["generate", "--level", "2", "--out-dir", str(tmp_path),
+         "--out", "m.json"], capsys)
+    if argv[0] == "good-radii":
+        argv = [*argv, "--measure", str(tmp_path / "m.json")]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert match in capsys.readouterr().err
 
 
 def test_pairing_trace_csv(tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import dense_distances
+from sio_lab import metric
 from sio_lab.errors import BudgetError, InputError
 from sio_lab.generators import GeneratorSpec, generate
 
@@ -72,11 +73,13 @@ def test_budget_and_ratio_validation():
         GeneratorSpec(family="nonsense")
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_uniform_random_r_min_is_pinned(workers):
-    # the CLI's --family uniform_random --count 300; the full-row walk's bits
+@pytest.mark.parametrize("tile_rows", [1, 2, 3])
+def test_uniform_random_r_min_is_pinned(tile_rows, monkeypatch):
+    # the CLI's --family uniform_random --count 300; the full-row walk's
+    # bits, in tiles of 1, 2 or 3 rows of 300 columns
+    monkeypatch.setattr(metric, "_TILE_PAIRS", tile_rows * 300)
     _cloud, _, r_min = generate(GeneratorSpec(family="uniform_random",
-                                              count=300), workers=workers)
+                                              count=300))
     assert r_min.hex() == "0x1.ea1e837a5f27fp-10"
 
 

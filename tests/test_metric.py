@@ -111,19 +111,19 @@ def test_a_violation_below_half_an_ulp_is_caught_by_the_tie_rule():
                table=[[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]])
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_the_triple_named_is_the_first_in_row_major_order(workers,
+@pytest.mark.parametrize("tile_pairs", [1, 2])
+def test_the_triple_named_is_the_first_in_row_major_order(tile_pairs,
                                                          monkeypatch):
     """Against every triple in Fraction arithmetic, on random symmetric
     tables of values whose sums tie or round (0.1 + 0.2 > 0.3 in floats),
-    walked in tiles of 3 pairs that end mid-row."""
+    walked in tiles of 1 pair, or of 2 pairs that end mid-row."""
     from sio_lab import metric
-    monkeypatch.setattr(metric, "_TILE_PAIRS", 3 * 6)
     values = [0.1, 0.2, 0.3, 1 / 3, 2 / 3, 1.0, 0.5, 0.8]
     rng = np.random.default_rng(11)
     named = set()
     for _ in range(60):
         n = int(rng.integers(3, 7))
+        monkeypatch.setattr(metric, "_TILE_PAIRS", tile_pairs * n)
         table = np.array(values)[rng.integers(0, len(values), (n, n))]
         table = np.triu(table, 1) + np.triu(table, 1).T
         exact = [[Fraction(v) for v in row] for row in table.tolist()]
@@ -131,7 +131,7 @@ def test_the_triple_named_is_the_first_in_row_major_order(workers,
                       for z in range(n)
                       if exact[x][y] + exact[y][z] < exact[x][z]), None)
         try:
-            metric._check_triangles(table, workers)
+            metric._check_triangles(table)
             assert first is None
         except InputError as exc:
             x, y, z = first
@@ -291,25 +291,23 @@ def test_diameter_pass_walks_the_upper_triangle(md, monkeypatch):
         for dst, src in copies.items():
             coords[dst] = coords[src]
         want = full_row_walk(coords, md)
-        for workers in (1, 2, 3):
-            pairs.clear()
-            try:
-                got = float(make_cloud(coords, md,
-                                       workers=workers).diameter).hex()
-            except DegenerateInputError as exc:
-                got = str(exc)
-            assert got == want
-            if not copies:
-                # the floor reads the 4 x 4 pairs of the extreme points 0,
-                # 0, 143 and 12. No block pair of the lattice is decided by
-                # its bounds, so the 64-row block from b reads all 156 - b
-                # columns y >= b, in tiles of 7 * 156 // (156 - b) rows,
-                # and the tile of rows from x0 evaluates columns y >= x0
-                assert sum(pairs) == 16 + sum(
-                    min(step, b + 64 - x0, 156 - x0) * (156 - x0)
-                    for b in range(0, 156, 64)
-                    for step in [7 * 156 // (156 - b)]
-                    for x0 in range(b, min(b + 64, 156), step)) == 13140
+        pairs.clear()
+        try:
+            got = float(make_cloud(coords, md).diameter).hex()
+        except DegenerateInputError as exc:
+            got = str(exc)
+        assert got == want
+        if not copies:
+            # the floor reads the 4 x 4 pairs of the extreme points 0, 0,
+            # 143 and 12. No block pair of the lattice is decided by its
+            # bounds, so the 64-row block from b reads all 156 - b columns
+            # y >= b, in tiles of 7 * 156 // (156 - b) rows, and the tile
+            # of rows from x0 evaluates columns y >= x0
+            assert sum(pairs) == 16 + sum(
+                min(step, b + 64 - x0, 156 - x0) * (156 - x0)
+                for b in range(0, 156, 64)
+                for step in [7 * 156 // (156 - b)]
+                for x0 in range(b, min(b + 64, 156), step)) == 13140
     assert want.startswith("points 10 and 60 ")
 
 
@@ -429,11 +427,15 @@ def clustered(n, md):
 
 @pytest.mark.parametrize("md", [E2, L1, MetricDescriptor(
     "euclidean_p", 2, p=math.inf), SNOW], ids=["E2", "L1", "Linf", "SNOW"])
-@pytest.mark.parametrize("workers", [1, 2])
-def test_diameter_pass_skips_only_blocks_that_hold_neither(md, workers):
+@pytest.mark.parametrize("tile_rows", [1, 2])
+def test_diameter_pass_skips_only_blocks_that_hold_neither(md, tile_rows,
+                                                           monkeypatch):
     """make_cloud's diameter and the duplicate pair it names are the full
     matrix's, with a duplicate inside a block, across blocks, and across a
-    block pair that the diameter floor alone would skip."""
+    block pair that the diameter floor alone would skip, in tiles of at
+    least 1 or 2 rows of the live columns."""
+    from sio_lab import metric
+    monkeypatch.setattr(metric, "_TILE_PAIRS", tile_rows * 300)
     base = clustered(300, md)
     # duplicate 3 at 70: rows 0..63 against rows 64..127 hold no pair at
     # the floor, the largest distance among the extreme points, but the
@@ -453,7 +455,7 @@ def test_diameter_pass_skips_only_blocks_that_hold_neither(md, workers):
             coords[dst] = coords[src]
         want = full_row_walk(coords, md)
         try:
-            got = float(make_cloud(coords, md, workers=workers).diameter).hex()
+            got = float(make_cloud(coords, md).diameter).hex()
         except DegenerateInputError as exc:
             got = str(exc)
         assert got == want

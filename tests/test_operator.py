@@ -520,12 +520,8 @@ def test_tiled_checks_match_dense_oracle(kernel, metric, workers,
         got = cancellation_residual(kernel, m, b1, b2, float(dist[delta]),
                                     float(dist[eps]), workers)
         assert bits(got) == bits(want)
-        # with the check, the exact path certifies the same bits; NaN
-        # values fail the check and keep the computed walk
-        got = cancellation_residual(kernel, m, b1, b2, float(dist[delta]),
-                                    float(dist[eps]), workers,
-                                    antisymmetry=rep)
-        assert bits(got) == bits(want)
+        # the check certifies these residuals +0.0 without a walk; NaN
+        # values fail it, and the suite walks them
         assert cancellation_path(rep, m) \
             == ("computed" if kernel is NAN_BASE else "exact")
 
@@ -597,11 +593,10 @@ def test_symmetric_checks_evaluate_only_the_upper_triangle(workers,
                                                 & (lb < eps))[b // 64])
         return total
 
-    def walk(kernel, delta, eps, check=None):
+    def walk(kernel, delta, eps):
         for name in pairs:
             pairs[name].clear()
-        got = cancellation_residual(kernel, m, b1, b2, delta, eps, workers,
-                                    antisymmetry=check)
+        got = cancellation_residual(kernel, m, b1, b2, delta, eps, workers)
         assert bits(got) == bits(dense_cancellation(kernel, m, b1, b2,
                                                     delta, eps))
         return got, sum(pairs["pair_rows"]), sum(pairs["kernel_rows"])
@@ -615,10 +610,8 @@ def test_symmetric_checks_evaluate_only_the_upper_triangle(workers,
         # columns
         got, upper, lower = walk(RIESZ, delta, eps)
         assert got[0] == 0.0 and upper == lower == live
-        # the exact path evaluates k(x, y) alone: half the pairs, same bits
+        # the check that lets the suite skip this walk
         assert anti.lhs == 0.0 and cancellation_path(anti, m) == "exact"
-        exact, upper, lower = walk(RIESZ, delta, eps, anti)
-        assert bits(exact) == bits(got) and (upper, lower) == (live, 0)
         # k(y, x) is evaluated, not derived: a symmetric kernel leaves a
         # residual
         got, upper, lower = walk(SYMMETRIC, delta, eps)
@@ -662,7 +655,7 @@ def test_one_ulp_off_takes_the_computed_path(workers, monkeypatch):
     assert off.lhs > 0.0 and off.witness["pair"] == (x, y)
     assert cancellation_path(off, m) == "computed"
     resid, scale = cancellation_residual(RIESZ, m, b1, b2, delta, eps,
-                                         workers, antisymmetry=off)
+                                         workers)
     assert resid == want != 0.0 and abs(resid) <= 1e-13 * scale
 
 
@@ -679,7 +672,7 @@ def test_weights_above_one_keep_the_computed_path():
     heavy = make_measure(m.cloud, m.weights * 1e160)
     assert cancellation_path(anti, heavy) == "computed"
     got = cancellation_residual(RIESZ, heavy, Ball(3, 16.0), Ball(3, 16.0),
-                                0.5, 20.0, antisymmetry=anti)
+                                0.5, 20.0)
     assert math.isnan(got[0])
     assert bits(got) == bits(dense_cancellation(RIESZ, heavy, Ball(3, 16.0),
                                                 Ball(3, 16.0), 0.5, 20.0))
@@ -764,7 +757,7 @@ def test_truncated_folds_with_bounds_equal_masked_folds(n, metric):
 @pytest.mark.parametrize("n", [300, 40])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_trace_and_cancellation_with_bounds_match_dense_oracle(n, workers):
-    """The trace and both cancellation paths on a clustered cloud, with eps
+    """The trace and the cancellation walk on a clustered cloud, with eps
     and delta on pair distances and on box bounds, against the dense
     oracles; the residual walk evaluates fewer pairs than its triangle."""
     m = clustered_measure(n, E2, seed=3)
@@ -781,21 +774,19 @@ def test_trace_and_cancellation_with_bounds_match_dense_oracle(n, workers):
     assert bits(trace.cauchy_diffs) == bits(lhs for lhs, _, _ in steps)
     assert bits(trace.bound_values) == bits(rhs for _, rhs, _ in steps)
 
-    anti = kernels.check_antisymmetry(RIESZ, m.cloud)
     whole = Ball(0, float(dist[-1]))
     real = kernels.pair_rows
     for delta, eps in zip(grid[1:], grid):
         want = dense_cancellation(RIESZ, m, whole, whole, delta, eps)
-        for check in (None, anti):
-            pairs = []
+        pairs = []
 
-            def counting(k, cloud, rows, cols=None):
-                pairs.append(np.size(rows) * np.size(cols))
-                return real(k, cloud, rows, cols)
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(kernels, "pair_rows", counting)
-                got = cancellation_residual(RIESZ, m, whole, whole, delta,
-                                            eps, workers, antisymmetry=check)
-            assert bits(got) == bits(want)
-            if n > 64:
-                assert sum(pairs) < n * (n - 1) // 2
+        def counting(k, cloud, rows, cols=None):
+            pairs.append(np.size(rows) * np.size(cols))
+            return real(k, cloud, rows, cols)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "pair_rows", counting)
+            got = cancellation_residual(RIESZ, m, whole, whole, delta, eps,
+                                        workers)
+        assert bits(got) == bits(want)
+        if n > 64:
+            assert sum(pairs) < n * (n - 1) // 2

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import dense_distances, dense_kernel
 from sio_lab import kernels, measure, metric, operator, suite
 from sio_lab.errors import InputError
 from sio_lab.generators import GeneratorSpec, generate
@@ -275,10 +276,18 @@ def test_a_failing_run_reports_its_first_failing_check():
 @pytest.mark.parametrize("kernel, path", [(RIESZ, "exact"),
                                           (GENERIC, "exact"),
                                           (RAW, "computed")])
-def test_cancellation_witness_names_its_path(kernel, path):
-    """An antisymmetry check reading exactly 0 certifies each residual;
-    its bits are those of the computed walk, and summary.json keeps the
+def test_cancellation_witness_names_its_path(kernel, path, monkeypatch):
+    """An antisymmetry check reading exactly 0 certifies each residual with
+    no walk: the check is 0.0 <= 0.0 and its scale is null. A raw base is
+    walked, with the bits of a stand-alone call. summary.json keeps the
     five witness keys it had before the path was recorded."""
+    calls = []
+    real = suite.cancellation_residual
+
+    def counting(*args, **kw):
+        calls.append(args[2:6])
+        return real(*args, **kw)
+    monkeypatch.setattr(suite, "cancellation_residual", counting)
     config = small_config(kernel=kernel, n_cancellation=4, seed=3)
     report = run_convergence_suite(config)
     assert (report.check("kernel_antisymmetry").lhs == 0.0) \
@@ -288,16 +297,67 @@ def test_cancellation_witness_names_its_path(kernel, path):
     radius = {b.center: float(Fraction(*b.radius)) for b in report.balls}
     checks = [c for c in report.checks if c.name.startswith("cancellation_")]
     assert len(checks) == 4
-    for c in checks:
+    assert len(calls) == (0 if path == "exact" else 4)
+    summary = report_to_json(report)
+    for c, entry in zip(checks, summary["cancellation"]):
         w = c.witness
-        assert w["path"] == path
+        assert w["path"] == path and c.ok == entry["ok"]
         b1, b2 = (Ball(z, radius[z]) for z in w["balls"])
         want = operator.cancellation_residual(kernel, m, b1, b2, w["delta"],
                                               w["eps"])
-        assert bits([w["residual"], w["scale"]]) == bits(want)
-        assert w["scale"] > 0.0  # seed 3: every band holds pairs
-    assert [sorted(c) for c in report_to_json(report)["cancellation"]] \
+        assert want[1] > 0.0  # seed 3: every band holds pairs
+        if path == "exact":
+            assert bits(want[:1]) == bits([0.0])  # what the check certifies
+            assert (w["residual"], w["scale"]) == (0.0, None)
+            assert bits([c.lhs, c.rhs]) == bits([0.0, 0.0]) and c.ok
+            assert entry["scale"] is None
+        else:
+            assert bits([w["residual"], w["scale"]]) == bits(want)
+            assert bits([c.rhs]) == bits([1e-13 * want[1]])
+    written = {c["name"]: c for c in summary["checks"]}
+    assert [written[c.name]["rhs"] == 0.0 for c in checks] \
+        == [path == "exact"] * 4
+    assert [sorted(c) for c in summary["cancellation"]] \
         == [["balls", "delta", "eps", "ok", "residual", "scale"]] * 4
+
+
+def test_a_kernel_one_ulp_off_is_walked_and_shows_its_residual(monkeypatch):
+    """k(x, y) one ulp off -k(y, x) at one pair of cancellation_0's band:
+    the antisymmetry check names the pair, the run takes the computed path,
+    and the residual is that pair's nonzero term difference."""
+    config = small_config(n_cancellation=4, seed=3)
+    exact = run_convergence_suite(config)
+    w = exact.check("cancellation_0").witness
+    _cloud, m, _ = generate(config.generator)
+    m, _ = normalize(m)
+    radius = {b.center: float(Fraction(*b.radius)) for b in exact.balls}
+    b1, b2 = (Ball(z, radius[z]) for z in w["balls"])
+    rows = np.nonzero(b1.members(m.cloud) & b2.members(m.cloud))[0]
+    d = dense_distances(m.cloud)[np.ix_(rows, rows)]
+    km, wt = dense_kernel(RIESZ, m.cloud), m.weights
+    band = rows[np.argwhere((d > w["delta"]) & (d < w["eps"])
+                            & np.triu(np.ones(d.shape, bool), k=1))]
+    x, y, want = next(
+        (x, y, diff) for x, y in band.tolist()
+        for diff in [np.nextafter(km[x, y], np.inf) * (wt[x] * wt[y])
+                     - km[x, y] * (wt[x] * wt[y])] if diff != 0.0)
+    real = kernels._kernel_block
+
+    def one_ulp_off(k, cloud, rows, cols):
+        vals, norm = real(k, cloud, rows, cols)
+        cols = np.arange(cloud.n_points) if cols is None else np.asarray(cols)
+        at = (np.asarray(rows)[:, None] == x) & (cols[None, :] == y)
+        vals[at] = np.nextafter(vals[at], np.inf)
+        return vals, norm
+    monkeypatch.setattr(kernels, "_kernel_block", one_ulp_off)
+    report = run_convergence_suite(config)
+    anti = report.check("kernel_antisymmetry")
+    assert anti.lhs > 0.0 and anti.witness["pair"] == (x, y)
+    c = report.check("cancellation_0")
+    assert c.witness["path"] == "computed"
+    assert c.witness["balls"] == w["balls"]
+    assert c.witness["residual"] == want != 0.0 and c.lhs == abs(want)
+    assert c.witness["scale"] > 0.0
 
 
 def test_a_rejected_radius_fails_its_check_without_raising(monkeypatch):
@@ -421,9 +481,9 @@ def test_run_generates_each_level_once_and_builds_no_matrix(kernel,
     levels, matrices = [], []
     real_generate, real_matrix = suite.generate, kernels.kernel_matrix
 
-    def counting_generate(spec, workers=1):
+    def counting_generate(spec):
         levels.append(spec.level)
-        return real_generate(spec, workers=workers)
+        return real_generate(spec)
 
     def counting_matrix(k, cloud):
         matrices.append(cloud.n_points)
