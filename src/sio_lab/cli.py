@@ -41,9 +41,13 @@ def _threads(text: str) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file supplying defaults for flags")
-    p.add_argument("--threads", type=_threads, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default=".")
+
+
+def _add_threads(p: argparse.ArgumentParser) -> None:
+    """--threads, for the subcommands that walk pair tiles on threads."""
+    p.add_argument("--threads", type=_threads, default=1)
 
 
 def _read_json(path: str):
@@ -263,6 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-growth", help="certify the growth constant")
     _add_common(p)
+    _add_threads(p)
     p.add_argument("--measure", required=True)
     p.add_argument("--s", type=float, default=1.0)
     p.add_argument("--r-min", type=float, required=True)
@@ -270,6 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-kernel", help="certify kernel bounds")
     _add_common(p)
+    _add_threads(p)
     p.add_argument("--measure", required=True)
     _add_kernel_flags(p)
     p.set_defaults(func=cmd_check_kernel, parser=p)
@@ -289,6 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pairing", help="pairing trace along an eps grid")
     _add_common(p)
+    _add_threads(p)
     p.add_argument("--measure", required=True)
     _add_kernel_flags(p)
     p.add_argument("--f", required=True)
@@ -300,6 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("converge", help="full convergence suite")
     _add_common(p)
+    _add_threads(p)
     p.add_argument("--family", default="four_corner_cantor")
     p.add_argument("--level", type=int, default=4)
     p.add_argument("--ratio", type=float, default=0.25)

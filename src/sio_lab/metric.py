@@ -172,20 +172,28 @@ def _block_bounds(cloud: PointCloud, rows: np.ndarray, boxes
     return _norm(md, list(gaps.T)), _norm(md, list(spans.T))
 
 
-_TILE_PAIRS = 1 << 16  # pair entries per row tile
+_TILE_PAIRS = 1 << 16  # pair entries per row tile and thread
 
 
 def tile_map(fn, rows, n_cols: int, workers: int = 1):
     """The one row-tile walker: fn(tile) on each tile of `rows`, stacked.
 
-    Tiles hold max(1, _TILE_PAIRS // n_cols) rows, so a tile of n_cols
-    columns holds about _TILE_PAIRS pairs and memory stays bounded at any
-    size. Tiles are split over `workers` threads; the stacked result does
-    not depend on how. A fn returning a tuple of arrays gives the tuple of
-    their stacks.
+    Tiles hold max(1, workers * _TILE_PAIRS // n_cols) rows, so a tile of
+    n_cols columns holds about workers * _TILE_PAIRS pairs: a serial walk
+    keeps tiles of _TILE_PAIRS pairs, and on `workers` threads each tile is
+    `workers` times taller, so the threads trade the interpreter lock fewer
+    times per row. The `workers` threads each hold one tile's temporaries,
+    workers * _TILE_PAIRS pairs, so in-flight memory is about workers^2 *
+    _TILE_PAIRS pairs at any size, and sums.thread_map submits at most
+    2 * workers tiles ahead of the one it collects. No caller's result
+    depends on the split or on the tile height: a row's sums do not depend
+    on the rows that share its tile, and the upper-triangle walks that read
+    the columns from a tile's first row on take maxima that every height
+    covers alike. A fn returning a tuple of arrays gives the tuple of their
+    stacks.
     """
     rows = np.asarray(rows)
-    step = max(1, _TILE_PAIRS // max(1, n_cols))
+    step = max(1, workers * _TILE_PAIRS // max(1, n_cols))
     tiles = [rows[i:i + step] for i in range(0, rows.size, step)] or [rows]
     parts = thread_map(fn, tiles, workers)
     if isinstance(parts[0], tuple):

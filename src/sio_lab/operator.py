@@ -2,9 +2,9 @@
 
 Everything here is a finite double sum over atom pairs: one tile walk and
 one reduction tree. Every N^2 pass walks the rows it needs with
-`metric.tile_map`, in tiles of about _TILE_PAIRS pairs, max(1, _TILE_PAIRS
-// N) rows of N columns each, so memory stays bounded at any N and no
-N x N kernel or distance array exists. `kernels.sweep_pair_tiles` is the
+`metric.tile_map`, in tiles of max(1, workers * _TILE_PAIRS // N) rows of
+N columns each, so memory stays bounded at any N and no N x N kernel or
+distance array exists. `kernels.sweep_pair_tiles` is the
 pair engine: it builds each tile's kernel rows and metric-distance rows
 once, by `kernels.pair_rows` for either kernel family, for every sum that
 reads the tile.
@@ -16,11 +16,14 @@ bounds every distance of a block exactly, so a block beyond eps serves
 its one unmasked fold, a block within eps serves +0.0, and only the
 blocks that straddle eps are masked and folded again. That is the only
 path: the dense fold of an eps that every block straddles, and its reuse
-of an unchanged mask, are gone. Every step's scale band and ball bands go
-in one sums.fold_keys call over the pairs inside the grid, keyed by band.
-That fold walks fold_rows' tree over the band's pairs alone, adding a
-lone child to +0.0 as the dense tree adds it to a masked zero, so the
-bits are those of one masked dense fold per band.
+of an unchanged mask, are gone. The step bands are block-decided over the
+same bounds: a block inside one step's band serves that step its unmasked
+fold, a block outside the grid serves +0.0, and only the pairs inside the
+grid of the blocks that straddle a band edge go, keyed by band, row and
+block, into one sums.fold_keys call. That fold walks fold_rows' tree over
+those pairs alone up to the block's width, adding a lone child to +0.0 as
+the dense tree adds it to a masked zero; the block values then take the
+upper levels, so the bits are those of one masked dense fold per band.
 
 The row sums are split into a per-tile function and a reduction, a
 `metric.RowPass`: trace_pass, annuli_pass and boundary_pass (with
@@ -315,16 +318,24 @@ def _pairing_pass(m: DiscreteMeasure, f: SimpleFunction, g: SimpleFunction,
     (values, checks).
 
     Per tile, per-row folds are taken of: the strict truncation at each eps;
-    the scale band delta < d <= eps of each step; and each ball's band
-    delta < d <= eps (rows in the ball, columns outside it). The nested
-    truncations are _truncated_folds' block folds. The bands of all steps
-    are disjoint, so the pairs with eps_last < d <= eps_0 are picked once,
-    each gets its step, and one fold_keys call folds every (band, step,
-    row) over its own pairs: bit-identical to a dense fold of the masked row, since a
-    lone child is added to +0.0 like a masked zero, at a cost that follows
-    the pairs inside eps_0, not the grid length times the balls. Row folds
-    are then reduced with pairwise_sum exactly as one pairing, one boundary
-    term or one scale would reduce them alone.
+    the scale band delta < d <= eps of each step, of |k| |f| w; and each
+    ball's band delta < d <= eps of |k| w (rows in the ball, columns
+    outside it). The nested truncations are _truncated_folds' block folds,
+    and the bands are block folds too, over the same metric._block_bounds:
+    each row is folded by aligned blocks of metric._BLOCK columns. A block
+    whose bounds lie inside one step's band serves, for that step, its
+    unmasked fold (one dense fold of |k| |f| w, and one of |k| w per ball
+    over the ball's rows, masked to its outside columns); a block outside
+    the grid, or a step's band that the bounds miss, serves +0.0, the fold
+    of its masked zeros. Only the blocks that straddle a band edge are
+    read pair by pair: their pairs inside the grid are picked once, each
+    gets its step, and one fold_keys call folds every (band, step, row,
+    block) over its own pairs, adding a lone child to +0.0 as the dense
+    tree adds it to a masked zero. The block values of every band then
+    take the upper levels of the tree together, so each band keeps the
+    bits of one dense fold of its masked row. Row folds are then reduced
+    with pairwise_sum exactly as one pairing, one boundary term or one
+    scale would reduce them alone.
     """
     cloud, w = m.cloud, m.weights
     fvals, gvals = f.values(cloud), g.values(cloud)
@@ -337,48 +348,92 @@ def _pairing_pass(m: DiscreteMeasure, f: SimpleFunction, g: SimpleFunction,
               if 0 < np.count_nonzero(inside) < m.n_atoms]
 
     n_steps, n_cols = len(steps), m.n_atoms
-    pad = 1 << (n_cols - 1).bit_length()  # fold_keys' padded row width
+    n_bands = (1 + len(banded)) * n_steps  # (family, step) pairs
+    bw = min(metric._BLOCK, 1 << (n_cols - 1).bit_length())  # block width
+    n_blocks = -(-n_cols // bw)
+    width = n_blocks * bw  # a row's columns padded to whole blocks
     ascending = np.asarray(grid[::-1])
     step_type = np.min_scalar_type(n_steps)  # numpy radix-sorts these
-    ball_sides = [(inside, ~inside) for _, inside in banded]
+    # per family, its rows (None: every row), the column factor of its
+    # terms and its columns (None: every column), padded to `width`
+    w_pad, afw_pad = (np.pad(a, (0, width - n_cols)) for a in (w, afw))
+    families = [(None, afw_pad, None)] + [
+        (inside, w_pad, np.pad(~inside, (0, width - n_cols)))
+        for _, inside in banded]
 
-    def band_entries(kt, dt, rows):
-        """The tile's band terms and their fold_keys keys, in key order: one
-        row per (family, step, tile row), the scale band's |k| |f| w first,
-        then each ball's |k| w over rows inside it and columns outside."""
-        # the pairs inside eps_0 and outside eps_last, in row-major order,
-        # then stably by step j: eps_{j+1} < d <= eps_j
+    def step_of(d):
+        """j with eps_{j+1} < d <= eps_j; -1 above eps_0, n_steps at or
+        below eps_last."""
+        return n_steps - np.searchsorted(ascending, d)
+
+    def block_columns(blocks):
+        return (blocks[:, None] * bw + np.arange(bw)).ravel()
+
+    def keyed_folds(kt, dt, rows, blocks):
+        """fold_keys' (family, step, row, block) folds of the in-grid pairs
+        of the given blocks: the pairs in row-major order, then stably by
+        step, keyed by band, row and column."""
+        cols = block_columns(blocks)
+        cols = cols[cols < n_cols]
+        if cols.size < n_cols:
+            kt, dt = kt[:, cols], dt[:, cols]
         at = np.flatnonzero((dt > grid[-1]) & (dt <= grid[0]))
-        step = (n_steps - np.searchsorted(ascending, dt.ravel()[at])
-                ).astype(step_type)
+        step = step_of(dt.ravel()[at]).astype(step_type)
         order = np.argsort(step, kind="stable")
         at = at[order]
-        r, c = np.divmod(at, n_cols)
-        key = (step[order].astype(np.int64) * rows.size + r) * pad + c
         a = np.abs(kt.ravel()[at])
-        vals, keys = [a * afw[c]], [key]
-        family = n_steps * rows.size * pad  # keys per family
-        for b, (inside, outside) in enumerate(ball_sides, start=1):
-            held = inside[rows]
-            if not held.any():
-                continue
-            e = np.flatnonzero(outside[c] if held.all()
-                               else held[r] & outside[c])
-            vals.append(a[e] * w[c[e]])
-            keys.append(key[e] + b * family)
-        return np.concatenate(vals), np.concatenate(keys)
+        r, c = np.divmod(at, cols.size)
+        if cols.size < n_cols:
+            c = cols[c]
+        key = (step[order].astype(np.int64) * rows.size + r) * width + c
+        vals, keys = [], []
+        for b, (inside, factor, outside) in enumerate(families):
+            e = slice(None)
+            if inside is not None:
+                held = inside[rows]
+                if not held.any():
+                    continue
+                e = np.flatnonzero(outside[c] if held.all()
+                                   else held[r] & outside[c])
+            vals.append(a[e] * factor[c[e]])
+            keys.append(key[e] + b * n_steps * rows.size * width)
+        return fold_keys(np.concatenate(vals), np.concatenate(keys),
+                         n_bands * rows.size * n_blocks, bw)
+
+    def band_folds(kt, dt, rows, bounds):
+        """Per tile row, the fold of each (family, step) band."""
+        lo, hi = (step_of(x) for x in bounds)  # lo >= hi, as lb <= ub
+        straddle = np.flatnonzero(lo > hi)
+        vals = (keyed_folds(kt, dt, rows, straddle) if straddle.size
+                else np.zeros(n_bands * rows.size * n_blocks)
+                ).reshape(-1, n_steps, rows.size, n_blocks)
+        whole = np.flatnonzero((lo == hi) & (lo >= 0) & (lo < n_steps))
+        if whole.size:
+            cols = block_columns(whole)
+            a = np.zeros((rows.size, cols.size))
+            inner = cols < n_cols
+            a[:, inner] = np.abs(kt[:, cols[inner]])
+            j = lo[whole][:, None]
+            for b, (inside, factor, outside) in enumerate(families):
+                if inside is None:
+                    held, t = np.arange(rows.size), a * factor[cols]
+                else:
+                    held = np.flatnonzero(inside[rows])
+                    t = np.where(outside[cols], a[held] * factor[cols], 0.0)
+                if held.size:
+                    vals[b, j, held, whole[:, None]] = fold_rows(
+                        t.reshape(-1, bw)).reshape(held.size, -1).T
+        return fold_rows(vals.reshape(-1, n_blocks)).reshape(-1, rows.size).T
 
     boxes = metric._boxes(cloud.coords)
 
     def tile(kt, dt, rows):
-        truncs = np.stack(_truncated_folds(
-            kt, dt, fw, grid, metric._block_bounds(cloud, rows, boxes)),
-            axis=1)
+        bounds = metric._block_bounds(cloud, rows, boxes)
+        truncs = np.stack(_truncated_folds(kt, dt, fw, grid, bounds), axis=1)
         if not steps:
             return truncs
-        bands = fold_keys(*band_entries(kt, dt, rows),
-                          (1 + len(banded)) * n_steps * rows.size, n_cols)
-        return np.concatenate([truncs, bands.reshape(-1, rows.size).T], axis=1)
+        return np.concatenate([truncs, band_folds(kt, dt, rows, bounds)],
+                              axis=1)
 
     def reduce(res):
         n_eps, n_steps = len(grid), len(steps)

@@ -7,14 +7,20 @@ is folded over the perfect binary tree of its zero-padded width
 (pairwise_sum, fold_rows' one-row case). fold_keys walks the same tree
 over rows given only by their nonzero entries; it adds a lone child to
 +0.0 as the dense tree adds it to a masked zero, so its rows are
-bit-identical to fold_rows'. Parallel execution only ever hands out whole
-rows. thread_map is the lab's one thread pool, and metric.tile_map hands
-it row tiles. No sum folds a raveled matrix any more: the cancellation
-residual, the last to do so, moved to the row tree, which changed the last
-bits of its scale once.
+bit-identical to fold_rows'. The pairing trace hands it only the blocks
+of 64 columns that straddle a band edge, folded to block width; the
+blocks that their distance bounds decide are folded densely or are +0.0.
+Parallel execution only ever hands out whole rows. thread_map is the
+lab's one thread pool, and metric.tile_map hands it row tiles; it keeps
+about 2 * workers tiles submitted ahead of the one it collects, so a walk
+of many one-row tiles holds no future per tile. No sum folds a raveled
+matrix any more: the cancellation residual, the last to do so, moved to
+the row tree, which changed the last bits of its scale once.
 """
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 
 import numpy as np
 
@@ -101,8 +107,20 @@ def pairwise_sum(values) -> float:
 
 def thread_map(fn, items, workers: int = 1) -> list:
     """[fn(item) for item in items], on up to `workers` threads when there
-    is more than one item; results come back in the order of items."""
+    is more than one item; results come back in the order of items.
+
+    At most 2 * workers items are submitted ahead of the one collected
+    next, so a walk of many small tiles holds a window of futures and
+    results, not one per item."""
     if workers > 1 and len(items) > 1:
+        out = []
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
+            todo = iter(items)
+            ahead = deque(pool.submit(fn, item)
+                          for item in islice(todo, 2 * workers))
+            while ahead:
+                out.append(ahead.popleft().result())
+                for item in islice(todo, 1):
+                    ahead.append(pool.submit(fn, item))
+        return out
     return [fn(item) for item in items]

@@ -235,7 +235,7 @@ def test_flag_typed_at_its_default_beats_the_config(tmp_path, capsys,
                                                     monkeypatch):
     from sio_lab import cli
     with open(tmp_path / "cfg.json", "w") as fh:
-        json.dump({"count": 10, "threads": 2, "family": "uniform_random"}, fh)
+        json.dump({"count": 10, "family": "uniform_random"}, fh)
     cfg = str(tmp_path / "cfg.json")
     # --count 64 is the flag's default value, typed on purpose
     code, out = run(["generate", "--config", cfg, "--count", "64",
@@ -244,10 +244,14 @@ def test_flag_typed_at_its_default_beats_the_config(tmp_path, capsys,
     code, out = run(["generate", "--config", cfg,
                      "--out-dir", str(tmp_path)], capsys)
     assert code == 0 and "10 atoms" in out
+    # generate takes no --threads, so converge gets a config of its own
+    with open(tmp_path / "converge.json", "w") as fh:
+        json.dump({"count": 10, "threads": 2, "family": "uniform_random"}, fh)
     seen = []
     monkeypatch.setattr(cli, "cmd_converge", lambda args: seen.append(
         (args.threads, args.count)) or 0)
-    assert main(["converge", "--config", cfg, "--threads", "1"]) == 0
+    assert main(["converge", "--config", str(tmp_path / "converge.json"),
+                 "--threads", "1"]) == 0
     assert seen == [(1, 10)]
 
 
@@ -517,10 +521,10 @@ def test_check_kernel_with_a_nan_kernel_fails(tmp_path, capsys):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_check_kernel_prints_the_same_at_any_thread_count(
         tmp_path, capsys, monkeypatch, threads):
-    """9-row tiles of the 64-atom cloud, one walk of them for both checks:
-    the kernel is evaluated on each row k(x, .) once, and on k(y, x) for
-    y >= x0 in the tile from row x0; the output does not depend on how the
-    tiles are split over threads."""
+    """9-row tiles of the 64-atom cloud per thread, one walk of them for
+    both checks: the kernel is evaluated on each row k(x, .) once, and on
+    k(y, x) for y >= x0 in the tile from row x0; the output does not
+    depend on how the tiles are split over threads or how tall they are."""
     run(["generate", "--level", "3", "--out-dir", str(tmp_path),
          "--out", "m.json"], capsys)
     (tmp_path / "kernel.txt").write_text(
@@ -538,8 +542,10 @@ def test_check_kernel_prints_the_same_at_any_thread_count(
                  *flags]
         pairs.clear()
         code, out = run([*query, "--threads", str(threads)], capsys)
+        h = 9 * threads
         assert code == 0 and sum(pairs) == 64 * 64 + sum(
-            min(9, 64 - x0) * (64 - x0) for x0 in range(0, 64, 9))
+            min(h, 64 - x0) * (64 - x0) for x0 in range(0, 64, h)) \
+            == {1: 6428, 2: 6680}[threads]
         assert run(query, capsys) == (0, out)
         outs.append(out)
     assert outs[0].startswith("PASS  kernel_antisymmetry  lhs=0.0  ")
@@ -643,3 +649,15 @@ def test_good_radii_materialize_file_is_pinned(tmp_path, capsys):
                    f"length 1057431/1953125 (bound 32/125)\n")
     assert hashlib.sha256((tmp_path / "good.json").read_bytes()).hexdigest() \
         == "adf04a8f9f4973b9d14ae74a5e43d08c4c386aebeab0f65bf0ac0b7711c899f7"
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--level", "2"],
+    ["good-radii", "--measure", FOUR_CORNER_L3, "--center", "5",
+     "--near", "0.4"],
+    ["report", "--summary", "summary.json"]], ids=lambda a: a[0])
+def test_threads_is_a_usage_error_where_nothing_walks_tiles(capsys, argv):
+    """generate runs serially, and good-radii and report walk no pairs:
+    --threads would be ignored there, so it names no flag."""
+    err = usage_error([*argv, "--threads", "2"], capsys)
+    assert "unrecognized arguments: --threads 2" in err

@@ -547,7 +547,8 @@ def test_growth_of_equal_weights_matches_dense_oracle(metric, workers,
 @pytest.mark.parametrize("workers", [1, 2])
 def test_symmetric_checks_evaluate_only_the_upper_triangle(workers,
                                                            monkeypatch):
-    # 7-row tiles of the whole cloud; the residual's tiles are 12 rows
+    # 7-row tiles of the whole cloud per thread, so 14-row tiles on 2
+    # threads; the residual's serial tiles are 12 rows
     monkeypatch.setattr(metric_module, "_TILE_PAIRS", 7 * 156)
     pairs = {"pair_rows": [], "kernel_rows": []}
 
@@ -565,10 +566,12 @@ def test_symmetric_checks_evaluate_only_the_upper_triangle(workers,
     m, n = lattice_measure(E2, seed=5), 156
     anti = kernels.check_antisymmetry(RIESZ, m.cloud, workers)
     # the sweep evaluates each row k(x, .) once; the tile of rows
-    # x0..x0+6 evaluates k(y, x) only for y >= x0
+    # x0..x0+h-1 evaluates k(y, x) only for y >= x0
+    h = 7 * workers
     assert sum(pairs["pair_rows"]) == n * n
     assert sum(pairs["kernel_rows"]) == sum(
-        min(7, n - x0) * (n - x0) for x0 in range(0, n, 7)) == 12709
+        min(h, n - x0) * (n - x0) for x0 in range(0, n, h)) \
+        == {1: 12709, 2: 13248}[workers]
 
     dist = np.unique(dense_distances(m.cloud))
     b1, b2 = Ball(3, float(dist[33])), Ball(80, float(dist[dist.size // 2]))
@@ -752,6 +755,116 @@ def test_truncated_folds_with_bounds_equal_masked_folds(n, metric):
             assert col.tobytes() == want.tobytes()
         decided |= any(((lb > e) | (ub <= e)).any() for e in grid)
     assert decided == (metric is not SNOW)
+
+
+P15 = MetricDescriptor(family="euclidean_p", dimension=2, p=1.5)
+
+
+def uniform_measure(n, seed):
+    """n random points of the unit square in random order: every block's
+    box spans most of the square, so every block straddles a band edge."""
+    rng = np.random.default_rng(seed)
+    return make_measure(make_cloud(rng.random((n, 2)), E2), rng.random(n))
+
+
+def table_measure():
+    """The L1 distances of the 12 x 13 lattice as a custom table: exact
+    integers, with (0, inf) block bounds."""
+    lattice = lattice_measure(L1, seed=4)
+    table = dense_distances(lattice.cloud)
+    md = MetricDescriptor(family="custom_table", dimension=2)
+    return make_measure(make_cloud(lattice.cloud.coords, md, table=table),
+                        lattice.weights)
+
+
+BAND_INPUTS = {
+    "four_corner_300": lambda: clustered_measure(300, E2, seed=6),
+    "four_corner_40": lambda: clustered_measure(40, L1, seed=7),
+    "uniform_200": lambda: uniform_measure(200, seed=8),
+    "snowflake": lambda: lattice_measure(SNOW, seed=9),
+    "p_1_5": lambda: lattice_measure(P15, seed=10),
+    "table": table_measure,
+}
+
+
+def band_grid(m, rows, n_steps):
+    """n_steps + 1 decreasing eps for the tile of `rows`. With finite box
+    bounds, a block's ub and the largest pair distance below its lb, so
+    that the block lies wholly inside that band; else a pair distance. The
+    rest spread over the pair distances and bounds outside that band."""
+    boxes = metric_module._boxes(m.cloud.coords)
+    lb, ub = metric_module._block_bounds(m.cloud, rows, boxes)
+    d = np.unique(metric_module._distance_rows(m.cloud, rows))[1:]
+    pool = np.unique(np.concatenate([d, lb, ub]))
+    pool = pool[(pool > 0.0) & np.isfinite(pool)]
+    inner = np.flatnonzero((lb > d[0]) & np.isfinite(ub))
+    if inner.size:
+        b = inner[inner.size // 2]
+        picks = [float(ub[b]), float(d[d < lb[b]][-1])]
+        pool = pool[(pool <= picks[1]) | (pool > picks[0])]
+    else:
+        picks = [float(d[d.size // 3])]
+    for i in np.linspace(0, pool.size - 1, 3 * n_steps).astype(int):
+        if len(set(picks)) > n_steps:
+            break
+        picks.append(float(pool[i]))
+    return sorted(set(picks), reverse=True)
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 12])
+@pytest.mark.parametrize("name", list(BAND_INPUTS))
+def test_trace_band_folds_equal_masked_dense_folds(name, n_steps):
+    """Each band column of the trace's tile, the scale band of |k| |f| w
+    and each ball's band of |k| w over its rows and outside columns, has
+    the bits of fold_rows(np.where(band_mask, v, 0.0)); so do the rows of
+    the tiles, whatever the blocks: wholly inside one band, outside the
+    grid or straddling an edge."""
+    m = BAND_INPUTS[name]()
+    n = m.n_atoms
+    dist = np.unique(dense_distances(m.cloud))
+    f = SimpleFunction(terms=(
+        (0.7, Ball(5, float(dist[dist.size // 3]))),
+        (-1.2, Ball(n - 1, float(dist[4 * dist.size // 5])))))
+    g = SimpleFunction(terms=(
+        (1.1, Ball(n // 2, float(dist[dist.size // 5]))),
+        (0.4, Ball(1, float(dist[-1])))))
+    w = m.weights
+    afw = np.abs(f.values(m.cloud)) * w
+    # one band per distinct ball with a boundary, in the order of the terms
+    balls = {(b.center, b.radius): b.members(m.cloud)
+             for _, b in f.terms + g.terms}
+    insides = [i for i in balls.values() if 0 < i.sum() < n]
+    boxes = metric_module._boxes(m.cloud.coords)
+    grid = band_grid(m, np.arange(min(n, 23)), n_steps)
+    assert len(grid) == n_steps + 1
+    p = operator_module._pairing_pass(m, f, g, grid)
+    seen = set()
+    for x0 in range(0, n, 23):
+        rows = np.arange(x0, min(x0 + 23, n))
+        kt, dt = kernels.pair_rows(RIESZ, m.cloud, rows)
+        got = p.tile(kt, dt, rows)[:, len(grid):]
+        want = []
+        for inside, factor in [(None, afw)] + [(i, w) for i in insides]:
+            for delta, eps in zip(grid[1:], grid):
+                mask = (dt > delta) & (dt <= eps)
+                if inside is not None:
+                    mask &= inside[rows][:, None] & ~inside[None, :]
+                want.append(fold_rows(np.where(
+                    mask, np.abs(kt) * factor[None, :], 0.0)))
+        assert got.shape == (rows.size, len(want))
+        for col, want_col in zip(got.T, want):
+            assert bits(col) == bits(want_col)
+        lb, ub = metric_module._block_bounds(m.cloud, rows, boxes)
+        for delta, eps in zip(grid[1:], grid):
+            seen |= {"whole"} if ((lb > delta) & (ub <= eps)).any() else set()
+            seen |= {"straddle"} if (((lb <= delta) & (ub > delta))
+                                     | ((lb <= eps) & (ub > eps))).any() \
+                else set()
+        if ((lb > grid[0]) | (ub <= grid[-1])).any():
+            seen.add("outside")
+    # below 64 atoms the one block holds the diagonal, so it straddles
+    assert seen == ({"whole", "straddle", "outside"}
+                    if name == "four_corner_300" else {"straddle"})
 
 
 @pytest.mark.parametrize("n", [300, 40])

@@ -475,6 +475,24 @@ def test_workers_do_not_change_outputs(tmp_path):
             == (tmp_path / "w8" / name).read_bytes()
 
 
+def test_tile_heights_and_workers_do_not_change_outputs(tmp_path,
+                                                      monkeypatch):
+    """Tiles of 3, 40 and 256 rows per thread (one tile of the level-4
+    cloud at 1 thread, and tiles cut mid-block) at 1, 2 and 3 threads:
+    the same bytes as the default walk."""
+    def emitted(name, **kw):
+        emit_report(run_convergence_suite(small_config(
+            generator=GeneratorSpec(family="four_corner_cantor", level=4),
+            eps_count=12, **kw)), str(tmp_path / name))
+        return [(tmp_path / name / f).read_bytes()
+                for f in ("trace.csv", "summary.json")]
+    want = emitted("default")
+    for rows in (3, 40, 256):
+        monkeypatch.setattr(metric, "_TILE_PAIRS", rows * 256)
+        for workers in (1, 2, 3):
+            assert emitted(f"r{rows}w{workers}", workers=workers) == want
+
+
 @pytest.mark.parametrize("kernel", [RIESZ, GENERIC], ids=["riesz", "generic"])
 def test_run_generates_each_level_once_and_builds_no_matrix(kernel,
                                                             monkeypatch):

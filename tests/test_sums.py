@@ -1,9 +1,14 @@
 
+import sys
+import threading
+import time
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sio_lab.sums import fold_keys, fold_rows, pairwise_sum
+from sio_lab.sums import fold_keys, fold_rows, pairwise_sum, thread_map
 
 
 def tree_sum(xs):
@@ -79,3 +84,44 @@ def test_fold_keys_is_fold_rows_of_the_zero_rows(width, n_groups, full,
         got = fold_keys(vals[rows, cols], rows * m + cols, n_groups, width)
         want = fold_rows(np.where(present, vals, 0.0))
     assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
+
+
+class Pulls:
+    """range(n) as a sized iterable that counts the items taken from it."""
+
+    def __init__(self, n):
+        self.n, self.taken = n, 0
+
+    def __len__(self):
+        return self.n
+
+    def __iter__(self):
+        for i in range(self.n):
+            self.taken += 1
+            yield i
+
+
+@pytest.mark.parametrize("workers", [2, 3, 8])
+def test_thread_map_submits_a_bounded_window_in_order(workers):
+    """While item i runs it is not yet collected, so at most 2 * workers
+    items were taken past the i already collected; an unbounded map would
+    take every item before the first one ends. More threads than cores,
+    switching often, keep every result in its place."""
+    items, over = Pulls(60), []
+    lock = threading.Lock()
+
+    def fn(i):
+        if i % 7 == 0:
+            time.sleep(0.01)  # let the pool run ahead if it could
+        with lock:
+            if items.taken > i + 2 * workers:
+                over.append((i, items.taken))
+        return i * i
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = thread_map(fn, items, workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [i * i for i in range(60)]
+    assert over == []
