@@ -329,7 +329,35 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _libc():
+    """The C library this process runs on, through its own symbols."""
+    import ctypes  # here, not at import: importing sio_lab stays as cheap
+    return ctypes.CDLL(None)
+
+
+def _pin_heap() -> None:
+    """Fix glibc's mmap and trim thresholds at 32 MiB and 64 MiB.
+
+    glibc raises both as large chunks are freed, up to these values (its
+    64-bit ceiling, and twice it): until then each tile's 0.5-1 MB
+    temporaries are trimmed off the heap top and faulted in again by the
+    next tile. Pinning them starts every walk in that end state. The CLI
+    owns its process, so only `main` calls this; a library caller keeps
+    its host's heap. Without glibc's `mallopt` it does nothing.
+    """
+    import ctypes
+    try:
+        mallopt = _libc().mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _pin_heap()
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     pre = argparse.ArgumentParser(prog="sio-lab", add_help=False)

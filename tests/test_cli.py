@@ -1,11 +1,15 @@
 import hashlib
 import json
+import platform
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sio_lab import kernels, metric
+from sio_lab import cli, kernels, metric
 from sio_lab.cli import main
 
 
@@ -661,3 +665,85 @@ def test_threads_is_a_usage_error_where_nothing_walks_tiles(capsys, argv):
     --threads would be ignored there, so it names no flag."""
     err = usage_error([*argv, "--threads", "2"], capsys)
     assert "unrecognized arguments: --threads 2" in err
+
+
+def _recording_libc():
+    """A C library whose mallopt records its calls."""
+    def mallopt(param, value):
+        mallopt.calls.append((param, value))
+        return 1
+    mallopt.calls = []
+    return types.SimpleNamespace(mallopt=mallopt)
+
+
+def test_main_pins_the_heap_thresholds(tmp_path, capsys, monkeypatch):
+    """M_MMAP_THRESHOLD (-3) at 32 MiB, then M_TRIM_THRESHOLD (-1) at
+    64 MiB, once per call of main."""
+    libc = _recording_libc()
+    monkeypatch.setattr(cli, "_libc", lambda: libc)
+    code, _ = run(["generate", "--level", "2", "--out-dir", str(tmp_path)],
+                  capsys)
+    assert code == 0
+    assert libc.mallopt.calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+
+def test_pinning_the_heap_twice_is_harmless(tmp_path, capsys):
+    cli._pin_heap()
+    cli._pin_heap()
+    code, out = run(["converge", "--level", "3", "--eps-count", "4",
+                     "--out-dir", str(tmp_path)], capsys)
+    assert code == 0 and "all checks passed" in out
+
+
+def _no_libc():
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("libc", [_no_libc, object],
+                         ids=["lookup_fails", "no_mallopt"])
+def test_the_heap_policy_does_nothing_without_mallopt(tmp_path, capsys,
+                                                      monkeypatch, libc):
+    monkeypatch.setattr(cli, "_libc", libc)
+    assert cli._pin_heap() is None
+    code, out = run(["generate", "--level", "2", "--out-dir", str(tmp_path)],
+                    capsys)
+    assert code == 0 and "16 atoms" in out
+
+
+def test_the_heap_policy_leaves_converge_outputs_unchanged(tmp_path, capsys,
+                                                           monkeypatch):
+    def converge(out_dir):
+        code, _ = run(["converge", "--level", "4", "--eps-count", "12",
+                       "--threads", "2", "--out-dir", str(out_dir)], capsys)
+        assert code == 0
+        return [(out_dir / name).read_bytes()
+                for name in ("summary.json", "trace.csv")]
+
+    pinned = converge(tmp_path / "pinned")
+    monkeypatch.setattr(cli, "_pin_heap", lambda: None)
+    assert converge(tmp_path / "default") == pinned
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the thresholds are glibc's")
+def test_a_second_converge_faults_in_no_tile_memory(tmp_path):
+    """Run in a fresh interpreter: once main has run in this one, its heap
+    stays pinned. Under glibc's dynamic thresholds the second level-5
+    converge refaults its tiles' temporaries (about 8k-15k minor faults);
+    pinned, it reuses them (about 100)."""
+    script = f"""
+import contextlib, io, resource, sys
+sys.path.insert(0, {str(Path(cli.__file__).parents[1])!r})
+from sio_lab import cli
+argv = ["converge", "--level", "5", "--eps-count", "12",
+        "--out-dir", {str(tmp_path)!r}]
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(argv)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    cli.main(argv)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    done = subprocess.run([sys.executable, "-c", script], check=True,
+                          capture_output=True, text=True)
+    faults = int(done.stdout)
+    assert faults < 1000, f"{faults} minor faults in the second converge"
