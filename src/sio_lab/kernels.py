@@ -182,6 +182,10 @@ def _riesz_rows(k: KernelSpec, cloud: PointCloud, rows: np.ndarray,
     """The one Riesz formula: k(x, y) for x in rows and y in cols (every
     point when cols is None), zero where x == y, and the Euclidean norm
     |x - y| of its denominator."""
+    dim = cloud.coords.shape[1]
+    if k.i > dim:
+        raise InputError(f"Riesz coordinate index {k.i} is out of range "
+                         f"for dimension {dim}")
     diffs = _differences(cloud.coords, rows, cols)
     dist = _norm(_EUCLIDEAN, diffs)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -88,8 +88,10 @@ def growth_pass(m: DiscreteMeasure, s: float, r_min: float) -> RowPass:
     and its radius; reduced to the first row attaining the maximum."""
     if m.n_atoms == 0 or m.total_mass <= 0.0:
         raise DegenerateInputError("empty measure")
-    if r_min <= 0.0:
-        raise InputError("r_min must be positive")
+    for name, value in (("r_min", r_min), ("s", s)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise InputError(f"{name} must be finite and positive, "
+                             f"got {value!r}")
     w = m.weights
     r_min_s = (np.full(1, r_min) ** s)[0]  # the same array power as ds ** s
     # equal weights add up alike in any order, so one cumulative row serves

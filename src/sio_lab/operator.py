@@ -20,10 +20,11 @@ of an unchanged mask, are gone. The step bands are block-decided over the
 same bounds: a block inside one step's band serves that step its unmasked
 fold, a block outside the grid serves +0.0, and only the pairs inside the
 grid of the blocks that straddle a band edge go, keyed by band, row and
-block, into one sums.fold_keys call. That fold walks fold_rows' tree over
-those pairs alone up to the block's width, adding a lone child to +0.0 as
-the dense tree adds it to a masked zero; the block values then take the
-upper levels, so the bits are those of one masked dense fold per band.
+block, into one sums.fold_keys call. That fold scatters those pairs into
+zero rows of the block's width, one per (band, row, block) that holds a
+pair (8 * 64 bytes each), and folds them with fold_rows in one step; the
+block values then take the upper levels, so the bits are those of one
+masked dense fold per band.
 
 The row sums are split into a per-tile function and a reduction, a
 `metric.RowPass`: trace_pass, annuli_pass and boundary_pass (with
@@ -329,11 +330,11 @@ def _pairing_pass(m: DiscreteMeasure, f: SimpleFunction, g: SimpleFunction,
     the grid, or a step's band that the bounds miss, serves +0.0, the fold
     of its masked zeros. Only the blocks that straddle a band edge are
     read pair by pair: their pairs inside the grid are picked once, each
-    gets its step, and one fold_keys call folds every (band, step, row,
-    block) over its own pairs, adding a lone child to +0.0 as the dense
-    tree adds it to a masked zero. The block values of every band then
-    take the upper levels of the tree together, so each band keeps the
-    bits of one dense fold of its masked row. Row folds are then reduced
+    gets its step, and one fold_keys call scatters them into a zero row
+    per (band, step, row, block) that holds a pair, 8 * 64 bytes each, and
+    folds those rows densely in one step. The block values of every band
+    then take the upper levels of the tree together, so each band keeps
+    the bits of one dense fold of its masked row. Row folds are then reduced
     with pairwise_sum exactly as one pairing, one boundary term or one
     scale would reduce them alone.
     """

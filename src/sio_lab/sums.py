@@ -4,12 +4,13 @@ Every double sum in the lab is taken over one reduction tree, so that
 results are bit-identical across runs and across worker counts: each row
 is folded over the perfect binary tree of its zero-padded width
 (fold_rows), and the row results over the same kind of tree in row order
-(pairwise_sum, fold_rows' one-row case). fold_keys walks the same tree
-over rows given only by their nonzero entries; it adds a lone child to
-+0.0 as the dense tree adds it to a masked zero, so its rows are
-bit-identical to fold_rows'. The pairing trace hands it only the blocks
-of 64 columns that straddle a band edge, folded to block width; the
-blocks that their distance bounds decide are folded densely or are +0.0.
+(pairwise_sum, fold_rows' one-row case). fold_keys folds rows given
+only by their entries in one dense step: it scatters them into zero rows,
+built only for the rows that hold an entry (8 bytes per padded column
+each), and folds those with fold_rows once, so its rows are fold_rows'
+by construction. The pairing trace hands it only the blocks of 64 columns
+that straddle a band edge, folded to block width; the blocks that their
+distance bounds decide are folded densely or are +0.0.
 Parallel execution only ever hands out whole rows. thread_map is the
 lab's one thread pool, and metric.tile_map hands it row tiles; it keeps
 about 2 * workers tiles submitted ahead of the one it collects, so a walk
@@ -42,56 +43,23 @@ def fold_rows(a: np.ndarray) -> np.ndarray:
 
 def fold_keys(vals, keys, n_groups: int, width: int) -> np.ndarray:
     """fold_rows of n_groups zero rows of `width` columns holding only the
-    given entries, without building the rows: entry i sits in row
-    keys[i] // m at column keys[i] % m, where m is width padded to a power
-    of two, and the keys are strictly increasing.
+    given entries: entry i sits in row keys[i] // m at column keys[i] % m,
+    where m is width padded to a power of two, and the keys are strictly
+    increasing.
 
-    The same perfect binary tree is walked bottom up over the present nodes
-    alone, b levels at a time: the present nodes of each subtree of 2^b
-    nodes are scattered into a zero row and folded with fold_rows, so a
-    lone child is added to +0.0 exactly as the dense tree adds it to its
-    zero sibling (-0.0 becomes +0.0, NaN stays NaN), and every row's result
-    is bit-identical to fold_rows. Subtrees with no entry are never built,
-    and b is the most levels for which the built rows are on average at
-    least half full, so the cost follows the entries, not n_groups * width.
+    Only the rows that hold an entry are built, as one zeroed (touched
+    rows, m) array that the entries are scattered into and fold_rows folds
+    once, so each row is bit-identical to fold_rows of its zero row by
+    construction; the other rows are +0.0. Memory is 8 * m bytes per
+    touched row, not per group.
     """
     m = 1 << (width - 1).bit_length()
-    height = m.bit_length() - 1
     out = np.zeros(n_groups)
-    v, k = np.asarray(vals, dtype=np.float64), np.asarray(keys)
-    if v.size == 0:
-        return out
-    # neighbours meet at the level of their keys' highest differing bit;
-    # past `height` they lie in different rows. nodes[h] counts the present
-    # nodes at height h, and at height `last` each row is down to one.
-    meet = np.frexp((k[1:] ^ k[:-1]).astype(np.float64))[1]
-    merges = np.bincount(meet, minlength=height + 1)[:height + 1]
-    nodes = (v.size - np.cumsum(merges)).tolist()
-    last = max((h for h in range(height + 1) if merges[h]), default=0)
-    h = 0
-    while h < last:
-        lone = h
-        while nodes[lone + 1] == nodes[h]:
-            lone += 1
-        if lone > h:
-            # no two nodes meet up to level `lone`: each is a lone child
-            # there, and one + 0.0 serves the whole run
-            v, k, h = v + 0.0, k >> (lone - h), lone
-        b = max(b for b in range(1, last - h + 1)
-                if nodes[h + b] << b <= 2 * nodes[h])
-        starts = np.flatnonzero(np.diff(k >> b, prepend=-1))
-        up = k[starts] >> b
-        # node k goes to column k % 2^b of its subtree's row of `block`
-        slot = np.repeat((up - np.arange(up.size)) << b,
-                         np.diff(starts, append=k.size))
-        np.subtract(k, slot, out=slot)
-        block = np.zeros(up.size << b)
-        block[slot] = v
-        v, k = fold_rows(block.reshape(up.size, 1 << b)), up
-        h += b
-    if last < height:
-        v = v + 0.0  # each row is one lone node up the remaining levels
-    out[k >> (height - last)] = v
+    row, col = np.divmod(np.asarray(keys), m)
+    first = np.diff(row, prepend=-1) != 0  # sorted keys: rows come in runs
+    block = np.zeros((np.count_nonzero(first), m))
+    block[np.cumsum(first) - 1, col] = vals
+    out[row[first]] = fold_rows(block)
     return out
 
 

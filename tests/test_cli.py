@@ -93,6 +93,35 @@ def test_check_growth_rejects_a_table_breaking_the_triangle_inequality(
     assert "c_mu" not in captured.out
 
 
+@pytest.mark.parametrize("command, flags, match", [
+    ("check-kernel", ["--riesz-i", "3"],
+     "Riesz coordinate index 3 is out of range for dimension 2"),
+    ("converge", ["--level", "2", "--riesz-i", "3"],
+     "Riesz coordinate index 3 is out of range for dimension 2"),
+    ("check-growth", ["--r-min", "nan"],
+     "r_min must be finite and positive, got nan"),
+    ("check-growth", ["--r-min", "inf"],
+     "r_min must be finite and positive, got inf"),
+    ("check-growth", ["--r-min", "0.05", "--s", "nan"],
+     "s must be finite and positive, got nan"),
+    ("check-growth", ["--r-min", "0.05", "--s", "-1"],
+     "s must be finite and positive, got -1.0")])
+def test_out_of_range_kernel_and_growth_inputs_are_usage_errors(
+        tmp_path, capsys, command, flags, match):
+    # formerly an IndexError (exit 1), or a c_mu of -inf, 0.0 or nan
+    run(["generate", "--level", "2", "--out-dir", str(tmp_path),
+         "--out", "m.json"], capsys)
+    measure = [] if command == "converge" else [
+        "--measure", str(tmp_path / "m.json")]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *measure, *flags, "--out-dir", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert match in captured.err
+    assert "c_mu" not in captured.out and "PASS" not in captured.out
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_generate_rejects_a_uniform_count_below_two(tmp_path, capsys, count):
     # formerly a ZeroDivisionError (0) or numpy's ValueError (-3): exit 1

@@ -63,6 +63,13 @@ def test_check_antisymmetry_riesz_exact():
     assert report.lhs == 0.0
 
 
+def test_riesz_index_beyond_the_dimension_is_an_input_error():
+    # formerly an IndexError from the list of coordinate differences
+    k3 = KernelSpec(family="coordinate_riesz", s=1.0, i=3, n=1)
+    with pytest.raises(InputError, match="index 3 .* dimension 2"):
+        check_antisymmetry(k3, two_atoms())
+
+
 def test_check_antisymmetry_generic_ok():
     k = KernelSpec(family="generic_antisymmetrized", s=1.0, base="d ** -1.0")
     rng = np.random.default_rng(8)

@@ -135,6 +135,17 @@ def test_radial_pushforward_requires_unit_diameter():
         radial_pushforward(m, 0)
 
 
+@pytest.mark.parametrize("s, r_min, name", [
+    (1.0, float("nan"), "r_min"), (1.0, float("inf"), "r_min"),
+    (1.0, 0.0, "r_min"), (float("nan"), 0.1, "s"), (-1.0, 0.1, "s"),
+    (float("inf"), 0.1, "s")])
+def test_growth_constant_needs_a_finite_positive_s_and_r_min(s, r_min, name):
+    # NaN passed the old r_min <= 0 check, and s was not checked at all
+    with pytest.raises(InputError, match=f"{name} must be finite and "
+                                         f"positive"):
+        growth_constant(quarter_grid(), s, r_min)
+
+
 def test_interval_mass_examples():
     v = make_step_measure([(0, Fraction(1, 2)), (1, Fraction(1, 2))])
     assert interval_mass(v, 0, Fraction(1, 2)) == Fraction(1, 2)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sio_lab import sums
 from sio_lab.sums import fold_keys, fold_rows, pairwise_sum, thread_map
 
 
@@ -84,6 +85,22 @@ def test_fold_keys_is_fold_rows_of_the_zero_rows(width, n_groups, full,
         got = fold_keys(vals[rows, cols], rows * m + cols, n_groups, width)
         want = fold_rows(np.where(present, vals, 0.0))
     assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
+
+
+def test_fold_keys_builds_only_the_touched_rows(monkeypatch):
+    """A million groups with entries in three of them fold one (3, 64)
+    array: the cost follows the touched rows, not n_groups * width."""
+    shapes = []
+
+    def recording(a):
+        shapes.append(a.shape)
+        return fold_rows(a)
+    monkeypatch.setattr(sums, "fold_rows", recording)
+    keys = np.array([5, 64 * 7 + 1, 64 * 7 + 63, 64 * 999_998])
+    got = fold_keys(np.array([1.0, 2.0, 3.0, 4.0]), keys, 10 ** 6, 64)
+    assert shapes == [(3, 64)]
+    assert np.flatnonzero(got).tolist() == [0, 7, 999_998]
+    assert got[[0, 7, 999_998]].tolist() == [1.0, 5.0, 4.0]
 
 
 class Pulls:
