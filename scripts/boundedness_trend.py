@@ -24,7 +24,7 @@ TARGET = Fraction(2, 5)
 
 
 def main() -> None:
-    kernel = KernelSpec(family="coordinate_riesz", s=1.0, i=1, n=1)
+    kernel = KernelSpec(family="coordinate_riesz", i=1, n=1)
     params = GoodSetParams(lam=LAM, depth=DEPTH)
     print(f"{'level':>5} {'good radius':>22} {'integral':>22} "
           f"{'bad radius':>12} {'bad integral':>22}")

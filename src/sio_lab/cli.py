@@ -41,8 +41,6 @@ def _threads(text: str) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file supplying defaults for flags")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", default=".")
 
 
 def _add_threads(p: argparse.ArgumentParser) -> None:
@@ -100,13 +98,13 @@ def _eps_grid(text: str) -> tuple[float, ...]:
 
 def _kernel_from_args(args) -> KernelSpec:
     if args.kernel == "riesz":
-        return KernelSpec(family="coordinate_riesz", s=args.s,
-                          i=args.riesz_i, n=args.riesz_n)
+        return KernelSpec(family="coordinate_riesz", i=args.riesz_i,
+                          n=args.riesz_n)
     if not args.kernel_file:
         args.parser.error("--kernel custom requires --kernel-file")
     expr = _load(args.parser, "kernel file", args.kernel_file,
                  lambda path: Path(path).read_text().strip())
-    return KernelSpec(family="generic_antisymmetrized", s=args.s, base=expr)
+    return KernelSpec(family="generic_antisymmetrized", base=expr)
 
 
 def _measure(args):
@@ -133,7 +131,6 @@ def _add_kernel_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kernel", default="riesz", choices=["riesz", "custom"])
     p.add_argument("--riesz-i", type=int, default=1)
     p.add_argument("--riesz-n", type=int, default=1)
-    p.add_argument("--s", type=float, default=1.0)
     p.add_argument("--kernel-file")
 
 
@@ -258,6 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="build a test measure")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out-dir", default=".")
     p.add_argument("--family", default="four_corner_cantor")
     p.add_argument("--level", type=int, default=3)
     p.add_argument("--ratio", type=float, default=0.25)
@@ -278,6 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_threads(p)
     p.add_argument("--measure", required=True)
     _add_kernel_flags(p)
+    p.add_argument("--s", type=float, default=1.0)
     p.set_defaults(func=cmd_check_kernel, parser=p)
 
     p = sub.add_parser("good-radii", help="good-radius queries for one center")
@@ -287,6 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=int, default=5)
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--budget", type=int, default=10 ** 6)
+    p.add_argument("--out-dir", default=".")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--materialize", metavar="OUT_JSON")
     mode.add_argument("--test", metavar="T", type=Fraction)
@@ -302,17 +303,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", required=True)
     p.add_argument("--eps-grid", type=_eps_grid,
                    default="geometric:start=0.5,ratio=0.5,count=20")
+    p.add_argument("--out-dir", default=".")
     p.add_argument("--out", default="trace.csv")
     p.set_defaults(func=cmd_pairing, parser=p)
 
     p = sub.add_parser("converge", help="full convergence suite")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out-dir", default=".")
     _add_threads(p)
     p.add_argument("--family", default="four_corner_cantor")
     p.add_argument("--level", type=int, default=4)
     p.add_argument("--ratio", type=float, default=0.25)
     p.add_argument("--count", type=int, default=64)
     _add_kernel_flags(p)
+    p.add_argument("--s", type=float, default=1.0)
     p.add_argument("--lambda", dest="lam", type=int, default=5)
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--balls", type=int, default=5)

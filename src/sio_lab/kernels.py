@@ -18,10 +18,10 @@ sweep_pair_tiles is the one pair engine: a single metric.tile_map walk that
 hands each tile's pair_rows to any number of RowPasses. run_pass is its
 one-pass case, so the stand-alone checks (check_antisymmetry,
 check_size_bound) walk the tiles a converge run walks, and sio-lab
-check-kernel sweeps both checks in one walk, as converge does. The
-antisymmetry check's own upper-triangle walk is gone. An antisymmetry check
-reading exactly 0 certifies every cancellation residual +0.0 with no walk
-(operator.cancellation_path), so converge walks none and writes no scale.
+check-kernel sweeps both checks in one walk, as converge does. An
+antisymmetry check reading exactly 0 certifies every cancellation residual
++0.0 with no walk (operator.cancellation_path), so converge walks none and
+writes no scale.
 """
 
 from __future__ import annotations
@@ -141,11 +141,10 @@ class KernelSpec:
     Euclidean norm (i is 1-based). family "generic_antisymmetrized":
     (b(x,y) - b(y,x))/2 for a base b, an expression in x, y, d checked here
     against _compile's whitelist; the default "0.0" is the zero kernel.
-    check_size_bound certifies the kernel's size constant.
+    check_size_bound certifies the kernel's size constant for a given s.
     """
 
     family: str
-    s: float
     i: int = 1
     n: int = 1
     base: str = "0.0"
@@ -156,11 +155,12 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in (COORDINATE_RIESZ, GENERIC_ANTISYMMETRIZED):
             raise InputError(f"unknown kernel family {self.family!r}")
-        if not (math.isfinite(self.s) and self.s > 0.0):
-            raise InputError(f"kernel dimension s must be finite and "
-                             f"positive, got {self.s!r}")
         if self.family == COORDINATE_RIESZ and self.i < 1:
             raise InputError("Riesz coordinate index is 1-based")
+        if self.family == COORDINATE_RIESZ \
+                and (type(self.n) is not int or self.n < 1):
+            raise InputError(f"Riesz exponent n must be an int >= 1, "
+                             f"got {self.n!r}")
         _base_expression(self.base)
 
 
@@ -352,7 +352,10 @@ def check_size_bound(k: KernelSpec, cloud: PointCloud, s: float,
 
 def size_bound_pass(cloud: PointCloud, s: float) -> RowPass:
     """check_size_bound as a RowPass over every row: per row, the first
-    maximum of |k| d^s off the diagonal and its column."""
+    maximum of |k| d^s off the diagonal and its column. s, the growth
+    bound's exponent too, must be finite and positive."""
+    if not (math.isfinite(s) and s > 0.0):
+        raise InputError(f"s must be finite and positive, got {s!r}")
     if cloud.n_points < 2:
         raise InputError("need at least two points")
 

@@ -14,17 +14,15 @@ tile it folds every eps truncation over fold_rows' tree, by blocks of
 metric._BLOCK columns, each an aligned subtree: metric._block_bounds
 bounds every distance of a block exactly, so a block beyond eps serves
 its one unmasked fold, a block within eps serves +0.0, and only the
-blocks that straddle eps are masked and folded again. That is the only
-path: the dense fold of an eps that every block straddles, and its reuse
-of an unchanged mask, are gone. The step bands are block-decided over the
-same bounds: a block inside one step's band serves that step its unmasked
-fold, a block outside the grid serves +0.0, and only the pairs inside the
-grid of the blocks that straddle a band edge go, keyed by band, row and
-block, into one sums.fold_keys call. That fold scatters those pairs into
-zero rows of the block's width, one per (band, row, block) that holds a
-pair (8 * 64 bytes each), and folds them with fold_rows in one step; the
-block values then take the upper levels, so the bits are those of one
-masked dense fold per band.
+blocks that straddle eps are masked and folded again. The step bands are
+block-decided over the same bounds: a block inside one step's band serves
+that step its unmasked fold, a block outside the grid serves +0.0, and
+only the pairs inside the grid of the blocks that straddle a band edge go,
+keyed by band, row and block, into one sums.fold_keys call. That fold
+scatters those pairs into zero rows of the block's width, one per (band,
+row, block) that holds a pair (8 * 64 bytes each), and folds them with
+fold_rows in one step; the block values then take the upper levels, so
+the bits are those of one masked dense fold per band.
 
 The row sums are split into a per-tile function and a reduction, a
 `metric.RowPass`: trace_pass, annuli_pass and boundary_pass (with
@@ -163,14 +161,13 @@ def pairing(k: KernelSpec, m: DiscreteMeasure, f: SimpleFunction,
             g: SimpleFunction, eps: float, workers: int = 1) -> float:
     """<T_eps(f mu), g> against mu: the full truncated double sum.
 
-    Equals sum over pairs with d(x,y) > eps of k(x,y) f(y) g(x) w(y) w(x).
-    `workers` splits the row tiles; the reduction tree is fixed, so the
-    result is bit-identical for any worker count.
+    Equals sum over pairs with d(x,y) > eps of k(x,y) f(y) g(x) w(y) w(x),
+    the one value of trace_pass over the grid [eps], so an eps that is not
+    finite and positive raises InputError. `workers` splits the row tiles;
+    the reduction tree is fixed, so the result is bit-identical for any
+    worker count.
     """
-    if not eps > 0.0:
-        raise InputError("eps must be positive")
-    values, _ = run_pass(k, m.cloud, _pairing_pass(m, f, g, [eps]), workers)
-    return values[0]
+    return run_pass(k, m.cloud, trace_pass(m, f, g, [eps]), workers).values[0]
 
 
 def _check_grid(eps_grid) -> list[float]:
@@ -305,18 +302,16 @@ def pairing_difference_bound(k: KernelSpec, m: DiscreteMeasure,
                              delta: float, eps: float) -> Check:
     """The Check |<T_eps f, g> - <T_delta f, g>| <= the four-term boundary
     bound sum_ij |a_i b_j| (boundary(B_i) + 2 boundary(S_j)) over the band
-    delta < d <= eps, as one step of a trace."""
-    if not 0.0 < delta < eps:
-        raise InputError("need 0 < delta < eps")
-    _, checks = run_pass(k, m.cloud, _pairing_pass(m, f, g, [eps, delta]))
-    return checks[0]
+    delta < d <= eps: the one step of trace_pass over the grid [eps, delta],
+    which needs finite 0 < delta < eps."""
+    return run_pass(k, m.cloud, trace_pass(m, f, g, [eps, delta])).checks[0]
 
 
-def _pairing_pass(m: DiscreteMeasure, f: SimpleFunction, g: SimpleFunction,
-                  grid: list[float]) -> RowPass:
-    """Pairings along a decreasing grid, and the four-term bound Check of
-    each consecutive pair, as a RowPass over every row; reduced to
-    (values, checks).
+def trace_pass(m: DiscreteMeasure, f: SimpleFunction, g: SimpleFunction,
+               eps_grid) -> RowPass:
+    """compute_pairing_trace as a RowPass over every row: pairings along a
+    decreasing eps grid, and the four-term bound Check of each consecutive
+    pair, reduced to a PairingTrace.
 
     Per tile, per-row folds are taken of: the strict truncation at each eps;
     the scale band delta < d <= eps of each step, of |k| |f| w; and each
@@ -338,6 +333,7 @@ def _pairing_pass(m: DiscreteMeasure, f: SimpleFunction, g: SimpleFunction,
     with pairwise_sum exactly as one pairing, one boundary term or one
     scale would reduce them alone.
     """
+    grid = _check_grid(eps_grid)
     cloud, w = m.cloud, m.weights
     fvals, gvals = f.values(cloud), g.values(cloud)
     fw, afw = fvals * w, np.abs(fvals) * w
@@ -462,7 +458,8 @@ def _pairing_pass(m: DiscreteMeasure, f: SimpleFunction, g: SimpleFunction,
                 rhs, tol=1e-12 * scales[j],
                 witness={"step": j, "delta": delta, "eps": eps,
                          "scale": scales[j]}))
-        return values, checks
+        return PairingTrace(eps_grid=tuple(grid), values=tuple(values),
+                            checks=tuple(checks))
     return RowPass(np.arange(m.n_atoms), tile, reduce)
 
 
@@ -611,16 +608,3 @@ def compute_pairing_trace(k: KernelSpec, m: DiscreteMeasure,
     each step's lhs is the difference of the trace's own pairings.
     """
     return run_pass(k, m.cloud, trace_pass(m, f, g, eps_grid), workers)
-
-
-def trace_pass(m: DiscreteMeasure, f: SimpleFunction, g: SimpleFunction,
-               eps_grid) -> RowPass:
-    """compute_pairing_trace as a RowPass over every row."""
-    grid = _check_grid(eps_grid)
-    p = _pairing_pass(m, f, g, grid)
-
-    def reduce(res):
-        values, checks = p.reduce(res)
-        return PairingTrace(eps_grid=tuple(grid), values=tuple(values),
-                            checks=tuple(checks))
-    return p._replace(reduce=reduce)

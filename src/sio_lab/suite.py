@@ -140,10 +140,6 @@ class ConvergenceReport:
     config: SuiteConfig
     n_atoms: int
     r_min: float
-    c_mu: float
-    growth_witness: tuple[int, float]
-    c_certified: float
-    kernel_witness: tuple[int, int]
     balls: tuple[BallRecord, ...]
     f_terms: tuple[tuple[float, int, float], ...]   # (coeff, center, radius)
     g_terms: tuple[tuple[float, int, float], ...]
@@ -270,9 +266,7 @@ def run_convergence_suite(config: SuiteConfig) -> ConvergenceReport:
                             "value": passes[-1].reduce(top_rows[0])})
 
     return ConvergenceReport(
-        config=config, n_atoms=m.n_atoms, r_min=r_min, c_mu=c_mu,
-        growth_witness=growth_witness, c_certified=c_cert,
-        kernel_witness=kernel_witness, balls=tuple(records),
+        config=config, n_atoms=m.n_atoms, r_min=r_min, balls=tuple(records),
         f_terms=tuple((c, b.center, b.radius) for c, b in f.terms),
         g_terms=tuple((c, b.center, b.radius) for c, b in g.terms),
         trace=trace, boundedness=tuple(boundedness), checks=tuple(checks))
@@ -349,16 +343,18 @@ def report_to_json(report: ConvergenceReport) -> dict:
     cfg["generator"] = asdict(report.config.generator)
     cfg["kernel"] = asdict(report.config.kernel)
     del cfg["workers"]  # execution detail; results are worker-independent
+    growth = report.check("growth_constant_finite")
+    size = report.check("kernel_size_bound_finite")
     annuli = report.check("annuli_log_bound")
     lb = report.check("log_boundary_sum")
     return _strict_json({
         "config": cfg,
         "n_atoms": report.n_atoms,
         "r_min": report.r_min,
-        "c_mu": report.c_mu,
-        "growth_witness": list(report.growth_witness),
-        "c_certified": report.c_certified,
-        "kernel_witness": list(report.kernel_witness),
+        "c_mu": growth.lhs,
+        "growth_witness": list(growth.witness),
+        "c_certified": size.lhs,
+        "kernel_witness": list(size.witness),
         "antisymmetry_ok": report.check("kernel_antisymmetry").ok,
         "balls": [_ball_json(b) for b in report.balls],
         "f_terms": [list(t) for t in report.f_terms],

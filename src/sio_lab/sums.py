@@ -14,9 +14,7 @@ distance bounds decide are folded densely or are +0.0.
 Parallel execution only ever hands out whole rows. thread_map is the
 lab's one thread pool, and metric.tile_map hands it row tiles; it keeps
 about 2 * workers tiles submitted ahead of the one it collects, so a walk
-of many one-row tiles holds no future per tile. No sum folds a raveled
-matrix any more: the cancellation residual, the last to do so, moved to
-the row tree, which changed the last bits of its scale once.
+of many one-row tiles holds no future per tile.
 """
 
 from collections import deque

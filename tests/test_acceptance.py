@@ -37,7 +37,7 @@ from sio_lab.operator import (Ball, SimpleFunction, annuli_log_bound_check,
                               total_boundary_integral)
 from sio_lab.suite import SuiteConfig, emit_report, run_convergence_suite
 
-RIESZ = KernelSpec(family="coordinate_riesz", s=1.0, i=1, n=1)
+RIESZ = KernelSpec(family="coordinate_riesz", i=1, n=1)
 
 
 def _random_step_measure(rng: np.random.Generator):

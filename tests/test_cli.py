@@ -105,17 +105,25 @@ def test_check_growth_rejects_a_table_breaking_the_triangle_inequality(
     ("check-growth", ["--r-min", "0.05", "--s", "nan"],
      "s must be finite and positive, got nan"),
     ("check-growth", ["--r-min", "0.05", "--s", "-1"],
-     "s must be finite and positive, got -1.0")])
+     "s must be finite and positive, got -1.0"),
+    ("check-kernel", ["--s", "nan"], "s must be finite and positive, got nan"),
+    ("check-kernel", ["--riesz-n", "0"],
+     "Riesz exponent n must be an int >= 1, got 0"),
+    ("check-kernel", ["--riesz-n", "-2"],
+     "Riesz exponent n must be an int >= 1, got -2"),
+    ("converge", ["--level", "2", "--riesz-n", "0"],
+     "Riesz exponent n must be an int >= 1, got 0")])
 def test_out_of_range_kernel_and_growth_inputs_are_usage_errors(
         tmp_path, capsys, command, flags, match):
-    # formerly an IndexError (exit 1), or a c_mu of -inf, 0.0 or nan
+    # formerly an IndexError (exit 1), or a c_mu of -inf, 0.0 or nan; a
+    # Riesz exponent below 1 formerly certified a kernel that is no Riesz
+    # kernel, with exit 0
     run(["generate", "--level", "2", "--out-dir", str(tmp_path),
          "--out", "m.json"], capsys)
-    measure = [] if command == "converge" else [
-        "--measure", str(tmp_path / "m.json")]
-    out = tmp_path / "out"
+    where = ["--out-dir", str(tmp_path / "out")] if command == "converge" \
+        else ["--measure", str(tmp_path / "m.json")]
     with pytest.raises(SystemExit) as exc:
-        main([command, *measure, *flags, "--out-dir", str(out)])
+        main([command, *where, *flags])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert match in captured.err
@@ -190,9 +198,10 @@ def test_json_of_the_wrong_shape_is_a_usage_error_naming_its_file(
     flags = {"check-growth": ["--measure", str(path), "--r-min", "0.05"],
              "report": ["--summary", str(path)],
              "pairing": ["--measure", str(tmp_path / "m.json"),
-                         "--f", str(path), "--g", str(g)]}[command]
+                         "--f", str(path), "--g", str(g),
+                         "--out-dir", str(tmp_path)]}[command]
     with pytest.raises(SystemExit) as exc:
-        main([command, *flags, "--out-dir", str(tmp_path)])
+        main([command, *flags])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert str(path) in err and match in err
@@ -694,6 +703,58 @@ def test_threads_is_a_usage_error_where_nothing_walks_tiles(capsys, argv):
     --threads would be ignored there, so it names no flag."""
     err = usage_error([*argv, "--threads", "2"], capsys)
     assert "unrecognized arguments: --threads 2" in err
+
+
+# each subcommand's required flags, with paths that parsing never opens
+REQUIRED = {
+    "check-growth": ["--measure", FOUR_CORNER_L3, "--r-min", "0.05"],
+    "check-kernel": ["--measure", FOUR_CORNER_L3],
+    "good-radii": ["--measure", FOUR_CORNER_L3, "--center", "5",
+                   "--near", "0.4"],
+    "pairing": ["--measure", FOUR_CORNER_L3, "--f", "f.json",
+                "--g", "g.json"],
+    "report": ["--summary", "summary.json"]}
+# the flags that no code of the subcommand read
+UNREAD = [("check-growth", "seed"), ("check-growth", "out-dir"),
+          ("check-kernel", "seed"), ("check-kernel", "out-dir"),
+          ("good-radii", "seed"), ("pairing", "seed"), ("pairing", "s"),
+          ("report", "seed"), ("report", "out-dir")]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD,
+                         ids=[f"{c}--{f}" for c, f in UNREAD])
+def test_a_flag_the_subcommand_never_reads_is_a_usage_error(
+        tmp_path, capsys, command, flag):
+    """Formerly each was taken and ignored (exit 0), and pairing --s nan
+    exited 2 over a value pairing never used. Typed or as a config key,
+    it now names no flag."""
+    value = "x" if flag == "out-dir" else "1"
+    err = usage_error([command, *REQUIRED[command], f"--{flag}", value],
+                      capsys)
+    assert f"unrecognized arguments: --{flag} {value}" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag: value}))
+    err = usage_error([command, "--config", str(cfg), *REQUIRED[command]],
+                      capsys)
+    assert f"config key {flag!r} names no flag" in err
+
+
+def test_every_flag_is_one_its_subcommand_reads():
+    """65 settable flags, help excluded (74 before the unread --seed,
+    --out-dir and --s went), and each where its subcommand reads it."""
+    sub = next(a for a in cli.build_parser()._actions
+               if a.dest == "command")
+    flags = {name: {a.option_strings[0] for a in p._actions
+                    if a.dest != "help"}
+             for name, p in sub.choices.items()}
+    assert sum(map(len, flags.values())) == 65
+    assert {name for name, f in flags.items() if "--seed" in f} \
+        == {"generate", "converge"}
+    assert {name for name, f in flags.items() if "--out-dir" in f} \
+        == {"generate", "good-radii", "pairing", "converge"}
+    assert {name for name, f in flags.items() if "--s" in f} \
+        == {"check-growth", "check-kernel", "converge"}
+    assert all("--config" in f for f in flags.values())
 
 
 def _recording_libc():

@@ -10,7 +10,7 @@ from sio_lab.kernels import (_UFUNCS, KernelSpec, check_antisymmetry,
 from sio_lab.metric import MetricDescriptor, make_cloud
 
 E2 = MetricDescriptor(family="euclidean_p", dimension=2, p=2.0)
-RIESZ = KernelSpec(family="coordinate_riesz", s=1.0, i=1, n=1)
+RIESZ = KernelSpec(family="coordinate_riesz", i=1, n=1)
 
 
 def two_atoms():
@@ -21,14 +21,27 @@ def test_riesz_values():
     cloud = two_atoms()
     assert kernel_rows(RIESZ, cloud, [0], [1])[0, 0] == -1.0
     assert kernel_rows(RIESZ, cloud, [1], [0])[0, 0] == 1.0
-    k2 = KernelSpec(family="coordinate_riesz", s=1.0, i=2, n=1)
+    k2 = KernelSpec(family="coordinate_riesz", i=2, n=1)
     assert kernel_rows(k2, cloud, [0], [1])[0, 0] == 0.0
 
 
 @pytest.mark.parametrize("s", [float("nan"), float("inf"), 0.0, -1.0])
-def test_kernel_spec_needs_a_finite_positive_s(s):
+def test_the_size_bound_needs_a_finite_positive_s(s):
+    """An s that no growth bound could share is refused; the size bound
+    formerly returned nan, 0.0 or a finite constant for it."""
+    with pytest.raises(InputError, match=f"s must be finite and positive, "
+                                         f"got {s!r}"):
+        kernels.size_bound_pass(two_atoms(), s)
     with pytest.raises(InputError, match="finite and positive"):
-        KernelSpec(family="coordinate_riesz", s=s)
+        check_size_bound(RIESZ, two_atoms(), s)
+
+
+@pytest.mark.parametrize("n", [0, -2, True, 1.0, 2.5])
+def test_a_riesz_exponent_is_an_int_of_at_least_one(n):
+    """n = 0 and n = -2 would certify (x_i - y_i)/|x - y| and
+    (x_i - y_i) |x - y|, which are no Riesz kernels."""
+    with pytest.raises(InputError, match="Riesz exponent n must be an int"):
+        KernelSpec(family="coordinate_riesz", n=n)
 
 
 def test_eval_bit_antisymmetric():
@@ -65,13 +78,13 @@ def test_check_antisymmetry_riesz_exact():
 
 def test_riesz_index_beyond_the_dimension_is_an_input_error():
     # formerly an IndexError from the list of coordinate differences
-    k3 = KernelSpec(family="coordinate_riesz", s=1.0, i=3, n=1)
+    k3 = KernelSpec(family="coordinate_riesz", i=3, n=1)
     with pytest.raises(InputError, match="index 3 .* dimension 2"):
         check_antisymmetry(k3, two_atoms())
 
 
 def test_check_antisymmetry_generic_ok():
-    k = KernelSpec(family="generic_antisymmetrized", s=1.0, base="d ** -1.0")
+    k = KernelSpec(family="generic_antisymmetrized", base="d ** -1.0")
     rng = np.random.default_rng(8)
     cloud = make_cloud(rng.random((20, 2)), E2)
     assert check_antisymmetry(k, cloud).ok
@@ -79,14 +92,14 @@ def test_check_antisymmetry_generic_ok():
 
 def test_symmetric_base_detected():
     # b = d^-s without antisymmetrization: residual 2 d^-s > 0, not ok
-    k_raw = KernelSpec(family="generic_antisymmetrized", s=1.0,
+    k_raw = KernelSpec(family="generic_antisymmetrized",
                        base="d ** -1.0", antisymmetrize=False)
     cloud = two_atoms()
     report = check_antisymmetry(k_raw, cloud)
     assert not report.ok
     assert report.lhs == pytest.approx(2.0, rel=1e-15)
     # antisymmetrization repairs it to the zero kernel
-    k = KernelSpec(family="generic_antisymmetrized", s=1.0, base="d ** -1.0")
+    k = KernelSpec(family="generic_antisymmetrized", base="d ** -1.0")
     assert np.all(kernel_matrix(k, cloud) == 0.0)
 
 
@@ -104,17 +117,17 @@ def test_size_bound_riesz_at_most_one():
 
 
 def test_size_bound_zero_kernel():
-    k = KernelSpec(family="generic_antisymmetrized", s=1.0, base="0.0")
+    k = KernelSpec(family="generic_antisymmetrized", base="0.0")
     c, _ = check_size_bound(k, two_atoms(), 1.0)
     assert c == 0.0
     # the default base is the zero kernel
-    k = KernelSpec(family="generic_antisymmetrized", s=1.0)
+    k = KernelSpec(family="generic_antisymmetrized")
     assert check_size_bound(k, two_atoms(), 1.0)[0] == 0.0
 
 
 def test_a_base_is_an_expression_not_a_name():
     with pytest.raises(InputError, match="may not contain 'zero'"):
-        KernelSpec(family="generic_antisymmetrized", s=1.0, base="zero")
+        KernelSpec(family="generic_antisymmetrized", base="zero")
 
 
 def test_size_bound_monotone_under_restriction():
@@ -170,7 +183,7 @@ def test_size_bound_certified_against_cloud_metric():
 def test_expression_outside_the_whitelist_is_rejected(base, tmp_path):
     path = tmp_path / "written.txt"
     with pytest.raises(InputError):
-        KernelSpec(family="generic_antisymmetrized", s=1.0,
+        KernelSpec(family="generic_antisymmetrized",
                    base=base.format(path=path))
     assert not path.exists()
 
@@ -185,7 +198,7 @@ def test_whitelisted_expression_matches_python_evaluation(base):
     the same expression gives."""
     coords = np.random.default_rng(4).random((9, 2)) * 3.0
     cloud = make_cloud(coords, E2)
-    k = KernelSpec(family="generic_antisymmetrized", s=1.0, base=base,
+    k = KernelSpec(family="generic_antisymmetrized", base=base,
                    antisymmetrize=False)
     x, y = coords[:, None, :], coords[None, :, :]
     d = np.sqrt((x[..., 0] - y[..., 0]) ** 2 + (x[..., 1] - y[..., 1]) ** 2)
@@ -197,7 +210,7 @@ def test_whitelisted_expression_matches_python_evaluation(base):
 
 
 def test_out_of_range_coordinate_is_an_input_error():
-    k = KernelSpec(family="generic_antisymmetrized", s=1.0,
+    k = KernelSpec(family="generic_antisymmetrized",
                    base="x[..., 0] * y[..., -3]")
     with pytest.raises(InputError, match="index -3 .* dimension 2"):
         kernel_matrix(k, two_atoms())
@@ -253,7 +266,7 @@ def test_expressions_give_the_bits_of_the_named_bases(name, s,
     zero where x == y, in kernel_rows blocks at offsets 0 through 8."""
     cloud = make_cloud(np.random.default_rng(3).random((37, 2)), E2)
     every = np.arange(cloud.n_points)
-    k = KernelSpec(family="generic_antisymmetrized", s=s,
+    k = KernelSpec(family="generic_antisymmetrized",
                    base=formerly_named(name, s),
                    antisymmetrize=antisymmetrize)
 
@@ -282,7 +295,7 @@ def test_tiles_match_the_dense_construction(name, antisymmetrize):
     bases = ufunc_bases(name) if name in _UFUNCS \
         else [formerly_named(name, 1.5)]
     for base in bases:
-        k = KernelSpec(family="generic_antisymmetrized", s=1.5, base=base,
+        k = KernelSpec(family="generic_antisymmetrized", base=base,
                        antisymmetrize=antisymmetrize)
         want = dense_kernel(k, cloud)
         assert kernel_rows(k, cloud, every).tobytes() == want.tobytes()
@@ -304,7 +317,7 @@ def test_riesz_tiles_match_the_whole_matrix(i, n):
     offset 0 through 8, and the kernel block of pair_rows."""
     cloud = make_cloud(np.random.default_rng(4).random((37, 2)), E2)
     every = np.arange(cloud.n_points)
-    k = KernelSpec(family="coordinate_riesz", s=float(n), i=i, n=n)
+    k = KernelSpec(family="coordinate_riesz", i=i, n=n)
     want = kernel_rows(k, cloud, every)
     assert want.tobytes() == dense_kernel(k, cloud).tobytes()
     for x0 in range(9):
@@ -316,7 +329,7 @@ def test_riesz_tiles_match_the_whole_matrix(i, n):
             assert pair_rows(k, cloud, a, b)[0].tobytes() == block
 
 
-GENERIC = KernelSpec(family="generic_antisymmetrized", s=1.0,
+GENERIC = KernelSpec(family="generic_antisymmetrized",
                      base="x[..., 0] * (x[..., 1] + 2.0 * y[..., 0]) / d")
 
 

@@ -366,7 +366,7 @@ def test_block_bounds_contain_every_computed_distance(dim, p):
     random sets, columns in id order and in a random order."""
     md = MetricDescriptor("euclidean_p", dim, p=p)
     rng = np.random.default_rng(7)
-    riesz = kernels.KernelSpec("coordinate_riesz", s=1.0)
+    riesz = kernels.KernelSpec("coordinate_riesz")
     for coords in bound_clouds(dim):
         cloud = PointCloud(coords, md, 0.0)
         n = cloud.n_points

@@ -29,11 +29,11 @@ from sio_lab.sums import fold_rows, pairwise_sum
 E2 = MetricDescriptor(family="euclidean_p", dimension=2, p=2.0)
 L1 = MetricDescriptor(family="euclidean_p", dimension=2, p=1.0)
 SNOW = MetricDescriptor(family="snowflake", dimension=2, p=2.0, alpha=0.5)
-RIESZ = KernelSpec(family="coordinate_riesz", s=1.0, i=1, n=1)
-GENERIC = KernelSpec(family="generic_antisymmetrized", s=1.0,
+RIESZ = KernelSpec(family="coordinate_riesz", i=1, n=1)
+GENERIC = KernelSpec(family="generic_antisymmetrized",
                      base="x[..., 0] * (x[..., 1] + 2.0 * y[..., 0]) / d ** 1.5")
 # symmetric and positive: breaks the four-term bound on purpose
-SYMMETRIC = KernelSpec(family="generic_antisymmetrized", s=1.0,
+SYMMETRIC = KernelSpec(family="generic_antisymmetrized",
                        base="d ** -1.0", antisymmetrize=False)
 
 
@@ -228,6 +228,25 @@ def test_pairing_rejects_a_nan_eps():
     f = SimpleFunction(terms=((1.0, Ball(0, 1.0)),))
     with pytest.raises(InputError):
         pairing(RIESZ, m, f, f, math.nan)
+
+
+@pytest.mark.parametrize("eps", [math.inf, 0.0, -1.0])
+def test_pairing_takes_the_trace_grid_check(eps):
+    """pairing is trace_pass over the grid [eps]: an infinite eps, formerly
+    a pairing of 0.0, is refused as any trace grid holding it is."""
+    m = two_atom_measure()
+    f = SimpleFunction(terms=((1.0, Ball(0, 1.0)),))
+    with pytest.raises(InputError, match="eps grid must be finite"):
+        pairing(RIESZ, m, f, f, eps)
+
+
+@pytest.mark.parametrize("delta, eps", [(0.5, math.inf), (0.0, 0.5),
+                                        (0.5, 0.5), (math.nan, 0.5)])
+def test_pairing_difference_bound_takes_the_trace_grid_check(delta, eps):
+    m = two_atom_measure()
+    f = SimpleFunction(terms=((1.0, Ball(0, 1.0)),))
+    with pytest.raises(InputError, match="eps grid must be finite"):
+        pairing_difference_bound(RIESZ, m, f, f, delta, eps)
 
 
 def test_log_boundary_sum_single_atom():
@@ -434,7 +453,7 @@ def test_trace_evaluates_each_pair_once(kernel, monkeypatch):
 # ---------------------------------------------------------------------------
 # the tiled checks against their dense N x N formulas
 
-NAN_BASE = KernelSpec(family="generic_antisymmetrized", s=1.0,
+NAN_BASE = KernelSpec(family="generic_antisymmetrized",
                       base="np.sqrt(5.0 - x[..., 0]) * (y[..., 1] + 1.0) / d",
                       antisymmetrize=False)  # NaN off the diagonal, x_1 > 5
 
@@ -837,7 +856,7 @@ def test_trace_band_folds_equal_masked_dense_folds(name, n_steps):
     boxes = metric_module._boxes(m.cloud.coords)
     grid = band_grid(m, np.arange(min(n, 23)), n_steps)
     assert len(grid) == n_steps + 1
-    p = operator_module._pairing_pass(m, f, g, grid)
+    p = operator_module.trace_pass(m, f, g, grid)
     seen = set()
     for x0 in range(0, n, 23):
         rows = np.arange(x0, min(x0 + 23, n))

@@ -20,8 +20,8 @@ from sio_lab.suite import (SuiteConfig, emit_report, geometric_grid,
                            parse_eps_grid, report_to_json,
                            run_convergence_suite, trace_csv_lines)
 
-RIESZ = KernelSpec(family="coordinate_riesz", s=1.0, i=1, n=1)
-GENERIC = KernelSpec(family="generic_antisymmetrized", s=1.0,
+RIESZ = KernelSpec(family="coordinate_riesz", i=1, n=1)
+GENERIC = KernelSpec(family="generic_antisymmetrized",
                      base="x[..., 0] * (x[..., 1] + 2.0 * y[..., 0]) / d ** 1.5")
 RAW = replace(GENERIC, antisymmetrize=False)  # fails the antisymmetry check
 E2 = MetricDescriptor(family="euclidean_p", dimension=2, p=2.0)
@@ -220,9 +220,9 @@ def test_sweep_matches_the_stand_alone_functions(kernel, md, workers,
     m, _ = normalize(m)
 
     c_mu, witness = growth_constant(m, config.s, r_min)
-    assert bits([report.c_mu, report.growth_witness[1]]) \
-        == bits([c_mu, witness[1]])
-    assert report.growth_witness[0] == witness[0]
+    growth = report.check("growth_constant_finite")
+    assert bits([growth.lhs, growth.witness[1]]) == bits([c_mu, witness[1]])
+    assert growth.witness[0] == witness[0]
     anti = check_antisymmetry(kernel, m.cloud)
     swept = report.check("kernel_antisymmetry")
     assert bits([swept.lhs, swept.rhs, swept.witness["scale"]]) \
@@ -230,8 +230,9 @@ def test_sweep_matches_the_stand_alone_functions(kernel, md, workers,
     assert swept.witness["pair"] == anti.witness["pair"]
     assert swept.ok == anti.ok == (kernel is not RAW)
     c_cert, pair = check_size_bound(kernel, m.cloud, config.s)
-    assert bits([report.c_certified]) == bits([c_cert])
-    assert report.kernel_witness == pair
+    size = report.check("kernel_size_bound_finite")
+    assert bits([size.lhs]) == bits([c_cert])
+    assert size.witness == pair
 
     def simple(terms):
         return SimpleFunction(terms=tuple((c, Ball(z, r))
@@ -262,7 +263,7 @@ def test_sweep_matches_the_stand_alone_functions(kernel, md, workers,
 def test_a_failing_run_reports_its_first_failing_check():
     # a symmetric base fails the antisymmetry check and also the four-term
     # bound; antisymmetry comes first, and nothing is raised
-    symmetric = KernelSpec(family="generic_antisymmetrized", s=1.0,
+    symmetric = KernelSpec(family="generic_antisymmetrized",
                            base="d ** -1.0", antisymmetrize=False)
     report = run_convergence_suite(small_config(kernel=symmetric))
     assert not report.all_ok
@@ -412,7 +413,7 @@ def test_suite_smoke_all_checks_pass():
     report = run_convergence_suite(small_config())
     assert report.all_ok
     assert report.n_atoms == 64
-    assert report.c_certified <= 1.0
+    assert report.check("kernel_size_bound_finite").lhs <= 1.0
     assert len(report.trace.values) == 6
     summary = report_to_json(report)
     assert len(summary["cancellation"]) == 2
@@ -451,6 +452,26 @@ def test_emit_report_files(tmp_path):
     summary = json.load(open(json_path))
     assert summary["all_ok"] is True
     assert os.path.exists(os.path.join(str(tmp_path), "run_meta.json"))
+
+
+def test_the_summary_holds_one_s_and_reads_constants_off_the_checks(
+        tmp_path):
+    """config.kernel holds no s of its own: the run's s is config.s. c_mu,
+    c_certified and their witnesses are the two constant checks' lhs and
+    witness."""
+    report = run_convergence_suite(small_config(s=1.5))
+    _, json_path = emit_report(report, str(tmp_path))
+    summary = json.load(open(json_path))
+    assert summary["config"]["s"] == 1.5
+    assert summary["config"]["kernel"] == {
+        "family": "coordinate_riesz", "i": 1, "n": 1, "base": "0.0",
+        "antisymmetrize": True}
+    growth = report.check("growth_constant_finite")
+    size = report.check("kernel_size_bound_finite")
+    assert (summary["c_mu"], summary["growth_witness"]) \
+        == (growth.lhs, list(growth.witness))
+    assert (summary["c_certified"], summary["kernel_witness"]) \
+        == (size.lhs, list(size.witness))
 
 
 def test_emit_byte_stable_across_runs(tmp_path):
