@@ -97,9 +97,16 @@ def _eps_grid(text: str) -> tuple[float, ...]:
 
 
 def _kernel_from_args(args) -> KernelSpec:
+    """The KernelSpec of the --kernel family. A flag of the other family,
+    typed or from --config, is a usage error: it would be ignored."""
+    riesz = {f: v for f, v in (("i", args.riesz_i), ("n", args.riesz_n))
+             if v is not None}
     if args.kernel == "riesz":
-        return KernelSpec(family="coordinate_riesz", i=args.riesz_i,
-                          n=args.riesz_n)
+        if args.kernel_file is not None:
+            args.parser.error("--kernel-file needs --kernel custom")
+        return KernelSpec(family="coordinate_riesz", **riesz)
+    if riesz:
+        args.parser.error(f"--riesz-{next(iter(riesz))} needs --kernel riesz")
     if not args.kernel_file:
         args.parser.error("--kernel custom requires --kernel-file")
     expr = _load(args.parser, "kernel file", args.kernel_file,
@@ -129,8 +136,9 @@ def _verdict(checks, wrote: str) -> int:
 
 def _add_kernel_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kernel", default="riesz", choices=["riesz", "custom"])
-    p.add_argument("--riesz-i", type=int, default=1)
-    p.add_argument("--riesz-n", type=int, default=1)
+    # the Riesz defaults, i = n = 1, are KernelSpec's
+    p.add_argument("--riesz-i", type=int)
+    p.add_argument("--riesz-n", type=int)
     p.add_argument("--kernel-file")
 
 

@@ -7,10 +7,15 @@ one pair-block evaluator: both families are evaluated on (rows, cols)
 blocks, and no N x N array is built. It returns each block's kernel values
 and its distances; on a Euclidean (p = 2) cloud the distances are the
 kernel formula's own norm, so that block is built once. kernel_rows gives
-the kernel values alone. A pair gets the same bits in any block shape.
+the kernel values alone, in either orientation: k(x, y), or with swap
+k(y, x), for x in rows and y in cols, laid out (rows, cols) both ways. A
+swapped block evaluates the formula at (y, x), from the differences
+y_c - x_c or with the base's x and y exchanged, so it is the transposed
+block bit for bit without a transpose, and is never derived from k(x, y).
+A pair gets the same bits in any block shape and either orientation.
 Antisymmetry is bit-exact: numerators are antisymmetric and denominators
 symmetric under the vectorized evaluation, and a generic base, pointwise in
-the pair and evaluated on the block and on its swapped block, is
+the pair and evaluated at (x, y) and at (y, x) on the same block, is
 antisymmetrized as (b(x,y) - b(y,x))/2, whose two orientations negate
 exactly.
 
@@ -165,63 +170,77 @@ class KernelSpec:
 
 
 def _base_rows(k: KernelSpec, cloud: PointCloud, rows: np.ndarray,
-               cols: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """b(x, y) for x in rows and y in cols at Euclidean distances d, maybe
-    a read-only view."""
-    env = {"x": cloud.coords[rows][:, None, :],
-           "y": cloud.coords[cols][None, :, :], "d": d}
+               cols: np.ndarray, d: np.ndarray, swap: bool = False
+               ) -> np.ndarray:
+    """b(x, y) for x in rows and y in cols at Euclidean distances d, or
+    b(y, x) with swap (the env's x and y exchanged), laid out (rows, cols);
+    maybe a read-only view."""
+    x = np.take(cloud.coords, rows, axis=0)[:, None, :]
+    y = np.take(cloud.coords, cols, axis=0)[None, :, :]
+    env = {"x": y, "y": x, "d": d} if swap else {"x": x, "y": y, "d": d}
     with np.errstate(divide="ignore", invalid="ignore"):
         out = _base_expression(k.base)(env)
     return np.broadcast_to(np.asarray(out, dtype=np.float64),
                            (rows.size, cols.size))
 
 
+def _zero_where_equal(vals: np.ndarray, rows: np.ndarray,
+                      cols: np.ndarray | None) -> np.ndarray:
+    """vals, zero where x == y. Such a column lies within the span of the
+    row ids, so only the columns in that span are compared with rows."""
+    if cols is None:
+        vals[np.arange(rows.size), rows] = 0.0
+    elif rows.size:
+        near = np.flatnonzero((cols >= rows.min()) & (cols <= rows.max()))
+        a, b = np.nonzero(rows[:, None] == cols[near])
+        vals[a, near[b]] = 0.0
+    return vals
+
+
 def _riesz_rows(k: KernelSpec, cloud: PointCloud, rows: np.ndarray,
-                cols: np.ndarray | None = None
+                cols: np.ndarray | None = None, swap: bool = False
                 ) -> tuple[np.ndarray, np.ndarray]:
     """The one Riesz formula: k(x, y) for x in rows and y in cols (every
-    point when cols is None), zero where x == y, and the Euclidean norm
-    |x - y| of its denominator."""
+    point when cols is None), or k(y, x) with swap, zero where x == y, and
+    the Euclidean norm of its denominator, |x - y| == |y - x| bit for
+    bit."""
     dim = cloud.coords.shape[1]
     if k.i > dim:
         raise InputError(f"Riesz coordinate index {k.i} is out of range "
                          f"for dimension {dim}")
-    diffs = _differences(cloud.coords, rows, cols)
+    diffs = _differences(cloud.coords, rows, cols, swap)
     dist = _norm(_EUCLIDEAN, diffs)
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = diffs[k.i - 1] / dist ** (k.n + 1.0)
-    if cols is None:
-        vals[np.arange(rows.size), rows] = 0.0
-    else:
-        vals[rows[:, None] == cols[None, :]] = 0.0
-    return vals, dist
+        vals = np.divide(diffs[k.i - 1], dist ** (k.n + 1.0),
+                         out=diffs[k.i - 1])
+    return _zero_where_equal(vals, rows, cols), dist
 
 
 def _generic_rows(k: KernelSpec, cloud: PointCloud, rows: np.ndarray,
-                  cols: np.ndarray | None = None
+                  cols: np.ndarray | None = None, swap: bool = False
                   ) -> tuple[np.ndarray, np.ndarray]:
     """The one base construction: k(x, y) = (b(x, y) - b(y, x)) / 2, or b
     itself when not antisymmetrized, for x in rows and y in cols (every
-    point when cols is None), zero where x == y, and the Euclidean norm d
-    the base reads."""
-    cols = np.arange(cloud.n_points) if cols is None else cols
-    d = _norm(_EUCLIDEAN, _differences(cloud.coords, rows, cols))
-    b = _base_rows(k, cloud, rows, cols, d)
+    point when cols is None), or k(y, x) with swap, zero where x == y, and
+    the Euclidean norm d the base reads."""
+    every = np.arange(cloud.n_points) if cols is None else cols
     # d(y, x) is d(x, y) bit for bit, as (x - y)^2 == (y - x)^2
+    d = _norm(_EUCLIDEAN, _differences(cloud.coords, rows, every))
+    b = _base_rows(k, cloud, rows, every, d, swap)
     with np.errstate(invalid="ignore"):  # inf - inf where x == y
-        vals = ((b - _base_rows(k, cloud, cols, rows, d.T).T) / 2.0
+        vals = ((b - _base_rows(k, cloud, rows, every, d, not swap)) / 2.0
                 if k.antisymmetrize else b.copy())
-    vals[rows[:, None] == cols[None, :]] = 0.0
-    return vals, d
+    return _zero_where_equal(vals, rows, cols), d
 
 
-def _kernel_block(k: KernelSpec, cloud: PointCloud, rows, cols
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """(k(x, y), |x - y|) from the kernel's family formula."""
+def _kernel_block(k: KernelSpec, cloud: PointCloud, rows, cols,
+                  swap: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(k(x, y), |x - y|) from the kernel's family formula, or (k(y, x),
+    |x - y|) with swap, laid out (rows, cols) either way."""
     rows = np.asarray(rows)
     cols = None if cols is None else np.asarray(cols)
     block = _riesz_rows if k.family == COORDINATE_RIESZ else _generic_rows
-    return block(k, cloud, rows, cols)
+    return block(k, cloud, rows, cols, swap)
 
 
 def kernel_matrix(k: KernelSpec, cloud: PointCloud) -> np.ndarray:
@@ -229,11 +248,14 @@ def kernel_matrix(k: KernelSpec, cloud: PointCloud) -> np.ndarray:
     return kernel_rows(k, cloud, np.arange(cloud.n_points))
 
 
-def kernel_rows(k: KernelSpec, cloud: PointCloud, rows, cols=None
-                ) -> np.ndarray:
+def kernel_rows(k: KernelSpec, cloud: PointCloud, rows, cols=None,
+                swap: bool = False) -> np.ndarray:
     """k(x, y) for x in rows and y in cols (every point when cols is None),
-    zero where x == y. A pair gets the same bits in any block shape."""
-    return _kernel_block(k, cloud, rows, cols)[0]
+    zero where x == y. With swap, k(y, x) in the same (rows, cols) layout:
+    kernel_rows(k, cloud, cols, rows).T bit for bit, evaluated from the
+    formula at (y, x) itself. A pair gets the same bits in any block shape
+    and either orientation."""
+    return _kernel_block(k, cloud, rows, cols, swap)[0]
 
 
 def pair_rows(k: KernelSpec, cloud: PointCloud, rows, cols=None
@@ -307,27 +329,39 @@ def check_antisymmetry(k: KernelSpec, cloud: PointCloud, workers: int = 1
 
 def antisymmetry_pass(k: KernelSpec, cloud: PointCloud) -> RowPass:
     """check_antisymmetry as a RowPass over every row. Per row x of a tile
-    starting at row x0: [residual, x, y, scale] at the first maximum of
+    x0..x0+R-1: [residual, x, y, scale] at the first maximum of
     |k(x, y) + k(y, x)| over y >= x, and max |k| over both orientations of
     every y >= x0.
 
     The residual is symmetric in the pair, so the tile reads k(x, y) for
     y >= x0 off the sweep's kernel rows, and evaluates k(y, x) for those
-    columns as a block of kernel_rows, never deriving it from k(x, y).
-    Entries y < x are masked, which keeps the row-major first maximum of
-    the whole matrix; the diagonal stays, so an all-zero residual reports
-    the pair (0, 0). The rows of all tiles cover every pair.
+    columns in the same (rows, cols) layout, kernel_rows with swap: from
+    the formula at (y, x), never derived from k(x, y). Entries y < x,
+    which lie in the first R columns, are masked; that keeps the row-major
+    first maximum of the whole matrix. The diagonal stays, so a tile whose
+    k(x, y) + k(y, x) are all zero reports (0.0, x, x) per row, and its
+    scale reads k(x, y) alone, as |k(y, x)| == |k(x, y)| there. The scale
+    is a max/min reduction with -0.0 taken to +0.0. The rows of all tiles
+    cover every pair.
     """
     if cloud.n_points < 2:
         raise InputError("need at least two points")
 
+    def abs_max(v):
+        return np.maximum(v.max(axis=1), -v.min(axis=1))
+
     def tile(kt, dt, rows):
-        cols = np.arange(rows[0], cloud.n_points)
+        # every row is read, so the tile's rows are the run x0..x0+R-1
+        r, cols = rows.size, np.arange(rows[0], cloud.n_points)
         kt = kt[:, rows[0]:]
-        kc = kernel_rows(k, cloud, cols, rows).T  # k(y, x) for x in rows
-        resid = np.abs(kt + kc)
-        resid[cols[None, :] < rows[:, None]] = -np.inf
-        scale = np.maximum(np.abs(kt).max(axis=1), np.abs(kc).max(axis=1))
+        kc = kernel_rows(k, cloud, rows, cols, swap=True)  # k(y, x)
+        resid = kt + kc
+        if not resid.any():
+            return np.stack([np.zeros(r), rows, rows, abs_max(kt) + 0.0],
+                            axis=1)
+        scale = np.maximum(abs_max(kt), abs_max(kc)) + 0.0
+        np.abs(resid, out=resid)
+        resid[np.tril_indices(r, -1)] = -np.inf
         return np.hstack([_first_max(resid, rows, rows[0]), scale[:, None]])
 
     def reduce(per_row):

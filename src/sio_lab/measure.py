@@ -109,15 +109,23 @@ def growth_pass(m: DiscreteMeasure, s: float, r_min: float) -> RowPass:
             cum = np.broadcast_to(equal_cum, ds.shape)
         # candidates: the distances >= r_min. Within a run of equal
         # distances the last holds the ball's mass; an earlier one holds no
-        # more, so it can only tie it, at the same radius.
+        # more, so it can only tie it, at the same radius. The rows are
+        # sorted, so every distance <= r_min lies in the head of h columns,
+        # h the least power of 2 (or the row length) with ds[:, h - 1] >
+        # r_min on every row; only the head is compared with r_min.
+        h = 1
+        while h < ds.shape[1] and not np.all(ds[:, h - 1] > r_min):
+            h *= 2
+        head = ds[:, :h]
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(ds >= r_min, cum / ds ** s, -np.inf)
+            ratios = cum / ds ** s
+        ratios[:, :h][head < r_min] = -np.inf
         k = np.argmax(ratios, axis=1)
         at = np.arange(rows.size)
         best, radius = ratios[at, k], ds[at, k]
         # r_min itself unless some distance equals it; it precedes them all
-        below = cum[at, np.count_nonzero(ds <= r_min, axis=1) - 1] / r_min_s
-        use_r_min = ~np.any(ds == r_min, axis=1) & (below >= best)
+        below = cum[at, np.count_nonzero(head <= r_min, axis=1) - 1] / r_min_s
+        use_r_min = ~np.any(head == r_min, axis=1) & (below >= best)
         return np.stack([np.where(use_r_min, below, best),
                          np.where(use_r_min, r_min, radius)], axis=1)
 

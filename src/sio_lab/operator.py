@@ -233,7 +233,8 @@ def cancellation_residual(k: KernelSpec, m: DiscreteMeasure, b1: Ball,
     whose bounds lie at or below delta or at or above eps, holds no pair
     of the open band above the diagonal, so it serves +0.0, the fold of
     its masked zeros, and is not evaluated; of the others only the columns
-    b > a0 are evaluated, by kernels.pair_rows and kernels.kernel_rows.
+    b > a0 are evaluated, by kernels.pair_rows and, for k(y, x) in the
+    same layout, kernels.kernel_rows with swap.
     """
     if not 0.0 < delta < eps:
         raise InputError("need 0 < delta < eps")
@@ -262,8 +263,8 @@ def cancellation_residual(k: KernelSpec, m: DiscreteMeasure, b1: Ball,
             km, d = kernels.pair_rows(k, m.cloud, ids, rows[b])
             keep = (d > delta) & (d < eps) & (b[None, :] > a[:, None])
             t_upper = np.where(keep, km * np.outer(wr[a], wr[b]), 0.0)
-            km_t = kernels.kernel_rows(k, m.cloud, rows[b], ids).T
-            t_lower = np.where(keep, km_t * np.outer(wr[b], wr[a]).T, 0.0)
+            km_yx = kernels.kernel_rows(k, m.cloud, ids, rows[b], swap=True)
+            t_lower = np.where(keep, km_yx * np.outer(wr[b], wr[a]).T, 0.0)
             entries[:, :, at] = (t_upper + t_lower, np.abs(t_upper),
                                  np.abs(t_lower))
         vals = np.zeros((3, a.size, n_blocks))
@@ -286,10 +287,10 @@ def cancellation_path(antisymmetry: Check | None, m: DiscreteMeasure) -> str:
     walk: it read lhs == 0.0 and no weight of m exceeds 1. Else "computed".
 
     Then k(x, y) + k(y, x) == 0 for every pair, all finite (inf + -inf is
-    NaN), and kernel_rows gives a pair the same bits in any block shape,
-    so a walk reads k(y, x) == -k(x, y); w(y) w(x) and w(x) w(y) round
-    alike, and weights <= 1 overflow no product, so t_lower == -t_upper:
-    every entry, and every fold, is +0.0.
+    NaN), and kernel_rows gives a pair the same bits in any block shape
+    and either orientation, so a walk reads k(y, x) == -k(x, y); w(y) w(x)
+    and w(x) w(y) round alike, and weights <= 1 overflow no product, so
+    t_lower == -t_upper: every entry, and every fold, is +0.0.
     """
     if antisymmetry is not None and antisymmetry.lhs == 0.0 \
             and m.weights.max(initial=0.0) <= 1.0:

@@ -15,7 +15,9 @@ constant, the antisymmetry check, the kernel size bound, the pairing trace,
 ball 0's annuli and the boundedness trend's own level. Each is reduced as
 its stand-alone function reduces it, so it keeps that function's bits. The
 antisymmetry check reads k(x, y) off the sweep's rows and evaluates k(y, x)
-itself, never reading it off k(x, y). The trend's lower levels sweep their
+itself, in the same row layout (kernels.kernel_rows with swap), never
+reading it off k(x, y). The growth pass compares only the head of each
+sorted distance row with r_min. The trend's lower levels sweep their
 own clouds, on the run's threads, in the same metric.tile_map tiles.
 generate validates each cloud in one serial pass over its upper triangle.
 Every double sum takes one reduction tree: fold_rows per row, then
@@ -339,9 +341,7 @@ def report_to_json(report: ConvergenceReport) -> dict:
     """The summary: every verdict field is read off report.checks. It is
     strict JSON: a failed run's non-finite floats are written as their repr
     strings."""
-    cfg = asdict(report.config)
-    cfg["generator"] = asdict(report.config.generator)
-    cfg["kernel"] = asdict(report.config.kernel)
+    cfg = asdict(report.config)  # asdict converts the nested specs too
     del cfg["workers"]  # execution detail; results are worker-independent
     growth = report.check("growth_constant_finite")
     size = report.check("kernel_size_bound_finite")

@@ -1,10 +1,11 @@
 """Oracles built independently of the code they check.
 
 Dense N x N oracles for the pair-block evaluator: every pair's distance and
-kernel value built as one whole matrix, independently of the tiles. And the
-good-radius predicate and the concentration windows in Fraction arithmetic,
-straight from their definitions and the atoms' Fraction positions, for
-the integer-tick versions.
+kernel value built as one whole matrix, independently of the tiles, and the
+antisymmetry check and the growth constant read off those whole matrices.
+And the good-radius predicate and the concentration windows in Fraction
+arithmetic, straight from their definitions and the atoms' Fraction
+positions, for the integer-tick versions.
 """
 
 from fractions import Fraction
@@ -46,6 +47,36 @@ def dense_kernel(k, cloud) -> np.ndarray:
         vals = (b - b.T) / 2.0 if k.antisymmetrize else b
     np.fill_diagonal(vals, 0.0)
     return vals
+
+
+def dense_antisymmetry(km) -> tuple[float, tuple[int, int], float]:
+    """check_antisymmetry's (residual, pair, scale) from a whole kernel
+    matrix km: the row-major first maximum (or first NaN) of |km + km.T|,
+    and max |km|."""
+    resid = np.abs(km + km.T)
+    a, b = np.unravel_index(int(resid.argmax()), resid.shape)
+    return float(resid.max()), (int(a), int(b)), float(np.abs(km).max())
+
+
+def growth_full_rows(m, s, r_min) -> tuple[float, tuple[int, float]]:
+    """growth_constant's (c, (x, r)) with every mask over the whole sorted
+    row of dense_distances, as its tile read them before it compared only
+    the head of each row with r_min."""
+    d = dense_distances(m.cloud)
+    order = np.argsort(d, axis=1, kind="stable")
+    ds = np.take_along_axis(d, order, axis=1)
+    cum = np.cumsum(m.weights[order], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(ds >= r_min, cum / ds ** s, -np.inf)
+    k = np.argmax(ratios, axis=1)
+    at = np.arange(m.n_atoms)
+    best, radius = ratios[at, k], ds[at, k]
+    below = cum[at, np.count_nonzero(ds <= r_min, axis=1) - 1] \
+        / (np.full(1, r_min) ** s)[0]
+    use_r_min = ~np.any(ds == r_min, axis=1) & (below >= best)
+    c = np.where(use_r_min, below, best)
+    x = int(np.argmax(c))
+    return float(c[x]), (x, float(r_min if use_r_min[x] else radius[x]))
 
 
 def is_good_radius(v, t, params):

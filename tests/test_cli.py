@@ -574,9 +574,10 @@ def test_check_kernel_prints_the_same_at_any_thread_count(
     monkeypatch.setattr(metric, "_TILE_PAIRS", 9 * 64)
     pairs = []
     real = kernels._kernel_block
-    monkeypatch.setattr(kernels, "_kernel_block", lambda k, cloud, r, c: (
+    monkeypatch.setattr(kernels, "_kernel_block", lambda k, cloud, r, c,
+                        swap=False: (
         pairs.append(np.size(r) * (64 if c is None else np.size(c))),
-        real(k, cloud, r, c))[1])
+        real(k, cloud, r, c, swap))[1])
     outs = []
     for flags in ([], ["--kernel", "custom",
                        "--kernel-file", str(tmp_path / "kernel.txt")]):
@@ -592,6 +593,32 @@ def test_check_kernel_prints_the_same_at_any_thread_count(
         outs.append(out)
     assert outs[0].startswith("PASS  kernel_antisymmetry  lhs=0.0  ")
     assert outs[1].splitlines()[-1].startswith("size bound: |k| <= ")
+
+
+@pytest.mark.parametrize("kernel, flag, other", [
+    ([], ["--kernel-file", "KERNEL"], "--kernel-file needs --kernel custom"),
+    (["--kernel", "custom", "--kernel-file", "KERNEL"], ["--riesz-n", "2"],
+     "--riesz-n needs --kernel riesz"),
+    (["--kernel", "custom", "--kernel-file", "KERNEL"], ["--riesz-i", "1"],
+     "--riesz-i needs --kernel riesz")])
+@pytest.mark.parametrize("command", ["check-kernel", "converge"])
+@pytest.mark.parametrize("typed", [True, False], ids=["typed", "config"])
+def test_a_flag_of_the_other_kernel_family_is_a_usage_error(
+        tmp_path, capsys, kernel, flag, other, command, typed):
+    """Formerly taken and ignored: check-kernel with --kernel-file alone
+    certified the Riesz kernel and exited 0."""
+    run(["generate", "--level", "2", "--out-dir", str(tmp_path),
+         "--out", "m.json"], capsys)
+    (tmp_path / "kernel.txt").write_text("x[..., 0] / d\n")
+    kernel, flag = ([str(tmp_path / "kernel.txt") if a == "KERNEL" else a
+                     for a in flags] for flags in (kernel, flag))
+    where = ["--level", "2", "--out-dir", str(tmp_path / "run")] \
+        if command == "converge" else ["--measure", str(tmp_path / "m.json")]
+    if not typed:
+        (tmp_path / "cfg.json").write_text(json.dumps({flag[0][2:]: flag[1]}))
+        flag = ["--config", str(tmp_path / "cfg.json")]
+    assert other in usage_error([command, *where, *kernel, *flag], capsys)
+    assert not (tmp_path / "run").exists()
 
 
 def usage_error(argv, capsys) -> str:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import dense_kernel
+from oracles import dense_antisymmetry, dense_kernel
 from sio_lab.errors import InputError
 from sio_lab import kernels, metric
 from sio_lab.kernels import (_UFUNCS, KernelSpec, check_antisymmetry,
@@ -289,7 +289,8 @@ def test_expressions_give_the_bits_of_the_named_bases(name, s,
 def test_tiles_match_the_dense_construction(name, antisymmetrize):
     """Blocks of kernel_rows carry the bits of the whole matrix b
     antisymmetrized as (b - b.T) / 2, on row tiles and the column blocks
-    check_antisymmetry reads, starting at every offset 0 through 8."""
+    check_antisymmetry reads, starting at every offset 0 through 8, and
+    so do their swapped blocks k(y, x): values, signbits and NaNs."""
     cloud = make_cloud(np.random.default_rng(3).random((37, 2)), E2)
     every = np.arange(cloud.n_points)
     bases = ufunc_bases(name) if name in _UFUNCS \
@@ -307,6 +308,18 @@ def test_tiles_match_the_dense_construction(name, antisymmetrize):
                 == want[np.ix_(rows, cols)].tobytes()
             assert kernel_rows(k, cloud, cols, rows).tobytes() \
                 == want[np.ix_(cols, rows)].tobytes()
+            assert_swapped_blocks(k, cloud, want, rows, cols)
+
+
+def assert_swapped_blocks(k, cloud, want, rows, cols):
+    """kernel_rows with swap gives k(y, x) laid out (rows, cols): the
+    whole matrix's transposed block, bit for bit, for every point, the
+    column block y >= x0 and its transpose."""
+    every = np.arange(cloud.n_points)
+    for a, b in ((rows, None), (rows, cols), (cols, rows)):
+        got = kernel_rows(k, cloud, a, b, swap=True)
+        assert got.tobytes() == want[np.ix_(every if b is None else b,
+                                            a)].T.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])  # n >= 2 goes through np.power
@@ -314,7 +327,8 @@ def test_tiles_match_the_dense_construction(name, antisymmetrize):
 def test_riesz_tiles_match_the_whole_matrix(i, n):
     """A Riesz pair gets the same bits in any block shape: row tiles, the
     column blocks check_antisymmetry reads and their transposes, at every
-    offset 0 through 8, and the kernel block of pair_rows."""
+    offset 0 through 8, the kernel block of pair_rows, and in the swapped
+    orientation k(y, x)."""
     cloud = make_cloud(np.random.default_rng(4).random((37, 2)), E2)
     every = np.arange(cloud.n_points)
     k = KernelSpec(family="coordinate_riesz", i=i, n=n)
@@ -327,6 +341,7 @@ def test_riesz_tiles_match_the_whole_matrix(i, n):
             block = want[np.ix_(a, b)].tobytes()
             assert kernel_rows(k, cloud, a, b).tobytes() == block
             assert pair_rows(k, cloud, a, b)[0].tobytes() == block
+        assert_swapped_blocks(k, cloud, want, rows, cols)
 
 
 GENERIC = KernelSpec(family="generic_antisymmetrized",
@@ -361,3 +376,71 @@ def test_pair_rows_reads_d_off_the_kernel_norm_only_on_e2(k, md, builds_d,
         assert d.tobytes() == metric._distance_rows(cloud, rows,
                                                     cols).tobytes()
         assert vals.tobytes() == kernel_rows(k, cloud, rows, cols).tobytes()
+
+
+ZERO = KernelSpec(family="generic_antisymmetrized")
+RAW = KernelSpec(family="generic_antisymmetrized", base=GENERIC.base,
+                 antisymmetrize=False)
+# b = -0.0 everywhere: every k(x, y) off the diagonal is -0.0
+NEG_ZERO = KernelSpec(family="generic_antisymmetrized", base="-0.0",
+                      antisymmetrize=False)
+# |k| peaks at a large x_1 and a small y_1: below the diagonal when the
+# ids follow x_1, where only k(y, x) of the tile of row x reads it
+LOWER = KernelSpec(family="generic_antisymmetrized",
+                   base="x[..., 0] / (0.01 + y[..., 0])", antisymmetrize=False)
+# NaN wherever x_1 > 0.5
+NAN_RAW = KernelSpec(family="generic_antisymmetrized",
+                     base="np.sqrt(0.5 - x[..., 0]) * (y[..., 1] + 1.0) / d",
+                     antisymmetrize=False)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("k, general", [
+    (RIESZ, False), (KernelSpec(family="coordinate_riesz", i=2, n=2), False),
+    (GENERIC, False), (ZERO, False), (NEG_ZERO, False), (RAW, True),
+    (LOWER, True), (NAN_RAW, True), ("one_ulp_off", True)])
+def test_antisymmetry_tiles_match_the_dense_check(k, general, workers,
+                                                  monkeypatch):
+    """Both branches of the antisymmetry tile give the whole matrix's
+    check: the residual, the row-major first pair attaining it, and the
+    scale max |k|, bit for bit. A tile whose k(x, y) + k(y, x) are all
+    zero takes the shortcut, which evaluates no first maximum; the others
+    take the general path. A zero kernel's scale is +0.0."""
+    coords = np.random.default_rng(7).random((37, 2))
+    cloud = make_cloud(coords[np.argsort(coords[:, 0])], E2)  # ids by x_1
+    monkeypatch.setattr(metric, "_TILE_PAIRS", 5 * 37)  # 5 rows a thread
+    ulp = k == "one_ulp_off"
+    if ulp:
+        # k(x, y) one ulp up at x = 3, y = 21, in the tile of row 3 only
+        k, x, y = RIESZ, 3, 21
+        real = kernels._kernel_block
+
+        def one_ulp_off(k, cloud, rows, cols, swap=False):
+            vals, norm = real(k, cloud, rows, cols, swap)
+            cols = np.arange(cloud.n_points) if cols is None else cols
+            first, second = (y, x) if swap else (x, y)  # (row, col)
+            at = (rows[:, None] == first) & (cols[None, :] == second)
+            vals[at] = np.nextafter(vals[at], np.inf)
+            return vals, norm
+        monkeypatch.setattr(kernels, "_kernel_block", one_ulp_off)
+    km = dense_kernel(k, cloud)
+    if ulp:
+        km[x, y] = np.nextafter(km[x, y], np.inf)
+    want = dense_antisymmetry(km)
+    tiles = []
+    real_first_max = kernels._first_max
+    monkeypatch.setattr(kernels, "_first_max", lambda vals, rows, col0: (
+        tiles.append(rows[0]), real_first_max(vals, rows, col0))[1])
+    got = check_antisymmetry(k, cloud, workers)
+    assert [float(v).hex() for v in (got.lhs, got.witness["scale"])] \
+        == [float(v).hex() for v in (want[0], want[2])]
+    assert got.witness["pair"] == want[1]
+    if ulp:
+        assert tiles == [0] and got.witness["pair"] == (3, 21)
+    else:
+        assert sorted(tiles) \
+            == (list(range(0, 37, 5 * workers)) if general else [])
+    if k in (ZERO, NEG_ZERO):
+        assert got.witness["scale"] == 0.0 \
+            and not np.signbit(got.witness["scale"])
+        assert got.lhs == 0.0 and got.witness["pair"] == (0, 0)

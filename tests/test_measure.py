@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import dense_distances, growth_full_rows
+from sio_lab import metric
 from sio_lab.errors import DegenerateInputError, InputError
 from sio_lab.measure import (growth_constant, interval_mass, make_measure,
                              make_step_measure, measure_from_json,
@@ -77,6 +79,38 @@ def test_growth_constant_ties_break_to_smaller_radius_then_atom():
     cloud = make_cloud([[0.0], [1.0], [2.0]], E1)
     m = make_measure(cloud, [1.0, 0.0, 0.0])
     assert growth_constant(m, 1.0, 1.0) == (1.0, (0, 1.0))
+
+
+L1 = MetricDescriptor(family="euclidean_p", dimension=2, p=1.0)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("equal", [True, False], ids=["equal", "unequal"])
+@pytest.mark.parametrize("md", [E2, L1], ids=["E2", "L1"])
+def test_growth_reads_the_head_of_each_sorted_row(md, equal, workers,
+                                                  monkeypatch):
+    """The growth tile compares only each sorted row's head with r_min;
+    (c, witness) keeps the bits of the tile that compared every column.
+    On a 7 x 7 integer lattice an interior atom has 4 neighbours at
+    exactly r_min = 1, in sorted columns 1-4, so the head must reach
+    column 5: h = 8. Also: r_min between the distances 0 and 1, above
+    several distances, and at the diameter, where the head is every
+    column."""
+    monkeypatch.setattr(metric, "_TILE_PAIRS", 5 * 49)  # 5 rows a thread
+    coords = np.array([(i, j) for i in range(7) for j in range(7)], float)
+    cloud = make_cloud(coords, md)
+    weights = np.full(49, 1.0 / 49) if equal \
+        else np.random.default_rng(1).random(49)
+    m = make_measure(cloud, weights)
+    d = dense_distances(cloud)
+    assert (d == 1.0).sum(axis=1).max() == 4
+    for r_min in (1.0, 0.5, 2.5, float(d.max())):
+        for s in (1.0, 2.0):
+            got = growth_constant(m, s, r_min, workers)
+            want = growth_full_rows(m, s, r_min)
+            assert [float(got[0]).hex(), float(got[1][1]).hex()] \
+                == [float(want[0]).hex(), float(want[1][1]).hex()]
+            assert got[1][0] == want[1][0]
 
 
 def test_growth_constant_quarter_grid():

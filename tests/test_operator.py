@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_distances, dense_kernel
+from oracles import dense_antisymmetry, dense_distances, dense_kernel
 from sio_lab import kernels
 from sio_lab import metric as metric_module
 from sio_lab import operator as operator_module
@@ -431,9 +431,9 @@ def test_trace_evaluates_each_pair_once(kernel, monkeypatch):
     real_matrix = kernels.kernel_matrix
 
     def counting(real):
-        def rows_of(k, cloud, rows, cols=None):
+        def rows_of(k, cloud, rows, cols=None, **swap):
             rows_seen.extend(np.asarray(rows).tolist())
-            return real(k, cloud, rows, cols)
+            return real(k, cloud, rows, cols, **swap)
         return rows_of
 
     def counting_matrix(k, cloud):
@@ -462,9 +462,7 @@ def dense_checks(k, cloud, s):
     """check_antisymmetry's and check_size_bound's results from the whole
     dense_kernel and dense_distances."""
     km = dense_kernel(k, cloud)
-    resid = np.abs(km + km.T)
-    a, b = np.unravel_index(int(resid.argmax()), resid.shape)
-    anti = (float(resid.max()), (int(a), int(b)), float(np.abs(km).max()))
+    anti = dense_antisymmetry(km)
     prod = np.abs(km) * dense_distances(cloud) ** s
     np.fill_diagonal(prod, -1.0)
     a, b = np.unravel_index(int(prod.argmax()), prod.shape)
@@ -572,8 +570,8 @@ def test_symmetric_checks_evaluate_only_the_upper_triangle(workers,
     pairs = {"pair_rows": [], "kernel_rows": []}
 
     def counting(name, real):
-        def pairs_of(k, cloud, rows, cols=None):
-            out = real(k, cloud, rows, cols)
+        def pairs_of(k, cloud, rows, cols=None, **swap):
+            out = real(k, cloud, rows, cols, **swap)
             pairs[name].append(np.size(out[0] if isinstance(out, tuple)
                                        else out))
             return out
@@ -664,10 +662,11 @@ def test_one_ulp_off_takes_the_computed_path(workers, monkeypatch):
     x, y, want = next(t for t in terms if t[2] != 0.0)
     real = kernels._kernel_block
 
-    def one_ulp_off(k, cloud, rows, cols):
-        vals, norm = real(k, cloud, rows, cols)
+    def one_ulp_off(k, cloud, rows, cols, swap=False):
+        vals, norm = real(k, cloud, rows, cols, swap)
         cols = np.arange(cloud.n_points) if cols is None else np.asarray(cols)
-        at = (np.asarray(rows)[:, None] == x) & (cols[None, :] == y)
+        first, second = (y, x) if swap else (x, y)  # the block's (row, col)
+        at = (np.asarray(rows)[:, None] == first) & (cols[None, :] == second)
         vals[at] = np.nextafter(vals[at], np.inf)
         return vals, norm
     monkeypatch.setattr(kernels, "_kernel_block", one_ulp_off)

@@ -344,10 +344,11 @@ def test_a_kernel_one_ulp_off_is_walked_and_shows_its_residual(monkeypatch):
                      - km[x, y] * (wt[x] * wt[y])] if diff != 0.0)
     real = kernels._kernel_block
 
-    def one_ulp_off(k, cloud, rows, cols):
-        vals, norm = real(k, cloud, rows, cols)
+    def one_ulp_off(k, cloud, rows, cols, swap=False):
+        vals, norm = real(k, cloud, rows, cols, swap)
         cols = np.arange(cloud.n_points) if cols is None else np.asarray(cols)
-        at = (np.asarray(rows)[:, None] == x) & (cols[None, :] == y)
+        first, second = (y, x) if swap else (x, y)  # the block's (row, col)
+        at = (np.asarray(rows)[:, None] == first) & (cols[None, :] == second)
         vals[at] = np.nextafter(vals[at], np.inf)
         return vals, norm
     monkeypatch.setattr(kernels, "_kernel_block", one_ulp_off)
@@ -393,10 +394,10 @@ def test_each_full_kernel_row_is_requested_once(monkeypatch):
     rows_seen = []
 
     def counting(real):
-        def rows_of(k, cloud, rows, cols=None):
+        def rows_of(k, cloud, rows, cols=None, **swap):
             if cols is None and cloud.n_points == 256:
                 rows_seen.extend(np.asarray(rows).tolist())
-            return real(k, cloud, rows, cols)
+            return real(k, cloud, rows, cols, **swap)
         return rows_of
     # the engine's evaluator, and the kernel alone, each count a row
     for name in ("pair_rows", "kernel_rows"):
