@@ -208,7 +208,7 @@ def _riesz_rows(k: KernelSpec, cloud: PointCloud, rows: np.ndarray,
     if k.i > dim:
         raise InputError(f"Riesz coordinate index {k.i} is out of range "
                          f"for dimension {dim}")
-    diffs = _differences(cloud.coords, rows, cols, swap)
+    diffs = _differences(cloud, rows, cols, swap)
     dist = _norm(_EUCLIDEAN, diffs)
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = np.divide(diffs[k.i - 1], dist ** (k.n + 1.0),
@@ -225,7 +225,7 @@ def _generic_rows(k: KernelSpec, cloud: PointCloud, rows: np.ndarray,
     the Euclidean norm d the base reads."""
     every = np.arange(cloud.n_points) if cols is None else cols
     # d(y, x) is d(x, y) bit for bit, as (x - y)^2 == (y - x)^2
-    d = _norm(_EUCLIDEAN, _differences(cloud.coords, rows, every))
+    d = _norm(_EUCLIDEAN, _differences(cloud, rows, cols))
     b = _base_rows(k, cloud, rows, every, d, swap)
     with np.errstate(invalid="ignore"):  # inf - inf where x == y
         vals = ((b - _base_rows(k, cloud, rows, every, d, not swap)) / 2.0
@@ -336,9 +336,15 @@ def antisymmetry_pass(k: KernelSpec, cloud: PointCloud) -> RowPass:
     The residual is symmetric in the pair, so the tile reads k(x, y) for
     y >= x0 off the sweep's kernel rows, and evaluates k(y, x) for those
     columns in the same (rows, cols) layout, kernel_rows with swap: from
-    the formula at (y, x), never derived from k(x, y). Entries y < x,
-    which lie in the first R columns, are masked; that keeps the row-major
-    first maximum of the whole matrix. The diagonal stays, so a tile whose
+    the formula at (y, x), never derived from k(x, y). The entries y < x,
+    in the first R columns, are not masked: the residual block is
+    bit-symmetric (k(x, y) + k(y, x) and k(y, x) + k(x, y) add the same
+    two numbers), so such an entry repeats the pair (y, x) of the earlier
+    row y of the same tile. A row whose first maximum (or first NaN) lies
+    at y < x thus has an earlier row holding the same value, and the
+    reduce takes the first row holding the maximum, in which no earlier
+    column can hold it: the result is the row-major first maximum of the
+    whole matrix. The diagonal stays, so a tile whose
     k(x, y) + k(y, x) are all zero reports (0.0, x, x) per row, and its
     scale reads k(x, y) alone, as |k(y, x)| == |k(x, y)| there. The scale
     is a max/min reduction with -0.0 taken to +0.0. The rows of all tiles
@@ -361,7 +367,6 @@ def antisymmetry_pass(k: KernelSpec, cloud: PointCloud) -> RowPass:
                             axis=1)
         scale = np.maximum(abs_max(kt), abs_max(kc)) + 0.0
         np.abs(resid, out=resid)
-        resid[np.tril_indices(r, -1)] = -np.inf
         return np.hstack([_first_max(resid, rows, rows[0]), scale[:, None]])
 
     def reduce(per_row):

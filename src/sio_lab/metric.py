@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -73,7 +74,9 @@ class PointCloud:
     """Immutable finite metric space: coordinates plus a metric descriptor.
 
     Point ids are the row indices 0..N-1. `table` is only set for the
-    custom_table family.
+    custom_table family. `columns` is the coordinates' one contiguous
+    (dimension, N) copy, made on first use, from which the distance and
+    kernel blocks read each coordinate.
     """
 
     coords: np.ndarray
@@ -89,6 +92,10 @@ class PointCloud:
         if not (0 <= int(i) < self.n_points):
             raise InputError(f"unknown point id {i} (cloud has {self.n_points})")
 
+    @cached_property
+    def columns(self) -> np.ndarray:
+        return np.ascontiguousarray(self.coords.T)
+
     def distances_from(self, i: int) -> np.ndarray:
         """Distance row d(i, .); bit-symmetric with distances_from(j)[i]."""
         self.check_id(i)
@@ -101,24 +108,23 @@ def _distance_rows(cloud: PointCloud, rows: np.ndarray,
     if cloud.metric.family == CUSTOM_TABLE:
         return cloud.table[rows] if cols is None \
             else cloud.table[np.ix_(rows, cols)]
-    return _norm(cloud.metric, _differences(cloud.coords, rows, cols))
+    return _norm(cloud.metric, _differences(cloud, rows, cols))
 
 
-def _differences(coords: np.ndarray, rows, cols=None,
+def _differences(cloud: PointCloud, rows, cols=None,
                  swap: bool = False) -> list[np.ndarray]:
     """x_c - y_c for x in rows and y in cols (every point when cols is
     None), or y_c - x_c with swap: one (rows, cols) array per coordinate
     c. Each is its own subtraction, not the other's negation, which would
-    turn y_c - x_c = +0.0 into -0.0. The points are gathered with np.take
-    (far faster than coords[cols]), and each y coordinate is copied into a
-    contiguous column, so the subtraction reads unit strides."""
-    a = np.take(coords, rows, axis=0)
-    b = coords if cols is None else np.take(coords, cols, axis=0)
-    diffs = []
-    for c in range(coords.shape[1]):
-        x, y = a[:, c, None], np.ascontiguousarray(b[:, c])
-        diffs.append(y - x if swap else x - y)
-    return diffs
+    turn y_c - x_c = +0.0 into -0.0. The y coordinates are rows of
+    cloud.columns, read as views for every point, else gathered in one
+    np.take (far faster than fancy indexing), so the subtraction reads
+    unit strides."""
+    every = cloud.columns
+    x = np.take(every, rows, axis=1)
+    y = every if cols is None else np.take(every, cols, axis=1)
+    return [y[c] - x[c, :, None] if swap else x[c, :, None] - y[c]
+            for c in range(every.shape[0])]
 
 
 def _norm(md: MetricDescriptor, diffs) -> np.ndarray:

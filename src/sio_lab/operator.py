@@ -9,20 +9,25 @@ pair engine: it builds each tile's kernel rows and metric-distance rows
 once, by `kernels.pair_rows` for either kernel family, for every sum that
 reads the tile.
 
-compute_pairing_trace evaluates each pair once per trace. While it holds a
-tile it folds every eps truncation over fold_rows' tree, by blocks of
-metric._BLOCK columns, each an aligned subtree: metric._block_bounds
-bounds every distance of a block exactly, so a block beyond eps serves
-its one unmasked fold, a block within eps serves +0.0, and only the
-blocks that straddle eps are masked and folded again. The step bands are
-block-decided over the same bounds: a block inside one step's band serves
-that step its unmasked fold, a block outside the grid serves +0.0, and
-only the pairs inside the grid of the blocks that straddle a band edge go,
-keyed by band, row and block, into one sums.fold_keys call. That fold
-scatters those pairs into zero rows of the block's width, one per (band,
-row, block) that holds a pair (8 * 64 bytes each), and folds them with
-fold_rows in one step; the block values then take the upper levels, so
-the bits are those of one masked dense fold per band.
+compute_pairing_trace evaluates each pair once per trace, and folds each
+tile at a fixed cost whatever the balls and the eps grid (_trace_folds).
+Every row is folded by blocks of metric._BLOCK columns, each an aligned
+subtree of fold_rows' tree, and metric._block_bounds bounds every
+distance of a block exactly, so the tile's blocks are classified once,
+against every eps and every step (once per row block of metric._BLOCK
+ids, for the tiles that split one): a block beyond eps serves its unmasked
+fold and one within eps +0.0; a block inside one step's band serves that
+step its unmasked fold and one outside the grid +0.0; only the blocks
+that straddle an edge are masked, and a straddled band keeps only its
+pairs inside the grid, scattered into a zero row of the block's width per
+(band, row, block) that holds one. The bands' families are one index
+set: the scale band, a shared |k| w band that serves every ball on the
+blocks holding no column inside it, and each ball on the blocks its
+boundary cuts, per held (ball, row) pair. Every masked block row is
+folded in one stacked fold_rows call, beside the blocks served whole,
+and the block values of every column take the upper levels of their
+rows' trees in one more fold, so each column has the bits of one masked
+dense fold of its row.
 
 The row sums are split into a per-tile function and a reduction, a
 `metric.RowPass`: trace_pass, annuli_pass and boundary_pass (with
@@ -60,6 +65,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,7 +75,7 @@ from . import kernels, metric
 from .kernels import KernelSpec, run_pass, sweep_pair_tiles
 from .measure import DiscreteMeasure, StepMeasure
 from .metric import PointCloud, RowPass
-from .sums import fold_keys, fold_rows, pairwise_sum, thread_map
+from .sums import fold_rows, pairwise_sum, thread_map
 
 
 @dataclass(frozen=True)
@@ -105,40 +111,243 @@ def simple_function_from_json(obj: dict) -> SimpleFunction:
             for t in obj["terms"]))
 
 
-def _truncated_folds(kt: np.ndarray, dt: np.ndarray, fw: np.ndarray,
-                     grid, bounds) -> list[np.ndarray]:
-    """(T_eps(f mu))(x) per tile row for each eps: strict d(x, y) > eps.
+class _Blocks(NamedTuple):
+    """A tile's column blocks classified once against an eps grid by their
+    metric._block_bounds (lb, ub). For an eps, a block with lb > eps is
+    served whole, one with ub <= eps serves +0.0, and one in between
+    straddles it. For a step (delta, eps], a block whose bounds lie inside
+    the band serves it whole, and one whose bounds lie in different steps
+    straddles a band edge."""
 
-    bounds is the tile rows' metric._block_bounds (lb, ub) per block of
-    metric._BLOCK columns. Each block (the whole row, if narrower) is an
-    aligned subtree of fold_rows' tree. For an eps, a block with lb > eps
-    serves its unmasked fold, taken once; one with ub <= eps serves +0.0,
-    the fold of its masked zeros; only the blocks in between are masked
-    and folded again, a tile's worth of (eps, block) pairs at a time, and
-    the block values of every eps then take the upper levels of the same
-    tree together. This block path is the only one: a metric without
-    bounds ((0, inf) for every block) and a uniform cloud in random order,
-    whose blocks straddle every eps, take it too, block by block.
+    beyond: np.ndarray    # (eps, blocks) bool: lb > eps
+    whole: np.ndarray     # the blocks some eps serves whole: lb > eps_last
+    es: np.ndarray        # the straddling (eps, block) pairs
+    bs: np.ndarray
+    in_band: np.ndarray   # the blocks inside one step's band
+    band_step: np.ndarray  # the step of each of those
+    straddle: np.ndarray  # the blocks that straddle a band edge
+
+
+def _classify(grid, bounds) -> _Blocks:
+    eps = np.asarray(grid)
+    lb, ub = bounds
+    beyond = lb > eps[:, None]
+    es, bs = (~beyond & (ub > eps[:, None])).nonzero()
+    # the steps of lb and ub: j with eps_j+1 < d <= eps_j, -1 above eps_0
+    # and n_steps at or below eps_last; lo >= hi, as lb <= ub
+    n_steps = eps.size - 1
+    lo, hi = n_steps - eps[::-1].searchsorted(bounds)
+    in_band = ((lo == hi) & (lo >= 0) & (lo < n_steps)).nonzero()[0]
+    return _Blocks(beyond, beyond[-1].nonzero()[0], es, bs, in_band,
+                   lo[in_band], (lo > hi).nonzero()[0])
+
+
+class _Bands(NamedTuple):
+    """A tile's step bands for _trace_folds, with the families as one
+    index set: family 0 is the scale band (every row and column, factor
+    |f| w), family i > 0 the band of ball i - 1 of those with a boundary
+    (its rows, the columns outside it, factor w); with balls, the shared
+    band of |k| w over every row and column rides last. Columns are
+    padded to whole blocks and laid out (block, column in block)."""
+
+    held: np.ndarray      # (balls, tile rows) bool: the rows in each ball
+    member3: np.ndarray   # (balls, blocks, bw) bool: the columns inside it
+    clear: np.ndarray     # (balls, blocks) bool: no column inside the ball
+    cut: np.ndarray       # (balls, blocks) bool: columns inside and outside
+    factor3: np.ndarray   # (2, blocks, bw): |f| w of the scale band, w
+
+
+def _trace_folds(kt: np.ndarray, dt: np.ndarray, fw: np.ndarray, grid,
+                 blocks: _Blocks, bands: _Bands | None = None
+                 ) -> np.ndarray:
+    """Per tile row, the fold of each strict truncation d(x, y) > eps of
+    kt * fw, then, given bands, of each (family, step) band delta < d <=
+    eps in that order: (rows, eps + families * steps), each column with
+    the bits of one masked dense fold_rows of its row.
+
+    Rows are folded by the blocks that `blocks` classifies (_classify),
+    aligned subtrees of fold_rows' tree: a block served whole gives its
+    unmasked fold, one served +0.0 is not read, and a straddled one is
+    masked; a straddled band keeps its pairs inside the grid, one zero
+    row per (family, step, row, block) that holds one (_keyed_band_rows).
+    A ball's row of a block with no column inside the ball is the row of
+    |k| w, folded once as the shared band for every ball; a block with no
+    column outside the ball serves it +0.0; only the blocks its boundary
+    cuts are masked per held (ball, row). Every block row goes into one
+    stack, folded by one fold_rows call, and the block values take the
+    upper levels of their rows' trees in one more. At most n_blocks
+    straddling (eps, block) pairs stack, a tile's worth of entries; more,
+    as on a cloud in random order or a metric without bounds, are folded
+    a tile's worth at a time.
     """
     rows, n = kt.shape
-    w = min(metric._BLOCK, 1 << (n - 1).bit_length())
-    n_blocks = -(-n // w)
-    lb, ub = bounds
-    terms = kt * fw[None, :]
-    if n % w:  # zero columns up to whole blocks, as fold_rows pads
-        terms, dt = (np.pad(a, ((0, 0), (0, n_blocks * w - n)))
-                     for a in (terms, dt))
-    t3, d3 = (a.reshape(rows, n_blocks, w) for a in (terms, dt))
-    eps = np.asarray(grid)[:, None]
-    full = fold_rows(terms.reshape(-1, w)).reshape(rows, 1, n_blocks)
-    vals = np.where(lb > eps, full, 0.0)  # (row, eps, block)
-    e, b = np.nonzero((lb <= eps) & (ub > eps))
-    for s in range(0, e.size, n_blocks):
-        es, bs = e[s:s + n_blocks], b[s:s + n_blocks]
-        vals[:, es, bs] = fold_rows(np.where(
-            d3[:, bs] > eps[es], t3[:, bs], 0.0).reshape(-1, w)
-            ).reshape(rows, -1)
-    return list(fold_rows(vals.reshape(-1, n_blocks)).reshape(rows, -1).T)
+    bw = min(metric._BLOCK, 1 << (n - 1).bit_length())  # block width
+    n_blocks = -(-n // bw)
+    width = n_blocks * bw  # a row's columns padded to whole blocks
+    if width != n:  # zero columns up to whole blocks, as fold_rows pads
+        kt = np.pad(kt, ((0, 0), (0, width - n)))
+        dt = np.pad(dt, ((0, 0), (0, width - n)))
+    if fw.size != width:
+        fw = np.pad(fw, (0, width - fw.size))
+    k3 = kt.reshape(rows, n_blocks, bw)
+    d3 = dt.reshape(rows, n_blocks, bw)
+    fw3 = fw.reshape(n_blocks, bw)
+    eps = np.asarray(grid)
+    n_eps = eps.size
+    n_steps = 0 if bands is None else n_eps - 1
+    n_balls = 0 if bands is None else bands.held.shape[0]
+    n_out = n_eps + (1 + n_balls) * n_steps
+    # vals' columns: with balls, the shared |k| w band rides last
+    n_cols = n_out + (n_steps if n_balls else 0)
+
+    def truncated(ids, es, out=None):
+        """kt * fw on the blocks ids, (rows, blocks, bw), the last es.size
+        of them masked to d > eps[es]: the (eps, block) pairs that
+        straddle."""
+        out = k3.take(ids, axis=1, out=out, mode="clip")
+        np.multiply(out, fw3[ids], out=out)
+        if es.size:
+            cut = ids.size - es.size
+            np.copyto(out[:, cut:], 0.0, where=~(
+                d3.take(ids[cut:], axis=1) > eps[es, None]))
+        return out
+
+    # the truncations' rows: the blocks that some eps serves whole, then
+    # the straddling (eps, block) pairs; at most n_blocks pairs stack
+    whole, es, bs = blocks.whole, blocks.es, blocks.bs
+    n_trunc = min(es.size, n_blocks)
+    tb = np.concatenate([whole, bs[:n_trunc]])
+    n_whole = n_cut = n_keyed = 0
+    if n_steps:
+        # whole band blocks: the scale band and the shared |k| w band on
+        # every row, then each held (ball, row, block) that the ball's
+        # boundary cuts
+        wb = blocks.in_band
+        n_fam = 2 if n_balls else 1
+        n_whole = n_fam * rows * wb.size
+        hf, hr = bands.held.nonzero()
+        ch, cj = bands.cut[hf][:, wb].nonzero()
+        n_cut = ch.size
+        if blocks.straddle.size:
+            at, fill = _keyed_band_rows(k3, d3, eps, blocks.straddle,
+                                        n_cols, bands)
+            n_keyed = at.size
+
+    # one stack of every block row, folded at once
+    o1 = rows * tb.size
+    o2 = o1 + n_whole
+    o3 = o2 + n_cut
+    stack = np.empty((o3 + n_keyed, bw))
+    truncated(tb, es[:n_trunc], stack[:o1].reshape(rows, tb.size, bw))
+    if n_whole:
+        out = stack[o1:o2].reshape(n_fam, rows, wb.size, bw)
+        mag = k3.take(wb, axis=1)
+        np.abs(mag, out=mag)
+        np.multiply(mag, bands.factor3[:n_fam, None, wb], out=out)
+        if n_cut:
+            cut = stack[o2:o3]
+            cut[...] = out[1][hr[ch], cj]
+            np.copyto(cut, 0.0, where=bands.member3[hf[ch], wb[cj]])
+        del mag
+    if n_keyed:
+        stack[o3:] = 0.0
+        fill(stack[o3:])
+        del fill
+    folded = fold_rows(stack)
+    del stack
+
+    # the block values of every column, then the upper levels
+    vals = np.zeros((rows, n_cols, n_blocks))  # (row, column, block)
+    res = folded[:o1].reshape(rows, -1)
+    full = np.zeros((rows, n_blocks))
+    full[:, whole] = res[:, :whole.size]
+    np.copyto(vals[:, :n_eps], full[:, None], where=blocks.beyond)
+    vals[:, es[:n_trunc], bs[:n_trunc]] = res[:, whole.size:]
+    if n_whole:
+        col = np.array([n_eps, n_out])[:n_fam, None] + blocks.band_step
+        vals[:, col, wb] = folded[o1:o2].reshape(n_fam, rows, -1
+                                                  ).transpose(1, 0, 2)
+    if n_cut:
+        vals[hr[ch], n_eps + (hf[ch] + 1) * n_steps
+             + blocks.band_step[cj], wb[cj]] = folded[o2:o3]
+    if n_keyed:
+        vals.ravel()[at] = folded[o3:]
+    if n_balls:
+        # a block with no column inside a ball serves its rows the shared
+        # |k| w band
+        ball_vals = vals[:, n_eps + n_steps:n_out].reshape(
+            rows, n_balls, n_steps, n_blocks)
+        np.copyto(ball_vals, vals[:, None, n_out:],
+                  where=(bands.held.T[:, :, None] & bands.clear)[:, :, None])
+    for s in range(n_trunc, es.size, n_blocks):
+        e, b = es[s:s + n_blocks], bs[s:s + n_blocks]
+        vals[:, e, b] = fold_rows(truncated(b, e).reshape(-1, bw)).reshape(
+            rows, -1)
+    return fold_rows(vals.reshape(-1, n_blocks)).reshape(rows, -1)[:, :n_out]
+
+
+def _keyed_band_rows(k3, d3, eps, sb, n_cols: int, bands: _Bands):
+    """The keyed rows of _trace_folds for the column blocks sb that
+    straddle a band edge: one zero row of the block's width per (family,
+    step, row, block) key that holds a pair inside the grid, with those
+    pairs scattered in. The families are the scale band, the shared |k| w
+    band (with balls; it holds the scale band's keys) and each held ball
+    whose boundary cuts the block, over its columns outside the ball. A
+    table over the keys ranks them, so the pairs need no sort. Returns
+    (the vals index of each row, fill), fill(out) writing the rows into
+    zeros."""
+    rows, n_blocks, bw = k3.shape
+    n_eps = eps.size
+    n_steps = n_eps - 1
+    n_keys = n_steps * rows * sb.size  # (step, row, block) keys a family
+    ds = d3.take(sb, axis=1).ravel()
+    at = ((ds > eps[-1]) & (ds <= eps[0])).nonzero()[0]  # (row, block, col)
+    key = at >> (bw.bit_length() - 1)  # row * blocks + block
+    if n_steps > 1:
+        key += (n_steps - eps[::-1].searchsorted(ds[at])) * (rows * sb.size)
+    del ds
+    cin = at & (bw - 1)
+    n_fam = 2 if bands.held.size else 1  # the scale band, the shared band
+    mag = np.abs(k3.take(sb, axis=1))
+    keyed = (mag * bands.factor3[:n_fam, None, sb]).reshape(n_fam, -1).take(
+        at, axis=1)
+    del mag
+    # the vals index of each key: (row, column, block)
+    index = ((np.arange(rows)[:, None] * n_cols + n_eps) * n_blocks + sb
+             + (np.arange(n_steps) * n_blocks)[:, None, None]).ravel()
+
+    def ranked(keys, n):
+        """Each key's rank among the distinct keys, and those keys."""
+        seen = np.zeros(n, dtype=bool)
+        seen[keys] = True
+        distinct = seen.nonzero()[0]
+        rank = np.empty(n, dtype=np.intp)
+        rank[distinct] = np.arange(distinct.size)
+        return rank[keys], distinct
+
+    slot, distinct = ranked(key, n_keys)
+    rows_at = [index[distinct] + np.array([0, n_cols - n_steps - n_eps])[
+        :n_fam, None] * n_blocks]  # the shared band's columns ride last
+    n_shared = n_fam * distinct.size
+    cut = bands.cut[:, sb]
+    act = (np.logical_or.reduce(bands.held, axis=1)
+           & np.logical_or.reduce(cut, axis=1)).nonzero()[0]
+    f = p = cut_slot = None
+    if act.size:
+        # the held rows and outside columns of each ball that cuts a block
+        pick = bands.held[act][:, :, None, None] & (
+            ~bands.member3[act[:, None], sb] & cut[act, :, None])[:, None]
+        f, p = pick.reshape(act.size, -1).take(at, axis=1).nonzero()
+        cut_slot, distinct = ranked(f * n_keys + key[p], act.size * n_keys)
+        ball, distinct = np.divmod(distinct, n_keys)
+        rows_at.append(index[distinct]
+                       + (act[ball] + 1) * (n_steps * n_blocks))
+
+    def fill(out):
+        out[:n_shared].reshape(n_fam, -1, bw)[:, slot, cin] = keyed
+        if f is not None:
+            out[n_shared + cut_slot, cin[p]] = keyed[1, p]
+    return np.concatenate([a.ravel() for a in rows_at]), fill
 
 
 def _on_rows(inside: np.ndarray, fn):
@@ -317,27 +526,22 @@ def trace_pass(m: DiscreteMeasure, f: SimpleFunction, g: SimpleFunction,
     Per tile, per-row folds are taken of: the strict truncation at each eps;
     the scale band delta < d <= eps of each step, of |k| |f| w; and each
     ball's band delta < d <= eps of |k| w (rows in the ball, columns
-    outside it). The nested truncations are _truncated_folds' block folds,
-    and the bands are block folds too, over the same metric._block_bounds:
-    each row is folded by aligned blocks of metric._BLOCK columns. A block
-    whose bounds lie inside one step's band serves, for that step, its
-    unmasked fold (one dense fold of |k| |f| w, and one of |k| w per ball
-    over the ball's rows, masked to its outside columns); a block outside
-    the grid, or a step's band that the bounds miss, serves +0.0, the fold
-    of its masked zeros. Only the blocks that straddle a band edge are
-    read pair by pair: their pairs inside the grid are picked once, each
-    gets its step, and one fold_keys call scatters them into a zero row
-    per (band, step, row, block) that holds a pair, 8 * 64 bytes each, and
-    folds those rows densely in one step. The block values of every band
-    then take the upper levels of the tree together, so each band keeps
-    the bits of one dense fold of its masked row. Row folds are then reduced
-    with pairwise_sum exactly as one pairing, one boundary term or one
-    scale would reduce them alone.
+    outside it). One _trace_folds call takes them all, from one
+    classification of the tile's column blocks by their
+    metric._block_bounds, in two fold_rows calls whatever the balls and
+    the grid (a few more only when more (eps, block) pairs straddle than
+    a row has blocks). The bands' families are one index set: the
+    membership table of the balls with a boundary, and per (ball, block)
+    whether the block holds no column inside the ball or is cut by its
+    boundary, are built here once; each tile takes its held (ball, row)
+    pairs from the table in one step, so no tile loops over balls or eps.
+    Each band keeps the bits of one dense fold of its masked row, and row
+    folds are reduced with pairwise_sum exactly as one pairing, one
+    boundary term or one scale would reduce them alone.
     """
     grid = _check_grid(eps_grid)
     cloud, w = m.cloud, m.weights
     fvals, gvals = f.values(cloud), g.values(cloud)
-    fw, afw = fvals * w, np.abs(fvals) * w
     steps = list(zip(grid[1:], grid[:-1]))  # (delta, eps) per step
     balls = {(b.center, b.radius): b.members(cloud)
              for _, b in f.terms + g.terms} if steps else {}
@@ -345,93 +549,46 @@ def trace_pass(m: DiscreteMeasure, f: SimpleFunction, g: SimpleFunction,
     banded = [(key, inside) for key, inside in balls.items()
               if 0 < np.count_nonzero(inside) < m.n_atoms]
 
-    n_steps, n_cols = len(steps), m.n_atoms
-    n_bands = (1 + len(banded)) * n_steps  # (family, step) pairs
-    bw = min(metric._BLOCK, 1 << (n_cols - 1).bit_length())  # block width
-    n_blocks = -(-n_cols // bw)
-    width = n_blocks * bw  # a row's columns padded to whole blocks
-    ascending = np.asarray(grid[::-1])
-    step_type = np.min_scalar_type(n_steps)  # numpy radix-sorts these
-    # per family, its rows (None: every row), the column factor of its
-    # terms and its columns (None: every column), padded to `width`
-    w_pad, afw_pad = (np.pad(a, (0, width - n_cols)) for a in (w, afw))
-    families = [(None, afw_pad, None)] + [
-        (inside, w_pad, np.pad(~inside, (0, width - n_cols)))
-        for _, inside in banded]
-
-    def step_of(d):
-        """j with eps_{j+1} < d <= eps_j; -1 above eps_0, n_steps at or
-        below eps_last."""
-        return n_steps - np.searchsorted(ascending, d)
-
-    def block_columns(blocks):
-        return (blocks[:, None] * bw + np.arange(bw)).ravel()
-
-    def keyed_folds(kt, dt, rows, blocks):
-        """fold_keys' (family, step, row, block) folds of the in-grid pairs
-        of the given blocks: the pairs in row-major order, then stably by
-        step, keyed by band, row and column."""
-        cols = block_columns(blocks)
-        cols = cols[cols < n_cols]
-        if cols.size < n_cols:
-            kt, dt = kt[:, cols], dt[:, cols]
-        at = np.flatnonzero((dt > grid[-1]) & (dt <= grid[0]))
-        step = step_of(dt.ravel()[at]).astype(step_type)
-        order = np.argsort(step, kind="stable")
-        at = at[order]
-        a = np.abs(kt.ravel()[at])
-        r, c = np.divmod(at, cols.size)
-        if cols.size < n_cols:
-            c = cols[c]
-        key = (step[order].astype(np.int64) * rows.size + r) * width + c
-        vals, keys = [], []
-        for b, (inside, factor, outside) in enumerate(families):
-            e = slice(None)
-            if inside is not None:
-                held = inside[rows]
-                if not held.any():
-                    continue
-                e = np.flatnonzero(outside[c] if held.all()
-                                   else held[r] & outside[c])
-            vals.append(a[e] * factor[c[e]])
-            keys.append(key[e] + b * n_steps * rows.size * width)
-        return fold_keys(np.concatenate(vals), np.concatenate(keys),
-                         n_bands * rows.size * n_blocks, bw)
-
-    def band_folds(kt, dt, rows, bounds):
-        """Per tile row, the fold of each (family, step) band."""
-        lo, hi = (step_of(x) for x in bounds)  # lo >= hi, as lb <= ub
-        straddle = np.flatnonzero(lo > hi)
-        vals = (keyed_folds(kt, dt, rows, straddle) if straddle.size
-                else np.zeros(n_bands * rows.size * n_blocks)
-                ).reshape(-1, n_steps, rows.size, n_blocks)
-        whole = np.flatnonzero((lo == hi) & (lo >= 0) & (lo < n_steps))
-        if whole.size:
-            cols = block_columns(whole)
-            a = np.zeros((rows.size, cols.size))
-            inner = cols < n_cols
-            a[:, inner] = np.abs(kt[:, cols[inner]])
-            j = lo[whole][:, None]
-            for b, (inside, factor, outside) in enumerate(families):
-                if inside is None:
-                    held, t = np.arange(rows.size), a * factor[cols]
-                else:
-                    held = np.flatnonzero(inside[rows])
-                    t = np.where(outside[cols], a[held] * factor[cols], 0.0)
-                if held.size:
-                    vals[b, j, held, whole[:, None]] = fold_rows(
-                        t.reshape(-1, bw)).reshape(held.size, -1).T
-        return fold_rows(vals.reshape(-1, n_blocks)).reshape(-1, rows.size).T
-
+    n = m.n_atoms
+    bw = min(metric._BLOCK, 1 << (n - 1).bit_length())  # block width
+    n_blocks = -(-n // bw)
+    pad = (0, n_blocks * bw - n)  # columns up to whole blocks
+    fw = np.pad(fvals * w, pad)
+    inside = np.array([members for _, members in banded],
+                      dtype=bool).reshape(-1, n)  # the families' table
+    member3 = np.pad(inside, ((0, 0), pad)).reshape(-1, n_blocks, bw)
+    clear = ~member3.any(axis=2)  # (ball, block): no column inside
+    # columns inside and outside: cut by the ball's boundary
+    cut = ~clear & np.pad(~inside, ((0, 0), pad)).reshape(
+        -1, n_blocks, bw).any(axis=2)
+    factor3 = np.pad(np.stack([np.abs(fvals) * w, w]), ((0, 0), pad)
+                     ).reshape(2, n_blocks, bw)
     boxes = metric._boxes(cloud.coords)
+    classified = {}  # row block -> _Blocks of its box; a few at a time
+
+    def blocks_of(rows):
+        """The blocks classified by bounds on the rows' distances: those
+        of their row block's box when they lie in one, shared by every
+        tile that splits the block, else their own. Both bound every
+        distance exactly; the choice moves pairs between the masked and
+        the whole paths, never a bit of a fold."""
+        b = rows[0] // metric._BLOCK
+        if rows[-1] // metric._BLOCK != b:
+            return _classify(grid, metric._block_bounds(cloud, rows, boxes))
+        got = classified.get(b)
+        if got is None:
+            if len(classified) >= 8:
+                classified.clear()
+            block = np.arange(b * metric._BLOCK,
+                              min((b + 1) * metric._BLOCK, n))
+            got = classified[b] = _classify(
+                grid, metric._block_bounds(cloud, block, boxes))
+        return got
 
     def tile(kt, dt, rows):
-        bounds = metric._block_bounds(cloud, rows, boxes)
-        truncs = np.stack(_truncated_folds(kt, dt, fw, grid, bounds), axis=1)
-        if not steps:
-            return truncs
-        return np.concatenate([truncs, band_folds(kt, dt, rows, bounds)],
-                              axis=1)
+        bands = _Bands(inside[:, rows], member3, clear, cut,
+                       factor3) if steps else None
+        return _trace_folds(kt, dt, fw, grid, blocks_of(rows), bands)
 
     def reduce(res):
         n_eps, n_steps = len(grid), len(steps)

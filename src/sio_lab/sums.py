@@ -4,13 +4,12 @@ Every double sum in the lab is taken over one reduction tree, so that
 results are bit-identical across runs and across worker counts: each row
 is folded over the perfect binary tree of its zero-padded width
 (fold_rows), and the row results over the same kind of tree in row order
-(pairwise_sum, fold_rows' one-row case). fold_keys folds rows given
-only by their entries in one dense step: it scatters them into zero rows,
-built only for the rows that hold an entry (8 bytes per padded column
-each), and folds those with fold_rows once, so its rows are fold_rows'
-by construction. The pairing trace hands it only the blocks of 64 columns
-that straddle a band edge, folded to block width; the blocks that their
-distance bounds decide are folded densely or are +0.0.
+(pairwise_sum, fold_rows' one-row case). Each row of a stacked fold_rows
+call is folded over the tree of that row alone, so a caller may stack
+rows of any origin into one call, and a zero row holding only a few
+entries folds exactly as its dense row: the pairing trace stacks every
+masked block row of a tile, keyed rows of scattered pairs included, into
+one call.
 Parallel execution only ever hands out whole rows. thread_map is the
 lab's one thread pool, and metric.tile_map hands it row tiles; it keeps
 about 2 * workers tiles submitted ahead of the one it collects, so a walk
@@ -37,28 +36,6 @@ def fold_rows(a: np.ndarray) -> np.ndarray:
     while a.shape[1] > 1:
         a = a[:, 0::2] + a[:, 1::2]
     return a[:, 0].copy()
-
-
-def fold_keys(vals, keys, n_groups: int, width: int) -> np.ndarray:
-    """fold_rows of n_groups zero rows of `width` columns holding only the
-    given entries: entry i sits in row keys[i] // m at column keys[i] % m,
-    where m is width padded to a power of two, and the keys are strictly
-    increasing.
-
-    Only the rows that hold an entry are built, as one zeroed (touched
-    rows, m) array that the entries are scattered into and fold_rows folds
-    once, so each row is bit-identical to fold_rows of its zero row by
-    construction; the other rows are +0.0. Memory is 8 * m bytes per
-    touched row, not per group.
-    """
-    m = 1 << (width - 1).bit_length()
-    out = np.zeros(n_groups)
-    row, col = np.divmod(np.asarray(keys), m)
-    first = np.diff(row, prepend=-1) != 0  # sorted keys: rows come in runs
-    block = np.zeros((np.count_nonzero(first), m))
-    block[np.cumsum(first) - 1, col] = vals
-    out[row[first]] = fold_rows(block)
-    return out
 
 
 def pairwise_sum(values) -> float:

@@ -250,7 +250,7 @@ def _named_base(name, cloud, s, rows, cols):
     if name == "inv_dist":
         with np.errstate(divide="ignore"):
             return metric._distance_rows(cloud, rows, cols) ** (-s)
-    diffs = metric._differences(cloud.coords, rows, cols)
+    diffs = metric._differences(cloud, rows, cols)
     d = metric._norm(E2, diffs)
     with np.errstate(divide="ignore", invalid="ignore"):
         return cloud.coords[rows, None, 0] * diffs[0] / d ** (s + 1.0)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -450,6 +451,44 @@ def test_trace_evaluates_each_pair_once(kernel, monkeypatch):
     assert sorted(rows_seen) == list(range(156)) and not matrices
 
 
+def test_trace_folds_a_fixed_number_of_times_per_tile(monkeypatch):
+    """A trace tile makes the same number of fold_rows calls with 2 balls
+    as with 10, and with 2 eps as with 12: its blocks are classified once,
+    and every masked block row, of every ball and step, is folded in one
+    stack before the one fold of the block values."""
+    monkeypatch.setattr(metric_module, "_TILE_PAIRS", 32 * 1024)
+    m = normalize(generate(GeneratorSpec(family="four_corner_cantor",
+                                         level=5))[1])[0]
+    dist = np.unique(m.cloud.distances_from(0))
+    rng = np.random.default_rng(5)
+    balls = [Ball(int(c), float(dist[rng.integers(dist.size // 5,
+                                                   4 * dist.size // 5)]))
+             for c in rng.integers(0, m.n_atoms, size=10)]
+    folds, tiles = [0], [0]
+    real_fold = operator_module.fold_rows
+
+    def counting(a):
+        folds[0] += 1
+        return real_fold(a)
+    monkeypatch.setattr(operator_module, "fold_rows", counting)
+    per_tile = []
+    for n_balls in (2, 10):
+        f = SimpleFunction(terms=tuple((1.0, b) for b in balls[:n_balls:2]))
+        g = SimpleFunction(terms=tuple((-0.5, b)
+                                       for b in balls[1:n_balls:2]))
+        for n_eps in (2, 12):
+            p = operator_module.trace_pass(
+                m, f, g, [0.5 * 0.7 ** j for j in range(n_eps)])
+
+            def tile(kt, dt, rows, p=p):
+                tiles[0] += 1
+                return p.tile(kt, dt, rows)
+            folds[0] = tiles[0] = 0
+            kernels.run_pass(RIESZ, m.cloud, p._replace(tile=tile))
+            per_tile.append(folds[0] / tiles[0])
+    assert tiles[0] == 32 and len(set(per_tile)) == 1 and per_tile[0] <= 4
+
+
 # ---------------------------------------------------------------------------
 # the tiled checks against their dense N x N formulas
 
@@ -719,8 +758,9 @@ def test_truncated_folds_equal_one_masked_fold_per_eps(data):
     grid = sorted(data.draw(st.sets(st.sampled_from(
         [3.0, 1.5, 1.0, 0.75, 0.5, 0.3, 0.25, 0.1]), min_size=1)),
         reverse=True)
-    got = operator_module._truncated_folds(
-        kt, dt, fw, grid, (np.zeros(1), np.full(1, math.inf)))
+    blocks = operator_module._classify(
+        grid, (np.zeros(1), np.full(1, math.inf)))
+    got = operator_module._trace_folds(kt, dt, fw, grid, blocks).T
     terms = kt * fw[None, :]
     for col, eps in zip(got, grid):
         assert col.tobytes() == fold_rows(np.where(dt > eps, terms,
@@ -752,26 +792,37 @@ def bound_grid(m, rows, take):
     return [float(e) for e in pool[::-1]], (lb, ub)
 
 
-@pytest.mark.parametrize("n", [300, 156, 40])
+# a raw base with NaN (x_1 > 0.5) and +-inf (x_2 == y_2) off the diagonal
+RAW = KernelSpec(family="generic_antisymmetrized",
+                 base="(y[..., 0] - 0.3) * np.sqrt(0.5 - x[..., 0])"
+                      " / (x[..., 1] - y[..., 1])", antisymmetrize=False)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("n", [300, 256, 156, 40])
 @pytest.mark.parametrize("metric", [E2, L1, SNOW])
 def test_truncated_folds_with_bounds_equal_masked_folds(n, metric):
     """eps on pair distances and on the bounds themselves: each column has
-    the bits of the tile's own masked dense fold, and blocks are decided
-    wherever the metric has bounds (below 64 columns, the one block of the
-    whole padded row)."""
+    the bits of the tile's own masked dense fold, signed zeros, infinities
+    and NaN included, and blocks are decided wherever the metric has
+    bounds (below 64 columns, the one block of the whole padded row); 256
+    columns are whole blocks, read in place, and 300 are padded."""
     m = (clustered_measure(n, metric, seed=n) if n != 156
          else lattice_measure(metric, seed=1))
     fw = m.weights * np.random.default_rng(2).normal(size=n)
+    fw[::9] = -0.0
     decided = False
-    for x0 in range(0, n, 23):
-        rows = np.arange(x0, min(x0 + 23, n))
-        kt, dt = kernels.pair_rows(RIESZ, m.cloud, rows)
-        grid, (lb, ub) = bound_grid(m, rows, take=7)
-        got = operator_module._truncated_folds(kt, dt, fw, grid, (lb, ub))
-        for col, eps in zip(got, grid):
-            want = fold_rows(np.where(dt > eps, kt * fw[None, :], 0.0))
-            assert col.tobytes() == want.tobytes()
-        decided |= any(((lb > e) | (ub <= e)).any() for e in grid)
+    for k in (RIESZ, RAW):
+        for x0 in range(0, n, 23):
+            rows = np.arange(x0, min(x0 + 23, n))
+            kt, dt = kernels.pair_rows(k, m.cloud, rows)
+            grid, (lb, ub) = bound_grid(m, rows, take=7)
+            got = operator_module._trace_folds(
+                kt, dt, fw, grid, operator_module._classify(grid, (lb, ub))).T
+            for col, eps in zip(got, grid):
+                want = fold_rows(np.where(dt > eps, kt * fw[None, :], 0.0))
+                assert bits(col) == bits(want)
+            decided |= any(((lb > e) | (ub <= e)).any() for e in grid)
     assert decided == (metric is not SNOW)
 
 
@@ -797,6 +848,7 @@ def table_measure():
 
 BAND_INPUTS = {
     "four_corner_300": lambda: clustered_measure(300, E2, seed=6),
+    "four_corner_256": lambda: clustered_measure(256, E2, seed=11),
     "four_corner_40": lambda: clustered_measure(40, L1, seed=7),
     "uniform_200": lambda: uniform_measure(200, seed=8),
     "snowflake": lambda: lattice_measure(SNOW, seed=9),
@@ -829,23 +881,32 @@ def band_grid(m, rows, n_steps):
     return sorted(set(picks), reverse=True)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("n_steps", [1, 2, 12])
 @pytest.mark.parametrize("name", list(BAND_INPUTS))
 def test_trace_band_folds_equal_masked_dense_folds(name, n_steps):
     """Each band column of the trace's tile, the scale band of |k| |f| w
     and each ball's band of |k| w over its rows and outside columns, has
-    the bits of fold_rows(np.where(band_mask, v, 0.0)); so do the rows of
-    the tiles, whatever the blocks: wholly inside one band, outside the
-    grid or straddling an edge."""
+    the bits of fold_rows(np.where(band_mask, v, 0.0)), signed zeros,
+    infinities and NaN included; so do the rows of the tiles, whatever
+    the blocks: wholly inside one band, outside the grid or straddling an
+    edge, and inside a ball, outside it or cut by its boundary. Ten ball
+    terms: one repeated, one holding every atom, one holding none."""
     m = BAND_INPUTS[name]()
     n = m.n_atoms
     dist = np.unique(dense_distances(m.cloud))
     f = SimpleFunction(terms=(
         (0.7, Ball(5, float(dist[dist.size // 3]))),
-        (-1.2, Ball(n - 1, float(dist[4 * dist.size // 5])))))
+        (-1.2, Ball(n - 1, float(dist[4 * dist.size // 5]))),
+        (0.3, Ball(n // 3, float(dist[dist.size // 7]))),
+        (-0.8, Ball(2 * n // 3, float(dist[dist.size // 4]))),
+        (0.5, Ball(7, -1.0))))  # holds no atom
     g = SimpleFunction(terms=(
         (1.1, Ball(n // 2, float(dist[dist.size // 5]))),
-        (0.4, Ball(1, float(dist[-1])))))
+        (0.4, Ball(1, float(dist[-1]))),  # holds every atom
+        (-0.9, Ball(5, float(dist[dist.size // 3]))),  # f's first again
+        (-0.6, Ball(n // 4, float(dist[dist.size // 2]))),
+        (0.2, Ball(3 * n // 4, float(dist[dist.size // 10])))))
     w = m.weights
     afw = np.abs(f.values(m.cloud)) * w
     # one band per distinct ball with a boundary, in the order of the terms
@@ -857,9 +918,9 @@ def test_trace_band_folds_equal_masked_dense_folds(name, n_steps):
     assert len(grid) == n_steps + 1
     p = operator_module.trace_pass(m, f, g, grid)
     seen = set()
-    for x0 in range(0, n, 23):
+    for k, x0 in itertools.product((RIESZ, RAW), range(0, n, 23)):
         rows = np.arange(x0, min(x0 + 23, n))
-        kt, dt = kernels.pair_rows(RIESZ, m.cloud, rows)
+        kt, dt = kernels.pair_rows(k, m.cloud, rows)
         got = p.tile(kt, dt, rows)[:, len(grid):]
         want = []
         for inside, factor in [(None, afw)] + [(i, w) for i in insides]:
@@ -880,9 +941,19 @@ def test_trace_band_folds_equal_masked_dense_folds(name, n_steps):
                 else set()
         if ((lb > grid[0]) | (ub <= grid[-1])).any():
             seen.add("outside")
+        for inside in insides:  # the column blocks a held row meets
+            if inside[rows].any():
+                seen |= set() if inside[rows].all() else {"rows cut"}
+                for b in range(0, n, 64):
+                    held = inside[b:b + 64]
+                    seen.add("cut" if held.any() and not held.all()
+                             else "in" if held.all() else "out")
     # below 64 atoms the one block holds the diagonal, so it straddles
-    assert seen == ({"whole", "straddle", "outside"}
-                    if name == "four_corner_300" else {"straddle"})
+    clustered = name in ("four_corner_300", "four_corner_256")
+    assert seen - {"in", "out", "cut", "rows cut"} == (
+        {"whole", "straddle", "outside"} if clustered else {"straddle"})
+    assert {"cut", "rows cut"} <= seen \
+        and (not clustered or {"in", "out"} <= seen)
 
 
 @pytest.mark.parametrize("n", [300, 40])

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sio_lab import sums
-from sio_lab.sums import fold_keys, fold_rows, pairwise_sum, thread_map
+from sio_lab.sums import fold_rows, pairwise_sum, thread_map
 
 
 def tree_sum(xs):
@@ -52,55 +51,6 @@ def test_permutation_of_padding_irrelevant(xs):
     # appending explicit zeros must not change the tree result
     padded = np.concatenate([x, np.zeros(3)])
     assert pairwise_sum(padded) == pairwise_sum(x) or np.isnan(pairwise_sum(x))
-
-
-SPECIAL = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 1.0, -1.0])
-
-
-@settings(max_examples=300, deadline=None)
-@given(width=st.one_of(st.integers(1, 300), st.sampled_from([1, 2, 4, 256])),
-       n_groups=st.integers(1, 6), full=st.integers(-1, 5),
-       all_negative_zero=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-def test_fold_keys_is_fold_rows_of_the_zero_rows(width, n_groups, full,
-                                                 all_negative_zero, seed):
-    """Each row of the keyed fold is fold_rows of a zero row holding that
-    row's entries: the same tree, with a lone child added to +0.0."""
-    rng = np.random.default_rng(seed)
-    # each column belongs to one row's band or to none, so rows may be
-    # empty; a full row of -0.0 is the one row whose sum stays -0.0
-    band = rng.integers(-1, n_groups, size=width)
-    present = band[None, :] == np.arange(n_groups)[:, None]
-    if 0 <= full < n_groups:
-        present[full] = True
-    if all_negative_zero:
-        vals = np.full((n_groups, width), -0.0)
-    else:
-        vals = rng.normal(size=(n_groups, width)) * 10.0 ** rng.integers(
-            -300, 300, size=(n_groups, width))
-        special = rng.random((n_groups, width)) < 0.3
-        vals[special] = rng.choice(SPECIAL, size=np.count_nonzero(special))
-    rows, cols = np.nonzero(present)
-    m = 1 << (width - 1).bit_length()
-    with np.errstate(invalid="ignore", over="ignore"):
-        got = fold_keys(vals[rows, cols], rows * m + cols, n_groups, width)
-        want = fold_rows(np.where(present, vals, 0.0))
-    assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
-
-
-def test_fold_keys_builds_only_the_touched_rows(monkeypatch):
-    """A million groups with entries in three of them fold one (3, 64)
-    array: the cost follows the touched rows, not n_groups * width."""
-    shapes = []
-
-    def recording(a):
-        shapes.append(a.shape)
-        return fold_rows(a)
-    monkeypatch.setattr(sums, "fold_rows", recording)
-    keys = np.array([5, 64 * 7 + 1, 64 * 7 + 63, 64 * 999_998])
-    got = fold_keys(np.array([1.0, 2.0, 3.0, 4.0]), keys, 10 ** 6, 64)
-    assert shapes == [(3, 64)]
-    assert np.flatnonzero(got).tolist() == [0, 7, 999_998]
-    assert got[[0, 7, 999_998]].tolist() == [1.0, 5.0, 4.0]
 
 
 class Pulls:
