@@ -181,10 +181,12 @@ def _block_bounds(cloud: PointCloud, rows: np.ndarray, boxes
     if md.family != EUCLIDEAN_P or md.p not in (1.0, 2.0, math.inf):
         return np.zeros(lo.shape[0]), np.full(lo.shape[0], np.inf)
     a = cloud.coords[rows]
-    rlo, rhi = a.min(axis=0), a.max(axis=0)
-    gaps = np.maximum(np.maximum(rlo - hi, lo - rhi), 0.0)
-    spans = np.maximum(rhi - lo, hi - rlo)
-    return _norm(md, list(gaps.T)), _norm(md, list(spans.T))
+    rlo, rhi = np.minimum.reduce(a), np.maximum.reduce(a)
+    # the gaps, then the spans, of every block: one _norm of both
+    gs = np.concatenate([np.maximum(np.maximum(rlo - hi, lo - rhi), 0.0),
+                         np.maximum(rhi - lo, hi - rlo)])
+    b = _norm(md, list(gs.T))
+    return b[:lo.shape[0]], b[lo.shape[0]:]
 
 
 _TILE_PAIRS = 1 << 16  # pair entries per row tile and thread

@@ -14,20 +14,21 @@ tile at a fixed cost whatever the balls and the eps grid (_trace_folds).
 Every row is folded by blocks of metric._BLOCK columns, each an aligned
 subtree of fold_rows' tree, and metric._block_bounds bounds every
 distance of a block exactly, so the tile's blocks are classified once,
-against every eps and every step (once per row block of metric._BLOCK
-ids, for the tiles that split one): a block beyond eps serves its unmasked
+against every eps and every step, by the bounds of the aligned row blocks
+of metric._BLOCK ids that hold the tile's rows (one classification for
+the tiles that split a row block): a block beyond eps serves its unmasked
 fold and one within eps +0.0; a block inside one step's band serves that
 step its unmasked fold and one outside the grid +0.0; only the blocks
 that straddle an edge are masked, and a straddled band keeps only its
 pairs inside the grid, scattered into a zero row of the block's width per
 (band, row, block) that holds one. The bands' families are one index
-set: the scale band, a shared |k| w band that serves every ball on the
-blocks holding no column inside it, and each ball on the blocks its
-boundary cuts, per held (ball, row) pair. Every masked block row is
-folded in one stacked fold_rows call, beside the blocks served whole,
-and the block values of every column take the upper levels of their
-rows' trees in one more fold, so each column has the bits of one masked
-dense fold of its row.
+set: the scale band, each ball on the blocks its boundary cuts, per held
+(ball, row) pair, and a shared |k| w band, built only where a ball
+holding the row holds no column of the block, which serves every such
+ball. Every masked block row is folded in one stacked fold_rows call,
+beside the blocks served whole, and the block values of every column
+take the upper levels of their rows' trees in one more fold, so each
+column has the bits of one masked dense fold of its row.
 
 The row sums are split into a per-tile function and a reduction, a
 `metric.RowPass`: trace_pass, annuli_pass and boundary_pass (with
@@ -146,9 +147,10 @@ class _Bands(NamedTuple):
     """A tile's step bands for _trace_folds, with the families as one
     index set: family 0 is the scale band (every row and column, factor
     |f| w), family i > 0 the band of ball i - 1 of those with a boundary
-    (its rows, the columns outside it, factor w); with balls, the shared
-    band of |k| w over every row and column rides last. Columns are
-    padded to whole blocks and laid out (block, column in block)."""
+    (its rows, the columns outside it, factor w); a shared band of |k| w
+    rides last, on the (row, block) pairs where some ball holding the row
+    holds no column of the block. Columns are padded to whole blocks and
+    laid out (block, column in block)."""
 
     held: np.ndarray      # (balls, tile rows) bool: the rows in each ball
     member3: np.ndarray   # (balls, blocks, bw) bool: the columns inside it
@@ -171,14 +173,16 @@ def _trace_folds(kt: np.ndarray, dt: np.ndarray, fw: np.ndarray, grid,
     masked; a straddled band keeps its pairs inside the grid, one zero
     row per (family, step, row, block) that holds one (_keyed_band_rows).
     A ball's row of a block with no column inside the ball is the row of
-    |k| w, folded once as the shared band for every ball; a block with no
+    |k| w, folded once as the shared band for every such ball, and only
+    on the (row, block) pairs that one of them reads; a block with no
     column outside the ball serves it +0.0; only the blocks its boundary
-    cuts are masked per held (ball, row). Every block row goes into one
-    stack, folded by one fold_rows call, and the block values take the
-    upper levels of their rows' trees in one more. At most n_blocks
-    straddling (eps, block) pairs stack, a tile's worth of entries; more,
-    as on a cloud in random order or a metric without bounds, are folded
-    a tile's worth at a time.
+    cuts are masked per held (ball, row). |k| is taken once per whole
+    band block, for the scale band, and the |k| w rows are gathered from
+    it. Every block row goes into one stack, folded by one fold_rows
+    call, and the block values take the upper levels of their rows' trees
+    in one more. At most n_blocks straddling (eps, block) pairs stack, a
+    tile's worth of entries; more, as on a cloud in random order or a
+    metric without bounds, are folded a tile's worth at a time.
     """
     rows, n = kt.shape
     bw = min(metric._BLOCK, 1 << (n - 1).bit_length())  # block width
@@ -205,7 +209,7 @@ def _trace_folds(kt: np.ndarray, dt: np.ndarray, fw: np.ndarray, grid,
         of them masked to d > eps[es]: the (eps, block) pairs that
         straddle."""
         out = k3.take(ids, axis=1, out=out, mode="clip")
-        np.multiply(out, fw3[ids], out=out)
+        np.multiply(out, fw3.take(ids, axis=0), out=out)
         if es.size:
             cut = ids.size - es.size
             np.copyto(out[:, cut:], 0.0, where=~(
@@ -217,38 +221,46 @@ def _trace_folds(kt: np.ndarray, dt: np.ndarray, fw: np.ndarray, grid,
     whole, es, bs = blocks.whole, blocks.es, blocks.bs
     n_trunc = min(es.size, n_blocks)
     tb = np.concatenate([whole, bs[:n_trunc]])
-    n_whole = n_cut = n_keyed = 0
-    if n_steps:
-        # whole band blocks: the scale band and the shared |k| w band on
-        # every row, then each held (ball, row, block) that the ball's
-        # boundary cuts
-        wb = blocks.in_band
-        n_fam = 2 if n_balls else 1
-        n_whole = n_fam * rows * wb.size
-        hf, hr = bands.held.nonzero()
-        ch, cj = bands.cut[hf][:, wb].nonzero()
-        n_cut = ch.size
-        if blocks.straddle.size:
-            at, fill = _keyed_band_rows(k3, d3, eps, blocks.straddle,
-                                        n_cols, bands)
-            n_keyed = at.size
+    n_kw = n_keyed = 0
+    wb = blocks.in_band
+    n_scale = rows * wb.size if n_steps else 0
+    if n_balls:
+        # (row, ball, block): the ball holds the row and no column of the
+        # block, so it reads the shared band there
+        reads = bands.held.T[:, :, None] & bands.clear
+        shared = np.logical_or.reduce(reads, axis=1)
+        # the |k| w rows of the whole band blocks: the shared band's where
+        # read, then those of each held (ball, row, block) that the ball's
+        # boundary cuts; their rows, blocks in wb and families
+        sr, sj = shared[:, wb].nonzero()
+        cf, cr, cj = (bands.held[:, :, None] & bands.cut[:, None, wb]
+                      ).nonzero()
+        wr, wj = np.concatenate([sr, cr]), np.concatenate([sj, cj])
+        wf = np.concatenate([np.full(sr.size, n_balls + 1), cf + 1])
+        n_kw = wr.size
+    if n_steps and blocks.straddle.size:
+        at, fill = _keyed_band_rows(k3, d3, eps, blocks.straddle, n_cols,
+                                    bands, shared if n_balls else None)
+        n_keyed = at.size
 
     # one stack of every block row, folded at once
     o1 = rows * tb.size
-    o2 = o1 + n_whole
-    o3 = o2 + n_cut
+    o2 = o1 + n_scale
+    o3 = o2 + n_kw
     stack = np.empty((o3 + n_keyed, bw))
     truncated(tb, es[:n_trunc], stack[:o1].reshape(rows, tb.size, bw))
-    if n_whole:
-        out = stack[o1:o2].reshape(n_fam, rows, wb.size, bw)
-        mag = k3.take(wb, axis=1)
+    if n_scale:
+        mag = stack[o1:o2].reshape(rows, wb.size, bw)
+        k3.take(wb, axis=1, out=mag, mode="clip")
         np.abs(mag, out=mag)
-        np.multiply(mag, bands.factor3[:n_fam, None, wb], out=out)
-        if n_cut:
-            cut = stack[o2:o3]
-            cut[...] = out[1][hr[ch], cj]
-            np.copyto(cut, 0.0, where=bands.member3[hf[ch], wb[cj]])
-        del mag
+        if n_kw:  # gathered from |k|, the cut ones masked to outside
+            kw = stack[o2:o3]
+            mag.reshape(-1, bw).take(wr * wb.size + wj, axis=0, out=kw,
+                                     mode="clip")
+            np.multiply(kw, bands.factor3[1].take(wb.take(wj), axis=0),
+                        out=kw)
+            np.copyto(kw[sr.size:], 0.0, where=bands.member3[cf, wb[cj]])
+        np.multiply(mag, bands.factor3[0, wb], out=mag)
     if n_keyed:
         stack[o3:] = 0.0
         fill(stack[o3:])
@@ -263,22 +275,18 @@ def _trace_folds(kt: np.ndarray, dt: np.ndarray, fw: np.ndarray, grid,
     full[:, whole] = res[:, :whole.size]
     np.copyto(vals[:, :n_eps], full[:, None], where=blocks.beyond)
     vals[:, es[:n_trunc], bs[:n_trunc]] = res[:, whole.size:]
-    if n_whole:
-        col = np.array([n_eps, n_out])[:n_fam, None] + blocks.band_step
-        vals[:, col, wb] = folded[o1:o2].reshape(n_fam, rows, -1
-                                                  ).transpose(1, 0, 2)
-    if n_cut:
-        vals[hr[ch], n_eps + (hf[ch] + 1) * n_steps
-             + blocks.band_step[cj], wb[cj]] = folded[o2:o3]
+    if n_scale:
+        vals[:, n_eps + blocks.band_step, wb] = folded[o1:o2].reshape(rows,
+                                                                      -1)
+    if n_kw:
+        vals[wr, n_eps + wf * n_steps + blocks.band_step.take(wj),
+             wb.take(wj)] = folded[o2:o3]
     if n_keyed:
         vals.ravel()[at] = folded[o3:]
     if n_balls:
-        # a block with no column inside a ball serves its rows the shared
-        # |k| w band
         ball_vals = vals[:, n_eps + n_steps:n_out].reshape(
             rows, n_balls, n_steps, n_blocks)
-        np.copyto(ball_vals, vals[:, None, n_out:],
-                  where=(bands.held.T[:, :, None] & bands.clear)[:, :, None])
+        np.copyto(ball_vals, vals[:, None, n_out:], where=reads[:, :, None])
     for s in range(n_trunc, es.size, n_blocks):
         e, b = es[s:s + n_blocks], bs[s:s + n_blocks]
         vals[:, e, b] = fold_rows(truncated(b, e).reshape(-1, bw)).reshape(
@@ -286,68 +294,87 @@ def _trace_folds(kt: np.ndarray, dt: np.ndarray, fw: np.ndarray, grid,
     return fold_rows(vals.reshape(-1, n_blocks)).reshape(rows, -1)[:, :n_out]
 
 
-def _keyed_band_rows(k3, d3, eps, sb, n_cols: int, bands: _Bands):
+def _keyed_band_rows(k3, d3, eps, sb, n_cols: int, bands: _Bands, shared):
     """The keyed rows of _trace_folds for the column blocks sb that
     straddle a band edge: one zero row of the block's width per (family,
     step, row, block) key that holds a pair inside the grid, with those
-    pairs scattered in. The families are the scale band, the shared |k| w
-    band (with balls; it holds the scale band's keys) and each held ball
-    whose boundary cuts the block, over its columns outside the ball. A
-    table over the keys ranks them, so the pairs need no sort. Returns
-    (the vals index of each row, fill), fill(out) writing the rows into
-    zeros."""
+    pairs scattered in. The families are those of the vals columns: the
+    scale band, each held ball whose boundary cuts the block, over its
+    columns outside the ball, and the shared |k| w band on the (row,
+    block) pairs where `shared` holds (None: no balls). A ball's pairs are
+    picked from the in-grid pairs of its held rows and cut blocks alone,
+    and |k| and the column factors are read at the in-grid pairs only.
+    Each pair is keyed by the vals entry its row folds into, and one table
+    over vals ranks the keys of every family, so the pairs need no sort.
+    Returns (the vals index of each row, fill), fill(out) writing the rows
+    into zeros."""
     rows, n_blocks, bw = k3.shape
     n_eps = eps.size
     n_steps = n_eps - 1
-    n_keys = n_steps * rows * sb.size  # (step, row, block) keys a family
+    shift = bw.bit_length() - 1
     ds = d3.take(sb, axis=1).ravel()
     at = ((ds > eps[-1]) & (ds <= eps[0])).nonzero()[0]  # (row, block, col)
-    key = at >> (bw.bit_length() - 1)  # row * blocks + block
-    if n_steps > 1:
-        key += (n_steps - eps[::-1].searchsorted(ds[at])) * (rows * sb.size)
-    del ds
+    rb = at >> shift  # row * sb.size + block, ascending
     cin = at & (bw - 1)
-    n_fam = 2 if bands.held.size else 1  # the scale band, the shared band
-    mag = np.abs(k3.take(sb, axis=1))
-    keyed = (mag * bands.factor3[:n_fam, None, sb]).reshape(n_fam, -1).take(
-        at, axis=1)
-    del mag
-    # the vals index of each key: (row, column, block)
-    index = ((np.arange(rows)[:, None] * n_cols + n_eps) * n_blocks + sb
-             + (np.arange(n_steps) * n_blocks)[:, None, None]).ravel()
-
-    def ranked(keys, n):
-        """Each key's rank among the distinct keys, and those keys."""
-        seen = np.zeros(n, dtype=bool)
-        seen[keys] = True
-        distinct = seen.nonzero()[0]
-        rank = np.empty(n, dtype=np.intp)
-        rank[distinct] = np.arange(distinct.size)
-        return rank[keys], distinct
-
-    slot, distinct = ranked(key, n_keys)
-    rows_at = [index[distinct] + np.array([0, n_cols - n_steps - n_eps])[
-        :n_fam, None] * n_blocks]  # the shared band's columns ride last
-    n_shared = n_fam * distinct.size
-    cut = bands.cut[:, sb]
-    act = (np.logical_or.reduce(bands.held, axis=1)
-           & np.logical_or.reduce(cut, axis=1)).nonzero()[0]
-    f = p = cut_slot = None
-    if act.size:
-        # the held rows and outside columns of each ball that cuts a block
-        pick = bands.held[act][:, :, None, None] & (
-            ~bands.member3[act[:, None], sb] & cut[act, :, None])[:, None]
-        f, p = pick.reshape(act.size, -1).take(at, axis=1).nonzero()
-        cut_slot, distinct = ranked(f * n_keys + key[p], act.size * n_keys)
-        ball, distinct = np.divmod(distinct, n_keys)
-        rows_at.append(index[distinct]
-                       + (act[ball] + 1) * (n_steps * n_blocks))
+    # per (row, block): its row, its block, its first padded column, its
+    # first entry in k3 and its scale band's vals entry at step 0
+    r, b = np.divmod(np.arange(rows * sb.size), sb.size)
+    b = sb.take(b)
+    first = b << shift
+    col = first.take(rb) | cin  # the padded column of each pair
+    mag = np.abs(k3.take((r * (n_blocks * bw) + first).take(rb) | cin))
+    key = ((r * n_cols + n_eps) * n_blocks + b).take(rb)
+    if n_steps > 1:  # each pair's step
+        key += (n_steps - eps[::-1].searchsorted(ds.take(at))) * n_blocks
+    del ds, r, b, first
+    factor = bands.factor3.reshape(2, -1)
+    keys, parts = [key], [(cin, mag * factor[0].take(col))]  # (col, value)
+    magw = None
+    if shared is not None:
+        family = n_steps * n_blocks  # the vals offset of one family
+        sp = shared[:, sb].ravel().take(rb).nonzero()[0]
+        # (ball, row, block) with the row held and the block cut
+        ta, tr, tb = (bands.held[:, :, None] & bands.cut[:, None, sb]
+                      ).nonzero()
+        if sp.size or ta.size:
+            magw = mag * factor[1].take(col)
+        if ta.size:
+            # the in-grid pairs of each triple's (row, block), a run as rb
+            # ascends, kept outside the triple's ball
+            runs = np.bincount(rb, minlength=rows * sb.size)
+            seg = tr * sb.size + tb
+            length = runs.take(seg)
+            q = np.arange(length.sum()) + np.repeat(
+                (np.cumsum(runs) - runs).take(seg) - np.cumsum(length)
+                + length, length)
+            ball = np.repeat(ta, length)
+            keep = ~bands.member3.reshape(-1).take(
+                ball * (n_blocks * bw) + col.take(q))
+            q = q[keep]
+            keys.append((ball[keep] + 1) * family + key.take(q))
+            parts.append((cin.take(q), magw.take(q)))
+        if sp.size:
+            keys.append(key.take(sp) + (bands.held.shape[0] + 1) * family)
+            parts.append((cin.take(sp), magw.take(sp)))
+    if len(keys) > 1:
+        key = np.concatenate(keys)
+    del mag, magw, keys
+    # each key's rank among the distinct keys, the vals entries read
+    seen = np.zeros(rows * n_cols * n_blocks, dtype=bool)
+    seen[key] = True
+    distinct = seen.nonzero()[0]
+    del seen
+    rank = np.empty(rows * n_cols * n_blocks, dtype=np.int32)
+    rank[distinct] = np.arange(distinct.size, dtype=np.int32)
+    slot = rank.take(key)
+    del rank, key
 
     def fill(out):
-        out[:n_shared].reshape(n_fam, -1, bw)[:, slot, cin] = keyed
-        if f is not None:
-            out[n_shared + cut_slot, cin[p]] = keyed[1, p]
-    return np.concatenate([a.ravel() for a in rows_at]), fill
+        start = 0
+        for c, v in parts:
+            out[slot[start:start + c.size], c] = v
+            start += c.size
+    return distinct, fill
 
 
 def _on_rows(inside: np.ndarray, fn):
@@ -530,11 +557,15 @@ def trace_pass(m: DiscreteMeasure, f: SimpleFunction, g: SimpleFunction,
     classification of the tile's column blocks by their
     metric._block_bounds, in two fold_rows calls whatever the balls and
     the grid (a few more only when more (eps, block) pairs straddle than
-    a row has blocks). The bands' families are one index set: the
-    membership table of the balls with a boundary, and per (ball, block)
-    whether the block holds no column inside the ball or is cut by its
-    boundary, are built here once; each tile takes its held (ball, row)
-    pairs from the table in one step, so no tile loops over balls or eps.
+    a row has blocks). The bounds are those of the aligned row blocks of
+    metric._BLOCK ids that hold the tile's rows, so the tiles that split
+    a row block share one classification, kept for the last few spans of
+    row blocks; a tile of whole aligned row blocks gets its own rows'
+    bounds. The bands' families are one index set: the membership table
+    of the balls with a boundary, and per (ball, block) whether the block
+    holds no column inside the ball or is cut by its boundary, are built
+    here once; each tile takes its held (ball, row) pairs from the table
+    in one step, so no tile loops over balls or eps.
     Each band keeps the bits of one dense fold of its masked row, and row
     folds are reduced with pairwise_sum exactly as one pairing, one
     boundary term or one scale would reduce them alone.
@@ -564,31 +595,24 @@ def trace_pass(m: DiscreteMeasure, f: SimpleFunction, g: SimpleFunction,
     factor3 = np.pad(np.stack([np.abs(fvals) * w, w]), ((0, 0), pad)
                      ).reshape(2, n_blocks, bw)
     boxes = metric._boxes(cloud.coords)
-    classified = {}  # row block -> _Blocks of its box; a few at a time
-
-    def blocks_of(rows):
-        """The blocks classified by bounds on the rows' distances: those
-        of their row block's box when they lie in one, shared by every
-        tile that splits the block, else their own. Both bound every
-        distance exactly; the choice moves pairs between the masked and
-        the whole paths, never a bit of a fold."""
-        b = rows[0] // metric._BLOCK
-        if rows[-1] // metric._BLOCK != b:
-            return _classify(grid, metric._block_bounds(cloud, rows, boxes))
-        got = classified.get(b)
-        if got is None:
-            if len(classified) >= 8:
-                classified.clear()
-            block = np.arange(b * metric._BLOCK,
-                              min((b + 1) * metric._BLOCK, n))
-            got = classified[b] = _classify(
-                grid, metric._block_bounds(cloud, block, boxes))
-        return got
+    eps = np.array(grid)
+    spans = {}  # (first, end) row block -> _Blocks, a few at a time
 
     def tile(kt, dt, rows):
-        bands = _Bands(inside[:, rows], member3, clear, cut,
+        # the blocks classified by the bounds of the aligned row blocks of
+        # metric._BLOCK ids that hold the tile's rows: one classification
+        # for the tiles that split a row block
+        span = (rows[0] // metric._BLOCK, rows[-1] // metric._BLOCK + 1)
+        blocks = spans.get(span)
+        if blocks is None:
+            if len(spans) >= 8:
+                spans.clear()
+            blocks = spans[span] = _classify(eps, metric._block_bounds(
+                cloud, np.arange(span[0] * metric._BLOCK,
+                                 min(span[1] * metric._BLOCK, n)), boxes))
+        bands = _Bands(inside.take(rows, axis=1), member3, clear, cut,
                        factor3) if steps else None
-        return _trace_folds(kt, dt, fw, grid, blocks_of(rows), bands)
+        return _trace_folds(kt, dt, fw, eps, blocks, bands)
 
     def reduce(res):
         n_eps, n_steps = len(grid), len(steps)
