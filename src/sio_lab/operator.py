@@ -14,21 +14,20 @@ tile at a fixed cost whatever the balls and the eps grid (_trace_folds).
 Every row is folded by blocks of metric._BLOCK columns, each an aligned
 subtree of fold_rows' tree, and metric._block_bounds bounds every
 distance of a block exactly, so the tile's blocks are classified once,
-against every eps and every step, by the bounds of the aligned row blocks
-of metric._BLOCK ids that hold the tile's rows (one classification for
-the tiles that split a row block): a block beyond eps serves its unmasked
-fold and one within eps +0.0; a block inside one step's band serves that
-step its unmasked fold and one outside the grid +0.0; only the blocks
-that straddle an edge are masked, and a straddled band keeps only its
-pairs inside the grid, scattered into a zero row of the block's width per
-(band, row, block) that holds one. The bands' families are one index
-set: the scale band, each ball on the blocks its boundary cuts, per held
-(ball, row) pair, and a shared |k| w band, built only where a ball
-holding the row holds no column of the block, which serves every such
-ball. Every masked block row is folded in one stacked fold_rows call,
-beside the blocks served whole, and the block values of every column
-take the upper levels of their rows' trees in one more fold, so each
-column has the bits of one masked dense fold of its row.
+against every eps and every step, by their bounds over the tile's own
+rows: a block beyond eps serves its unmasked fold and one within eps
++0.0; a block inside one step's band serves that step its unmasked fold
+and one outside the grid +0.0; only the blocks that straddle an edge are
+masked, and a straddled band keeps only its pairs inside the grid,
+scattered into a zero row of the block's width per (band, row, block)
+that holds one. The bands' families are one index set: the scale band,
+each ball on the blocks its boundary cuts, per held (ball, row) pair,
+and a shared |k| w band, built only where a ball holding the row holds
+no column of the block, which serves every such ball. Every masked block
+row is folded in one stacked fold_rows call, beside the blocks served
+whole, and the block values of every column take the upper levels of
+their rows' trees in one more fold, so each column has the bits of one
+masked dense fold of its row.
 
 The row sums are split into a per-tile function and a reduction, a
 `metric.RowPass`: trace_pass, annuli_pass and boundary_pass (with
@@ -106,10 +105,14 @@ class SimpleFunction:
 
 def simple_function_from_json(obj: dict) -> SimpleFunction:
     with json_shape("simple function JSON"):
-        return SimpleFunction(terms=tuple(
-            (float(t["coeff"]), Ball(center=int(t["center"]),
-                                     radius=float(t["radius"])))
-            for t in obj["terms"]))
+        terms = tuple((float(t["coeff"]), Ball(center=int(t["center"]),
+                                               radius=float(t["radius"])))
+                      for t in obj["terms"])
+    for i, (coeff, ball) in enumerate(terms):  # a radius < 0 holds no atom
+        if not (math.isfinite(coeff) and math.isfinite(ball.radius)):
+            raise InputError(f"simple function term {i} must be finite, got "
+                             f"coeff={coeff!r}, radius={ball.radius!r}")
+    return SimpleFunction(terms=terms)
 
 
 class _Blocks(NamedTuple):
@@ -129,16 +132,19 @@ class _Blocks(NamedTuple):
     straddle: np.ndarray  # the blocks that straddle a band edge
 
 
+def _step(eps: np.ndarray, d) -> np.ndarray:
+    """The step j of each distance d, eps_j+1 < d <= eps_j: -1 above eps_0
+    and eps.size - 1 at or below eps_last."""
+    return eps.size - 1 - eps[::-1].searchsorted(d)
+
+
 def _classify(grid, bounds) -> _Blocks:
     eps = np.asarray(grid)
     lb, ub = bounds
     beyond = lb > eps[:, None]
     es, bs = (~beyond & (ub > eps[:, None])).nonzero()
-    # the steps of lb and ub: j with eps_j+1 < d <= eps_j, -1 above eps_0
-    # and n_steps at or below eps_last; lo >= hi, as lb <= ub
-    n_steps = eps.size - 1
-    lo, hi = n_steps - eps[::-1].searchsorted(bounds)
-    in_band = ((lo == hi) & (lo >= 0) & (lo < n_steps)).nonzero()[0]
+    lo, hi = _step(eps, bounds)  # lo >= hi, as lb <= ub
+    in_band = ((lo == hi) & (lo >= 0) & (lo < eps.size - 1)).nonzero()[0]
     return _Blocks(beyond, beyond[-1].nonzero()[0], es, bs, in_band,
                    lo[in_band], (lo > hi).nonzero()[0])
 
@@ -325,7 +331,7 @@ def _keyed_band_rows(k3, d3, eps, sb, n_cols: int, bands: _Bands, shared):
     mag = np.abs(k3.take((r * (n_blocks * bw) + first).take(rb) | cin))
     key = ((r * n_cols + n_eps) * n_blocks + b).take(rb)
     if n_steps > 1:  # each pair's step
-        key += (n_steps - eps[::-1].searchsorted(ds.take(at))) * n_blocks
+        key += _step(eps, ds.take(at)) * n_blocks
     del ds, r, b, first
     factor = bands.factor3.reshape(2, -1)
     keys, parts = [key], [(cin, mag * factor[0].take(col))]  # (col, value)
@@ -407,11 +413,13 @@ def pairing(k: KernelSpec, m: DiscreteMeasure, f: SimpleFunction,
 
 
 def _check_grid(eps_grid) -> list[float]:
+    """eps_grid as floats, or InputError naming its first bad entry."""
     grid = [float(e) for e in eps_grid]
-    if not all(math.isfinite(e) and e > 0.0 for e in grid) \
-            or any(a <= b for a, b in zip(grid, grid[1:])):
-        raise InputError("eps grid must be finite, positive and strictly "
-                         f"decreasing, got {grid!r}")
+    for j, e in enumerate(grid):
+        if not (math.isfinite(e) and e > 0.0) or (j and e >= grid[j - 1]):
+            raise InputError("eps grid must be finite, positive and strictly "
+                             f"decreasing, got entry {j} = {e!r}"
+                             + (f" after {grid[j - 1]!r}" if j else ""))
     return grid
 
 
@@ -557,15 +565,13 @@ def trace_pass(m: DiscreteMeasure, f: SimpleFunction, g: SimpleFunction,
     classification of the tile's column blocks by their
     metric._block_bounds, in two fold_rows calls whatever the balls and
     the grid (a few more only when more (eps, block) pairs straddle than
-    a row has blocks). The bounds are those of the aligned row blocks of
-    metric._BLOCK ids that hold the tile's rows, so the tiles that split
-    a row block share one classification, kept for the last few spans of
-    row blocks; a tile of whole aligned row blocks gets its own rows'
-    bounds. The bands' families are one index set: the membership table
-    of the balls with a boundary, and per (ball, block) whether the block
-    holds no column inside the ball or is cut by its boundary, are built
-    here once; each tile takes its held (ball, row) pairs from the table
-    in one step, so no tile loops over balls or eps.
+    a row has blocks). The bounds are those over the tile's own rows, so
+    no state is kept between tiles. The bands' families are one index
+    set: the membership table of the balls with a boundary, and per
+    (ball, block) whether the block holds no column inside the ball or is
+    cut by its boundary, are built here once; each tile takes its held
+    (ball, row) pairs from the table in one step, so no tile loops over
+    balls or eps.
     Each band keeps the bits of one dense fold of its masked row, and row
     folds are reduced with pairwise_sum exactly as one pairing, one
     boundary term or one scale would reduce them alone.
@@ -596,20 +602,9 @@ def trace_pass(m: DiscreteMeasure, f: SimpleFunction, g: SimpleFunction,
                      ).reshape(2, n_blocks, bw)
     boxes = metric._boxes(cloud.coords)
     eps = np.array(grid)
-    spans = {}  # (first, end) row block -> _Blocks, a few at a time
 
     def tile(kt, dt, rows):
-        # the blocks classified by the bounds of the aligned row blocks of
-        # metric._BLOCK ids that hold the tile's rows: one classification
-        # for the tiles that split a row block
-        span = (rows[0] // metric._BLOCK, rows[-1] // metric._BLOCK + 1)
-        blocks = spans.get(span)
-        if blocks is None:
-            if len(spans) >= 8:
-                spans.clear()
-            blocks = spans[span] = _classify(eps, metric._block_bounds(
-                cloud, np.arange(span[0] * metric._BLOCK,
-                                 min(span[1] * metric._BLOCK, n)), boxes))
+        blocks = _classify(eps, metric._block_bounds(cloud, rows, boxes))
         bands = _Bands(inside.take(rows, axis=1), member3, clear, cut,
                        factor3) if steps else None
         return _trace_folds(kt, dt, fw, eps, blocks, bands)

@@ -102,7 +102,7 @@ def geometric_grid(start: float, ratio: float, count: int
         raise InputError("need finite start > 0, 0 < ratio < 1, count >= 1; "
                          f"got start={start!r}, ratio={ratio!r}, "
                          f"count={count!r}")
-    return tuple(start * ratio ** j for j in range(count))
+    return tuple(_check_grid(start * ratio ** j for j in range(count)))
 
 
 def parse_eps_grid(text: str) -> tuple[float, ...]:

@@ -427,6 +427,51 @@ def test_converge_rejects_zero_balls_before_any_work(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_converge_rejects_an_underflowing_eps_grid_before_any_work(
+        tmp_path, capsys):
+    """0.5 * 0.5 ** 1074 is 0.0: formerly raised only inside the trace,
+    after generate and every ball's certification, printing all 1,100
+    entries; now the config refuses it, naming the first bad entry."""
+    with pytest.raises(SystemExit) as exc:
+        main(["converge", "--level", "4", "--eps-count", "1100",
+              "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("eps grid must be finite, positive and strictly "
+                        "decreasing, got entry 1074 = 0.0 after 5e-324\n")
+    assert len(err) < 1000 and not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("term", ['"coeff": NaN, "radius": 0.4',
+                                  '"coeff": -Infinity, "radius": 0.4',
+                                  '"coeff": 1.0, "radius": NaN',
+                                  '"coeff": 1.0, "radius": Infinity'],
+                         ids=["nan-coeff", "inf-coeff", "nan-radius",
+                              "inf-radius"])
+def test_pairing_rejects_a_non_finite_term_naming_its_file(tmp_path, capsys,
+                                                          term):
+    """A NaN radius formerly made f silently 0 and passed (exit 0), and a
+    NaN coeff failed as a certification (exit 1)."""
+    run(["generate", "--level", "2", "--out-dir", str(tmp_path),
+         "--out", "m.json"], capsys)
+    f = tmp_path / "f.json"
+    f.write_text('{"terms": [{"center": 0, %s}]}' % term)
+    g = tmp_path / "g.json"
+    g.write_text('{"terms": [{"coeff": 1.0, "center": 15, "radius": -1.0}]}')
+    with pytest.raises(SystemExit) as exc:
+        main(["pairing", "--measure", str(tmp_path / "m.json"),
+              "--f", str(f), "--g", str(g), "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--f file {f}: simple function term 0 must be finite" in err
+    # the same g, with a finite f: a negative radius holds no atom
+    f.write_text('{"terms": [{"coeff": 1.0, "center": 0, "radius": 0.4}]}')
+    code, _ = run(["pairing", "--measure", str(tmp_path / "m.json"),
+                   "--f", str(f), "--g", str(g), "--out-dir", str(tmp_path)],
+                  capsys)
+    assert code == 0
+
+
 @pytest.mark.parametrize("grid", ["geometric:start=0.5", "0.5,abc",
                                   "geometric:start=0.5,ratio=0.5,count=2.5"])
 def test_pairing_rejects_a_malformed_eps_grid(tmp_path, capsys, grid):

@@ -224,6 +224,19 @@ def test_eps_grid_must_be_finite_positive_and_decreasing(grid):
         compute_pairing_trace(RIESZ, m, f, f, grid)
 
 
+@pytest.mark.parametrize("grid, bad", [
+    ([math.nan], "entry 0 = nan"), ([math.inf, 0.5], "entry 0 = inf"),
+    ([0.5, -math.inf], "entry 1 = -inf after 0.5"),
+    ([0.25, 0.5], "entry 1 = 0.5 after 0.25"),
+    ([0.5, 0.25, 0.25, 0.0], "entry 2 = 0.25 after 0.25")],
+    ids=["nan", "inf", "minus-inf", "increasing", "repeated"])
+def test_a_bad_eps_grid_names_its_first_bad_entry(grid, bad):
+    with pytest.raises(InputError) as exc:
+        operator_module._check_grid(grid)
+    assert str(exc.value) == ("eps grid must be finite, positive and "
+                              f"strictly decreasing, got {bad}")
+
+
 def test_pairing_rejects_a_nan_eps():
     m = two_atom_measure()
     f = SimpleFunction(terms=((1.0, Ball(0, 1.0)),))
@@ -487,6 +500,33 @@ def test_trace_folds_a_fixed_number_of_times_per_tile(monkeypatch):
             kernels.run_pass(RIESZ, m.cloud, p._replace(tile=tile))
             per_tile.append(folds[0] / tiles[0])
     assert tiles[0] == 32 and len(set(per_tile)) == 1 and per_tile[0] <= 4
+
+
+def test_trace_tiles_are_classified_by_their_own_rows(monkeypatch):
+    """Each trace tile classifies its column blocks by one
+    metric._block_bounds call over exactly its own rows, so the 16-row
+    tiles that split a row block of metric._BLOCK ids share no state."""
+    monkeypatch.setattr(metric_module, "_TILE_PAIRS", 16 * 1024)
+    m = four_corner(5)[0]
+    f = SimpleFunction(terms=((1.0, Ball(0, 0.3)),))
+    g = SimpleFunction(terms=((-0.5, Ball(1023, 0.2)),))
+    p = operator_module.trace_pass(m, f, g, [0.5, 0.25, 0.125])
+    real_bounds = metric_module._block_bounds
+    bounded, tiles = [], []
+
+    def recording(cloud, rows, boxes):
+        bounded.append(np.array(rows))
+        return real_bounds(cloud, rows, boxes)
+    monkeypatch.setattr(metric_module, "_block_bounds", recording)
+
+    def tile(kt, dt, rows):
+        before = len(bounded)
+        out = p.tile(kt, dt, rows)
+        tiles.append(len(bounded) == before + 1
+                     and np.array_equal(bounded[-1], rows))
+        return out
+    kernels.run_pass(RIESZ, m.cloud, p._replace(tile=tile))
+    assert len(tiles) == 64 and all(tiles) and len(bounded) == 64
 
 
 # ---------------------------------------------------------------------------

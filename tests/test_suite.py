@@ -197,6 +197,16 @@ def test_geometric_grid_needs_a_finite_positive_start(start):
         geometric_grid(start, 0.5, 3)
 
 
+def test_a_geometric_grid_that_underflows_is_rejected_when_built():
+    """0.5 ** 1075 is 0.0 in floats: the grid, and a config holding it,
+    raise InputError naming the first bad entry, not every entry."""
+    with pytest.raises(InputError, match="entry 1074 = 0.0 after 5e-324$"):
+        geometric_grid(0.5, 0.5, 1100)
+    with pytest.raises(InputError, match="^eps grid must be finite"):
+        small_config(eps_count=1100)
+    assert len(small_config(eps_count=1074).eps_grid()) == 1074
+
+
 def test_config_rejects_a_non_finite_s_or_eps_start():
     for s in (math.nan, math.inf, 0.0):
         with pytest.raises(InputError, match="s must be finite"):
