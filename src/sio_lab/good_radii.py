@@ -681,7 +681,8 @@ def verify_good_set(v: StepMeasure, params: GoodSetParams, iset: IntervalSet,
         midpoints of the pieces bordering a padded heavy cell are checked
         individually, as is a random sample;
       - every base piece overlapping a padded heavy cell must be dropped;
-      - every surviving atom-bearing cell must be light (exact integers);
+      - no kept piece may overlap a heavy cell of any generation, its mass
+        read exactly from the measure;
       - the non-concentration windows are checked against the exact set of
         violating t (closed-window sliding-run enumeration).
     """
@@ -697,27 +698,27 @@ def verify_good_set(v: StepMeasure, params: GoodSetParams, iset: IntervalSet,
     midpoints_ok = base is _base_good(lam, depth) \
         or not _clearance_failure(base, lam, depth)
     # the family is derived from the measure here, not taken from the
-    # materialization under test; (2) checks the same cell masses
+    # materialization under test; (2) reads the same cell masses
     masses = _generation_masses(v, params)
     family = _family(v, params, masses)
     hs, he = _heavy_padded_units(family)
 
     # (1) every base piece overlapping a padded heavy cell (more than in an
-    #     endpoint) lies in a dropped run
-    meet = iset._n_kept(base.search(base.ends, hs, side="right"),
-                        base.search(base.starts, he, side="left"))
-    midpoints_ok &= not bool(np.any(meet > 0))
-
-    # (2) every surviving atom-bearing cell is light, exactly
-    light_cells_ok = True
-    removed = [{j for j, _ in family.heavy_at(n)}
-               for n in range(1, depth + 1)]
+    #     endpoint) lies in a dropped run; (2) so does every piece
+    #     overlapping a heavy cell of any generation, read from the exact
+    #     masses alone, with no family: one query for both
+    cs, ce = hs.tolist(), he.tolist()
     for n, cells in enumerate(masses, 1):
+        spacing = lam ** (3 * depth - 2 * n)
         for j, units in cells.items():
-            if j in removed[n - 1] or _buried(removed, lam, n, j):
-                continue
             if _heavy(v, units, lam, n):
-                light_cells_ok = False
+                cs.append(j * spacing)
+                ce.append((j + 1) * spacing)
+    meet = iset._n_kept(
+        base.search(base.ends, np.asarray(cs, dtype=np.int64), side="right"),
+        base.search(base.starts, np.asarray(ce, dtype=np.int64))) > 0
+    midpoints_ok &= not bool(meet[:hs.size].any())
+    light_cells_ok = not bool(meet[hs.size:].any())
 
     # (3) midpoints of kept pieces that end on a padded heavy cell's
     #     boundary (every piece is a base one, whose clearance (0) covers)

@@ -20,10 +20,11 @@ antisymmetrized as (b(x,y) - b(y,x))/2, whose two orientations negate
 exactly.
 
 sweep_pair_tiles is the one pair engine: a single metric.tile_map walk that
-hands each tile's pair_rows to any number of RowPasses. run_pass is its
-one-pass case, so the stand-alone checks (check_antisymmetry,
-check_size_bound) walk the tiles a converge run walks, and sio-lab
-check-kernel sweeps both checks in one walk, as converge does. An
+hands each tile's pair_rows to any number of RowPasses, each only the rows
+it reads. run_pass is its one-pass case, so the stand-alone checks
+(check_antisymmetry, check_size_bound) walk the tiles a converge run
+walks, and sio-lab check-kernel sweeps both checks in one walk, as
+converge does. An
 antisymmetry check reading exactly 0 certifies every cancellation residual
 +0.0 with no walk (operator.cancellation_path), so converge walks none and
 writes no scale.
@@ -286,20 +287,22 @@ def sweep_pair_tiles(k: KernelSpec, cloud: PointCloud, passes,
     """The pair engine: one metric.tile_map walk of the row tiles that any
     of several RowPasses reads. Each tile's pair_rows, its kernel rows
     k(x, .) (zero where x == y) and distance rows d(x, .) in the cloud's
-    metric, are built once and handed to every pass's tile function in
-    turn. Returns each pass's block over its own rows, for the caller to
+    metric, are built once; each pass's tile function is handed the
+    tile's rows of its own `rows` only (the whole tile when it reads them
+    all). Returns each pass's block over its `rows`, for the caller to
     reduce; a row's entries do not depend on the other rows of its tile,
     so each reduction gives the same bits as run_pass."""
-    read = np.zeros(cloud.n_points, dtype=bool)
-    for p in passes:
-        read[p.rows] = True
-    rows = np.flatnonzero(read)
+    member = np.zeros((len(passes), cloud.n_points), dtype=bool)
+    for mine, p in zip(member, passes):
+        mine[p.rows] = True
 
     def tile(t):
         kt, dt = pair_rows(k, cloud, t)
-        return tuple(p.tile(kt, dt, t) for p in passes)
-    blocks = tile_map(tile, rows, cloud.n_points, workers)
-    return [b[np.searchsorted(rows, p.rows)] for p, b in zip(passes, blocks)]
+        return tuple(p.tile(kt, dt, t) if mine.all()
+                     else p.tile(kt[mine], dt[mine], t[mine])
+                     for p, mine in zip(passes, member[:, t]))
+    return list(tile_map(tile, np.flatnonzero(member.any(axis=0)),
+                         cloud.n_points, workers))
 
 
 def _first_max(vals: np.ndarray, rows: np.ndarray, col0: int = 0

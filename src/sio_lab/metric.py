@@ -225,8 +225,8 @@ class RowPass(NamedTuple):
     rows: the ascending point ids whose rows the sum reads.
     tile(k, d, tile_rows): a per-row block, first axis tile_rows, from the
       tile's kernel rows k (None for a sum of distances only) and distance
-      rows d. Rows outside `rows` may be handed in; their entries are
-      dropped.
+      rows d. tile_rows are ascending rows of `rows` only, so the blocks
+      of the tiles, stacked in order, are the block of `rows`.
     reduce(block, *args): the sum's result from the block of `rows`.
     """
 

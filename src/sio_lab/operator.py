@@ -31,9 +31,11 @@ masked dense fold of its row.
 
 The row sums are split into a per-tile function and a reduction, a
 `metric.RowPass`: trace_pass, annuli_pass and boundary_pass (with
-measure.growth_pass and kernels.size_bound_pass). Each public function
-sweeps its own pass; suite.run_convergence_suite hands one sweep's tiles
-to all five, with the same bits. cancellation_residual is no RowPass: it
+measure.growth_pass, kernels.antisymmetry_pass and
+kernels.size_bound_pass). Each public function sweeps its own pass, and
+each pass's tile function is handed only rows of its own;
+suite.run_convergence_suite hands one sweep's tiles to all six, with the
+same bits. cancellation_residual is no RowPass: it
 reads only the upper triangle y > x of its ball intersection, in row tiles
 of one block of metric._BLOCK rows each, split over `workers` threads,
 and folds each row by blocks of metric._BLOCK columns as the truncations
@@ -383,22 +385,6 @@ def _keyed_band_rows(k3, d3, eps, sb, n_cols: int, bands: _Bands, shared):
     return distinct, fill
 
 
-def _on_rows(inside: np.ndarray, fn):
-    """A tile function applying fn(k, d, rows) to the tile rows x with
-    inside[x], zeros elsewhere; a tile of such rows only is handed over
-    whole. Rows are folded one by one, so the entries do not depend on
-    which other rows share the tile."""
-    def tile(kt, dt, rows):
-        sel = inside[rows]
-        if sel.all():
-            return fn(kt, dt, rows)
-        part = fn(kt[sel], dt[sel], rows[sel])
-        out = np.zeros((rows.size, *part.shape[1:]))
-        out[sel] = part
-        return out
-    return tile
-
-
 def pairing(k: KernelSpec, m: DiscreteMeasure, f: SimpleFunction,
             g: SimpleFunction, eps: float, workers: int = 1) -> float:
     """<T_eps(f mu), g> against mu: the full truncated double sum.
@@ -413,8 +399,12 @@ def pairing(k: KernelSpec, m: DiscreteMeasure, f: SimpleFunction,
 
 
 def _check_grid(eps_grid) -> list[float]:
-    """eps_grid as floats, or InputError naming its first bad entry."""
+    """eps_grid as floats, or InputError naming its first bad entry (or
+    the empty grid)."""
     grid = [float(e) for e in eps_grid]
+    if not grid:
+        raise InputError("eps grid must be finite, positive and strictly "
+                         "decreasing, got an empty grid")
     for j, e in enumerate(grid):
         if not (math.isfinite(e) and e > 0.0) or (j and e >= grid[j - 1]):
             raise InputError("eps grid must be finite, positive and strictly "
@@ -450,9 +440,10 @@ def boundary_pass(m: DiscreteMeasure, ball: Ball, delta: float,
     if rows.size == m.n_atoms:
         rows = rows[:0]
     w, outside = m.weights, ~inside
-    tile = _on_rows(inside, lambda kt, dt, _rows: fold_rows(np.where(
-        outside[None, :] & (dt > delta) & (dt <= eps),
-        np.abs(kt) * w[None, :], 0.0)))
+
+    def tile(kt, dt, _rows):
+        return fold_rows(np.where(outside & (dt > delta) & (dt <= eps),
+                                  np.abs(kt) * w, 0.0))
     return RowPass(rows, tile, lambda folds: pairwise_sum(folds * w[rows]))
 
 
@@ -661,15 +652,15 @@ def annuli_pass(m: DiscreteMeasure, ball: Ball) -> RowPass:
     per row, the fold of |k| w outside the ball within distance 2; reduced,
     given (s, c, c_mu), to (checks, on_sphere)."""
     dc = m.cloud.distances_from(ball.center)
-    inner = dc < ball.radius
-    interior = np.nonzero(inner)[0]
+    interior = np.nonzero(dc < ball.radius)[0]
     on_sphere = np.nonzero(dc == ball.radius)[0].tolist()
     if interior.size == 0:
         raise InputError("ball interior holds no atoms")
     outside = dc > ball.radius
     w = m.weights
-    tile = _on_rows(inner, lambda kt, dt, _rows: fold_rows(np.where(
-        outside[None, :] & (dt < 2.0), np.abs(kt) * w[None, :], 0.0)))
+
+    def tile(kt, dt, _rows):
+        return fold_rows(np.where(outside & (dt < 2.0), np.abs(kt) * w, 0.0))
 
     def reduce(lhs_rows, s, c, c_mu):
         checks = []

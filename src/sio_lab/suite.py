@@ -278,13 +278,11 @@ def _trend_ball(params: GoodSetParams, target: float, m: DiscreteMeasure,
                 level: int) -> tuple[Ball, dict]:
     """The boundedness trend's ball on m, the measure at `level`: center
     atom 0 (a fixed corner, present at every level) at a radius recertified
-    near target; and its trend row, still without the value."""
-    mu_z = radial_pushforward(m, 0)
-    r = select_good_radius_near(mu_z, Fraction(target), params)
-    cert = is_good_radius(mu_z, r, params)
-    return Ball(center=0, radius=float(r)), {
-        "level": level, "radius": [r.numerator, r.denominator],
-        "cert_depth": cert.depth}
+    near target by certify_ball; and its trend row, still without the
+    value."""
+    ball, rec, _mu_z = certify_ball(m, 0, target, params)
+    return ball, {"level": level, "radius": list(rec.radius),
+                  "cert_depth": rec.cert_depth}
 
 
 def _boundedness_trend(config: SuiteConfig, params: GoodSetParams,

@@ -417,7 +417,8 @@ def test_view_queries_match_an_explicit_materialization(lam, depth):
 
 def test_verify_flags_a_view_keeping_a_piece_in_a_heavy_cell():
     """A view that keeps one piece from the middle of a dropped run fails
-    check (1), the only check that sees it with no random sample."""
+    check (1), and check (2): the piece lies inside the heavy cell, read
+    from the measure's masses. No random sample is taken."""
     params = GoodSetParams(lam=5, depth=2)
     iset = materialize_good_set(DELTA_HALF, params)
     (lo,), (hi,) = iset.drop_lo.tolist(), iset.drop_hi.tolist()
@@ -428,7 +429,31 @@ def test_verify_flags_a_view_keeping_a_piece_in_a_heavy_cell():
     assert doctored.n_intervals == iset.n_intervals + 1
     rep = verify_good_set(DELTA_HALF, params, doctored, n_samples=0)
     assert not rep.midpoints_ok
-    assert rep.light_cells_ok and rep.n_midpoints == iset.n_intervals + 1
+    assert not rep.light_cells_ok and rep.n_midpoints == iset.n_intervals + 1
+
+
+def test_verify_reads_heavy_cells_from_the_masses_alone(monkeypatch):
+    """Ten atoms of 1/10, one in each of ten generation-2 cells at lam 5,
+    make those cells heavy (1/10 >= 1/25) under light generation-1 cells.
+    A _buried that buries every generation-2 cell keeps a piece in each,
+    and verification sharing that _buried finds no dropped run
+    missing, no midpoint on a shell and no concentrated window: the
+    light-cell check alone, reading the heavy cells off the exact masses,
+    sees them."""
+    v = make_step_measure([(Fraction(2 * k + 1, 20) + Fraction(1, 1250),
+                            Fraction(1, 10)) for k in range(10)])
+    params = GoodSetParams(lam=5, depth=2)
+    honest = materialize_good_set(v, params)
+    rep = verify_good_set(v, params, honest, n_samples=0)
+    assert rep.midpoints_ok and rep.non_concentration_ok \
+        and rep.light_cells_ok
+    monkeypatch.setattr(good_radii, "_buried",
+                        lambda removed, lam, n, j: n >= 2)
+    iset = materialize_good_set(v, params)
+    assert iset.n_intervals == honest.n_intervals + 10
+    rep = verify_good_set(v, params, iset, n_samples=0)
+    assert rep.midpoints_ok and rep.non_concentration_ok
+    assert not rep.light_cells_ok
 
 
 # lam 3, depth 2 in units of 1/729: generation-1 gridlines every 81 units

@@ -216,7 +216,8 @@ def test_shell_mass_check():
 
 
 @pytest.mark.parametrize("grid", [[0.5, math.nan], [math.nan], [math.inf, 0.5],
-                                  [0.5, -math.inf], [0.5, 0.0], [0.25, 0.5]])
+                                  [0.5, -math.inf], [0.5, 0.0], [0.25, 0.5],
+                                  []])
 def test_eps_grid_must_be_finite_positive_and_decreasing(grid):
     m = two_atom_measure()
     f = SimpleFunction(terms=((1.0, Ball(0, 1.0)),))
@@ -228,8 +229,9 @@ def test_eps_grid_must_be_finite_positive_and_decreasing(grid):
     ([math.nan], "entry 0 = nan"), ([math.inf, 0.5], "entry 0 = inf"),
     ([0.5, -math.inf], "entry 1 = -inf after 0.5"),
     ([0.25, 0.5], "entry 1 = 0.5 after 0.25"),
-    ([0.5, 0.25, 0.25, 0.0], "entry 2 = 0.25 after 0.25")],
-    ids=["nan", "inf", "minus-inf", "increasing", "repeated"])
+    ([0.5, 0.25, 0.25, 0.0], "entry 2 = 0.25 after 0.25"),
+    ([], "an empty grid")],
+    ids=["nan", "inf", "minus-inf", "increasing", "repeated", "empty"])
 def test_a_bad_eps_grid_names_its_first_bad_entry(grid, bad):
     with pytest.raises(InputError) as exc:
         operator_module._check_grid(grid)
@@ -527,6 +529,57 @@ def test_trace_tiles_are_classified_by_their_own_rows(monkeypatch):
         return out
     kernels.run_pass(RIESZ, m.cloud, p._replace(tile=tile))
     assert len(tiles) == 64 and all(tiles) and len(bounded) == 64
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_sweep_hands_each_pass_only_its_own_rows(workers, monkeypatch):
+    """Three passes share one sweep of 16-row tiles per thread: the trace
+    over every row, the annuli of a ball over its interior, whose rows
+    some tiles hold only in part, and the boundary of a ball holding every
+    atom over no rows. Each tile call gets rows of its own pass alone, and
+    each pass gets the bits of its own run_pass."""
+    monkeypatch.setattr(metric_module, "_TILE_PAIRS", 16 * 1024)
+    m = four_corner(5)[0]
+    ball = Ball(300, 0.1)  # 84 interior rows, cut by tiles of 16 and 32
+    f = SimpleFunction(terms=((1.0, ball),))
+    g = SimpleFunction(terms=((-0.5, Ball(1023, 0.2)),))
+    passes = [operator_module.trace_pass(m, f, g, [0.5, 0.25, 0.125]),
+              operator_module.annuli_pass(m, ball),
+              operator_module.boundary_pass(m, Ball(0, 2.0), 0.0, math.inf)]
+    every, interior, none = (p.rows for p in passes)
+    assert every.size == m.n_atoms and none.size == 0
+    assert 0 < interior.size < m.n_atoms
+    handed = [[] for _ in passes]
+
+    def recording(p, calls):
+        def tile(kt, dt, rows):
+            calls.append(np.array(rows))
+            assert kt.shape[0] == dt.shape[0] == rows.size
+            return p.tile(kt, dt, rows)
+        return p._replace(tile=tile)
+    blocks = kernels.sweep_pair_tiles(
+        RIESZ, m.cloud, [recording(p, c) for p, c in zip(passes, handed)],
+        workers)
+    for p, calls, block in zip(passes, handed, blocks):
+        got = np.concatenate(calls)
+        assert np.isin(got, p.rows).all()
+        assert sorted(got.tolist()) == p.rows.tolist()
+        assert block.shape[0] == p.rows.size
+    # some tile holds interior rows and others: it is handed only its own
+    assert any(0 < c.size < 16 * workers for c in handed[1])
+    assert all(c.size == 0 for c in handed[2])
+
+    trace, annuli, boundary = passes
+    want, got = kernels.run_pass(RIESZ, m.cloud, trace), \
+        trace.reduce(blocks[0])
+    assert got == want and bits(got.values) == bits(want.values) \
+        and bits(got.bound_values) == bits(want.bound_values)
+    want, _ = annuli_log_bound_check(RIESZ, m, ball, 1.0, 1.0, 1.0)
+    got, _ = annuli.reduce(blocks[1], 1.0, 1.0, 1.0)
+    assert got == want and bits(c.lhs for c in got) \
+        == bits(c.lhs for c in want)
+    assert bits([kernels.run_pass(RIESZ, m.cloud, boundary),
+                 boundary.reduce(blocks[2])]) == bits([0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
