@@ -39,6 +39,15 @@ def _threads(text: str) -> int:
     return n
 
 
+def _fraction(text: str) -> Fraction:
+    """A Fraction for argparse: 1/0, like malformed text, is a usage error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"invalid Fraction value: {text!r}") from None
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file supplying defaults for flags")
 
@@ -174,8 +183,7 @@ def cmd_check_kernel(args) -> int:
     anti = anti_pass.reduce(anti_rows)
     c, pair = size_pass.reduce(size_rows)
     _print_check(anti)
-    print(f"worst pair {anti.witness['pair']}, scale "
-          f"{anti.witness['scale']!r}")
+    print(f"worst pair {anti.witness['pair']}")
     print(f"size bound: |k| <= {c!r} * d^-{args.s}, witness pair {pair}")
     return 0 if anti.ok else 1
 
@@ -298,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=".")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--materialize", metavar="OUT_JSON")
-    mode.add_argument("--test", metavar="T", type=Fraction)
-    mode.add_argument("--near", metavar="TARGET", type=Fraction)
+    mode.add_argument("--test", metavar="T", type=_fraction)
+    mode.add_argument("--near", metavar="TARGET", type=_fraction)
     p.set_defaults(func=cmd_good_radii, parser=p)
 
     p = sub.add_parser("pairing", help="pairing trace along an eps grid")

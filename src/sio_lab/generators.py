@@ -39,6 +39,8 @@ class GeneratorSpec:
             raise InputError(f"unknown generator family {self.family!r}")
         if self.family == CANTOR_1D and not 0.0 < self.ratio < 0.5:
             raise InputError("cantor_1d ratio must lie in (0, 1/2)")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         if self.family == UNIFORM_RANDOM and self.count < 2:
             raise InputError(f"uniform_random count must be >= 2, "
                              f"got {self.count}")

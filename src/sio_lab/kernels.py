@@ -13,21 +13,21 @@ swapped block evaluates the formula at (y, x), from the differences
 y_c - x_c or with the base's x and y exchanged, so it is the transposed
 block bit for bit without a transpose, and is never derived from k(x, y).
 A pair gets the same bits in any block shape and either orientation.
-Antisymmetry is bit-exact: numerators are antisymmetric and denominators
-symmetric under the vectorized evaluation, and a generic base, pointwise in
-the pair and evaluated at (x, y) and at (y, x) on the same block, is
-antisymmetrized as (b(x,y) - b(y,x))/2, whose two orientations negate
-exactly.
+Antisymmetry is bit-exact, so check_antisymmetry asks for A = max |k(x,y) +
+k(y,x)| <= 0.0. A Riesz numerator is an IEEE subtraction, fl(a - b) ==
+-fl(b - a), over a denominator with the same bits both ways; a generic
+kernel's (b(x,y) - b(y,x))/2 and (b(y,x) - b(x,y))/2 negate exactly. So an
+antisymmetrized kernel with finite values reads 0, if each elementwise
+function gives the same bits in any array layout; a platform where that
+fails fails the check, as a raw base or a NaN or inf value does.
 
 sweep_pair_tiles is the one pair engine: a single metric.tile_map walk that
 hands each tile's pair_rows to any number of RowPasses, each only the rows
 it reads. run_pass is its one-pass case, so the stand-alone checks
 (check_antisymmetry, check_size_bound) walk the tiles a converge run
 walks, and sio-lab check-kernel sweeps both checks in one walk, as
-converge does. An
-antisymmetry check reading exactly 0 certifies every cancellation residual
-+0.0 with no walk (operator.cancellation_path), so converge walks none and
-writes no scale.
+converge does. The check's A bounds every cancellation residual
+(operator.cancellation_bound), so converge walks none.
 """
 
 from __future__ import annotations
@@ -323,18 +323,16 @@ def _pick_first_max(per_row: np.ndarray) -> tuple[float, tuple[int, int]]:
 
 def check_antisymmetry(k: KernelSpec, cloud: PointCloud, workers: int = 1
                        ) -> Check:
-    """The Check kernel_antisymmetry: max |k(x,y) + k(y,x)| over distinct
-    pairs <= 1e-13 * max |k|, witnessed by the worst pair and the scale.
-    antisymmetry_pass on a sweep of its own, split over `workers`
-    threads."""
+    """The Check kernel_antisymmetry: A = max |k(x,y) + k(y,x)| over
+    distinct pairs <= 0.0, witnessed by the worst pair. antisymmetry_pass
+    on a sweep of its own, split over `workers` threads."""
     return run_pass(k, cloud, antisymmetry_pass(k, cloud), workers)
 
 
 def antisymmetry_pass(k: KernelSpec, cloud: PointCloud) -> RowPass:
     """check_antisymmetry as a RowPass over every row. Per row x of a tile
-    x0..x0+R-1: [residual, x, y, scale] at the first maximum of
-    |k(x, y) + k(y, x)| over y >= x, and max |k| over both orientations of
-    every y >= x0.
+    x0..x0+R-1: [residual, x, y] at the first maximum of
+    |k(x, y) + k(y, x)| over y >= x.
 
     The residual is symmetric in the pair, so the tile reads k(x, y) for
     y >= x0 off the sweep's kernel rows, and evaluates k(y, x) for those
@@ -348,36 +346,25 @@ def antisymmetry_pass(k: KernelSpec, cloud: PointCloud) -> RowPass:
     reduce takes the first row holding the maximum, in which no earlier
     column can hold it: the result is the row-major first maximum of the
     whole matrix. The diagonal stays, so a tile whose
-    k(x, y) + k(y, x) are all zero reports (0.0, x, x) per row, and its
-    scale reads k(x, y) alone, as |k(y, x)| == |k(x, y)| there. The scale
-    is a max/min reduction with -0.0 taken to +0.0. The rows of all tiles
-    cover every pair.
+    k(x, y) + k(y, x) are all zero reports (0.0, x, x) per row. The rows
+    of all tiles cover every pair.
     """
     if cloud.n_points < 2:
         raise InputError("need at least two points")
 
-    def abs_max(v):
-        return np.maximum(v.max(axis=1), -v.min(axis=1))
-
     def tile(kt, dt, rows):
         # every row is read, so the tile's rows are the run x0..x0+R-1
-        r, cols = rows.size, np.arange(rows[0], cloud.n_points)
-        kt = kt[:, rows[0]:]
-        kc = kernel_rows(k, cloud, rows, cols, swap=True)  # k(y, x)
-        resid = kt + kc
+        cols = np.arange(rows[0], cloud.n_points)
+        resid = kt[:, rows[0]:] + kernel_rows(k, cloud, rows, cols, swap=True)
         if not resid.any():
-            return np.stack([np.zeros(r), rows, rows, abs_max(kt) + 0.0],
-                            axis=1)
-        scale = np.maximum(abs_max(kt), abs_max(kc)) + 0.0
+            return np.stack([np.zeros(rows.size), rows, rows], axis=1)
         np.abs(resid, out=resid)
-        return np.hstack([_first_max(resid, rows, rows[0]), scale[:, None]])
+        return _first_max(resid, rows, rows[0])
 
     def reduce(per_row):
         worst, pair = _pick_first_max(per_row)
-        scale = float(per_row[:, 3].max())
-        return Check.le("kernel_antisymmetry", worst,
-                        1e-13 * max(scale, 1e-300),
-                        witness={"pair": pair, "scale": scale})
+        return Check.le("kernel_antisymmetry", worst, 0.0,
+                        witness={"pair": pair})
     return RowPass(np.arange(cloud.n_points), tile, reduce)
 
 

@@ -42,8 +42,8 @@ and folds each row by blocks of metric._BLOCK columns as the truncations
 do: a block whose bounds place every pair outside the open band serves
 +0.0 unevaluated, as the masked walk would leave it. Its rows take the
 same reduction tree as every other sum. It evaluates k(x, y) and k(y, x)
-separately, so an antisymmetry defect shows; cancellation_path tells when
-the antisymmetry check certifies the residual +0.0 without it.
+separately, so an antisymmetry defect shows. cancellation_bound bounds the
+same residual from the antisymmetry check alone, with no walk.
 
 Determinism contract: each row is folded over the fixed perfect binary tree
 of sums.fold_rows, and the row results over pairwise_sum, in ascending
@@ -516,21 +516,30 @@ def cancellation_residual(k: KernelSpec, m: DiscreteMeasure, b1: Ball,
     return residual, up + low
 
 
-def cancellation_path(antisymmetry: Check | None, m: DiscreteMeasure) -> str:
-    """"exact" if the kernel_antisymmetry Check `antisymmetry` of k on
-    m.cloud certifies every cancellation_residual of k on m +0.0 with no
-    walk: it read lhs == 0.0 and no weight of m exceeds 1. Else "computed".
+def cancellation_bound(antisymmetry: float, m: DiscreteMeasure, b1: Ball,
+                       b2: Ball) -> float:
+    """A bound, from the kernel_antisymmetry lhs A = max |k(x,y) + k(y,x)|,
+    on the exact real residual of the computed k over any band of
+    (B1 cap B2)^2: the least float >= A W~^2 / (2 (1 - u)^3), u = 2^-53, or
+    inf if none is finite; a zero, NaN or inf A is returned as it is.
 
-    Then k(x, y) + k(y, x) == 0 for every pair, all finite (inf + -inf is
-    NaN), and kernel_rows gives a pair the same bits in any block shape
-    and either orientation, so a walk reads k(y, x) == -k(x, y); w(y) w(x)
-    and w(x) w(y) round alike, and weights <= 1 overflow no product, so
-    t_lower == -t_upper: every entry, and every fold, is +0.0.
+    d is bit-symmetric, so the residual is sum_{x<y} (k(x,y) + k(y,x))
+    w(x) w(y). Each k(x,y) + k(y,x) is rounded once, so it is at most
+    A/(1 - u), and the pairs carry at most W^2/2 of the weight W, which
+    math.fsum rounds correctly to W~ >= (1 - u) W (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 2.2).
     """
-    if antisymmetry is not None and antisymmetry.lhs == 0.0 \
-            and m.weights.max(initial=0.0) <= 1.0:
-        return "exact"
-    return "computed"
+    if antisymmetry == 0.0 or not math.isfinite(antisymmetry):
+        return antisymmetry
+    both = b1.members(m.cloud) & b2.members(m.cloud)
+    try:
+        w = Fraction(math.fsum(m.weights[both]))
+        bound = Fraction(antisymmetry) * w * w \
+            / (2 * (1 - Fraction(1, 2 ** 53)) ** 3)
+        out = float(bound)
+    except OverflowError:
+        return math.inf
+    return out if out >= bound else math.nextafter(out, math.inf)
 
 
 def pairing_difference_bound(k: KernelSpec, m: DiscreteMeasure,

@@ -49,13 +49,12 @@ def dense_kernel(k, cloud) -> np.ndarray:
     return vals
 
 
-def dense_antisymmetry(km) -> tuple[float, tuple[int, int], float]:
-    """check_antisymmetry's (residual, pair, scale) from a whole kernel
-    matrix km: the row-major first maximum (or first NaN) of |km + km.T|,
-    and max |km|."""
+def dense_antisymmetry(km) -> tuple[float, tuple[int, int]]:
+    """check_antisymmetry's (residual, pair) from a whole kernel matrix km:
+    the row-major first maximum (or first NaN) of |km + km.T|."""
     resid = np.abs(km + km.T)
     a, b = np.unravel_index(int(resid.argmax()), resid.shape)
-    return float(resid.max()), (int(a), int(b)), float(np.abs(km).max())
+    return float(resid.max()), (int(a), int(b))
 
 
 def growth_full_rows(m, s, r_min) -> tuple[float, tuple[int, float]]:

@@ -427,6 +427,33 @@ def test_converge_rejects_zero_balls_before_any_work(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["converge", "--level", "1"],
+    ["generate", "--family", "uniform_random"]])
+def test_a_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
+    """Formerly numpy's ValueError traceback (exit 1) from default_rng."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-1", "--out-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith("error: seed must be >= 0, got -1")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag", ["--test", "--near"])
+def test_good_radii_rejects_a_zero_denominator(tmp_path, capsys, flag):
+    """Formerly a ZeroDivisionError traceback (exit 1): argparse catches
+    only ValueError and TypeError from a type."""
+    run(["generate", "--level", "1", "--out-dir", str(tmp_path),
+         "--out", "m.json"], capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(["good-radii", "--measure", str(tmp_path / "m.json"),
+              "--center", "0", "--depth", "1", flag, "1/0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: invalid Fraction value: '1/0'" in err
+
+
 def test_converge_rejects_an_underflowing_eps_grid_before_any_work(
         tmp_path, capsys):
     """0.5 * 0.5 ** 1074 is 0.0: formerly raised only inside the trace,
@@ -551,9 +578,12 @@ def test_failing_converge_writes_its_summary(tmp_path, capsys):
     assert failed[0] == "kernel_antisymmetry"
     anti = next(c for c in summary["checks"]
                 if c["name"] == "kernel_antisymmetry")
-    assert anti["lhs"] == anti["rhs"] == "nan"
+    assert (anti["lhs"], anti["rhs"]) == ("nan", 0.0)
     lines = printed.splitlines()
-    assert lines[0] == "FAIL  kernel_antisymmetry  lhs=nan  rhs=nan"
+    assert lines[0] == "FAIL  kernel_antisymmetry  lhs=nan  rhs=0.0"
+    # each cancellation bound is the check's NaN, and fails
+    assert [(c["bound"], c["ok"]) for c in summary["cancellation"]] \
+        == [("nan", False)] * 4
     assert lines[-1].startswith("CHECKS FAILED; wrote ")
     assert len(lines) == len(failed) + 1
     # report reads the strings back as the floats converge printed
@@ -602,7 +632,10 @@ def test_check_kernel_with_a_nan_kernel_fails(tmp_path, capsys):
                      "--kernel", "custom",
                      "--kernel-file", str(tmp_path / "kernel.txt")], capsys)
     assert code == 1
-    assert out.splitlines()[0] == "FAIL  kernel_antisymmetry  lhs=nan  rhs=nan"
+    assert out.splitlines() == ["FAIL  kernel_antisymmetry  lhs=nan  rhs=0.0",
+                                "worst pair (0, 1)",
+                                "size bound: |k| <= nan * d^-1.0, "
+                                "witness pair (0, 1)"]
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -87,3 +87,10 @@ def test_uniform_random_r_min_is_pinned(tile_rows, monkeypatch):
 def test_uniform_random_needs_two_atoms(count):
     with pytest.raises(InputError, match=f"count must be >= 2, got {count}"):
         GeneratorSpec(family="uniform_random", count=count)
+
+
+@pytest.mark.parametrize("family", ["four_corner_cantor", "uniform_random"])
+def test_a_negative_seed_is_refused(family):
+    """numpy's default_rng raised ValueError for it inside generate."""
+    with pytest.raises(InputError, match="seed must be >= 0, got -1"):
+        GeneratorSpec(family=family, seed=-1)

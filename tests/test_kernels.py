@@ -4,6 +4,7 @@ import pytest
 from oracles import dense_antisymmetry, dense_kernel
 from sio_lab.errors import InputError
 from sio_lab import kernels, metric
+from sio_lab.generators import GeneratorSpec, generate
 from sio_lab.kernels import (_UFUNCS, KernelSpec, check_antisymmetry,
                              check_size_bound, kernel_matrix, kernel_rows,
                              pair_rows)
@@ -74,6 +75,34 @@ def test_check_antisymmetry_riesz_exact():
     report = check_antisymmetry(RIESZ, cloud)
     assert report.ok
     assert report.lhs == 0.0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("k", [
+    *(KernelSpec(family="coordinate_riesz", i=i, n=n)
+      for i in (1, 2) for n in (1, 2, 3, 4)),
+    *(KernelSpec(family="generic_antisymmetrized", base=base) for base in (
+        "x[..., 0] ** 2.5 * y[..., 1] / d ** 1.5",
+        "np.power(x[..., 1] + 1.0, y[..., 0]) * np.log(d)",
+        "np.exp(-x[..., 0]) * np.sin(3.0 * y[..., 1]) / d",
+        "np.arctan2(x[..., 1] - y[..., 0], x[..., 0] + 0.5)",
+        "np.sign(x[..., 0] - 0.5) * d ** -1.0"))],
+    ids=lambda k: f"riesz_i{k.i}_n{k.n}" if k.family == "coordinate_riesz"
+    else k.base)
+def test_an_antisymmetric_kernel_reads_exactly_zero(k, workers,
+                                                    monkeypatch):
+    """The check asks for A == 0.0, with no tolerance: Riesz kernels and
+    antisymmetrized bases reach it, on a fractal and a random cloud, in
+    row tiles of every size."""
+    monkeypatch.setattr(metric, "_TILE_PAIRS", 5 * 256)
+    fractal = generate(GeneratorSpec(family="four_corner_cantor",
+                                     level=4))[0]
+    uniform = generate(GeneratorSpec(family="uniform_random", count=200,
+                                     seed=3))[0]
+    for cloud in (fractal, uniform):
+        got = check_antisymmetry(k, cloud, workers)
+        assert (got.lhs, got.rhs, got.ok) == (0.0, 0.0, True)
+        assert not np.signbit(got.lhs) and got.witness == {"pair": (0, 0)}
 
 
 def test_riesz_index_beyond_the_dimension_is_an_input_error():
@@ -402,10 +431,11 @@ NAN_RAW = KernelSpec(family="generic_antisymmetrized",
 def test_antisymmetry_tiles_match_the_dense_check(k, general, workers,
                                                   monkeypatch):
     """Both branches of the antisymmetry tile give the whole matrix's
-    check: the residual, the row-major first pair attaining it, and the
-    scale max |k|, bit for bit. A tile whose k(x, y) + k(y, x) are all
-    zero takes the shortcut, which evaluates no first maximum; the others
-    take the general path. A zero kernel's scale is +0.0."""
+    check: the residual and the row-major first pair attaining it, bit for
+    bit, judged against exactly 0.0. A tile whose k(x, y) + k(y, x) are
+    all zero takes the shortcut, which evaluates no first maximum; the
+    others take the general path. An antisymmetrized kernel reads +0.0 at
+    the pair (0, 0) and passes; every other kernel fails."""
     coords = np.random.default_rng(7).random((37, 2))
     cloud = make_cloud(coords[np.argsort(coords[:, 0])], E2)  # ids by x_1
     monkeypatch.setattr(metric, "_TILE_PAIRS", 5 * 37)  # 5 rows a thread
@@ -432,15 +462,16 @@ def test_antisymmetry_tiles_match_the_dense_check(k, general, workers,
     monkeypatch.setattr(kernels, "_first_max", lambda vals, rows, col0: (
         tiles.append(rows[0]), real_first_max(vals, rows, col0))[1])
     got = check_antisymmetry(k, cloud, workers)
-    assert [float(v).hex() for v in (got.lhs, got.witness["scale"])] \
-        == [float(v).hex() for v in (want[0], want[2])]
-    assert got.witness["pair"] == want[1]
+    assert [float(v).hex() for v in (got.lhs, got.rhs)] \
+        == [float(v).hex() for v in (want[0], 0.0)]
+    assert got.witness == {"pair": want[1]}
+    assert got.ok is not general
     if ulp:
         assert tiles == [0] and got.witness["pair"] == (3, 21)
+        assert got.lhs > 0.0
     else:
         assert sorted(tiles) \
             == (list(range(0, 37, 5 * workers)) if general else [])
-    if k in (ZERO, NEG_ZERO):
-        assert got.witness["scale"] == 0.0 \
-            and not np.signbit(got.witness["scale"])
-        assert got.lhs == 0.0 and got.witness["pair"] == (0, 0)
+    if not general:
+        assert got.lhs == 0.0 and not np.signbit(got.lhs)
+        assert got.witness["pair"] == (0, 0)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,7 @@ from sio_lab.measure import (growth_constant, make_measure, normalize,
 from sio_lab.metric import MetricDescriptor, make_cloud
 from sio_lab.operator import (Ball, SimpleFunction,
                               annuli_log_bound_check, boundary_term,
-                              cancellation_path, cancellation_residual,
+                              cancellation_bound, cancellation_residual,
                               compute_pairing_trace, log_boundary_sum,
                               pairing, pairing_difference_bound,
                               shell_mass_check, simple_function_from_json,
@@ -645,8 +646,7 @@ def test_tiled_checks_match_dense_oracle(kernel, metric, workers,
     for s in (1.0, 2.5):  # at s = 2.5 the r_min candidate wins some rows
         anti, size = dense_checks(kernel, m.cloud, s)
         rep = kernels.check_antisymmetry(kernel, m.cloud, workers)
-        assert bits([rep.lhs, rep.witness["scale"]]) \
-            == bits([anti[0], anti[2]])
+        assert bits([rep.lhs, rep.rhs]) == bits([anti[0], 0.0])
         assert rep.witness["pair"] == anti[1]
         c, pair = kernels.check_size_bound(kernel, m.cloud, s, workers)
         assert bits([c]) == bits([size[0]]) and pair == size[1]
@@ -669,10 +669,13 @@ def test_tiled_checks_match_dense_oracle(kernel, metric, workers,
         got = cancellation_residual(kernel, m, b1, b2, float(dist[delta]),
                                     float(dist[eps]), workers)
         assert bits(got) == bits(want)
-        # the check certifies these residuals +0.0 without a walk; NaN
-        # values fail it, and the suite walks them
-        assert cancellation_path(rep, m) \
-            == ("computed" if kernel is NAN_BASE else "exact")
+        # the check bounds these residuals by 0.0 without a walk, and the
+        # walk reads +0.0; NaN values bound nothing
+        bound = cancellation_bound(rep.lhs, m, b1, b2)
+        if kernel is NAN_BASE:
+            assert math.isnan(bound)
+        else:
+            assert bits([bound, got[0]]) == bits([0.0, 0.0])
 
 
 @pytest.mark.parametrize("metric", [E2, L1, SNOW])
@@ -763,24 +766,42 @@ def test_symmetric_checks_evaluate_only_the_upper_triangle(workers,
         got, upper, lower = walk(RIESZ, delta, eps)
         assert got[0] == 0.0 and upper == lower == live
         # the check that lets the suite skip this walk
-        assert anti.lhs == 0.0 and cancellation_path(anti, m) == "exact"
+        assert anti.lhs == 0.0 \
+            and cancellation_bound(anti.lhs, m, b1, b2) == 0.0
         # k(y, x) is evaluated, not derived: a symmetric kernel leaves a
         # residual
         got, upper, lower = walk(SYMMETRIC, delta, eps)
         assert got[0] > 0.0 and upper == lower == live
 
 
+def one_ulp_off(monkeypatch, x, y):
+    """Every kernel block, from here on, holds k(x, y) one ulp up, in
+    either orientation and any block shape; k(y, x) is left as it is."""
+    real = kernels._kernel_block
+
+    def block(k, cloud, rows, cols, swap=False):
+        vals, norm = real(k, cloud, rows, cols, swap)
+        cols = np.arange(cloud.n_points) if cols is None else np.asarray(cols)
+        first, second = (y, x) if swap else (x, y)  # the block's (row, col)
+        at = (np.asarray(rows)[:, None] == first) & (cols[None, :] == second)
+        vals[at] = np.nextafter(vals[at], np.inf)
+        return vals, norm
+    monkeypatch.setattr(kernels, "_kernel_block", block)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_one_ulp_off_takes_the_computed_path(workers, monkeypatch):
     """A kernel whose k(x, y) is one ulp off -k(y, x) at one pair fails the
-    exact antisymmetry check, so the residual is computed and shows it."""
+    exact antisymmetry check, so its cancellation bound is computed from
+    the check's residual, above 0.0, and covers the walked residual, which
+    shows the defect."""
     monkeypatch.setattr(metric_module, "_TILE_PAIRS", 7 * 156)
     m = lattice_measure(E2, seed=5)
     dist = np.unique(dense_distances(m.cloud))
     b1, b2 = Ball(3, float(dist[33])), Ball(80, float(dist[dist.size // 2]))
     delta, eps = float(dist[2]), float(dist[40])
     anti = kernels.check_antisymmetry(RIESZ, m.cloud, workers)
-    assert anti.lhs == 0.0 and cancellation_path(anti, m) == "exact"
+    assert anti.lhs == 0.0 and cancellation_bound(anti.lhs, m, b1, b2) == 0.0
     # the first pair x < y of the intersection inside the band whose
     # nonzero term k(x, y) w(x) w(y) still differs when k(x, y) is one ulp
     # up: the residual is that difference, all other entries +0.0
@@ -792,43 +813,106 @@ def test_one_ulp_off_takes_the_computed_path(workers, monkeypatch):
              for x, y in rows[np.argwhere((d > delta) & (d < eps) & np.triu(
                  np.ones(d.shape, bool), k=1))] if km[x, y] != 0.0]
     x, y, want = next(t for t in terms if t[2] != 0.0)
-    real = kernels._kernel_block
-
-    def one_ulp_off(k, cloud, rows, cols, swap=False):
-        vals, norm = real(k, cloud, rows, cols, swap)
-        cols = np.arange(cloud.n_points) if cols is None else np.asarray(cols)
-        first, second = (y, x) if swap else (x, y)  # the block's (row, col)
-        at = (np.asarray(rows)[:, None] == first) & (cols[None, :] == second)
-        vals[at] = np.nextafter(vals[at], np.inf)
-        return vals, norm
-    monkeypatch.setattr(kernels, "_kernel_block", one_ulp_off)
+    one_ulp_off(monkeypatch, x, y)
     assert kernels.kernel_rows(RIESZ, m.cloud, [x], [y])[0, 0] \
         != -kernels.kernel_rows(RIESZ, m.cloud, [y], [x])[0, 0]
     off = kernels.check_antisymmetry(RIESZ, m.cloud, workers)
-    assert off.lhs > 0.0 and off.witness["pair"] == (x, y)
-    assert cancellation_path(off, m) == "computed"
-    resid, scale = cancellation_residual(RIESZ, m, b1, b2, delta, eps,
-                                         workers)
-    assert resid == want != 0.0 and abs(resid) <= 1e-13 * scale
+    assert off.lhs > 0.0 and off.witness["pair"] == (x, y) and not off.ok
+    bound = cancellation_bound(off.lhs, m, b1, b2)
+    resid, _ = cancellation_residual(RIESZ, m, b1, b2, delta, eps, workers)
+    assert resid == want != 0.0 and 0.0 < abs(resid) <= bound < math.inf
+
+
+U = Fraction(1, 2 ** 53)
+
+
+def exact_cancellation(k, m, b1, b2, delta, eps):
+    """The real residual of the computed kernel values over the open band
+    of (B1 cap B2)^2: each k(x, y), k(y, x) and weight lifted to a
+    Fraction, summed over the pairs x < y with no rounding."""
+    rows = np.nonzero(b1.members(m.cloud) & b2.members(m.cloud))[0]
+    km, d = kernels.kernel_matrix(k, m.cloud), dense_distances(m.cloud)
+    w = [Fraction(v) for v in m.weights]
+    return sum(((Fraction(km[x, y]) + Fraction(km[y, x])) * w[x] * w[y]
+                for i, x in enumerate(rows) for y in rows[i + 1:]
+                if delta < d[x, y] < eps), Fraction(0))
+
+
+ONE = KernelSpec(family="generic_antisymmetrized", base="1.0",
+                 antisymmetrize=False)  # k = 1 off the diagonal
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-def test_weights_above_one_keep_the_computed_path():
-    """Weights above 1 can overflow k(x, y) w(x) w(y) to inf, and then
-    inf + -inf is NaN: the exact path, which would read +0.0, is not
-    taken."""
-    m = lattice_measure(E2, seed=5)
-    anti = kernels.check_antisymmetry(RIESZ, m.cloud)
-    assert cancellation_path(anti, m) == "exact"
-    assert cancellation_path(None, m) == "computed"
-    heavy = make_measure(m.cloud, m.weights * 1e160)
-    assert cancellation_path(anti, heavy) == "computed"
-    got = cancellation_residual(RIESZ, heavy, Ball(3, 16.0), Ball(3, 16.0),
-                                0.5, 20.0)
-    assert math.isnan(got[0])
-    assert bits(got) == bits(dense_cancellation(RIESZ, heavy, Ball(3, 16.0),
-                                                Ball(3, 16.0), 0.5, 20.0))
+@pytest.mark.parametrize("case", ["one", "raw", "one_ulp_off", "heavy"])
+def test_cancellation_bound_holds_the_exact_residual(case, monkeypatch):
+    """On 64 atoms, the exact residual of the computed values lies within
+    cancellation_bound, which is the least float >= A W~^2 / (2 (1 - u)^3)
+    for the check's A and the fsum W~ of the intersection's weights.
+
+    With k = 1 (A = 2) the bound is tight to a factor 2 when every pair of
+    >= 3 atoms of equal weight is in the band: the residual W^2 - sum w^2
+    is >= 2/3 W^2, so a bound of A W~^2 / 4 fails. Weights of 1e160
+    overflow every product w(x) w(y) of the float walk, which reads NaN,
+    while the antisymmetric kernel's bound stays 0.0, as its residual is."""
+    m, _ = four_corner(3)
+    k, b1, b2, delta, eps = RIESZ, Ball(0, 0.6), Ball(63, 0.9), 0.01, 2.0
+    if case == "one":
+        k = ONE
+    elif case == "raw":
+        k = replace(GENERIC, antisymmetrize=False)
+        delta, eps = 0.1, 0.5
+    elif case == "one_ulp_off":  # at the first pair of the intersection
+        rows = np.nonzero(b1.members(m.cloud) & b2.members(m.cloud))[0]
+        km = kernels.kernel_matrix(k, m.cloud)
+        one_ulp_off(monkeypatch, *next((x, y) for x, y in itertools.
+                                       combinations(rows.tolist(), 2)
+                                       if km[x, y] != 0.0))
+    elif case == "heavy":
+        m = make_measure(m.cloud, m.weights * 1e160)
+    anti = kernels.check_antisymmetry(k, m.cloud)
+    bound = cancellation_bound(anti.lhs, m, b1, b2)
+    exact = exact_cancellation(k, m, b1, b2, delta, eps)
+    assert abs(exact) <= bound
+    walk = cancellation_residual(k, m, b1, b2, delta, eps)
+    walked = walk[0]
+    both = b1.members(m.cloud) & b2.members(m.cloud)
+    if case == "heavy":
+        assert anti.lhs == 0.0 and bound == 0.0 and exact == 0
+        assert math.isnan(walked) and bits(walk) == bits(
+            dense_cancellation(k, m, b1, b2, delta, eps))
+        return
+    assert anti.lhs > 0.0 and exact != 0 and abs(walked) <= bound
+    w = Fraction(math.fsum(m.weights[both]))
+    target = Fraction(anti.lhs) * w * w / (2 * (1 - U) ** 3)
+    assert Fraction(bound) >= target > Fraction(np.nextafter(bound, 0.0))
+    if case == "one":
+        assert anti.lhs == 2.0 and np.count_nonzero(both) >= 3
+        assert exact == w * w - sum(Fraction(v) ** 2
+                                    for v in m.weights[both])
+        assert abs(exact) > bound / 2  # a halved bound would not hold
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_cancellation_bound_of_zero_nan_inf_and_overflow():
+    """A == 0 gives 0.0 whatever the weights; a NaN or inf A is returned as
+    it is; a bound beyond the largest float, or weights whose sum
+    overflows, give inf."""
+    m = two_atom_measure()
+    whole = Ball(0, 1.0)
+    assert bits([cancellation_bound(a, m, whole, whole)
+                 for a in (0.0, math.nan, math.inf)]) \
+        == bits([0.0, math.nan, math.inf])
+    huge = make_measure(m.cloud, [1e308, 1e308])  # fsum overflows
+    assert cancellation_bound(0.0, huge, whole, whole) == 0.0
+    assert cancellation_bound(1.0, huge, whole, whole) == math.inf
+    big = make_measure(m.cloud, [1e154, 1e154])  # W^2 = 4e308
+    assert cancellation_bound(1.0, big, whole, whole) == math.inf
+    # A = 1 and W = 1, then W = 1/2: (1 - u)^-3 = 1 + 3u + O(u^2) puts
+    # the bound 1.5 ulps above 1/2 and 1/8, and it is rounded up to 2
+    assert cancellation_bound(1.0, m, whole, whole) == 0.5 + 2.0 ** -52
+    assert cancellation_bound(1.0, m, whole, Ball(1, 0.5)) \
+        == 0.125 + 2.0 ** -54
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

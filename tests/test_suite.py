@@ -207,6 +207,13 @@ def test_a_geometric_grid_that_underflows_is_rejected_when_built():
     assert len(small_config(eps_count=1074).eps_grid()) == 1074
 
 
+def test_config_rejects_a_negative_seed():
+    """The balls' rng, default_rng(seed), raised ValueError for it after
+    generate."""
+    with pytest.raises(InputError, match="seed must be >= 0, got -1"):
+        small_config(seed=-1)
+
+
 def test_config_rejects_a_non_finite_s_or_eps_start():
     for s in (math.nan, math.inf, 0.0):
         with pytest.raises(InputError, match="s must be finite"):
@@ -235,9 +242,8 @@ def test_sweep_matches_the_stand_alone_functions(kernel, md, workers,
     assert growth.witness[0] == witness[0]
     anti = check_antisymmetry(kernel, m.cloud)
     swept = report.check("kernel_antisymmetry")
-    assert bits([swept.lhs, swept.rhs, swept.witness["scale"]]) \
-        == bits([anti.lhs, anti.rhs, anti.witness["scale"]])
-    assert swept.witness["pair"] == anti.witness["pair"]
+    assert bits([swept.lhs, swept.rhs]) == bits([anti.lhs, 0.0])
+    assert swept.witness == anti.witness == {"pair": anti.witness["pair"]}
     assert swept.ok == anti.ok == (kernel is not RAW)
     c_cert, pair = check_size_bound(kernel, m.cloud, config.s)
     size = report.check("kernel_size_bound_finite")
@@ -288,54 +294,54 @@ def test_a_failing_run_reports_its_first_failing_check():
                                           (GENERIC, "exact"),
                                           (RAW, "computed")])
 def test_cancellation_witness_names_its_path(kernel, path, monkeypatch):
-    """An antisymmetry check reading exactly 0 certifies each residual with
-    no walk: the check is 0.0 <= 0.0 and its scale is null. A raw base is
-    walked, with the bits of a stand-alone call. summary.json keeps the
-    five witness keys it had before the path was recorded."""
+    """No kernel's cancellation residual is walked. Each cancellation_j is
+    bound <= 0.0, with the bound that operator.cancellation_bound computes
+    from the antisymmetry check: 0.0 when the check reads exactly 0, so
+    the check holds and the residual, walked here, is +0.0; a raw base's
+    bound is positive and covers its residual, and the check fails.
+    summary.json writes the witness keys and ok."""
     calls = []
-    real = suite.cancellation_residual
+    real = operator.cancellation_residual
 
     def counting(*args, **kw):
         calls.append(args[2:6])
         return real(*args, **kw)
-    monkeypatch.setattr(suite, "cancellation_residual", counting)
+    monkeypatch.setattr(operator, "cancellation_residual", counting)
     config = small_config(kernel=kernel, n_cancellation=4, seed=3)
     report = run_convergence_suite(config)
-    assert (report.check("kernel_antisymmetry").lhs == 0.0) \
-        == (path == "exact")
+    assert calls == [] and "cancellation_residual" not in vars(suite)
+    anti = report.check("kernel_antisymmetry")
+    assert (anti.lhs == 0.0) == (path == "exact")
     _cloud, m, _ = generate(config.generator)
     m, _ = normalize(m)
     radius = {b.center: float(Fraction(*b.radius)) for b in report.balls}
     checks = [c for c in report.checks if c.name.startswith("cancellation_")]
     assert len(checks) == 4
-    assert len(calls) == (0 if path == "exact" else 4)
     summary = report_to_json(report)
     for c, entry in zip(checks, summary["cancellation"]):
         w = c.witness
-        assert w["path"] == path and c.ok == entry["ok"]
         b1, b2 = (Ball(z, radius[z]) for z in w["balls"])
-        want = operator.cancellation_residual(kernel, m, b1, b2, w["delta"],
-                                              w["eps"])
+        bound = operator.cancellation_bound(anti.lhs, m, b1, b2)
+        assert bits([c.lhs, c.rhs, w["bound"]]) == bits([bound, 0.0, bound])
+        assert entry == {**w, "ok": c.ok}
+        want = real(kernel, m, b1, b2, w["delta"], w["eps"])
         assert want[1] > 0.0  # seed 3: every band holds pairs
         if path == "exact":
-            assert bits(want[:1]) == bits([0.0])  # what the check certifies
-            assert (w["residual"], w["scale"]) == (0.0, None)
-            assert bits([c.lhs, c.rhs]) == bits([0.0, 0.0]) and c.ok
-            assert entry["scale"] is None
+            assert bits([bound, want[0]]) == bits([0.0, 0.0]) and c.ok
         else:
-            assert bits([w["residual"], w["scale"]]) == bits(want)
-            assert bits([c.rhs]) == bits([1e-13 * want[1]])
+            assert 0.0 < abs(want[0]) <= bound and not c.ok
     written = {c["name"]: c for c in summary["checks"]}
-    assert [written[c.name]["rhs"] == 0.0 for c in checks] \
-        == [path == "exact"] * 4
+    assert [written[c.name]["rhs"] for c in checks] == [0.0] * 4
     assert [sorted(c) for c in summary["cancellation"]] \
-        == [["balls", "delta", "eps", "ok", "residual", "scale"]] * 4
+        == [["balls", "bound", "delta", "eps", "ok"]] * 4
 
 
 def test_a_kernel_one_ulp_off_is_walked_and_shows_its_residual(monkeypatch):
     """k(x, y) one ulp off -k(y, x) at one pair of cancellation_0's band:
-    the antisymmetry check names the pair, the run takes the computed path,
-    and the residual is that pair's nonzero term difference."""
+    the antisymmetry check names the pair and fails, and every
+    cancellation_j fails, its bound covering the residual that a walk
+    reads, which is that pair's nonzero term difference for
+    cancellation_0."""
     config = small_config(n_cancellation=4, seed=3)
     exact = run_convergence_suite(config)
     w = exact.check("cancellation_0").witness
@@ -364,12 +370,19 @@ def test_a_kernel_one_ulp_off_is_walked_and_shows_its_residual(monkeypatch):
     monkeypatch.setattr(kernels, "_kernel_block", one_ulp_off)
     report = run_convergence_suite(config)
     anti = report.check("kernel_antisymmetry")
-    assert anti.lhs > 0.0 and anti.witness["pair"] == (x, y)
-    c = report.check("cancellation_0")
-    assert c.witness["path"] == "computed"
-    assert c.witness["balls"] == w["balls"]
-    assert c.witness["residual"] == want != 0.0 and c.lhs == abs(want)
-    assert c.witness["scale"] > 0.0
+    assert anti.lhs > 0.0 and anti.witness["pair"] == (x, y) and not anti.ok
+    for j in range(4):
+        c, before = report.check(f"cancellation_{j}"), \
+            exact.check(f"cancellation_{j}").witness
+        assert {key: c.witness[key] for key in before if key != "bound"} \
+            == {key: before[key] for key in before if key != "bound"}
+        b1, b2 = (Ball(z, radius[z]) for z in c.witness["balls"])
+        resid, _ = operator.cancellation_residual(
+            RIESZ, m, b1, b2, c.witness["delta"], c.witness["eps"])
+        assert 0.0 < c.lhs == c.witness["bound"] < math.inf and not c.ok
+        assert abs(resid) <= c.lhs
+        if j == 0:
+            assert resid == want != 0.0
 
 
 def test_a_rejected_radius_fails_its_check_without_raising(monkeypatch):
@@ -467,16 +480,19 @@ def test_emit_report_files(tmp_path):
 
 def test_the_summary_holds_one_s_and_reads_constants_off_the_checks(
         tmp_path):
-    """config.kernel holds no s of its own: the run's s is config.s. c_mu,
-    c_certified and their witnesses are the two constant checks' lhs and
-    witness."""
+    """config.kernel holds no s of its own: the run's s is config.s, and
+    it echoes only the fields its family reads. c_mu, c_certified and their
+    witnesses are the two constant checks' lhs and witness."""
     report = run_convergence_suite(small_config(s=1.5))
     _, json_path = emit_report(report, str(tmp_path))
     summary = json.load(open(json_path))
     assert summary["config"]["s"] == 1.5
     assert summary["config"]["kernel"] == {
-        "family": "coordinate_riesz", "i": 1, "n": 1, "base": "0.0",
-        "antisymmetrize": True}
+        "family": "coordinate_riesz", "i": 1, "n": 1}
+    generic = report_to_json(run_convergence_suite(small_config(
+        kernel=RAW)))["config"]["kernel"]
+    assert generic == {"family": "generic_antisymmetrized",
+                       "base": RAW.base, "antisymmetrize": False}
     growth = report.check("growth_constant_finite")
     size = report.check("kernel_size_bound_finite")
     assert (summary["c_mu"], summary["growth_witness"]) \
