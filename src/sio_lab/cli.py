@@ -255,6 +255,8 @@ def cmd_report(args) -> int:
         checks = [Check(**{k: float(x) if x in ("nan", "inf", "-inf") else x
                            for k, x in c.items()})
                   for c in summary.get("checks", [])]
+    if not checks:  # every converge summary holds its checks
+        args.parser.error(f"summary file {args.summary} holds no checks")
     for c in checks:
         _print_check(c)
     n_ok = sum(1 for c in checks if c.ok)

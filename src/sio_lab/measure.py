@@ -53,8 +53,11 @@ def make_measure(cloud: PointCloud, weights) -> DiscreteMeasure:
         raise InputError("weights must align with the cloud's points")
     if np.any(w < 0.0) or not np.all(np.isfinite(w)):
         raise InputError("weights must be finite and nonnegative")
-    return DiscreteMeasure(cloud=cloud, weights=w,
-                           total_mass=pairwise_sum(w))
+    with np.errstate(over="ignore"):
+        total = pairwise_sum(w)
+    if not math.isfinite(total):
+        raise InputError(f"the weights' total mass overflows to {total!r}")
+    return DiscreteMeasure(cloud=cloud, weights=w, total_mass=total)
 
 
 def normalize(m: DiscreteMeasure) -> tuple[DiscreteMeasure, float]:

@@ -35,15 +35,12 @@ measure.growth_pass, kernels.antisymmetry_pass and
 kernels.size_bound_pass). Each public function sweeps its own pass, and
 each pass's tile function is handed only rows of its own;
 suite.run_convergence_suite hands one sweep's tiles to all six, with the
-same bits. cancellation_residual is no RowPass: it
-reads only the upper triangle y > x of its ball intersection, in row tiles
-of one block of metric._BLOCK rows each, split over `workers` threads,
-and folds each row by blocks of metric._BLOCK columns as the truncations
-do: a block whose bounds place every pair outside the open band serves
-+0.0 unevaluated, as the masked walk would leave it. Its rows take the
-same reduction tree as every other sum. It evaluates k(x, y) and k(y, x)
-separately, so an antisymmetry defect shows. cancellation_bound bounds the
-same residual from the antisymmetry check alone, with no walk.
+same bits. cancellation_residual is a RowPass as well, swept on its own
+over the rows of its ball intersection: each tile reads its rows'
+intersection columns off the sweep's kernel and distance rows, and
+evaluates k(y, x) there itself, so an antisymmetry defect shows.
+cancellation_bound bounds the same residual from the antisymmetry check
+alone, with no walk.
 
 Determinism contract: each row is folded over the fixed perfect binary tree
 of sums.fold_rows, and the row results over pairwise_sum, in ascending
@@ -77,7 +74,7 @@ from . import kernels, metric
 from .kernels import KernelSpec, run_pass, sweep_pair_tiles
 from .measure import DiscreteMeasure, StepMeasure
 from .metric import PointCloud, RowPass
-from .sums import fold_rows, pairwise_sum, thread_map
+from .sums import fold_rows, pairwise_sum
 
 
 @dataclass(frozen=True)
@@ -460,60 +457,31 @@ def cancellation_residual(k: KernelSpec, m: DiscreteMeasure, b1: Ball,
     order, zero outside the upper triangle y > x and the band, folded with
     fold_rows, and the row results with pairwise_sum.
 
-    The rows are walked one block of metric._BLOCK rows at a time, on
-    `workers` threads, in metric.tile_map tiles, so a tile's
-    metric._block_bounds are those of rows of one block. A tile starting
-    at row a0 folds each row by aligned blocks of metric._BLOCK columns,
-    subtrees of its tree: a block that lies left of column a0 + 1, or
-    whose bounds lie at or below delta or at or above eps, holds no pair
-    of the open band above the diagonal, so it serves +0.0, the fold of
-    its masked zeros, and is not evaluated; of the others only the columns
-    b > a0 are evaluated, by kernels.pair_rows and, for k(y, x) in the
-    same layout, kernels.kernel_rows with swap.
+    A RowPass over the intersection's rows on the pair engine: each tile
+    reads k(x, y) and d(x, y) at the intersection's columns off the sweep's
+    rows, and evaluates k(y, x) there in the same layout, by
+    kernels.kernel_rows with swap, never by negating k(x, y). `workers`
+    splits the row tiles, with the same bits for any count.
     """
     if not 0.0 < delta < eps:
         raise InputError("need 0 < delta < eps")
-    both = b1.members(m.cloud) & b2.members(m.cloud)
-    rows = np.nonzero(both)[0]
-    r = rows.size
-    if r < 2:
-        return 0.0, 0.0
-    wr = m.weights[rows]
-    boxes = metric._boxes(m.cloud.coords[rows])
-    w = min(metric._BLOCK, 1 << (r - 1).bit_length())
-    n_blocks = -(-r // w)
+    rows = np.nonzero(b1.members(m.cloud) & b2.members(m.cloud))[0]
+    w, wr = m.weights, m.weights[rows]
 
-    def tile(a):
-        # per row a, the folds of the three arrays, from the live column
-        # blocks right of a0 laid side by side
-        a0, ids = a[0], rows[a]
-        lb, ub = metric._block_bounds(m.cloud, ids, boxes)
-        live = np.flatnonzero((ub > delta) & (lb < eps))
-        live = live[live >= (a0 + 1) // w]
-        b = (live[:, None] * w + np.arange(w)).ravel()
-        at = np.flatnonzero((b > a0) & (b < r))
-        b = b[at]
-        entries = np.zeros((3, a.size, live.size * w))
-        if b.size:
-            km, d = kernels.pair_rows(k, m.cloud, ids, rows[b])
-            keep = (d > delta) & (d < eps) & (b[None, :] > a[:, None])
-            t_upper = np.where(keep, km * np.outer(wr[a], wr[b]), 0.0)
-            km_yx = kernels.kernel_rows(k, m.cloud, ids, rows[b], swap=True)
-            t_lower = np.where(keep, km_yx * np.outer(wr[b], wr[a]).T, 0.0)
-            entries[:, :, at] = (t_upper + t_lower, np.abs(t_upper),
-                                 np.abs(t_lower))
-        vals = np.zeros((3, a.size, n_blocks))
-        vals[:, :, live] = fold_rows(entries.reshape(-1, w)).reshape(
-            3, a.size, live.size)
-        return fold_rows(vals.reshape(-1, n_blocks)).reshape(3, -1).T
+    def tile(kt, dt, t):
+        d = dt[:, rows]
+        keep = (d > delta) & (d < eps) & (rows > t[:, None])
+        t_upper = np.where(keep, kt[:, rows] * np.outer(w[t], wr), 0.0)
+        t_lower = np.where(keep, kernels.kernel_rows(
+            k, m.cloud, t, rows, swap=True) * np.outer(wr, w[t]).T, 0.0)
+        return np.stack([fold_rows(t_upper + t_lower),
+                         fold_rows(np.abs(t_upper)),
+                         fold_rows(np.abs(t_lower))], axis=1)
 
-    def row_block(a0):
-        return metric.tile_map(
-            tile, np.arange(a0, min(a0 + metric._BLOCK, r)), r)
-    folds = np.concatenate(thread_map(row_block, range(0, r, metric._BLOCK),
-                                      workers))
-    residual, up, low = (pairwise_sum(f) for f in folds.T)
-    return residual, up + low
+    def reduce(folds):
+        residual, up, low = (pairwise_sum(f) for f in folds.T)
+        return residual, up + low
+    return run_pass(k, m.cloud, RowPass(rows, tile, reduce), workers)
 
 
 def cancellation_bound(antisymmetry: float, m: DiscreteMeasure, b1: Ball,

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import platform
 import subprocess
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, example, given, settings
+from hypothesis import strategies as st
 
 from sio_lab import cli, kernels, metric
 from sio_lab.cli import main
@@ -172,10 +176,13 @@ def test_threads_below_one_are_a_usage_error(tmp_path, capsys, threads):
      "has the wrong shape: TypeError"),
     ("report", "--summary", [{"checks": []}],
      "has the wrong shape: AttributeError"),
+    ("report", "--summary", {}, "holds no checks"),
+    ("report", "--summary", {"checks": []}, "holds no checks"),
     ("pairing", "--f", {"terms": [{"coeff": 1.0, "radius": 0.4}]},
      "simple function JSON has the wrong shape: KeyError: 'center'")],
     ids=["measure-without-weights", "measure-list", "text-weights",
          "ragged-coords", "ragged-table", "check-without-rhs", "summary-list",
+         "summary-without-checks", "summary-with-empty-checks",
          "term-without-center"])
 def test_json_of_the_wrong_shape_is_a_usage_error_naming_its_file(
         tmp_path, capsys, command, file, content, match):
@@ -942,3 +949,188 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
                           capture_output=True, text=True)
     faults = int(done.stdout)
     assert faults < 1000, f"{faults} minor faults in the second converge"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["good-radii", "--center", "0", "--near", "0.4"],
+    ["check-growth", "--r-min", "0.05"],
+    ["pairing", "--f", "@f.json", "--g", "@f.json", "--eps-grid",
+     "0.5,0.25"]], ids=lambda a: a[0])
+def test_a_measure_whose_total_overflows_is_a_usage_error(cli_files, capsys,
+                                                          argv):
+    """Formerly normalize divided by the inf total: good-radii exited 0
+    with a radius certified against the zero measure, pairing passed
+    every check, and check-growth called the measure empty."""
+    big = cli_files / "big.json"
+    err = usage_error([*_resolve(cli_files, argv), "--measure", str(big)],
+                      capsys)
+    assert f"measure file {big}: the weights' total mass overflows to inf" \
+        in err
+
+
+def _resolve(d: Path, argv) -> list[str]:
+    """argv with each "@name" the path of that file in d."""
+    return [str(d / a[1:]) if a.startswith("@") else a for a in argv]
+
+
+# the CLI boundary test's input files by role, (valid, invalid): a name
+# drawn as "@name" is that file of cli_files
+CLI_FILES = {
+    "measure": (["m.json", "c.json"], ["big.json", "missing.json"]),
+    "f": (["f.json"], ["nan_f.json", "missing.json"]),
+    "kernel": (["nan_kernel.txt", "kernel.txt"],
+               ["bad_kernel.txt", "missing.json"]),
+    "summary": (["pass.json", "fail.json"],
+                ["no_checks.json", "empty_checks.json", "missing.json"])}
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory) -> Path:
+    """The directory of every file in CLI_FILES but missing.json: the
+    level-2 four-corner and cantor_1d measures, a measure whose total mass
+    overflows, simple functions, kernel files and summaries."""
+    d = tmp_path_factory.mktemp("cli_inputs")
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(["generate", "--level", "2", "--out-dir", str(d),
+              "--out", "m.json"])
+        main(["generate", "--family", "cantor_1d", "--level", "2",
+              "--out-dir", str(d), "--out", "c.json"])
+        main(["generate", "--level", "1", "--out-dir", str(d),
+              "--out", "big.json"])
+    big = json.loads((d / "big.json").read_text())
+    big["weights"] = [1e308] * len(big["weights"])
+    texts = {
+        "big.json": json.dumps(big),
+        "f.json": json.dumps({"terms": [{"coeff": 1.0, "center": 0,
+                                         "radius": 0.4}]}),
+        "nan_f.json": json.dumps({"terms": [{"coeff": 1.0, "center": 0,
+                                             "radius": "NaN"}]}),
+        "nan_kernel.txt": NAN_BASE,
+        "kernel.txt": "x[..., 0] * y[..., 0] / d",
+        "bad_kernel.txt": "x.__class__",
+        "pass.json": json.dumps({"checks": [
+            {"name": "c", "lhs": 1.0, "rhs": 2.0, "ok": True}]}),
+        "fail.json": json.dumps({"checks": [
+            {"name": "c", "lhs": "nan", "rhs": 0.0, "ok": False}]}),
+        "no_checks.json": "{}",
+        "empty_checks.json": json.dumps({"checks": []})}
+    for name, text in texts.items():
+        (d / name).write_text(text)
+    return d
+
+
+@st.composite
+def cli_argv(draw) -> tuple[list[str], bool]:
+    """A small command line, and whether it holds an invalid value: each
+    value is valid or, one time in eight, invalid, and each optional flag
+    maybe absent; every input file is an "@name" of CLI_FILES."""
+    invalid = []
+
+    def pick(good, bad=()):
+        if bad and draw(st.integers(0, 7)) == 0:
+            invalid.append(True)
+            return draw(st.sampled_from(bad))
+        return draw(st.sampled_from(good))
+
+    def flag(name, good, bad=()):
+        value = pick([None, *good], bad)
+        return [] if value is None else [name, str(value)]
+
+    def path(name, role):
+        return [name, "@" + pick(*CLI_FILES[role])]
+
+    def kernel():
+        if draw(st.booleans()):
+            return [*flag("--riesz-i", [1], [3]),
+                    *flag("--riesz-n", [1, 2], [0])]
+        return ["--kernel", "custom", *pick([path("--kernel-file", "kernel")],
+                                            [[]])]
+
+    def cloud(family_bad=()):
+        """The generator flags: the level, or a uniform cloud's count."""
+        family = pick([None, "cantor_1d", "uniform_random"], family_bad)
+        if family == "uniform_random":
+            return ["--family", family, "--count", str(pick([2, 40], [1]))]
+        return [*([] if family is None else ["--family", family]),
+                "--level", str(pick([1, 2], [0, -1])),
+                *(flag("--ratio", [0.25, 0.4], [0.0, 0.5])
+                  if family == "cantor_1d" else [])]
+    def threads():  # 1 or 2 threads, or values that start none
+        return flag("--threads", [1, 2], [0, -1, "two"])
+
+    def measure():
+        return path("--measure", "measure")
+    command = draw(st.sampled_from(["generate", "check-growth",
+                                    "check-kernel", "good-radii", "pairing",
+                                    "converge", "report"]))
+    if command == "generate":
+        argv = [command, *cloud(["bogus"]), *flag("--seed", [1], [-1])]
+    elif command == "check-growth":
+        argv = [command, *measure(), *threads(),
+                "--r-min", str(pick([0.05, 0.2], [0.0, "nan"])),
+                *flag("--s", [0.5, 1.0], [0, "nan"])]
+    elif command == "check-kernel":
+        argv = [command, *measure(), *threads(), *kernel(),
+                *flag("--s", [0.5, 1.0], [0, "inf"])]
+    elif command == "good-radii":
+        mode = pick([["--near", "0.4"], ["--test", "0.04"],
+                     ["--test", "0.5"], ["--materialize", "good.json"]],
+                    [["--near", "1/0"], ["--test", "2"]])
+        argv = [command, *measure(), *mode,
+                "--center", str(pick([0, 3], [-1, 99])),
+                "--depth", str(pick([1, 2], [0])),
+                *flag("--lambda", [5, 8], [2])]
+    elif command == "pairing":
+        argv = [command, *measure(), *threads(), *kernel(), *path("--f", "f"),
+                *path("--g", "f"),
+                "--eps-grid", pick(["0.5,0.25",
+                                    "geometric:start=0.5,ratio=0.5,count=5"],
+                                   ["0.25,0.5", ""])]
+    elif command == "converge":
+        argv = [command, *threads(), *kernel(), *cloud(),
+                "--eps-count", str(pick([1, 3, 5], [0])),
+                "--depth", str(pick([1, 2])),
+                *flag("--balls", [1, 2], [0]),
+                *flag("--levels-back", [0, 1, 2])]
+    else:
+        argv = [command, *path("--summary", "summary")]
+    return argv, bool(invalid)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=cli_argv())
+@example(case=(["good-radii", "--measure", "@big.json", "--center", "0",
+                "--near", "0.4", "--depth", "1"], True))
+@example(case=(["report", "--summary", "@no_checks.json"], True))
+@example(case=(["converge", "--kernel", "custom", "--kernel-file",
+                "@nan_kernel.txt", "--level", "1", "--eps-count", "3",
+                "--depth", "1"], False))
+def test_the_cli_boundary_exits_0_1_or_2(cli_files, tmp_path_factory,
+                                         case):
+    """Any small command line exits 0, 1 or 2 with no traceback, and one
+    holding an invalid value exits 2; a usage error writes nothing; a
+    converge that fails (1) writes its summary with the failing check in
+    it. The examples: a measure whose total mass overflows, a summary
+    with no checks, and a NaN kernel."""
+    argv, invalid = case
+    argv = _resolve(cli_files, argv)
+    out = tmp_path_factory.mktemp("cli_out") / "out"
+    if argv[0] in ("generate", "good-radii", "pairing", "converge"):
+        argv += ["--out-dir", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    event(f"{argv[0]} exits {code}")
+    assert code in (0, 1, 2), argv
+    assert code == 2 or not invalid, argv
+    if code == 2:
+        assert not out.exists() or not any(out.iterdir()), argv
+    if argv[0] == "converge" and code == 1:
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["all_ok"] is False
+        assert any(not c["ok"] for c in summary["checks"]), argv

@@ -1,3 +1,5 @@
+import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -48,6 +50,18 @@ def test_normalize_zero_raises():
     cloud = make_cloud([[0.0], [1.0]], E1)
     with pytest.raises(DegenerateInputError):
         normalize(make_measure(cloud, [0.0, 0.0]))
+
+
+def test_a_total_mass_that_overflows_is_an_input_error():
+    """Finite weights whose sum overflows were a measure of total mass
+    inf, which normalize turned into the zero measure."""
+    cloud = make_cloud([[0.0], [1.0]], E1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow RuntimeWarning escapes
+        with pytest.raises(InputError, match="total mass overflows to inf"):
+            make_measure(cloud, [1e308, 1e308])
+        m = make_measure(cloud, [1e308, 7e307])  # a finite total stays
+    assert m.total_mass == 1e308 + 7e307 < math.inf
 
 
 def test_ball_mass_half():

@@ -16,8 +16,8 @@ from sio_lab.errors import InputError
 from sio_lab.generators import GeneratorSpec, generate
 from sio_lab.good_radii import GoodSetParams, is_good_radius, select_good_radius_near
 from sio_lab.kernels import KernelSpec
-from sio_lab.measure import (growth_constant, make_measure, normalize,
-                             radial_pushforward)
+from sio_lab.measure import (DiscreteMeasure, growth_constant,
+                             make_measure, normalize, radial_pushforward)
 from sio_lab.metric import MetricDescriptor, make_cloud
 from sio_lab.operator import (Ball, SimpleFunction,
                               annuli_log_bound_check, boundary_term,
@@ -639,7 +639,7 @@ def dense_cancellation(k, m, b1, b2, delta, eps):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_tiled_checks_match_dense_oracle(kernel, metric, workers,
                                          monkeypatch):
-    # 7-row tiles end mid-lattice; cancellation walks 1024-entry chunks
+    # 7-row tiles end mid-lattice, and mid-intersection for the residual
     monkeypatch.setattr(metric_module, "_TILE_PAIRS", 7 * 156)
     m = lattice_measure(metric, seed=5)
     dist = np.unique(dense_distances(m.cloud))
@@ -700,7 +700,7 @@ def test_growth_of_equal_weights_matches_dense_oracle(metric, workers,
 def test_symmetric_checks_evaluate_only_the_upper_triangle(workers,
                                                            monkeypatch):
     # 7-row tiles of the whole cloud per thread, so 14-row tiles on 2
-    # threads; the residual's serial tiles are 12 rows
+    # threads
     monkeypatch.setattr(metric_module, "_TILE_PAIRS", 7 * 156)
     pairs = {"pair_rows": [], "kernel_rows": []}
 
@@ -727,26 +727,8 @@ def test_symmetric_checks_evaluate_only_the_upper_triangle(workers,
 
     dist = np.unique(dense_distances(m.cloud))
     b1, b2 = Ball(3, float(dist[33])), Ball(80, float(dist[dist.size // 2]))
-    rows = np.nonzero(b1.members(m.cloud) & b2.members(m.cloud))[0]
-    r = rows.size
-    # tiles of 1092 // 91 = 12 rows, cut where a block of 64 rows begins;
-    # a tile from row a0 evaluates the columns b > a0 of the column blocks
-    # whose bounds from the tile's rows meet the open band
-    boxes = metric_module._boxes(m.cloud.coords[rows])
-    tiles = [np.arange(a0, min(a0 + 12, g0 + 64, r))
-             for g0 in range(0, r, 64) for a0 in range(g0, min(g0 + 64, r),
-                                                        12)]
-    assert r == 91 and len(tiles) == 9 and tiles[5].tolist() == [60, 61,
-                                                                  62, 63]
-
-    def live_pairs(delta, eps):
-        total = 0
-        for t in tiles:
-            lb, ub = metric_module._block_bounds(m.cloud, rows[t], boxes)
-            b = np.arange(t[0] + 1, r)
-            total += t.size * np.count_nonzero(((ub > delta)
-                                                & (lb < eps))[b // 64])
-        return total
+    r = np.count_nonzero(b1.members(m.cloud) & b2.members(m.cloud))
+    assert r == 91
 
     def walk(kernel, delta, eps):
         for name in pairs:
@@ -755,23 +737,21 @@ def test_symmetric_checks_evaluate_only_the_upper_triangle(workers,
         assert bits(got) == bits(dense_cancellation(kernel, m, b1, b2,
                                                     delta, eps))
         return got, sum(pairs["pair_rows"]), sum(pairs["kernel_rows"])
-    # every column block meets the wide band; at eps = 4 the first tiles'
-    # blocks of columns 64-90 lie at or beyond eps and are skipped
-    triangle = sum(t.size * (r - t[0] - 1) for t in tiles)
-    for eps, live in ((float(dist[40]), 4566), (4.0, 4242)):
+    # the residual sweeps the intersection's rows once, k(x, .) over every
+    # column, and evaluates k(y, x) at the intersection's columns, whatever
+    # the band
+    for eps in (float(dist[40]), 4.0):
         delta = float(dist[2])
-        assert live_pairs(delta, eps) == live <= triangle == 4566
-        # the computed path evaluates k(x, y) and k(y, x) on the live
-        # columns
         got, upper, lower = walk(RIESZ, delta, eps)
-        assert got[0] == 0.0 and upper == lower == live
+        assert got[0] == 0.0
+        assert (upper, lower) == (r * n, r * r) == (14196, 8281)
         # the check that lets the suite skip this walk
         assert anti.lhs == 0.0 \
             and cancellation_bound(anti.lhs, m, b1, b2) == 0.0
         # k(y, x) is evaluated, not derived: a symmetric kernel leaves a
         # residual
         got, upper, lower = walk(SYMMETRIC, delta, eps)
-        assert got[0] > 0.0 and upper == lower == live
+        assert got[0] > 0.0 and (upper, lower) == (14196, 8281)
 
 
 def one_ulp_off(monkeypatch, x, y):
@@ -903,7 +883,8 @@ def test_cancellation_bound_of_zero_nan_inf_and_overflow():
     assert bits([cancellation_bound(a, m, whole, whole)
                  for a in (0.0, math.nan, math.inf)]) \
         == bits([0.0, math.nan, math.inf])
-    huge = make_measure(m.cloud, [1e308, 1e308])  # fsum overflows
+    # fsum overflows; make_measure rejects such a total, so built directly
+    huge = DiscreteMeasure(m.cloud, np.array([1e308, 1e308]), math.inf)
     assert cancellation_bound(0.0, huge, whole, whole) == 0.0
     assert cancellation_bound(1.0, huge, whole, whole) == math.inf
     big = make_measure(m.cloud, [1e154, 1e154])  # W^2 = 4e308
@@ -1133,19 +1114,24 @@ def test_trace_band_folds_equal_masked_dense_folds(name, n_steps):
         and (not clustered or {"in", "out"} <= seen)
 
 
-@pytest.mark.parametrize("n", [300, 40])
+@pytest.mark.parametrize("n", [300, 40, "table", "uniform_200"])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_trace_and_cancellation_with_bounds_match_dense_oracle(n, workers):
-    """The trace and the cancellation walk on a clustered cloud, with eps
-    and delta on pair distances and on box bounds, against the dense
-    oracles; the residual walk evaluates fewer pairs than its triangle."""
-    m = clustered_measure(n, E2, seed=3)
+    """The trace and the cancellation residual on a clustered cloud of n
+    atoms, or on the BAND_INPUTS cloud named n (a custom table, with (0,
+    inf) bounds, or points in random id order), with eps and delta on pair
+    distances and on box bounds, against the dense oracles."""
+    clustered = isinstance(n, int)
+    m = clustered_measure(n, E2, seed=3) if clustered else BAND_INPUTS[n]()
+    n = m.n_atoms
     rows = np.arange(min(n, 64))
-    grid, (lb, ub) = bound_grid(m, rows, take=max(1, n // 6))
+    grid, (lb, ub) = bound_grid(m, rows, take=max(1, n // 6) if clustered
+                                else 1)
     grid = grid[::max(1, len(grid) // 8)]
     dist = np.unique(dense_distances(m.cloud))
     f = SimpleFunction(terms=((0.7, Ball(5, float(dist[dist.size // 3]))),
-                              (-1.2, Ball(n - 1, float(dist[-40])))))
+                              (-1.2, Ball(n - 1, float(
+                                  dist[-min(40, dist.size // 2)])))))
     g = SimpleFunction(terms=((1.1, Ball(n // 2, float(dist[-9]))),))
     values, steps, _ = dense_oracle(RIESZ, m, f, g, grid)
     trace = compute_pairing_trace(RIESZ, m, f, g, grid, workers=workers)
@@ -1154,18 +1140,9 @@ def test_trace_and_cancellation_with_bounds_match_dense_oracle(n, workers):
     assert bits(trace.bound_values) == bits(rhs for _, rhs, _ in steps)
 
     whole = Ball(0, float(dist[-1]))
-    real = kernels.pair_rows
     for delta, eps in zip(grid[1:], grid):
-        want = dense_cancellation(RIESZ, m, whole, whole, delta, eps)
-        pairs = []
-
-        def counting(k, cloud, rows, cols=None):
-            pairs.append(np.size(rows) * np.size(cols))
-            return real(k, cloud, rows, cols)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kernels, "pair_rows", counting)
-            got = cancellation_residual(RIESZ, m, whole, whole, delta, eps,
+        for b1, b2 in ((whole, whole), (f.terms[0][1], g.terms[0][1])):
+            want = dense_cancellation(RIESZ, m, b1, b2, delta, eps)
+            got = cancellation_residual(RIESZ, m, b1, b2, delta, eps,
                                         workers)
-        assert bits(got) == bits(want)
-        if n > 64:
-            assert sum(pairs) < n * (n - 1) // 2
+            assert bits(got) == bits(want)
