@@ -21,6 +21,16 @@ antisymmetrized kernel with finite values reads 0, if each elementwise
 function gives the same bits in any array layout; a platform where that
 fails fails the check, as a raw base or a NaN or inf value does.
 
+The Riesz block is evaluated in its own buffers: metric._norm squares the
+difference arrays it is given in place and sums them into the first, the
+denominator goes into a spent squared difference, and the quotient into
+the numerator's array, so on a plane pair_rows holds its two outputs and
+one scratch array. The antisymmetry tile adds k(x, y) into its swapped
+block in place. Every such write applies the correctly rounded IEEE
+operation (or the same np.power loop) to the same operands as the
+out-of-place formula (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., 2.1), so a reused buffer changes no bit.
+
 sweep_pair_tiles is the one pair engine: a single metric.tile_map walk that
 hands each tile's pair_rows to any number of RowPasses, each only the rows
 it reads. run_pass is its one-pass case, so the stand-alone checks
@@ -171,26 +181,32 @@ class KernelSpec:
 
 
 def _base_rows(k: KernelSpec, cloud: PointCloud, rows: np.ndarray,
-               cols: np.ndarray, d: np.ndarray, swap: bool = False
-               ) -> np.ndarray:
-    """b(x, y) for x in rows and y in cols at Euclidean distances d, or
-    b(y, x) with swap (the env's x and y exchanged), laid out (rows, cols);
-    maybe a read-only view."""
+               cols, d: np.ndarray, swap: bool = False) -> np.ndarray:
+    """b(x, y) for x in rows and y in cols (every point when cols is None)
+    at Euclidean distances d, or b(y, x) with swap (the env's x and y
+    exchanged), laid out (rows, cols); maybe a read-only view."""
     x = np.take(cloud.coords, rows, axis=0)[:, None, :]
-    y = np.take(cloud.coords, cols, axis=0)[None, :, :]
+    if isinstance(cols, np.ndarray):
+        y = np.take(cloud.coords, cols, axis=0)[None, :, :]
+    else:
+        y = (cloud.coords if cols is None else cloud.coords[cols])[None]
     env = {"x": y, "y": x, "d": d} if swap else {"x": x, "y": y, "d": d}
     with np.errstate(divide="ignore", invalid="ignore"):
         out = _base_expression(k.base)(env)
-    return np.broadcast_to(np.asarray(out, dtype=np.float64),
-                           (rows.size, cols.size))
+    return np.broadcast_to(np.asarray(out, dtype=np.float64), d.shape)
 
 
-def _zero_where_equal(vals: np.ndarray, rows: np.ndarray,
-                      cols: np.ndarray | None) -> np.ndarray:
-    """vals, zero where x == y. Such a column lies within the span of the
-    row ids, so only the columns in that span are compared with rows."""
-    if cols is None:
-        vals[np.arange(rows.size), rows] = 0.0
+def _zero_where_equal(vals: np.ndarray, rows: np.ndarray, cols
+                      ) -> np.ndarray:
+    """vals, zero where x == y. For every point or a slice of columns from
+    c0, the row x sits at column x - c0, zeroed by index when the block
+    holds it; for an array of ids, such a column lies within the span of
+    the row ids, so only the columns in that span are compared with
+    rows."""
+    if cols is None or isinstance(cols, slice):
+        c0 = 0 if cols is None else cols.start
+        at = np.flatnonzero((rows >= c0) & (rows < c0 + vals.shape[1]))
+        vals[at, rows[at] - c0] = 0.0
     elif rows.size:
         near = np.flatnonzero((cols >= rows.min()) & (cols <= rows.max()))
         a, b = np.nonzero(rows[:, None] == cols[near])
@@ -199,37 +215,49 @@ def _zero_where_equal(vals: np.ndarray, rows: np.ndarray,
 
 
 def _riesz_rows(k: KernelSpec, cloud: PointCloud, rows: np.ndarray,
-                cols: np.ndarray | None = None, swap: bool = False
+                cols=None, swap: bool = False
                 ) -> tuple[np.ndarray, np.ndarray]:
     """The one Riesz formula: k(x, y) for x in rows and y in cols (every
     point when cols is None), or k(y, x) with swap, zero where x == y, and
     the Euclidean norm of its denominator, |x - y| == |y - x| bit for
-    bit."""
+    bit.
+
+    The numerator x_i - y_i keeps its difference array and becomes k;
+    _norm squares a copy of it with the other differences in place, into
+    |x - y|; the denominator goes into a spent squared difference (a fresh
+    array on the line). A plane's block thus takes its two outputs and one
+    scratch array, and each further coordinate adds its difference. The
+    denominator is dist * dist for n = 1, the square dist ** 2.0 takes,
+    and else np.power, the ufunc dist ** (n + 1.0) calls.
+    """
     dim = cloud.coords.shape[1]
     if k.i > dim:
         raise InputError(f"Riesz coordinate index {k.i} is out of range "
                          f"for dimension {dim}")
     diffs = _differences(cloud, rows, cols, swap)
-    dist = _norm(_EUCLIDEAN, diffs)
+    num = diffs[k.i - 1]
+    diffs[k.i - 1] = num.copy()
+    dist = _norm(_EUCLIDEAN, diffs)  # in diffs[0]'s buffer
+    spare = diffs[-1] if len(diffs) > 1 else None
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.divide(diffs[k.i - 1], dist ** (k.n + 1.0),
-                         out=diffs[k.i - 1])
+        den = np.multiply(dist, dist, out=spare) if k.n == 1 \
+            else np.power(dist, k.n + 1.0, out=spare)
+        vals = np.divide(num, den, out=num)
     return _zero_where_equal(vals, rows, cols), dist
 
 
 def _generic_rows(k: KernelSpec, cloud: PointCloud, rows: np.ndarray,
-                  cols: np.ndarray | None = None, swap: bool = False
+                  cols=None, swap: bool = False
                   ) -> tuple[np.ndarray, np.ndarray]:
     """The one base construction: k(x, y) = (b(x, y) - b(y, x)) / 2, or b
     itself when not antisymmetrized, for x in rows and y in cols (every
     point when cols is None), or k(y, x) with swap, zero where x == y, and
     the Euclidean norm d the base reads."""
-    every = np.arange(cloud.n_points) if cols is None else cols
     # d(y, x) is d(x, y) bit for bit, as (x - y)^2 == (y - x)^2
     d = _norm(_EUCLIDEAN, _differences(cloud, rows, cols))
-    b = _base_rows(k, cloud, rows, every, d, swap)
+    b = _base_rows(k, cloud, rows, cols, d, swap)
     with np.errstate(invalid="ignore"):  # inf - inf where x == y
-        vals = ((b - _base_rows(k, cloud, rows, every, d, not swap)) / 2.0
+        vals = ((b - _base_rows(k, cloud, rows, cols, d, not swap)) / 2.0
                 if k.antisymmetrize else b.copy())
     return _zero_where_equal(vals, rows, cols), d
 
@@ -237,9 +265,11 @@ def _generic_rows(k: KernelSpec, cloud: PointCloud, rows: np.ndarray,
 def _kernel_block(k: KernelSpec, cloud: PointCloud, rows, cols,
                   swap: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """(k(x, y), |x - y|) from the kernel's family formula, or (k(y, x),
-    |x - y|) with swap, laid out (rows, cols) either way."""
+    |x - y|) with swap, laid out (rows, cols) either way; cols is None
+    (every point), a slice of ids with its start, or ids."""
     rows = np.asarray(rows)
-    cols = None if cols is None else np.asarray(cols)
+    if not (cols is None or isinstance(cols, slice)):
+        cols = np.asarray(cols)
     block = _riesz_rows if k.family == COORDINATE_RIESZ else _generic_rows
     return block(k, cloud, rows, cols, swap)
 
@@ -348,18 +378,38 @@ def antisymmetry_pass(k: KernelSpec, cloud: PointCloud) -> RowPass:
     whole matrix. The diagonal stays, so a tile whose
     k(x, y) + k(y, x) are all zero reports (0.0, x, x) per row. The rows
     of all tiles cover every pair.
+
+    The columns y >= x0 are taken in slices of at most ceil(N / 3), each
+    a view of PointCloud.columns: k(y, x) for the slice, k(x, y) added
+    into it in place, and a slice of all zeros skipped, so the tile holds
+    one slice's block at a time. The slices' per-row first maxima,
+    combined by the first slice holding each row's maximum (or a NaN),
+    are the row's first maximum over y >= x0. A row left with only zeros
+    by the skipped slices can hold the pass's maximum only if every entry
+    is zero, and then every slice was skipped.
     """
     if cloud.n_points < 2:
         raise InputError("need at least two points")
+    n = cloud.n_points
+    width = -(-n // 3)
 
     def tile(kt, dt, rows):
         # every row is read, so the tile's rows are the run x0..x0+R-1
-        cols = np.arange(rows[0], cloud.n_points)
-        resid = kt[:, rows[0]:] + kernel_rows(k, cloud, rows, cols, swap=True)
-        if not resid.any():
+        parts = []
+        for c0 in range(rows[0], n, width):
+            c1 = min(c0 + width, n)
+            resid = kernel_rows(k, cloud, rows, slice(c0, c1), swap=True)
+            np.add(kt[:, c0:c1], resid, out=resid)
+            if resid.any():
+                np.abs(resid, out=resid)
+                parts.append(_first_max(resid, rows, c0))
+            del resid  # freed before the next slice is built
+        if not parts:
             return np.stack([np.zeros(rows.size), rows, rows], axis=1)
-        np.abs(resid, out=resid)
-        return _first_max(resid, rows, rows[0])
+        # per row, the first slice holding its maximum (or a NaN)
+        per_slice = np.stack(parts)
+        first = np.argmax(per_slice[:, :, 0], axis=0)
+        return per_slice[first, np.arange(rows.size)]
 
     def reduce(per_row):
         worst, pair = _pick_first_max(per_row)

@@ -109,7 +109,7 @@ def growth_pass(m: DiscreteMeasure, s: float, r_min: float) -> RowPass:
             cum = np.cumsum(w[order], axis=1)
         else:
             ds = np.sort(d, axis=1)
-            cum = np.broadcast_to(equal_cum, ds.shape)
+            cum = equal_cum[None, :]  # one row, read by every row
         # candidates: the distances >= r_min. Within a run of equal
         # distances the last holds the ball's mass; an earlier one holds no
         # more, so it can only tie it, at the same radius. The rows are
@@ -120,17 +120,23 @@ def growth_pass(m: DiscreteMeasure, s: float, r_min: float) -> RowPass:
         while h < ds.shape[1] and not np.all(ds[:, h - 1] > r_min):
             h *= 2
         head = ds[:, :h]
+        # ds ** s, then cum / ds ** s, in one buffer: the same correctly
+        # rounded quotient of the same operands
+        ratios = ds ** s
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = cum / ds ** s
+            np.divide(cum, ratios, out=ratios)
         ratios[:, :h][head < r_min] = -np.inf
         k = np.argmax(ratios, axis=1)
         at = np.arange(rows.size)
-        best, radius = ratios[at, k], ds[at, k]
+        out = np.empty((rows.size, 2))
+        out[:, 0], out[:, 1] = ratios[at, k], ds[at, k]
         # r_min itself unless some distance equals it; it precedes them all
-        below = cum[at, np.count_nonzero(head <= r_min, axis=1) - 1] / r_min_s
-        use_r_min = ~np.any(head == r_min, axis=1) & (below >= best)
-        return np.stack([np.where(use_r_min, below, best),
-                         np.where(use_r_min, r_min, radius)], axis=1)
+        below = np.take_along_axis(
+            cum, np.count_nonzero(head <= r_min, axis=1)[:, None] - 1,
+            axis=1)[:, 0] / r_min_s
+        use_r_min = ~np.any(head == r_min, axis=1) & (below >= out[:, 0])
+        out[use_r_min, 0], out[use_r_min, 1] = below[use_r_min], r_min
+        return out
 
     def reduce(per_row):
         x = int(np.argmax(per_row[:, 0]))

@@ -114,15 +114,18 @@ def _distance_rows(cloud: PointCloud, rows: np.ndarray,
 def _differences(cloud: PointCloud, rows, cols=None,
                  swap: bool = False) -> list[np.ndarray]:
     """x_c - y_c for x in rows and y in cols (every point when cols is
-    None), or y_c - x_c with swap: one (rows, cols) array per coordinate
-    c. Each is its own subtraction, not the other's negation, which would
-    turn y_c - x_c = +0.0 into -0.0. The y coordinates are rows of
-    cloud.columns, read as views for every point, else gathered in one
-    np.take (far faster than fancy indexing), so the subtraction reads
-    unit strides."""
+    None), or y_c - x_c with swap: one fresh (rows, cols) array per
+    coordinate c. Each is its own subtraction, not the other's negation,
+    which would turn y_c - x_c = +0.0 into -0.0. The y coordinates are rows
+    of cloud.columns, read as views for every point or a slice of columns,
+    else gathered in one np.take (far faster than fancy indexing), so the
+    subtraction reads unit strides."""
     every = cloud.columns
     x = np.take(every, rows, axis=1)
-    y = every if cols is None else np.take(every, cols, axis=1)
+    if isinstance(cols, np.ndarray):
+        y = np.take(every, cols, axis=1)
+    else:
+        y = every if cols is None else every[:, cols]
     return [y[c] - x[c, :, None] if swap else x[c, :, None] - y[c]
             for c in range(every.shape[0])]
 
@@ -131,28 +134,32 @@ def _norm(md: MetricDescriptor, diffs) -> np.ndarray:
     """The one distance formula: the metric's norm of per-coordinate
     difference arrays x_c - y_c.
 
-    Coordinate terms are added left to right, which is bit-identical to a
-    sum over a trailing axis of length at most 7.
+    The arrays are the caller's to give up: each is squared (or made
+    absolute, or raised to p) in place, and the result is written into
+    the first of them, so a norm of (rows, cols) blocks allocates nothing
+    of that size beyond what a snowflake's or a general p's final root
+    takes. Every operation is the one the out-of-place form would apply
+    to the same operands, each correctly rounded (or the same np.power
+    loop), so the bits are those of a norm of fresh arrays. Coordinate
+    terms are added left to right, which is bit-identical to a sum over a
+    trailing axis of length at most 7.
     """
     p = md.p
-    if math.isinf(p):
-        d = np.abs(diffs[0])
-        for dc in diffs[1:]:
-            np.maximum(d, np.abs(dc), out=d)
-    else:
+    general = p not in (1.0, 2.0, math.inf)
+    for dc in diffs:
         if p == 2.0:
-            terms = (dc * dc for dc in diffs)
-        elif p == 1.0:
-            terms = (np.abs(dc) for dc in diffs)
+            np.multiply(dc, dc, out=dc)
         else:
-            terms = (np.abs(dc) ** p for dc in diffs)
-        d = next(terms)
-        for t in terms:
-            d += t
-        if p == 2.0:
-            d = np.sqrt(d, out=d)  # d is the fresh sum of the terms
-        elif p != 1.0:
-            d = d ** (1.0 / p)
+            np.abs(dc, out=dc)
+            if general:
+                np.power(dc, p, out=dc)  # the ufunc dc ** p calls
+    d = diffs[0]
+    for dc in diffs[1:]:
+        (np.maximum if math.isinf(p) else np.add)(d, dc, out=d)
+    if p == 2.0:
+        np.sqrt(d, out=d)
+    elif general:
+        d = d ** (1.0 / p)
     if md.family == SNOWFLAKE:
         d = d ** md.alpha
     return d
@@ -201,8 +208,14 @@ def tile_map(fn, rows, n_cols: int, workers: int = 1):
     `workers` times taller, so the threads trade the interpreter lock fewer
     times per row. The `workers` threads each hold one tile's temporaries,
     workers * _TILE_PAIRS pairs, so in-flight memory is about workers^2 *
-    _TILE_PAIRS pairs at any size, and sums.thread_map submits at most
-    2 * workers tiles ahead of the one it collects. No caller's result
+    _TILE_PAIRS pairs times the tile's array budget at any size, and
+    sums.thread_map submits at most 2 * workers tiles ahead of the one it
+    collects. On the pair sweep that budget is the shared kernel and
+    distance rows plus the largest pass's temporaries, about 2 + 2.6
+    (rows, cols) float64 arrays: the pairing trace's tile sets it, as
+    pair_rows, the antisymmetry tile and the growth tile reuse their own
+    buffers (3, 1 and 2 arrays; growth takes 4 when the weights differ,
+    as it sorts each row's weights too). No caller's result
     depends on the split or on the tile height: a row's sums do not depend
     on the rows that share its tile, and the upper-triangle walks that read
     the columns from a tile's first row on take maxima that every height

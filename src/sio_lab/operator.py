@@ -427,6 +427,16 @@ def total_boundary_integral(k: KernelSpec, m: DiscreteMeasure,
                     workers)
 
 
+def _fold_weighted(kt: np.ndarray, w: np.ndarray, keep: np.ndarray
+                   ) -> np.ndarray:
+    """fold_rows of |k| w where keep and +0.0 elsewhere, built in the one
+    buffer of |k|: the bits of np.where(keep, np.abs(kt) * w, 0.0)."""
+    a = np.abs(kt)
+    np.multiply(a, w, out=a)
+    np.copyto(a, 0.0, where=~keep)
+    return fold_rows(a)
+
+
 def boundary_pass(m: DiscreteMeasure, ball: Ball, delta: float,
                   eps: float) -> RowPass:
     """The boundary term as a RowPass over the rows in the ball: per row,
@@ -439,8 +449,7 @@ def boundary_pass(m: DiscreteMeasure, ball: Ball, delta: float,
     w, outside = m.weights, ~inside
 
     def tile(kt, dt, _rows):
-        return fold_rows(np.where(outside & (dt > delta) & (dt <= eps),
-                                  np.abs(kt) * w, 0.0))
+        return _fold_weighted(kt, w, outside & (dt > delta) & (dt <= eps))
     return RowPass(rows, tile, lambda folds: pairwise_sum(folds * w[rows]))
 
 
@@ -637,7 +646,7 @@ def annuli_pass(m: DiscreteMeasure, ball: Ball) -> RowPass:
     w = m.weights
 
     def tile(kt, dt, _rows):
-        return fold_rows(np.where(outside & (dt < 2.0), np.abs(kt) * w, 0.0))
+        return _fold_weighted(kt, w, outside & (dt < 2.0))
 
     def reduce(lhs_rows, s, c, c_mu):
         checks = []

@@ -245,8 +245,7 @@ def run_convergence_suite(config: SuiteConfig) -> ConvergenceReport:
             witness={"balls": [b1.center, b2.center], "delta": lo,
                      "eps": hi, "bound": bound}))
 
-    ann_checks, _on_sphere = annuli.reduce(
-        annuli_rows, config.s, max(c_cert, 1e-300), c_mu)
+    ann_checks, _on_sphere = annuli.reduce(annuli_rows, config.s, c_cert, c_mu)
     # the first failing atom, else the one with the least slack
     worst = max(ann_checks, key=lambda c: (not c.ok, c.lhs - c.rhs))
     checks.append(replace(worst, name="annuli_log_bound"))

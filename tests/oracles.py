@@ -22,14 +22,21 @@ def dense_distances(cloud) -> np.ndarray:
     return np.stack([cloud.distances_from(i) for i in range(cloud.n_points)])
 
 
+def _dense_gaps(cloud) -> tuple[list[np.ndarray], np.ndarray]:
+    """The whole-matrix coordinate gaps x_c - y_c and the Euclidean
+    d = sqrt(sum of their squares), added left to right."""
+    coords = cloud.coords
+    gaps = [coords[:, None, c] - coords[None, :, c]
+            for c in range(coords.shape[1])]
+    return gaps, np.sqrt(sum(g * g for g in gaps))
+
+
 def dense_base(k, cloud) -> np.ndarray:
     """A generic kernel's base b(x, y) over every pair: the expression
     evaluated by Python over the whole-matrix x, y and the Euclidean d."""
     n = cloud.n_points
     coords = cloud.coords
-    gaps = [coords[:, None, c] - coords[None, :, c]
-            for c in range(coords.shape[1])]
-    d = np.sqrt(sum(g * g for g in gaps))
+    _gaps, d = _dense_gaps(cloud)
     with np.errstate(all="ignore"):
         out = eval(k.base, {"__builtins__": {}},  # noqa: S307 - test oracle
                    {"x": coords[:, None, :], "y": coords[None, :, :],
@@ -38,13 +45,17 @@ def dense_base(k, cloud) -> np.ndarray:
 
 
 def dense_kernel(k, cloud) -> np.ndarray:
-    """k over every pair, zero on the diagonal: the Riesz formula on every
-    row at once, or a generic base's whole matrix b as (b - b.T) / 2."""
+    """k over every pair, zero on the diagonal: the Riesz formula
+    (x_i - y_i) / d ** (n + 1.0) over the whole-matrix gaps, or a generic
+    base's whole matrix b as (b - b.T) / 2."""
     if k.family == kernels.COORDINATE_RIESZ:
-        return kernels._riesz_rows(k, cloud, np.arange(cloud.n_points))[0]
-    b = dense_base(k, cloud)
-    with np.errstate(invalid="ignore"):  # inf - inf on the diagonal
-        vals = (b - b.T) / 2.0 if k.antisymmetrize else b
+        gaps, d = _dense_gaps(cloud)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = gaps[k.i - 1] / d ** (k.n + 1.0)
+    else:
+        b = dense_base(k, cloud)
+        with np.errstate(invalid="ignore"):  # inf - inf on the diagonal
+            vals = (b - b.T) / 2.0 if k.antisymmetrize else b
     np.fill_diagonal(vals, 0.0)
     return vals
 

@@ -659,9 +659,11 @@ def test_check_kernel_prints_the_same_at_any_thread_count(
     monkeypatch.setattr(metric, "_TILE_PAIRS", 9 * 64)
     pairs = []
     real = kernels._kernel_block
+    # c is None (every point), a slice of the ids, or ids
     monkeypatch.setattr(kernels, "_kernel_block", lambda k, cloud, r, c,
                         swap=False: (
-        pairs.append(np.size(r) * (64 if c is None else np.size(c))),
+        pairs.append(np.size(r) * np.arange(64)[
+            slice(None) if c is None else c].size),
         real(k, cloud, r, c, swap))[1])
     outs = []
     for flags in ([], ["--kernel", "custom",

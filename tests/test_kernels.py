@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,10 @@ from oracles import dense_antisymmetry, dense_kernel
 from sio_lab.errors import InputError
 from sio_lab import kernels, metric
 from sio_lab.generators import GeneratorSpec, generate
-from sio_lab.kernels import (_UFUNCS, KernelSpec, check_antisymmetry,
-                             check_size_bound, kernel_matrix, kernel_rows,
-                             pair_rows)
+from sio_lab.kernels import (_UFUNCS, KernelSpec, antisymmetry_pass,
+                             check_antisymmetry, check_size_bound,
+                             kernel_matrix, kernel_rows, pair_rows)
+from sio_lab.measure import growth_pass, normalize
 from sio_lab.metric import MetricDescriptor, make_cloud
 
 E2 = MetricDescriptor(family="euclidean_p", dimension=2, p=2.0)
@@ -280,7 +283,7 @@ def _named_base(name, cloud, s, rows, cols):
         with np.errstate(divide="ignore"):
             return metric._distance_rows(cloud, rows, cols) ** (-s)
     diffs = metric._differences(cloud, rows, cols)
-    d = metric._norm(E2, diffs)
+    d = metric._norm(E2, [dc.copy() for dc in diffs])  # squares in place
     with np.errstate(divide="ignore", invalid="ignore"):
         return cloud.coords[rows, None, 0] * diffs[0] / d ** (s + 1.0)
 
@@ -343,34 +346,40 @@ def test_tiles_match_the_dense_construction(name, antisymmetrize):
 def assert_swapped_blocks(k, cloud, want, rows, cols):
     """kernel_rows with swap gives k(y, x) laid out (rows, cols): the
     whole matrix's transposed block, bit for bit, for every point, the
-    column block y >= x0 and its transpose."""
+    column block y >= x0 as ids and as the slice the antisymmetry tile
+    reads, and its transpose."""
     every = np.arange(cloud.n_points)
-    for a, b in ((rows, None), (rows, cols), (cols, rows)):
+    part = slice(int(cols[0]), int(cols[0]) + 13)
+    for a, b in ((rows, None), (rows, cols), (rows, part), (cols, rows)):
         got = kernel_rows(k, cloud, a, b, swap=True)
-        assert got.tobytes() == want[np.ix_(every if b is None else b,
+        assert got.tobytes() == want[np.ix_(every if b is None else every[b],
                                             a)].T.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])  # n >= 2 goes through np.power
-@pytest.mark.parametrize("i", [1, 2])
+@pytest.mark.parametrize("i", [1, 2, 3])
 def test_riesz_tiles_match_the_whole_matrix(i, n):
     """A Riesz pair gets the same bits in any block shape: row tiles, the
     column blocks check_antisymmetry reads and their transposes, at every
     offset 0 through 8, the kernel block of pair_rows, and in the swapped
-    orientation k(y, x)."""
-    cloud = make_cloud(np.random.default_rng(4).random((37, 2)), E2)
-    every = np.arange(cloud.n_points)
-    k = KernelSpec(family="coordinate_riesz", i=i, n=n)
-    want = kernel_rows(k, cloud, every)
-    assert want.tobytes() == dense_kernel(k, cloud).tobytes()
-    for x0 in range(9):
-        rows, cols = every[x0:x0 + 5], every[x0:]
-        assert kernel_rows(k, cloud, rows).tobytes() == want[rows].tobytes()
-        for a, b in ((rows, cols), (cols, rows)):
-            block = want[np.ix_(a, b)].tobytes()
-            assert kernel_rows(k, cloud, a, b).tobytes() == block
-            assert pair_rows(k, cloud, a, b)[0].tobytes() == block
-        assert_swapped_blocks(k, cloud, want, rows, cols)
+    orientation k(y, x), on a line, a plane and in space (i <= the
+    dimension), against the whole-matrix formula of dense_kernel."""
+    for dim in range(i, 4):
+        md = MetricDescriptor(family="euclidean_p", dimension=dim, p=2.0)
+        cloud = make_cloud(np.random.default_rng(4).random((37, dim)), md)
+        every = np.arange(cloud.n_points)
+        k = KernelSpec(family="coordinate_riesz", i=i, n=n)
+        want = dense_kernel(k, cloud)
+        assert kernel_rows(k, cloud, every).tobytes() == want.tobytes()
+        for x0 in range(9):
+            rows, cols = every[x0:x0 + 5], every[x0:]
+            assert kernel_rows(k, cloud, rows).tobytes() \
+                == want[rows].tobytes()
+            for a, b in ((rows, cols), (cols, rows)):
+                block = want[np.ix_(a, b)].tobytes()
+                assert kernel_rows(k, cloud, a, b).tobytes() == block
+                assert pair_rows(k, cloud, a, b)[0].tobytes() == block
+            assert_swapped_blocks(k, cloud, want, rows, cols)
 
 
 GENERIC = KernelSpec(family="generic_antisymmetrized",
@@ -432,10 +441,11 @@ def test_antisymmetry_tiles_match_the_dense_check(k, general, workers,
                                                   monkeypatch):
     """Both branches of the antisymmetry tile give the whole matrix's
     check: the residual and the row-major first pair attaining it, bit for
-    bit, judged against exactly 0.0. A tile whose k(x, y) + k(y, x) are
-    all zero takes the shortcut, which evaluates no first maximum; the
-    others take the general path. An antisymmetrized kernel reads +0.0 at
-    the pair (0, 0) and passes; every other kernel fails."""
+    bit, judged against exactly 0.0. The tile takes its columns in slices
+    of at most ceil(37 / 3) = 13; a slice whose k(x, y) + k(y, x) are all
+    zero takes the shortcut, which evaluates no first maximum; the others
+    take the general path. An antisymmetrized kernel reads +0.0 at the
+    pair (0, 0) and passes; every other kernel fails."""
     coords = np.random.default_rng(7).random((37, 2))
     cloud = make_cloud(coords[np.argsort(coords[:, 0])], E2)  # ids by x_1
     monkeypatch.setattr(metric, "_TILE_PAIRS", 5 * 37)  # 5 rows a thread
@@ -447,7 +457,9 @@ def test_antisymmetry_tiles_match_the_dense_check(k, general, workers,
 
         def one_ulp_off(k, cloud, rows, cols, swap=False):
             vals, norm = real(k, cloud, rows, cols, swap)
-            cols = np.arange(cloud.n_points) if cols is None else cols
+            # the ids of cols: every point, a slice of them, or ids
+            cols = np.arange(cloud.n_points)[
+                slice(None) if cols is None else cols]
             first, second = (y, x) if swap else (x, y)  # (row, col)
             at = (rows[:, None] == first) & (cols[None, :] == second)
             vals[at] = np.nextafter(vals[at], np.inf)
@@ -460,18 +472,53 @@ def test_antisymmetry_tiles_match_the_dense_check(k, general, workers,
     tiles = []
     real_first_max = kernels._first_max
     monkeypatch.setattr(kernels, "_first_max", lambda vals, rows, col0: (
-        tiles.append(rows[0]), real_first_max(vals, rows, col0))[1])
+        tiles.append((rows[0], col0)), real_first_max(vals, rows, col0))[1])
     got = check_antisymmetry(k, cloud, workers)
     assert [float(v).hex() for v in (got.lhs, got.rhs)] \
         == [float(v).hex() for v in (want[0], 0.0)]
     assert got.witness == {"pair": want[1]}
     assert got.ok is not general
     if ulp:
-        assert tiles == [0] and got.witness["pair"] == (3, 21)
+        # only the slice 13..25 of the tile from row 0 holds the pair
+        assert tiles == [(0, 13)] and got.witness["pair"] == (3, 21)
         assert got.lhs > 0.0
     else:
-        assert sorted(tiles) \
-            == (list(range(0, 37, 5 * workers)) if general else [])
+        assert sorted(tiles) == ([(x0, c0) for x0 in range(0, 37, 5 * workers)
+                                  for c0 in range(x0, 37, 13)]
+                                 if general else [])
     if not general:
         assert got.lhs == 0.0 and not np.signbit(got.lhs)
         assert got.witness["pair"] == (0, 0)
+
+
+# Peak bytes allocated per tile, in (rows, N) float64 arrays, on top of the
+# sweep's shared kernel and distance rows: pair_rows builds its two outputs
+# and one scratch array; the antisymmetry tile holds one column slice of at
+# most ceil(N / 3) at a time, in three arrays of that width; the growth
+# tile holds its sorted distances and one buffer of ratios. A quarter array
+# covers the per-row results and numpy's fixed ufunc buffer.
+TILE_BUDGET = {"pair_rows": 3.25, "antisymmetry": 1.25, "growth": 2.25}
+
+
+def test_a_level_5_tile_stays_within_its_allocation_budget():
+    """One 64-row tile of the 1,024-atom four-corner cloud, as a serial
+    converge sweep walks it, measured with tracemalloc."""
+    _cloud, m, r_min = generate(GeneratorSpec(family="four_corner_cantor",
+                                              level=5))
+    m, _ = normalize(m)
+    cloud, rows = m.cloud, np.arange(64)
+    kt, dt = pair_rows(RIESZ, cloud, rows)
+    antisymmetry = antisymmetry_pass(RIESZ, cloud)
+    growth = growth_pass(m, 1.0, r_min)
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / kt.nbytes
+        finally:
+            tracemalloc.stop()
+    got = {"pair_rows": peak(lambda: pair_rows(RIESZ, cloud, rows)),
+           "antisymmetry": peak(lambda: antisymmetry.tile(kt, dt, rows)),
+           "growth": peak(lambda: growth.tile(kt, dt, rows))}
+    assert all(got[name] <= TILE_BUDGET[name] for name in got), got

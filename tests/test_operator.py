@@ -761,7 +761,9 @@ def one_ulp_off(monkeypatch, x, y):
 
     def block(k, cloud, rows, cols, swap=False):
         vals, norm = real(k, cloud, rows, cols, swap)
-        cols = np.arange(cloud.n_points) if cols is None else np.asarray(cols)
+        # the ids of cols: every point, a slice of them, or ids
+        cols = np.arange(cloud.n_points)[
+            slice(None) if cols is None else cols]
         first, second = (y, x) if swap else (x, y)  # the block's (row, col)
         at = (np.asarray(rows)[:, None] == first) & (cols[None, :] == second)
         vals[at] = np.nextafter(vals[at], np.inf)

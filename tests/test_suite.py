@@ -263,7 +263,7 @@ def test_sweep_matches_the_stand_alone_functions(kernel, md, workers,
                   float(Fraction(*report.balls[0].radius)))
     assert ball_0.radius == report.f_terms[0][2]
     records, _ = annuli_log_bound_check(kernel, m, ball_0, config.s,
-                                        max(c_cert, 1e-300), c_mu)
+                                        c_cert, c_mu)
     worst = max(records, key=lambda r: r.lhs - r.rhs)
     annuli = report.check("annuli_log_bound")
     assert annuli.witness == worst.witness
@@ -274,6 +274,19 @@ def test_sweep_matches_the_stand_alone_functions(kernel, md, workers,
     value = total_boundary_integral(
         kernel, m, Ball(0, float(Fraction(*top["radius"]))))
     assert bits([top["value"]]) == bits([value])
+
+
+def test_the_zero_kernel_bounds_its_annuli_by_exactly_0():
+    """The annuli bound c * c_mu * 2^s * n_x takes the certified c as it
+    is: the zero kernel certifies c = 0, so every bound is 0.0 and holds,
+    as every |k| is 0. A floor such as max(c, 1e-300) in its place would
+    make the bound positive."""
+    zero = KernelSpec(family="generic_antisymmetrized")
+    summary = report_to_json(run_convergence_suite(small_config(kernel=zero)))
+    assert summary["c_certified"] == 0.0
+    worst = summary["annuli_worst"]
+    assert summary["annuli_ok"] and (worst["lhs"], worst["rhs"]) == (0.0, 0.0)
+    assert not np.signbit(worst["rhs"])
 
 
 def test_a_failing_run_reports_its_first_failing_check():
@@ -362,7 +375,9 @@ def test_a_kernel_one_ulp_off_is_walked_and_shows_its_residual(monkeypatch):
 
     def one_ulp_off(k, cloud, rows, cols, swap=False):
         vals, norm = real(k, cloud, rows, cols, swap)
-        cols = np.arange(cloud.n_points) if cols is None else np.asarray(cols)
+        # the ids of cols: every point, a slice of them, or ids
+        cols = np.arange(cloud.n_points)[
+            slice(None) if cols is None else cols]
         first, second = (y, x) if swap else (x, y)  # the block's (row, col)
         at = (np.asarray(rows)[:, None] == first) & (cols[None, :] == second)
         vals[at] = np.nextafter(vals[at], np.inf)
